@@ -13,13 +13,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use concurrent_dsu::{
-    Dsu, FlatStore, GrowableDsu, OneTrySplit, PackedStore, ShardSpec, ShardedStore, TwoTrySplit,
-};
+use concurrent_dsu::{Dsu, FlatStore, GrowableDsu, OneTrySplit, PackedStore, TwoTrySplit};
 use dsu_baselines::{AwDsu, LockedDsu};
 use dsu_bench::{
-    standard_edge_batches, standard_workload, timed_ingest_batched, timed_ingest_batched_planned,
-    timed_ingest_per_op, timed_parallel_run, timed_parallel_run_cached, timed_parallel_run_planned,
+    standard_edge_batches, standard_workload, timed_ingest_batched, timed_ingest_per_op,
+    timed_parallel_run,
 };
 use sequential_dsu::{Compaction, Linking};
 
@@ -61,55 +59,6 @@ fn bench_structures(c: &mut Criterion) {
                 for _ in 0..iters {
                     let dsu: Dsu<TwoTrySplit, FlatStore> = Dsu::new(N);
                     total += timed_parallel_run(&dsu, &w, p);
-                }
-                total
-            })
-        });
-        group.bench_function(BenchmarkId::new("jt-two-try-sharded", p), |b| {
-            b.iter_custom(|iters| {
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    // One shard per measured thread count, not per host
-                    // core: keeps the criterion numbers comparable across
-                    // machines (the A/B example sweeps the auto spec).
-                    let store = ShardedStore::with_spec(
-                        N,
-                        Dsu::<TwoTrySplit, PackedStore>::DEFAULT_SEED,
-                        ShardSpec::with_shards(p),
-                    );
-                    let dsu: Dsu<TwoTrySplit, ShardedStore> = Dsu::from_store(store);
-                    total += timed_parallel_run(&dsu, &w, p);
-                }
-                total
-            })
-        });
-        group.bench_function(BenchmarkId::new("jt-two-try-cached", p), |b| {
-            // Same structure and workload as jt-two-try-packed, but every
-            // worker routes its ops through a per-thread hot-root cache
-            // session (Dsu::cached): the pair isolates the cache layer on
-            // the serial per-op path (the number cache_ab tracks in
-            // BENCH_PR4.json).
-            b.iter_custom(|iters| {
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    let dsu: Dsu<TwoTrySplit, PackedStore> = Dsu::new(N);
-                    total += timed_parallel_run_cached(&dsu, &w, p);
-                }
-                total
-            })
-        });
-        group.bench_function(BenchmarkId::new("jt-two-try-planned", p), |b| {
-            // Same structure and workload as jt-two-try-packed, but every
-            // worker buffers its consecutive unites into bursts ingested
-            // through the ingestion planner (run_shards_planned): the row
-            // that shows what planner-routed ingestion buys (or costs) on
-            // the mixed workload (the number bucket_ab tracks in
-            // BENCH_PR5.json on the pure burst shape).
-            b.iter_custom(|iters| {
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    let dsu: Dsu<TwoTrySplit, PackedStore> = Dsu::new(N);
-                    total += timed_parallel_run_planned(&dsu, &w, p);
                 }
                 total
             })
@@ -183,19 +132,6 @@ fn bench_ingestion(c: &mut Criterion) {
                 for _ in 0..iters {
                     let dsu: Dsu<TwoTrySplit, PackedStore> = Dsu::new(N_INGEST);
                     total += timed_ingest_batched(&dsu, &arrivals.batches, p);
-                }
-                total
-            })
-        });
-        group.bench_function(BenchmarkId::new("ingest-planned", p), |b| {
-            // Same bursts through the ingestion planner — the pair with
-            // ingest-batched isolates the planner exactly (the drift-free
-            // twin is the bucket_ab example).
-            b.iter_custom(|iters| {
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    let dsu: Dsu<TwoTrySplit, PackedStore> = Dsu::new(N_INGEST);
-                    total += timed_ingest_batched_planned(&dsu, &arrivals.batches, p);
                 }
                 total
             })

@@ -26,9 +26,7 @@
 
 use std::fmt::Write as _;
 
-use concurrent_dsu::{
-    Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, PackedStore, ShardedStore, TwoTrySplit,
-};
+use concurrent_dsu::{Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, PackedStore, TwoTrySplit};
 use dsu_bench::{median, standard_edge_batches, timed_ingest_batched};
 use dsu_harness::Args;
 use dsu_workloads::EdgeBatches;
@@ -233,16 +231,6 @@ fn main() {
         &mut all_linearizable,
     );
     sweep::<FlatStore>(
-        &arrivals,
-        n,
-        &rates,
-        &threads,
-        samples,
-        histories,
-        &mut rows,
-        &mut all_linearizable,
-    );
-    sweep::<ShardedStore>(
         &arrivals,
         n,
         &rates,

@@ -1,7 +1,7 @@
 //! Flatten-sweep A/B: does paying an `O(n)` pointer-jumping pass at the
 //! ingest→query boundary beat just running the queries?
 //!
-//! The contender triple, per (universe, threads) cell — all three run the
+//! The contender pair, per (universe, threads) cell — both run the
 //! *same* burst-ingest phase followed by the *same* query-only storm, and
 //! the measured time is the whole pipeline (ingest + any sweeps + storm),
 //! so the sweep's cost is inside the number it has to win back:
@@ -12,10 +12,6 @@
 //!   storm (the phase-boundary pattern `IncrementalConnectivity::flatten`
 //!   and the percolation `_flattened` route expose): after it, every find
 //!   in the storm is a single load.
-//! * **auto** — [`FlattenPolicy::Auto`] armed during ingest: the trigger
-//!   probes sampled depth after every burst and sweeps whenever it exceeds
-//!   the threshold. This arm measures what the *adaptive* path costs when
-//!   nobody hand-places the sweep.
 //!
 //! Two universes (cache-resident and DRAM-resident at the ISSUE's
 //! n = 2^18 / 2^22; `--quick` shrinks both) × the thread ladder; samples
@@ -33,12 +29,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use concurrent_dsu::{Dsu, FlattenPolicy, OpStats};
+use concurrent_dsu::{Dsu, OpStats};
 use dsu_bench::{machine_fingerprint_json, median, timed_ingest_batched, timed_parallel_run};
 use dsu_harness::Args;
 use dsu_workloads::{EdgeBatches, Op, Workload, WorkloadSpec};
 
-const MODES: [&str; 3] = ["off", "sweep", "auto"];
+const MODES: [&str; 2] = ["off", "sweep"];
 
 struct Probe {
     label: &'static str,
@@ -69,10 +65,7 @@ fn probes(quick: bool) -> Vec<Probe> {
 /// One timed pipeline run of a mode: fresh structure, burst ingest,
 /// mode-specific sweeping, query storm. Returns total wall nanoseconds.
 fn timed_mode(mode: &str, probe: &Probe, threads: usize) -> f64 {
-    let mut dsu: Dsu = Dsu::with_seed(probe.n, 0xF1A7);
-    if mode == "auto" {
-        dsu.set_flatten_policy(FlattenPolicy::Auto);
-    }
+    let dsu: Dsu = Dsu::with_seed(probe.n, 0xF1A7);
     let mut total = timed_ingest_batched(&dsu, &probe.ingest.batches, threads);
     if mode == "sweep" {
         let t0 = Instant::now();

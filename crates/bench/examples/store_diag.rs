@@ -1,18 +1,11 @@
-//! Work-count cross-check and phase attribution for packed vs. flat vs.
-//! sharded.
+//! Work-count cross-check and phase attribution for packed vs. flat.
 //!
-//! Runs the standard mixed workload single-threaded on all layouts with
+//! Runs the standard mixed workload single-threaded on both layouts with
 //! full `OpStats` instrumentation. The counters (loop iterations, reads,
-//! CAS outcomes — and, for the cached phase, cache hits/stale) must be
-//! *identical* — same ids, same decisions — so any timing difference is
-//! pure per-access cost, attributed separately to the mixed phase, a
-//! pure-find storm, a hot-root-cached find storm (the storm repeated
-//! through a `Dsu::cached` session: its hit/stale counters say exactly
-//! how much walk work the cache replaced with validation loads), and a
-//! planned-ingestion phase (a dup-heavy burst trace through the ingestion
-//! planner vs the plain batch path: `dup_edges_dropped` / `bucket_count`
-//! / `spill_edges` next to the read delta say exactly what the planner
-//! thinned and how it carved the index space).
+//! CAS outcomes) must be *identical* — same ids, same decisions — so any
+//! timing difference is pure per-access cost, attributed separately to
+//! the mixed phase, a pure-find storm, a flatten sweep, and a batch
+//! ingestion phase (a Zipf burst trace through `unite_batch`).
 //!
 //! A final fault-attribution phase re-runs the mixed workload through a
 //! `FaultyStore` wrapper at a fixed injection rate: `faults_injected` is
@@ -41,11 +34,11 @@
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
-    BatchTuning, Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, GrowableStore, KeyedDsu,
-    OpStats, PackedSegmentedStore, PackedStore, PlanTuning, SegmentedStore, ShardSpec,
-    ShardedSegmentedStore, ShardedStore, TunedDsu, TunerMode, TwoTrySplit, Variant, VersionedDsu,
+    Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, GrowableStore, KeyedDsu, OpStats,
+    PackedSegmentedStore, PackedStore, SegmentedStore, ShardSpec, TunedDsu, TunerMode, TwoTrySplit,
+    Variant, VersionedDsu,
 };
-use dsu_bench::{dup_edge_batches, standard_workload};
+use dsu_bench::{standard_edge_batches, standard_workload};
 use dsu_workloads::{KeyedOp, KeyedSpec};
 use std::time::Instant;
 
@@ -77,19 +70,6 @@ fn run<S: DsuStore>(label: &str) {
     }
     let finds = t1.elapsed();
     std::hint::black_box(acc);
-    // The same storm through a hot-root cache session: every element is
-    // touched once (worst case for the cache — no re-hits except roots),
-    // so the hit/stale split reports exactly what fraction of entries the
-    // direct-mapped table could retain.
-    let mut cached_stats = OpStats::default();
-    let mut session = dsu.cached();
-    let t2 = Instant::now();
-    let mut acc2 = 0usize;
-    for i in 0..n {
-        acc2 = acc2.wrapping_add(session.find_with(i, &mut cached_stats));
-    }
-    let cached_finds = t2.elapsed();
-    std::hint::black_box(acc2);
     // Flatten-attribution phase: one sequential sweep on the quiesced
     // mixed-phase structure, then a re-run of the find storm. The sweep's
     // own work lands in `reads` / `compact_cas_*` with the `flatten_*`
@@ -138,52 +118,31 @@ fn run<S: DsuStore>(label: &str) {
     let hist = concurrent_dsu::viz::depth_histogram(&dsu.parents_snapshot());
     println!("{label}: post-flatten {}", hist.summary());
     assert_eq!(hist.nodes_deeper_than_one(), 0, "{label}: {}", hist.summary());
-    // Planned-ingestion phase: a dup-heavy Zipf burst trace through the
-    // ingestion planner on a fresh structure, next to the plain batch
-    // path on another — work counters per arm, so every planner delta
-    // (reads saved by dedup, the bucket/spill split) is attributable.
-    let trace = dup_edge_batches(n, (m / 1024).max(1), 1024, 1.0, 0.25);
-    let plain_dsu: Dsu<TwoTrySplit, S> = Dsu::new(n);
-    let mut plain_batch = OpStats::default();
+    // Batch-ingestion phase: a Zipf burst trace through the batch path
+    // on a fresh structure.
+    let trace = standard_edge_batches(n, (m / 1024).max(1), 1024, 1.0);
+    let batch_dsu: Dsu<TwoTrySplit, S> = Dsu::new(n);
+    let mut batch_stats = OpStats::default();
     let t3 = Instant::now();
     for burst in &trace.batches {
-        plain_dsu.unite_batch_with(burst, &mut plain_batch);
+        batch_dsu.unite_batch_with(burst, &mut batch_stats);
     }
-    let plain_ingest = t3.elapsed();
-    let planned_dsu: Dsu<TwoTrySplit, S> = Dsu::new(n);
-    let mut planned_batch = OpStats::default();
-    let planned_tuning = BatchTuning::new().planned(PlanTuning::new());
-    let t4 = Instant::now();
-    for burst in &trace.batches {
-        planned_dsu.unite_batch_tuned_with(burst, planned_tuning, None, &mut planned_batch);
-    }
-    let planned_ingest = t4.elapsed();
+    let batch_ingest = t3.elapsed();
     println!(
-        "{label}: mixed {:>12?} finds {:>12?} cached-finds {:>12?} | iters {} reads {} cas_ok {} \
-         cas_fail {} links_ok {} links_fail {} | cached: reads {} hits {} stale {}",
+        "{label}: mixed {:>12?} finds {:>12?} | iters {} reads {} cas_ok {} cas_fail {} \
+         links_ok {} links_fail {}",
         total,
         finds,
-        cached_finds,
         stats.loop_iters,
         stats.reads,
         stats.compact_cas_ok,
         stats.compact_cas_fail,
         stats.links_ok,
-        stats.links_fail,
-        cached_stats.reads,
-        cached_stats.cache_hits,
-        cached_stats.cache_stale
+        stats.links_fail
     );
     println!(
-        "{label}: ingest plain {:>12?} reads {} | planned {:>12?} reads {} dup_dropped {} \
-         buckets {} spill {}",
-        plain_ingest,
-        plain_batch.reads,
-        planned_ingest,
-        planned_batch.reads,
-        planned_batch.dup_edges_dropped,
-        planned_batch.bucket_count,
-        planned_batch.spill_edges
+        "{label}: ingest batch {:>12?} reads {} links_ok {}",
+        batch_ingest, batch_stats.reads, batch_stats.links_ok
     );
     // Unfaulted runs must attribute exactly zero injected faults, and the
     // *per-op* phases zero retries too — single-threaded, a per-op retry
@@ -191,12 +150,7 @@ fn run<S: DsuStore>(label: &str) {
     // one else. (The batch phases may retry legitimately: a wave-gathered
     // root goes stale when an earlier link in the same burst moves it, so
     // for those only the injection counter must be zero.)
-    for (phase, s) in [
-        ("mixed", &stats),
-        ("cached", &cached_stats),
-        ("plain", &plain_batch),
-        ("planned", &planned_batch),
-    ] {
+    for (phase, s) in [("mixed", &stats), ("batch", &batch_stats)] {
         assert_eq!(s.faults_injected, 0, "{label}/{phase}: phantom fault attribution");
         // None of these phases runs through a `VersionedDsu`, so the
         // epoch columns must be exactly zero: an unversioned run pays no
@@ -206,22 +160,15 @@ fn run<S: DsuStore>(label: &str) {
             (0, 0, 0, 0),
             "{label}/{phase}: phantom epoch attribution on an unversioned run"
         );
-        // Unless the env knob armed the batch-ingest trigger, no phase
-        // above runs a sweep, so flatten attribution must be exactly zero.
-        if dsu.flatten_policy() == concurrent_dsu::FlattenPolicy::Off {
-            assert_eq!(
-                (s.flatten_passes, s.flatten_jumps, s.flatten_cas_lost),
-                (0, 0, 0),
-                "{label}/{phase}: phantom flatten attribution"
-            );
-        }
-    }
-    for (phase, s) in [("mixed", &stats), ("cached", &cached_stats)] {
+        // No phase above runs a sweep, so flatten attribution must be
+        // exactly zero.
         assert_eq!(
-            s.cas_retries, 0,
-            "{label}/{phase}: retries on an unfaulted single-threaded run"
+            (s.flatten_passes, s.flatten_jumps, s.flatten_cas_lost),
+            (0, 0, 0),
+            "{label}/{phase}: phantom flatten attribution"
         );
     }
+    assert_eq!(stats.cas_retries, 0, "{label}/mixed: retries on an unfaulted single-threaded run");
     // Fault attribution: the same mixed workload through a FaultyStore at
     // a fixed rate. faults_injected (charged by the plan, folded in from
     // the store's report) sits next to cas_retries (paid by the retry
@@ -463,11 +410,9 @@ fn main() {
     for _ in 0..3 {
         run::<PackedStore>("packed ");
         run::<FlatStore>("flat   ");
-        run::<ShardedStore>("sharded");
     }
     keyed::<PackedSegmentedStore>("packed ");
     keyed::<SegmentedStore>("flat   ");
-    keyed::<ShardedSegmentedStore>("sharded");
     tuner();
     epochs();
 }

@@ -12,7 +12,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use concurrent_dsu::{BatchTuning, Dsu, DsuStore, FindPolicy, OpStats, RootCache};
 use dsu_workloads::{EdgeBatchSpec, EdgeBatches, ElementDist, Workload, WorkloadSpec};
 
 /// The machine fingerprint `(cpus, arch, os)` every A/B example stamps
@@ -40,17 +39,6 @@ pub fn standard_workload(n: usize, m: usize) -> Workload {
     WorkloadSpec::new(n, m).unite_fraction(0.5).generate(0xBE7C)
 }
 
-/// The shard-skew workload: like [`standard_workload`] but `bias` of the
-/// operand mass aimed at the first of `shards` contiguous index blocks —
-/// the adversarial placement shape for the sharded store
-/// ([`ElementDist::ShardSkew`]), fixed seed.
-pub fn shard_skew_workload(n: usize, m: usize, shards: usize, bias: f64) -> Workload {
-    WorkloadSpec::new(n, m)
-        .unite_fraction(0.5)
-        .element_dist(ElementDist::ShardSkew { shards, bias })
-        .generate(0xBE7C)
-}
-
 /// The standard batched-arrival workload: `batches` bursts of `batch_size`
 /// edges over `0..n`, endpoints Zipf-skewed with exponent `zipf`, fixed
 /// seed. Skew plus volume make most edges redundant after the early
@@ -61,41 +49,8 @@ pub fn standard_edge_batches(
     batch_size: usize,
     zipf: f64,
 ) -> EdgeBatches {
-    rehit_edge_batches(n, batches, batch_size, zipf, 0.0)
-}
-
-/// [`standard_edge_batches`] with an intra-burst endpoint re-hit
-/// probability ([`EdgeBatchSpec::repeat_within_burst`]) on top of the Zipf
-/// skew — the temporal-locality axis the `cache_ab` example sweeps.
-/// `repeat = 0.0` reproduces [`standard_edge_batches`] byte for byte.
-pub fn rehit_edge_batches(
-    n: usize,
-    batches: usize,
-    batch_size: usize,
-    zipf: f64,
-    repeat: f64,
-) -> EdgeBatches {
     EdgeBatchSpec::new(n, batches, batch_size)
         .element_dist(ElementDist::Zipf(zipf))
-        .repeat_within_burst(repeat)
-        .generate(0xBA7C)
-}
-
-/// [`standard_edge_batches`] with an exact-duplicate injection
-/// probability ([`EdgeBatchSpec::duplicate_fraction`]) on top of the Zipf
-/// skew — the dup-heavy axis the `bucket_ab` example sweeps (the shape
-/// the ingestion planner's intra-batch dedup targets). `dup = 0.0`
-/// reproduces [`standard_edge_batches`] byte for byte.
-pub fn dup_edge_batches(
-    n: usize,
-    batches: usize,
-    batch_size: usize,
-    zipf: f64,
-    dup: f64,
-) -> EdgeBatches {
-    EdgeBatchSpec::new(n, batches, batch_size)
-        .element_dist(ElementDist::Zipf(zipf))
-        .duplicate_fraction(dup)
         .generate(0xBA7C)
 }
 
@@ -193,122 +148,6 @@ where
     started.elapsed()
 }
 
-/// Like [`timed_ingest`], but each worker thread builds its own stateful
-/// ingest closure via `make_worker` — the shape session-carrying
-/// contenders (a per-thread hot-root cache) need.
-fn timed_ingest_sessions<D, W, M>(
-    dsu: &D,
-    batches: &[Vec<(usize, usize)>],
-    threads: usize,
-    make_worker: M,
-) -> std::time::Duration
-where
-    D: concurrent_dsu::ConcurrentUnionFind,
-    W: FnMut(&D, &[(usize, usize)]),
-    M: Fn() -> W + Copy + Send,
-{
-    let cursor = AtomicUsize::new(0);
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let started = std::thread::scope(|s| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let barrier = &barrier;
-            s.spawn(move || {
-                let mut ingest = make_worker();
-                barrier.wait();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= batches.len() {
-                        break;
-                    }
-                    ingest(dsu, &batches[i]);
-                }
-            });
-        }
-        // Timestamp before releasing the barrier (see timed_parallel_run).
-        let t0 = std::time::Instant::now();
-        barrier.wait();
-        t0
-    });
-    started.elapsed()
-}
-
-/// Batched ingestion under explicit [`BatchTuning`], with the hot-root
-/// cache per worker thread either on (persistent across the worker's
-/// bursts) or off entirely — the four-arm contender of the `cache_ab`
-/// example.
-pub fn timed_ingest_batched_tuned<F: FindPolicy, S: DsuStore>(
-    dsu: &Dsu<F, S>,
-    batches: &[Vec<(usize, usize)>],
-    threads: usize,
-    tuning: BatchTuning,
-    cached: bool,
-) -> std::time::Duration {
-    timed_ingest_sessions(dsu, batches, threads, || {
-        let mut cache = cached.then(RootCache::default);
-        move |d: &Dsu<F, S>, burst: &[(usize, usize)]| {
-            d.unite_batch_tuned_with(burst, tuning, cache.as_mut(), &mut ());
-        }
-    })
-}
-
-/// Single-threaded instrumented twin of [`timed_ingest_batched_tuned`]:
-/// ingests the whole trace through one (optionally cached) session and
-/// returns the merged [`OpStats`] — the attribution record (`cache_hits`,
-/// `cache_stale`, `prefetch_waves`, reads, CASes) the A/B JSON archives
-/// next to the timings.
-pub fn ingest_stats_tuned<F: FindPolicy, S: DsuStore>(
-    dsu: &Dsu<F, S>,
-    batches: &[Vec<(usize, usize)>],
-    tuning: BatchTuning,
-    cached: bool,
-) -> OpStats {
-    let mut stats = OpStats::default();
-    let mut cache = cached.then(RootCache::default);
-    for burst in batches {
-        dsu.unite_batch_tuned_with(burst, tuning, cache.as_mut(), &mut stats);
-    }
-    stats
-}
-
-/// [`timed_parallel_run`] where every worker routes its operations
-/// through its own hot-root cache session ([`Dsu::cached`]) — the cached
-/// contender of the criterion throughput group. Delegates to the harness
-/// driver's [`run_shards_cached`](dsu_harness::run_shards_cached) so this
-/// row and the e04 cached row measure the *same* session-per-worker
-/// harness.
-pub fn timed_parallel_run_cached<F: FindPolicy, S: DsuStore>(
-    dsu: &Dsu<F, S>,
-    workload: &Workload,
-    threads: usize,
-) -> std::time::Duration {
-    dsu_harness::run_shards_cached(dsu, workload, threads).elapsed
-}
-
-/// Renders an [`OpStats`] as the flat JSON object the A/B examples embed.
-pub fn stats_json(stats: &OpStats) -> String {
-    format!(
-        "{{\"reads\": {}, \"loop_iters\": {}, \"compact_cas_ok\": {}, \"compact_cas_fail\": {}, \
-         \"links_ok\": {}, \"links_fail\": {}, \"cache_hits\": {}, \"cache_stale\": {}, \
-         \"prefetch_waves\": {}, \"dup_edges_dropped\": {}, \"bucket_count\": {}, \
-         \"spill_edges\": {}, \"cas_retries\": {}, \"faults_injected\": {}}}",
-        stats.reads,
-        stats.loop_iters,
-        stats.compact_cas_ok,
-        stats.compact_cas_fail,
-        stats.links_ok,
-        stats.links_fail,
-        stats.cache_hits,
-        stats.cache_stale,
-        stats.prefetch_waves,
-        stats.dup_edges_dropped,
-        stats.bucket_count,
-        stats.spill_edges,
-        stats.cas_retries,
-        stats.faults_injected
-    )
-}
-
 /// Per-op ingestion baseline: every edge of every burst goes through a
 /// separate [`unite`](concurrent_dsu::ConcurrentUnionFind::unite) call.
 pub fn timed_ingest_per_op<D: concurrent_dsu::ConcurrentUnionFind>(
@@ -319,27 +158,6 @@ pub fn timed_ingest_per_op<D: concurrent_dsu::ConcurrentUnionFind>(
     timed_ingest(dsu, batches, threads, |d, burst| {
         for &(x, y) in burst {
             d.unite(x, y);
-        }
-    })
-}
-
-/// Per-op ingestion through a per-worker hot-root cache session
-/// ([`Dsu::cached`]): every edge is a separate `unite`, but each worker's
-/// finds start at its cached roots. The cached-vs-plain per-op pair
-/// isolates the cache's effect on the *serial* find path, where — unlike
-/// the batch path, whose gather waves already preload two or three levels
-/// — every hop is a dependent load.
-pub fn timed_ingest_per_op_cached<F: FindPolicy, S: DsuStore>(
-    dsu: &Dsu<F, S>,
-    batches: &[Vec<(usize, usize)>],
-    threads: usize,
-) -> std::time::Duration {
-    timed_ingest_sessions(dsu, batches, threads, || {
-        let mut session = dsu.cached();
-        move |_d: &Dsu<F, S>, burst: &[(usize, usize)]| {
-            for &(x, y) in burst {
-                session.unite(x, y);
-            }
         }
     })
 }
@@ -355,34 +173,6 @@ pub fn timed_ingest_batched<D: concurrent_dsu::ConcurrentUnionFind>(
     timed_ingest(dsu, batches, threads, |d, burst| {
         d.unite_batch(burst);
     })
-}
-
-/// Planned batched ingestion: each burst goes through one
-/// [`unite_batch_planned`](concurrent_dsu::ConcurrentUnionFind::unite_batch_planned)
-/// call (the ingestion planner in front of the bulk path — intra-batch
-/// dedup + block-local radix buckets + spillover; the `bucket_ab`
-/// contender).
-pub fn timed_ingest_batched_planned<D: concurrent_dsu::ConcurrentUnionFind>(
-    dsu: &D,
-    batches: &[Vec<(usize, usize)>],
-    threads: usize,
-) -> std::time::Duration {
-    timed_ingest(dsu, batches, threads, |d, burst| {
-        d.unite_batch_planned(burst);
-    })
-}
-
-/// [`timed_parallel_run`] where every worker accumulates its consecutive
-/// unites into planner-ingested bursts
-/// ([`dsu_harness::run_shards_planned`]) — the planned contender of the
-/// criterion throughput group, measuring the *same* burst-buffering
-/// harness as the e04 planned row.
-pub fn timed_parallel_run_planned<D: concurrent_dsu::ConcurrentUnionFind>(
-    dsu: &D,
-    workload: &Workload,
-    threads: usize,
-) -> std::time::Duration {
-    dsu_harness::run_shards_planned(dsu, workload, threads).elapsed
 }
 
 #[cfg(test)]
@@ -420,114 +210,6 @@ mod tests {
         let w = standard_workload(64, 500);
         let d = timed_parallel_run(&dsu, &w, 2);
         assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
-    fn tuned_and_cached_ingest_agree_with_plain() {
-        use concurrent_dsu::WaveDepth;
-        let arrivals = rehit_edge_batches(256, 12, 40, 1.1, 0.4);
-        let plain: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
-        timed_ingest_batched(&plain, &arrivals.batches, 1);
-        for depth in [WaveDepth::Two, WaveDepth::Three] {
-            for cached in [false, true] {
-                let dsu: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
-                let d = timed_ingest_batched_tuned(
-                    &dsu,
-                    &arrivals.batches,
-                    2,
-                    BatchTuning::new().wave_depth(depth),
-                    cached,
-                );
-                assert!(d.as_nanos() > 0);
-                assert_eq!(dsu.set_count(), plain.set_count(), "depth {depth:?} cached {cached}");
-                assert_eq!(dsu.labels_snapshot(), plain.labels_snapshot());
-            }
-        }
-    }
-
-    #[test]
-    fn cached_parallel_run_matches_plain_partition() {
-        let w = standard_workload(128, 2000);
-        let plain: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(128);
-        timed_parallel_run(&plain, &w, 2);
-        let cached: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(128);
-        let d = timed_parallel_run_cached(&cached, &w, 2);
-        assert!(d.as_nanos() > 0);
-        assert_eq!(cached.set_count(), plain.set_count());
-        assert_eq!(cached.labels_snapshot(), plain.labels_snapshot());
-    }
-
-    #[test]
-    fn ingest_stats_attribute_cache_traffic() {
-        let arrivals = rehit_edge_batches(512, 8, 64, 1.2, 0.5);
-        let dsu: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(512);
-        let on = ingest_stats_tuned(&dsu, &arrivals.batches, BatchTuning::new(), true);
-        assert!(on.cache_hits > 0, "re-hit burst must produce cache hits: {on:?}");
-        let dsu2: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(512);
-        let off = ingest_stats_tuned(&dsu2, &arrivals.batches, BatchTuning::new(), false);
-        assert_eq!(off.cache_hits + off.cache_stale, 0, "cache-off must not touch the cache");
-        let json = stats_json(&on);
-        assert!(json.contains("\"cache_hits\""));
-        assert!(json.contains("\"prefetch_waves\""));
-    }
-
-    #[test]
-    fn planned_ingest_matches_plain_partition() {
-        let arrivals = dup_edge_batches(256, 16, 32, 1.1, 0.4);
-        let plain: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
-        let planned: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
-        let a = timed_ingest_batched(&plain, &arrivals.batches, 2);
-        let b = timed_ingest_batched_planned(&planned, &arrivals.batches, 2);
-        assert!(a.as_nanos() > 0 && b.as_nanos() > 0);
-        assert_eq!(planned.set_count(), plain.set_count());
-        assert_eq!(planned.labels_snapshot(), plain.labels_snapshot());
-        // The planner's counters show up in the instrumented twin, and a
-        // dup-injected trace actually exercises the dedup.
-        let dsu: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
-        let stats = ingest_stats_tuned(
-            &dsu,
-            &arrivals.batches,
-            BatchTuning::new().planned(concurrent_dsu::PlanTuning::new()),
-            false,
-        );
-        assert!(stats.dup_edges_dropped > 0, "dup-injected trace must dedup: {stats:?}");
-        assert!(stats.bucket_count > 0);
-        let json = stats_json(&stats);
-        assert!(json.contains("\"dup_edges_dropped\""));
-        assert!(json.contains("\"spill_edges\""));
-        // Retry hygiene counters render too. The batch path may retry even
-        // single-threaded (a wave-gathered root goes stale when an earlier
-        // link in the same burst moves it), but an unfaulted run must
-        // attribute exactly zero injected faults.
-        assert!(json.contains("\"cas_retries\""));
-        assert!(json.contains("\"faults_injected\": 0"));
-    }
-
-    #[test]
-    fn planned_parallel_run_matches_plain_partition() {
-        let w = standard_workload(128, 2000);
-        let plain: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(128);
-        timed_parallel_run(&plain, &w, 2);
-        let planned: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(128);
-        let d = timed_parallel_run_planned(&planned, &w, 2);
-        assert!(d.as_nanos() > 0);
-        assert_eq!(planned.set_count(), plain.set_count());
-        assert_eq!(planned.labels_snapshot(), plain.labels_snapshot());
-    }
-
-    #[test]
-    fn dup_batches_zero_matches_standard() {
-        assert_eq!(dup_edge_batches(512, 4, 16, 1.0, 0.0), standard_edge_batches(512, 4, 16, 1.0));
-    }
-
-    /// `ElementDist::ShardSkew` hardcodes the sharded store's 256-shard
-    /// clamp (the workloads crate has no dependency edge to assert it);
-    /// this cross-crate check trips if `ShardSpec::MAX_SHARDS` ever moves
-    /// without the generator following.
-    #[test]
-    fn shard_skew_clamp_matches_shard_spec() {
-        assert_eq!(concurrent_dsu::ShardSpec::MAX_SHARDS, 256);
-        assert_eq!(concurrent_dsu::ShardSpec::with_shards(512).shards(), 256);
     }
 
     #[test]

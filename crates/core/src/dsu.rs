@@ -2,15 +2,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::bulk::{self, BatchTuning};
-use crate::cache::{self, RootCache};
+use crate::bulk;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::flatten::{self, FlattenPolicy, FlattenTrigger};
-use crate::ingest::PlanTuning;
+use crate::flatten;
 use crate::ops;
 use crate::order::LinkPolicy;
 use crate::stats::{OpStats, StatsSink};
-use crate::store::{DsuStore, ScanRun};
+use crate::store::DsuStore;
 use crate::ConcurrentUnionFind;
 
 /// A wait-free concurrent disjoint-set union over the fixed universe
@@ -61,9 +59,6 @@ pub struct Dsu<
     union_parent: Box<[AtomicUsize]>,
     /// Number of successful links ever; `set_count = n - links`.
     links: AtomicUsize,
-    /// Adaptive flatten trigger, consulted after every ingested batch
-    /// (configured by `DSU_FLATTEN` at construction; default off).
-    flatten: FlattenTrigger,
     _policy: std::marker::PhantomData<(F, L)>,
 }
 
@@ -103,14 +98,14 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
 
     /// Wraps an already-constructed store — the entry point for stores
     /// whose constructors take more than `(n, seed)`, such as a
-    /// [`ShardedStore`](crate::ShardedStore) with an explicit
-    /// [`ShardSpec`](crate::ShardSpec):
+    /// [`FaultyStore`](crate::FaultyStore) with an explicit
+    /// [`FaultPlan`](crate::FaultPlan):
     ///
     /// ```
-    /// use concurrent_dsu::{Dsu, ShardSpec, ShardedStore, TwoTrySplit};
+    /// use concurrent_dsu::{Dsu, FaultPlan, FaultyStore, PackedStore, TwoTrySplit};
     ///
-    /// let store = ShardedStore::with_spec(100, 42, ShardSpec::with_shards(8));
-    /// let dsu: Dsu<TwoTrySplit, ShardedStore> = Dsu::from_store(store);
+    /// let store = FaultyStore::with_plan(PackedStore::with_seed(100, 42), FaultPlan::off());
+    /// let dsu: Dsu<TwoTrySplit, FaultyStore<PackedStore>> = Dsu::from_store(store);
     /// assert!(dsu.unite(3, 4));
     /// ```
     ///
@@ -121,7 +116,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             union_parent: (0..store.len()).map(AtomicUsize::new).collect(),
             store,
             links: AtomicUsize::new(0),
-            flatten: FlattenTrigger::from_env(),
             _policy: std::marker::PhantomData,
         }
     }
@@ -169,8 +163,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         L::NAME
     }
 
-    /// The underlying store — for layout-specific inspection (a sharded
-    /// store's [`ShardReport`](crate::ShardReport), a
+    /// The underlying store — for layout-specific inspection (a
     /// [`FaultyStore`](crate::FaultyStore)'s fault report). Read-only: the
     /// forest is only ever mutated through the operations.
     pub fn store(&self) -> &S {
@@ -281,13 +274,8 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// Single-threaded, the final partition, the set count, and the
     /// returned link count are exactly those of calling
     /// [`unite`](Dsu::unite) one edge at a time; concurrent callers get
-    /// the usual linearizable semantics per edge. (Those quantities are
-    /// order-invariant, which is what lets the `DSU_BATCH_PLAN`
-    /// environment variable route this count-only entry point through the
-    /// ingestion planner — [`bulk::runtime_default_tuning`] — without any
-    /// observable change. Per-edge verdicts come from
-    /// [`unite_batch_results`](Dsu::unite_batch_results), which always
-    /// keeps the original-order contract.)
+    /// the usual linearizable semantics per edge. Per-edge verdicts come
+    /// from [`unite_batch_results`](Dsu::unite_batch_results).
     ///
     /// # Panics
     ///
@@ -302,141 +290,10 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         edges: &[(usize, usize)],
         stats: &mut Sk,
     ) -> usize {
-        self.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, stats)
-    }
-
-    /// [`unite_batch`](Dsu::unite_batch) routed through the ingestion
-    /// planner ([`ingest`](crate::ingest)) at the default [`PlanTuning`]:
-    /// intra-batch duplicates are dropped before touching the store, and
-    /// the remaining edges drain bucket by block-local bucket (spillover
-    /// pass last) so each gather wave's loads stay inside one resident
-    /// index range. Returns the number of successful links — identical to
-    /// the unplanned path (link counts and the final partition are
-    /// order-invariant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_planned_with(edges, &mut ())
-    }
-
-    /// [`unite_batch_planned`](Dsu::unite_batch_planned) reporting work —
-    /// including the planner's `dup_edges_dropped` / `bucket_count` /
-    /// `spill_edges` counters — into `stats`.
-    pub fn unite_batch_planned_with<Sk: StatsSink>(
-        &self,
-        edges: &[(usize, usize)],
-        stats: &mut Sk,
-    ) -> usize {
-        self.unite_batch_tuned_with(
-            edges,
-            BatchTuning::new().planned(PlanTuning::new()),
-            None,
-            stats,
-        )
-    }
-
-    /// [`unite_batch_planned`](Dsu::unite_batch_planned) that also
-    /// reports, per edge (indexed as in the input slice), whether this
-    /// batch performed the link. Unlike
-    /// [`unite_batch_results`](Dsu::unite_batch_results) the verdicts
-    /// follow the **plan order** — bit-identical, single-threaded, to a
-    /// per-op `unite` loop over
-    /// [`BatchPlan::execution_order`](crate::BatchPlan::execution_order),
-    /// with dropped duplicates reporting `false`; see the verdict
-    /// contract in [`ingest`](crate::ingest). Callers that need
-    /// original-arrival-order verdicts want the unplanned variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch_planned_results(&self, edges: &[(usize, usize)]) -> Vec<bool> {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
-        let mut results = vec![false; edges.len()];
-        bulk::unite_batch_sink_tuned::<L, _, _>(
-            &self.store,
-            edges,
-            BatchTuning::new().planned(PlanTuning::new()),
-            None,
-            &mut (),
-            |child, parent| self.record_link(child, parent),
-            |i, linked| results[i] = linked,
-        );
-        self.maybe_flatten(&mut ());
-        results
-    }
-
-    /// [`unite_batch`](Dsu::unite_batch) with explicit [`BatchTuning`]
-    /// (gather-wave depth) and an optional caller-owned hot-root cache:
-    /// `Some` memoizes hot endpoints across this call *and* any other
-    /// calls sharing the cache (the per-thread session shape —
-    /// [`Dsu::cached`] packages it); `None` disables memoization entirely
-    /// (the cache-off arm of the `cache_ab` A/B). Tuning is performance
-    /// only — every combination returns the same verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch_tuned_with<Sk: StatsSink>(
-        &self,
-        edges: &[(usize, usize)],
-        tuning: BatchTuning,
-        cache: Option<&mut RootCache>,
-        stats: &mut Sk,
-    ) -> usize {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
-        let linked = bulk::unite_batch_sink_tuned::<L, _, _>(
-            &self.store,
-            edges,
-            tuning,
-            cache,
-            stats,
-            |child, parent| self.record_link(child, parent),
-            |_, _| {},
-        );
-        self.maybe_flatten(stats);
-        linked
-    }
-
-    /// Opens a hot-root cache session: a thread-private handle whose
-    /// finds start at the last root each element was observed under,
-    /// falling back to the normal walk when a single validation load says
-    /// the entry went stale (see the [`cache`](crate::cache) module for
-    /// the semantics argument). Results are identical to the plain
-    /// operations; only the work changes. One handle per thread — its
-    /// methods take `&mut self`. The cache capacity is
-    /// [`RootCache::DEFAULT_CAPACITY`] unless the `DSU_CACHE_SLOTS`
-    /// environment variable overrides it (via [`RootCache::default`]).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use concurrent_dsu::Dsu;
-    ///
-    /// let dsu: Dsu = Dsu::new(100);
-    /// let mut session = dsu.cached();
-    /// for i in 0..99 {
-    ///     session.unite(i, i + 1);
-    /// }
-    /// assert!(session.same_set(0, 99));
-    /// assert!(dsu.same_set(0, 99)); // plain ops see the same sets
-    /// ```
-    pub fn cached(&self) -> CachedHandle<'_, F, S, L> {
-        CachedHandle { dsu: self, cache: RootCache::default() }
-    }
-
-    /// [`cached`](Dsu::cached) with an explicit cache capacity (slots,
-    /// rounded up to a power of two). Capacity trades hit rate against
-    /// footprint and never affects results.
-    pub fn cached_with_capacity(&self, capacity: usize) -> CachedHandle<'_, F, S, L> {
-        CachedHandle { dsu: self, cache: RootCache::with_capacity(capacity) }
+        self.check_edges(edges);
+        bulk::unite_batch::<L, _, _>(&self.store, edges, stats, |child, parent| {
+            self.record_link(child, parent)
+        })
     }
 
     /// [`unite_batch`](Dsu::unite_batch) that also reports, per edge,
@@ -447,10 +304,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     ///
     /// Panics if any endpoint is out of range.
     pub fn unite_batch_results(&self, edges: &[(usize, usize)]) -> Vec<bool> {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
+        self.check_edges(edges);
         let mut results = vec![false; edges.len()];
         bulk::unite_batch_sink::<L, _, _>(
             &self.store,
@@ -459,8 +313,14 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             |child, parent| self.record_link(child, parent),
             |i, linked| results[i] = linked,
         );
-        self.maybe_flatten(&mut ());
         results
+    }
+
+    fn check_edges(&self, edges: &[(usize, usize)]) {
+        for &(x, y) in edges {
+            self.check(x);
+            self.check(y);
+        }
     }
 
     // ----- Flatten maintenance pass (see the [`flatten`] module) -----
@@ -478,7 +338,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// (loads as `read`, jumps as `compact_cas_*` plus the
     /// `flatten_*` attribution counters).
     pub fn flatten_with<Sk: StatsSink>(&self, stats: &mut Sk) {
-        flatten::flatten_runs(&self.store, &self.scan_runs(), stats);
+        flatten::flatten_runs(&self.store, std::slice::from_ref(&(0..self.len())), stats);
     }
 
     /// Parallel flatten sweep over `threads` workers using the same
@@ -489,34 +349,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     ///
     /// Panics if `threads` is zero.
     pub fn flatten_parallel(&self, threads: usize) -> OpStats {
-        flatten::flatten_runs_parallel(&self.store, &self.scan_runs(), threads)
-    }
-
-    /// The active [`FlattenPolicy`] (from `DSU_FLATTEN` at construction
-    /// unless overridden by [`set_flatten_policy`](Dsu::set_flatten_policy)).
-    pub fn flatten_policy(&self) -> FlattenPolicy {
-        self.flatten.policy()
-    }
-
-    /// Replaces the flatten policy (e.g. to enable the adaptive trigger
-    /// on a handle built with the knob unset).
-    pub fn set_flatten_policy(&mut self, policy: FlattenPolicy) {
-        self.flatten.set_policy(policy);
-    }
-
-    /// Store-ordered scan chunks for this store's layout (slab-local for
-    /// sharded stores).
-    fn scan_runs(&self) -> Vec<ScanRun> {
-        self.store.scan_ranges().into_iter().map(ScanRun::contiguous).collect()
-    }
-
-    /// Consulted after every ingested batch: runs a sequential flatten
-    /// sweep when the configured policy says the forest is deep enough to
-    /// pay for one. `Off` (the default) is a single branch.
-    fn maybe_flatten<Sk: StatsSink>(&self, stats: &mut Sk) {
-        if self.flatten.batch_done(|| flatten::trigger_probe(&self.store, self.len())) {
-            self.flatten_with(stats);
-        }
+        flatten::flatten_runs_parallel(&self.store, std::slice::from_ref(&(0..self.len())), threads)
     }
 
     fn record_link(&self, child: usize, parent: usize) {
@@ -562,122 +395,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     }
 }
 
-/// A thread-private hot-root cache session over a [`Dsu`] (from
-/// [`Dsu::cached`]): the same operations, with every find first probing a
-/// small element-to-last-observed-root table and validating the entry with
-/// one load (see [`cache`](crate::cache)). Verdicts are identical to the
-/// plain operations — proptested in `tests/cache_semantics.rs` — so a
-/// handle can be dropped and recreated, or mixed freely with plain and
-/// batched calls from other threads.
-///
-/// Methods take `&mut self` (the cache is the handle's private state), so
-/// a handle serves one thread at a time; share the underlying [`Dsu`]
-/// across threads and give each thread its own handle.
-pub struct CachedHandle<
-    'a,
-    F: FindPolicy = TwoTrySplit,
-    S: DsuStore = crate::DefaultStore,
-    L: LinkPolicy = crate::DefaultLink,
-> {
-    dsu: &'a Dsu<F, S, L>,
-    cache: RootCache,
-}
-
-impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> std::fmt::Debug for CachedHandle<'_, F, S, L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedHandle")
-            .field("dsu", self.dsu)
-            .field("cache_capacity", &self.cache.capacity())
-            .finish()
-    }
-}
-
-impl<'a, F: FindPolicy, S: DsuStore, L: LinkPolicy> CachedHandle<'a, F, S, L> {
-    /// The structure this session operates on.
-    pub fn dsu(&self) -> &'a Dsu<F, S, L> {
-        self.dsu
-    }
-
-    /// Empties the session's cache (e.g. between phases with different
-    /// hot sets). Never required for correctness.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Root of the tree containing `x`, starting from the cached root when
-    /// the entry validates. Same staleness caveat as [`Dsu::find`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x >= self.dsu().len()`.
-    pub fn find(&mut self, x: usize) -> usize {
-        self.find_with(x, &mut ())
-    }
-
-    /// [`find`](CachedHandle::find) reporting work (including
-    /// `cache_hits` / `cache_stale`) into `stats`.
-    pub fn find_with<Sk: StatsSink>(&mut self, x: usize, stats: &mut Sk) -> usize {
-        self.dsu.check(x);
-        cache::find_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, stats).0
-    }
-
-    /// [`Dsu::same_set`] with cached finds — identical verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` is out of range.
-    pub fn same_set(&mut self, x: usize, y: usize) -> bool {
-        self.same_set_with(x, y, &mut ())
-    }
-
-    /// [`same_set`](CachedHandle::same_set) reporting work into `stats`.
-    pub fn same_set_with<Sk: StatsSink>(&mut self, x: usize, y: usize, stats: &mut Sk) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::same_set_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, y, stats)
-    }
-
-    /// [`Dsu::unite`] with cached finds — identical verdicts; the link CAS
-    /// expects the exact word the cache validation (or fallback walk)
-    /// observed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` is out of range.
-    pub fn unite(&mut self, x: usize, y: usize) -> bool {
-        self.unite_with(x, y, &mut ())
-    }
-
-    /// [`unite`](CachedHandle::unite) reporting work into `stats`.
-    pub fn unite_with<Sk: StatsSink>(&mut self, x: usize, y: usize, stats: &mut Sk) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::unite_cached::<F, L, _, _>(&self.dsu.store, &mut self.cache, x, y, stats, |c, p| {
-            self.dsu.record_link(c, p)
-        })
-    }
-
-    /// [`Dsu::unite_batch`] with the session's cache carried across calls,
-    /// so hot endpoints stay memoized from one burst to the next.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch(&mut self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_with(edges, &mut ())
-    }
-
-    /// [`unite_batch`](CachedHandle::unite_batch) reporting work into
-    /// `stats`.
-    pub fn unite_batch_with<Sk: StatsSink>(
-        &mut self,
-        edges: &[(usize, usize)],
-        stats: &mut Sk,
-    ) -> usize {
-        self.dsu.unite_batch_tuned_with(edges, BatchTuning::default(), Some(&mut self.cache), stats)
-    }
-}
-
 /// Height (max arc count root-to-leaf) of a self-loop-rooted parent forest.
 pub(crate) fn forest_height(parent: &[usize]) -> usize {
     let mut depth = vec![usize::MAX; parent.len()];
@@ -719,14 +436,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S
 
     fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
         Dsu::unite_batch(self, edges)
-    }
-
-    fn unite_batch_cached(&self, edges: &[(usize, usize)], cache: &mut RootCache) -> usize {
-        self.unite_batch_tuned_with(edges, BatchTuning::default(), Some(cache), &mut ())
-    }
-
-    fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        Dsu::unite_batch_planned(self, edges)
     }
 
     fn find(&self, x: usize) -> usize {
@@ -1028,50 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_batch_matches_per_op_invariants() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(909);
-        let n = 64;
-        let edges: Vec<(usize, usize)> =
-            (0..400).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect();
-        let planned: Dsu = Dsu::with_seed(n, 6);
-        let per_op: Dsu = Dsu::with_seed(n, 6);
-        let links = planned.unite_batch_planned(&edges);
-        let expected = edges.iter().filter(|&&(x, y)| per_op.unite(x, y)).count();
-        assert_eq!(links, expected, "link counts are order-invariant");
-        assert_eq!(planned.set_count(), per_op.set_count());
-        assert_eq!(
-            Partition::from_labels(&planned.labels_snapshot()),
-            Partition::from_labels(&per_op.labels_snapshot())
-        );
-        // The verdict-reporting planned variant agrees on the invariants
-        // too (per-edge assignment is covered by tests/batch_semantics.rs).
-        let again: Dsu = Dsu::with_seed(n, 6);
-        let results = again.unite_batch_planned_results(&edges);
-        assert_eq!(results.iter().filter(|&&b| b).count(), expected);
-        assert_eq!(again.set_count(), per_op.set_count());
-        // And through the trait.
-        let via_trait: Dsu = Dsu::with_seed(n, 6);
-        assert_eq!(ConcurrentUnionFind::unite_batch_planned(&via_trait, &edges), expected);
-    }
-
-    #[test]
-    fn planned_batch_reports_planner_counters() {
-        let dsu: Dsu = Dsu::new(1 << 20);
-        let mut stats = OpStats::default();
-        // A duplicate, a cross-block edge (the default bucket spans 2^18
-        // elements), and two block-local edges.
-        let edges = [(0, 1), (1, 0), (0, 1 << 19), (5, 6)];
-        let links = dsu.unite_batch_planned_with(&edges, &mut stats);
-        assert_eq!(links, 3);
-        assert_eq!(stats.ops, 4, "dropped duplicates still count as ops");
-        assert_eq!(stats.dup_edges_dropped, 1);
-        assert_eq!(stats.spill_edges, 1);
-        assert_eq!(stats.bucket_count, 1);
-        assert_eq!(stats.links_ok, 3);
-    }
-
-    #[test]
     fn link_axis_variants_match_oracle_and_each_other() {
         // Every link policy is a different tree shape, never a different
         // partition: index linking on the default layout and rank linking
@@ -1213,7 +878,6 @@ mod tests {
         }
         check::<crate::PackedStore>();
         check::<crate::store::FlatStore>();
-        check::<crate::ShardedStore>();
         check::<RankedStore>();
     }
 
@@ -1227,36 +891,5 @@ mod tests {
         assert!(stats.flatten_jumps > 0, "a depth-{} path must need jumps", n - 1);
         assert!(forest_height(&dsu.parents_snapshot()) <= 1);
         assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
-    }
-
-    #[test]
-    fn flatten_trigger_fires_through_batch_ingest() {
-        // Depth is built per-op (batch ingest may compact internally);
-        // the empty batch then just ticks the trigger.
-        let mut dsu = deep_chain::<crate::store::FlatStore>(96);
-        dsu.set_flatten_policy(FlattenPolicy::EveryKBatches(1));
-        dsu.unite_batch(&[]);
-        assert!(forest_height(&dsu.parents_snapshot()) <= 1, "every-1 trigger did not fire");
-
-        let mut dsu = deep_chain::<crate::store::FlatStore>(96);
-        dsu.set_flatten_policy(FlattenPolicy::HopsThreshold(1.0));
-        dsu.unite_batch(&[]);
-        assert!(
-            forest_height(&dsu.parents_snapshot()) <= 1,
-            "hops-threshold trigger did not fire on a deep chain"
-        );
-
-        // Off is inert: the same empty batch leaves the chain deep.
-        let mut dsu = deep_chain::<crate::store::FlatStore>(96);
-        dsu.set_flatten_policy(FlattenPolicy::Off);
-        dsu.unite_batch(&[]);
-        assert!(forest_height(&dsu.parents_snapshot()) > 1, "Off must never flatten");
-    }
-
-    #[test]
-    fn flatten_policy_accessors() {
-        let mut dsu: Dsu = Dsu::new(4);
-        dsu.set_flatten_policy(FlattenPolicy::EveryKBatches(3));
-        assert_eq!(dsu.flatten_policy(), FlattenPolicy::EveryKBatches(3));
     }
 }

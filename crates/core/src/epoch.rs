@@ -72,17 +72,17 @@
 //! ([`knob`]) and fall back to `off`.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::bulk;
 use crate::fault::FaultyStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::growable::{locate, segment_scan_runs, GrowableDsu, GrowableStore, SEGMENTS};
 use crate::knob;
 use crate::order::{splitmix64, IdOrder, LinkPolicy};
 use crate::stats::StatsSink;
-use crate::store::{self, ParentStore, ScanRun};
+use crate::store::{self, ParentStore};
 
 /// Environment variable read by [`epoch_every_from_env`] (at
 /// [`VersionedDsu`] construction): auto-snapshot cadence in ingested
@@ -393,11 +393,6 @@ impl ParentStore for EpochStore {
     fn priority(&self, _i: usize, w: u64) -> u64 {
         store::packed_id(w)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        store::prefetch_read(self.cell(i) as *const AtomicU64);
-    }
 }
 
 impl IdOrder for EpochStore {
@@ -439,7 +434,7 @@ impl GrowableStore for EpochStore {
         // snapshot's len in a recorded node were untouched singletons).
     }
 
-    fn scan_runs(&self, len: usize) -> Vec<ScanRun> {
+    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
         segment_scan_runs(len, |s| !self.slots[s].load(store::LOAD).is_null())
     }
 }
@@ -528,7 +523,7 @@ impl<S: GrowableStore> GrowableStore for FaultyStore<S> {
         self.inner().ensure(e);
     }
 
-    fn scan_runs(&self, len: usize) -> Vec<ScanRun> {
+    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
         self.inner().scan_runs(len)
     }
 }
@@ -686,8 +681,8 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         Self::from_dsu(GrowableDsu::with_initial(n))
     }
 
-    /// Wraps an already-built growable structure (it keeps its flatten
-    /// policy and contents; versioning starts with no snapshots).
+    /// Wraps an already-built growable structure (it keeps its contents;
+    /// versioning starts with no snapshots).
     pub fn from_dsu(dsu: GrowableDsu<F, S, L>) -> Self {
         VersionedDsu {
             dsu,
@@ -700,9 +695,9 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         }
     }
 
-    /// The wrapped structure — every [`GrowableDsu`] operation (cached
-    /// sessions, planned batches, flatten sweeps, stats variants) is
-    /// available through it; shared-state mutations it performs are
+    /// The wrapped structure — every [`GrowableDsu`] operation (flatten
+    /// sweeps, stats variants) is available through it; shared-state
+    /// mutations it performs are
     /// versioned like any other (they go through the store).
     pub fn dsu(&self) -> &GrowableDsu<F, S, L> {
         &self.dsu
@@ -908,8 +903,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         Sk: StatsSink,
     {
         let at = self.snapshot_with(stats);
-        let linked =
-            self.dsu.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, stats);
+        let linked = self.dsu.unite_batch_with(edges, stats);
         let verdict = if validate(&self.dsu, linked) {
             BatchOutcome::Committed { linked }
         } else {
@@ -949,7 +943,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
             }
             self.batches += 1;
         }
-        self.dsu.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, stats)
+        self.dsu.unite_batch_with(edges, stats)
     }
 
     // ----- Time-travel queries (concurrent, &self) -----

@@ -12,7 +12,7 @@
 //! # Design: a decorator, not a hook
 //!
 //! [`FaultyStore`] wraps any [`ParentStore`]/[`DsuStore`] layout
-//! (packed/flat/sharded, fixed or growable) and perturbs its primitive
+//! (packed/flat/ranked, fixed or growable) and perturbs its primitive
 //! operations according to a seeded [`FaultPlan`]. It is a separate *type*,
 //! not an optional branch in the store hot paths: production
 //! monomorphizations (`Dsu<F, PackedStore>` etc.) never see a fault check,
@@ -45,7 +45,7 @@
 //! Because injected CAS failures leave the forest untouched and delayed
 //! loads return current values, a faulted structure reaches the same
 //! partition as an unfaulted one and every per-edge verdict contract
-//! (batch/planned/cached ≡ per-op) survives arbitrary fault rates —
+//! (batch ≡ per-op) survives arbitrary fault rates —
 //! `tests/fault_semantics.rs` proptests exactly that, and the native
 //! linearizability suite checks timed histories recorded under faults.
 //!
@@ -261,10 +261,10 @@ fn spin(hints: u32) {
 /// legality argument per fault kind and the determinism contract.
 ///
 /// Wraps any layout: `FaultyStore<PackedStore>`, `FaultyStore<FlatStore>`,
-/// `FaultyStore<ShardedStore>` all implement [`DsuStore`], so
+/// `FaultyStore<RankedStore>` all implement [`DsuStore`], so
 /// `Dsu::from_store(FaultyStore::with_plan(store, plan))` drops chaos under
-/// the full algorithm stack — per-op, batch, planned, and cached paths
-/// alike — without touching any of them.
+/// the full algorithm stack — per-op and batch paths alike — without
+/// touching either.
 ///
 /// As a `DsuStore` in its own right (`NAME = "faulty"`),
 /// `FaultyStore::<S>::with_seed(n, seed)` builds the inner store with that
@@ -406,11 +406,6 @@ impl<S: ParentStore> ParentStore for FaultyStore<S> {
     #[inline(always)]
     fn priority(&self, i: usize, w: S::Word) -> u64 {
         self.inner.priority(i, w)
-    }
-
-    #[inline(always)]
-    fn prefetch(&self, i: usize) {
-        self.inner.prefetch(i);
     }
 
     #[inline(always)]
@@ -637,30 +632,6 @@ impl StatsSink for RetryBudget {
     #[inline]
     fn find_start(&mut self) {
         self.stats.find_start();
-    }
-    #[inline]
-    fn cache_hit(&mut self) {
-        self.stats.cache_hit();
-    }
-    #[inline]
-    fn cache_stale(&mut self) {
-        self.stats.cache_stale();
-    }
-    #[inline]
-    fn prefetch_wave(&mut self) {
-        self.stats.prefetch_wave();
-    }
-    #[inline]
-    fn dup_edges_dropped(&mut self, n: usize) {
-        self.stats.dup_edges_dropped(n);
-    }
-    #[inline]
-    fn plan_buckets(&mut self, n: usize) {
-        self.stats.plan_buckets(n);
-    }
-    #[inline]
-    fn spill_edges(&mut self, n: usize) {
-        self.stats.spill_edges(n);
     }
     fn cas_retry(&mut self) {
         self.stats.cas_retry();

@@ -13,9 +13,7 @@
 //! has depth ≤ 1 and every subsequent find is one load (asserted by
 //! `tests/flatten_semantics.rs` on every layout). The structure follows
 //! the wave/flattening phase of "Provably-Efficient and
-//! Internally-Deterministic Parallel Union-Find" (arXiv 2304.09331);
-//! the adaptive trigger follows the path-length-counter heuristics of the
-//! journal version of the source paper (arXiv 2003.01203).
+//! Internally-Deterministic Parallel Union-Find" (arXiv 2304.09331).
 //!
 //! # Safety under concurrency
 //!
@@ -35,39 +33,32 @@
 //!
 //! # Scheduling
 //!
-//! [`flatten_runs_parallel`] carves the store's scan surface
-//! ([`DsuStore::scan_ranges`](crate::store::DsuStore::scan_ranges) /
-//! [`GrowableStore::scan_runs`](crate::growable::GrowableStore::scan_runs))
-//! into chunks and has workers claim them from a shared atomic cursor —
-//! the same dynamic chunk-cursor shape as the graph crate's chunked edge
-//! ingestion, because chunks near hot roots finish at very different
-//! speeds. Chunks never straddle a [`ScanRun`], so a sharded sweep stays
-//! slab-local.
+//! [`flatten_runs_parallel`] carves the store's scan surface (`0..n` for
+//! the fixed-universe layouts,
+//! [`GrowableStore::scan_runs`](crate::growable::GrowableStore::scan_runs)
+//! for the growable ones) into chunks and has workers claim them from a
+//! shared atomic cursor — the same dynamic chunk-cursor shape as the graph
+//! crate's chunked edge ingestion, because chunks near hot roots finish at
+//! very different speeds. Chunks never straddle a run, so a growable sweep
+//! never crosses a segment allocation.
 //!
 //! # When to run it
 //!
 //! Only between (or concurrently with, but paid against) traffic that will
-//! amortize it: the sweep is O(n) loads plus a CAS per deep element. The
-//! [`FlattenPolicy`] trigger automates the decision from observed depth;
-//! `BENCH_PR9.json` (`flatten_ab`) measures where the trade pays.
+//! amortize it: the sweep is O(n) loads plus a CAS per deep element.
+//! `BENCH_PR9.json` (`flatten_ab`) measures where the trade pays: with
+//! splitting already leaving about 0.2 hops per find, it mostly doesn't.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::stats::{OpStats, StatsSink};
-use crate::store::{ParentStore, ScanRun};
+use crate::store::ParentStore;
 
 /// Elements per parallel-sweep chunk. Coarser than the edge-ingestion
 /// chunk (1024): sweep work per element is two streamed loads in the
 /// common flat case, so smaller chunks would be all cursor traffic.
 pub const DEFAULT_FLATTEN_CHUNK: usize = 4096;
-
-/// Default mean-observed-depth threshold for [`FlattenPolicy::Auto`]:
-/// between 1 (perfectly flat) and 2; past ~1.75 a sweep typically buys
-/// back its cost on the next query burst (see `BENCH_PR9.json`).
-pub const AUTO_HOPS_THRESHOLD: f64 = 1.75;
-
-/// Elements probed by one adaptive-trigger depth sample.
-const TRIGGER_SAMPLES: usize = 32;
 
 /// Pointer-jumps one element until its observed parent is an observed
 /// root. Loads and CASes report through the ordinary `read` /
@@ -106,27 +97,27 @@ pub fn flatten_element<P: ParentStore + ?Sized, S: StatsSink>(store: &P, i: usiz
 /// the per-element contract). Reports one `flatten_pass` on completion.
 pub fn flatten_runs<P: ParentStore + ?Sized, S: StatsSink>(
     store: &P,
-    runs: &[ScanRun],
+    runs: &[Range<usize>],
     stats: &mut S,
 ) {
     for run in runs {
-        for j in 0..run.count {
-            flatten_element(store, run.at(j), stats);
+        for i in run.clone() {
+            flatten_element(store, i, stats);
         }
     }
     stats.flatten_pass();
 }
 
 /// Splits runs into chunks of at most [`DEFAULT_FLATTEN_CHUNK`] elements,
-/// never straddling a run (so sharded sweeps stay slab-local).
-fn chunk_runs(runs: &[ScanRun]) -> Vec<ScanRun> {
+/// never straddling a run.
+fn chunk_runs(runs: &[Range<usize>]) -> Vec<Range<usize>> {
     let mut chunks = Vec::new();
     for run in runs {
-        let mut j = 0;
-        while j < run.count {
-            let count = DEFAULT_FLATTEN_CHUNK.min(run.count - j);
-            chunks.push(ScanRun { base: run.at(j), stride: run.stride, count });
-            j += count;
+        let mut start = run.start;
+        while start < run.end {
+            let end = run.end.min(start + DEFAULT_FLATTEN_CHUNK);
+            chunks.push(start..end);
+            start = end;
         }
     }
     chunks
@@ -142,7 +133,7 @@ fn chunk_runs(runs: &[ScanRun]) -> Vec<ScanRun> {
 /// Panics if `threads == 0`.
 pub fn flatten_runs_parallel<P: ParentStore + Sync + ?Sized>(
     store: &P,
-    runs: &[ScanRun],
+    runs: &[Range<usize>],
     threads: usize,
 ) -> OpStats {
     assert!(threads > 0, "a parallel flatten needs at least one worker");
@@ -158,8 +149,8 @@ pub fn flatten_runs_parallel<P: ParentStore + Sync + ?Sized>(
                     loop {
                         let c = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(chunk) = chunks.get(c) else { break };
-                        for j in 0..chunk.count {
-                            flatten_element(store, chunk.at(j), &mut stats);
+                        for i in chunk.clone() {
+                            flatten_element(store, i, &mut stats);
                         }
                     }
                     stats
@@ -174,180 +165,12 @@ pub fn flatten_runs_parallel<P: ParentStore + Sync + ?Sized>(
     total
 }
 
-/// Mean observed depth of `samples` elements stride-spread over `0..len`,
-/// each walked to its root with plain loads (no compaction, walk capped at
-/// 64 hops) — the cheap probe behind the adaptive trigger. `0.0` for an
-/// empty universe.
-pub fn sampled_mean_depth<P: ParentStore + ?Sized>(store: &P, len: usize, samples: usize) -> f64 {
-    if len == 0 || samples == 0 {
-        return 0.0;
-    }
-    let samples = samples.min(len);
-    let stride = len / samples;
-    let mut hops = 0usize;
-    for s in 0..samples {
-        let mut u = s * stride;
-        for _ in 0..64 {
-            let p = store.load_parent(u);
-            if p == u {
-                break;
-            }
-            hops += 1;
-            u = p;
-        }
-    }
-    hops as f64 / samples as f64
-}
-
-/// When an adaptive structure runs a flatten sweep (the `DSU_FLATTEN`
-/// knob; read at construction, never per operation).
-///
-/// The default is [`Off`](FlattenPolicy::Off): per house rules an
-/// optimization is opt-in until its A/B wins, and the sweep's O(n) cost
-/// only amortizes under query-heavy traffic (`BENCH_PR9.json`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FlattenPolicy {
-    /// Never flatten automatically (explicit `flatten()` calls still work).
-    #[default]
-    Off,
-    /// Flatten after every `k`-th ingested batch (`k ≥ 1`).
-    EveryKBatches(usize),
-    /// After each batch, probe the mean observed depth of a small element
-    /// sample and flatten when it exceeds this threshold.
-    HopsThreshold(f64),
-    /// [`HopsThreshold`](FlattenPolicy::HopsThreshold) at
-    /// [`AUTO_HOPS_THRESHOLD`].
-    Auto,
-}
-
-impl FlattenPolicy {
-    /// Parses the `DSU_FLATTEN` environment variable: `off`, `auto`,
-    /// `every=<k>`, or `hops=<x>`. Unset means [`Off`](FlattenPolicy::Off);
-    /// a set-but-unrecognized value degrades to
-    /// [`Auto`](FlattenPolicy::Auto) (the operator asked for *something*),
-    /// mirroring `DSU_TUNER`'s graceful degradation — loudly: the first
-    /// degradation warns on stderr ([`knob`](crate::knob)).
-    pub fn from_env() -> Self {
-        match std::env::var("DSU_FLATTEN") {
-            Ok(v) => Self::parse_recognized(&v).unwrap_or_else(|| {
-                crate::knob::warn_unrecognized(
-                    "DSU_FLATTEN",
-                    &v,
-                    "off | auto | every=<k≥1> | hops=<x> with x > 0",
-                    "auto",
-                );
-                FlattenPolicy::Auto
-            }),
-            Err(_) => FlattenPolicy::Off,
-        }
-    }
-
-    /// Parses a policy string (the `DSU_FLATTEN` grammar above);
-    /// unrecognized values degrade to [`Auto`](FlattenPolicy::Auto)
-    /// silently — the programmatic contract. Use
-    /// [`parse_recognized`](FlattenPolicy::parse_recognized) to detect the
-    /// degradation.
-    pub fn parse(v: &str) -> Self {
-        Self::parse_recognized(v).unwrap_or(FlattenPolicy::Auto)
-    }
-
-    /// [`parse`](FlattenPolicy::parse) distinguishing recognized values
-    /// from the degradation fallback: `None` iff `v` is not in the
-    /// grammar.
-    pub fn parse_recognized(v: &str) -> Option<Self> {
-        let v = v.trim();
-        if v.eq_ignore_ascii_case("off") {
-            return Some(FlattenPolicy::Off);
-        }
-        if v.eq_ignore_ascii_case("auto") {
-            return Some(FlattenPolicy::Auto);
-        }
-        if let Some(k) = v.strip_prefix("every=") {
-            if let Ok(k) = k.parse::<usize>() {
-                if k >= 1 {
-                    return Some(FlattenPolicy::EveryKBatches(k));
-                }
-            }
-        }
-        if let Some(t) = v.strip_prefix("hops=") {
-            if let Ok(t) = t.parse::<f64>() {
-                if t.is_finite() && t > 0.0 {
-                    return Some(FlattenPolicy::HopsThreshold(t));
-                }
-            }
-        }
-        None
-    }
-}
-
-/// The per-structure adaptive-trigger state: the policy plus a batch
-/// counter ([`Dsu`](crate::Dsu) / [`GrowableDsu`](crate::GrowableDsu) hold
-/// one and consult it after every ingested batch).
-#[derive(Debug)]
-pub struct FlattenTrigger {
-    policy: FlattenPolicy,
-    batches: AtomicUsize,
-}
-
-impl FlattenTrigger {
-    /// A trigger running `policy`.
-    pub fn new(policy: FlattenPolicy) -> Self {
-        FlattenTrigger { policy, batches: AtomicUsize::new(0) }
-    }
-
-    /// A trigger configured from `DSU_FLATTEN`
-    /// ([`FlattenPolicy::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(FlattenPolicy::from_env())
-    }
-
-    /// The policy this trigger runs.
-    pub fn policy(&self) -> FlattenPolicy {
-        self.policy
-    }
-
-    /// Replaces the policy (construction-time configuration; the batch
-    /// counter is preserved).
-    pub fn set_policy(&mut self, policy: FlattenPolicy) {
-        self.policy = policy;
-    }
-
-    /// Records one completed batch and decides whether to flatten now.
-    /// `sample_depth` is only called by the depth-probing policies.
-    pub fn batch_done(&self, sample_depth: impl FnOnce() -> f64) -> bool {
-        match self.policy {
-            FlattenPolicy::Off => false,
-            FlattenPolicy::EveryKBatches(k) => {
-                (self.batches.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(k)
-            }
-            FlattenPolicy::HopsThreshold(t) => {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                sample_depth() > t
-            }
-            FlattenPolicy::Auto => {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                sample_depth() > AUTO_HOPS_THRESHOLD
-            }
-        }
-    }
-
-    /// Batches recorded so far (diagnostics).
-    pub fn batches_seen(&self) -> usize {
-        self.batches.load(Ordering::Relaxed)
-    }
-}
-
-/// The depth-probe closure the wrappers hand to
-/// [`FlattenTrigger::batch_done`]: [`sampled_mean_depth`] at the trigger's
-/// sample budget.
-pub(crate) fn trigger_probe<P: ParentStore + ?Sized>(store: &P, len: usize) -> f64 {
-    sampled_mean_depth(store, len, TRIGGER_SAMPLES)
-}
-
 #[cfg(test)]
+// A one-element `[a..b]` here is one scan run, not an index list.
+#[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
-    use crate::store::{DsuStore, FlatStore};
+    use crate::store::FlatStore;
     use std::sync::atomic::Ordering;
 
     /// Builds a path 0 -> 1 -> ... -> n-1 (n-1 is the root).
@@ -374,26 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_recognized_detects_degradation() {
-        assert_eq!(FlattenPolicy::parse_recognized("off"), Some(FlattenPolicy::Off));
-        assert_eq!(FlattenPolicy::parse_recognized("AUTO"), Some(FlattenPolicy::Auto));
-        assert_eq!(
-            FlattenPolicy::parse_recognized("every=3"),
-            Some(FlattenPolicy::EveryKBatches(3))
-        );
-        assert_eq!(
-            FlattenPolicy::parse_recognized("hops=1.5"),
-            Some(FlattenPolicy::HopsThreshold(1.5))
-        );
-        // The unrecognized shapes that used to degrade silently.
-        for bogus in ["hosp=2", "every=0", "hops=-1", "hops=inf", "", "42"] {
-            assert_eq!(FlattenPolicy::parse_recognized(bogus), None, "{bogus:?}");
-            // The silent programmatic fallback is unchanged.
-            assert_eq!(FlattenPolicy::parse(bogus), FlattenPolicy::Auto, "{bogus:?}");
-        }
-    }
-
-    #[test]
     fn flatten_element_flattens_one_path_node() {
         let store = path_store(8);
         let mut stats = OpStats::default();
@@ -414,17 +217,13 @@ mod tests {
     fn sequential_flatten_reaches_depth_one() {
         let store = path_store(64);
         let mut stats = OpStats::default();
-        flatten_runs(
-            &store,
-            &store.scan_ranges().into_iter().map(ScanRun::contiguous).collect::<Vec<_>>(),
-            &mut stats,
-        );
+        flatten_runs(&store, &[0..64], &mut stats);
         assert_eq!(stats.flatten_passes, 1);
         let snap = store.snapshot();
         assert!(max_depth(&snap) <= 1, "post-flatten max depth: {}", max_depth(&snap));
         // A second pass is pure reads: nothing left to jump.
         let mut again = OpStats::default();
-        flatten_runs(&store, &[ScanRun::contiguous(0..64)], &mut again);
+        flatten_runs(&store, &[0..64], &mut again);
         assert_eq!(again.flatten_jumps, 0);
         assert_eq!(again.cas_attempts(), 0);
     }
@@ -433,7 +232,7 @@ mod tests {
     fn parallel_flatten_reaches_depth_one() {
         for threads in [1, 2, 4] {
             let store = path_store(1 << 12);
-            let stats = flatten_runs_parallel(&store, &[ScanRun::contiguous(0..1 << 12)], threads);
+            let stats = flatten_runs_parallel(&store, &[0..1 << 12], threads);
             assert_eq!(stats.flatten_passes, 1);
             assert!(stats.flatten_jumps > 0);
             let snap = store.snapshot();
@@ -444,69 +243,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
-        flatten_runs_parallel(&FlatStore::new(4), &[ScanRun::contiguous(0..4)], 0);
+        flatten_runs_parallel(&FlatStore::new(4), &[0..4], 0);
     }
 
     #[test]
     fn chunks_respect_run_boundaries() {
-        let runs = [
-            ScanRun { base: 0, stride: 1, count: DEFAULT_FLATTEN_CHUNK + 7 },
-            ScanRun { base: 100_000, stride: 4, count: 3 },
-        ];
+        let runs = [0..DEFAULT_FLATTEN_CHUNK + 7, 100_000..100_003];
         let chunks = chunk_runs(&runs);
         assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].count, DEFAULT_FLATTEN_CHUNK);
-        assert_eq!(chunks[1], ScanRun { base: DEFAULT_FLATTEN_CHUNK, stride: 1, count: 7 });
+        assert_eq!(chunks[0], 0..DEFAULT_FLATTEN_CHUNK);
+        assert_eq!(chunks[1], DEFAULT_FLATTEN_CHUNK..DEFAULT_FLATTEN_CHUNK + 7);
         assert_eq!(chunks[2], runs[1]);
-        let total: usize = chunks.iter().map(|c| c.count).sum();
-        assert_eq!(total, runs.iter().map(|r| r.count).sum::<usize>());
-    }
-
-    #[test]
-    fn sampled_depth_tracks_the_forest() {
-        assert_eq!(sampled_mean_depth(&FlatStore::new(16), 16, 8), 0.0);
-        let deep = path_store(64);
-        assert!(sampled_mean_depth(&deep, 64, 8) > 1.0);
-        assert_eq!(sampled_mean_depth(&FlatStore::new(0), 0, 8), 0.0);
-    }
-
-    #[test]
-    fn policy_parsing() {
-        assert_eq!(FlattenPolicy::parse("off"), FlattenPolicy::Off);
-        assert_eq!(FlattenPolicy::parse("OFF"), FlattenPolicy::Off);
-        assert_eq!(FlattenPolicy::parse("auto"), FlattenPolicy::Auto);
-        assert_eq!(FlattenPolicy::parse("every=3"), FlattenPolicy::EveryKBatches(3));
-        assert_eq!(FlattenPolicy::parse("hops=2.5"), FlattenPolicy::HopsThreshold(2.5));
-        // Degenerate and unrecognized values degrade to Auto.
-        assert_eq!(FlattenPolicy::parse("every=0"), FlattenPolicy::Auto);
-        assert_eq!(FlattenPolicy::parse("hops=-1"), FlattenPolicy::Auto);
-        assert_eq!(FlattenPolicy::parse("bogus"), FlattenPolicy::Auto);
-        assert_eq!(FlattenPolicy::default(), FlattenPolicy::Off);
-    }
-
-    #[test]
-    fn trigger_every_k() {
-        let t = FlattenTrigger::new(FlattenPolicy::EveryKBatches(3));
-        let fired: Vec<bool> = (0..6).map(|_| t.batch_done(|| unreachable!())).collect();
-        assert_eq!(fired, [false, false, true, false, false, true]);
-        assert_eq!(t.batches_seen(), 6);
-    }
-
-    #[test]
-    fn trigger_off_and_thresholds() {
-        let t = FlattenTrigger::new(FlattenPolicy::Off);
-        assert!(!t.batch_done(|| unreachable!()));
-        assert_eq!(t.batches_seen(), 0);
-
-        let t = FlattenTrigger::new(FlattenPolicy::HopsThreshold(2.0));
-        assert!(!t.batch_done(|| 1.5));
-        assert!(t.batch_done(|| 2.5));
-
-        let mut t = FlattenTrigger::new(FlattenPolicy::Auto);
-        assert!(!t.batch_done(|| AUTO_HOPS_THRESHOLD - 0.5));
-        assert!(t.batch_done(|| AUTO_HOPS_THRESHOLD + 0.5));
-        t.set_policy(FlattenPolicy::Off);
-        assert_eq!(t.policy(), FlattenPolicy::Off);
-        assert!(!t.batch_done(|| unreachable!()));
+        let total: usize = chunks.iter().map(|c| c.len()).sum();
+        assert_eq!(total, runs.iter().map(|r| r.len()).sum::<usize>());
     }
 }

@@ -15,14 +15,13 @@
 //! move memory, and allocating a new segment (which happens at most 64
 //! times ever) is the only place a thread can briefly wait for another.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::bulk::{self, BatchTuning};
-use crate::cache::{self, RootCache};
+use crate::bulk;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::flatten::{self, FlattenPolicy, FlattenTrigger};
-use crate::ingest::PlanTuning;
+use crate::flatten;
 use crate::ops;
 use crate::order::{splitmix64, HashOrder, IdOrder, LinkPolicy};
 use crate::stats::{OpStats, StatsSink};
@@ -32,8 +31,8 @@ use crate::ConcurrentUnionFind;
 pub(crate) const SEGMENTS: usize = usize::BITS as usize;
 
 /// Maps element `e` to `(segment, offset)`: segment `s` holds the `2^s`
-/// elements `2^s - 1 ..= 2^(s+1) - 2`. (Shared with the sharded growable
-/// layout, which applies it per shard.)
+/// elements `2^s - 1 ..= 2^(s+1) - 2`. (Shared with the epoch store's
+/// segment directory.)
 pub(crate) fn locate(e: usize) -> (usize, usize) {
     let s = (usize::BITS - 1 - (e + 1).leading_zeros()) as usize;
     (s, e + 1 - (1 << s))
@@ -57,10 +56,9 @@ pub trait GrowableStore: ParentStore + IdOrder {
     /// *before* the element index is published.
     fn ensure(&self, e: usize);
 
-    /// Scan units covering the *allocated* cells among `0..len`, each
-    /// walking one segment of one allocation in order — the growable
-    /// counterpart of [`DsuStore::scan_ranges`](crate::store::DsuStore::scan_ranges),
-    /// consumed by the [`flatten`] sweep.
+    /// Index ranges covering the *allocated* cells among `0..len`, each
+    /// one segment's allocation in order — the scan surface the
+    /// [`flatten`] sweep walks.
     ///
     /// Implementations must skip unallocated segments (a concurrent
     /// `make_set` may have reserved an index it is still initializing, so
@@ -68,12 +66,7 @@ pub trait GrowableStore: ParentStore + IdOrder {
     /// backed yet) and may include allocated cells at or above `len` —
     /// those are untouched singletons, and flattening a singleton is a
     /// no-op.
-    fn scan_runs(&self, len: usize) -> Vec<crate::store::ScanRun> {
-        if len == 0 {
-            return Vec::new();
-        }
-        vec![crate::store::ScanRun::contiguous(0..len)]
-    }
+    fn scan_runs(&self, len: usize) -> Vec<Range<usize>>;
 }
 
 /// The flat growable layout: `AtomicUsize` parent segments, ids computed on
@@ -132,11 +125,6 @@ impl ParentStore for SegmentedStore {
         // parent-word loads and compare hashes directly.
         self.order.less(u, v)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        store::prefetch_read(self.cell(i) as *const AtomicUsize);
-    }
 }
 
 impl IdOrder for SegmentedStore {
@@ -164,18 +152,18 @@ impl GrowableStore for SegmentedStore {
         debug_assert_eq!(seg[off].load(Ordering::Relaxed), e);
     }
 
-    fn scan_runs(&self, len: usize) -> Vec<crate::store::ScanRun> {
+    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
         segment_scan_runs(len, |s| self.segments[s].get().is_some())
     }
 }
 
-/// Shared segment-directory scan geometry: one stride-1 run per *allocated*
+/// Shared segment-directory scan geometry: one range per *allocated*
 /// segment (segment `s` holds elements `2^s - 1 ..= 2^(s+1) - 2`), clipped
 /// to `len`.
 pub(crate) fn segment_scan_runs(
     len: usize,
     allocated: impl Fn(usize) -> bool,
-) -> Vec<crate::store::ScanRun> {
+) -> Vec<Range<usize>> {
     let mut runs = Vec::new();
     for s in 0..SEGMENTS {
         let base = (1usize << s) - 1;
@@ -185,8 +173,7 @@ pub(crate) fn segment_scan_runs(
         if !allocated(s) {
             continue;
         }
-        let count = (1usize << s).min(len - base);
-        runs.push(crate::store::ScanRun { base, stride: 1, count });
+        runs.push(base..base + (1usize << s).min(len - base));
     }
     runs
 }
@@ -253,11 +240,6 @@ impl ParentStore for PackedSegmentedStore {
     fn priority(&self, _i: usize, w: u64) -> u64 {
         store::packed_id(w)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        store::prefetch_read(self.cell(i) as *const AtomicU64);
-    }
 }
 
 impl IdOrder for PackedSegmentedStore {
@@ -290,7 +272,7 @@ impl GrowableStore for PackedSegmentedStore {
         debug_assert_eq!(store::packed_parent(seg[off].load(Ordering::Relaxed)), e);
     }
 
-    fn scan_runs(&self, len: usize) -> Vec<crate::store::ScanRun> {
+    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
         segment_scan_runs(len, |s| self.segments[s].get().is_some())
     }
 }
@@ -329,9 +311,6 @@ pub struct GrowableDsu<
     store: S,
     count: AtomicUsize,
     links: AtomicUsize,
-    /// Adaptive flatten trigger, consulted after every ingested batch
-    /// (configured by `DSU_FLATTEN` at construction; default off).
-    flatten: FlattenTrigger,
     _policy: std::marker::PhantomData<(F, L)>,
 }
 
@@ -369,14 +348,13 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
 
     /// Wraps an already-constructed (still empty) store — the entry point
     /// for stores whose constructors take more than a seed, such as a
-    /// [`ShardedSegmentedStore`](crate::ShardedSegmentedStore) with an
-    /// explicit [`ShardSpec`](crate::ShardSpec).
+    /// [`FaultyStore`](crate::FaultyStore) with an explicit
+    /// [`FaultPlan`](crate::FaultPlan).
     pub fn from_store(store: S) -> Self {
         GrowableDsu {
             store,
             count: AtomicUsize::new(0),
             links: AtomicUsize::new(0),
-            flatten: FlattenTrigger::from_env(),
             _policy: std::marker::PhantomData,
         }
     }
@@ -524,44 +502,26 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
 
     /// Batched [`unite`](GrowableDsu::unite) over an edge slice (see the
     /// [`bulk`] module): filter pass, then word-seeded link
-    /// pass. Returns the number of successful links. Like
-    /// [`Dsu::unite_batch`](crate::Dsu::unite_batch), this count-only
-    /// entry point honors the `DSU_BATCH_PLAN` environment variable
-    /// ([`bulk::runtime_default_tuning`]) — planning never changes what it
-    /// reports.
+    /// pass. Returns the number of successful links.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint was not returned by a completed `make_set`.
     pub fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, &mut ())
+        self.unite_batch_with(edges, &mut ())
     }
 
-    /// [`unite_batch`](GrowableDsu::unite_batch) routed through the
-    /// ingestion planner ([`ingest`](crate::ingest)) at the default
-    /// [`PlanTuning`] — the growable counterpart of
-    /// [`Dsu::unite_batch_planned`](crate::Dsu::unite_batch_planned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint was not returned by a completed `make_set`.
-    pub fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_planned_with(edges, &mut ())
-    }
-
-    /// [`unite_batch_planned`](GrowableDsu::unite_batch_planned)
-    /// reporting work (including the planner counters) into `stats`.
-    pub fn unite_batch_planned_with<Sk: StatsSink>(
+    /// [`unite_batch`](GrowableDsu::unite_batch) reporting work into
+    /// `stats`.
+    pub fn unite_batch_with<Sk: StatsSink>(
         &self,
         edges: &[(usize, usize)],
         stats: &mut Sk,
     ) -> usize {
-        self.unite_batch_tuned_with(
-            edges,
-            BatchTuning::new().planned(PlanTuning::new()),
-            None,
-            stats,
-        )
+        self.check_edges(edges);
+        bulk::unite_batch::<L, _, _>(&self.store, edges, stats, |_, _| {
+            self.links.fetch_add(1, Ordering::Relaxed);
+        })
     }
 
     /// [`unite_batch`](GrowableDsu::unite_batch) that also reports each
@@ -571,10 +531,7 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
     ///
     /// Panics if any endpoint was not returned by a completed `make_set`.
     pub fn unite_batch_results(&self, edges: &[(usize, usize)]) -> Vec<bool> {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
+        self.check_edges(edges);
         let mut results = vec![false; edges.len()];
         bulk::unite_batch_sink::<L, _, _>(
             &self.store,
@@ -585,8 +542,14 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
             },
             |i, linked| results[i] = linked,
         );
-        self.maybe_flatten(&mut ());
         results
+    }
+
+    fn check_edges(&self, edges: &[(usize, usize)]) {
+        for &(x, y) in edges {
+            self.check(x);
+            self.check(y);
+        }
     }
 
     /// `SameSet` with early termination (paper Algorithm 6).
@@ -611,40 +574,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
         ops::unite_early::<F, L, _, _>(&self.store, x, y, &mut (), |_, _| {
             self.links.fetch_add(1, Ordering::Relaxed);
         })
-    }
-
-    /// [`unite_batch`](GrowableDsu::unite_batch) with explicit
-    /// [`BatchTuning`] and an optional caller-owned hot-root cache — the
-    /// growable counterpart of
-    /// [`Dsu::unite_batch_tuned_with`](crate::Dsu::unite_batch_tuned_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint was not returned by a completed `make_set`.
-    pub fn unite_batch_tuned_with<Sk: StatsSink>(
-        &self,
-        edges: &[(usize, usize)],
-        tuning: BatchTuning,
-        cache: Option<&mut RootCache>,
-        stats: &mut Sk,
-    ) -> usize {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
-        let linked = bulk::unite_batch_sink_tuned::<L, _, _>(
-            &self.store,
-            edges,
-            tuning,
-            cache,
-            stats,
-            |_, _| {
-                self.links.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, _| {},
-        );
-        self.maybe_flatten(stats);
-        linked
     }
 
     // ----- Flatten maintenance pass (see the [`flatten`] module) -----
@@ -675,38 +604,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
         flatten::flatten_runs_parallel(&self.store, &self.store.scan_runs(self.len()), threads)
     }
 
-    /// The active [`FlattenPolicy`].
-    pub fn flatten_policy(&self) -> FlattenPolicy {
-        self.flatten.policy()
-    }
-
-    /// Replaces the flatten policy.
-    pub fn set_flatten_policy(&mut self, policy: FlattenPolicy) {
-        self.flatten.set_policy(policy);
-    }
-
-    /// Consulted after every ingested batch; see [`Dsu`](crate::Dsu)'s
-    /// counterpart.
-    fn maybe_flatten<Sk: StatsSink>(&self, stats: &mut Sk) {
-        if self.flatten.batch_done(|| flatten::trigger_probe(&self.store, self.len())) {
-            self.flatten_with(stats);
-        }
-    }
-
-    /// Opens a hot-root cache session — the growable counterpart of
-    /// [`Dsu::cached`](crate::Dsu::cached). One handle per thread; results
-    /// are identical to the plain operations. Capacity follows
-    /// [`RootCache::default`] (honoring `DSU_CACHE_SLOTS`).
-    pub fn cached(&self) -> GrowableCachedHandle<'_, F, S, L> {
-        GrowableCachedHandle { dsu: self, cache: RootCache::default() }
-    }
-
-    /// [`cached`](GrowableDsu::cached) with an explicit cache capacity
-    /// (slots, rounded up to a power of two).
-    pub fn cached_with_capacity(&self, capacity: usize) -> GrowableCachedHandle<'_, F, S, L> {
-        GrowableCachedHandle { dsu: self, cache: RootCache::with_capacity(capacity) }
-    }
-
     /// Canonical labels for all current elements; call only at quiescence.
     pub fn labels_snapshot(&self) -> Vec<usize> {
         let mut labels: Vec<usize> = (0..self.len()).map(|i| self.find(i)).collect();
@@ -714,102 +611,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
             labels[i] = labels[labels[i]];
         }
         labels
-    }
-}
-
-/// A thread-private hot-root cache session over a [`GrowableDsu`] (from
-/// [`GrowableDsu::cached`]) — the growable counterpart of
-/// [`CachedHandle`](crate::CachedHandle), with the same
-/// verdicts-identical contract. Elements created by `make_set` *after*
-/// the handle was opened are usable through it immediately (the cache
-/// simply has no entries for them yet).
-pub struct GrowableCachedHandle<
-    'a,
-    F: FindPolicy = TwoTrySplit,
-    S: GrowableStore = crate::DefaultGrowableStore,
-    L: LinkPolicy = crate::DefaultLink,
-> {
-    dsu: &'a GrowableDsu<F, S, L>,
-    cache: RootCache,
-}
-
-impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> std::fmt::Debug
-    for GrowableCachedHandle<'_, F, S, L>
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GrowableCachedHandle")
-            .field("dsu", self.dsu)
-            .field("cache_capacity", &self.cache.capacity())
-            .finish()
-    }
-}
-
-impl<'a, F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableCachedHandle<'a, F, S, L> {
-    /// The structure this session operates on.
-    pub fn dsu(&self) -> &'a GrowableDsu<F, S, L> {
-        self.dsu
-    }
-
-    /// Empties the session's cache. Never required for correctness.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Root of the tree containing `x` via the cache (same contract as
-    /// [`GrowableDsu::find`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` was not returned by a completed `make_set`.
-    pub fn find(&mut self, x: usize) -> usize {
-        self.dsu.check(x);
-        cache::find_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, &mut ()).0
-    }
-
-    /// [`GrowableDsu::same_set`] with cached finds — identical verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` was not returned by a completed `make_set`.
-    pub fn same_set(&mut self, x: usize, y: usize) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::same_set_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, y, &mut ())
-    }
-
-    /// [`GrowableDsu::unite`] with cached finds — identical verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` was not returned by a completed `make_set`.
-    pub fn unite(&mut self, x: usize, y: usize) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::unite_cached::<F, L, _, _>(
-            &self.dsu.store,
-            &mut self.cache,
-            x,
-            y,
-            &mut (),
-            |_, _| {
-                self.dsu.links.fetch_add(1, Ordering::Relaxed);
-            },
-        )
-    }
-
-    /// [`GrowableDsu::unite_batch`] with the session's cache carried
-    /// across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint was not returned by a completed `make_set`.
-    pub fn unite_batch(&mut self, edges: &[(usize, usize)]) -> usize {
-        self.dsu.unite_batch_tuned_with(
-            edges,
-            BatchTuning::default(),
-            Some(&mut self.cache),
-            &mut (),
-        )
     }
 }
 
@@ -828,14 +629,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> ConcurrentUnionFind for Gro
 
     fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
         GrowableDsu::unite_batch(self, edges)
-    }
-
-    fn unite_batch_cached(&self, edges: &[(usize, usize)], cache: &mut RootCache) -> usize {
-        self.unite_batch_tuned_with(edges, BatchTuning::default(), Some(cache), &mut ())
-    }
-
-    fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        GrowableDsu::unite_batch_planned(self, edges)
     }
 
     fn find(&self, x: usize) -> usize {
@@ -971,29 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_batch_matches_per_op_invariants() {
-        let planned: GrowableDsu = GrowableDsu::with_initial(32);
-        let per_op: GrowableDsu = GrowableDsu::with_initial(32);
-        // Dup-heavy modular stream: the planner drops repeats, the
-        // invariants must not move.
-        let edges: Vec<(usize, usize)> =
-            (0..120).map(|i| ((i * 13) % 32, (i * 7 + 1) % 32)).collect();
-        let links = planned.unite_batch_planned(&edges);
-        let expected = edges.iter().filter(|&&(x, y)| per_op.unite(x, y)).count();
-        assert_eq!(links, expected);
-        assert_eq!(planned.set_count(), per_op.set_count());
-        assert_eq!(
-            Partition::from_labels(&planned.labels_snapshot()),
-            Partition::from_labels(&per_op.labels_snapshot())
-        );
-        let mut stats = crate::OpStats::default();
-        let rerun: GrowableDsu = GrowableDsu::with_initial(32);
-        rerun.unite_batch_planned_with(&edges, &mut stats);
-        assert_eq!(stats.ops, 120, "dropped duplicates still count as ops");
-        assert!(stats.dup_edges_dropped > 0, "modular stream repeats pairs: {stats:?}");
-    }
-
-    #[test]
     fn segment_boundaries_are_seamless() {
         // Unions that straddle segment boundaries (3->4, 7->8, ...).
         let dsu: GrowableDsu = GrowableDsu::with_initial(1 << 10);
@@ -1099,7 +869,6 @@ mod tests {
         }
         check::<SegmentedStore>();
         check::<PackedSegmentedStore>();
-        check::<crate::ShardedSegmentedStore>();
     }
 
     #[test]
@@ -1110,18 +879,5 @@ mod tests {
         assert_eq!(stats.flatten_passes, 1);
         assert!(stats.flatten_jumps > 0);
         assert!(max_depth(&dsu.store, n) <= 1);
-    }
-
-    #[test]
-    fn flatten_trigger_fires_through_growable_batches() {
-        let mut dsu = deep_chain::<SegmentedStore>(64);
-        dsu.set_flatten_policy(FlattenPolicy::EveryKBatches(1));
-        dsu.unite_batch(&[]);
-        assert!(max_depth(&dsu.store, 64) <= 1, "every-1 trigger did not fire");
-
-        let mut dsu = deep_chain::<SegmentedStore>(64);
-        dsu.set_flatten_policy(FlattenPolicy::Off);
-        dsu.unite_batch(&[]);
-        assert!(max_depth(&dsu.store, 64) > 1, "Off must never flatten");
     }
 }

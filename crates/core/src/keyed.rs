@@ -14,10 +14,9 @@
 //!
 //! The table maps `K → usize` (a dense id, assigned by
 //! [`make_set`](crate::GrowableDsu::make_set) in insertion order) and never
-//! deletes. It is sharded by the **high bits** of a seeded 64-bit hash —
-//! the same high-bit block geometry as
-//! [`ShardedStore`](crate::ShardedStore), applied where it actually pays:
-//! inserts of unrelated keys touch different shards' allocations, so no
+//! deletes. It is sharded by the **high bits** of a seeded 64-bit hash
+//! ([`ShardSpec`] picks the count): inserts of unrelated keys touch
+//! different shards' allocations, so no
 //! cache line is hammered by every thread, and false sharing cannot cross
 //! a shard boundary. Each shard is a directory of doubling open-addressed
 //! *segments* (64, 128, 256, … slots). Slots are claimed by CAS and
@@ -77,12 +76,11 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::bulk;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::growable::{GrowableDsu, GrowableStore};
+use crate::knob;
 use crate::order::splitmix64;
 use crate::stats::{ShardSkew, StatsSink};
-use crate::store::ShardSpec;
 
 /// Slot states, kept in the low bits of `Slot::meta`; the rest of the word
 /// is the key's hash tag, so probes skip non-matching slots without
@@ -245,20 +243,73 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> Default for KeyedDsu<K, F, S
     }
 }
 
-/// The id-table shard count: `DSU_KEY_SHARDS` if set (a positive integer,
-/// rounded up to a power of two), else one shard per hardware thread —
-/// the same derivation [`ShardSpec::auto`] uses for parent-store shards,
-/// under a separate knob because the two tables have independent
-/// contention profiles.
-fn key_shard_spec() -> ShardSpec {
-    if let Some(s) = std::env::var("DSU_KEY_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&s| s > 0)
-    {
-        return ShardSpec::with_shards(s);
+/// How many shards the keyed id table uses.
+///
+/// Shard counts are always a power of two (construction rounds up) so the
+/// shard of a key is a shift of its hash, never a division.
+///
+/// # Example
+///
+/// ```
+/// use concurrent_dsu::ShardSpec;
+///
+/// assert_eq!(ShardSpec::with_shards(3).shards(), 4); // rounded up
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    shards: usize,
+}
+
+impl ShardSpec {
+    /// Upper bound on the shard count: beyond a few hundred shards the
+    /// headers outgrow L1 and the contention benefit is long exhausted.
+    const MAX_SHARDS: usize = 256;
+
+    /// Exactly `shards` shards, rounded up to the next power of two and
+    /// clamped to 256.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn with_shards(shards: usize) -> Self {
+        assert!(shards > 0, "a sharded table needs at least one shard");
+        ShardSpec { shards: shards.next_power_of_two().min(Self::MAX_SHARDS) }
     }
-    ShardSpec::with_shards(std::thread::available_parallelism().map_or(1, |p| p.get()))
+
+    /// The (power-of-two) shard count this spec requests.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+}
+
+/// Environment variable overriding the id-table shard count.
+const ENV_KEY_SHARDS: &str = "DSU_KEY_SHARDS";
+
+/// Parses a `DSU_KEY_SHARDS` value: a positive integer shard count.
+/// `None` iff `v` is not one (the env reader warns and falls back).
+fn parse_key_shards(v: &str) -> Option<ShardSpec> {
+    v.trim().parse::<usize>().ok().filter(|&s| s > 0).map(ShardSpec::with_shards)
+}
+
+/// The id-table shard count: `DSU_KEY_SHARDS` if set (a positive integer,
+/// rounded up to a power of two), else one shard per hardware thread. A
+/// set-but-unrecognized value warns once on stderr ([`knob`]) and falls
+/// back to the machine-derived count.
+fn key_shard_spec() -> ShardSpec {
+    let auto =
+        || ShardSpec::with_shards(std::thread::available_parallelism().map_or(1, |p| p.get()));
+    match std::env::var(ENV_KEY_SHARDS) {
+        Err(_) => auto(),
+        Ok(v) => parse_key_shards(&v).unwrap_or_else(|| {
+            knob::warn_unrecognized(
+                ENV_KEY_SHARDS,
+                &v,
+                "a positive integer shard count",
+                "available_parallelism",
+            );
+            auto()
+        }),
+    }
 }
 
 impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
@@ -285,8 +336,8 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
 
     /// Wraps an already-constructed (still empty) growable store — the
     /// entry point for stores whose constructors take more than a seed,
-    /// such as a [`ShardedSegmentedStore`](crate::ShardedSegmentedStore)
-    /// with its own [`ShardSpec`].
+    /// such as a [`FaultyStore`](crate::FaultyStore) with its own
+    /// [`FaultPlan`](crate::FaultPlan).
     pub fn from_store(store: S, seed: u64, spec: ShardSpec) -> Self {
         let shards: Box<[KeyShard<K>]> = (0..spec.shards()).map(|_| KeyShard::new()).collect();
         // Pre-allocate every shard's first segment: the common case never
@@ -513,8 +564,7 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     /// the burst to a dense id in a gather pass (inserting unseen keys),
     /// then routes the resolved edge list through the batch ingestion
     /// waves (`bulk`). Returns the number of edges that
-    /// performed a link. Honors the `DSU_BATCH_PLAN` environment variable
-    /// like every count-only batch entry point.
+    /// performed a link.
     pub fn merge_keys_batch(&self, pairs: &[(K, K)]) -> usize
     where
         K: Clone,
@@ -530,7 +580,7 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
         K: Clone,
     {
         let edges = self.resolve_pairs(pairs, stats);
-        self.dsu.unite_batch_tuned_with(&edges, bulk::runtime_default_tuning(), None, stats)
+        self.dsu.unite_batch_with(&edges, stats)
     }
 
     /// Batched [`same_set`](KeyedDsu::same_set): one verdict per pair,
@@ -716,6 +766,17 @@ mod tests {
         let skew = dsu.key_skew();
         assert_eq!(skew.shards, 8);
         assert!(skew.imbalance < 1.5, "uniform keys must spread across high-bit shards: {skew:?}");
+    }
+
+    #[test]
+    fn key_shards_knob_grammar() {
+        assert_eq!(parse_key_shards("4"), Some(ShardSpec::with_shards(4)));
+        assert_eq!(parse_key_shards(" 3 "), Some(ShardSpec::with_shards(4)), "rounded up");
+        assert_eq!(parse_key_shards("1000"), Some(ShardSpec::with_shards(256)), "clamped");
+        // The values that used to be ignored without a word.
+        for bogus in ["abc", "0", "-2", "", "4.5"] {
+            assert_eq!(parse_key_shards(bogus), None, "{bogus:?}");
+        }
     }
 
     #[test]

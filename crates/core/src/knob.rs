@@ -1,14 +1,14 @@
 //! One-time diagnostics for `DSU_*` environment knobs.
 //!
 //! Every runtime knob in this crate degrades gracefully: an unrecognized
-//! `DSU_TUNER` or `DSU_FLATTEN` value falls back to a documented default
-//! rather than aborting the host process. Graceful degradation must not be
-//! *silent* degradation, though — an operator who typo'd `DSU_FLATTEN=hosp=2`
-//! would otherwise run a different configuration than the one they asked
-//! for, with nothing in any log to say so. This module provides the loud
-//! part: a once-per-variable stderr warning, emitted by the `from_env`
-//! readers (never by the programmatic `parse` functions, whose silent
-//! fallback is part of their documented contract).
+//! `DSU_TUNER`, `DSU_EPOCH_EVERY` or `DSU_KEY_SHARDS` value falls back to a
+//! documented default rather than aborting the host process. Graceful
+//! degradation must not be *silent* degradation, though — an operator who
+//! typo'd `DSU_TUNER=halvng/index` would otherwise run a different
+//! configuration than the one they asked for, with nothing in any log to
+//! say so. This module provides the loud part: a once-per-variable stderr
+//! warning, emitted by the env readers (never by the programmatic `parse`
+//! functions, whose silent fallback is part of their documented contract).
 //!
 //! Once-per-variable (not once-per-call) because knobs are read at
 //! structure construction: a benchmark building thousands of structures
@@ -49,12 +49,11 @@ mod tests {
 
     #[test]
     fn message_names_variable_value_grammar_and_fallback() {
-        let msg =
-            unrecognized_message("DSU_FLATTEN", "hosp=2", "off|auto|every=<k>|hops=<x>", "auto");
-        assert!(msg.contains("DSU_FLATTEN"), "{msg}");
-        assert!(msg.contains("hosp=2"), "{msg}");
-        assert!(msg.contains("every=<k>"), "{msg}");
-        assert!(msg.contains("`auto`"), "{msg}");
+        let msg = unrecognized_message("DSU_EPOCH_EVERY", "evry=2", "off | 0 | <k>", "off");
+        assert!(msg.contains("DSU_EPOCH_EVERY"), "{msg}");
+        assert!(msg.contains("evry=2"), "{msg}");
+        assert!(msg.contains("<k>"), "{msg}");
+        assert!(msg.contains("`off`"), "{msg}");
         assert!(msg.contains("once per variable"), "{msg}");
     }
 

@@ -83,42 +83,6 @@
 //! assert_eq!(dsu.set_count(), 1);
 //! ```
 //!
-//! Bursts over a DRAM-resident store (or duplicate-heavy streams) can
-//! additionally be routed through the **ingestion planner**
-//! ([`Dsu::unite_batch_planned`], the [`ingest`] module): duplicates are
-//! dropped and the rest drains in block-local radix buckets, keeping each
-//! gather wave's loads inside a resident index range. The planner is
-//! opt-in (`DSU_BATCH_PLAN=1` flips the count-only default paths); see
-//! [`ingest`] for when it pays and the exact verdict contract.
-//!
-//! # Hot-root cache sessions
-//!
-//! Threads whose operations keep landing on the same few sets can open a
-//! [`cached`](Dsu::cached) session: a thread-private [`RootCache`] maps
-//! elements to their last observed roots, and each find validates the
-//! entry with one load instead of walking (falling back transparently
-//! when a concurrent link demoted the root). Verdicts are identical to
-//! the plain operations — the [`cache`] module docs give the argument —
-//! so sessions, plain calls, and batches mix freely:
-//!
-//! ```
-//! use concurrent_dsu::Dsu;
-//!
-//! let dsu: Dsu = Dsu::new(100);
-//! let mut session = dsu.cached();
-//! for i in 0..99 {
-//!     session.unite(i, i + 1);
-//! }
-//! assert!(session.same_set(0, 99));
-//! assert!(dsu.same_set(0, 99));
-//! ```
-//!
-//! Whether the cache *pays* is workload- and machine-dependent — see the
-//! "when does the root cache pay" section of the [`store`] module docs.
-//! On the bench box it lost on every measured Zipf regime (the saved
-//! loads were hardware-cache-hot), so treat a session as a hypothesis to
-//! A/B on your workload, not a default.
-//!
 //! # Growing universes
 //!
 //! [`GrowableDsu`] adds `make_set` (paper Section 3 remark): elements can be
@@ -169,31 +133,24 @@
 //!
 //! | variable | read by | meaning |
 //! |---|---|---|
-//! | `DSU_SHARDS` | [`ShardSpec::auto`] (used by [`ShardedStore`] / [`ShardedSegmentedStore`]) | shard count for the sharded parent stores; rounded to a power of two, clamped to 256. Default: `available_parallelism` |
-//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table (same rounding). More shards shorten probe paths and spread claim traffic at the cost of base-segment memory. Default: `available_parallelism` |
-//! | `DSU_CACHE_SLOTS` | `RootCache::default` | slot count of a hot-root cache session's direct-mapped table. Default: [`RootCache::DEFAULT_CAPACITY`] (512, 8 KB — L1-resident) |
-//! | `DSU_BATCH_PLAN` | [`bulk::runtime_default_tuning`] | set to `1`/`true` to route count-only batch entry points through the ingestion planner ([`ingest`]); verdict-returning paths are unaffected. Default: off |
+//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table; rounded up to a power of two, clamped to 256 ([`ShardSpec`]). More shards shorten probe paths and spread claim traffic at the cost of base-segment memory. Unrecognized values fall back to the default with a one-time stderr warning ([`knob`]). Default: `available_parallelism` |
 //! | `DSU_FAULT_SEED` | [`FaultPlan::from_env`] | seed for the fault-injection plan a [`FaultyStore`] runs; only consulted by fault-test binaries that opt in. Default: 0 |
 //! | `DSU_FAULT_RATE` | [`FaultPlan::from_env`] | probability in `[0, 1]` of injecting a fault at each eligible store access. Default: 0.0 |
 //! | `DSU_TUNER` | [`TunerMode::from_env`] (used by [`TunedDsu`] constructors) | `off` pins the paper-default variant, `auto` samples a prefix and dispatches to the [`DecisionTable`] winner, an explicit `<find>/<link>` tag (e.g. `halving/index`) forces that variant from construction. Unrecognized values degrade to `auto` with a one-time stderr warning ([`knob`]). Default: `auto` |
-//! | `DSU_FLATTEN` | [`FlattenPolicy::from_env`] (used by [`Dsu`] / [`GrowableDsu`] constructors) | adaptive flatten-pass trigger consulted after every ingested batch: `off` never sweeps, `every=<k>` sweeps after each `k`-th batch, `hops=<x>` sweeps when a sampled mean tree depth exceeds `x`, `auto` = `hops=1.75`. Unrecognized values degrade to `auto` with a one-time stderr warning ([`knob`]). Default: `off` |
 //! | `DSU_EPOCH_EVERY` | [`epoch::epoch_every_from_env`] (used by [`VersionedDsu`] constructors) | auto-snapshot cadence for [`VersionedDsu::ingest_batch`]: a positive integer `k` records an O(1) snapshot before every `k`-th batch (replacing the previous auto snapshot), `off`/`0` never does. Unrecognized values degrade to `off` with a one-time stderr warning ([`knob`]). Default: `off` |
 //!
 //! The `strict-sc` cargo feature (not an env var) restores the paper's
-//! sequentially consistent orderings crate-wide; the `default-store-flat`
-//! / `default-store-sharded` features retarget [`DefaultStore`] /
-//! [`DefaultGrowableStore`]; `default-link-index` retargets
-//! [`DefaultLink`] from the paper's randomized linking to index linking;
-//! `prefetch` compiles software-prefetch intrinsics into the gather waves.
+//! sequentially consistent orderings crate-wide; `default-store-flat`
+//! retargets [`DefaultStore`] / [`DefaultGrowableStore`] to the flat
+//! layouts; `default-link-index` retargets [`DefaultLink`] from the
+//! paper's randomized linking to index linking.
 
 pub mod bulk;
-pub mod cache;
 pub mod epoch;
 pub mod fault;
 pub mod find;
 pub mod flatten;
 pub mod growable;
-pub mod ingest;
 pub mod keyed;
 pub mod knob;
 pub mod ops;
@@ -205,58 +162,43 @@ pub mod viz;
 
 mod dsu;
 
-pub use bulk::{BatchTuning, WaveDepth};
-pub use cache::RootCache;
-pub use dsu::{CachedHandle, Dsu};
+pub use dsu::Dsu;
 pub use epoch::{
     BatchOutcome, Epoch, EpochFork, EpochReport, EpochStore, SegmentSnapshot, VersionedDsu,
     ENV_EPOCH_EVERY,
 };
 pub use fault::{BrokenStore, FaultPlan, FaultReport, FaultyStore, RetryBudget, TestWatchdog};
 pub use find::{Compress, FindPolicy, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
-pub use flatten::{FlattenPolicy, FlattenTrigger};
-pub use growable::{
-    GrowableCachedHandle, GrowableDsu, GrowableStore, PackedSegmentedStore, SegmentedStore,
-};
-pub use ingest::{BatchPlan, PlanTuning};
-pub use keyed::KeyedDsu;
+pub use growable::{GrowableDsu, GrowableStore, PackedSegmentedStore, SegmentedStore};
+pub use keyed::{KeyedDsu, ShardSpec};
 pub use order::{
     HashOrder, IdOrder, IndexLink, LinkPolicy, PermutationOrder, RandomLink, RankLink,
 };
 pub use stats::{OpStats, ShardSkew, StatsSink};
-pub use store::{
-    DsuStore, FlatStore, PackedStore, ParentStore, RankedStore, ScanRun, ShardReport, ShardSpec,
-    ShardedSegmentedStore, ShardedStore,
-};
+pub use store::{DsuStore, FlatStore, PackedStore, ParentStore, RankedStore};
 pub use tune::{
     DecisionTable, FindKind, LinkKind, TunedDsu, TunerMode, Variant, VariantDsu, WorkloadProfile,
 };
 
 /// The storage layout [`Dsu`] defaults to, selected at compile time by the
-/// mutually exclusive `default-store-flat` / `default-store-sharded` cargo
-/// features (neither: [`PackedStore`]). CI's test matrix builds the crate
-/// once per layout so the whole suite runs on every store; explicit type
-/// parameters (`Dsu<F, FlatStore>`) always override the default.
-#[cfg(feature = "default-store-sharded")]
-pub type DefaultStore = ShardedStore;
-/// The storage layout [`Dsu`] defaults to (see the `default-store-*`
-/// features; this build: flat).
-#[cfg(all(feature = "default-store-flat", not(feature = "default-store-sharded")))]
+/// `default-store-flat` cargo feature (unset: [`PackedStore`]). CI's test
+/// matrix builds the crate once per layout so the whole suite runs on
+/// every store; explicit type parameters (`Dsu<F, FlatStore>`) always
+/// override the default.
+#[cfg(feature = "default-store-flat")]
 pub type DefaultStore = FlatStore;
-/// The storage layout [`Dsu`] defaults to (see the `default-store-*`
-/// features; this build: packed, the fastest single-socket layout).
-#[cfg(not(any(feature = "default-store-sharded", feature = "default-store-flat")))]
+/// The storage layout [`Dsu`] defaults to (see the `default-store-flat`
+/// feature; this build: packed, the fastest layout).
+#[cfg(not(feature = "default-store-flat"))]
 pub type DefaultStore = PackedStore;
 
 /// The growable layout [`GrowableDsu`] defaults to — the growable twin of
-/// [`DefaultStore`], following the same `default-store-*` features.
-#[cfg(feature = "default-store-sharded")]
-pub type DefaultGrowableStore = ShardedSegmentedStore;
-/// The growable layout [`GrowableDsu`] defaults to (this build: flat).
-#[cfg(all(feature = "default-store-flat", not(feature = "default-store-sharded")))]
+/// [`DefaultStore`], following the same `default-store-flat` feature
+/// (this build: flat).
+#[cfg(feature = "default-store-flat")]
 pub type DefaultGrowableStore = SegmentedStore;
 /// The growable layout [`GrowableDsu`] defaults to (this build: packed).
-#[cfg(not(any(feature = "default-store-sharded", feature = "default-store-flat")))]
+#[cfg(not(feature = "default-store-flat"))]
 pub type DefaultGrowableStore = PackedSegmentedStore;
 
 /// The link policy [`Dsu`] and [`GrowableDsu`] default to, selected at
@@ -317,40 +259,6 @@ pub trait ConcurrentUnionFind: Send + Sync {
     /// on the structures that have one.
     fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
         edges.iter().filter(|&&(x, y)| self.unite(x, y)).count()
-    }
-
-    /// [`unite_batch`](ConcurrentUnionFind::unite_batch) reusing a
-    /// caller-owned (typically per-worker-thread) hot-root cache across
-    /// calls, so an ingestion loop's hot endpoints stay memoized from one
-    /// burst to the next — the [`cache`] module explains why acting on the
-    /// (validated) entries is sound. [`RootCache`] is layout-agnostic, so
-    /// the session state travels through this trait; structures without a
-    /// cached path ignore the cache and fall back to their plain batch
-    /// ingestion, which keeps generic pipelines (the graph crate's chunked
-    /// workers) writable against the trait.
-    ///
-    /// The cache must only ever be used with **one structure**: its
-    /// entries are observations of this instance's forest, and replaying
-    /// them against another instance yields wrong results or panics (see
-    /// the ownership note on [`RootCache`]). [`RootCache::clear`] resets a
-    /// cache for reuse elsewhere.
-    fn unite_batch_cached(&self, edges: &[(usize, usize)], cache: &mut RootCache) -> usize {
-        let _ = cache;
-        self.unite_batch(edges)
-    }
-
-    /// [`unite_batch`](ConcurrentUnionFind::unite_batch) routed through
-    /// the ingestion planner ([`ingest`]): intra-batch duplicates dropped,
-    /// the rest drained bucket by block-local bucket so each gather
-    /// wave's loads stay index-local. Returns the number of successful
-    /// links — which, like the final partition, is identical to unplanned
-    /// ingestion (set union is confluent; see [`ingest`] for the per-edge
-    /// verdict contract planned execution follows). Structures without a
-    /// planner fall back to their plain batch path, so generic pipelines
-    /// (the graph crate's chunked workers) can offer a planned variant
-    /// against this trait.
-    fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch(edges)
     }
 
     /// Returns the root of the tree currently containing `x`. The result

@@ -39,30 +39,6 @@ pub trait StatsSink {
     fn op_start(&mut self);
     /// A `find` traversal started.
     fn find_start(&mut self);
-    /// A hot-root cache entry validated: the cached root was still a root,
-    /// so a find started (and usually ended) at it instead of walking from
-    /// the element (see [`cache`](crate::cache)). Defaulted to a no-op so
-    /// sinks that predate the cache keep compiling.
-    fn cache_hit(&mut self) {}
-    /// A hot-root cache entry failed validation (the cached root was
-    /// demoted or re-parented since it was recorded): the entry is dropped
-    /// and the find falls back to the normal walk.
-    fn cache_stale(&mut self) {}
-    /// A batch gather wave issued software prefetches for the *next* wave's
-    /// endpoint words (only counted when the `prefetch` feature compiled
-    /// the intrinsics in; see [`bulk`](crate::bulk)).
-    fn prefetch_wave(&mut self) {}
-    /// The ingestion planner dropped `n` intra-batch duplicate edges
-    /// before any parent word was read (see [`ingest`](crate::ingest));
-    /// each dropped edge still starts one operation and reports a `false`
-    /// verdict.
-    fn dup_edges_dropped(&mut self, _n: usize) {}
-    /// The ingestion planner drained `n` non-empty radix buckets for one
-    /// batch (the spillover segment not included).
-    fn plan_buckets(&mut self, _n: usize) {}
-    /// The ingestion planner deferred `n` cross-bucket edges of one batch
-    /// to the spillover pass.
-    fn spill_edges(&mut self, _n: usize) {}
     /// An operation is about to re-run its find/link sequence because a
     /// link CAS failed — the retry that follows every
     /// [`link_fail`](StatsSink::link_fail) on a path that loops rather
@@ -161,18 +137,6 @@ impl StatsSink for () {
     #[inline(always)]
     fn find_start(&mut self) {}
     #[inline(always)]
-    fn cache_hit(&mut self) {}
-    #[inline(always)]
-    fn cache_stale(&mut self) {}
-    #[inline(always)]
-    fn prefetch_wave(&mut self) {}
-    #[inline(always)]
-    fn dup_edges_dropped(&mut self, _n: usize) {}
-    #[inline(always)]
-    fn plan_buckets(&mut self, _n: usize) {}
-    #[inline(always)]
-    fn spill_edges(&mut self, _n: usize) {}
-    #[inline(always)]
     fn cas_retry(&mut self) {}
     #[inline(always)]
     fn faults_injected(&mut self, _n: usize) {}
@@ -238,25 +202,6 @@ pub struct OpStats {
     pub links_ok: u64,
     /// Failed link CASes.
     pub links_fail: u64,
-    /// Hot-root cache validations that succeeded (the cached root was
-    /// still a root; the find started from it).
-    pub cache_hits: u64,
-    /// Hot-root cache validations that failed (the cached root had been
-    /// demoted; the entry was dropped and the walk fell back).
-    pub cache_stale: u64,
-    /// Gather waves that issued software prefetches for the next wave
-    /// (nonzero only under the `prefetch` feature).
-    pub prefetch_waves: u64,
-    /// Intra-batch duplicate edges the ingestion planner dropped before
-    /// they touched the store (each still counted in `ops`, verdict
-    /// `false`).
-    pub dup_edges_dropped: u64,
-    /// Non-empty radix buckets the ingestion planner drained, summed over
-    /// all planned batches (the spillover segments not included).
-    pub bucket_count: u64,
-    /// Cross-bucket edges the ingestion planner deferred to spillover
-    /// passes.
-    pub spill_edges: u64,
     /// Find/link retries after failed link CASes (each follows a
     /// `links_fail` on a looping path; bounded by retry-budget watchdogs).
     pub cas_retries: u64,
@@ -328,12 +273,6 @@ impl OpStats {
         self.compact_cas_fail += other.compact_cas_fail;
         self.links_ok += other.links_ok;
         self.links_fail += other.links_fail;
-        self.cache_hits += other.cache_hits;
-        self.cache_stale += other.cache_stale;
-        self.prefetch_waves += other.prefetch_waves;
-        self.dup_edges_dropped += other.dup_edges_dropped;
-        self.bucket_count += other.bucket_count;
-        self.spill_edges += other.spill_edges;
         self.cas_retries += other.cas_retries;
         self.faults_injected += other.faults_injected;
         self.keys_inserted += other.keys_inserted;
@@ -357,8 +296,7 @@ impl OpStats {
     }
 
     /// Mean parent hops per `find` — the observed tree depth (`NaN` if no
-    /// finds ran). The adaptive flatten trigger compares this against its
-    /// threshold (see [`FlattenPolicy`](crate::FlattenPolicy)).
+    /// finds ran).
     pub fn hops_per_find(&self) -> f64 {
         self.find_hops as f64 / self.finds as f64
     }
@@ -400,30 +338,6 @@ impl StatsSink for OpStats {
     #[inline]
     fn find_start(&mut self) {
         self.finds += 1;
-    }
-    #[inline]
-    fn cache_hit(&mut self) {
-        self.cache_hits += 1;
-    }
-    #[inline]
-    fn cache_stale(&mut self) {
-        self.cache_stale += 1;
-    }
-    #[inline]
-    fn prefetch_wave(&mut self) {
-        self.prefetch_waves += 1;
-    }
-    #[inline]
-    fn dup_edges_dropped(&mut self, n: usize) {
-        self.dup_edges_dropped += n as u64;
-    }
-    #[inline]
-    fn plan_buckets(&mut self, n: usize) {
-        self.bucket_count += n as u64;
-    }
-    #[inline]
-    fn spill_edges(&mut self, n: usize) {
-        self.spill_edges += n as u64;
     }
     #[inline]
     fn cas_retry(&mut self) {
@@ -487,9 +401,9 @@ impl StatsSink for OpStats {
     }
 }
 
-/// Summary of how a per-shard count (roots, cells, traffic) spreads across
-/// the shards of a sharded store — the report type behind
-/// [`ShardReport::root_skew`](crate::store::ShardReport::root_skew).
+/// Summary of how a per-shard count spreads across the shards of a
+/// sharded table — the report type behind
+/// [`KeyedDsu::key_skew`](crate::KeyedDsu::key_skew).
 ///
 /// `imbalance` is the headline number: `max / mean`, so `1.0` means the
 /// shards are perfectly balanced and `S` (the shard count) means one shard
@@ -581,49 +495,6 @@ mod tests {
 
         assert!((ShardSkew::from_counts([]).imbalance - 1.0).abs() < 1e-12);
         assert!((ShardSkew::from_counts([0, 0]).imbalance - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_and_prefetch_counters_count_and_merge() {
-        let mut a = OpStats::default();
-        a.cache_hit();
-        a.cache_hit();
-        a.cache_stale();
-        a.prefetch_wave();
-        assert_eq!((a.cache_hits, a.cache_stale, a.prefetch_waves), (2, 1, 1));
-        // Cache probes are plain loads already counted via read(); they do
-        // not inflate the access totals on their own.
-        assert_eq!(a.memory_accesses(), 0);
-        let mut b = OpStats::default();
-        b.cache_stale();
-        b.merge(&a);
-        assert_eq!((b.cache_hits, b.cache_stale, b.prefetch_waves), (2, 2, 1));
-        // The unit sink accepts the new events too.
-        let mut unit = ();
-        unit.cache_hit();
-        unit.cache_stale();
-        unit.prefetch_wave();
-    }
-
-    #[test]
-    fn planner_counters_count_and_merge() {
-        let mut a = OpStats::default();
-        a.dup_edges_dropped(3);
-        a.plan_buckets(4);
-        a.spill_edges(2);
-        a.plan_buckets(1);
-        assert_eq!((a.dup_edges_dropped, a.bucket_count, a.spill_edges), (3, 5, 2));
-        // Planner events are bookkeeping, not shared-memory accesses.
-        assert_eq!(a.memory_accesses(), 0);
-        let mut b = OpStats::default();
-        b.spill_edges(1);
-        b.merge(&a);
-        assert_eq!((b.dup_edges_dropped, b.bucket_count, b.spill_edges), (3, 5, 3));
-        // The unit sink accepts the new events too.
-        let mut unit = ();
-        unit.dup_edges_dropped(1);
-        unit.plan_buckets(1);
-        unit.spill_edges(1);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl ParentStore for FlatStore {
         // (flat priorities live in the id array); go straight to the order.
         self.order.less(u, v)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        crate::store::prefetch_read(&self.parents[i] as *const AtomicUsize);
-    }
 }
 
 impl IdOrder for FlatStore {

@@ -1,4 +1,4 @@
-//! Parent-pointer storage: the packed, flat, and sharded layouts, and the
+//! Parent-pointer storage: the packed, flat, and ranked layouts, and the
 //! memory-ordering contract of the hot path.
 //!
 //! # Why storage is a type parameter
@@ -13,16 +13,19 @@
 //!
 //! # Layout-selection guide
 //!
-//! Three fixed-universe layouts implement [`DsuStore`]; all three draw ids
-//! from the same seeded permutation, so for a given `(n, seed)` they make
-//! identical linking decisions and are interchangeable mid-experiment. Pick
-//! by universe size and thread count:
+//! Two general-purpose fixed-universe layouts implement [`DsuStore`]; both
+//! draw ids from the same seeded permutation, so for a given `(n, seed)`
+//! they make identical linking decisions and are interchangeable
+//! mid-experiment. Pick by universe size:
 //!
 //! | layout | word | footprint | universe bound | pick when |
 //! |---|---|---|---|---|
-//! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | single socket, universe fits the bound — the all-round fastest |
+//! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | universe fits the bound — the all-round fastest |
 //! | [`FlatStore`] | bare `AtomicUsize` parent + side id array | 16 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
-//! | [`ShardedStore`] | packed words in per-shard slabs | 8 B/elem + shard headers | `2^32` | multi-socket / NUMA placement: each slab is its own allocation, so page placement can follow threads — accept a measured single-socket penalty for it |
+//!
+//! [`RankedStore`] is the third layout, for the rank-linking ablation only:
+//! it packs a union-by-rank rank into the word (see
+//! [`RankLink`](crate::RankLink)).
 //!
 //! **Packed vs flat.** A find on the packed layout reads the parent *and*
 //! the linking priority in one load, eight elements share a cache line,
@@ -31,24 +34,6 @@
 //! structural advantages are the full-width universe and a layout the
 //! simulators can poke directly ([`FlatStore::parent_cell`]).
 //!
-//! **When sharding pays (and what it costs).** [`ShardedStore`] splits the
-//! universe into power-of-two contiguous blocks indexed by the *high* bits
-//! of the element index, each block a separately allocated,
-//! cache-line-padded packed slab ([`ShardSpec`] picks the count from the
-//! machine's parallelism unless overridden). Because ids are a uniform
-//! random permutation, the hot high-id roots land in uniformly random
-//! *indices* — i.e. uniformly across shards — so no single allocation (or
-//! NUMA node, under first-touch or interleaved placement) carries all the
-//! root traffic, and false sharing cannot cross a shard boundary. The
-//! price is one extra *dependent* load per traversal hop (the shard's slab
-//! pointer — always L1-resident, but it sits on the serial pointer-chase
-//! path that is a find): `BENCH_PR3.json` measures sharded at 0.6–0.7× the
-//! packed store's throughput on a single-socket box, uniformly across
-//! thread counts. **Do not shard on one memory domain** — the layout
-//! exists for machines where parent-word misses cross sockets, where the
-//! placement win has room to repay the hop (unverified here: the bench box
-//! has one domain; see ROADMAP).
-//!
 //! **Cache-residency caveat** (from `BENCH_PR2.json`): layout effects only
 //! show once the parent store exceeds the last-level cache. At `n = 2^20`
 //! (8 MB packed) every layout is cache-resident on a big LLC and they all
@@ -56,9 +41,8 @@
 //! placement.
 //!
 //! Growable twins: [`PackedSegmentedStore`](crate::PackedSegmentedStore)
-//! (default), [`SegmentedStore`](crate::SegmentedStore) (flat), and
-//! [`ShardedSegmentedStore`] (sharded) make the same trades for universes
-//! that grow via `make_set`.
+//! (default) and [`SegmentedStore`](crate::SegmentedStore) (flat) make the
+//! same trade for universes that grow via `make_set`.
 //!
 //! **Keys instead of indices.** If your elements are strings, sparse
 //! 64-bit ids, or any other hashable keys rather than dense `0..n`,
@@ -67,35 +51,10 @@
 //! that map, done lock-free: a sharded CAS-claimed id table assigns dense
 //! ids on first touch and every set operation runs on the growable twin
 //! of your chosen layout. Its shard count has its own knob
-//! (`DSU_KEY_SHARDS`) because id-table sharding is a hash-capacity
-//! question, not a placement one.
-//!
-//! **When does the root cache pay?** Orthogonal to the layout choice, the
-//! [`cache`](crate::cache) module can start finds at each element's last
-//! observed root ([`Dsu::cached`](crate::Dsu::cached) sessions,
-//! [`unite_batch_cached`](crate::ConcurrentUnionFind::unite_batch_cached)),
-//! validated by one load. It pays exactly when that validation load
-//! replaces walk loads that would have **missed in the hardware caches**
-//! — long paths over a DRAM-resident store whose hot set is *wider than
-//! the LLC but narrower than the table*. It does **not** pay when the
-//! hardware already absorbs the walk, which `BENCH_PR4.json` shows is the
-//! common case on a single busy box: Zipf-hot elements keep their own
-//! path nodes L1/L2-resident precisely because they are hot, so on the
-//! bench host the cached arms ran 0.22–0.68x the uncached ones at every
-//! size and thread count — the counters attribute it (12–18% fewer reads, yet
-//! slower: the saved loads were cache-hot, while every find paid the
-//! probe's bookkeeping plus a ~50/50 validation branch predictors cannot
-//! learn, the same lesson as PR 2's Algorithm-6 filter). Use a cached
-//! session when the hit branch is *predictable* (hit rates near 1: a
-//! Borůvka scan's few surviving roots, percolation's virtual top/bottom
-//! probes) or when path nodes genuinely miss (universe ≫ LLC with flat
-//! skew); skip it for wave-fed batch ingestion, whose gather waves
-//! already preload the levels a hit would skip. Cache-residency caveat
-//! applies as everywhere: measure at `n ≥ 2^22` before believing either
-//! direction.
+//! (`DSU_KEY_SHARDS`).
 //!
 //! The default store behind [`Dsu`](crate::Dsu)'s `S` parameter follows the
-//! `default-store-flat` / `default-store-sharded` cargo features (see
+//! `default-store-flat` cargo feature (see
 //! [`DefaultStore`](crate::DefaultStore)); CI runs the whole test suite
 //! under every layout × ordering combination.
 //!
@@ -121,21 +80,17 @@
 //! `native_linearizability.rs`, and the `chaos_ab` /
 //! `e13_fault_injection` harnesses.
 //!
-//! **Which layouts support cheap scans.** Maintenance passes (the
-//! [`flatten`](crate::flatten) sweep) iterate the parent words in *store
-//! order* — the order the bytes sit in memory — via
-//! [`DsuStore::scan_ranges`] /
-//! [`GrowableStore::scan_runs`](crate::GrowableStore::scan_runs), which hand
-//! back [`ScanRun`]s a sweep streams through at hardware-prefetch speed:
+//! **Scans.** Maintenance passes (the [`flatten`](crate::flatten) sweep)
+//! iterate the parent words in *store order* — the order the bytes sit in
+//! memory — as index ranges a sweep streams through at hardware-prefetch
+//! speed:
 //!
 //! * [`PackedStore`], [`FlatStore`], [`RankedStore`]:
-//!   one contiguous run covering `0..n` — the ideal scan surface.
-//! * [`ShardedStore`]: one run **per slab**, so a sweep stays slab-local
-//!   and never interleaves allocations (the same geometry argument as
-//!   placement: consecutive indices within a slab are consecutive bytes).
+//!   one contiguous range covering `0..n` — the ideal scan surface.
 //! * Growable layouts ([`SegmentedStore`](crate::SegmentedStore) and
-//!   friends): one run per *allocated* segment, skipping directory holes —
-//!   a concurrently reserved-but-uninitialized index is a root-shaped
+//!   friends, via [`GrowableStore::scan_runs`](crate::GrowableStore::scan_runs)):
+//!   one range per *allocated* segment, skipping directory holes — a
+//!   concurrently reserved-but-uninitialized index is a root-shaped
 //!   singleton no sweep needs to visit.
 //!
 //! Scans only ever *read* words and retarget them with
@@ -192,13 +147,11 @@ use crate::order::IdOrder;
 mod flat;
 mod packed;
 mod ranked;
-mod sharded;
 
 pub use flat::FlatStore;
 pub use packed::PackedStore;
 pub(crate) use packed::{pack_word, packed_id, packed_parent, packed_with_parent};
 pub use ranked::RankedStore;
-pub use sharded::{ShardReport, ShardSpec, ShardedSegmentedStore, ShardedStore};
 
 /// Ordering of every traversal load of a parent word: `Acquire`, so a read
 /// of a parent installed by a `Release` CAS also sees the writes that
@@ -240,67 +193,6 @@ pub const STAT: Ordering = Ordering::SeqCst;
 /// `true` when the `strict-sc` feature pinned all orderings to `SeqCst`.
 pub const fn strict_sc() -> bool {
     cfg!(feature = "strict-sc")
-}
-
-/// `true` when the `prefetch` feature compiled software-prefetch
-/// intrinsics into [`ParentStore::prefetch`] (x86-64 / AArch64 only; the
-/// method is a no-op everywhere else regardless of the feature).
-pub const fn prefetch_enabled() -> bool {
-    cfg!(all(feature = "prefetch", any(target_arch = "x86_64", target_arch = "aarch64")))
-}
-
-/// Read-intent software prefetch of the cache line holding `*p` — the
-/// primitive behind [`ParentStore::prefetch`]. Purely a hint: it never
-/// faults, never synchronizes, and compiles to nothing unless the
-/// `prefetch` feature is enabled on a target with an instruction for it
-/// (x86-64 `prefetcht0`, AArch64 `prfm pldl1keep`).
-#[inline(always)]
-pub(crate) fn prefetch_read<T>(p: *const T) {
-    #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-    // SAFETY: prefetch instructions are hints — they cannot fault even on
-    // invalid addresses (the pointer here is in-bounds regardless).
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
-    };
-    #[cfg(all(feature = "prefetch", target_arch = "aarch64"))]
-    // SAFETY: PRFM is a hint and cannot fault; the asm touches no state
-    // beyond issuing it.
-    unsafe {
-        core::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags))
-    };
-    #[cfg(not(all(feature = "prefetch", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    let _ = p;
-}
-
-/// One unit of sequential scan work: `count` elements starting at `base`,
-/// `stride` apart — the common currency of the [`flatten`](crate::flatten)
-/// sweep's chunking across layouts.
-///
-/// Contiguous layouts ([`DsuStore::scan_ranges`]) use stride 1; the
-/// low-bit-striped growable sharded layout
-/// ([`ShardedSegmentedStore`]) uses stride = shard count so each run walks
-/// one shard's slab in allocation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanRun {
-    /// First element index of the run.
-    pub base: usize,
-    /// Distance between consecutive elements of the run (≥ 1).
-    pub stride: usize,
-    /// Number of elements in the run.
-    pub count: usize,
-}
-
-impl ScanRun {
-    /// A stride-1 run covering `range`.
-    pub fn contiguous(range: std::ops::Range<usize>) -> Self {
-        ScanRun { base: range.start, stride: 1, count: range.len() }
-    }
-
-    /// The element index at position `j` of the run (`j < count`).
-    #[inline]
-    pub fn at(&self, j: usize) -> usize {
-        self.base + j * self.stride
-    }
 }
 
 /// A table of atomic parent words indexed by element.
@@ -368,16 +260,6 @@ pub trait ParentStore: Send + Sync {
         (self.priority(u, self.load_word(u)), u) < (self.priority(v, self.load_word(v)), v)
     }
 
-    /// Hints the hardware to pull element `i`'s parent word toward the
-    /// cache with read intent. Purely a performance hint with no memory
-    /// effects — the batch path issues it for the *next* gather wave's
-    /// endpoints while the current wave is being filtered, so the next
-    /// wave's loads hit. A no-op unless the crate is built with the
-    /// `prefetch` feature on a target with a prefetch instruction (see
-    /// [`prefetch_enabled`]). Like every other access, `i` must exist.
-    #[inline]
-    fn prefetch(&self, _i: usize) {}
-
     /// The union-by-rank rank carried by a word, consulted only by the
     /// [`RankLink`](crate::RankLink) policy. Layouts whose words carry no
     /// rank return the defaulted constant 0, which makes rank linking
@@ -408,8 +290,7 @@ pub trait ParentStore: Send + Sync {
 /// A [`ParentStore`] bundled with the random total order on its elements —
 /// everything [`Dsu`](crate::Dsu) needs from its storage type parameter.
 pub trait DsuStore: ParentStore + IdOrder {
-    /// Short layout name for reports (e.g. `"packed"`, `"flat"`,
-    /// `"sharded"`).
+    /// Short layout name for reports (e.g. `"packed"`, `"flat"`).
     const NAME: &'static str;
 
     /// `n` singleton cells (`parent[i] == i`) with ids drawn as a uniform
@@ -433,28 +314,6 @@ pub trait DsuStore: ParentStore + IdOrder {
     /// A non-atomic snapshot of all parents. Only meaningful at quiescence;
     /// used by tests and offline analysis.
     fn snapshot(&self) -> Vec<usize>;
-
-    /// Contiguous index ranges that together cover `0..len()`, each of
-    /// which the layout can scan sequentially without crossing an
-    /// allocation boundary — the iteration surface the
-    /// [`flatten`](crate::flatten) sweep chunks over.
-    ///
-    /// The default single range is right for every layout whose words live
-    /// in one allocation (packed, flat, ranked). [`ShardedStore`] overrides
-    /// it with one range per shard so a sweep chunk never straddles slabs
-    /// (chunks are carved *within* ranges, keeping each chunk slab-local).
-    /// Ranges must be disjoint, in ascending order, and non-empty.
-    fn scan_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        if self.len() == 0 {
-            return Vec::new();
-        }
-        // One whole-universe range (not a per-index expansion — the
-        // lint fires on the literal, but a single range is the point).
-        #[allow(clippy::single_range_in_vec_init)]
-        {
-            vec![0..self.len()]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -477,23 +336,19 @@ mod tests {
     fn cas_succeeds_once_all_layouts() {
         exercise_cas(&FlatStore::new(3));
         exercise_cas(&PackedStore::with_seed(3, 0));
-        exercise_cas(&ShardedStore::with_spec(3, 0, ShardSpec::with_shards(2)));
     }
 
     #[test]
     fn all_layouts_assign_identical_ids() {
         let flat = FlatStore::with_seed(64, 99);
         let packed = PackedStore::with_seed(64, 99);
-        let sharded = ShardedStore::with_spec(64, 99, ShardSpec::with_shards(4));
         for i in 0..64 {
             assert_eq!(DsuStore::id_of(&flat, i), DsuStore::id_of(&packed, i));
-            assert_eq!(DsuStore::id_of(&flat, i), DsuStore::id_of(&sharded, i));
         }
         // And therefore the same linking order.
         for u in 0..64 {
             for v in 0..64 {
                 assert_eq!(IdOrder::less(&flat, u, v), IdOrder::less(&packed, u, v));
-                assert_eq!(IdOrder::less(&flat, u, v), IdOrder::less(&sharded, u, v));
             }
         }
     }

@@ -23,8 +23,7 @@ use crate::order::{IdOrder, PermutationOrder};
 use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
 
 /// Low half of a packed word: the mutable parent index (shared by every
-/// packed layout — [`PackedStore`], the sharded slabs, and the growable
-/// packed segments).
+/// packed layout — [`PackedStore`] and the growable packed segments).
 pub(crate) const PARENT_MASK: u64 = 0xFFFF_FFFF;
 /// Bit offset of the immutable id half of a packed word.
 pub(crate) const ID_SHIFT: u32 = 32;
@@ -117,11 +116,6 @@ impl ParentStore for PackedStore {
     #[inline]
     fn priority(&self, _i: usize, w: u64) -> u64 {
         packed_id(w)
-    }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        crate::store::prefetch_read(&self.words[i] as *const AtomicU64);
     }
 }
 

@@ -108,11 +108,6 @@ impl ParentStore for RankedStore {
     }
 
     #[inline]
-    fn prefetch(&self, i: usize) {
-        crate::store::prefetch_read(&self.words[i] as *const AtomicU64);
-    }
-
-    #[inline]
     fn rank_of(w: u64) -> u64 {
         packed_id(w)
     }

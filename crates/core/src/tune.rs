@@ -44,7 +44,6 @@
 
 use crate::dsu::Dsu;
 use crate::find::{Compress, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
-use crate::flatten::FlattenPolicy;
 use crate::order::{IndexLink, RandomLink, RankLink};
 use crate::stats::{OpStats, StatsSink};
 use crate::store::RankedStore;
@@ -253,16 +252,6 @@ macro_rules! variants {
             pub fn flatten_parallel(&self, threads: usize) -> OpStats {
                 match self { $( VariantDsu::$arm(d) => d.flatten_parallel(threads), )* }
             }
-
-            /// See [`Dsu::flatten_policy`].
-            pub fn flatten_policy(&self) -> FlattenPolicy {
-                match self { $( VariantDsu::$arm(d) => d.flatten_policy(), )* }
-            }
-
-            /// See [`Dsu::set_flatten_policy`].
-            pub fn set_flatten_policy(&mut self, policy: FlattenPolicy) {
-                match self { $( VariantDsu::$arm(d) => d.set_flatten_policy(policy), )* }
-            }
         }
     };
 }
@@ -324,9 +313,6 @@ pub struct Rule {
     pub skewed: bool,
     /// The variant this regime dispatches to.
     pub variant: Variant,
-    /// The flatten-pass policy this regime prescribes, applied to the
-    /// dispatched structure at commit (see [`crate::flatten`]).
-    pub flatten: FlattenPolicy,
 }
 
 /// The shipped variant × regime table the tuner scores against.
@@ -368,13 +354,11 @@ impl DecisionTable {
                     dram_resident: false,
                     skewed: false,
                     variant: Variant { find: FindKind::Halving, link: LinkKind::Index },
-                    flatten: FlattenPolicy::Off,
                 },
                 Rule {
                     dram_resident: false,
                     skewed: true,
                     variant: Variant { find: FindKind::Halving, link: LinkKind::Index },
-                    flatten: FlattenPolicy::Off,
                 },
                 // DRAM-resident: keep the paper default. On the dram-zipf
                 // probe the splitting/halving cluster is tied within ~1%
@@ -387,28 +371,8 @@ impl DecisionTable {
                 // no variant beats the default outside noise, the honest
                 // table row is the default: a switch costs a replay and
                 // buys nothing.
-                Rule {
-                    dram_resident: true,
-                    skewed: false,
-                    variant: DEFAULT_VARIANT,
-                    flatten: FlattenPolicy::Off,
-                },
-                Rule {
-                    dram_resident: true,
-                    skewed: true,
-                    variant: DEFAULT_VARIANT,
-                    flatten: FlattenPolicy::Off,
-                },
-                // Every builtin row keeps flatten Off: the tuner's profile
-                // is an *ingest* stream (it samples unites), so it cannot
-                // see a read-heavy phase a sweep might serve — and the
-                // PR 9 `flatten_ab` A/B (BENCH_PR9.json) measured no
-                // regime, even a 4-queries-per-element storm, where any
-                // flatten arm beat `off` outside the noise band: splitting
-                // finds self-compact the paths a sweep would have fixed.
-                // Consumers with a known ingest→query phase boundary can
-                // still opt in via `DSU_FLATTEN` or an explicit
-                // post-ingest `flatten()`.
+                Rule { dram_resident: true, skewed: false, variant: DEFAULT_VARIANT },
+                Rule { dram_resident: true, skewed: true, variant: DEFAULT_VARIANT },
             ],
             cache_budget_bytes: 8 << 20,
             skew_link_rate: 0.5,
@@ -661,13 +625,6 @@ impl TunedDsu {
         self.inner.read().unwrap().flatten_parallel(threads)
     }
 
-    /// The flatten policy of the currently dispatched variant. After the
-    /// decision point this is the committed regime's
-    /// [`Rule::flatten`] arm.
-    pub fn flatten_policy(&self) -> FlattenPolicy {
-        self.inner.read().unwrap().flatten_policy()
-    }
-
     /// Reports the tuner's dispatch accounting into a harness sink: one
     /// `tuner_samples` bulk event and one `tuner_switch` per committed
     /// switch. Call at quiescence, once per structure — the events
@@ -762,20 +719,13 @@ impl TunedDsu {
         }
         let mut guard = self.inner.write().unwrap();
         let profile = WorkloadProfile { n: self.n, stats: *self.profile.lock().unwrap() };
-        let rule = self.table.rule_for(&profile).copied();
-        let chosen = rule.map(|r| r.variant).unwrap_or(DEFAULT_VARIANT);
+        let chosen = self.table.choose(&profile);
         let edges = std::mem::take(&mut *self.buffer.lock().unwrap());
         if chosen != guard.variant() {
             let fresh = VariantDsu::build(chosen, self.n, self.seed);
             fresh.unite_batch(&edges);
             *guard = fresh;
             self.switches.fetch_add(1, Ordering::Relaxed);
-        }
-        // The regime's maintenance arm rides along with its variant: the
-        // committed structure adopts the rule's flatten policy (a fresh
-        // build starts from the env default, so this applies either way).
-        if let Some(r) = rule {
-            guard.set_flatten_policy(r.flatten);
         }
         self.state.store(STATE_COMMITTED, Ordering::Release);
     }
@@ -935,26 +885,14 @@ mod tests {
                     dram_resident: false,
                     skewed: false,
                     variant: Variant::parse("halving/index").unwrap(),
-                    flatten: FlattenPolicy::Off,
                 },
                 Rule {
                     dram_resident: false,
                     skewed: true,
                     variant: Variant::parse("halving/index").unwrap(),
-                    flatten: FlattenPolicy::Off,
                 },
-                Rule {
-                    dram_resident: true,
-                    skewed: false,
-                    variant: DEFAULT_VARIANT,
-                    flatten: FlattenPolicy::Off,
-                },
-                Rule {
-                    dram_resident: true,
-                    skewed: true,
-                    variant: DEFAULT_VARIANT,
-                    flatten: FlattenPolicy::Off,
-                },
+                Rule { dram_resident: true, skewed: false, variant: DEFAULT_VARIANT },
+                Rule { dram_resident: true, skewed: true, variant: DEFAULT_VARIANT },
             ],
             ..DecisionTable::builtin()
         };
@@ -1015,29 +953,5 @@ mod tests {
         let dram_skewed = WorkloadProfile { n: 1 << 28, stats: skewed_stats };
         assert!(dram_skewed.dram_resident(table.cache_budget_bytes));
         assert_eq!(table.choose(&dram_skewed), table.rules[3].variant);
-    }
-
-    #[test]
-    fn commit_applies_regime_flatten_arm() {
-        // A table whose every row keeps the default variant but
-        // prescribes an every-k flatten: the committed structure must
-        // adopt the rule's policy regardless of the DSU_FLATTEN env the
-        // structure was constructed under.
-        let table = DecisionTable {
-            rules: DecisionTable::builtin()
-                .rules
-                .map(|r| Rule { flatten: FlattenPolicy::EveryKBatches(7), ..r }),
-            ..DecisionTable::builtin()
-        };
-        let dsu = TunedDsu::with_config(64, 5, TunerMode::Auto, 8, table);
-        for i in 0..16 {
-            dsu.unite(i, i + 1);
-        }
-        assert!(dsu.committed());
-        assert_eq!(dsu.flatten_policy(), FlattenPolicy::EveryKBatches(7));
-        // The builtin table's honest-negative arm is Off everywhere.
-        for rule in DecisionTable::builtin().rules {
-            assert_eq!(rule.flatten, FlattenPolicy::Off);
-        }
     }
 }

@@ -20,8 +20,7 @@
 
 use concurrent_dsu::{
     Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, GrowableDsu, PackedSegmentedStore,
-    PackedStore, RankedStore, SegmentedStore, ShardedSegmentedStore, ShardedStore, TestWatchdog,
-    TwoTrySplit,
+    PackedStore, RankedStore, SegmentedStore, TestWatchdog, TwoTrySplit,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -84,7 +83,6 @@ proptest! {
     fn flatten_is_invisible_to_verdicts(ops in ops_strategy(24, 120), seed in any::<u64>()) {
         exercise_layout::<PackedStore>(&ops, 24, seed);
         exercise_layout::<FlatStore>(&ops, 24, seed);
-        exercise_layout::<ShardedStore>(&ops, 24, seed);
         exercise_layout::<RankedStore>(&ops, 24, seed);
     }
 
@@ -118,7 +116,6 @@ proptest! {
         }
         run::<SegmentedStore>(&ops, seed);
         run::<PackedSegmentedStore>(&ops, seed);
-        run::<ShardedSegmentedStore>(&ops, seed);
     }
 }
 
@@ -198,7 +195,6 @@ fn flatten_races_unites_on_every_layout() {
     }
     run::<PackedStore>();
     run::<FlatStore>();
-    run::<ShardedStore>();
     run::<RankedStore>();
 }
 

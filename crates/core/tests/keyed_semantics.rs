@@ -5,8 +5,8 @@
 //! key → dense-id table — so its contract is exactly one thing: every
 //! operation behaves as if the key were first looked up in a sequential
 //! map and the operation then ran on the dense core. Single-threaded,
-//! verdicts must match the oracle op for op on all three growable layouts
-//! (packed-seg, flat-seg, sharded-seg; CI re-runs the suite under
+//! verdicts must match the oracle op for op on both growable layouts
+//! (packed-seg, flat-seg; CI re-runs the suite under
 //! `--features strict-sc` for the SeqCst translation). Under concurrency,
 //! the table's one hard promise — **at most one id per distinct key, no
 //! matter how many threads race the first insert** — is stress-tested
@@ -14,8 +14,7 @@
 
 use concurrent_dsu::growable::GrowableStore;
 use concurrent_dsu::{
-    KeyedDsu, PackedSegmentedStore, SegmentedStore, ShardSpec, ShardedSegmentedStore, TestWatchdog,
-    TwoTrySplit,
+    KeyedDsu, PackedSegmentedStore, SegmentedStore, ShardSpec, TestWatchdog, TwoTrySplit,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -127,13 +126,12 @@ fn exercise_layout<S: GrowableStore>(ops: &[(usize, usize, usize)], seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Oracle equivalence on all three growable layouts — arbitrary op
+    /// Oracle equivalence on both growable layouts — arbitrary op
     /// mixes, arbitrary seeds.
     #[test]
     fn keyed_matches_oracle_all_layouts(ops in ops_strategy(24, 120), seed in any::<u64>()) {
         exercise_layout::<PackedSegmentedStore>(&ops, seed);
         exercise_layout::<SegmentedStore>(&ops, seed);
-        exercise_layout::<ShardedSegmentedStore>(&ops, seed);
     }
 
     /// The batch entry points are observationally identical to per-op
@@ -360,7 +358,6 @@ fn threaded_keyed_stress_matches_sequential_replay() {
     }
     run::<PackedSegmentedStore>();
     run::<SegmentedStore>();
-    run::<ShardedSegmentedStore>();
 }
 
 /// Growth under contention: enough racing fresh keys to force segment

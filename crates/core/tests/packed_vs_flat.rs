@@ -1,10 +1,10 @@
-//! Layout cross-checks: `Dsu<_, PackedStore>`, `Dsu<_, FlatStore>`, and
-//! `Dsu<_, ShardedStore>` are observationally identical.
+//! Layout cross-checks: `Dsu<_, PackedStore>` and `Dsu<_, FlatStore>` are
+//! observationally identical.
 //!
-//! All three layouts draw ids from the same seeded permutation, so for any
-//! seed and single-threaded operation sequence every return value, the set
-//! count, and the final partition must agree *exactly* — packing and
-//! sharding are layout optimizations, never semantic ones. These tests run
+//! Both layouts draw ids from the same seeded permutation, so for any seed
+//! and single-threaded operation sequence every return value, the set
+//! count, and the final partition must agree *exactly* — packing is a
+//! layout optimization, never a semantic one. These tests run
 //! under both the default per-access orderings and `--features strict-sc`
 //! (CI's matrix runs every layout under both), which is what justifies the
 //! relaxed orderings empirically on top of the argument in
@@ -18,7 +18,7 @@
 
 use concurrent_dsu::{
     Dsu, DsuStore, FindPolicy, FlatStore, GrowableDsu, PackedSegmentedStore, PackedStore,
-    SegmentedStore, ShardSpec, ShardedSegmentedStore, ShardedStore, TestWatchdog, TwoTrySplit,
+    SegmentedStore, TestWatchdog, TwoTrySplit,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -58,7 +58,7 @@ fn apply<F: FindPolicy, S: DsuStore>(dsu: &Dsu<F, S>, op: Op) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The packed, flat, and sharded layouts agree with each other and
+    /// The packed and flat layouts agree with each other and
     /// with the sequential oracle on every observable of every operation —
     /// find roots, same-set verdicts, unite verdicts, set counts,
     /// partitions, and union forests.
@@ -67,15 +67,10 @@ proptest! {
         let n = 24;
         let packed: Dsu<TwoTrySplit, PackedStore> = Dsu::with_seed(n, seed);
         let flat: Dsu<TwoTrySplit, FlatStore> = Dsu::with_seed(n, seed);
-        // A shard count that actually splits 24 elements (auto() would
-        // too, but pin it so every machine runs the same shape).
-        let sharded: Dsu<TwoTrySplit, ShardedStore> =
-            Dsu::from_store(ShardedStore::with_spec(n, seed, ShardSpec::with_shards(4)));
         let mut oracle = NaiveDsu::new(n);
         for &op in &ops {
-            let (p, f, s) = (apply(&packed, op), apply(&flat, op), apply(&sharded, op));
+            let (p, f) = (apply(&packed, op), apply(&flat, op));
             prop_assert_eq!(p, f, "{:?} diverged between packed and flat", op);
-            prop_assert_eq!(p, s, "{:?} diverged between packed and sharded", op);
             let expected = match op {
                 Op::Unite(x, y) | Op::UniteEarly(x, y) => oracle.unite(x, y),
                 Op::SameSet(x, y) | Op::SameSetEarly(x, y) => oracle.same_set(x, y),
@@ -84,102 +79,50 @@ proptest! {
         }
         prop_assert_eq!(packed.set_count(), oracle.set_count());
         prop_assert_eq!(flat.set_count(), oracle.set_count());
-        prop_assert_eq!(sharded.set_count(), oracle.set_count());
         // Same find roots for every element at quiescence.
         for x in 0..n {
             prop_assert_eq!(packed.find(x), flat.find(x));
-            prop_assert_eq!(packed.find(x), sharded.find(x));
         }
         let canonical = Partition::from_labels(&packed.labels_snapshot());
         prop_assert_eq!(&canonical, &Partition::from_labels(&flat.labels_snapshot()));
-        prop_assert_eq!(&canonical, &Partition::from_labels(&sharded.labels_snapshot()));
         // Identical ids imply identical linking decisions, hence identical
         // union forests, not just identical partitions.
         prop_assert_eq!(packed.union_forest_snapshot(), flat.union_forest_snapshot());
-        prop_assert_eq!(packed.union_forest_snapshot(), sharded.union_forest_snapshot());
     }
 
-    /// All three growable layouts match the oracle. The two packed
-    /// growable layouts share the id hash, so their forests match exactly;
-    /// the flat one computes full-width ids (packed truncates to 32 bits),
-    /// so only observables are compared there.
+    /// Both growable layouts match the oracle. The flat one computes
+    /// full-width ids (packed truncates to 32 bits), so only observables
+    /// are compared, not forests.
     #[test]
     fn growable_layouts_agree(ops in ops_strategy(16, 100), seed in any::<u64>()) {
         let n = 16;
         let packed: GrowableDsu<TwoTrySplit, PackedSegmentedStore> = GrowableDsu::with_seed(seed);
         let flat: GrowableDsu<TwoTrySplit, SegmentedStore> = GrowableDsu::with_seed(seed);
-        let sharded: GrowableDsu<TwoTrySplit, ShardedSegmentedStore> =
-            GrowableDsu::from_store(ShardedSegmentedStore::with_spec(seed, ShardSpec::with_shards(4)));
         let mut oracle = NaiveDsu::new(n);
         for _ in 0..n {
             packed.make_set();
             flat.make_set();
-            sharded.make_set();
         }
         for &op in &ops {
             let (expected, x, y) = match op {
                 Op::Unite(x, y) | Op::UniteEarly(x, y) => (oracle.unite(x, y), x, y),
                 Op::SameSet(x, y) | Op::SameSetEarly(x, y) => (oracle.same_set(x, y), x, y),
             };
-            let (p, f, s) = match op {
-                Op::Unite(..) => (packed.unite(x, y), flat.unite(x, y), sharded.unite(x, y)),
-                Op::UniteEarly(..) =>
-                    (packed.unite_early(x, y), flat.unite_early(x, y), sharded.unite_early(x, y)),
-                Op::SameSet(..) =>
-                    (packed.same_set(x, y), flat.same_set(x, y), sharded.same_set(x, y)),
-                Op::SameSetEarly(..) => (
-                    packed.same_set_early(x, y),
-                    flat.same_set_early(x, y),
-                    sharded.same_set_early(x, y),
-                ),
+            let (p, f) = match op {
+                Op::Unite(..) => (packed.unite(x, y), flat.unite(x, y)),
+                Op::UniteEarly(..) => (packed.unite_early(x, y), flat.unite_early(x, y)),
+                Op::SameSet(..) => (packed.same_set(x, y), flat.same_set(x, y)),
+                Op::SameSetEarly(..) => (packed.same_set_early(x, y), flat.same_set_early(x, y)),
             };
             prop_assert_eq!(p, expected, "packed growable diverged on {:?}", op);
             prop_assert_eq!(f, expected, "flat growable diverged on {:?}", op);
-            prop_assert_eq!(s, expected, "sharded growable diverged on {:?}", op);
         }
         prop_assert_eq!(packed.set_count(), oracle.set_count());
         prop_assert_eq!(flat.set_count(), oracle.set_count());
-        prop_assert_eq!(sharded.set_count(), oracle.set_count());
-        // packed-seg and sharded-seg hash ids identically, so they agree
-        // on find roots too, not just verdicts.
-        for x in 0..n {
-            prop_assert_eq!(packed.find(x), sharded.find(x));
-        }
     }
 }
 
-/// A one-shard `ShardedStore` must be bit-identical to `PackedStore`
-/// through a whole `Dsu` operation sequence: identical parent words after
-/// every operation, not merely the same answers. (The unit test in
-/// `store/sharded.rs` checks raw CAS histories; this covers the real
-/// link/compaction traffic.)
-#[test]
-fn one_shard_dsu_is_bit_identical_to_packed() {
-    let n = 200;
-    let seed = 0x51AB;
-    let packed: Dsu<TwoTrySplit, PackedStore> = Dsu::with_seed(n, seed);
-    let sharded: Dsu<TwoTrySplit, ShardedStore> =
-        Dsu::from_store(ShardedStore::with_spec(n, seed, ShardSpec::with_shards(1)));
-    let edges: Vec<(usize, usize)> =
-        (0..3 * n).map(|i| ((i * 7919) % n, (i * 263 + 5) % n)).collect();
-    // The id halves are fixed at construction; check them once.
-    for u in 0..n {
-        assert_eq!(packed.id_of(u), sharded.id_of(u), "id half of word {u}");
-    }
-    for (i, &(x, y)) in edges.iter().enumerate() {
-        match i % 3 {
-            0 => assert_eq!(packed.unite(x, y), sharded.unite(x, y)),
-            1 => assert_eq!(packed.same_set(x, y), sharded.same_set(x, y)),
-            _ => assert_eq!(packed.unite_early(x, y), sharded.unite_early(x, y)),
-        }
-        // The parent halves must match after *every* operation — same
-        // links and same compaction CASes, not just the same answers.
-        assert_eq!(packed.parents_snapshot(), sharded.parents_snapshot(), "after op {i}");
-    }
-    assert_eq!(packed.union_forest_snapshot(), sharded.union_forest_snapshot());
-}
-
-/// Concurrent stress on the relaxed link/compaction CASes of all three
+/// Concurrent stress on the relaxed link/compaction CASes of both
 /// layouts: the final partition must equal the connected components of the
 /// unite pairs (set union is confluent), and ids must still strictly
 /// increase along every parent path (Lemma 3.1).
@@ -206,14 +149,11 @@ fn concurrent_stress_matches_components_all_layouts() {
     use concurrent_dsu::RandomLink;
     let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, 99);
     let flat: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, 99);
-    let sharded: Dsu<TwoTrySplit, ShardedStore, RandomLink> =
-        Dsu::from_store(ShardedStore::with_spec(n, 99, ShardSpec::with_shards(8)));
-    for dsu_run in 0..3 {
+    for dsu_run in 0..2 {
         std::thread::scope(|s| {
             for t in 0..threads {
                 let packed = &packed;
                 let flat = &flat;
-                let sharded = &sharded;
                 let pairs = &pairs;
                 let progress = &progress;
                 s.spawn(move || {
@@ -223,19 +163,12 @@ fn concurrent_stress_matches_components_all_layouts() {
                         }
                         progress.fetch_add(1, Ordering::Relaxed);
                         // Mix queries in so compaction CASes race links.
-                        match dsu_run {
-                            0 => {
-                                packed.unite(x, y);
-                                packed.same_set(y, x);
-                            }
-                            1 => {
-                                flat.unite(x, y);
-                                flat.same_set(y, x);
-                            }
-                            _ => {
-                                sharded.unite(x, y);
-                                sharded.same_set(y, x);
-                            }
+                        if dsu_run == 0 {
+                            packed.unite(x, y);
+                            packed.same_set(y, x);
+                        } else {
+                            flat.unite(x, y);
+                            flat.same_set(y, x);
                         }
                     }
                 });
@@ -248,13 +181,10 @@ fn concurrent_stress_matches_components_all_layouts() {
     }
     assert_eq!(Partition::from_labels(&packed.labels_snapshot()), oracle.partition());
     assert_eq!(Partition::from_labels(&flat.labels_snapshot()), oracle.partition());
-    assert_eq!(Partition::from_labels(&sharded.labels_snapshot()), oracle.partition());
     assert_eq!(packed.set_count(), oracle.set_count());
     assert_eq!(flat.set_count(), oracle.set_count());
-    assert_eq!(sharded.set_count(), oracle.set_count());
-    // Lemma 3.1 on the packed words of both packed layouts: every
-    // non-root's id is below its parent's id, whatever interleaving the
-    // relaxed CASes went through.
+    // Lemma 3.1 on both layouts: every non-root's id is below its parent's
+    // id, whatever interleaving the relaxed CASes went through.
     fn ids_increase<S: DsuStore>(dsu: &Dsu<TwoTrySplit, S, concurrent_dsu::RandomLink>) {
         for (x, &p) in dsu.parents_snapshot().iter().enumerate() {
             if p != x {
@@ -263,19 +193,15 @@ fn concurrent_stress_matches_components_all_layouts() {
         }
     }
     ids_increase(&packed);
-    ids_increase(&sharded);
+    ids_increase(&flat);
 }
 
-/// Concurrent growth + churn on both packed growable layouts.
+/// Concurrent growth + churn on both growable layouts.
 #[test]
 fn packed_growable_concurrent_stress() {
     let _wd = TestWatchdog::arm("packed_growable_concurrent_stress", Duration::from_secs(120));
     let dsu: GrowableDsu<TwoTrySplit, PackedSegmentedStore> = GrowableDsu::new();
-    let sharded: GrowableDsu<TwoTrySplit, ShardedSegmentedStore> =
-        GrowableDsu::from_store(ShardedSegmentedStore::with_spec(
-            GrowableDsu::<TwoTrySplit, ShardedSegmentedStore>::DEFAULT_SEED,
-            ShardSpec::with_shards(4),
-        ));
+    let flat: GrowableDsu<TwoTrySplit, SegmentedStore> = GrowableDsu::new();
     let threads = 8;
     let per_thread = 1500;
     fn churn<S: concurrent_dsu::GrowableStore>(
@@ -302,15 +228,15 @@ fn packed_growable_concurrent_stress() {
         });
     }
     churn(&dsu, threads, per_thread);
-    churn(&sharded, threads, per_thread);
+    churn(&flat, threads, per_thread);
     for (name, len, labels) in [
         ("packed-seg", dsu.len(), dsu.labels_snapshot()),
-        ("sharded-seg", sharded.len(), sharded.labels_snapshot()),
+        ("flat-seg", flat.len(), flat.labels_snapshot()),
     ] {
         assert_eq!(len, threads * per_thread, "{name}");
         // Labels must form a consistent partition.
         let _ = Partition::from_labels(&labels);
     }
     assert!(dsu.set_count() >= 1 && dsu.set_count() <= dsu.len());
-    assert!(sharded.set_count() >= 1 && sharded.set_count() <= sharded.len());
+    assert!(flat.set_count() >= 1 && flat.set_count() <= flat.len());
 }

@@ -5,7 +5,7 @@
 //! and compaction change tree shapes, never semantics.
 //!
 //! The store axis rides on `DefaultStore` so CI's layout matrix
-//! (`default-store-flat` / `default-store-sharded`) and ordering matrix
+//! (`default-store-flat`) and ordering matrix
 //! (`strict-sc`) multiply these properties across every layout without
 //! code changes; `RankedStore` is exercised explicitly because no feature
 //! retargets the default onto it.
@@ -93,7 +93,7 @@ proptest! {
 
     /// Every (find × link) pair is oracle-equivalent — 5 finds × 3 links
     /// on the default layout (CI's store/ordering matrix multiplies this
-    /// across packed/flat/sharded × default/strict-sc), plus the rank-word
+    /// across packed/flat × default/strict-sc), plus the rank-word
     /// layout where `RankLink`'s mutable keys are actually live.
     #[test]
     fn sequential_equivalence_all_policies(

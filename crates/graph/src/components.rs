@@ -20,19 +20,7 @@
 //!   (`concurrent_dsu::bulk`) that overlaps parent-word loads in gather
 //!   waves, drops already-connected edges with a read-mostly same-set
 //!   filter, and links each survivor with a CAS seeded by the exact root
-//!   word the filter observed. [`unite_edges_parallel_cached`] is the
-//!   **opt-in** variant whose workers additionally carry a per-thread
-//!   hot-root [`RootCache`] across their chunks
-//!   ([`ConcurrentUnionFind::unite_batch_cached`]): on the PR 4 bench box
-//!   the cache was a measured loss for wave-fed ingestion
-//!   (`BENCH_PR4.json`; the waves already preload the levels a hit would
-//!   skip), so the default pipeline stays uncached — the variant exists
-//!   for re-evaluation on machines where walk loads genuinely miss.
-//!   [`unite_edges_parallel_planned`] is the sibling **opt-in** variant
-//!   that routes every chunk through the ingestion planner
-//!   (`concurrent_dsu::ingest`: intra-batch dedup + block-local radix
-//!   buckets) — reach for it when the parent store is much larger than
-//!   the LLC or the stream is duplicate-heavy (`BENCH_PR5.json`).
+//!   word the filter observed.
 //!
 //! The cursor handles every degenerate shape for free: an empty edge list,
 //! more threads than edges, or a chunk size larger than the input just
@@ -40,7 +28,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use concurrent_dsu::{ConcurrentUnionFind, Dsu, RootCache, TwoTrySplit};
+use concurrent_dsu::{ConcurrentUnionFind, Dsu, TwoTrySplit};
 use sequential_dsu::{Compaction, Linking, SeqDsu};
 
 use crate::graph::EdgeList;
@@ -97,24 +85,12 @@ pub fn unite_edges_parallel<D: ConcurrentUnionFind>(dsu: &D, graph: &EdgeList, t
 /// # Panics
 ///
 /// Panics if `threads == 0`, `chunk_size == 0`, or `dsu.len() < graph.n()`.
-/// The shared chunk-cursor worker harness behind the three ingestion
-/// variants: workers claim `chunk_size`-edge chunks from a shared cursor
-/// and feed each to a per-worker ingest closure built by `make_worker`
-/// (the factory shape lets the cached variant own per-thread session
-/// state). Degenerate inputs (no edges, `threads > edges`, `chunk_size >
-/// edges`) need no special cases: workers that find the cursor exhausted
-/// exit without touching the structure.
-fn chunked_ingest<D, W, M>(
+pub fn unite_edges_parallel_chunked<D: ConcurrentUnionFind>(
     dsu: &D,
     graph: &EdgeList,
     threads: usize,
     chunk_size: usize,
-    make_worker: M,
-) where
-    D: ConcurrentUnionFind,
-    W: FnMut(&D, &[(usize, usize)]),
-    M: Fn() -> W + Copy + Send,
-{
+) {
     assert!(threads > 0, "need at least one thread");
     assert!(chunk_size > 0, "chunk size must be positive");
     assert!(dsu.len() >= graph.n(), "universe smaller than vertex set");
@@ -124,7 +100,6 @@ fn chunked_ingest<D, W, M>(
         for _ in 0..threads {
             let cursor = &cursor;
             s.spawn(move || {
-                let mut ingest = make_worker();
                 let mut batch: Vec<(usize, usize)> = Vec::with_capacity(chunk_size);
                 loop {
                     let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
@@ -134,79 +109,9 @@ fn chunked_ingest<D, W, M>(
                     let end = (start + chunk_size).min(edges.len());
                     batch.clear();
                     batch.extend(edges[start..end].iter().map(|e| (e.u, e.v)));
-                    ingest(dsu, &batch);
+                    dsu.unite_batch(&batch);
                 }
             });
-        }
-    });
-}
-
-pub fn unite_edges_parallel_chunked<D: ConcurrentUnionFind>(
-    dsu: &D,
-    graph: &EdgeList,
-    threads: usize,
-    chunk_size: usize,
-) {
-    chunked_ingest(dsu, graph, threads, chunk_size, || {
-        |d: &D, batch: &[(usize, usize)]| {
-            d.unite_batch(batch);
-        }
-    });
-}
-
-/// [`unite_edges_parallel_chunked`], with every chunk routed through the
-/// ingestion planner
-/// ([`ConcurrentUnionFind::unite_batch_planned`]: intra-batch dedup +
-/// block-local radix buckets + spillover pass; structures without a
-/// planner fall back to their plain batch path). **Opt-in, not the
-/// default pipeline** — the planner pays when the parent store is much
-/// larger than the LLC or the edge stream is duplicate-heavy, and costs a
-/// planning pass otherwise (`BENCH_PR5.json` records the measured
-/// verdict; `concurrent_dsu::ingest` has the selection guide). The final
-/// partition is identical either way: the planner only reorders and thins
-/// each chunk, and set union is confluent.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `chunk_size == 0`, or `dsu.len() < graph.n()`.
-pub fn unite_edges_parallel_planned<D: ConcurrentUnionFind>(
-    dsu: &D,
-    graph: &EdgeList,
-    threads: usize,
-    chunk_size: usize,
-) {
-    chunked_ingest(dsu, graph, threads, chunk_size, || {
-        |d: &D, batch: &[(usize, usize)]| {
-            d.unite_batch_planned(batch);
-        }
-    });
-}
-
-/// [`unite_edges_parallel_chunked`], with every worker carrying a
-/// per-thread hot-root [`RootCache`] across its chunks
-/// ([`ConcurrentUnionFind::unite_batch_cached`]; structures without a
-/// cached path ignore the cache). **Opt-in, not the default pipeline**:
-/// on the PR 4 bench box this configuration measured 0.22–0.54x the
-/// uncached ingestion (`BENCH_PR4.json` — the gather waves already
-/// preload the levels a cache hit would skip), so reach for it only on
-/// hardware where the walk loads genuinely miss, and A/B it there first.
-/// The final partition is identical either way.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `chunk_size == 0`, or `dsu.len() < graph.n()`.
-pub fn unite_edges_parallel_cached<D: ConcurrentUnionFind>(
-    dsu: &D,
-    graph: &EdgeList,
-    threads: usize,
-    chunk_size: usize,
-) {
-    chunked_ingest(dsu, graph, threads, chunk_size, || {
-        // Per-worker session state: hot endpoints stay memoized across
-        // every chunk this thread claims.
-        let mut cache = RootCache::default();
-        move |d: &D, batch: &[(usize, usize)]| {
-            d.unite_batch_cached(batch, &mut cache);
         }
     });
 }
@@ -246,66 +151,17 @@ mod tests {
     }
 
     /// The graph pipeline is layout-agnostic: the same chunked ingestion
-    /// over a sharded-store Dsu yields the same components (the batch
-    /// path, the cursor scheduler, and labels_snapshot all run through the
+    /// over a flat-store Dsu yields the same components (the batch path,
+    /// the cursor scheduler, and labels_snapshot all run through the
     /// word-based ParentStore interface).
     #[test]
-    fn parallel_ingestion_works_on_sharded_store() {
-        use concurrent_dsu::{ShardSpec, ShardedStore};
+    fn parallel_ingestion_works_on_flat_store() {
         let g = gen::gnm(600, 900, 77);
-        let store = ShardedStore::with_spec(
-            g.n(),
-            Dsu::<TwoTrySplit>::DEFAULT_SEED,
-            ShardSpec::with_shards(4),
-        );
-        let dsu: Dsu<TwoTrySplit, ShardedStore> = Dsu::from_store(store);
+        let dsu: Dsu<TwoTrySplit, concurrent_dsu::FlatStore> = Dsu::new(g.n());
         unite_edges_parallel(&dsu, &g, 4);
         let ours = Partition::from_labels(&dsu.labels_snapshot());
         let oracle = Partition::from_labels(&g.to_csr().bfs_components());
         assert_eq!(ours, oracle);
-    }
-
-    /// The opt-in cached ingestion variant produces the identical
-    /// partition (the cache layer is verdict-preserving), including for
-    /// baseline structures that ignore the cache.
-    #[test]
-    fn cached_ingestion_variant_matches_oracle() {
-        let g = gen::rmat_standard(9, 4000, 11);
-        let oracle = Partition::from_labels(&g.to_csr().bfs_components());
-        for threads in [1, 4] {
-            let dsu: Dsu = Dsu::new(g.n());
-            unite_edges_parallel_cached(&dsu, &g, threads, 256);
-            assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle, "{threads} threads");
-        }
-        let growable = concurrent_dsu::GrowableDsu::<TwoTrySplit>::with_initial(g.n());
-        unite_edges_parallel_cached(&growable, &g, 2, DEFAULT_EDGE_CHUNK);
-        assert_eq!(Partition::from_labels(&growable.labels_snapshot()), oracle);
-    }
-
-    /// The opt-in planned ingestion variant produces the identical
-    /// partition (plans only reorder and thin each chunk; set union is
-    /// confluent), including for structures that fall back to the plain
-    /// batch path, and across degenerate shapes.
-    #[test]
-    fn planned_ingestion_variant_matches_oracle() {
-        let g = gen::rmat_standard(9, 4000, 13);
-        let oracle = Partition::from_labels(&g.to_csr().bfs_components());
-        for threads in [1, 4] {
-            let dsu: Dsu = Dsu::new(g.n());
-            unite_edges_parallel_planned(&dsu, &g, threads, 256);
-            assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle, "{threads} threads");
-        }
-        let growable = concurrent_dsu::GrowableDsu::<TwoTrySplit>::with_initial(g.n());
-        unite_edges_parallel_planned(&growable, &g, 2, DEFAULT_EDGE_CHUNK);
-        assert_eq!(Partition::from_labels(&growable.labels_snapshot()), oracle);
-        // Degenerate shapes: threads > edges, chunks wider than the input.
-        for m in [0usize, 1, 3] {
-            let pairs: Vec<(usize, usize)> = (0..m).map(|i| (i, i + 1)).collect();
-            let tiny = EdgeList::from_pairs(8, &pairs);
-            let dsu: Dsu = Dsu::new(8);
-            unite_edges_parallel_planned(&dsu, &tiny, 8, 1024);
-            assert_eq!(dsu.set_count(), 8 - m, "m={m}");
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! snapshot → ingest → validate → commit-or-rollback.
 
 use concurrent_dsu::{
-    BatchOutcome, CachedHandle, Dsu, Epoch, EpochStore, GrowableDsu, TwoTrySplit, VersionedDsu,
+    BatchOutcome, Dsu, Epoch, EpochStore, GrowableDsu, TwoTrySplit, VersionedDsu,
 };
 
 /// A connectivity index over `0..n` maintained under concurrent edge
@@ -82,24 +82,6 @@ impl IncrementalConnectivity {
         self.dsu.unite_batch_results(edges)
     }
 
-    /// [`insert_batch`](IncrementalConnectivity::insert_batch) routed
-    /// through the ingestion planner
-    /// ([`Dsu::unite_batch_planned`]): duplicate edges in the burst are
-    /// dropped before touching the store and the rest drains in
-    /// block-local radix buckets. **Opt-in** — pick it when the vertex
-    /// set far exceeds the last-level cache or bursts repeat edges (a log
-    /// segment replaying the same link, a crawler re-finding an edge);
-    /// the count returned and the resulting connectivity are identical to
-    /// [`insert_batch`](IncrementalConnectivity::insert_batch) either
-    /// way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn insert_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        self.dsu.unite_batch_planned(edges)
-    }
-
     /// `true` iff `x` and `y` are currently connected.
     ///
     /// # Panics
@@ -112,28 +94,6 @@ impl IncrementalConnectivity {
     /// Current number of connected components.
     pub fn component_count(&self) -> usize {
         self.dsu.set_count()
-    }
-
-    /// Opens a per-thread session whose operations route through a
-    /// hot-root cache ([`Dsu::cached`]): a worker that repeatedly probes
-    /// or extends the same few components resolves them by one validated
-    /// load instead of a pointer chase. Results are identical to the
-    /// plain methods — sessions and plain calls mix freely across
-    /// threads.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dsu_graph::incremental::IncrementalConnectivity;
-    ///
-    /// let conn = IncrementalConnectivity::new(4);
-    /// let mut session = conn.session();
-    /// assert!(session.insert(0, 1));
-    /// assert!(session.connected(1, 0));
-    /// assert!(conn.connected(0, 1)); // visible to plain calls too
-    /// ```
-    pub fn session(&self) -> ConnectivitySession<'_> {
-        ConnectivitySession { inner: self.dsu.cached() }
     }
 
     /// One sequential flatten sweep ([`Dsu::flatten`]): pointer-jumps the
@@ -152,43 +112,6 @@ impl IncrementalConnectivity {
     /// Panics if `threads` is zero.
     pub fn flatten_parallel(&self, threads: usize) {
         self.dsu.flatten_parallel(threads);
-    }
-}
-
-/// A per-thread cached session over an [`IncrementalConnectivity`] (see
-/// [`IncrementalConnectivity::session`]).
-#[derive(Debug)]
-pub struct ConnectivitySession<'a> {
-    inner: CachedHandle<'a, TwoTrySplit>,
-}
-
-impl ConnectivitySession<'_> {
-    /// [`IncrementalConnectivity::insert`] through the session cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` is out of range.
-    pub fn insert(&mut self, x: usize, y: usize) -> bool {
-        self.inner.unite(x, y)
-    }
-
-    /// [`IncrementalConnectivity::insert_batch`] through the session
-    /// cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn insert_batch(&mut self, edges: &[(usize, usize)]) -> usize {
-        self.inner.unite_batch(edges)
-    }
-
-    /// [`IncrementalConnectivity::connected`] through the session cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` is out of range.
-    pub fn connected(&mut self, x: usize, y: usize) -> bool {
-        self.inner.same_set(x, y)
     }
 }
 
@@ -418,55 +341,6 @@ mod tests {
             0,
             "re-inserting the same burst adds no forest edges"
         );
-    }
-
-    #[test]
-    fn planned_inserts_agree_with_plain_inserts() {
-        let planned = IncrementalConnectivity::new(64);
-        let plain = IncrementalConnectivity::new(64);
-        // A dup-heavy stream: every edge appears twice per burst.
-        let edges: Vec<(usize, usize)> = (0..100)
-            .flat_map(|i| {
-                let e = ((i * 37) % 64, (i * 11 + 5) % 64);
-                [e, e]
-            })
-            .collect();
-        for burst in edges.chunks(40) {
-            assert_eq!(planned.insert_batch_planned(burst), plain.insert_batch(burst));
-        }
-        assert_eq!(planned.component_count(), plain.component_count());
-        for &(x, y) in &edges {
-            assert_eq!(planned.connected(x, y), plain.connected(x, y));
-        }
-        assert_eq!(planned.insert_batch_planned(&edges), 0, "replay adds no forest edges");
-    }
-
-    #[test]
-    fn sessions_agree_with_plain_calls() {
-        let with_sessions = IncrementalConnectivity::new(256);
-        let plain = IncrementalConnectivity::new(256);
-        let edges: Vec<(usize, usize)> =
-            (0..600).map(|i| ((i * 131) % 256, (i * 17 + 9) % 256)).collect();
-        // Four threads share the structure, each through its own session.
-        std::thread::scope(|s| {
-            for chunk in edges.chunks(150) {
-                let conn = &with_sessions;
-                s.spawn(move || {
-                    let mut session = conn.session();
-                    for pair in chunk.chunks(25) {
-                        session.insert_batch(pair);
-                    }
-                    session.connected(chunk[0].0, chunk[0].1)
-                });
-            }
-        });
-        for &(x, y) in &edges {
-            plain.insert(x, y);
-        }
-        assert_eq!(with_sessions.component_count(), plain.component_count());
-        for &(x, y) in &edges {
-            assert!(with_sessions.connected(x, y));
-        }
     }
 
     #[test]

@@ -65,27 +65,6 @@ const SCAN_CHUNK: usize = 1024;
 /// has `>= 2^24` edges (the packing limits; the experiments stay far
 /// below both).
 pub fn boruvka_parallel(graph: &EdgeList, threads: usize) -> Msf {
-    boruvka_with(graph, threads, false)
-}
-
-/// [`boruvka_parallel`] with each round's candidate batch routed through
-/// the ingestion planner
-/// ([`Dsu::unite_batch_planned_results`]) — the **opt-in** planned
-/// counterpart, per the `BENCH_PR5.json` verdict. The result is the same
-/// unique MSF: a round's deduplicated cheapest-edge candidates are acyclic
-/// under distinct weights (the heaviest edge of a would-be cycle cannot be
-/// the cheapest for either endpoint component), so every candidate links
-/// regardless of the order the planner drains them in — the tests pin the
-/// exact Kruskal agreement.
-///
-/// # Panics
-///
-/// Same contract as [`boruvka_parallel`].
-pub fn boruvka_parallel_planned(graph: &EdgeList, threads: usize) -> Msf {
-    boruvka_with(graph, threads, true)
-}
-
-fn boruvka_with(graph: &EdgeList, threads: usize, planned: bool) -> Msf {
     assert!(threads > 0, "need at least one thread");
     assert!(graph.len() < (1 << 24), "too many edges for packed fetch_min");
     const W_SHIFT: u32 = 24;
@@ -108,12 +87,6 @@ fn boruvka_with(graph: &EdgeList, threads: usize, planned: bool) -> Msf {
                 let cheapest = &cheapest;
                 let cursor = &cursor;
                 s.spawn(move || loop {
-                    // Plain finds, deliberately: a hot-root cache here is
-                    // keyed by *element*, and a scan touches each edge's
-                    // endpoints once per round — hub re-hits are the only
-                    // hit source, the low-hit-rate regime BENCH_PR4
-                    // measured as a loss. ROADMAP queues a
-                    // predictable-hit variant to A/B on this scan first.
                     let start = cursor.fetch_add(SCAN_CHUNK, Ordering::Relaxed);
                     if start >= edges.len() {
                         break;
@@ -147,11 +120,7 @@ fn boruvka_with(graph: &EdgeList, threads: usize, planned: bool) -> Msf {
         candidates.dedup();
         let pairs: Vec<(usize, usize)> =
             candidates.iter().map(|&i| (edges[i].u, edges[i].v)).collect();
-        let linked = if planned {
-            dsu.unite_batch_planned_results(&pairs)
-        } else {
-            dsu.unite_batch_results(&pairs)
-        };
+        let linked = dsu.unite_batch_results(&pairs);
         let mut progressed = false;
         for (k, &i) in candidates.iter().enumerate() {
             if linked[k] {
@@ -236,29 +205,6 @@ mod tests {
                 assert_eq!(b.edges, k.edges, "unique MSF ⇒ identical edge sets");
             }
         }
-    }
-
-    /// The planned contender picks the exact same unique MSF: a round's
-    /// deduplicated candidates are acyclic with distinct weights, so the
-    /// planner's reordering cannot move a verdict.
-    #[test]
-    fn boruvka_planned_agrees_with_kruskal_exactly() {
-        for seed in 0..4 {
-            let g = gen::gnm(300, 1100, 90 + seed);
-            let k = kruskal(&g);
-            for threads in [1, 4] {
-                let b = boruvka_parallel_planned(&g, threads);
-                assert_eq!(b.total_weight, k.total_weight, "seed {seed} threads {threads}");
-                assert_eq!(b.edges, k.edges, "unique MSF ⇒ identical edge sets");
-            }
-        }
-        // Degenerate shapes flow through the planned path too.
-        let empty = EdgeList::new(3);
-        assert_eq!(boruvka_parallel_planned(&empty, 2).total_weight, 0);
-        let mut loops = EdgeList::new(4);
-        loops.push(0, 0, 7);
-        loops.push(0, 1, 2);
-        assert_eq!(boruvka_parallel_planned(&loops, 2).edges, vec![1]);
     }
 
     #[test]

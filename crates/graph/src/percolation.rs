@@ -67,13 +67,7 @@ pub fn percolation_threshold(size: usize, seed: u64) -> f64 {
 /// [`percolation_threshold`] with sites opened in bursts of `batch`,
 /// united through the batched ingestion path ([`Dsu::unite_batch`]),
 /// checking percolation once per burst — the batched-arrival shape the
-/// rest of the workspace ingests edges in. The per-burst percolation
-/// *probe* runs through a hot-root cache session ([`Dsu::cached`]): `top`
-/// and `bottom` are probed every burst and their roots change rarely, so
-/// the session's validation branch is nearly always taken — the
-/// predictable-hit shape the cache layer is for. Ingestion itself stays
-/// uncached (freshly opened sites have no entries to hit; see the
-/// measured negative in `BENCH_PR4.json`).
+/// rest of the workspace ingests edges in.
 ///
 /// With `batch == 1` this opens sites in the same seed-determined order
 /// and performs the same unites as [`percolation_threshold`], so the two
@@ -85,24 +79,7 @@ pub fn percolation_threshold(size: usize, seed: u64) -> f64 {
 ///
 /// Panics if `size == 0` or `batch == 0`.
 pub fn percolation_threshold_batched(size: usize, seed: u64, batch: usize) -> f64 {
-    percolation_batched_with(size, seed, batch, false, false)
-}
-
-/// [`percolation_threshold_batched`] with each burst routed through the
-/// ingestion planner ([`Dsu::unite_batch_planned`]) — the **opt-in**
-/// planned counterpart. Percolation bursts are a natural fit for the
-/// planner's dedup: adjacent sites opened in the same burst nominate the
-/// same lattice edge from both sides, so every such pair is an exact
-/// intra-batch duplicate the planner drops before it pays two root walks.
-/// The returned threshold is *identical* for every `(size, seed, batch)`:
-/// the per-burst probe only observes connectivity, which planning does
-/// not change (the tests pin the equality).
-///
-/// # Panics
-///
-/// Panics if `size == 0` or `batch == 0`.
-pub fn percolation_threshold_batched_planned(size: usize, seed: u64, batch: usize) -> f64 {
-    percolation_batched_with(size, seed, batch, true, false)
+    percolation_batched_with(size, seed, batch, false)
 }
 
 /// [`percolation_threshold_batched`] with a flatten sweep
@@ -119,23 +96,16 @@ pub fn percolation_threshold_batched_planned(size: usize, seed: u64, batch: usiz
 ///
 /// Panics if `size == 0` or `batch == 0`.
 pub fn percolation_threshold_batched_flattened(size: usize, seed: u64, batch: usize) -> f64 {
-    percolation_batched_with(size, seed, batch, false, true)
+    percolation_batched_with(size, seed, batch, true)
 }
 
-fn percolation_batched_with(
-    size: usize,
-    seed: u64,
-    batch: usize,
-    planned: bool,
-    flatten: bool,
-) -> f64 {
+fn percolation_batched_with(size: usize, seed: u64, batch: usize, flatten: bool) -> f64 {
     assert!(size > 0, "grid must be non-empty");
     assert!(batch > 0, "batch must be non-empty");
     let n = size * size;
     let top = n;
     let bottom = n + 1;
     let dsu: Dsu<TwoTrySplit> = Dsu::new(n + 2);
-    let mut session = dsu.cached();
     let mut open = vec![false; n];
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut ChaCha12Rng::seed_from_u64(seed));
@@ -172,16 +142,12 @@ fn percolation_batched_with(
                 link(site + 1);
             }
         }
-        if planned {
-            dsu.unite_batch_planned(&pairs);
-        } else {
-            dsu.unite_batch(&pairs);
-        }
+        dsu.unite_batch(&pairs);
         if flatten {
             dsu.flatten();
         }
         opened += burst.len();
-        if session.same_set(top, bottom) {
+        if dsu.same_set(top, bottom) {
             return opened as f64 / n as f64;
         }
     }
@@ -386,19 +352,6 @@ mod tests {
                 assert!(
                     coarse - exact <= batch as f64 / 256.0,
                     "batch {batch}: {coarse} too far above {exact}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn planned_bursts_give_identical_thresholds() {
-        for seed in [2, 8] {
-            for batch in [1, 16, 64] {
-                assert_eq!(
-                    percolation_threshold_batched_planned(16, seed, batch),
-                    percolation_threshold_batched(16, seed, batch),
-                    "seed {seed} batch {batch}"
                 );
             }
         }

@@ -20,9 +20,9 @@
 //!
 //! Usage: `--n 2097152 --quick true --csv out.csv`
 
-use concurrent_dsu::{Dsu, OneTrySplit, ShardSpec, ShardedStore, TwoTrySplit};
+use concurrent_dsu::{Dsu, OneTrySplit, TwoTrySplit};
 use dsu_baselines::{AwDsu, LockedDsu};
-use dsu_harness::{run_shards, run_shards_cached, run_shards_planned, table::f2, Args, Table};
+use dsu_harness::{run_shards, table::f2, Args, Table};
 use dsu_workloads::WorkloadSpec;
 use sequential_dsu::{Compaction, Linking};
 
@@ -56,15 +56,6 @@ fn main() {
         }
         dsu
     };
-    let seed = Dsu::<TwoTrySplit>::DEFAULT_SEED;
-    let make_jt2_sharded = |prebuild: bool| {
-        let dsu: Dsu<TwoTrySplit, ShardedStore> =
-            Dsu::from_store(ShardedStore::with_spec(n, seed, ShardSpec::auto()));
-        if prebuild {
-            run_shards(&dsu, &prior, 8);
-        }
-        dsu
-    };
     let make_aw = |prebuild: bool| {
         let dsu = AwDsu::new(n);
         if prebuild {
@@ -85,25 +76,6 @@ fn main() {
         type Runner<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
         let specs: Vec<(&str, Runner<'_>)> = vec![
             ("jt-two-try", Box::new(|p| run_shards(&make_jt2(prebuild), workload, p).mops())),
-            (
-                // Same structure, per-worker hot-root cache sessions: the
-                // row that shows what the cache layer buys (or costs) on
-                // the serial per-op path at each thread count.
-                "jt-two-try-cached",
-                Box::new(|p| run_shards_cached(&make_jt2(prebuild), workload, p).mops()),
-            ),
-            (
-                // Same structure, consecutive unites buffered into bursts
-                // ingested through the ingestion planner: the row that
-                // shows what planner-routed ingestion buys (or costs) at
-                // each thread count.
-                "jt-two-try-planned",
-                Box::new(|p| run_shards_planned(&make_jt2(prebuild), workload, p).mops()),
-            ),
-            (
-                "jt-two-try-sharded",
-                Box::new(|p| run_shards(&make_jt2_sharded(prebuild), workload, p).mops()),
-            ),
             ("jt-one-try", Box::new(|p| run_shards(&make_jt1(prebuild), workload, p).mops())),
             ("aw-rank-halving", Box::new(|p| run_shards(&make_aw(prebuild), workload, p).mops())),
             ("global-lock", Box::new(|p| run_shards(&make_lock(prebuild), workload, p).mops())),

@@ -21,7 +21,7 @@
 use concurrent_dsu::order::splitmix64;
 use concurrent_dsu::{
     BrokenStore, Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, OpStats, PackedStore,
-    RetryBudget, ShardedStore, TwoTrySplit,
+    RetryBudget, TwoTrySplit,
 };
 use dsu_harness::{Args, Table};
 use linearize::{check_linearizable, CompletedOp, DsuOp, DsuSpec, HistoryRecorder};
@@ -160,7 +160,7 @@ fn main() {
     );
     println!(
         "E13: native linearizability under chaos — {histories} histories × \
-         {{packed, flat, sharded}} × rates {rates:?} ({threads} threads × {ops_per_proc} ops, n = {n})"
+         {{packed, flat}} × rates {rates:?} ({threads} threads × {ops_per_proc} ops, n = {n})"
     );
     println!("paper Lemma 3.2: every execution linearizable — now with faults injected\n");
 
@@ -178,7 +178,6 @@ fn main() {
         for (p, t) in [
             faulted_cell::<PackedStore>(&mut table, histories, threads, ops_per_proc, n, rate),
             faulted_cell::<FlatStore>(&mut table, histories, threads, ops_per_proc, n, rate),
-            faulted_cell::<ShardedStore>(&mut table, histories, threads, ops_per_proc, n, rate),
         ] {
             ok += p;
             total += t;

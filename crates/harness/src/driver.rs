@@ -84,125 +84,6 @@ pub fn run_shards<D: ConcurrentUnionFind + ?Sized>(
     }
 }
 
-/// Like [`run_shards`], but every worker thread routes its operations
-/// through its own hot-root cache session ([`Dsu::cached`]) — the cached
-/// contender of the e04 speedup table. Results are identical to the plain
-/// run (the cache layer is verdict-preserving); only the work per find
-/// changes.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or the workload universe exceeds `dsu.len()`.
-pub fn run_shards_cached<F: FindPolicy, S: DsuStore, L: LinkPolicy>(
-    dsu: &Dsu<F, S, L>,
-    workload: &Workload,
-    threads: usize,
-) -> RunMetrics {
-    assert!(threads > 0, "need at least one thread");
-    assert!(dsu.len() >= workload.n, "universe too small for workload");
-    let shards = workload.shard(threads);
-    let barrier = Barrier::new(threads + 1);
-    let started = std::thread::scope(|s| {
-        for shard in &shards {
-            let barrier = &barrier;
-            s.spawn(move || {
-                let mut session = dsu.cached();
-                barrier.wait();
-                for &op in shard {
-                    match op {
-                        Op::Unite(x, y) => {
-                            session.unite(x, y);
-                        }
-                        Op::SameSet(x, y) => {
-                            session.same_set(x, y);
-                        }
-                    }
-                }
-            });
-        }
-        // Same pre-release timestamp rationale as run_shards.
-        let t0 = Instant::now();
-        barrier.wait();
-        t0
-    });
-    RunMetrics {
-        elapsed: started.elapsed(),
-        ops: workload.len() as u64,
-        stats: None,
-        max_op_iters: 0,
-    }
-}
-
-/// How many consecutive `Unite` ops [`run_shards_planned`] accumulates
-/// before flushing them as one planned batch: big enough that the
-/// planner's radix buckets see real locality, small enough that a mixed
-/// workload's queries don't starve behind a giant buffer.
-const PLANNED_BURST: usize = 256;
-
-/// Like [`run_shards`], but every worker thread accumulates consecutive
-/// `Unite` operations into a burst buffer and ingests each burst through
-/// the ingestion planner
-/// ([`ConcurrentUnionFind::unite_batch_planned`]: intra-batch dedup +
-/// block-local radix buckets) — the planned contender of the e04 speedup
-/// table and the criterion throughput group. A `SameSet` op flushes the
-/// worker's pending burst first, so every query still observes all the
-/// unites that precede it in the worker's program order; the final
-/// partition is identical to the plain run (set union is confluent).
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or the workload universe exceeds `dsu.len()`.
-pub fn run_shards_planned<D: ConcurrentUnionFind + ?Sized>(
-    dsu: &D,
-    workload: &Workload,
-    threads: usize,
-) -> RunMetrics {
-    assert!(threads > 0, "need at least one thread");
-    assert!(dsu.len() >= workload.n, "universe too small for workload");
-    let shards = workload.shard(threads);
-    let barrier = Barrier::new(threads + 1);
-    let started = std::thread::scope(|s| {
-        for shard in &shards {
-            let barrier = &barrier;
-            s.spawn(move || {
-                let mut burst: Vec<(usize, usize)> = Vec::with_capacity(PLANNED_BURST);
-                barrier.wait();
-                for &op in shard {
-                    match op {
-                        Op::Unite(x, y) => {
-                            burst.push((x, y));
-                            if burst.len() == PLANNED_BURST {
-                                dsu.unite_batch_planned(&burst);
-                                burst.clear();
-                            }
-                        }
-                        Op::SameSet(x, y) => {
-                            if !burst.is_empty() {
-                                dsu.unite_batch_planned(&burst);
-                                burst.clear();
-                            }
-                            dsu.same_set(x, y);
-                        }
-                    }
-                }
-                if !burst.is_empty() {
-                    dsu.unite_batch_planned(&burst);
-                }
-            });
-        }
-        // Same pre-release timestamp rationale as run_shards.
-        let t0 = Instant::now();
-        barrier.wait();
-        t0
-    });
-    RunMetrics {
-        elapsed: started.elapsed(),
-        ops: workload.len() as u64,
-        stats: None,
-        max_op_iters: 0,
-    }
-}
-
 /// Instrumented run against the Jayanti–Tarjan structure: each thread
 /// counts its own work into a private [`OpStats`]; counters are merged
 /// after the run. `early` selects the Section 6 early-termination
@@ -284,37 +165,6 @@ mod tests {
         // 4000 random unites on 256 elements almost surely connect all.
         assert_eq!(dsu.set_count(), 1);
         assert!(m.mops() > 0.0);
-    }
-
-    #[test]
-    fn cached_run_matches_plain_results() {
-        let w = WorkloadSpec::new(256, 4000).unite_fraction(0.6).generate(5);
-        let plain: Dsu = Dsu::new(256);
-        run_shards(&plain, &w, 2);
-        let cached: Dsu = Dsu::new(256);
-        let m = run_shards_cached(&cached, &w, 2);
-        assert_eq!(m.ops, 4000);
-        assert!(m.elapsed > Duration::ZERO);
-        assert_eq!(cached.set_count(), plain.set_count());
-        assert_eq!(cached.labels_snapshot(), plain.labels_snapshot());
-    }
-
-    #[test]
-    fn planned_run_matches_plain_results() {
-        let w = WorkloadSpec::new(256, 4000).unite_fraction(0.6).generate(5);
-        let plain: Dsu = Dsu::new(256);
-        run_shards(&plain, &w, 2);
-        let planned: Dsu = Dsu::new(256);
-        let m = run_shards_planned(&planned, &w, 2);
-        assert_eq!(m.ops, 4000);
-        assert!(m.elapsed > Duration::ZERO);
-        assert_eq!(planned.set_count(), plain.set_count());
-        assert_eq!(planned.labels_snapshot(), plain.labels_snapshot());
-        // Single-threaded too (flush boundaries differ; the partition
-        // must not).
-        let single: Dsu = Dsu::new(256);
-        run_shards_planned(&single, &w, 1);
-        assert_eq!(single.labels_snapshot(), plain.labels_snapshot());
     }
 
     #[test]

@@ -34,9 +34,7 @@ pub mod driver;
 pub mod table;
 
 pub use args::Args;
-pub use driver::{
-    run_shards, run_shards_cached, run_shards_instrumented, run_shards_planned, RunMetrics,
-};
+pub use driver::{run_shards, run_shards_instrumented, RunMetrics};
 pub use table::Table;
 
 /// Mean of a slice (NaN on empty input).

@@ -70,10 +70,9 @@ impl EdgeBatchSpec {
     /// already appeared *earlier in the same burst* (the first edge of a
     /// burst is always fresh). This is the temporal-locality axis the
     /// element distribution cannot express — real bursts (a crawler
-    /// frontier, a log segment) revisit the entities they just touched —
-    /// and it is precisely the shape the hot-root cache's intra-batch
-    /// memoization targets: at `p = 0` every endpoint is an independent
-    /// draw, at `p → 1` a burst hammers a handful of endpoints.
+    /// frontier, a log segment) revisit the entities they just touched:
+    /// at `p = 0` every endpoint is an independent draw, at `p → 1` a
+    /// burst hammers a handful of endpoints.
     ///
     /// `p = 0.0` (the default) leaves the generated stream byte-identical
     /// to specs predating this knob.
@@ -91,11 +90,10 @@ impl EdgeBatchSpec {
     /// first of a burst is, with probability `p`, replaced *wholesale* by
     /// a copy of a uniformly chosen earlier edge of the same burst. Where
     /// [`repeat_within_burst`](EdgeBatchSpec::repeat_within_burst) re-hits
-    /// individual *endpoints* (temporal locality for the hot-root cache),
-    /// this knob manufactures byte-identical *pairs* — the shape the
-    /// ingestion planner's intra-batch dedup drops — so a dedup win or
-    /// loss can be measured independently of Zipf skew (Zipf streams
-    /// produce duplicates only as a side effect of endpoint popularity).
+    /// individual *endpoints*, this knob manufactures byte-identical
+    /// *pairs* — so the cost of redundant edges can be measured
+    /// independently of Zipf skew (Zipf streams produce duplicates only as
+    /// a side effect of endpoint popularity).
     ///
     /// `p = 0.0` (the default) leaves the generated stream byte-identical
     /// to specs predating this knob.

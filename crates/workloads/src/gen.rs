@@ -18,26 +18,6 @@ pub enum ElementDist {
     /// Both operands within a window of the given width around a uniformly
     /// chosen center — models the spatial locality of grid-like inputs.
     Locality(usize),
-    /// Shard-skew: with probability `bias` an operand is drawn from the
-    /// *hot block* — the index range of the **first shard** of a sharded
-    /// parent store built with this `shards` request (`shards` rounded up
-    /// to a power of two and clamped to 256, per-shard capacity
-    /// `ceil(n / shards)` rounded up to a power of two, capped at `n` —
-    /// the same arithmetic `ShardSpec::with_shards` (incl. its
-    /// `MAX_SHARDS` clamp) + `ShardedStore` use) — otherwise
-    /// uniformly from the whole universe, so the hot block's total mass is
-    /// `bias + (1 - bias) · hot/n`. This is the adversarial workload for
-    /// shard placement: `bias → 1` aims all traffic at one shard, while
-    /// `bias → 0` (or `shards = 1`, whose single "block" is the whole
-    /// universe) degenerates to uniform traffic.
-    ShardSkew {
-        /// Requested shard count (rounded up to a power of two, exactly
-        /// like `ShardSpec::with_shards`; `0` is treated as `1`).
-        shards: usize,
-        /// Probability an operand lands in the first shard's block
-        /// (clamped to `[0, 1]`).
-        bias: f64,
-    },
 }
 
 /// Draws operand pairs from `0..n` per an [`ElementDist`] — the sampling
@@ -72,29 +52,6 @@ impl PairSampler {
                 let lo = center.saturating_sub(w / 2);
                 let hi = (lo + w).min(self.n);
                 (rng.gen_range(lo..hi), rng.gen_range(lo..hi))
-            }
-            ElementDist::ShardSkew { shards, bias } => {
-                // Hot block = the sharded store's first shard for this
-                // request: shard count rounded up to a power of two and
-                // clamped to 256 (mirroring ShardSpec::with_shards and
-                // its MAX_SHARDS — kept in sync by the cross-crate test
-                // in dsu-bench rather than a dependency edge), per-shard
-                // capacity ceil(n / shards) rounded up to a power of two
-                // (as ShardedStore does), capped at n (a one-shard store
-                // holds everything). The previous ceil(n / shards)-sized
-                // block silently missed the store's split for
-                // non-power-of-two requests.
-                let shards = shards.max(1).next_power_of_two().min(256);
-                let hot = self.n.div_ceil(shards).next_power_of_two().min(self.n);
-                let bias = bias.clamp(0.0, 1.0);
-                let one = |rng: &mut ChaCha12Rng| {
-                    if rng.gen_bool(bias) {
-                        rng.gen_range(0..hot)
-                    } else {
-                        rng.gen_range(0..self.n)
-                    }
-                };
-                (one(rng), one(rng))
             }
         }
     }
@@ -208,8 +165,6 @@ mod tests {
             ElementDist::Locality(8),
             ElementDist::Locality(0),      // degenerate window
             ElementDist::Locality(10_000), // over-wide window
-            ElementDist::ShardSkew { shards: 8, bias: 0.9 },
-            ElementDist::ShardSkew { shards: 0, bias: 2.0 }, // degenerate: clamped
         ] {
             let w = WorkloadSpec::new(37, 2_000).element_dist(dist).generate(4);
             for op in &w.ops {
@@ -225,102 +180,6 @@ mod tests {
         let hits_0 = w.ops.iter().filter(|o| o.operands().0 == 0).count();
         let hits_500 = w.ops.iter().filter(|o| o.operands().0 == 500).count();
         assert!(hits_0 > 20 * (hits_500 + 1), "0:{hits_0} vs 500:{hits_500}");
-    }
-
-    #[test]
-    fn shard_skew_dist_concentrates_on_block_zero() {
-        let n = 1024;
-        let shards = 8;
-        let hot = n / shards; // 128
-        let w = WorkloadSpec::new(n, 20_000)
-            .element_dist(ElementDist::ShardSkew { shards, bias: 0.9 })
-            .generate(11);
-        let in_hot =
-            w.ops.iter().filter(|o| o.operands().0 < hot).count() as f64 / w.ops.len() as f64;
-        // 0.9 directly + 0.1 * (1/8) uniformly ≈ 0.9125.
-        assert!((0.87..0.95).contains(&in_hot), "hot-block fraction = {in_hot}");
-
-        // bias = 1/shards degenerates to (per-block) uniform traffic.
-        let u = WorkloadSpec::new(n, 20_000)
-            .element_dist(ElementDist::ShardSkew { shards, bias: 1.0 / shards as f64 })
-            .generate(12);
-        let in_hot_u =
-            u.ops.iter().filter(|o| o.operands().0 < hot).count() as f64 / u.ops.len() as f64;
-        // 1/8 + 7/8 * 1/8 ≈ 0.234.
-        assert!((0.20..0.27).contains(&in_hot_u), "uniformized fraction = {in_hot_u}");
-    }
-
-    /// The degenerate corners the doc promises: one shard means the "hot
-    /// block" is the whole universe (bias is irrelevant), `bias = 0.0` is
-    /// uniform traffic, `bias = 1.0` pins every operand inside the block.
-    #[test]
-    fn shard_skew_degenerate_cases() {
-        let n = 1024;
-        // shards = 1: block 0 is the whole universe, so even bias = 1.0
-        // must cover high indices (a single-shard store cannot be skewed).
-        let one = WorkloadSpec::new(n, 20_000)
-            .element_dist(ElementDist::ShardSkew { shards: 1, bias: 1.0 })
-            .generate(21);
-        let in_top_half = one.ops.iter().filter(|o| o.operands().0 >= n / 2).count() as f64
-            / one.ops.len() as f64;
-        assert!((0.4..0.6).contains(&in_top_half), "shards=1 must stay uniform: {in_top_half}");
-
-        // bias = 0.0: the hot branch never fires — uniform regardless of
-        // the shard count.
-        let cold = WorkloadSpec::new(n, 20_000)
-            .element_dist(ElementDist::ShardSkew { shards: 8, bias: 0.0 })
-            .generate(22);
-        let in_block = cold.ops.iter().filter(|o| o.operands().0 < n / 8).count() as f64
-            / cold.ops.len() as f64;
-        assert!((0.10..0.16).contains(&in_block), "bias=0 must be uniform: {in_block}");
-
-        // bias = 1.0: every operand lands inside the first shard's block.
-        let all_hot = WorkloadSpec::new(n, 5_000)
-            .element_dist(ElementDist::ShardSkew { shards: 8, bias: 1.0 })
-            .generate(23);
-        for op in &all_hot.ops {
-            let (x, y) = op.operands();
-            assert!(x < n / 8 && y < n / 8, "bias=1 operand escaped the block: {op:?}");
-        }
-    }
-
-    /// Non-power-of-two shard requests follow the sharded store's actual
-    /// split: `shards` rounds up to a power of two and the block size is
-    /// `ceil(n / shards)` rounded up to a power of two (capped at `n`) —
-    /// the size of the store's first shard, not the `ceil(n / shards)`
-    /// block the old generator used.
-    #[test]
-    fn shard_skew_matches_store_split_for_non_pow2_shards() {
-        // n = 1000, shards = 3 -> 4 shards, capacity ceil(1000/4) = 250 ->
-        // 256: all bias-directed mass lands in [0, 256).
-        let w = WorkloadSpec::new(1000, 5_000)
-            .element_dist(ElementDist::ShardSkew { shards: 3, bias: 1.0 })
-            .generate(31);
-        let max_seen = w.ops.iter().map(|o| o.operands().0.max(o.operands().1)).max().unwrap();
-        assert!(max_seen < 256, "operand {max_seen} outside the store's first shard");
-        // And the block is genuinely reachable to its edge over 10k draws.
-        assert!(max_seen >= 200, "block suspiciously under-covered: max {max_seen}");
-
-        // Small universe: capacity rounds past n and is capped — shards=1
-        // over n=10 draws the whole universe.
-        let tiny = WorkloadSpec::new(10, 2_000)
-            .element_dist(ElementDist::ShardSkew { shards: 1, bias: 1.0 })
-            .generate(32);
-        assert!(tiny.ops.iter().any(|o| o.operands().0 == 9), "cap at n lost the top element");
-    }
-
-    /// Requests above the store's 256-shard clamp follow the clamp: the
-    /// hot block is the first shard of a *256*-shard store, not of the
-    /// raw request. (n = 4096, shards = 512 -> clamp 256 -> capacity 16;
-    /// the unclamped request would give capacity 8.)
-    #[test]
-    fn shard_skew_clamps_like_shard_spec() {
-        let w = WorkloadSpec::new(4096, 20_000)
-            .element_dist(ElementDist::ShardSkew { shards: 512, bias: 1.0 })
-            .generate(41);
-        let max_seen = w.ops.iter().map(|o| o.operands().0.max(o.operands().1)).max().unwrap();
-        assert!(max_seen < 16, "operand {max_seen} outside the clamped first shard");
-        assert!(max_seen >= 8, "block stops at the unclamped size: max {max_seen}");
     }
 
     #[test]

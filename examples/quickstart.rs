@@ -72,11 +72,10 @@ fn main() {
     // Handing the structure to a long read-only phase? An explicit
     // `dsu.flatten()` (or `flatten_parallel(p)`) pointer-jumps every
     // element to depth <= 1, so each find after it is a single load —
-    // safe even while unites race it. It's opt-in because it measured as
-    // an honest negative on the standard mixes (splitting finds already
-    // self-compact; BENCH_PR9.json), but `DSU_FLATTEN=auto` (or
-    // `every=<k>` / `hops=<x>`) arms an adaptive trigger that sweeps
-    // after ingested batches when sampled depth warrants it.
+    // safe even while unites race it. It never runs on its own: on the
+    // standard mixes it measured as an honest negative (splitting finds
+    // already self-compact; BENCH_PR9.json), so call it only at a known
+    // ingest→query boundary.
     dsu.flatten();
     assert!(dsu.union_forest_height() >= 1, "union forest is untouched; only paths flatten");
 

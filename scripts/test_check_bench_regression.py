@@ -143,7 +143,7 @@ class GateFixture(unittest.TestCase):
         self.assertIn("unreadable", report)
 
     def test_rows_keyed_by_threads_and_n(self):
-        # Two universes at the same thread count (bucket_ab / variants_ab
+        # Two universes at the same thread count (flatten_ab / variants_ab
         # shape): the n=65536 row regressed, the n=8388608 row did not —
         # only the former may be flagged, so the keys must not collide.
         base = doc(

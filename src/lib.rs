@@ -34,40 +34,7 @@
 //! // `concurrent_dsu::bulk`):
 //! assert_eq!(dsu.unite_batch(&[(1, 2), (2, 0), (3, 4)]), 2);
 //! assert_eq!(dsu.set_count(), 5);
-//!
-//! // Duplicate-heavy bursts over huge universes can opt into the
-//! // ingestion planner (intra-batch dedup + block-local radix buckets;
-//! // see `concurrent_dsu::ingest` for when it pays):
-//! assert_eq!(dsu.unite_batch_planned(&[(4, 5), (5, 4), (4, 5)]), 1);
 //! ```
-//!
-//! ## Hot-root cache sessions and the `prefetch` feature
-//!
-//! Per-thread loops that keep touching the same sets can route their
-//! operations through a hot-root cache session
-//! ([`concurrent_dsu::Dsu::cached`]): finds start at the element's last
-//! observed root, validated by a single load, with identical verdicts to
-//! the plain operations (see `concurrent_dsu::cache`):
-//!
-//! ```
-//! use jt_dsu::Dsu;
-//!
-//! let dsu: Dsu = Dsu::new(10);
-//! let mut session = dsu.cached();
-//! assert!(session.unite(0, 1));
-//! assert!(session.same_set(1, 0));
-//! assert_eq!(session.unite_batch(&[(1, 2), (0, 2)]), 1);
-//! ```
-//!
-//! The batch path's gather-wave depth is tunable
-//! (`concurrent_dsu::BatchTuning`, depths two/three), and building
-//! `concurrent-dsu` with `--features prefetch` compiles software-prefetch
-//! intrinsics (x86-64 `prefetcht0` / AArch64 `prfm pldl1keep`) that warm
-//! the *next* gather wave's endpoint words one wave ahead (a no-op
-//! elsewhere). Both knobs — and the cache — are measured by the
-//! `cache_ab` example (`BENCH_PR4.json`); on the CI box the cache pays
-//! only in predictable-hit loops, so it is opt-in, never the default
-//! (`concurrent_dsu::store` docs, "when does the root cache pay").
 //!
 //! ## Keyed entity resolution
 //!
@@ -87,16 +54,14 @@
 //!
 //! ## Choosing a storage layout
 //!
-//! [`Dsu`] is also generic over its parent store: packed (default), flat
-//! (universes beyond `2^32`), or sharded (per-shard slabs for many-core /
-//! NUMA placement) — see the layout-selection guide in
+//! [`Dsu`] is also generic over its parent store: packed (default) or flat
+//! (universes beyond `2^32`) — see the layout-selection guide in
 //! [`concurrent_dsu::store`]:
 //!
 //! ```
-//! use jt_dsu::concurrent_dsu::{Dsu, ShardSpec, ShardedStore, TwoTrySplit};
+//! use jt_dsu::concurrent_dsu::{Dsu, FlatStore, TwoTrySplit};
 //!
-//! let store = ShardedStore::with_spec(1000, 42, ShardSpec::with_shards(8));
-//! let dsu: Dsu<TwoTrySplit, ShardedStore> = Dsu::from_store(store);
+//! let dsu: Dsu<TwoTrySplit, FlatStore> = Dsu::new(1000);
 //! assert!(dsu.unite(1, 999));
 //! ```
 //!
@@ -104,17 +69,14 @@
 //!
 //! `.github/workflows/ci.yml` runs, on every push/PR: `lint` (fmt, clippy,
 //! rustdoc, all `-D warnings`, plus the workspace doc-tests); a `test`
-//! **matrix** over `{default, strict-sc}` orderings × `{packed, flat,
-//! sharded}` store layouts (the `default-store-*` cargo features retarget
-//! `Dsu`'s default store so the full suite exercises each layout) plus a
-//! `prefetch` feature cell, a `planned` cell that runs the full workspace
-//! with `DSU_BATCH_PLAN=1` (every count-only batch entry point routed
-//! through the ingestion planner — planning must be invisible to link
-//! counts and partitions), a `keyed` cell that re-runs the keyed-layer
-//! suite under both orderings with `DSU_KEY_SHARDS=2`, and `variants` /
-//! `flatten` / `epochs` cells that re-run the full core suite with
-//! `default-link-index`, `DSU_FLATTEN=auto`, and `DSU_EPOCH_EVERY=1`
-//! respectively; `bench-smoke`,
+//! **matrix** over `{default, strict-sc}` orderings × `{packed, flat}`
+//! store layouts (the `default-store-flat` cargo feature retargets `Dsu`'s
+//! default store so the full suite exercises each layout; the packed cell
+//! also runs the benchmark's own tests) plus a `keyed` cell that re-runs
+//! the keyed-layer suite under both orderings with `DSU_KEY_SHARDS=2`,
+//! and `variants` / `epochs` cells that re-run the full core suite with
+//! `default-link-index` and `DSU_EPOCH_EVERY=1` respectively;
+//! `bench-smoke`,
 //! which runs the A/B examples in quick mode, archives their JSON
 //! (machine-fingerprinted), and fail-soft-compares both medians *and* A/B
 //! ratios against the previous run's cached baseline
@@ -142,6 +104,6 @@ pub use sequential_dsu;
 pub use concurrent_dsu::{
     BatchOutcome, ConcurrentUnionFind, Dsu, DsuHalving, DsuNoCompaction, DsuOneTry, DsuTwoTry,
     Epoch, GrowableDsu, Halving, KeyedDsu, NoCompaction, OneTrySplit, OpStats, ShardSpec,
-    ShardedStore, TwoTrySplit, VersionedDsu,
+    TwoTrySplit, VersionedDsu,
 };
 pub use sequential_dsu::{Compaction, Linking, Partition, SeqDsu};

@@ -1,0 +1,155 @@
+//! One seeded contract smoke per layer of the stack, each checked against
+//! a sequential `SeqDsu` oracle: the plain `Dsu` (per-op and both batch
+//! entry points), `GrowableDsu` (growth plus a batch), `VersionedDsu`
+//! (snapshot, mutate, roll back), `KeyedDsu` (the keyed batch paths), and
+//! `TunedDsu` past its sampling switch point. The semantics suites in
+//! `crates/core/tests` prove each layer in depth; these keep every layer
+//! under the root crate's own test run.
+
+use std::collections::HashSet;
+
+use jt_dsu::concurrent_dsu::tune::DEFAULT_SAMPLE_BUDGET;
+use jt_dsu::concurrent_dsu::{TunedDsu, TunerMode};
+use jt_dsu::{Compaction, Dsu, GrowableDsu, KeyedDsu, Linking, Partition, SeqDsu, VersionedDsu};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
+
+fn oracle(n: usize) -> SeqDsu {
+    SeqDsu::new(n, Linking::ByRank, Compaction::Halving)
+}
+
+fn random_edges(rng: &mut ChaCha12Rng, n: usize, m: usize) -> Vec<(usize, usize)> {
+    (0..m).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect()
+}
+
+#[test]
+fn dsu_per_op_and_batches_match_oracle() {
+    let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0001);
+    let n = 200;
+    let dsu: Dsu = Dsu::with_seed(n, 1);
+    let mut seq = oracle(n);
+    for _ in 0..300 {
+        let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if rng.gen_bool(0.5) {
+            assert_eq!(dsu.unite(x, y), seq.unite(x, y), "unite({x}, {y})");
+        } else {
+            assert_eq!(dsu.same_set(x, y), seq.same_set(x, y), "same_set({x}, {y})");
+        }
+    }
+    // Per-edge verdicts of a batch equal the oracle's one-at-a-time run.
+    let burst = random_edges(&mut rng, n, 300);
+    let expected: Vec<bool> = burst.iter().map(|&(x, y)| seq.unite(x, y)).collect();
+    assert_eq!(dsu.unite_batch_results(&burst), expected);
+    // The count-only entry point reports exactly the oracle's new links.
+    let burst = random_edges(&mut rng, n, 300);
+    let links = burst.iter().filter(|&&(x, y)| seq.unite(x, y)).count();
+    assert_eq!(dsu.unite_batch(&burst), links);
+    assert_eq!(dsu.set_count(), seq.set_count());
+    assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition());
+}
+
+#[test]
+fn growable_make_set_and_batch_match_oracle() {
+    let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0002);
+    let cap = 256;
+    let dsu: GrowableDsu = GrowableDsu::with_seed(2);
+    let mut seq = oracle(cap);
+    for round in 0..4 {
+        // Grow by a quarter of the capacity, then ingest a burst over
+        // every element made so far.
+        for _ in 0..cap / 4 {
+            dsu.make_set();
+        }
+        let len = dsu.len();
+        assert_eq!(len, (round + 1) * cap / 4);
+        let burst = random_edges(&mut rng, len, len / 2);
+        let links = burst.iter().filter(|&&(x, y)| seq.unite(x, y)).count();
+        assert_eq!(dsu.unite_batch(&burst), links, "round {round}");
+        let (x, y) = (rng.gen_range(0..len), rng.gen_range(0..len));
+        assert_eq!(dsu.same_set(x, y), seq.same_set(x, y));
+    }
+    assert_eq!(dsu.set_count(), seq.set_count());
+    assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition());
+}
+
+#[test]
+fn versioned_rollback_restores_the_partition() {
+    let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0003);
+    let n = 256;
+    let mut dsu: VersionedDsu = VersionedDsu::with_initial(n);
+    let mut seq = oracle(n);
+    let burst = random_edges(&mut rng, n, 128);
+    let links = burst.iter().filter(|&&(x, y)| seq.unite(x, y)).count();
+    assert_eq!(dsu.unite_batch(&burst), links);
+    let before = seq.partition();
+    assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
+
+    let at = dsu.snapshot();
+    // Mutate: more links and new elements after the snapshot.
+    dsu.unite_batch(&random_edges(&mut rng, n, 256));
+    for _ in 0..8 {
+        let e = dsu.make_set();
+        dsu.unite(e, rng.gen_range(0..n));
+    }
+    assert_ne!(Partition::from_labels(&dsu.labels_snapshot()), before, "mutation must show");
+
+    dsu.rollback(at);
+    assert_eq!(dsu.len(), n);
+    assert_eq!(dsu.set_count(), seq.set_count());
+    assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
+}
+
+#[test]
+fn keyed_batches_match_oracle() {
+    let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0004);
+    let keys: Vec<String> = (0..64).map(|i| format!("user-{i}@example.test")).collect();
+    let dsu: KeyedDsu<String> = KeyedDsu::with_seed(4);
+    // The oracle runs over key positions; `seen` mirrors which keys the
+    // keyed structure has inserted (merges insert, queries never do).
+    let mut seq = oracle(keys.len());
+    let mut seen: HashSet<usize> = HashSet::new();
+    for _ in 0..4 {
+        let idx = random_edges(&mut rng, keys.len(), 40);
+        let pairs: Vec<(String, String)> =
+            idx.iter().map(|&(a, b)| (keys[a].clone(), keys[b].clone())).collect();
+        let links = idx.iter().filter(|&&(a, b)| seq.unite(a, b)).count();
+        assert_eq!(dsu.merge_keys_batch(&pairs), links);
+        for &(a, b) in &idx {
+            seen.insert(a);
+            seen.insert(b);
+        }
+        let queries = random_edges(&mut rng, keys.len(), 40);
+        let qpairs: Vec<(String, String)> =
+            queries.iter().map(|&(a, b)| (keys[a].clone(), keys[b].clone())).collect();
+        let expected: Vec<bool> = queries.iter().map(|&(a, b)| seq.same_set(a, b)).collect();
+        assert_eq!(dsu.same_set_batch(&qpairs), expected);
+    }
+    assert_eq!(dsu.key_count(), seen.len());
+    // Keys never inserted are implicit singletons: each adds one set.
+    assert_eq!(dsu.set_count() + (keys.len() - seen.len()), seq.set_count());
+}
+
+#[test]
+fn tuned_dsu_matches_oracle_past_its_switch_point() {
+    let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0005);
+    let n = 512;
+    let dsu = TunedDsu::with_mode(n, 5, TunerMode::Auto);
+    let mut seq = oracle(n);
+    let ops = 2 * DEFAULT_SAMPLE_BUDGET as usize;
+    for i in 0..ops {
+        let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if rng.gen_bool(0.3) {
+            assert_eq!(dsu.unite(x, y), seq.unite(x, y), "unite #{i}");
+        } else {
+            assert_eq!(dsu.same_set(x, y), seq.same_set(x, y), "same_set #{i}");
+        }
+    }
+    assert!(dsu.committed(), "the tuner decides after {DEFAULT_SAMPLE_BUDGET} sampled ops");
+    assert_eq!(dsu.tuner_samples(), DEFAULT_SAMPLE_BUDGET);
+    // Post-decision batches run on the committed variant.
+    let burst = random_edges(&mut rng, n, 256);
+    let links = burst.iter().filter(|&&(x, y)| seq.unite(x, y)).count();
+    assert_eq!(dsu.unite_batch(&burst), links);
+    assert_eq!(dsu.set_count(), seq.set_count());
+    assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition());
+}
