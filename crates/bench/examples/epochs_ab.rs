@@ -2,12 +2,10 @@
 //! you hold it ready, and what does it buy when you do?
 //!
 //! **Part 1 — snapshot overhead.** Per universe, the same pipeline (burst
-//! ingest then a query-only storm, all timed) runs on three arms:
+//! ingest then a query-only storm, all timed) runs on two arms:
 //!
-//! * **plain** — `GrowableDsu` on the default segmented store: the
-//!   unversioned baseline, paying zero epoch machinery.
-//! * **versioned** — [`VersionedDsu`] with *no* snapshots taken: measures
-//!   the standing cost of the [`EpochStore`] directory indirection alone.
+//! * **versioned** — [`VersionedDsu`] with *no* snapshots taken: the
+//!   baseline, on the same `EpochStore` every growable structure uses.
 //!   The attribution block asserts its fork/copy counters stay zero.
 //! * **snap** — `snapshot_every = 1`: a copy-on-write guard point before
 //!   every burst (the `ingest_batch` auto-snap policy), the worst-case
@@ -39,7 +37,7 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use concurrent_dsu::epoch::EpochFork;
-use concurrent_dsu::{GrowableDsu, TwoTrySplit, VersionedDsu};
+use concurrent_dsu::VersionedDsu;
 use dsu_bench::{machine_fingerprint_json, median, standard_edge_batches};
 use dsu_graph::percolation::{
     percolation_threshold, percolation_threshold_batched, percolation_threshold_versioned,
@@ -47,7 +45,7 @@ use dsu_graph::percolation::{
 use dsu_harness::Args;
 use dsu_workloads::{Op, Workload, WorkloadSpec};
 
-const INGEST_MODES: [&str; 3] = ["plain", "versioned", "snap"];
+const INGEST_MODES: [&str; 2] = ["versioned", "snap"];
 const PERC_MODES: [&str; 3] = ["linear", "batched", "binsearch"];
 
 struct Probe {
@@ -86,13 +84,6 @@ fn run_storm(find: impl Fn(usize, usize) -> bool, storm: &Workload) {
 fn timed_ingest_mode(mode: &str, probe: &Probe) -> f64 {
     let t0 = Instant::now();
     match mode {
-        "plain" => {
-            let dsu = GrowableDsu::<TwoTrySplit>::with_initial(probe.n);
-            for batch in &probe.batches {
-                dsu.unite_batch(batch);
-            }
-            run_storm(|x, y| dsu.same_set(x, y), &probe.storm);
-        }
         "versioned" => {
             let dsu: VersionedDsu = VersionedDsu::with_initial(probe.n);
             for batch in &probe.batches {
@@ -179,7 +170,7 @@ fn main() {
             probe.storm.len(),
             samples
         );
-        println!("{:>10} {:>14} {:>9}", "mode", "median ns", "vs plain");
+        println!("{:>10} {:>14} {:>12}", "mode", "median ns", "vs versioned");
         let mut buckets: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); INGEST_MODES.len()];
         for round in 0..samples + 1 {
             for (i, mode) in INGEST_MODES.iter().enumerate() {
@@ -192,7 +183,7 @@ fn main() {
         }
         let meds: Vec<f64> = buckets.iter_mut().map(|b| median(b)).collect();
         for (i, mode) in INGEST_MODES.iter().enumerate() {
-            println!("{:>10} {:>14.0} {:>9.3}", mode, meds[i], meds[0] / meds[i]);
+            println!("{:>10} {:>14.0} {:>12.3}", mode, meds[i], meds[0] / meds[i]);
         }
         push_row(&mut rows, probe.n, &INGEST_MODES, &meds);
         let attr = attribution(probe);

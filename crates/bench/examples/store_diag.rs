@@ -34,9 +34,8 @@
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
-    Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, GrowableStore, KeyedDsu, OpStats,
-    PackedSegmentedStore, PackedStore, SegmentedStore, ShardSpec, TunedDsu, TunerMode, TwoTrySplit,
-    Variant, VersionedDsu,
+    Dsu, DsuStore, EpochReport, FaultPlan, FaultyStore, FlatStore, KeyedDsu, OpStats, PackedStore,
+    ShardSpec, TunedDsu, TunerMode, TwoTrySplit, Variant, VersionedDsu,
 };
 use dsu_bench::{standard_edge_batches, standard_workload};
 use dsu_workloads::{KeyedOp, KeyedSpec};
@@ -217,11 +216,11 @@ fn run<S: DsuStore>(label: &str) {
 /// Every insert is charged exactly once, every probe step is attributed,
 /// the structure's own resize count reconciles with the stats stream, and
 /// the unfaulted invariants of the dense phases hold here too.
-fn keyed<S: GrowableStore>(label: &str) {
+fn keyed() {
+    let label = "keyed  ";
     let spec = KeyedSpec::new(1 << 15).merge_fraction(0.7).fresh_fraction(0.5);
     let trace = spec.generate(0xD1A6).into_sparse_u64(0xD1A6);
-    let dsu: KeyedDsu<u64, TwoTrySplit, S> =
-        KeyedDsu::from_store(S::with_seed(0xD1A6), 0xD1A6, ShardSpec::with_shards(4));
+    let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(0xD1A6, ShardSpec::with_shards(4));
     let mut stats = OpStats::default();
     let t0 = Instant::now();
     for op in &trace.ops {
@@ -276,6 +275,8 @@ fn keyed<S: GrowableStore>(label: &str) {
         (0, 0, 0, 0),
         "{label}/keyed: phantom epoch attribution on an unversioned run"
     );
+    // The keyed layer runs on the epoch store; unversioned, it never forks.
+    assert_eq!(dsu.dsu().store().epoch_report(), EpochReport::default(), "{label}: forked");
 }
 
 /// Epoch attribution: a versioned burst trace with a guard point before
@@ -411,8 +412,7 @@ fn main() {
         run::<PackedStore>("packed ");
         run::<FlatStore>("flat   ");
     }
-    keyed::<PackedSegmentedStore>("packed ");
-    keyed::<SegmentedStore>("flat   ");
+    keyed();
     tuner();
     epochs();
 }

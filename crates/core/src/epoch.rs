@@ -13,10 +13,10 @@
 //!
 //! # The design in one paragraph
 //!
-//! [`EpochStore`] is the packed growable layout
-//! ([`PackedSegmentedStore`](crate::PackedSegmentedStore)'s word format)
-//! with each segment behind an `Arc`-counted *segment node* stamped with
-//! the epoch it was created in. [`VersionedDsu::snapshot`] is O(segments),
+//! [`EpochStore`] is the one growable layout — packed `id << 32 | parent`
+//! words, the [`PackedStore`](crate::PackedStore) format — with each
+//! segment behind an `Arc`-counted *segment node* stamped with the epoch
+//! it was created in. [`VersionedDsu::snapshot`] is O(segments),
 //! i.e. O(1) in the element count: clone the ≤ 64 live segment `Arc`s and
 //! bump the epoch counter — no cell is copied. Afterward every recorded
 //! segment is *shared*; the first `cas_from` that would write a shared
@@ -56,12 +56,14 @@
 //!
 //! # What the unversioned paths pay
 //!
-//! Nothing. [`EpochStore`] is a separate layout type — `GrowableDsu`'s
-//! default stores have no epoch field, no fork branch, no `Arc`; this is
-//! the PR 6 decorator lesson applied to versioning. Within `EpochStore`
-//! itself the per-CAS overhead is one predictable stale-epoch test; the
-//! `store_diag` epoch phase counter-asserts that unversioned runs fork
-//! and roll back exactly zero times.
+//! One predictable compare per CAS, and no lock. [`GrowableDsu`] and
+//! [`KeyedDsu`](crate::KeyedDsu) run on [`EpochStore`] as well, but only
+//! [`VersionedDsu`]'s `&mut` transitions move the epoch, so an unversioned
+//! structure stays at epoch 0 for life: every node is current, no write
+//! forks, and the fork mutex is never taken. The root crate's
+//! `tests/layer_contracts.rs` asserts a zero [`EpochReport`] and epoch 0
+//! after threaded churn on both. Segments are pre-filled with singleton
+//! words when allocated, so `make_set` on a live segment is one null check.
 //!
 //! # Knob
 //!
@@ -78,11 +80,38 @@ use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultyStore;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::growable::{locate, segment_scan_runs, GrowableDsu, GrowableStore, SEGMENTS};
+use crate::growable::{GrowableDsu, GrowableStore};
 use crate::knob;
 use crate::order::{splitmix64, IdOrder, LinkPolicy};
 use crate::stats::StatsSink;
 use crate::store::{self, ParentStore};
+
+/// Directory slots: one per segment an index of any width could need.
+const SEGMENTS: usize = usize::BITS as usize;
+
+/// First element of segment `s`. Segment 0 holds `{0, 1}` and segment
+/// `s ≥ 1` holds `2^s .. 2^(s+1)`, so segments `0..k` hold exactly the
+/// `2^k` elements `0..2^k` and a universe of `2^k` fills its last segment
+/// with no spare cell.
+const fn segment_base(s: usize) -> usize {
+    (1 << s) & !1
+}
+
+/// Cell count of segment `s`.
+const fn segment_len(s: usize) -> usize {
+    if s == 0 {
+        2
+    } else {
+        1 << s
+    }
+}
+
+/// Maps element `e` to `(segment, offset)`.
+#[inline]
+fn locate(e: usize) -> (usize, usize) {
+    let s = (e | 1).ilog2() as usize;
+    (s, e - segment_base(s))
+}
 
 /// Environment variable read by [`epoch_every_from_env`] (at
 /// [`VersionedDsu`] construction): auto-snapshot cadence in ingested
@@ -219,11 +248,14 @@ pub trait EpochFork: GrowableStore {
     fn raw_words(&self, len: usize) -> Vec<u64>;
 }
 
-/// The versioned growable layout: packed `id << 32 | parent` words (same
-/// format and 2^32-element bound as
-/// [`PackedSegmentedStore`](crate::PackedSegmentedStore)) in `Arc`-counted,
-/// epoch-stamped segment nodes behind an atomic directory. See the module
-/// docs for the copy-on-write protocol and safety argument.
+/// The growable layout under [`GrowableDsu`] (its default store),
+/// [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`]: packed
+/// `id << 32 | parent` words (the [`PackedStore`](crate::PackedStore)
+/// format and its 2^32-element bound) in `Arc`-counted, epoch-stamped
+/// segment nodes behind an atomic directory. Ids are the top 32 bits of
+/// SplitMix64 of the salted index (paper Section 7: a universe large
+/// enough that ties are rare, with the index breaking them). See the
+/// module docs for the copy-on-write protocol and safety argument.
 pub struct EpochStore {
     /// Directory: slot `s` holds a raw pointer from `Arc::into_raw` (the
     /// directory owns one strong count per non-null slot), or null while
@@ -241,15 +273,14 @@ pub struct EpochStore {
 }
 
 impl EpochStore {
-    /// The packed word a fresh singleton `e` is born with (identical to
-    /// [`PackedSegmentedStore`](crate::PackedSegmentedStore)).
+    /// The packed word a fresh singleton `e` is born with.
     fn singleton_word(&self, e: usize) -> u64 {
         let id = splitmix64((e as u64).wrapping_add(self.salt)) >> 32;
         store::pack_word(id, e)
     }
 
     /// The live node of segment `s`; panics on an unallocated segment
-    /// (same misuse contract as the other growable layouts).
+    /// (an index no `make_set` returned).
     #[inline]
     fn node(&self, s: usize) -> &SegmentNode {
         let p = self.slots[s].load(store::LOAD);
@@ -277,9 +308,9 @@ impl EpochStore {
     #[cold]
     #[inline(never)]
     fn alloc_slot(&self, s: usize) {
-        let base = (1usize << s) - 1;
+        let base = segment_base(s);
         let cells: Box<[AtomicU64]> =
-            (0..1usize << s).map(|j| AtomicU64::new(self.singleton_word(base + j))).collect();
+            (base..base + segment_len(s)).map(|e| AtomicU64::new(self.singleton_word(e))).collect();
         let node = Arc::new(SegmentNode { epoch: self.epoch.load(store::STAT), cells });
         let raw = Arc::into_raw(node) as *mut SegmentNode;
         if self.slots[s]
@@ -397,7 +428,8 @@ impl ParentStore for EpochStore {
 
 impl IdOrder for EpochStore {
     fn less(&self, u: usize, v: usize) -> bool {
-        // Same tie-break as the other packed layouts (paper Section 7).
+        // 32-bit hash ids can collide; the index tie-break keeps the order
+        // total (paper Section 7's tie-breaking rule).
         self.key(u) < self.key(v)
     }
 }
@@ -420,8 +452,8 @@ impl GrowableStore for EpochStore {
         assert!(
             (e as u64) < (1 << 32),
             "EpochStore packs parent and id into 32 bits each and supports at most 2^32 \
-             elements, but make_set would create element {e}; use GrowableDsu<_, \
-             SegmentedStore> for larger universes"
+             elements, but make_set would create element {e}; only fixed universes have a \
+             wider layout (`Dsu<_, FlatStore>`)"
         );
         let (s, _off) = locate(e);
         if self.slots[s].load(store::LOAD).is_null() {
@@ -435,7 +467,12 @@ impl GrowableStore for EpochStore {
     }
 
     fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
-        segment_scan_runs(len, |s| !self.slots[s].load(store::LOAD).is_null())
+        (0..SEGMENTS)
+            .map(|s| (s, segment_base(s)))
+            .take_while(|&(_, base)| base < len)
+            .filter(|&(s, _)| !self.slots[s].load(store::LOAD).is_null())
+            .map(|(s, base)| base..(base + segment_len(s)).min(len))
+            .collect()
     }
 }
 
@@ -1004,7 +1041,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
 mod tests {
     use super::*;
     use crate::stats::OpStats;
-    use sequential_dsu::Partition;
 
     type VDsu = VersionedDsu<TwoTrySplit, EpochStore, crate::DefaultLink>;
 
@@ -1230,26 +1266,73 @@ mod tests {
     }
 
     #[test]
-    fn epoch_store_behaves_like_packed_seg_without_snapshots() {
-        // Unversioned semantics parity: same seed, same operations, same
-        // partition as the reference growable layout.
-        let epoch: GrowableDsu<TwoTrySplit, EpochStore> = GrowableDsu::with_seed(77);
-        let packed: GrowableDsu<TwoTrySplit, crate::PackedSegmentedStore> =
-            GrowableDsu::with_seed(77);
+    fn locate_packs_segments_exactly() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(1), (0, 1));
+        assert_eq!(locate(2), (1, 0));
+        assert_eq!(locate(3), (1, 1));
+        assert_eq!(locate(4), (2, 0));
+        assert_eq!(locate(7), (2, 3));
+        assert_eq!(locate(8), (3, 0));
+        assert_eq!(locate((1 << 32) - 1), (31, (1 << 31) - 1));
+        // Dense, in bounds, and inverse to `segment_base`.
+        for e in 0..10_000 {
+            let (s, off) = locate(e);
+            assert!(off < segment_len(s));
+            assert_eq!(segment_base(s) + off, e);
+            assert_eq!(segment_base(s + 1), segment_base(s) + segment_len(s));
+        }
+    }
+
+    /// Cells allocated across the directory (test-only; quiescent).
+    fn allocated_cells(store: &EpochStore) -> usize {
+        (0..SEGMENTS)
+            .filter(|&s| !store.slots[s].load(store::STAT).is_null())
+            .map(|s| store.node(s).cells.len())
+            .sum()
+    }
+
+    #[test]
+    fn with_initial_power_of_two_allocates_exactly_that_many_cells() {
+        for k in [1, 2, 3, 5, 10, 16] {
+            let dsu: GrowableDsu = GrowableDsu::with_initial(1 << k);
+            assert_eq!(allocated_cells(dsu.store()), 1 << k, "k = {k}");
+            // One element more opens exactly one more segment, as big as
+            // everything before it.
+            dsu.make_set();
+            assert_eq!(allocated_cells(dsu.store()), 2 << k, "k = {k}, +1");
+        }
+    }
+
+    #[test]
+    fn singleton_words_carry_the_hashed_id() {
+        // The id format every growable structure links by: the top half
+        // of SplitMix64 of the salted index, in the high word half.
+        let dsu: GrowableDsu = GrowableDsu::with_seed(77);
         for _ in 0..100 {
-            epoch.make_set();
-            packed.make_set();
+            dsu.make_set();
         }
-        for i in 0..99 {
-            let (x, y) = ((i * 13) % 100, (i * 29 + 1) % 100);
-            assert_eq!(epoch.unite(x, y), packed.unite(x, y), "edge {i}");
-            assert_eq!(epoch.same_set(0, y), packed.same_set(0, y));
+        let words = dsu.store().raw_words(100);
+        for (e, &w) in words.iter().enumerate() {
+            let id = splitmix64((e as u64).wrapping_add(77)) >> 32;
+            assert_eq!(w, store::pack_word(id, e), "element {e}");
         }
-        assert_eq!(
-            Partition::from_labels(&epoch.labels_snapshot()),
-            Partition::from_labels(&packed.labels_snapshot())
-        );
-        assert_eq!(epoch.store().epoch_report(), EpochReport::default());
+    }
+
+    /// The 2^32 bound must both state itself and name the only wider
+    /// layout, and it must fire before any allocation (the segment holding
+    /// element 2^32 would be 32 GiB).
+    #[test]
+    fn oversize_panic_states_the_bound_and_the_fixed_fallback() {
+        let store = <EpochStore as GrowableStore>::with_seed(0);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.ensure(1 << 32);
+        }))
+        .expect_err("element 2^32 must be rejected");
+        let msg = err.downcast_ref::<String>().expect("string panic payload");
+        assert!(msg.contains("at most 2^32"), "panic must state the bound: {msg}");
+        assert!(msg.contains("Dsu<_, FlatStore>"), "panic must name the flat layout: {msg}");
+        assert_eq!(allocated_cells(&store), 0, "the check must precede allocation");
     }
 
     #[test]

@@ -10,42 +10,32 @@
 //!
 //! As the paper notes, in an unbounded universe the algorithms are
 //! *lock-free* rather than wait-free: an operation could in principle chase
-//! a set that keeps growing. Storage is a directory of at most
-//! `usize::BITS` doubling segments; operations on existing elements never
-//! move memory, and allocating a new segment (which happens at most 64
-//! times ever) is the only place a thread can briefly wait for another.
+//! a set that keeps growing. Storage is [`EpochStore`]'s directory of
+//! doubling segments; operations on existing elements never move memory,
+//! and growth never waits for another thread — threads racing to allocate
+//! the same segment each build it, and the loser frees its copy.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bulk;
+use crate::epoch::EpochStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::flatten;
 use crate::ops;
-use crate::order::{splitmix64, HashOrder, IdOrder, LinkPolicy};
+use crate::order::{IdOrder, LinkPolicy};
 use crate::stats::{OpStats, StatsSink};
 use crate::store::{self, ParentStore};
 use crate::ConcurrentUnionFind;
-
-pub(crate) const SEGMENTS: usize = usize::BITS as usize;
-
-/// Maps element `e` to `(segment, offset)`: segment `s` holds the `2^s`
-/// elements `2^s - 1 ..= 2^(s+1) - 2`. (Shared with the epoch store's
-/// segment directory.)
-pub(crate) fn locate(e: usize) -> (usize, usize) {
-    let s = (usize::BITS - 1 - (e + 1).leading_zeros()) as usize;
-    (s, e + 1 - (1 << s))
-}
 
 /// A [`ParentStore`] whose universe grows one element at a time, bundled
 /// with its on-the-fly random order — everything
 /// [`GrowableDsu`] needs from its storage type parameter.
 ///
-/// Both implementations keep a directory of at most `usize::BITS` doubling
-/// segments, so cells never move and growth is lock-free.
+/// [`EpochStore`] is the layout; [`FaultyStore`](crate::FaultyStore)
+/// forwards the trait so chaos tests can wrap it.
 pub trait GrowableStore: ParentStore + IdOrder {
-    /// Short layout name for reports (e.g. `"packed-seg"`, `"flat-seg"`).
+    /// Short layout name for reports (e.g. `"epoch-seg"`).
     const NAME: &'static str;
 
     /// An empty store whose random ids are salted by `seed`.
@@ -67,214 +57,6 @@ pub trait GrowableStore: ParentStore + IdOrder {
     /// those are untouched singletons, and flattening a singleton is a
     /// no-op.
     fn scan_runs(&self, len: usize) -> Vec<Range<usize>>;
-}
-
-/// The flat growable layout: `AtomicUsize` parent segments, ids computed on
-/// demand by hashing the index ([`HashOrder`]) — nothing id-related is
-/// stored.
-pub struct SegmentedStore {
-    segments: [OnceLock<Box<[AtomicUsize]>>; SEGMENTS],
-    order: HashOrder,
-}
-
-impl SegmentedStore {
-    fn cell(&self, i: usize) -> &AtomicUsize {
-        let (s, off) = locate(i);
-        let seg = self.segments[s]
-            .get()
-            .expect("element's segment not allocated: use indices returned by make_set");
-        &seg[off]
-    }
-}
-
-impl ParentStore for SegmentedStore {
-    type Word = usize;
-
-    #[inline]
-    fn load_word(&self, i: usize) -> usize {
-        self.cell(i).load(store::LOAD)
-    }
-
-    #[inline]
-    fn parent_of(w: usize) -> usize {
-        w
-    }
-
-    #[inline]
-    fn cas_from(&self, i: usize, seen: usize, new_parent: usize) -> bool {
-        self.cell(i)
-            .compare_exchange(seen, new_parent, store::CAS_SUCCESS, store::CAS_FAILURE)
-            .is_ok()
-    }
-
-    #[inline]
-    fn cas_parent(&self, i: usize, old: usize, new: usize) -> bool {
-        self.cas_from(i, old, new)
-    }
-
-    #[inline]
-    fn priority(&self, i: usize, _w: usize) -> u64 {
-        // The full 64-bit hash; HashOrder's tie-break is the index, which
-        // is exactly the ParentStore::priority contract.
-        self.order.key_of(i).0
-    }
-
-    #[inline]
-    fn precedes(&self, u: usize, v: usize) -> bool {
-        // Ids are computed from the index, not stored: skip the default's
-        // parent-word loads and compare hashes directly.
-        self.order.less(u, v)
-    }
-}
-
-impl IdOrder for SegmentedStore {
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.order.less(u, v)
-    }
-}
-
-impl GrowableStore for SegmentedStore {
-    const NAME: &'static str = "flat-seg";
-
-    fn with_seed(seed: u64) -> Self {
-        SegmentedStore {
-            segments: std::array::from_fn(|_| OnceLock::new()),
-            order: HashOrder::new(seed),
-        }
-    }
-
-    fn ensure(&self, e: usize) {
-        let (s, off) = locate(e);
-        let seg = self.segments[s].get_or_init(|| {
-            let base = (1usize << s) - 1;
-            (0..1usize << s).map(|j| AtomicUsize::new(base + j)).collect()
-        });
-        debug_assert_eq!(seg[off].load(Ordering::Relaxed), e);
-    }
-
-    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
-        segment_scan_runs(len, |s| self.segments[s].get().is_some())
-    }
-}
-
-/// Shared segment-directory scan geometry: one range per *allocated*
-/// segment (segment `s` holds elements `2^s - 1 ..= 2^(s+1) - 2`), clipped
-/// to `len`.
-pub(crate) fn segment_scan_runs(
-    len: usize,
-    allocated: impl Fn(usize) -> bool,
-) -> Vec<Range<usize>> {
-    let mut runs = Vec::new();
-    for s in 0..SEGMENTS {
-        let base = (1usize << s) - 1;
-        if base >= len {
-            break;
-        }
-        if !allocated(s) {
-            continue;
-        }
-        runs.push(base..base + (1usize << s).min(len - base));
-    }
-    runs
-}
-
-/// The packed growable layout: `AtomicU64` parent segments carrying a
-/// 32-bit hash id in the high half (the paper's Section 7 "universe large
-/// enough that ties are rare" suggestion, with the element index breaking
-/// the rare ties), so traversal and priority comparison touch one word —
-/// same trade as [`PackedStore`](crate::store::PackedStore), including the
-/// `2^32`-element bound.
-pub struct PackedSegmentedStore {
-    segments: [OnceLock<Box<[AtomicU64]>>; SEGMENTS],
-    salt: u64,
-}
-
-impl PackedSegmentedStore {
-    /// The packed word a fresh singleton `e` is born with.
-    fn singleton_word(&self, e: usize) -> u64 {
-        // Top 32 bits of SplitMix64: the best-mixed half.
-        let id = splitmix64((e as u64).wrapping_add(self.salt)) >> 32;
-        store::pack_word(id, e)
-    }
-
-    fn cell(&self, i: usize) -> &AtomicU64 {
-        let (s, off) = locate(i);
-        let seg = self.segments[s]
-            .get()
-            .expect("element's segment not allocated: use indices returned by make_set");
-        &seg[off]
-    }
-
-    /// The `(hash id, index)` priority key of `i`, read from its word.
-    fn key(&self, i: usize) -> (u64, usize) {
-        (store::packed_id(self.cell(i).load(store::STAT)), i)
-    }
-}
-
-impl ParentStore for PackedSegmentedStore {
-    type Word = u64;
-
-    #[inline]
-    fn load_word(&self, i: usize) -> u64 {
-        self.cell(i).load(store::LOAD)
-    }
-
-    #[inline]
-    fn parent_of(w: u64) -> usize {
-        store::packed_parent(w)
-    }
-
-    #[inline]
-    fn cas_from(&self, i: usize, seen: u64, new_parent: usize) -> bool {
-        self.cell(i)
-            .compare_exchange(
-                seen,
-                store::packed_with_parent(seen, new_parent),
-                store::CAS_SUCCESS,
-                store::CAS_FAILURE,
-            )
-            .is_ok()
-    }
-
-    #[inline]
-    fn priority(&self, _i: usize, w: u64) -> u64 {
-        store::packed_id(w)
-    }
-}
-
-impl IdOrder for PackedSegmentedStore {
-    fn less(&self, u: usize, v: usize) -> bool {
-        // 32-bit hash ids can collide; the index tie-break keeps the order
-        // total (paper Section 7's tie-breaking rule).
-        self.key(u) < self.key(v)
-    }
-}
-
-impl GrowableStore for PackedSegmentedStore {
-    const NAME: &'static str = "packed-seg";
-
-    fn with_seed(seed: u64) -> Self {
-        PackedSegmentedStore { segments: std::array::from_fn(|_| OnceLock::new()), salt: seed }
-    }
-
-    fn ensure(&self, e: usize) {
-        assert!(
-            (e as u64) < (1 << 32),
-            "PackedSegmentedStore packs parent and id into 32 bits each and supports at most \
-             2^32 elements, but make_set would create element {e}; use \
-             GrowableDsu<_, SegmentedStore> for larger universes"
-        );
-        let (s, off) = locate(e);
-        let seg = self.segments[s].get_or_init(|| {
-            let base = (1usize << s) - 1;
-            (0..1usize << s).map(|j| AtomicU64::new(self.singleton_word(base + j))).collect()
-        });
-        debug_assert_eq!(store::packed_parent(seg[off].load(Ordering::Relaxed)), e);
-    }
-
-    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
-        segment_scan_runs(len, |s| self.segments[s].get().is_some())
-    }
 }
 
 /// A concurrent union-find whose universe grows via
@@ -305,7 +87,7 @@ impl GrowableStore for PackedSegmentedStore {
 /// ```
 pub struct GrowableDsu<
     F: FindPolicy = TwoTrySplit,
-    S: GrowableStore = crate::DefaultGrowableStore,
+    S: GrowableStore = EpochStore,
     L: LinkPolicy = crate::DefaultLink,
 > {
     store: S,
@@ -373,8 +155,8 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
     ///
     /// # Panics
     ///
-    /// Panics if the storage layout cannot address the new element (the
-    /// default [`PackedSegmentedStore`] supports at most `2^32`).
+    /// Panics if the storage layout cannot address the new element
+    /// ([`EpochStore`] supports at most `2^32`).
     pub fn make_set(&self) -> usize {
         let e = self.count.fetch_add(1, Ordering::SeqCst);
         self.store.ensure(e);
@@ -399,7 +181,7 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
     /// The underlying store — for layout-specific diagnostics (a
     /// [`FaultyStore`](crate::FaultyStore)'s
     /// [`fault_report`](crate::FaultyStore::fault_report), an
-    /// [`EpochStore`](crate::EpochStore)'s
+    /// [`EpochStore`]'s
     /// [`epoch_report`](crate::epoch::EpochFork::epoch_report)), mirroring
     /// [`Dsu::store`](crate::Dsu::store).
     pub fn store(&self) -> &S {
@@ -429,13 +211,13 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
         F::NAME
     }
 
-    /// The name of the storage layout (e.g. `"packed-seg"`), for reports.
+    /// The name of the storage layout (e.g. `"epoch-seg"`), for reports.
     pub fn store_name(&self) -> &'static str {
         S::NAME
     }
 
     /// The name of the link policy (e.g. `"random"`), for reports. Note
-    /// the growable layouts carry no rank word, so
+    /// the growable layout carries no rank word, so
     /// [`RankLink`](crate::RankLink) on them degenerates to index linking
     /// (see [`ParentStore::rank_of`]).
     pub fn link_name(&self) -> &'static str {
@@ -642,23 +424,6 @@ mod tests {
     use sequential_dsu::{NaiveDsu, Partition};
 
     #[test]
-    fn locate_covers_segments_densely() {
-        assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(1), (1, 0));
-        assert_eq!(locate(2), (1, 1));
-        assert_eq!(locate(3), (2, 0));
-        assert_eq!(locate(6), (2, 3));
-        assert_eq!(locate(7), (3, 0));
-        // Dense and in-bounds for a big range.
-        for e in 0..10_000 {
-            let (s, off) = locate(e);
-            assert!(off < (1 << s));
-            // Inverse mapping.
-            assert_eq!((1 << s) - 1 + off, e);
-        }
-    }
-
-    #[test]
     fn make_set_returns_dense_indices() {
         let dsu: GrowableDsu = GrowableDsu::new();
         for expect in 0..100 {
@@ -765,15 +530,16 @@ mod tests {
 
     #[test]
     fn segment_boundaries_are_seamless() {
-        // Unions that straddle segment boundaries (3->4, 7->8, ...).
+        // Unions that straddle segment boundaries (1->2, 3->4, 7->8, ...).
         let dsu: GrowableDsu = GrowableDsu::with_initial(1 << 10);
         for s in 1..10 {
-            let boundary = (1usize << s) - 1;
+            let boundary = 1usize << s;
             dsu.unite(boundary - 1, boundary);
         }
         for s in 1..10 {
-            let boundary = (1usize << s) - 1;
+            let boundary = 1usize << s;
             assert!(dsu.same_set(boundary - 1, boundary));
+            assert!(!dsu.same_set(boundary, boundary + 1), "only the straddling pair links");
         }
     }
 
@@ -793,27 +559,6 @@ mod tests {
         assert!(s.contains("two-try"));
     }
 
-    /// The packed growable layout's `2^32` bound check must both state the
-    /// bound and point at the flat growable fallback. (Regression: this
-    /// message previously had no test at all.)
-    #[test]
-    fn packed_seg_oversize_panic_names_the_flat_fallback() {
-        let store = <PackedSegmentedStore as GrowableStore>::with_seed(0);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.ensure(1 << 32);
-        }))
-        .expect_err("element 2^32 must be rejected");
-        let msg = err.downcast_ref::<String>().expect("string panic payload");
-        assert!(msg.contains("at most"), "panic must state the bound: {msg}");
-        assert!(
-            msg.contains("SegmentedStore"),
-            "panic must point at the flat growable layout: {msg}"
-        );
-        // (Not exercising 2^32 - 1 itself: ensure() allocates the whole
-        // containing segment — gigabytes for the top one. The bound check
-        // fires before any allocation, which is the property under test.)
-    }
-
     #[test]
     fn default_is_empty() {
         let dsu: GrowableDsu = GrowableDsu::default();
@@ -822,7 +567,7 @@ mod tests {
 
     /// Max walk length to a root over the first `len` elements (plain
     /// quiescent reads; test-only).
-    fn max_depth<S: GrowableStore>(store: &S, len: usize) -> usize {
+    fn max_depth(store: &EpochStore, len: usize) -> usize {
         (0..len)
             .map(|i| {
                 let mut u = i;
@@ -843,38 +588,34 @@ mod tests {
     /// NoCompaction + index linking over chain unites builds the full
     /// path 0→1→…→n-1 deterministically (same trick as the fixed-universe
     /// flatten tests).
-    fn deep_chain<S: GrowableStore>(
+    fn deep_chain(
         n: usize,
-    ) -> GrowableDsu<crate::find::NoCompaction, S, crate::order::IndexLink> {
+    ) -> GrowableDsu<crate::find::NoCompaction, EpochStore, crate::order::IndexLink> {
         let dsu = GrowableDsu::with_initial(n);
         for i in 1..n {
             dsu.unite(0, i);
         }
-        assert!(max_depth(&dsu.store, n) > 1, "{}: chain failed to build depth", S::NAME);
+        assert!(max_depth(&dsu.store, n) > 1, "chain failed to build depth");
         dsu
     }
 
     #[test]
-    fn flatten_reaches_depth_one_on_every_growable_layout() {
-        fn check<S: GrowableStore>() {
-            let n = 200;
-            let dsu = deep_chain::<S>(n);
-            dsu.flatten();
-            assert!(max_depth(&dsu.store, n) <= 1, "{}: flatten left depth > 1", S::NAME);
-            assert_eq!(dsu.set_count(), 1, "{}: flatten changed the partition", S::NAME);
-            assert!(dsu.same_set(0, n - 1));
-            // New elements after a flatten are untouched singletons.
-            let e = dsu.make_set();
-            assert!(!dsu.same_set(0, e));
-        }
-        check::<SegmentedStore>();
-        check::<PackedSegmentedStore>();
+    fn flatten_reaches_depth_one() {
+        let n = 200;
+        let dsu = deep_chain(n);
+        dsu.flatten();
+        assert!(max_depth(&dsu.store, n) <= 1, "flatten left depth > 1");
+        assert_eq!(dsu.set_count(), 1, "flatten changed the partition");
+        assert!(dsu.same_set(0, n - 1));
+        // New elements after a flatten are untouched singletons.
+        let e = dsu.make_set();
+        assert!(!dsu.same_set(0, e));
     }
 
     #[test]
-    fn parallel_flatten_on_growable_layouts() {
+    fn parallel_flatten_reaches_depth_one() {
         let n = 300;
-        let dsu = deep_chain::<PackedSegmentedStore>(n);
+        let dsu = deep_chain(n);
         let stats = dsu.flatten_parallel(4);
         assert_eq!(stats.flatten_passes, 1);
         assert!(stats.flatten_jumps > 0);

@@ -38,12 +38,14 @@
 //! `tests/keyed_semantics.rs`). Exactly one dense id is ever allocated
 //! per distinct key.
 //!
-//! The one wait in the structure: a thread that loses a same-key race
-//! spins until the winner publishes its id (typically a handful of
-//! cycles: the winner is between its claim CAS and one release store).
-//! This mirrors the segment-allocation wait the growable store already
-//! has — the operations are lock-free in aggregate, not wait-free, which
-//! is the paper's own caveat for unbounded universes.
+//! The waits in the structure are both in the id table: a thread that
+//! loses a same-key race spins until the winner publishes its id
+//! (typically a handful of cycles: the winner is between its claim CAS
+//! and one release store), and threads racing to grow one shard meet at
+//! that segment's `OnceLock`. The dense store underneath adds none — its
+//! racing segment allocators each build the segment and the loser frees
+//! its copy. The operations are lock-free in aggregate, not wait-free,
+//! which is the paper's own caveat for unbounded universes.
 //!
 //! # Batched resolution
 //!
@@ -77,7 +79,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::growable::{GrowableDsu, GrowableStore};
+use crate::growable::GrowableDsu;
 use crate::knob;
 use crate::order::splitmix64;
 use crate::stats::{ShardSkew, StatsSink};
@@ -217,27 +219,25 @@ impl<K> Drop for KeyShard<K> {
 /// assert_eq!(dsu.set_count(), 1);
 /// assert_eq!(dsu.key_count(), 100);
 /// ```
-pub struct KeyedDsu<K, F: FindPolicy = TwoTrySplit, S: GrowableStore = crate::DefaultGrowableStore>
-{
-    dsu: GrowableDsu<F, S>,
+pub struct KeyedDsu<K, F: FindPolicy = TwoTrySplit> {
+    dsu: GrowableDsu<F>,
     shards: Box<[KeyShard<K>]>,
     shard_bits: u32,
     salt: u64,
 }
 
-impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> std::fmt::Debug for KeyedDsu<K, F, S> {
+impl<K: Hash + Eq, F: FindPolicy> std::fmt::Debug for KeyedDsu<K, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyedDsu")
             .field("keys", &self.key_count())
             .field("set_count", &self.set_count())
             .field("key_shards", &self.shards.len())
             .field("policy", &F::NAME)
-            .field("store", &S::NAME)
             .finish()
     }
 }
 
-impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> Default for KeyedDsu<K, F, S> {
+impl<K: Hash + Eq, F: FindPolicy> Default for KeyedDsu<K, F> {
     fn default() -> Self {
         Self::new()
     }
@@ -312,7 +312,7 @@ fn key_shard_spec() -> ShardSpec {
     }
 }
 
-impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
+impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     /// Default seed for the key hash and the underlying id order.
     pub const DEFAULT_SEED: u64 = 0x6b65_7973; // "keys"
 
@@ -331,14 +331,6 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
 
     /// An empty keyed structure with an explicit id-table [`ShardSpec`].
     pub fn with_spec(seed: u64, spec: ShardSpec) -> Self {
-        Self::from_store(S::with_seed(seed), seed, spec)
-    }
-
-    /// Wraps an already-constructed (still empty) growable store — the
-    /// entry point for stores whose constructors take more than a seed,
-    /// such as a [`FaultyStore`](crate::FaultyStore) with its own
-    /// [`FaultPlan`](crate::FaultPlan).
-    pub fn from_store(store: S, seed: u64, spec: ShardSpec) -> Self {
         let shards: Box<[KeyShard<K>]> = (0..spec.shards()).map(|_| KeyShard::new()).collect();
         // Pre-allocate every shard's first segment: the common case never
         // pays the directory's OnceLock initialization race, and
@@ -347,7 +339,7 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
             let _ = shard.segments[0].get_or_init(|| Self::alloc_segment(0));
         }
         let shard_bits = spec.shards().trailing_zeros();
-        KeyedDsu { dsu: GrowableDsu::from_store(store), shards, shard_bits, salt: seed }
+        KeyedDsu { dsu: GrowableDsu::with_seed(seed), shards, shard_bits, salt: seed }
     }
 
     fn alloc_segment(s: usize) -> Box<[Slot<K>]> {
@@ -651,7 +643,7 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     /// [`insert`](KeyedDsu::insert)/[`get`](KeyedDsu::get) are its element
     /// indices, so mixed-mode pipelines (keyed ingest, dense analytics)
     /// can drop to the array API at any time.
-    pub fn dsu(&self) -> &GrowableDsu<F, S> {
+    pub fn dsu(&self) -> &GrowableDsu<F> {
         &self.dsu
     }
 }

@@ -87,7 +87,9 @@
 //!
 //! [`GrowableDsu`] adds `make_set` (paper Section 3 remark): elements can be
 //! created concurrently with other operations, ids are generated on the fly
-//! (Section 7 remark), and operations stay lock-free.
+//! (Section 7 remark), and operations stay lock-free. Every growable
+//! structure ([`GrowableDsu`], [`KeyedDsu`], [`VersionedDsu`]) runs on the
+//! one growable layout, [`EpochStore`].
 //!
 //! # Keyed entity resolution
 //!
@@ -141,9 +143,10 @@
 //!
 //! The `strict-sc` cargo feature (not an env var) restores the paper's
 //! sequentially consistent orderings crate-wide; `default-store-flat`
-//! retargets [`DefaultStore`] / [`DefaultGrowableStore`] to the flat
-//! layouts; `default-link-index` retargets [`DefaultLink`] from the
-//! paper's randomized linking to index linking.
+//! retargets [`DefaultStore`], and with it [`Dsu`]'s default, to the flat
+//! layout (growable structures have one layout, so it leaves them be);
+//! `default-link-index` retargets [`DefaultLink`] from the paper's
+//! randomized linking to index linking.
 
 pub mod bulk;
 pub mod epoch;
@@ -169,11 +172,9 @@ pub use epoch::{
 };
 pub use fault::{BrokenStore, FaultPlan, FaultReport, FaultyStore, RetryBudget, TestWatchdog};
 pub use find::{Compress, FindPolicy, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
-pub use growable::{GrowableDsu, GrowableStore, PackedSegmentedStore, SegmentedStore};
+pub use growable::{GrowableDsu, GrowableStore};
 pub use keyed::{KeyedDsu, ShardSpec};
-pub use order::{
-    HashOrder, IdOrder, IndexLink, LinkPolicy, PermutationOrder, RandomLink, RankLink,
-};
+pub use order::{IdOrder, IndexLink, LinkPolicy, PermutationOrder, RandomLink, RankLink};
 pub use stats::{OpStats, ShardSkew, StatsSink};
 pub use store::{DsuStore, FlatStore, PackedStore, ParentStore, RankedStore};
 pub use tune::{
@@ -191,15 +192,6 @@ pub type DefaultStore = FlatStore;
 /// feature; this build: packed, the fastest layout).
 #[cfg(not(feature = "default-store-flat"))]
 pub type DefaultStore = PackedStore;
-
-/// The growable layout [`GrowableDsu`] defaults to — the growable twin of
-/// [`DefaultStore`], following the same `default-store-flat` feature
-/// (this build: flat).
-#[cfg(feature = "default-store-flat")]
-pub type DefaultGrowableStore = SegmentedStore;
-/// The growable layout [`GrowableDsu`] defaults to (this build: packed).
-#[cfg(not(feature = "default-store-flat"))]
-pub type DefaultGrowableStore = PackedSegmentedStore;
 
 /// The link policy [`Dsu`] and [`GrowableDsu`] default to, selected at
 /// compile time by the `default-link-index` cargo feature (unset:

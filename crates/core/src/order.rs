@@ -87,40 +87,9 @@ impl IdOrder for PermutationOrder {
     }
 }
 
-/// The order used by [`GrowableDsu`](crate::GrowableDsu), where elements are
-/// created on the fly (paper Section 7): each element's id is a pseudorandom
-/// 64-bit hash of its index, with the index itself breaking the (rare) ties
-/// so the order stays total. This realizes the paper's suggestion of
-/// "assigning to each new element a random number selected uniformly from a
-/// universe large enough that the chance of a tie is sufficiently small, and
-/// adding a tie-breaking rule".
-#[derive(Debug, Clone, Copy)]
-pub struct HashOrder {
-    salt: u64,
-}
-
-impl HashOrder {
-    /// A hash order salted by `seed` (different seeds give independent
-    /// orders).
-    pub fn new(seed: u64) -> Self {
-        HashOrder { salt: seed }
-    }
-
-    /// The 128-bit comparison key of element `u`.
-    pub fn key_of(&self, u: usize) -> (u64, usize) {
-        (splitmix64((u as u64).wrapping_add(self.salt)), u)
-    }
-}
-
-impl IdOrder for HashOrder {
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.key_of(u) < self.key_of(v)
-    }
-}
-
 /// SplitMix64: a fast, well-distributed 64-bit mixing function (Steele,
 /// Lea & Flood 2014). Used to give growable elements i.i.d.-looking ids
-/// without storing them.
+/// drawn from their index (paper Section 7), and to hash keys.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -194,8 +163,8 @@ impl LinkPolicy for RandomLink {
 
     #[inline]
     fn precedes<P: ParentStore + ?Sized>(store: &P, u: usize, v: usize) -> bool {
-        // Route through the store so layouts with a side order (the
-        // growable segment directory) keep their zero-load override.
+        // Route through the store so layouts with a side order (the flat
+        // layout's id array) can skip the parent-word loads.
         store.precedes(u, v)
     }
 }
@@ -321,21 +290,6 @@ mod tests {
             (0..64).map(|u| a.id_of(u)).collect::<Vec<_>>(),
             (0..64).map(|u| c.id_of(u)).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn hash_order_is_a_total_order() {
-        check_total_order(&HashOrder::new(0xDEAD_BEEF), 12);
-    }
-
-    #[test]
-    fn hash_order_looks_uniform() {
-        // Crude uniformity check: among consecutive pairs (i, i+1), about
-        // half should have less(i, i+1). SplitMix64 is far better than this
-        // test requires.
-        let order = HashOrder::new(3);
-        let ups = (0..10_000).filter(|&i| order.less(i, i + 1)).count();
-        assert!((4_000..=6_000).contains(&ups), "ups = {ups}");
     }
 
     #[test]

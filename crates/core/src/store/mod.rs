@@ -16,12 +16,14 @@
 //! Two general-purpose fixed-universe layouts implement [`DsuStore`]; both
 //! draw ids from the same seeded permutation, so for a given `(n, seed)`
 //! they make identical linking decisions and are interchangeable
-//! mid-experiment. Pick by universe size:
+//! mid-experiment. Pick by universe size. Universes that grow have one
+//! layout, which implements [`GrowableStore`](crate::GrowableStore):
 //!
 //! | layout | word | footprint | universe bound | pick when |
 //! |---|---|---|---|---|
 //! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | universe fits the bound — the all-round fastest |
 //! | [`FlatStore`] | bare `AtomicUsize` parent + side id array | 16 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
+//! | [`EpochStore`](crate::EpochStore) | the packed word, in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only growable layout |
 //!
 //! [`RankedStore`] is the third layout, for the rank-linking ablation only:
 //! it packs a union-by-rank rank into the word (see
@@ -40,23 +42,29 @@
 //! tie; size experiments at `n ≥ 2^22` before concluding anything about
 //! placement.
 //!
-//! Growable twins: [`PackedSegmentedStore`](crate::PackedSegmentedStore)
-//! (default) and [`SegmentedStore`](crate::SegmentedStore) (flat) make the
-//! same trade for universes that grow via `make_set`.
+//! **Growable universes.** [`GrowableDsu`](crate::GrowableDsu),
+//! [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`](crate::VersionedDsu)
+//! all run on [`EpochStore`](crate::EpochStore). Its segment 0 holds
+//! elements `{0, 1}` and segment `s ≥ 1` holds `2^s .. 2^(s+1)`, so `2^k`
+//! elements fill exactly `2^k` cells. Its ids are 32-bit hashes of the
+//! index, tie-broken by the index (paper Section 7), so it keeps
+//! [`PackedStore`]'s one-load traversal and `2^32` bound. There is no flat
+//! growable layout: a universe beyond `2^32` has to be fixed
+//! ([`FlatStore`]).
 //!
 //! **Keys instead of indices.** If your elements are strings, sparse
 //! 64-bit ids, or any other hashable keys rather than dense `0..n`,
 //! don't build your own map in front of these layouts —
 //! [`KeyedDsu`](crate::KeyedDsu) (the [`keyed`](crate::keyed) module) is
 //! that map, done lock-free: a sharded CAS-claimed id table assigns dense
-//! ids on first touch and every set operation runs on the growable twin
-//! of your chosen layout. Its shard count has its own knob
-//! (`DSU_KEY_SHARDS`).
+//! ids on first touch and every set operation runs on the growable
+//! layout. Its shard count has its own knob (`DSU_KEY_SHARDS`).
 //!
 //! The default store behind [`Dsu`](crate::Dsu)'s `S` parameter follows the
 //! `default-store-flat` cargo feature (see
 //! [`DefaultStore`](crate::DefaultStore)); CI runs the whole test suite
-//! under every layout × ordering combination.
+//! under every fixed layout × ordering combination. The feature leaves the
+//! growable structures alone: they have one layout.
 //!
 //! **Testing under faults.** Any layout above wraps in
 //! [`FaultyStore`](crate::FaultyStore) (the [`fault`](crate::fault)
@@ -87,9 +95,9 @@
 //!
 //! * [`PackedStore`], [`FlatStore`], [`RankedStore`]:
 //!   one contiguous range covering `0..n` — the ideal scan surface.
-//! * Growable layouts ([`SegmentedStore`](crate::SegmentedStore) and
-//!   friends, via [`GrowableStore::scan_runs`](crate::GrowableStore::scan_runs)):
-//!   one range per *allocated* segment, skipping directory holes — a
+//! * [`EpochStore`](crate::EpochStore), via
+//!   [`GrowableStore::scan_runs`](crate::GrowableStore::scan_runs): one
+//!   range per *allocated* segment, skipping directory holes — a
 //!   concurrently reserved-but-uninitialized index is a root-shaped
 //!   singleton no sweep needs to visit.
 //!
@@ -97,12 +105,14 @@
 //! [`ParentStore::cas_from`], so they obey the same ordering contract as
 //! finds and are safe concurrently with unites.
 //!
-//! **Versioning.** When the workload needs O(1) snapshots, rollback, or
-//! speculative all-or-nothing batches, use the epoch-forking growable
-//! layout [`EpochStore`](crate::EpochStore) under a
-//! [`VersionedDsu`](crate::VersionedDsu) (the [`epoch`](crate::epoch)
-//! module). Like fault injection it is a separate type, so the layouts in
-//! this guide pay nothing for its existence; and it composes with
+//! **Versioning.** [`EpochStore`](crate::EpochStore)'s segments are
+//! epoch-stamped and fork copy-on-write, so when the workload needs O(1)
+//! snapshots, rollback, or speculative all-or-nothing batches, wrap the
+//! growable structure in a [`VersionedDsu`](crate::VersionedDsu) (the
+//! [`epoch`](crate::epoch) module). Only `VersionedDsu`'s `&mut`
+//! transitions move the epoch, so an unversioned structure never forks
+//! and pays one predictable epoch compare per CAS. The fixed layouts have
+//! no versioning at all. Versioning composes with
 //! [`FaultyStore`](crate::FaultyStore) for chaos-tested rollback.
 //!
 //! # Memory orderings (and the `strict-sc` feature)

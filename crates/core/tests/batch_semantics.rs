@@ -91,8 +91,7 @@ proptest! {
         );
     }
 
-    /// The growable structure's batch path agrees with its per-op path on
-    /// both segmented layouts.
+    /// The growable structure's batch path agrees with its per-op path.
     #[test]
     fn growable_batch_matches_per_op(edges in edges_strategy(16, 100), seed in any::<u64>()) {
         let batched: GrowableDsu = GrowableDsu::with_seed(seed);

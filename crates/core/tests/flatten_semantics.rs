@@ -5,9 +5,9 @@
 //! grandparents with the same observed-word CAS discipline as in-path
 //! compaction, so its safety argument is Lemma 3.1's: every parent change
 //! replaces a parent with a proper union-forest ancestor. What must hold —
-//! and is therefore proptested and stress-tested here, on every fixed and
-//! growable layout (the CI store/ordering matrix re-runs this suite under
-//! `--features strict-sc` and the non-default stores) — is:
+//! and is therefore proptested and stress-tested here, on every fixed
+//! layout and the growable one (the CI store/ordering matrix re-runs this
+//! suite under `--features strict-sc` and the non-default stores) — is:
 //!
 //! 1. **Verdict equivalence.** `unite` / `same_set` streams interleaved
 //!    with sweeps agree op-for-op with the sequential oracle, and a
@@ -19,8 +19,8 @@
 //!    spurious CAS failures and delayed loads under the sweep.
 
 use concurrent_dsu::{
-    Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, GrowableDsu, PackedSegmentedStore,
-    PackedStore, RankedStore, SegmentedStore, TestWatchdog, TwoTrySplit,
+    Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, GrowableDsu, PackedStore, RankedStore,
+    TestWatchdog, TwoTrySplit,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -86,36 +86,32 @@ proptest! {
         exercise_layout::<RankedStore>(&ops, 24, seed);
     }
 
-    /// Same statement for the growable layouts, with make_sets mixed into
+    /// Same statement for the growable layout, with make_sets mixed into
     /// the stream so sweeps run against a universe that grows under them.
     #[test]
     fn growable_flatten_is_invisible(ops in ops_strategy(16, 100), seed in any::<u64>()) {
-        fn run<S: concurrent_dsu::GrowableStore>(ops: &[(usize, usize, u8)], seed: u64) {
-            let dsu: GrowableDsu<TwoTrySplit, S> = GrowableDsu::with_seed(seed);
-            let mut oracle = NaiveDsu::new(16);
-            for _ in 0..16 {
-                dsu.make_set();
-            }
-            // The stream only touches 0..16; elements made after a sweep
-            // stay singletons, so they offset set_count exactly.
-            let mut extra = 0usize;
-            for &(x, y, kind) in ops {
-                match kind {
-                    0 => assert_eq!(dsu.unite(x, y), oracle.unite(x, y), "{}", S::NAME),
-                    1 => assert_eq!(dsu.same_set(x, y), oracle.same_set(x, y), "{}", S::NAME),
-                    _ => {
-                        dsu.flatten();
-                        // Grow mid-stream: sweeps must keep ignoring
-                        // indices beyond their len snapshot.
-                        dsu.make_set();
-                        extra += 1;
-                    }
+        let dsu: GrowableDsu = GrowableDsu::with_seed(seed);
+        let mut oracle = NaiveDsu::new(16);
+        for _ in 0..16 {
+            dsu.make_set();
+        }
+        // The stream only touches 0..16; elements made after a sweep stay
+        // singletons, so they offset set_count exactly.
+        let mut extra = 0usize;
+        for &(x, y, kind) in &ops {
+            match kind {
+                0 => prop_assert_eq!(dsu.unite(x, y), oracle.unite(x, y)),
+                1 => prop_assert_eq!(dsu.same_set(x, y), oracle.same_set(x, y)),
+                _ => {
+                    dsu.flatten();
+                    // Grow mid-stream: sweeps must keep ignoring indices
+                    // beyond their len snapshot.
+                    dsu.make_set();
+                    extra += 1;
                 }
             }
-            assert_eq!(dsu.set_count(), oracle.set_count() + extra, "{}", S::NAME);
         }
-        run::<SegmentedStore>(&ops, seed);
-        run::<PackedSegmentedStore>(&ops, seed);
+        prop_assert_eq!(dsu.set_count(), oracle.set_count() + extra);
     }
 }
 

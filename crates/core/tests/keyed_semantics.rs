@@ -1,21 +1,17 @@
 //! Keyed-layer semantics: `KeyedDsu` agrees with a sequential
-//! `HashMap<K, usize>` + union-find oracle, on every growable layout.
+//! `HashMap<K, usize>` + union-find oracle.
 //!
 //! The keyed layer adds exactly one thing to the core — a lock-free
 //! key → dense-id table — so its contract is exactly one thing: every
 //! operation behaves as if the key were first looked up in a sequential
 //! map and the operation then ran on the dense core. Single-threaded,
-//! verdicts must match the oracle op for op on both growable layouts
-//! (packed-seg, flat-seg; CI re-runs the suite under
+//! verdicts must match the oracle op for op (CI re-runs the suite under
 //! `--features strict-sc` for the SeqCst translation). Under concurrency,
 //! the table's one hard promise — **at most one id per distinct key, no
 //! matter how many threads race the first insert** — is stress-tested
 //! directly, including the insert-vs-merge race on the same unseen key.
 
-use concurrent_dsu::growable::GrowableStore;
-use concurrent_dsu::{
-    KeyedDsu, PackedSegmentedStore, SegmentedStore, ShardSpec, TestWatchdog, TwoTrySplit,
-};
+use concurrent_dsu::{KeyedDsu, ShardSpec, TestWatchdog};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,10 +80,10 @@ fn key(i: usize) -> String {
     format!("key-{i:04}")
 }
 
-/// One layout's single-threaded run against the oracle, op for op, plus
-/// the id-table invariants (dense ids, stable `get`, exact `key_count`).
-fn exercise_layout<S: GrowableStore>(ops: &[(usize, usize, usize)], seed: u64) {
-    let dsu: KeyedDsu<String, TwoTrySplit, S> = KeyedDsu::with_seed(seed);
+/// A single-threaded run against the oracle, op for op, plus the id-table
+/// invariants (dense ids, stable `get`, exact `key_count`).
+fn exercise(ops: &[(usize, usize, usize)], seed: u64) {
+    let dsu: KeyedDsu<String> = KeyedDsu::with_seed(seed);
     let mut oracle = Oracle::default();
     for (i, &(a, b, kind)) in ops.iter().enumerate() {
         let (ka, kb) = (key(a), key(b));
@@ -126,12 +122,10 @@ fn exercise_layout<S: GrowableStore>(ops: &[(usize, usize, usize)], seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Oracle equivalence on both growable layouts — arbitrary op
-    /// mixes, arbitrary seeds.
+    /// Oracle equivalence — arbitrary op mixes, arbitrary seeds.
     #[test]
-    fn keyed_matches_oracle_all_layouts(ops in ops_strategy(24, 120), seed in any::<u64>()) {
-        exercise_layout::<PackedSegmentedStore>(&ops, seed);
-        exercise_layout::<SegmentedStore>(&ops, seed);
+    fn keyed_matches_oracle(ops in ops_strategy(24, 120), seed in any::<u64>()) {
+        exercise(&ops, seed);
     }
 
     /// The batch entry points are observationally identical to per-op
@@ -282,82 +276,78 @@ fn concurrent_insert_vs_merge_of_same_unseen_key() {
     assert_eq!(dsu.set_count(), 1);
 }
 
-/// Full-mix stress on every layout: threads share one keyed structure and
-/// race inserts, merges, queries, and batches over an overlapping key
-/// range; the final partition must equal a sequential replay's.
+/// Full-mix stress: threads share one keyed structure and race inserts,
+/// merges, queries, and batches over an overlapping key range; the final
+/// partition must equal a sequential replay's.
 #[test]
 fn threaded_keyed_stress_matches_sequential_replay() {
     let _wd = TestWatchdog::arm(
         "threaded_keyed_stress_matches_sequential_replay",
         Duration::from_secs(120),
     );
-    fn run<S: GrowableStore>() {
-        const THREADS: usize = 4;
-        let keys = 96usize;
-        let per_thread: Vec<Vec<(String, String)>> = (0..THREADS)
-            .map(|t| {
-                (0..800)
-                    .map(|i| {
-                        let a = (i * 7919 + t * 131) % keys;
-                        let b = (i * 104729 + t * 17 + 5) % keys;
-                        (key(a), key(b))
-                    })
-                    .collect()
-            })
-            .collect();
-        let dsu: KeyedDsu<String, TwoTrySplit, S> = KeyedDsu::with_seed(23);
-        std::thread::scope(|s| {
-            for (t, ops) in per_thread.iter().enumerate() {
-                let dsu = &dsu;
-                s.spawn(move || {
-                    for (i, (a, b)) in ops.iter().enumerate() {
-                        match i % 4 {
-                            0 => {
-                                dsu.merge_keys(a, b);
-                            }
-                            1 => {
-                                dsu.same_set(a, b);
-                            }
-                            2 => {
-                                dsu.insert(a);
-                            }
-                            // One thread per stripe drives the batch path.
-                            _ if t % 2 == 0 => {
-                                dsu.merge_keys_batch(std::slice::from_ref(&(a.clone(), b.clone())));
-                            }
-                            _ => {
-                                dsu.merge_keys(b, a);
-                            }
+    const THREADS: usize = 4;
+    let keys = 96usize;
+    let per_thread: Vec<Vec<(String, String)>> = (0..THREADS)
+        .map(|t| {
+            (0..800)
+                .map(|i| {
+                    let a = (i * 7919 + t * 131) % keys;
+                    let b = (i * 104729 + t * 17 + 5) % keys;
+                    (key(a), key(b))
+                })
+                .collect()
+        })
+        .collect();
+    let dsu: KeyedDsu<String> = KeyedDsu::with_seed(23);
+    std::thread::scope(|s| {
+        for (t, ops) in per_thread.iter().enumerate() {
+            let dsu = &dsu;
+            s.spawn(move || {
+                for (i, (a, b)) in ops.iter().enumerate() {
+                    match i % 4 {
+                        0 => {
+                            dsu.merge_keys(a, b);
+                        }
+                        1 => {
+                            dsu.same_set(a, b);
+                        }
+                        2 => {
+                            dsu.insert(a);
+                        }
+                        // One thread per stripe drives the batch path.
+                        _ if t % 2 == 0 => {
+                            dsu.merge_keys_batch(std::slice::from_ref(&(a.clone(), b.clone())));
+                        }
+                        _ => {
+                            dsu.merge_keys(b, a);
                         }
                     }
-                });
-            }
-        });
-        let mut oracle = Oracle::default();
-        for ops in &per_thread {
-            for (i, (a, b)) in ops.iter().enumerate() {
-                match i % 4 {
-                    1 => {}
-                    2 => {
-                        oracle.id_of(a);
-                    }
-                    _ => {
-                        oracle.merge(a, b);
-                    }
+                }
+            });
+        }
+    });
+    let mut oracle = Oracle::default();
+    for ops in &per_thread {
+        for (i, (a, b)) in ops.iter().enumerate() {
+            match i % 4 {
+                1 => {}
+                2 => {
+                    oracle.id_of(a);
+                }
+                _ => {
+                    oracle.merge(a, b);
                 }
             }
         }
-        assert_eq!(dsu.key_count(), oracle.ids.len());
-        assert_eq!(dsu.set_count(), oracle.set_count());
-        let all_keys: Vec<String> = oracle.ids.keys().cloned().collect();
-        for ka in &all_keys {
-            for kb in &all_keys {
-                assert_eq!(dsu.same_set(ka, kb), oracle.same_set(ka, kb), "({ka}, {kb})");
-            }
+    }
+    assert_eq!(dsu.key_count(), oracle.ids.len());
+    assert_eq!(dsu.set_count(), oracle.set_count());
+    let all_keys: Vec<String> = oracle.ids.keys().cloned().collect();
+    for ka in &all_keys {
+        for kb in &all_keys {
+            assert_eq!(dsu.same_set(ka, kb), oracle.same_set(ka, kb), "({ka}, {kb})");
         }
     }
-    run::<PackedSegmentedStore>();
-    run::<SegmentedStore>();
 }
 
 /// Growth under contention: enough racing fresh keys to force segment

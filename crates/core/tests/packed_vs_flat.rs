@@ -1,5 +1,5 @@
 //! Layout cross-checks: `Dsu<_, PackedStore>` and `Dsu<_, FlatStore>` are
-//! observationally identical.
+//! observationally identical, and the growable layout matches the oracle.
 //!
 //! Both layouts draw ids from the same seeded permutation, so for any seed
 //! and single-threaded operation sequence every return value, the set
@@ -17,8 +17,7 @@
 //! the interleaving went.
 
 use concurrent_dsu::{
-    Dsu, DsuStore, FindPolicy, FlatStore, GrowableDsu, PackedSegmentedStore, PackedStore,
-    SegmentedStore, TestWatchdog, TwoTrySplit,
+    Dsu, DsuStore, FindPolicy, FlatStore, GrowableDsu, PackedStore, TestWatchdog, TwoTrySplit,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -90,35 +89,26 @@ proptest! {
         prop_assert_eq!(packed.union_forest_snapshot(), flat.union_forest_snapshot());
     }
 
-    /// Both growable layouts match the oracle. The flat one computes
-    /// full-width ids (packed truncates to 32 bits), so only observables
-    /// are compared, not forests.
+    /// The growable layout matches the oracle on every operation.
     #[test]
-    fn growable_layouts_agree(ops in ops_strategy(16, 100), seed in any::<u64>()) {
+    fn growable_matches_oracle(ops in ops_strategy(16, 100), seed in any::<u64>()) {
         let n = 16;
-        let packed: GrowableDsu<TwoTrySplit, PackedSegmentedStore> = GrowableDsu::with_seed(seed);
-        let flat: GrowableDsu<TwoTrySplit, SegmentedStore> = GrowableDsu::with_seed(seed);
+        let dsu: GrowableDsu = GrowableDsu::with_seed(seed);
         let mut oracle = NaiveDsu::new(n);
         for _ in 0..n {
-            packed.make_set();
-            flat.make_set();
+            dsu.make_set();
         }
         for &op in &ops {
-            let (expected, x, y) = match op {
-                Op::Unite(x, y) | Op::UniteEarly(x, y) => (oracle.unite(x, y), x, y),
-                Op::SameSet(x, y) | Op::SameSetEarly(x, y) => (oracle.same_set(x, y), x, y),
+            let (expected, got) = match op {
+                Op::Unite(x, y) => (oracle.unite(x, y), dsu.unite(x, y)),
+                Op::UniteEarly(x, y) => (oracle.unite(x, y), dsu.unite_early(x, y)),
+                Op::SameSet(x, y) => (oracle.same_set(x, y), dsu.same_set(x, y)),
+                Op::SameSetEarly(x, y) => (oracle.same_set(x, y), dsu.same_set_early(x, y)),
             };
-            let (p, f) = match op {
-                Op::Unite(..) => (packed.unite(x, y), flat.unite(x, y)),
-                Op::UniteEarly(..) => (packed.unite_early(x, y), flat.unite_early(x, y)),
-                Op::SameSet(..) => (packed.same_set(x, y), flat.same_set(x, y)),
-                Op::SameSetEarly(..) => (packed.same_set_early(x, y), flat.same_set_early(x, y)),
-            };
-            prop_assert_eq!(p, expected, "packed growable diverged on {:?}", op);
-            prop_assert_eq!(f, expected, "flat growable diverged on {:?}", op);
+            prop_assert_eq!(got, expected, "growable diverged on {:?}", op);
         }
-        prop_assert_eq!(packed.set_count(), oracle.set_count());
-        prop_assert_eq!(flat.set_count(), oracle.set_count());
+        prop_assert_eq!(dsu.set_count(), oracle.set_count());
+        prop_assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle.partition());
     }
 }
 
@@ -196,47 +186,33 @@ fn concurrent_stress_matches_components_all_layouts() {
     ids_increase(&flat);
 }
 
-/// Concurrent growth + churn on both growable layouts.
+/// Concurrent growth + churn on the growable layout.
 #[test]
-fn packed_growable_concurrent_stress() {
-    let _wd = TestWatchdog::arm("packed_growable_concurrent_stress", Duration::from_secs(120));
-    let dsu: GrowableDsu<TwoTrySplit, PackedSegmentedStore> = GrowableDsu::new();
-    let flat: GrowableDsu<TwoTrySplit, SegmentedStore> = GrowableDsu::new();
+fn growable_concurrent_stress() {
+    let _wd = TestWatchdog::arm("growable_concurrent_stress", Duration::from_secs(120));
+    let dsu: GrowableDsu = GrowableDsu::new();
     let threads = 8;
     let per_thread = 1500;
-    fn churn<S: concurrent_dsu::GrowableStore>(
-        dsu: &GrowableDsu<TwoTrySplit, S>,
-        threads: usize,
-        per_thread: usize,
-    ) {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    for i in 0..per_thread {
-                        let e = dsu.make_set();
-                        mine.push(e);
-                        if mine.len() >= 2 {
-                            let a = mine[(i * 31 + t) % mine.len()];
-                            let b = mine[(i * 17 + 1) % mine.len()];
-                            dsu.unite(a, b);
-                            dsu.same_set(b, a);
-                        }
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let dsu = &dsu;
+            s.spawn(move || {
+                let mut mine = Vec::new();
+                for i in 0..per_thread {
+                    let e = dsu.make_set();
+                    mine.push(e);
+                    if mine.len() >= 2 {
+                        let a = mine[(i * 31 + t) % mine.len()];
+                        let b = mine[(i * 17 + 1) % mine.len()];
+                        dsu.unite(a, b);
+                        dsu.same_set(b, a);
                     }
-                });
-            }
-        });
-    }
-    churn(&dsu, threads, per_thread);
-    churn(&flat, threads, per_thread);
-    for (name, len, labels) in [
-        ("packed-seg", dsu.len(), dsu.labels_snapshot()),
-        ("flat-seg", flat.len(), flat.labels_snapshot()),
-    ] {
-        assert_eq!(len, threads * per_thread, "{name}");
-        // Labels must form a consistent partition.
-        let _ = Partition::from_labels(&labels);
-    }
+                }
+            });
+        }
+    });
+    assert_eq!(dsu.len(), threads * per_thread);
+    // Labels must form a consistent partition.
+    let _ = Partition::from_labels(&dsu.labels_snapshot());
     assert!(dsu.set_count() >= 1 && dsu.set_count() <= dsu.len());
-    assert!(flat.set_count() >= 1 && flat.set_count() <= flat.len());
 }

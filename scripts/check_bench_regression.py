@@ -10,7 +10,10 @@ Compares the current run's A/B bench JSON files against the previous run's
   contender lost ground against its in-run baseline — catches "the
   optimized arm regressed" even when host drift moves both arms, which is
   why the ratio diff exists: medians from a shared CI box drift together,
-  ratios don't).
+  ratios don't). A ratio is only comparable while its row keeps the same
+  arms: when the set of `*_median_ns` keys differs between baseline and
+  current (an arm was added or deleted, so the base arm may have moved),
+  the row's ratios are skipped with a note and only its medians compared.
 
 Records carry a `machine` fingerprint (cpus, arch, os) stamped by the
 bench examples; when the baseline was produced on a different machine the
@@ -60,6 +63,11 @@ def rows_by_threads(doc):
         for row in doc.get("results", [])
         if "threads" in row
     }
+
+
+def arms(row):
+    """The modes a row measured: its `*_median_ns` keys, suffix stripped."""
+    return {k[: -len("_median_ns")] for k in row if k.endswith("_median_ns")}
 
 
 def fingerprint(doc):
@@ -129,6 +137,13 @@ def compare_file(baseline_dir, current_dir, name, report=False):
         )
         if b_row is None:
             continue
+        same_arms = arms(row) == arms(b_row)
+        if not same_arms:
+            lines.append(
+                f"- `{name}` @ {threads}: arms changed "
+                f"({', '.join(sorted(arms(b_row)))} -> {', '.join(sorted(arms(row)))}) — "
+                f"A/B ratios not compared"
+            )
         for key in sorted(row):
             new, old = row.get(key), b_row.get(key)
             # Both sides must be positive numbers: the median branch
@@ -153,7 +168,7 @@ def compare_file(baseline_dir, current_dir, name, report=False):
                     )
                 else:
                     lines.append(f"- `{name}` {mode} @ {threads}: {ratio:.2f}x baseline")
-            elif key.endswith("_speedup"):
+            elif key.endswith("_speedup") and same_arms:
                 shrink = old / new  # >1 means the A/B ratio got worse
                 mode = key[: -len("_speedup")]
                 if shrink > THRESHOLD:

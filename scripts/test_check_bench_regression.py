@@ -8,6 +8,8 @@ CI wiring depends on:
 
 * a >15% median regression is flagged,
 * a >15% A/B speedup-ratio shrink is flagged (even when medians drift),
+* ratios are not compared in a row whose arms changed (the base arm of
+  the ratio may have moved),
 * baselines from a different machine fingerprint are refused (skipped),
 * a missing baseline is a note, not an error,
 * `--report` prints the machine fingerprints and the row keys compared
@@ -108,6 +110,33 @@ class GateFixture(unittest.TestCase):
         self.assertIn(":warning:", report)
         self.assertIn("ratio", report)
         self.assertIn("shrank", report)
+
+    def test_speedup_ratios_skipped_when_arms_change(self):
+        # The baseline row had a `plain` base arm; the current row dropped
+        # it, so `versioned` became the base and `snap_speedup` now means
+        # snap-vs-versioned. Comparing 0.83 -> 0.50 would be a false
+        # shrink; the medians are still comparable and still gated.
+        self.write(
+            self.base_dir,
+            "a.json",
+            doc([row(1, n=65536, plain_median_ns=100.0, plain_speedup=1.0,
+                     versioned_median_ns=90.0, versioned_speedup=1.11,
+                     snap_median_ns=120.0, snap_speedup=0.83)]),
+        )
+        self.write(
+            self.cur_dir,
+            "a.json",
+            doc([row(1, n=65536, versioned_median_ns=90.0, versioned_speedup=1.0,
+                     snap_median_ns=180.0, snap_speedup=0.50)]),
+        )
+        status, report = self.run_gate("a.json")
+        self.assertEqual(status, 0)
+        self.assertIn("arms changed", report)
+        self.assertNotIn("shrank", report)
+        self.assertNotIn("ratio @", report)
+        flagged = [l for l in report.splitlines() if ":warning:" in l]
+        self.assertEqual(len(flagged), 1, "only the snap median regressed")
+        self.assertIn("**snap**", flagged[0])
 
     def test_cross_machine_baseline_is_refused(self):
         other = {"cpus": 2, "arch": "aarch64", "os": "macos"}

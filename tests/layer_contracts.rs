@@ -2,14 +2,16 @@
 //! a sequential `SeqDsu` oracle: the plain `Dsu` (per-op and both batch
 //! entry points), `GrowableDsu` (growth plus a batch), `VersionedDsu`
 //! (snapshot, mutate, roll back), `KeyedDsu` (the keyed batch paths), and
-//! `TunedDsu` past its sampling switch point. The semantics suites in
+//! `TunedDsu` past its sampling switch point. One more contract covers what
+//! the unversioned growable layers share with `VersionedDsu`: the epoch
+//! store underneath, which they must never fork. The semantics suites in
 //! `crates/core/tests` prove each layer in depth; these keep every layer
 //! under the root crate's own test run.
 
 use std::collections::HashSet;
 
 use jt_dsu::concurrent_dsu::tune::DEFAULT_SAMPLE_BUDGET;
-use jt_dsu::concurrent_dsu::{TunedDsu, TunerMode};
+use jt_dsu::concurrent_dsu::{EpochFork, EpochReport, TunedDsu, TunerMode};
 use jt_dsu::{Compaction, Dsu, GrowableDsu, KeyedDsu, Linking, Partition, SeqDsu, VersionedDsu};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -152,4 +154,42 @@ fn tuned_dsu_matches_oracle_past_its_switch_point() {
     assert_eq!(dsu.unite_batch(&burst), links);
     assert_eq!(dsu.set_count(), seq.set_count());
     assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition());
+}
+
+/// `GrowableDsu` and `KeyedDsu` run on the same copy-on-write store as
+/// `VersionedDsu`, and only `VersionedDsu`'s `&mut` transitions may move
+/// its epoch. After threaded churn (growth, unites, queries, keyed merges
+/// and batches) and a flatten sweep, both must still be at epoch 0 with
+/// no copy-on-write work done.
+#[test]
+fn unversioned_structures_never_fork() {
+    let dsu: GrowableDsu = GrowableDsu::with_initial(64);
+    let keyed: KeyedDsu<u64> = KeyedDsu::with_seed(6);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (dsu, keyed) = (&dsu, &keyed);
+            s.spawn(move || {
+                let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0006 ^ t);
+                for _ in 0..500 {
+                    // Pair each new element with a pre-made one: another
+                    // thread's fresh index may still be initializing.
+                    let e = dsu.make_set();
+                    dsu.unite(e, rng.gen_range(0..64));
+                    dsu.same_set(e, rng.gen_range(0..64));
+                    let (a, b) = (rng.gen_range(0..2048u64), rng.gen_range(0..2048u64));
+                    keyed.merge_keys(&a, &b);
+                    keyed.same_set(&b, &a);
+                }
+                keyed.merge_keys_batch(&[(t, t + 4096), (t + 4096, t + 8192)]);
+            });
+        }
+    });
+    dsu.flatten();
+    keyed.dsu().flatten();
+    assert_eq!(dsu.len(), 64 + 4 * 500);
+    assert!(keyed.key_count() > 1024, "the keyed churn must have grown the store");
+    for (layer, store) in [("growable", dsu.store()), ("keyed", keyed.dsu().store())] {
+        assert_eq!(store.epoch_report(), EpochReport::default(), "{layer}: a write forked");
+        assert_eq!(store.current_epoch(), 0, "{layer}: the epoch moved");
+    }
 }
