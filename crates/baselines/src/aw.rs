@@ -7,9 +7,9 @@
 //! level of indirection so that a node's parent and rank can be read and
 //! CASed together. On 64-bit hardware the same atomicity is obtained by
 //! packing `(rank: 16 bits, parent: 48 bits)` into a single `AtomicU64`,
-//! which is what this implementation does (the substitution is recorded in
-//! `DESIGN.md` §6). Everything the Jayanti–Tarjan paper criticizes about the
-//! approach is faithfully present:
+//! which is what this implementation does (it replaces Anderson & Woll's
+//! indirection, not their algorithm). Everything the Jayanti–Tarjan paper
+//! criticizes about the approach is faithfully present:
 //!
 //! * rank ties must be detected and resolved *in the data structure* (an
 //!   extra CAS to bump the surviving root's rank, which can fail and leave

@@ -7,6 +7,10 @@
 //! packed/flat throughput ratio — printed as a table and, with
 //! `--json PATH`, written out for archiving or CI artifacts.
 //!
+//! Both layouts are one 8-byte word per element: the packed word carries
+//! the id next to the parent, the flat layout recomputes the hashed id
+//! from the index. The ratio prices that difference.
+//!
 //! Run: `cargo run --release -p dsu-bench --example packed_vs_flat_ab --
 //!       [--samples 15] [--n 1048576] [--m 2097152] [--threads 1,2,4,8]
 //!       [--json out.json] [--quick true]`

@@ -1,7 +1,8 @@
 //! Shared helpers for the Criterion benches.
 //!
 //! The benches complement the `dsu-harness` experiment binaries: the
-//! binaries regenerate the paper-claim tables (E1–E12 in `DESIGN.md`),
+//! binaries regenerate the paper-claim tables (E1–E12, indexed in the
+//! `dsu-harness` crate docs),
 //! while these give statistically disciplined micro-timings for the same
 //! code paths:
 //!

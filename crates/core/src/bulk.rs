@@ -386,7 +386,8 @@ mod tests {
         let count = AtomicUsize::new(0);
         let edges: Vec<(usize, usize)> = (0..15).map(|i| (i, i + 1)).collect();
         let links = unite_batch::<RandomLink, _, _>(&store, &edges, &mut (), |child, parent| {
-            assert!(DsuStore::id_of(&store, child) < DsuStore::id_of(&store, parent));
+            let key = |x| (DsuStore::id_of(&store, x), x);
+            assert!(key(child) < key(parent));
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(links, 15);

@@ -53,10 +53,6 @@ pub struct Dsu<
     L: LinkPolicy = crate::DefaultLink,
 > {
     store: S,
-    /// Parent in the *union forest*: written exactly once per element, when
-    /// its link CAS succeeds. Read for offline analysis (heights, depths) at
-    /// quiescence; never read by the operations themselves.
-    union_parent: Box<[AtomicUsize]>,
     /// Number of successful links ever; `set_count = n - links`.
     links: AtomicUsize,
     _policy: std::marker::PhantomData<(F, L)>,
@@ -110,14 +106,12 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// ```
     ///
     /// The store must be freshly constructed (all singletons): `Dsu`
-    /// tracks the set count and union forest from zero.
+    /// tracks the set count from zero. To record the union forest (for
+    /// height measurements), pass a [`UnionForest`](crate::UnionForest)
+    /// around the layout, or name it in the type:
+    /// `Dsu<F, UnionForest<PackedStore>>`.
     pub fn from_store(store: S) -> Self {
-        Dsu {
-            union_parent: (0..store.len()).map(AtomicUsize::new).collect(),
-            store,
-            links: AtomicUsize::new(0),
-            _policy: std::marker::PhantomData,
-        }
+        Dsu { store, links: AtomicUsize::new(0), _policy: std::marker::PhantomData }
     }
 
     /// Number of elements in the universe.
@@ -139,12 +133,16 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         self.len() - self.links.load(crate::store::STAT)
     }
 
-    /// The random id (position in the random total order) of element `x`.
+    /// The 32-bit random id of element `x`: the shared
+    /// [`hashed_id`](crate::order::hashed_id) of `x` under this structure's
+    /// seed. Ids can collide, so the random total order that linking
+    /// follows is the `(id_of(x), x)` key, with the index breaking ties.
     ///
     /// # Panics
     ///
     /// Panics if `x >= self.len()`.
     pub fn id_of(&self, x: usize) -> u64 {
+        self.check(x);
         self.store.id_of(x)
     }
 
@@ -223,9 +221,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_with<Sk: StatsSink>(&self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.check(x);
         self.check(y);
-        ops::unite::<F, L, _, _>(&self.store, x, y, stats, |child, parent| {
-            self.record_link(child, parent)
-        })
+        ops::unite::<F, L, _, _>(&self.store, x, y, stats, |_, _| self.record_link())
     }
 
     /// `SameSet` with early termination (paper Algorithm 6): walks only the
@@ -260,9 +256,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_early_with<Sk: StatsSink>(&self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.check(x);
         self.check(y);
-        ops::unite_early::<F, L, _, _>(&self.store, x, y, stats, |child, parent| {
-            self.record_link(child, parent)
-        })
+        ops::unite_early::<F, L, _, _>(&self.store, x, y, stats, |_, _| self.record_link())
     }
 
     /// Batched [`unite`](Dsu::unite) over an edge slice (see the
@@ -291,9 +285,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         stats: &mut Sk,
     ) -> usize {
         self.check_edges(edges);
-        bulk::unite_batch::<L, _, _>(&self.store, edges, stats, |child, parent| {
-            self.record_link(child, parent)
-        })
+        bulk::unite_batch::<L, _, _>(&self.store, edges, stats, |_, _| self.record_link())
     }
 
     /// [`unite_batch`](Dsu::unite_batch) that also reports, per edge,
@@ -310,7 +302,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             &self.store,
             edges,
             &mut (),
-            |child, parent| self.record_link(child, parent),
+            |_, _| self.record_link(),
             |i, linked| results[i] = linked,
         );
         results
@@ -352,11 +344,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         flatten::flatten_runs_parallel(&self.store, std::slice::from_ref(&(0..self.len())), threads)
     }
 
-    fn record_link(&self, child: usize, parent: usize) {
-        // Relaxed is enough: union_parent is only read offline at
-        // quiescence, and `links` is a statistic whose own atomicity
+    fn record_link(&self) {
+        // Relaxed is enough: `links` is a statistic whose own atomicity
         // suffices for set_count.
-        self.union_parent[child].store(parent, Ordering::Relaxed);
         self.links.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -366,18 +356,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// other thread is operating.
     pub fn parents_snapshot(&self) -> Vec<usize> {
         self.store.snapshot()
-    }
-
-    /// Snapshot of the *union forest* (links only, compaction ignored;
-    /// paper Section 3). Meaningful only at quiescence.
-    pub fn union_forest_snapshot(&self) -> Vec<usize> {
-        self.union_parent.iter().map(|p| p.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Height of the union forest — the quantity Corollary 4.2.1 bounds by
-    /// `O(log n)` w.h.p. Call only at quiescence; `O(n)` time.
-    pub fn union_forest_height(&self) -> usize {
-        forest_height(&self.union_forest_snapshot())
     }
 
     /// Canonical labels (root of each element, fully compacted): suitable
@@ -393,32 +371,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         }
         labels
     }
-}
-
-/// Height (max arc count root-to-leaf) of a self-loop-rooted parent forest.
-pub(crate) fn forest_height(parent: &[usize]) -> usize {
-    let mut depth = vec![usize::MAX; parent.len()];
-    let mut tallest = 0;
-    for start in 0..parent.len() {
-        let mut path = Vec::new();
-        let mut u = start;
-        while depth[u] == usize::MAX && parent[u] != u {
-            path.push(u);
-            u = parent[u];
-        }
-        let mut d = if parent[u] == u && depth[u] == usize::MAX {
-            depth[u] = 0;
-            0
-        } else {
-            depth[u]
-        };
-        for &node in path.iter().rev() {
-            d += 1;
-            depth[node] = d;
-        }
-        tallest = tallest.max(depth[start]);
-    }
-    tallest
 }
 
 impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S, L> {
@@ -447,6 +399,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S
 mod tests {
     use super::*;
     use crate::find::{Halving, NoCompaction, OneTrySplit};
+    use crate::forest::{forest_height, UnionForest};
     use crate::order::{IndexLink, RandomLink, RankLink};
     use crate::store::RankedStore;
     use crate::OpStats;
@@ -574,9 +527,9 @@ mod tests {
 
     #[test]
     fn parent_ids_strictly_increase_along_paths() {
-        // Lemma 3.1 under real concurrency.
+        // Lemma 3.1 under real concurrency, on the (id, index) key.
         let n = 2048;
-        let dsu: RandomDsu = Dsu::new(n);
+        let dsu: Dsu<TwoTrySplit, UnionForest<crate::DefaultStore>, RandomLink> = Dsu::new(n);
         std::thread::scope(|s| {
             for t in 0..8usize {
                 let dsu = &dsu;
@@ -589,20 +542,21 @@ mod tests {
                 });
             }
         });
+        let key = |x: usize| (dsu.id_of(x), x);
         let parents = dsu.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p));
+                assert!(key(x) < key(p));
             }
         }
         // The union forest is a sub-relation with the same property, and is
         // acyclic (walking up terminates within n steps).
-        let forest = dsu.union_forest_snapshot();
+        let forest = dsu.store().forest();
         for x in 0..n {
             let mut u = x;
             let mut steps = 0;
             while forest[u] != u {
-                assert!(dsu.id_of(u) < dsu.id_of(forest[u]));
+                assert!(key(u) < key(forest[u]));
                 u = forest[u];
                 steps += 1;
                 assert!(steps <= n, "cycle in union forest");
@@ -616,13 +570,14 @@ mod tests {
         // generous constant so the test never flakes: c = 6 over 3 seeds.
         for seed in [1, 2, 3] {
             let n = 1 << 14;
-            let dsu: RandomDsu = Dsu::with_seed(n, seed);
+            let dsu: Dsu<TwoTrySplit, UnionForest<crate::DefaultStore>, RandomLink> =
+                Dsu::with_seed(n, seed);
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..2 * n {
                 dsu.unite(rng.gen_range(0..n), rng.gen_range(0..n));
             }
-            let h = dsu.union_forest_height();
+            let h = dsu.store().height();
             let bound = 6 * (n as f64).log2() as usize;
             assert!(h <= bound, "height {h} > {bound} for seed {seed}");
         }
@@ -819,13 +774,6 @@ mod tests {
         hammer::<crate::DefaultStore, IndexLink>();
         hammer::<RankedStore, RankLink>();
         hammer::<RankedStore, RandomLink>(); // ranked layout, paper linking
-    }
-
-    #[test]
-    fn forest_height_helper() {
-        assert_eq!(forest_height(&[0, 0, 1, 2]), 3);
-        assert_eq!(forest_height(&[0, 1, 2]), 0);
-        assert_eq!(forest_height(&[]), 0);
     }
 
     #[test]

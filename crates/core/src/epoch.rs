@@ -82,7 +82,7 @@ use crate::fault::FaultyStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::growable::{GrowableDsu, GrowableStore};
 use crate::knob;
-use crate::order::{splitmix64, IdOrder, LinkPolicy};
+use crate::order::{hashed_id, IdOrder, LinkPolicy};
 use crate::stats::StatsSink;
 use crate::store::{self, ParentStore};
 
@@ -252,10 +252,11 @@ pub trait EpochFork: GrowableStore {
 /// [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`]: packed
 /// `id << 32 | parent` words (the [`PackedStore`](crate::PackedStore)
 /// format and its 2^32-element bound) in `Arc`-counted, epoch-stamped
-/// segment nodes behind an atomic directory. Ids are the top 32 bits of
-/// SplitMix64 of the salted index (paper Section 7: a universe large
-/// enough that ties are rare, with the index breaking them). See the
-/// module docs for the copy-on-write protocol and safety argument.
+/// segment nodes behind an atomic directory. Ids are the shared
+/// [`hashed_id`] of the salted index (paper Section 7: a universe large
+/// enough that ties are rare, with the index breaking them), the same ids
+/// every fixed layout assigns for that seed. See the module docs for the
+/// copy-on-write protocol and safety argument.
 pub struct EpochStore {
     /// Directory: slot `s` holds a raw pointer from `Arc::into_raw` (the
     /// directory owns one strong count per non-null slot), or null while
@@ -275,8 +276,7 @@ pub struct EpochStore {
 impl EpochStore {
     /// The packed word a fresh singleton `e` is born with.
     fn singleton_word(&self, e: usize) -> u64 {
-        let id = splitmix64((e as u64).wrapping_add(self.salt)) >> 32;
-        store::pack_word(id, e)
+        store::pack_word(hashed_id(e, self.salt), e)
     }
 
     /// The live node of segment `s`; panics on an unallocated segment
@@ -1040,6 +1040,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::splitmix64;
     use crate::stats::OpStats;
 
     type VDsu = VersionedDsu<TwoTrySplit, EpochStore, crate::DefaultLink>;

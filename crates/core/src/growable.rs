@@ -1,12 +1,14 @@
 //! A growing universe: `MakeSet` support (paper Section 3 remark, Section 7).
 //!
-//! The fixed-universe [`Dsu`](crate::Dsu) assumes all `n` elements and their
-//! random order exist up front. [`GrowableDsu`] removes that assumption:
+//! The fixed-universe [`Dsu`](crate::Dsu) assumes all `n` elements exist
+//! up front. [`GrowableDsu`] removes that assumption:
 //! [`make_set`](GrowableDsu::make_set) creates fresh elements concurrently
-//! with ongoing operations, and ids are generated *on the fly* by hashing
-//! the element index (the paper's Section 7 suggestion: draw from a universe
-//! large enough that ties are negligible, plus a tie-breaking rule — here
-//! the index itself).
+//! with ongoing operations. Ids need no up-front draw on either structure:
+//! both hash the element index ([`hashed_id`](crate::order::hashed_id);
+//! the paper's Section 7 suggestion: draw from a universe large enough
+//! that ties are negligible, plus a tie-breaking rule — here the index
+//! itself), so a `GrowableDsu` grown to `n` elements links exactly like a
+//! `Dsu` of `n` elements with the same seed.
 //!
 //! As the paper notes, in an unbounded universe the algorithms are
 //! *lock-free* rather than wait-free: an operation could in principle chase

@@ -49,12 +49,12 @@
 //!
 //! # Batched resolution
 //!
-//! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) resolves a burst of
-//! key pairs to dense ids in one gather pass (hashing and probing are
-//! independent per key — exactly the memory-level-parallelism shape the
-//! `bulk` module exploits for parent words), then routes
-//! the resolved edge list through [`unite_batch`], so keyed ingestion
-//! inherits the measured batch win instead of re-deriving it.
+//! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) first resolves every
+//! key of the burst to its dense id, one key after another (inserting
+//! unseen keys), and only then routes the resolved edge list through
+//! [`unite_batch`], so keyed ingestion inherits the batch waves' gather
+//! loads over parent words. The key resolution itself is a plain per-key
+//! loop: no key's probe is overlapped with another's.
 //! [`same_set_batch`](KeyedDsu::same_set_batch) resolves without
 //! inserting and answers queries on the packed core.
 //!
@@ -206,7 +206,7 @@ impl<K> Drop for KeyShard<K> {
 /// assert_eq!(dsu.key_count(), 2);
 /// ```
 ///
-/// Batched ingestion resolves keys in a gather pass and routes the dense
+/// Batched ingestion resolves every key first, then routes the dense
 /// edges through the batch waves:
 ///
 /// ```
@@ -295,9 +295,17 @@ fn parse_key_shards(v: &str) -> Option<ShardSpec> {
 /// rounded up to a power of two), else one shard per hardware thread. A
 /// set-but-unrecognized value warns once on stderr ([`knob`]) and falls
 /// back to the machine-derived count.
+///
+/// The variable is read on every construction. The machine-derived count
+/// is computed once per process: `available_parallelism` can read cgroup
+/// files, which costs more than building the structure itself.
 fn key_shard_spec() -> ShardSpec {
-    let auto =
-        || ShardSpec::with_shards(std::thread::available_parallelism().map_or(1, |p| p.get()));
+    static MACHINE: OnceLock<ShardSpec> = OnceLock::new();
+    let auto = || {
+        *MACHINE.get_or_init(|| {
+            ShardSpec::with_shards(std::thread::available_parallelism().map_or(1, |p| p.get()))
+        })
+    };
     match std::env::var(ENV_KEY_SHARDS) {
         Err(_) => auto(),
         Ok(v) => parse_key_shards(&v).unwrap_or_else(|| {
@@ -553,10 +561,9 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     }
 
     /// Batched [`merge_keys`](KeyedDsu::merge_keys): resolves every key of
-    /// the burst to a dense id in a gather pass (inserting unseen keys),
-    /// then routes the resolved edge list through the batch ingestion
-    /// waves (`bulk`). Returns the number of edges that
-    /// performed a link.
+    /// the burst to a dense id, key by key (inserting unseen keys), then
+    /// routes the resolved edge list through the batch ingestion waves
+    /// (`bulk`). Returns the number of edges that performed a link.
     pub fn merge_keys_batch(&self, pairs: &[(K, K)]) -> usize
     where
         K: Clone,
@@ -591,9 +598,9 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         pairs.iter().map(|(a, b)| self.same_set_with(a, b, stats)).collect()
     }
 
-    /// The gather pass of the batch paths: every key resolved (inserting)
-    /// before any parent word is touched, so the subsequent waves run on a
-    /// plain dense edge list.
+    /// The resolution step of the batch path: every key resolved
+    /// (inserting) in order, before any parent word is touched, so the
+    /// subsequent waves run on a plain dense edge list.
     fn resolve_pairs<Sk: StatsSink>(&self, pairs: &[(K, K)], stats: &mut Sk) -> Vec<(usize, usize)>
     where
         K: Clone,

@@ -11,8 +11,9 @@
 //!
 //! # The algorithm in one paragraph
 //!
-//! Each element has an immutable, uniformly random *id* and a mutable
-//! *parent* pointer; sets are trees, roots point to themselves. `Unite`
+//! Each element has an immutable, uniformly random *id* (a 32-bit hash of
+//! its index; the index breaks the rare ties) and a mutable *parent*
+//! pointer; sets are trees, roots point to themselves. `Unite`
 //! finds the two roots and links the root with the smaller id under the
 //! other with a CAS — because ids never change, no rank or size field has to
 //! be updated atomically together with the parent, which is the paper's key
@@ -109,7 +110,7 @@
 //! // Unseen keys are implicit singletons; queries never insert.
 //! assert!(!dsu.same_set(&"alice@a.example".into(), &"mallory@c.example".into()));
 //!
-//! // Bursts resolve keys in one gather pass, then ride `unite_batch`:
+//! // Bursts resolve every key first, then ride `unite_batch`:
 //! let pairs = vec![("a".to_string(), "b".to_string()), ("b".into(), "c".into())];
 //! assert_eq!(dsu.merge_keys_batch(&pairs), 2);
 //! assert_eq!(dsu.key_count(), 5);
@@ -153,6 +154,7 @@ pub mod epoch;
 pub mod fault;
 pub mod find;
 pub mod flatten;
+pub mod forest;
 pub mod growable;
 pub mod keyed;
 pub mod knob;
@@ -172,9 +174,10 @@ pub use epoch::{
 };
 pub use fault::{BrokenStore, FaultPlan, FaultReport, FaultyStore, RetryBudget, TestWatchdog};
 pub use find::{Compress, FindPolicy, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
+pub use forest::UnionForest;
 pub use growable::{GrowableDsu, GrowableStore};
 pub use keyed::{KeyedDsu, ShardSpec};
-pub use order::{IdOrder, IndexLink, LinkPolicy, PermutationOrder, RandomLink, RankLink};
+pub use order::{IdOrder, IndexLink, LinkPolicy, RandomLink, RankLink};
 pub use stats::{OpStats, ShardSkew, StatsSink};
 pub use store::{DsuStore, FlatStore, PackedStore, ParentStore, RankedStore};
 pub use tune::{

@@ -55,8 +55,9 @@ where
 /// inputs were already together.
 ///
 /// `record_link(child, parent)` is invoked after each successful link CAS;
-/// the wrappers use it to maintain the union-forest snapshot and the live
-/// set count.
+/// the wrappers use it to keep the live set count. (The union forest is
+/// recorded by the [`UnionForest`](crate::UnionForest) store decorator,
+/// not here.)
 pub fn unite<F, L, P, S>(
     store: &P,
     x: usize,
@@ -200,14 +201,13 @@ where
 mod tests {
     use super::*;
     use crate::find::{Halving, NoCompaction, OneTrySplit, TwoTrySplit};
-    use crate::order::{IdOrder, IndexLink, PermutationOrder, RandomLink, RankLink};
+    use crate::order::{hashed_id, IndexLink, RandomLink, RankLink};
     use crate::store::{FlatStore, RankedStore};
 
-    fn fixture(n: usize, seed: u64) -> (FlatStore, PermutationOrder) {
-        // Same seed for both: the store's embedded order (which `unite`
-        // links by) and the standalone order the assertions consult are
-        // the same permutation.
-        (FlatStore::with_seed(n, seed), PermutationOrder::new(n, seed))
+    /// The store under test plus the `(id, index)` key its seed defines,
+    /// computed independently of the store for the assertions.
+    fn fixture(n: usize, seed: u64) -> (FlatStore, impl Fn(usize) -> (u64, usize)) {
+        (FlatStore::with_seed(n, seed), move |x| (hashed_id(x, seed), x))
     }
 
     fn run_all_policies(
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn unite_then_same_set_all_policies() {
         run_all_policies(|unite_fn, same_fn| {
-            let (store, _order) = fixture(8, 11);
+            let (store, _key) = fixture(8, 11);
             assert!(!same_fn(&store, 0, 5));
             assert!(unite_fn(&store, 0, 5));
             assert!(same_fn(&store, 0, 5));
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn self_operations() {
         run_all_policies(|unite_fn, same_fn| {
-            let (store, _order) = fixture(4, 3);
+            let (store, _key) = fixture(4, 3);
             assert!(same_fn(&store, 2, 2));
             assert!(!unite_fn(&store, 2, 2));
         });
@@ -262,14 +262,14 @@ mod tests {
         // Lemma 3.1: if x is not a root then x < x.parent in the random
         // order. Exercise all policies on a merge-everything workload.
         run_all_policies(|unite_fn, _| {
-            let (store, order) = fixture(64, 99);
+            let (store, key) = fixture(64, 99);
             for i in 0..63 {
                 unite_fn(&store, i, i + 1);
             }
             for x in 0..64 {
                 let p = store.load_parent(x);
                 if p != x {
-                    assert!(order.less(x, p), "child id must be below parent id");
+                    assert!(key(x) < key(p), "child key must be below parent key");
                 }
             }
         });
@@ -278,11 +278,11 @@ mod tests {
     #[test]
     fn record_link_sees_every_link_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let (store, order) = fixture(32, 5);
+        let (store, key) = fixture(32, 5);
         let links = AtomicUsize::new(0);
         for i in 0..31 {
             unite::<TwoTrySplit, RandomLink, _, _>(&store, i, i + 1, &mut (), |child, parent| {
-                assert!(order.less(child, parent));
+                assert!(key(child) < key(parent));
                 links.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -293,7 +293,7 @@ mod tests {
     fn early_termination_agrees_with_standard() {
         // Interleave unites built by the standard algorithm with queries by
         // the early-termination one (and vice versa) — they share the store.
-        let (store, _order) = fixture(16, 21);
+        let (store, _key) = fixture(16, 21);
         let mut s = ();
         assert!(unite::<TwoTrySplit, RandomLink, _, _>(&store, 0, 1, &mut s, |_, _| {}));
         assert!(same_set_early::<TwoTrySplit, RandomLink, _, _>(&store, 0, 1, &mut s));
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn stats_account_finds_and_links() {
-        let (store, _order) = fixture(8, 2);
+        let (store, _key) = fixture(8, 2);
         let mut stats = crate::OpStats::default();
         unite::<OneTrySplit, RandomLink, _, _>(&store, 0, 1, &mut stats, |_, _| {});
         assert_eq!(stats.ops, 1);
@@ -320,7 +320,7 @@ mod tests {
     fn index_linking_links_index_upward() {
         // IndexLink ignores the store's random ids entirely: after any
         // sequence of unites, every non-root's parent has a larger index.
-        let (store, _order) = fixture(64, 99);
+        let (store, _key) = fixture(64, 99);
         for i in 0..63 {
             unite::<TwoTrySplit, IndexLink, _, _>(&store, i, i + 1, &mut (), |c, p| {
                 assert!(c < p, "index linking must point index-upward");
@@ -370,7 +370,7 @@ mod tests {
     fn rank_linking_on_rankless_layouts_degenerates_to_index() {
         // FlatStore's words carry no rank, so RankLink's keys all tie and
         // the index tie-break decides: same links as IndexLink.
-        let (store, _order) = fixture(32, 13);
+        let (store, _key) = fixture(32, 13);
         for i in 0..31 {
             unite::<TwoTrySplit, RankLink, _, _>(&store, i, i + 1, &mut (), |c, p| {
                 assert!(c < p, "rank-less rank linking must fall back to index order");

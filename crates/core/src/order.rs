@@ -29,67 +29,36 @@
 //! which is the invariant the find loops, the batch linker, and the
 //! early-termination arguments all rest on.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
-
 use crate::store::ParentStore;
 
 /// A fixed total order on element indices.
 ///
 /// Implementations must be immutable after construction, total, and
 /// antisymmetric: for `u != v` exactly one of `less(u, v)` / `less(v, u)`
-/// holds, and `less(u, u)` is always `false`.
+/// holds, and `less(u, u)` is always `false`. Every store orders by the
+/// `(id, index)` key: 32-bit ids can collide, and the index breaks ties.
 pub trait IdOrder: Send + Sync {
     /// `true` iff `u` precedes `v` in the order.
     fn less(&self, u: usize, v: usize) -> bool;
 }
 
-/// The order used by the fixed-universe [`Dsu`](crate::Dsu): an explicit
-/// uniformly random permutation of `0..n`, drawn once from a seeded ChaCha
-/// generator so experiments are reproducible.
-#[derive(Debug, Clone)]
-pub struct PermutationOrder {
-    ids: Box<[u64]>,
-}
-
-impl PermutationOrder {
-    /// Draws a uniform permutation of `0..n` with Fisher–Yates.
-    pub fn new(n: usize, seed: u64) -> Self {
-        let mut ids: Vec<u64> = (0..n as u64).collect();
-        ids.shuffle(&mut ChaCha12Rng::seed_from_u64(seed));
-        PermutationOrder { ids: ids.into_boxed_slice() }
-    }
-
-    /// The id (position in the random order, `0..n`) of element `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= n`.
-    pub fn id_of(&self, u: usize) -> u64 {
-        self.ids[u]
-    }
-
-    /// Number of elements in the order.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` when the order covers no elements.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-impl IdOrder for PermutationOrder {
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.ids[u] < self.ids[v]
-    }
+/// The random id of element `index` under `seed`: the top 32 bits of
+/// [`splitmix64`] of the seeded index. Every store — fixed and growable —
+/// derives its ids from this one function and orders elements by the
+/// `(id, index)` key, so for a given seed all layouts link identically.
+///
+/// This is the paper's Section 7 construction: ids drawn from a universe
+/// large enough that ties are rare, plus a tie-breaking rule (the index).
+/// Randomized linking needs only a uniformly random total order on the
+/// nodes, which the key provides without materializing a permutation.
+#[inline]
+pub fn hashed_id(index: usize, seed: u64) -> u64 {
+    splitmix64((index as u64).wrapping_add(seed)) >> 32
 }
 
 /// SplitMix64: a fast, well-distributed 64-bit mixing function (Steele,
-/// Lea & Flood 2014). Used to give growable elements i.i.d.-looking ids
-/// drawn from their index (paper Section 7), and to hash keys.
+/// Lea & Flood 2014). Used to give every element an i.i.d.-looking id
+/// drawn from its index ([`hashed_id`]; paper Section 7), and to hash keys.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -163,8 +132,8 @@ impl LinkPolicy for RandomLink {
 
     #[inline]
     fn precedes<P: ParentStore + ?Sized>(store: &P, u: usize, v: usize) -> bool {
-        // Route through the store so layouts with a side order (the flat
-        // layout's id array) can skip the parent-word loads.
+        // Route through the store so layouts whose words carry no id (the
+        // flat and ranked layouts hash the index) can skip the word loads.
         store.precedes(u, v)
     }
 }
@@ -259,37 +228,73 @@ mod tests {
     }
 
     #[test]
-    fn permutation_order_is_a_total_order() {
-        let order = PermutationOrder::new(12, 42);
-        assert_eq!(order.len(), 12);
-        check_total_order(&order, 12);
+    fn every_fixed_store_orders_by_id_then_index() {
+        check_total_order(&crate::PackedStore::with_seed(12, 42), 12);
+        check_total_order(&crate::FlatStore::with_seed(12, 42), 12);
+        check_total_order(&crate::RankedStore::with_seed(12, 42), 12);
     }
 
     #[test]
-    fn permutation_is_a_bijection() {
-        let order = PermutationOrder::new(100, 7);
-        let mut seen = [false; 100];
-        for u in 0..100 {
-            let id = order.id_of(u) as usize;
-            assert!(!seen[id], "id {id} assigned twice");
-            seen[id] = true;
+    fn hashed_ids_are_a_function_of_index_and_seed() {
+        let ids = |seed| (0..64).map(|u| hashed_id(u, seed)).collect::<Vec<_>>();
+        assert_eq!(ids(1), ids(1), "same seed, same ids");
+        assert_ne!(ids(1), ids(2), "the seed salts the order");
+        assert!(ids(1).iter().all(|&id| id < 1 << 32), "ids are 32-bit");
+    }
+
+    /// Pairs of indices below `2^18` whose 32-bit ids collide under `seed`,
+    /// each as `(lower index, higher index)`. About `2^36 / 2^33 = 8` pairs
+    /// are expected for a random seed; the seed the test pins has 5.
+    fn colliding_pairs(seed: u64) -> Vec<(usize, usize)> {
+        let mut keys: Vec<(u64, usize)> = (0..1 << 18).map(|i| (hashed_id(i, seed), i)).collect();
+        keys.sort_unstable();
+        let pairs: Vec<_> =
+            keys.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (w[0].1, w[1].1)).collect();
+        assert!(!pairs.is_empty(), "no 32-bit id collision below 2^18 for seed {seed}");
+        pairs
+    }
+
+    /// `lo` precedes `hi` in both of `store`'s order entry points.
+    fn orders_by_index<S: ParentStore + IdOrder>(name: &str, store: &S, lo: usize, hi: usize) {
+        assert!(store.less(lo, hi) && !store.less(hi, lo), "{name}: less({lo}, {hi})");
+        assert!(store.precedes(lo, hi) && !store.precedes(hi, lo), "{name}: precedes({lo}, {hi})");
+    }
+
+    /// The tie-break is the index: when two ids collide, every store orders
+    /// the lower index first and `unite` links it under the higher one.
+    #[test]
+    fn colliding_ids_are_ordered_and_linked_by_index() {
+        use crate::{Dsu, EpochStore, FlatStore, GrowableDsu, GrowableStore, PackedStore};
+        use crate::{RankedStore, TwoTrySplit};
+        const SEED: u64 = 2016;
+        let n = 1 << 18;
+        let packed = PackedStore::with_seed(n, SEED);
+        let flat = FlatStore::with_seed(n, SEED);
+        let ranked = RankedStore::with_seed(n, SEED);
+        let epoch = EpochStore::with_seed(SEED);
+        for (lo, hi) in colliding_pairs(SEED) {
+            epoch.ensure(hi);
+            epoch.ensure(lo);
+            orders_by_index("packed", &packed, lo, hi);
+            orders_by_index("flat", &flat, lo, hi);
+            orders_by_index("ranked", &ranked, lo, hi);
+            orders_by_index("epoch", &epoch, lo, hi);
         }
-    }
-
-    #[test]
-    fn different_seeds_give_different_orders() {
-        let a = PermutationOrder::new(64, 1);
-        let b = PermutationOrder::new(64, 2);
-        assert_ne!(
-            (0..64).map(|u| a.id_of(u)).collect::<Vec<_>>(),
-            (0..64).map(|u| b.id_of(u)).collect::<Vec<_>>()
-        );
-        // Same seed reproduces exactly.
-        let c = PermutationOrder::new(64, 1);
-        assert_eq!(
-            (0..64).map(|u| a.id_of(u)).collect::<Vec<_>>(),
-            (0..64).map(|u| c.id_of(u)).collect::<Vec<_>>()
-        );
+        let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, SEED);
+        let flat: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, SEED);
+        let growable: GrowableDsu<TwoTrySplit, EpochStore, RandomLink> =
+            GrowableDsu::with_seed(SEED);
+        for _ in 0..n {
+            growable.make_set();
+        }
+        for (lo, hi) in colliding_pairs(SEED) {
+            // Higher index first, so the direction cannot come from the
+            // argument order.
+            assert!(packed.unite(hi, lo) && flat.unite(hi, lo) && growable.unite(hi, lo));
+            assert_eq!(packed.find(lo), hi, "packed linked {hi} under {lo}");
+            assert_eq!(flat.find(lo), hi, "flat linked {hi} under {lo}");
+            assert_eq!(growable.find(lo), hi, "growable linked {hi} under {lo}");
+        }
     }
 
     #[test]
@@ -301,11 +306,5 @@ mod tests {
         }
         let avg = total as f64 / 1_000.0;
         assert!((24.0..40.0).contains(&avg), "avg flipped bits = {avg}");
-    }
-
-    #[test]
-    fn empty_permutation() {
-        let order = PermutationOrder::new(0, 9);
-        assert!(order.is_empty());
     }
 }

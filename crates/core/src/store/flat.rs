@@ -1,22 +1,24 @@
-//! The flat two-array layout: the direct translation of the paper.
+//! The flat layout: the direct translation of the paper.
 //!
-//! An `AtomicUsize` parent slab plus a separate random-permutation id
-//! array. Full `usize` range, one extra cache-line touch whenever an
-//! operation needs an id. Kept as the reference layout, the `n > 2^32`
-//! fallback, and the baseline the packed layouts are benchmarked against.
+//! A bare `AtomicUsize` parent slab, 8 bytes per element. Ids are not
+//! stored: an operation that needs one recomputes the shared
+//! [`hashed_id`] of the index, which costs a few multiplies and no memory
+//! access. Full `usize` range. Kept as the reference layout, the
+//! `n > 2^32` fallback, and the baseline the packed layouts are
+//! benchmarked against.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::order::{IdOrder, PermutationOrder};
+use crate::order::{hashed_id, IdOrder};
 use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD};
 
-/// The flat two-array store: an `AtomicUsize` parent slab plus a separate
-/// permutation id array. Full `usize` universe range; the reference layout
-/// the packed store is cross-checked and benchmarked against.
+/// The flat store: an `AtomicUsize` parent slab, with ids hashed from the
+/// index on demand. Full `usize` universe range; the reference layout the
+/// packed store is cross-checked and benchmarked against.
 #[derive(Debug)]
 pub struct FlatStore {
     parents: Box<[AtomicUsize]>,
-    order: PermutationOrder,
+    seed: u64,
 }
 
 impl FlatStore {
@@ -28,12 +30,15 @@ impl FlatStore {
         Self::with_seed(n, Self::DEFAULT_SEED)
     }
 
-    /// `n` singleton cells with permutation ids (see [`DsuStore::with_seed`]).
+    /// `n` singleton cells with hashed ids (see [`DsuStore::with_seed`]).
     pub fn with_seed(n: usize, seed: u64) -> Self {
-        FlatStore {
-            parents: (0..n).map(AtomicUsize::new).collect(),
-            order: PermutationOrder::new(n, seed),
-        }
+        FlatStore { parents: (0..n).map(AtomicUsize::new).collect(), seed }
+    }
+
+    /// The `(id, index)` order key of element `i`.
+    #[inline]
+    fn key(&self, i: usize) -> (u64, usize) {
+        (hashed_id(i, self.seed), i)
     }
 
     /// Number of cells.
@@ -88,20 +93,21 @@ impl ParentStore for FlatStore {
 
     #[inline]
     fn priority(&self, i: usize, _w: usize) -> u64 {
-        self.order.id_of(i)
+        hashed_id(i, self.seed)
     }
 
     #[inline]
     fn precedes(&self, u: usize, v: usize) -> bool {
         // The default would load both parent words only to discard them
-        // (flat priorities live in the id array); go straight to the order.
-        self.order.less(u, v)
+        // (flat ids are hashed from the index); compare the keys directly.
+        self.key(u) < self.key(v)
     }
 }
 
 impl IdOrder for FlatStore {
+    #[inline]
     fn less(&self, u: usize, v: usize) -> bool {
-        self.order.less(u, v)
+        self.key(u) < self.key(v)
     }
 }
 
@@ -117,7 +123,7 @@ impl DsuStore for FlatStore {
     }
 
     fn id_of(&self, u: usize) -> u64 {
-        self.order.id_of(u)
+        hashed_id(u, self.seed)
     }
 
     fn snapshot(&self) -> Vec<usize> {

@@ -13,28 +13,31 @@
 //!
 //! # Layout-selection guide
 //!
-//! Two general-purpose fixed-universe layouts implement [`DsuStore`]; both
-//! draw ids from the same seeded permutation, so for a given `(n, seed)`
-//! they make identical linking decisions and are interchangeable
-//! mid-experiment. Pick by universe size. Universes that grow have one
-//! layout, which implements [`GrowableStore`](crate::GrowableStore):
+//! Two general-purpose fixed-universe layouts implement [`DsuStore`].
+//! Every layout, fixed or growable, derives element `i`'s id as
+//! [`hashed_id(i, seed)`](crate::order::hashed_id) and orders elements by
+//! the `(id, index)` key, so for a given seed they all make identical
+//! linking decisions and are interchangeable mid-experiment. Pick by
+//! universe size. Universes that grow have one layout, which implements
+//! [`GrowableStore`](crate::GrowableStore):
 //!
 //! | layout | word | footprint | universe bound | pick when |
 //! |---|---|---|---|---|
 //! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | universe fits the bound — the all-round fastest |
-//! | [`FlatStore`] | bare `AtomicUsize` parent + side id array | 16 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
+//! | [`FlatStore`] | bare `AtomicUsize` parent; ids hashed from the index on demand | 8 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
 //! | [`EpochStore`](crate::EpochStore) | the packed word, in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only growable layout |
 //!
 //! [`RankedStore`] is the third layout, for the rank-linking ablation only:
 //! it packs a union-by-rank rank into the word (see
 //! [`RankLink`](crate::RankLink)).
 //!
-//! **Packed vs flat.** A find on the packed layout reads the parent *and*
-//! the linking priority in one load, eight elements share a cache line,
-//! and the structure is half the flat layout's footprint; `BENCH_PR1.json`
-//! measures it 13–23% faster on the mixed workload. The flat layout's only
-//! structural advantages are the full-width universe and a layout the
-//! simulators can poke directly ([`FlatStore::parent_cell`]).
+//! **Packed vs flat.** Both are one 8-byte word per element. A find on the
+//! packed layout reads the parent *and* the linking priority in one load;
+//! the flat layout recomputes the hashed id for every comparison instead.
+//! (`BENCH_PR1.json`'s 13–23% packed win was measured against a flat
+//! layout that kept a 16 B/elem id array.) The flat layout's structural
+//! advantages are the full-width universe and a layout the simulators can
+//! poke directly ([`FlatStore::parent_cell`]).
 //!
 //! **Cache-residency caveat** (from `BENCH_PR2.json`): layout effects only
 //! show once the parent store exceeds the last-level cache. At `n = 2^20`
@@ -46,8 +49,8 @@
 //! [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`](crate::VersionedDsu)
 //! all run on [`EpochStore`](crate::EpochStore). Its segment 0 holds
 //! elements `{0, 1}` and segment `s ≥ 1` holds `2^s .. 2^(s+1)`, so `2^k`
-//! elements fill exactly `2^k` cells. Its ids are 32-bit hashes of the
-//! index, tie-broken by the index (paper Section 7), so it keeps
+//! elements fill exactly `2^k` cells. Its ids are the same 32-bit hashes
+//! of the index, tie-broken by the index (paper Section 7), so it keeps
 //! [`PackedStore`]'s one-load traversal and `2^32` bound. There is no flat
 //! growable layout: a universe beyond `2^32` has to be fixed
 //! ([`FlatStore`]).
@@ -87,6 +90,15 @@
 //! lost-update bug. See `tests/fault_semantics.rs`, the repo-level
 //! `native_linearizability.rs`, and the `chaos_ab` /
 //! `e13_fault_injection` harnesses.
+//!
+//! **Recording the union forest.** The union forest (links only,
+//! compaction ignored; paper Section 3) is what Corollary 4.2.1 bounds,
+//! but no operation reads it, so no layout keeps it. Wrap the layout in
+//! [`UnionForest`](crate::UnionForest) (the [`forest`](crate::forest)
+//! module) when an experiment needs it: the decorator records every link
+//! CAS into its own array and adds one word per element plus one
+//! predictable branch per CAS. Bare layouts compile with no recording
+//! code at all.
 //!
 //! **Scans.** Maintenance passes (the [`flatten`](crate::flatten) sweep)
 //! iterate the parent words in *store order* — the order the bytes sit in
@@ -303,11 +315,12 @@ pub trait DsuStore: ParentStore + IdOrder {
     /// Short layout name for reports (e.g. `"packed"`, `"flat"`).
     const NAME: &'static str;
 
-    /// `n` singleton cells (`parent[i] == i`) with ids drawn as a uniform
-    /// random permutation of `0..n` seeded by `seed`.
+    /// `n` singleton cells (`parent[i] == i`) whose ids are
+    /// [`hashed_id(i, seed)`](crate::order::hashed_id).
     ///
-    /// Two stores built with the same `(n, seed)` — of *any* layout —
-    /// assign identical ids, so layouts are interchangeable mid-experiment.
+    /// Two stores built with the same seed — of *any* layout, growable
+    /// ones included — assign identical ids, so layouts are
+    /// interchangeable mid-experiment.
     fn with_seed(n: usize, seed: u64) -> Self;
 
     /// Number of cells.
@@ -318,7 +331,9 @@ pub trait DsuStore: ParentStore + IdOrder {
         self.len() == 0
     }
 
-    /// The random id (position in the random total order) of element `u`.
+    /// The 32-bit random id of element `u`. Ids can collide: the random
+    /// total order is the `(id_of(u), u)` key, with the index breaking
+    /// ties ([`IdOrder`]).
     fn id_of(&self, u: usize) -> u64;
 
     /// A non-atomic snapshot of all parents. Only meaningful at quiescence;
@@ -354,6 +369,7 @@ mod tests {
         let packed = PackedStore::with_seed(64, 99);
         for i in 0..64 {
             assert_eq!(DsuStore::id_of(&flat, i), DsuStore::id_of(&packed, i));
+            assert_eq!(DsuStore::id_of(&flat, i), crate::order::hashed_id(i, 99));
         }
         // And therefore the same linking order.
         for u in 0..64 {

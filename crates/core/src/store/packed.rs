@@ -10,16 +10,18 @@
 //!
 //! A find reads the parent *and* the linking priority of a node in one
 //! load, eight elements share a cache line, and the whole structure is one
-//! 8-byte word per element — half the footprint of the flat layout's
-//! parent-array-plus-id-array. `Unite` compares root priorities straight
-//! from the packed words; there is no side array to miss on. Because the
-//! high 32 bits never change after construction, a CAS that only moves the
-//! parent can reconstruct the full expected/new words from any read of the
-//! cell, and the id bits can be read at any ordering.
+//! 8-byte word per element. The id is the shared
+//! [`hashed_id`](crate::order::hashed_id) of the index, stored rather than
+//! recomputed so `Unite` compares root priorities straight from the words
+//! the finds already loaded; `(id, index)` is the order, since 32-bit ids
+//! can collide. Because the high 32 bits never change after construction,
+//! a CAS that only moves the parent can reconstruct the full expected/new
+//! words from any read of the cell, and the id bits can be read at any
+//! ordering.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::order::{IdOrder, PermutationOrder};
+use crate::order::{hashed_id, IdOrder};
 use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
 
 /// Low half of a packed word: the mutable parent index (shared by every
@@ -73,7 +75,8 @@ impl PackedStore {
     /// Largest universe the 32-bit parent/id halves can address.
     pub const MAX_UNIVERSE: u64 = 1 << 32;
 
-    /// `n` singleton cells with permutation ids (see [`DsuStore::with_seed`]).
+    /// `n` singleton cells with hashed ids (see [`DsuStore::with_seed`]),
+    /// built in one streaming pass.
     ///
     /// # Panics
     ///
@@ -85,8 +88,7 @@ impl PackedStore {
              elements, but n = {n}; use the flat layout (`Dsu<_, FlatStore>`) for larger \
              universes"
         );
-        let order = PermutationOrder::new(n, seed);
-        let words = (0..n).map(|i| AtomicU64::new(pack_word(order.id_of(i), i))).collect();
+        let words = (0..n).map(|i| AtomicU64::new(pack_word(hashed_id(i, seed), i))).collect();
         PackedStore { words }
     }
 }
@@ -122,8 +124,9 @@ impl ParentStore for PackedStore {
 impl IdOrder for PackedStore {
     #[inline]
     fn less(&self, u: usize, v: usize) -> bool {
-        // Priorities come straight from the packed words — no side array.
-        packed_id(self.words[u].load(STAT)) < packed_id(self.words[v].load(STAT))
+        // Priorities come straight from the packed words; the index breaks
+        // id ties.
+        (packed_id(self.words[u].load(STAT)), u) < (packed_id(self.words[v].load(STAT)), v)
     }
 }
 
@@ -162,25 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn packed_ids_survive_parent_changes() {
-        let s = PackedStore::with_seed(8, 3);
-        let ids_before: Vec<u64> = (0..8).map(|i| s.id_of(i)).collect();
+    fn packed_ids_are_hashed_and_survive_cas() {
+        let s = PackedStore::with_seed(100, 5);
+        let ids: Vec<u64> = (0..100).map(|i| s.id_of(i)).collect();
+        assert_eq!(ids, (0..100).map(|i| hashed_id(i, 5)).collect::<Vec<_>>());
         assert!(s.cas_parent(2, 2, 5));
         assert!(s.cas_parent(5, 5, 7));
-        let ids_after: Vec<u64> = (0..8).map(|i| s.id_of(i)).collect();
-        assert_eq!(ids_before, ids_after, "ids are immutable under parent CASes");
         assert_eq!(s.load_parent(2), 5);
-    }
-
-    #[test]
-    fn packed_ids_are_a_permutation() {
-        let s = PackedStore::with_seed(100, 5);
-        let mut seen = [false; 100];
-        for i in 0..100 {
-            let id = s.id_of(i) as usize;
-            assert!(id < 100 && !seen[id], "id {id} out of range or duplicated");
-            seen[id] = true;
-        }
+        let after: Vec<u64> = (0..100).map(|i| s.id_of(i)).collect();
+        assert_eq!(ids, after, "ids are immutable under parent CASes");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! freezing property the acyclicity argument needs (see
 //! [`order`](crate::order)). The random ids — still required, because the
 //! layout must remain a full [`DsuStore`] usable with every link policy —
-//! live in a side array like the flat layout's, read only when the
-//! [`RandomLink`](crate::RandomLink) policy asks for priorities.
+//! are not stored: like the flat layout, it recomputes the shared
+//! [`hashed_id`] of the index when the [`RandomLink`](crate::RandomLink)
+//! policy asks for a priority, so the layout stays 8 bytes per element.
 //!
 //! Unlike every other layout, the *high* half of the word is mutable too
 //! (rank bumps), but only while the node is a root and only upward:
@@ -26,19 +27,20 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::order::{IdOrder, PermutationOrder};
+use crate::order::{hashed_id, IdOrder};
 use crate::store::{
     pack_word, packed_id, packed_parent, packed_with_parent, DsuStore, ParentStore, CAS_FAILURE,
     CAS_SUCCESS, LOAD, STAT,
 };
 
 /// The rank-carrying store: parent index in the low 32 bits, union-by-rank
-/// rank in the high 32, random ids in a side array (see the module docs).
+/// rank in the high 32, random ids hashed from the index (see the module
+/// docs).
 ///
 /// Supports universes up to [`RankedStore::MAX_UNIVERSE`] elements.
 pub struct RankedStore {
     words: Box<[AtomicU64]>,
-    order: PermutationOrder,
+    seed: u64,
 }
 
 impl std::fmt::Debug for RankedStore {
@@ -51,7 +53,7 @@ impl RankedStore {
     /// Largest universe the 32-bit parent half can address.
     pub const MAX_UNIVERSE: u64 = 1 << 32;
 
-    /// `n` singleton cells at rank 0 with permutation ids (see
+    /// `n` singleton cells at rank 0 with hashed ids (see
     /// [`DsuStore::with_seed`]).
     ///
     /// # Panics
@@ -64,9 +66,8 @@ impl RankedStore {
              elements, but n = {n}; use the flat layout (`Dsu<_, FlatStore>`) for larger \
              universes"
         );
-        let order = PermutationOrder::new(n, seed);
         let words = (0..n).map(|i| AtomicU64::new(pack_word(0, i))).collect();
-        RankedStore { words, order }
+        RankedStore { words, seed }
     }
 
     /// The current rank of element `i` (a test/diagnostic read; the hot
@@ -101,10 +102,10 @@ impl ParentStore for RankedStore {
 
     #[inline]
     fn priority(&self, i: usize, _w: u64) -> u64 {
-        // Random ids live in the side array — the word's high half is the
-        // rank, which is NOT the priority (RandomLink and RankLink are
+        // Random ids are hashed from the index — the word's high half is
+        // the rank, which is NOT the priority (RandomLink and RankLink are
         // different orders on this layout, by design).
-        self.order.id_of(i)
+        hashed_id(i, self.seed)
     }
 
     #[inline]
@@ -126,7 +127,7 @@ impl ParentStore for RankedStore {
 impl IdOrder for RankedStore {
     #[inline]
     fn less(&self, u: usize, v: usize) -> bool {
-        self.order.less(u, v)
+        (hashed_id(u, self.seed), u) < (hashed_id(v, self.seed), v)
     }
 }
 
@@ -142,7 +143,7 @@ impl DsuStore for RankedStore {
     }
 
     fn id_of(&self, u: usize) -> u64 {
-        self.order.id_of(u)
+        hashed_id(u, self.seed)
     }
 
     fn snapshot(&self) -> Vec<usize> {

@@ -346,8 +346,8 @@ impl DecisionTable {
                 // probe by 1.14x over the paper default — with every word
                 // in cache the win goes to the variant that touches the
                 // fewest of them per op (halving writes half the compaction
-                // CASes of splitting; index linking drops the permutation
-                // lookup). Both skew rows carry the regime winner: the
+                // CASes of splitting; index linking compares indices, not
+                // ids). Both skew rows carry the regime winner: the
                 // matrix probed residency, not skew, and the cache gap
                 // between the two was inside noise.
                 Rule {

@@ -6,7 +6,7 @@
 //! splitting shorten paths — is worth more than another counter. Both
 //! renderers take plain `&[usize]` snapshots
 //! ([`Dsu::parents_snapshot`](crate::Dsu::parents_snapshot) /
-//! [`Dsu::union_forest_snapshot`](crate::Dsu::union_forest_snapshot)), so
+//! [`UnionForest::forest`](crate::UnionForest::forest)), so
 //! they work for any structure in the workspace and for the APRAM
 //! simulator's memories alike.
 

@@ -11,7 +11,9 @@
 //! per-access orderings and under `--features strict-sc` (CI runs both),
 //! the same dual configuration the packed-vs-flat cross-checks use.
 
-use concurrent_dsu::{Dsu, FlatStore, GrowableDsu, PackedStore, RandomLink, TwoTrySplit};
+use concurrent_dsu::{
+    Dsu, FlatStore, GrowableDsu, PackedStore, RandomLink, TwoTrySplit, UnionForest,
+};
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
 
@@ -31,8 +33,10 @@ proptest! {
         // RandomLink pinned throughout (reference and batch sides alike):
         // the id asserts at the bottom are about *random ids*, which the
         // `default-link-index` CI cell would otherwise retarget.
-        let packed_batch: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, seed);
-        let flat_batch: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, seed);
+        let packed_batch: Dsu<TwoTrySplit, UnionForest<PackedStore>, RandomLink> =
+            Dsu::with_seed(n, seed);
+        let flat_batch: Dsu<TwoTrySplit, UnionForest<FlatStore>, RandomLink> =
+            Dsu::with_seed(n, seed);
         let per_op: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, seed);
         let mut oracle = NaiveDsu::new(n);
 
@@ -61,12 +65,13 @@ proptest! {
         // node an earlier link of the same wave already demoted — paper
         // Algorithm 7's "link under any larger-id node" case — which
         // changes the forest shape but never the partition.)
-        prop_assert_eq!(packed_batch.union_forest_snapshot(), flat_batch.union_forest_snapshot());
-        // Ids still strictly increase along every batch-built parent path.
+        prop_assert_eq!(packed_batch.store().forest(), flat_batch.store().forest());
+        // `(id, index)` keys still strictly increase along every
+        // batch-built parent path.
         let parents = packed_batch.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                prop_assert!(packed_batch.id_of(x) < packed_batch.id_of(p));
+                prop_assert!((packed_batch.id_of(x), x) < (packed_batch.id_of(p), p));
             }
         }
     }
@@ -155,7 +160,7 @@ fn concurrent_batches_match_components_oracle() {
     let parents = packed.parents_snapshot();
     for (x, &p) in parents.iter().enumerate() {
         if p != x {
-            assert!(packed.id_of(x) < packed.id_of(p));
+            assert!((packed.id_of(x), x) < (packed.id_of(p), p));
         }
     }
 }

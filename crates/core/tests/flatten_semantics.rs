@@ -178,11 +178,11 @@ fn flatten_races_unites_on_every_layout() {
         assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle.partition());
         assert_eq!(dsu.set_count(), oracle.set_count());
         assert_eq!(links.load(Ordering::Relaxed), n - oracle.set_count());
-        // Lemma 3.1 survives grandparent jumps.
+        // Lemma 3.1 (on the `(id, index)` key) survives grandparent jumps.
         let parents = dsu.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p), "id inversion {x} -> {p}");
+                assert!((dsu.id_of(x), x) < (dsu.id_of(p), p), "key inversion {x} -> {p}");
             }
         }
         // And a final quiesced sweep reaches the O(1)-find state.

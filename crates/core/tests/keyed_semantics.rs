@@ -171,6 +171,22 @@ proptest! {
 /// insert the **same unseen key** through a barrier, every round. All
 /// must observe one id, and the table must allocate exactly one dense id
 /// per round.
+/// `KeyedDsu::new` takes its shard count from `DSU_KEY_SHARDS` on every
+/// construction (CI's keyed cell pins it to 2), else from the machine; the
+/// machine-derived count is cached, so repeated constructions must agree.
+#[test]
+fn new_reads_the_shard_override_on_every_construction() {
+    let requested = std::env::var("DSU_KEY_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&s| s > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let want = ShardSpec::with_shards(requested).shards();
+    for _ in 0..3 {
+        assert_eq!(KeyedDsu::<u64>::new().key_shard_count(), want);
+    }
+}
+
 #[test]
 fn racing_inserts_of_the_same_key_agree_on_one_id() {
     let _wd = TestWatchdog::arm(

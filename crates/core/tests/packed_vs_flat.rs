@@ -1,10 +1,11 @@
 //! Layout cross-checks: `Dsu<_, PackedStore>` and `Dsu<_, FlatStore>` are
 //! observationally identical, and the growable layout matches the oracle.
 //!
-//! Both layouts draw ids from the same seeded permutation, so for any seed
-//! and single-threaded operation sequence every return value, the set
-//! count, and the final partition must agree *exactly* — packing is a
-//! layout optimization, never a semantic one. These tests run
+//! Both layouts derive ids from the same `hashed_id(index, seed)` and order
+//! by the `(id, index)` key, so for any seed and single-threaded operation
+//! sequence every return value, the set count, and the final partition
+//! must agree *exactly* — packing is a layout optimization, never a
+//! semantic one. These tests run
 //! under both the default per-access orderings and `--features strict-sc`
 //! (CI's matrix runs every layout under both), which is what justifies the
 //! relaxed orderings empirically on top of the argument in
@@ -18,6 +19,7 @@
 
 use concurrent_dsu::{
     Dsu, DsuStore, FindPolicy, FlatStore, GrowableDsu, PackedStore, TestWatchdog, TwoTrySplit,
+    UnionForest,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -64,8 +66,8 @@ proptest! {
     #[test]
     fn all_layouts_agree(ops in ops_strategy(24, 120), seed in any::<u64>()) {
         let n = 24;
-        let packed: Dsu<TwoTrySplit, PackedStore> = Dsu::with_seed(n, seed);
-        let flat: Dsu<TwoTrySplit, FlatStore> = Dsu::with_seed(n, seed);
+        let packed: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(n, seed);
+        let flat: Dsu<TwoTrySplit, UnionForest<FlatStore>> = Dsu::with_seed(n, seed);
         let mut oracle = NaiveDsu::new(n);
         for &op in &ops {
             let (p, f) = (apply(&packed, op), apply(&flat, op));
@@ -86,7 +88,7 @@ proptest! {
         prop_assert_eq!(&canonical, &Partition::from_labels(&flat.labels_snapshot()));
         // Identical ids imply identical linking decisions, hence identical
         // union forests, not just identical partitions.
-        prop_assert_eq!(packed.union_forest_snapshot(), flat.union_forest_snapshot());
+        prop_assert_eq!(packed.store().forest(), flat.store().forest());
     }
 
     /// The growable layout matches the oracle on every operation.
@@ -173,12 +175,13 @@ fn concurrent_stress_matches_components_all_layouts() {
     assert_eq!(Partition::from_labels(&flat.labels_snapshot()), oracle.partition());
     assert_eq!(packed.set_count(), oracle.set_count());
     assert_eq!(flat.set_count(), oracle.set_count());
-    // Lemma 3.1 on both layouts: every non-root's id is below its parent's
-    // id, whatever interleaving the relaxed CASes went through.
+    // Lemma 3.1 on both layouts: every non-root's `(id, index)` key is
+    // below its parent's, whatever interleaving the relaxed CASes went
+    // through.
     fn ids_increase<S: DsuStore>(dsu: &Dsu<TwoTrySplit, S, concurrent_dsu::RandomLink>) {
         for (x, &p) in dsu.parents_snapshot().iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p));
+                assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));
             }
         }
     }

@@ -12,7 +12,7 @@
 
 use concurrent_dsu::{
     Compress, Dsu, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
-    RandomLink, RankLink, RankedStore, TwoTrySplit,
+    RandomLink, RankLink, RankedStore, TwoTrySplit, UnionForest,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -108,14 +108,14 @@ proptest! {
         check_find_axis::<RankedStore, RandomLink>(20, seed, &ops, early);
     }
 
-    /// Lemma 3.1 invariants hold after any single-threaded history: ids
-    /// strictly increase along parent paths, and compaction only replaces
-    /// parents by union-forest ancestors.
+    /// Lemma 3.1 invariants hold after any single-threaded history:
+    /// `(id, index)` keys strictly increase along parent paths, and
+    /// compaction only replaces parents by union-forest ancestors.
     #[test]
     fn lemma_3_1_invariants(ops in ops_strategy(24, 120), seed in any::<u64>()) {
         // RandomLink pinned: the id-order clause of Lemma 3.1 is a
         // statement about random ids, not whatever `DefaultLink` floats to.
-        let dsu: Dsu<TwoTrySplit, concurrent_dsu::DefaultStore, RandomLink> =
+        let dsu: Dsu<TwoTrySplit, UnionForest<concurrent_dsu::DefaultStore>, RandomLink> =
             Dsu::with_seed(24, seed);
         for &op in &ops {
             match op {
@@ -124,10 +124,10 @@ proptest! {
             }
         }
         let parents = dsu.parents_snapshot();
-        let forest = dsu.union_forest_snapshot();
+        let forest = dsu.store().forest();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                prop_assert!(dsu.id_of(x) < dsu.id_of(p));
+                prop_assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));
                 // The current parent must be an ancestor of x in the union
                 // forest (Lemma 3.1's compaction clause).
                 let mut u = x;

@@ -3,14 +3,15 @@
 //!
 //! For each universe size `n`, run `m = 2n` random unites on `threads`
 //! threads with randomized linking and two-try splitting, then measure the
-//! *union forest* (links only, compaction ignored). The paper predicts
+//! *union forest* (links only, compaction ignored), which the
+//! `UnionForest` store decorator records. The paper predicts
 //! height `≤ c·lg n` with probability `≥ 1 − 1/n`; the table reports the
 //! measured height, its ratio to `lg n` (should be a small constant,
 //! stable as `n` grows), and the mean node depth.
 //!
 //! Usage: `--min-exp 10 --max-exp 20 --reps 3 --threads-per-run 8 --quick true --csv out.csv`
 
-use concurrent_dsu::Dsu;
+use concurrent_dsu::{DefaultStore, Dsu, TwoTrySplit, UnionForest};
 use dsu_harness::{mean, run_shards, table::f2, Args, Table};
 use dsu_workloads::WorkloadSpec;
 
@@ -64,10 +65,10 @@ fn main() {
         let mut final_sets = 0;
         for rep in 0..reps {
             let seed = 0xE1_000 + rep as u64;
-            let dsu: Dsu = Dsu::with_seed(n, seed);
+            let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::with_seed(n, seed);
             let w = WorkloadSpec::new(n, 2 * n).unite_fraction(1.0).generate(seed ^ 0x9E37);
             run_shards(&dsu, &w, threads);
-            let (h, md) = forest_height_and_mean_depth(&dsu.union_forest_snapshot());
+            let (h, md) = forest_height_and_mean_depth(&dsu.store().forest());
             heights.push(h as f64);
             depths.push(md);
             final_sets = dsu.set_count();

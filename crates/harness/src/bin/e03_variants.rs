@@ -16,9 +16,9 @@
 //!   factor.
 //!
 //! The link axis has no paper-side work ordering (the bounds hold for any
-//! linearizable linking with increasing keys): `index` drops the side
-//! permutation lookup but loses the randomized height guarantee, `rank`
-//! buys shallow trees with a rank word per element ([`RankedStore`]).
+//! linearizable linking with increasing keys): `index` compares indices
+//! instead of random ids but loses the randomized height guarantee, `rank`
+//! buys shallow trees with a rank in each element's word ([`RankedStore`]).
 //! This table measures what those trades cost in find work.
 //!
 //! Usage: `--n 65536 --m 131072 --reps 2 --quick true --csv out.csv`

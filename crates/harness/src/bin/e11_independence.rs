@@ -7,7 +7,8 @@
 //! tree):
 //!
 //! * `random` — edges shuffled independently of ids (the assumption holds);
-//! * `id-ascending` — edges sorted by the smaller endpoint's id;
+//! * `id-ascending` — edges sorted by the smaller endpoint's
+//!   `(id, index)` key, the order linking follows;
 //! * `id-descending` — sorted the other way.
 //!
 //! Measured: union-forest height and find-loop iterations per subsequent
@@ -19,7 +20,7 @@
 //!
 //! Usage: `--n 262144 --reps 3 --quick true --csv out.csv`
 
-use concurrent_dsu::{Dsu, TwoTrySplit};
+use concurrent_dsu::{DefaultStore, Dsu, TwoTrySplit, UnionForest};
 use dsu_harness::{mean, run_shards, run_shards_instrumented, table::f2, Args, Table};
 use dsu_workloads::{Op, Workload};
 use rand::seq::SliceRandom;
@@ -44,22 +45,23 @@ fn main() {
         let mut iters = Vec::new();
         for rep in 0..reps {
             let seed = 0x0E110 + rep as u64;
-            let dsu: Dsu<TwoTrySplit> = Dsu::with_seed(n, seed);
+            let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::with_seed(n, seed);
+            let key = |x: usize| (dsu.id_of(x), x);
             // A random spanning tree's edges.
             let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x7);
             let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (i, rng.gen_range(0..i))).collect();
             match order_kind {
                 "random" => edges.shuffle(&mut rng),
                 "id-ascending" => {
-                    edges.sort_by_key(|&(a, b)| dsu.id_of(a).min(dsu.id_of(b)));
+                    edges.sort_by_key(|&(a, b)| key(a).min(key(b)));
                 }
                 _ => {
-                    edges.sort_by_key(|&(a, b)| std::cmp::Reverse(dsu.id_of(a).min(dsu.id_of(b))));
+                    edges.sort_by_key(|&(a, b)| std::cmp::Reverse(key(a).min(key(b))));
                 }
             }
             let unites = Workload::new(n, edges.iter().map(|&(a, b)| Op::Unite(a, b)).collect());
             run_shards(&dsu, &unites, threads);
-            heights.push(dsu.union_forest_height() as f64);
+            heights.push(dsu.store().height() as f64);
             // Query storm after the build measures how costly the forest is.
             let queries =
                 Workload::new(n, (0..n).map(|i| Op::SameSet(i, (i * 2654435761) % n)).collect());

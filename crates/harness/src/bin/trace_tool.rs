@@ -13,7 +13,7 @@
 //! trace_tool --mode replay --trace /tmp/t.json --p 8
 //! ```
 
-use concurrent_dsu::Dsu;
+use concurrent_dsu::{DefaultStore, Dsu, TwoTrySplit, UnionForest};
 use dsu_harness::{run_shards, table::f2, Args};
 use dsu_workloads::{ElementDist, Workload, WorkloadSpec};
 
@@ -50,10 +50,10 @@ fn main() {
         "replay" => {
             let w = load(&args);
             let p = args.usize("p", 8);
-            let dsu: Dsu = Dsu::with_seed(
-                w.n,
-                args.u64("seed", Dsu::<concurrent_dsu::TwoTrySplit>::DEFAULT_SEED),
-            );
+            // Recording the union forest costs one word per element and
+            // a branch per CAS; the replay reports its height.
+            let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> =
+                Dsu::with_seed(w.n, args.u64("seed", Dsu::<TwoTrySplit>::DEFAULT_SEED));
             let metrics = run_shards(&dsu, &w, p);
             println!(
                 "replayed {} ops on {p} threads in {:.2} ms ({} Mops/s)",
@@ -62,7 +62,7 @@ fn main() {
                 f2(metrics.mops())
             );
             println!("final sets: {}", dsu.set_count());
-            println!("union forest height: {}", dsu.union_forest_height());
+            println!("union forest height: {}", dsu.store().height());
         }
         other => {
             eprintln!("unknown --mode {other}; expected gen | info | replay");

@@ -3,7 +3,8 @@
 //! The paper is a theory paper — no tables, no figures — so the
 //! "evaluation" this workspace regenerates is the set of quantitative
 //! claims made by its theorems and remarks. Each claim has one binary in
-//! `src/bin/` (see `DESIGN.md` §5 for the full index):
+//! `src/bin/` (the paper-claim binaries; `e13`–`e16` cover the later
+//! fault, keyed, flatten and epoch layers):
 //!
 //! | bin | paper claim |
 //! |-----|-------------|

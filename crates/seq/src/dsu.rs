@@ -121,7 +121,7 @@ pub struct SeqDsu {
     aux: Vec<u64>,
     /// Parent in the *union forest* (links only, never rewritten by
     /// compaction); used to measure union-forest height (Corollary 4.2.1).
-    union_parent: Vec<usize>,
+    forest_parent: Vec<usize>,
     linking: Linking,
     compaction: Compaction,
     sets: usize,
@@ -158,7 +158,7 @@ impl SeqDsu {
         SeqDsu {
             parent: (0..n).collect(),
             aux,
-            union_parent: (0..n).collect(),
+            forest_parent: (0..n).collect(),
             linking,
             compaction,
             sets: n,
@@ -355,7 +355,7 @@ impl SeqDsu {
             self.aux[new_parent] += self.aux[child];
         }
         self.parent[child] = new_parent;
-        self.union_parent[child] = new_parent;
+        self.forest_parent[child] = new_parent;
         self.sets -= 1;
         self.stats.links += 1;
     }
@@ -366,7 +366,7 @@ impl SeqDsu {
     ///
     /// Runs in `O(n)` with memoized depths.
     pub fn union_forest_height(&self) -> usize {
-        union_forest_height(&self.union_parent)
+        union_forest_height(&self.forest_parent)
     }
 
     /// The current parent pointer of `x` (diagnostics; `x` itself if root).
@@ -433,7 +433,7 @@ impl SeqDsu {
                 // which need not be a root (ids only grow upward, so no
                 // cycle can form).
                 self.parent[u] = v;
-                self.union_parent[u] = v;
+                self.forest_parent[u] = v;
                 self.sets -= 1;
                 self.stats.links += 1;
                 return true;
@@ -480,8 +480,8 @@ impl SeqDsu {
     pub fn union_forest_depth(&self, x: usize) -> usize {
         let mut d = 0;
         let mut u = x;
-        while self.union_parent[u] != u {
-            u = self.union_parent[u];
+        while self.forest_parent[u] != u {
+            u = self.forest_parent[u];
             d += 1;
         }
         d
@@ -600,7 +600,7 @@ mod tests {
         // Along every union-forest path, priorities strictly increase
         // (Lemma 3.1 analogue).
         for x in 0..16 {
-            let p = dsu.union_parent[x];
+            let p = dsu.forest_parent[x];
             if p != x {
                 assert!(dsu.aux[x] < dsu.aux[p], "child priority must be smaller");
             }
@@ -626,7 +626,7 @@ mod tests {
         let mut dsu = SeqDsu::new(n, Linking::Randomized, Compaction::Splitting);
         for i in 0..n - 1 {
             dsu.parent[i] = i + 1;
-            dsu.union_parent[i] = i + 1;
+            dsu.forest_parent[i] = i + 1;
         }
         dsu.sets = 1;
         let root = dsu.find(0);
@@ -642,7 +642,7 @@ mod tests {
         let mut dsu = SeqDsu::new(n, Linking::Randomized, Compaction::Halving);
         for i in 0..n - 1 {
             dsu.parent[i] = i + 1;
-            dsu.union_parent[i] = i + 1;
+            dsu.forest_parent[i] = i + 1;
         }
         dsu.sets = 1;
         let root = dsu.find(0);

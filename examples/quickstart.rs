@@ -18,17 +18,24 @@
 //! - All `DSU_*` environment knobs are documented in one table in the
 //!   `concurrent_dsu` crate docs (`crates/core/src/lib.rs`).
 
-use jt_dsu::{Dsu, OpStats};
+use jt_dsu::concurrent_dsu::{DefaultStore, UnionForest};
+use jt_dsu::{Dsu, OpStats, TwoTrySplit};
 use std::thread;
 
 fn main() {
     let n = 1_000_000;
     // Defaults: two-try splitting (the paper's best find variant) on the
     // packed store — parent and random id in one 64-bit word per element,
-    // so the hot path touches half the memory of a split layout. Packing
-    // caps the universe at 2^32 elements; for more, pick the flat layout
-    // explicitly: `let dsu: Dsu<TwoTrySplit, FlatStore> = Dsu::new(n);`
-    let dsu: Dsu = Dsu::new(n);
+    // so a find reads both in one load. Packing caps the universe at 2^32
+    // elements; for more, pick the flat layout explicitly:
+    // `let dsu: Dsu<TwoTrySplit, FlatStore> = Dsu::new(n);`
+    //
+    // The store here is wrapped in `UnionForest`, a decorator that also
+    // records each link (one more word per element) so the height of the
+    // union forest — the links alone, compaction ignored — can be printed
+    // below. A plain `Dsu` (`let dsu: Dsu = Dsu::new(n);`) keeps no such
+    // record.
+    let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::new(n);
 
     println!("uniting a ring of {n} elements on 8 threads…");
     let start = std::time::Instant::now();
@@ -56,7 +63,7 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         n,
         dsu.set_count(),
-        dsu.union_forest_height(),
+        dsu.store().height(),
     );
 
     // Instrumentation: count the work of a single query.
@@ -77,7 +84,7 @@ fn main() {
     // already self-compact; BENCH_PR9.json), so call it only at a known
     // ingest→query boundary.
     dsu.flatten();
-    assert!(dsu.union_forest_height() >= 1, "union forest is untouched; only paths flatten");
+    assert!(dsu.store().height() >= 1, "union forest is untouched; only paths flatten");
 
     // Elements that aren't dense integers? `jt_dsu::KeyedDsu` maps any
     // hashable key (strings, sparse u64s, row keys) to dense ids through

@@ -82,14 +82,14 @@
 //! ratios against the previous run's cached baseline
 //! (>15% regression warns in the job summary, never turns red; baselines
 //! from a different machine are skipped, not compared); and
-//! `harness-smoke` (real experiment binaries end to end, e09 + e14). A
+//! `harness-smoke` (real experiment binaries end to end: e01, e09, e11,
+//! e14 and e15). A
 //! weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`, the
 //! non-quick A/B runs. Runs on the same ref cancel their predecessors.
 //!
-//! See `README.md` for the tour, `ARCHITECTURE.md` for the crate map and
-//! layer diagram, `docs/benchmarks.md` for every measured claim and its
-//! artifact, `DESIGN.md` for the system inventory and experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `ARCHITECTURE.md` for the crate map and layer diagram,
+//! `docs/benchmarks.md` for every measured claim and its artifact, and
+//! `ROADMAP.md` for direction.
 
 pub use apram;
 pub use apram_dsu;

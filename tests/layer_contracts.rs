@@ -4,14 +4,16 @@
 //! (snapshot, mutate, roll back), `KeyedDsu` (the keyed batch paths), and
 //! `TunedDsu` past its sampling switch point. One more contract covers what
 //! the unversioned growable layers share with `VersionedDsu`: the epoch
-//! store underneath, which they must never fork. The semantics suites in
+//! store underneath, which they must never fork. Another pins the id
+//! function every store shares: for one seed, `Dsu` and a `GrowableDsu`
+//! grown to the same size are the same structure. The semantics suites in
 //! `crates/core/tests` prove each layer in depth; these keep every layer
 //! under the root crate's own test run.
 
 use std::collections::HashSet;
 
 use jt_dsu::concurrent_dsu::tune::DEFAULT_SAMPLE_BUDGET;
-use jt_dsu::concurrent_dsu::{EpochFork, EpochReport, TunedDsu, TunerMode};
+use jt_dsu::concurrent_dsu::{EpochFork, EpochReport, ParentStore, TunedDsu, TunerMode};
 use jt_dsu::{Compaction, Dsu, GrowableDsu, KeyedDsu, Linking, Partition, SeqDsu, VersionedDsu};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -48,6 +50,39 @@ fn dsu_per_op_and_batches_match_oracle() {
     assert_eq!(dsu.unite_batch(&burst), links);
     assert_eq!(dsu.set_count(), seq.set_count());
     assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition());
+}
+
+/// Every store derives ids from the same `hashed_id(index, seed)` and
+/// orders by `(id, index)`, so a fixed `Dsu` and a `GrowableDsu` grown to
+/// the same size by `make_set` link identically: one seeded stream of
+/// unites and queries, then one batch, must give equal verdicts, equal ids
+/// and equal parent forests.
+#[test]
+fn dsu_and_grown_growable_are_the_same_structure() {
+    let (n, seed) = (300, 0x1A7E_0007);
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let dsu: Dsu = Dsu::with_seed(n, seed);
+    let growable: GrowableDsu = GrowableDsu::with_seed(seed);
+    for _ in 0..n {
+        growable.make_set();
+    }
+    let store = growable.store();
+    for x in 0..n {
+        assert_eq!(dsu.id_of(x), store.priority(x, store.load_word(x)), "id of {x}");
+    }
+    for i in 0..600 {
+        let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if rng.gen_bool(0.5) {
+            assert_eq!(dsu.unite(x, y), growable.unite(x, y), "op {i}: unite({x}, {y})");
+        } else {
+            assert_eq!(dsu.same_set(x, y), growable.same_set(x, y), "op {i}: same_set({x}, {y})");
+        }
+    }
+    let burst = random_edges(&mut rng, n, 400);
+    assert_eq!(dsu.unite_batch_results(&burst), growable.unite_batch_results(&burst));
+    assert_eq!(dsu.set_count(), growable.set_count());
+    let grown_parents: Vec<usize> = (0..n).map(|x| store.load_parent(x)).collect();
+    assert_eq!(dsu.parents_snapshot(), grown_parents);
 }
 
 #[test]

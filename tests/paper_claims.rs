@@ -3,20 +3,21 @@
 //! logarithmic heights, the lockstep simulation, the lower-bound workload,
 //! bounded per-op work, and the work-bound predictions' shape.
 
-use jt_dsu::concurrent_dsu::{Dsu, OpStats, TwoTrySplit};
+use jt_dsu::concurrent_dsu::{DefaultStore, Dsu, OpStats, TwoTrySplit, UnionForest};
 use jt_dsu::dsu_workloads::{binomial_build_ops, lower_bound_workload, WorkloadSpec};
 use jt_dsu::sequential_dsu::{alpha, one_try_work_bound, two_try_work_bound};
 
 #[test]
 fn corollary_4_2_1_logarithmic_height_at_test_scale() {
     // 3 seeds × n = 2^13, m = 2n random unites on 8 threads: height must
-    // stay within 6·lg n (the w.h.p. bound with a generous constant).
+    // stay within 6·lg n (the w.h.p. bound with a generous constant). The
+    // `UnionForest` decorator records the links.
     let n = 1 << 13;
     for seed in [11u64, 22, 33] {
-        let dsu: Dsu = Dsu::with_seed(n, seed);
+        let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::with_seed(n, seed);
         let w = WorkloadSpec::new(n, 2 * n).unite_fraction(1.0).generate(seed);
         jt_dsu::dsu_harness::run_shards(&dsu, &w, 8);
-        let h = dsu.union_forest_height();
+        let h = dsu.store().height();
         assert!(h <= 6 * 13, "height {h} exceeds 6 lg n for seed {seed}");
     }
 }
