@@ -77,7 +77,7 @@ fn bench_structures(c: &mut Criterion) {
             b.iter_custom(|iters| {
                 let mut total = std::time::Duration::ZERO;
                 for _ in 0..iters {
-                    let dsu: GrowableDsu<TwoTrySplit> = GrowableDsu::with_initial(N);
+                    let dsu: GrowableDsu<TwoTrySplit> = GrowableDsu::new(N);
                     total += timed_parallel_run(&dsu, &w, p);
                 }
                 total

@@ -7,9 +7,10 @@
 //! * **versioned** — [`VersionedDsu`] with *no* snapshots taken: the
 //!   baseline, on the same `EpochStore` every growable structure uses.
 //!   The attribution block asserts its fork/copy counters stay zero.
-//! * **snap** — `snapshot_every = 1`: a copy-on-write guard point before
-//!   every burst (the `ingest_batch` auto-snap policy), the worst-case
-//!   cadence. This is the price of "always able to roll back one batch".
+//! * **snap** — a copy-on-write guard point before every burst: take a
+//!   snapshot, then drop the previous one, so one guard is always
+//!   retained. The worst-case cadence — the price of "always able to roll
+//!   back one batch".
 //!
 //! **Part 2 — the first payoff.** Exact percolation thresholds per grid:
 //!
@@ -33,11 +34,10 @@
 //!       [--samples 5] [--json out.json] [--quick true]`
 
 use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use concurrent_dsu::epoch::EpochFork;
-use concurrent_dsu::VersionedDsu;
+use concurrent_dsu::{Epoch, VersionedDsu};
 use dsu_bench::{machine_fingerprint_json, median, standard_edge_batches};
 use dsu_graph::percolation::{
     percolation_threshold, percolation_threshold_batched, percolation_threshold_versioned,
@@ -71,6 +71,19 @@ fn probes(quick: bool) -> Vec<Probe> {
         .collect()
 }
 
+/// The snap arm's ingest: before each burst, drop the previous guard and
+/// snapshot a fresh one, so exactly one guard is retained at a time.
+fn ingest_guarded(dsu: &mut VersionedDsu, batches: &[Vec<(usize, usize)>]) {
+    let mut guard: Option<Epoch> = None;
+    for batch in batches {
+        if let Some(prev) = guard.take() {
+            dsu.drop_snapshot(prev);
+        }
+        guard = Some(dsu.snapshot());
+        dsu.unite_batch(batch);
+    }
+}
+
 fn run_storm(find: impl Fn(usize, usize) -> bool, storm: &Workload) {
     for &op in &storm.ops {
         if let Op::SameSet(x, y) = op {
@@ -93,10 +106,7 @@ fn timed_ingest_mode(mode: &str, probe: &Probe) -> f64 {
         }
         "snap" => {
             let mut dsu: VersionedDsu = VersionedDsu::with_initial(probe.n);
-            dsu.set_snapshot_every(NonZeroUsize::new(1));
-            for batch in &probe.batches {
-                dsu.ingest_batch(batch);
-            }
+            ingest_guarded(&mut dsu, &probe.batches);
             run_storm(|x, y| dsu.same_set(x, y), &probe.storm);
         }
         _ => unreachable!(),
@@ -120,10 +130,7 @@ fn attribution(probe: &Probe) -> String {
         "an unsnapshotted run forked segments — versioning is not free-when-unused"
     );
     let mut snap: VersionedDsu = VersionedDsu::with_initial(probe.n);
-    snap.set_snapshot_every(NonZeroUsize::new(1));
-    for batch in &probe.batches {
-        snap.ingest_batch(batch);
-    }
+    ingest_guarded(&mut snap, &probe.batches);
     let report = snap.dsu().store().epoch_report();
     format!(
         "{{\"probe\":\"{}\",\"n\":{},\"bursts\":{},\"idle_segments_forked\":0,\

@@ -248,6 +248,13 @@ where
 /// observations. Outcomes are reported exactly once per edge but *not* in
 /// index order (same-set edges report during the filter step of their
 /// wave).
+///
+/// Kept out of line: it runs once per batch, so the call is free, but when
+/// LLVM inlined it into the packed `Dsu::unite_batch` (a heuristic flip
+/// after unrelated `Dsu` changes) the filter loop gained register spills
+/// and the perfbench cc-rmat per-batch p50 rose about 20 % (2-vCPU Xeon;
+/// see `docs/benchmarks.md`).
+#[inline(never)]
 pub fn unite_batch_sink<L, P, S>(
     store: &P,
     edges: &[(usize, usize)],

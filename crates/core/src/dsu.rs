@@ -1,18 +1,24 @@
-//! The fixed-universe concurrent union-find ([`Dsu`]).
+//! The concurrent union-find ([`Dsu`]), over a fixed universe or — on a
+//! [`GrowableStore`] — one that grows by [`make_set`](Dsu::make_set).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bulk;
+use crate::epoch::EpochStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::flatten;
 use crate::ops;
 use crate::order::LinkPolicy;
 use crate::stats::{OpStats, StatsSink};
-use crate::store::DsuStore;
+use crate::store::{DsuStore, GrowableStore};
 use crate::ConcurrentUnionFind;
 
-/// A wait-free concurrent disjoint-set union over the fixed universe
-/// `0..n`, parameterized by the find compaction policy `F` (default:
+/// A [`Dsu`] over the growable layout: starts with `n` elements (often 0)
+/// and grows by [`make_set`](Dsu::make_set).
+pub type GrowableDsu<F = TwoTrySplit, S = EpochStore, L = crate::DefaultLink> = Dsu<F, S, L>;
+
+/// A wait-free concurrent disjoint-set union over the universe `0..len`,
+/// parameterized by the find compaction policy `F` (default:
 /// [`TwoTrySplit`], the paper's best variant), the parent storage layout
 /// `S` (default: [`DefaultStore`](crate::DefaultStore) —
 /// [`PackedStore`](crate::PackedStore) unless a `default-store-*` feature
@@ -31,6 +37,37 @@ use crate::ConcurrentUnionFind;
 /// [`store`](crate::store) module docs) and every operation finishes in
 /// `O(log n)` steps w.h.p. (Theorem 4.3) regardless of scheduling
 /// (wait-freedom, Lemma 3.3).
+///
+/// # Growing universes
+///
+/// On a [`GrowableStore`] — [`EpochStore`], the configuration
+/// [`GrowableDsu`] names — [`make_set`](Dsu::make_set) creates fresh
+/// elements concurrently with ongoing operations (paper Section 3
+/// remark). Ids need no up-front draw on any layout: every store hashes
+/// the element index ([`hashed_id`](crate::order::hashed_id); paper
+/// Section 7: a universe large enough that ties are rare, with the index
+/// breaking them), so a `Dsu` grown to `n` elements links exactly like
+/// one built with `n` elements and the same seed. As the paper notes, in
+/// an unbounded universe the operations are *lock-free* rather than
+/// wait-free: one could in principle chase a set that keeps growing.
+///
+/// An element index may be passed to operations once the `make_set` that
+/// returned it has returned (happens-before via the index handoff).
+/// Reading [`len`](Dsu::len) and then touching every index below it is
+/// only guaranteed at quiescence, because another thread's `make_set` may
+/// have reserved an index it is still initializing.
+///
+/// ```
+/// use concurrent_dsu::GrowableDsu;
+///
+/// let dsu: GrowableDsu = GrowableDsu::new(0);
+/// let a = dsu.make_set();
+/// let b = dsu.make_set();
+/// assert!(dsu.unite(a, b));
+/// let c = dsu.make_set();
+/// assert!(!dsu.same_set(a, c));
+/// assert_eq!((dsu.len(), dsu.set_count()), (3, 2));
+/// ```
 ///
 /// # Example
 ///
@@ -87,7 +124,8 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// # Panics
     ///
     /// Panics if the storage layout cannot address `n` elements (the
-    /// default [`PackedStore`](crate::PackedStore) supports at most `2^32`).
+    /// default [`PackedStore`](crate::PackedStore) and [`EpochStore`]
+    /// support at most `2^32`).
     pub fn with_seed(n: usize, seed: u64) -> Self {
         Self::from_store(S::with_seed(n, seed))
     }
@@ -114,7 +152,8 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         Dsu { store, links: AtomicUsize::new(0), _policy: std::marker::PhantomData }
     }
 
-    /// Number of elements in the universe.
+    /// Number of elements in the universe (on a growable store: reserved
+    /// by `make_set` so far).
     pub fn len(&self) -> usize {
         self.store.len()
     }
@@ -162,10 +201,28 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     }
 
     /// The underlying store — for layout-specific inspection (a
-    /// [`FaultyStore`](crate::FaultyStore)'s fault report). Read-only: the
-    /// forest is only ever mutated through the operations.
+    /// [`FaultyStore`](crate::FaultyStore)'s fault report, an
+    /// [`EpochStore`]'s
+    /// [`epoch_report`](crate::epoch::EpochFork::epoch_report)). Read-only:
+    /// the forest is only ever mutated through the operations.
     pub fn store(&self) -> &S {
         &self.store
+    }
+
+    /// Exclusive store access for quiescent epoch transitions
+    /// ([`EpochFork::fork_point`](crate::epoch::EpochFork::fork_point) and
+    /// friends take `&mut self` so the borrow checker enforces the
+    /// quiescence they require).
+    pub(crate) fn store_mut(&mut self) -> &mut S {
+        &mut self.store
+    }
+
+    /// Resets the link counter to a recorded quiescent value — the
+    /// [`VersionedDsu`](crate::VersionedDsu) rollback hook, paired with
+    /// the store's own restore of its segments and element count.
+    pub(crate) fn restore_links(&mut self, links: usize) {
+        debug_assert!(links <= self.len());
+        *self.links.get_mut() = links;
     }
 
     fn check(&self, x: usize) {
@@ -308,7 +365,10 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         results
     }
 
-    fn check_edges(&self, edges: &[(usize, usize)]) {
+    /// Panics unless every endpoint exists — called before any state
+    /// changes, here and by
+    /// [`VersionedDsu::try_unite_batch`](crate::VersionedDsu::try_unite_batch).
+    pub(crate) fn check_edges(&self, edges: &[(usize, usize)]) {
         for &(x, y) in edges {
             self.check(x);
             self.check(y);
@@ -320,8 +380,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// One sequential store-ordered flatten sweep: pointer-jumps every
     /// element until the whole forest has depth ≤ 1. Safe to run
     /// concurrently with ongoing operations (a lost CAS just means someone
-    /// moved the root); at quiescence one sweep leaves every subsequent
-    /// find O(1).
+    /// moved the root) and with `make_set` (the sweep walks only
+    /// [`scan_runs`](DsuStore::scan_runs), the initialized cells); at
+    /// quiescence one sweep leaves every subsequent find O(1).
     pub fn flatten(&self) {
         self.flatten_with(&mut ());
     }
@@ -330,7 +391,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// (loads as `read`, jumps as `compact_cas_*` plus the
     /// `flatten_*` attribution counters).
     pub fn flatten_with<Sk: StatsSink>(&self, stats: &mut Sk) {
-        flatten::flatten_runs(&self.store, std::slice::from_ref(&(0..self.len())), stats);
+        flatten::flatten_runs(&self.store, &self.store.scan_runs(), stats);
     }
 
     /// Parallel flatten sweep over `threads` workers using the same
@@ -341,7 +402,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     ///
     /// Panics if `threads` is zero.
     pub fn flatten_parallel(&self, threads: usize) -> OpStats {
-        flatten::flatten_runs_parallel(&self.store, std::slice::from_ref(&(0..self.len())), threads)
+        flatten::flatten_runs_parallel(&self.store, &self.store.scan_runs(), threads)
     }
 
     fn record_link(&self) {
@@ -370,6 +431,25 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             labels[i] = labels[labels[i]];
         }
         labels
+    }
+}
+
+impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> Dsu<F, S, L> {
+    /// Creates a fresh singleton set and returns its element index.
+    /// Indices are dense: on a universe built with `n` elements, the
+    /// `k`-th `make_set` returns `n + k - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the storage layout cannot address the new element
+    /// ([`EpochStore`] supports at most `2^32`).
+    pub fn make_set(&self) -> usize {
+        self.store.push_singleton()
+    }
+
+    /// Same as [`new`](Dsu::new); only `perfbench/` still calls it.
+    pub fn with_initial(n: usize) -> Self {
+        Self::new(n)
     }
 }
 
@@ -410,8 +490,8 @@ mod tests {
     /// with the `default-link-index` feature the CI variants cell flips.
     type RandomDsu<F = TwoTrySplit> = Dsu<F, crate::DefaultStore, RandomLink>;
 
-    fn exercise_basic<F: FindPolicy>() {
-        let dsu: Dsu<F> = Dsu::new(10);
+    fn exercise_basic<F: FindPolicy, S: DsuStore>() {
+        let dsu: Dsu<F, S> = Dsu::new(10);
         assert_eq!(dsu.len(), 10);
         assert_eq!(dsu.set_count(), 10);
         assert!(!dsu.same_set(0, 9));
@@ -427,10 +507,11 @@ mod tests {
 
     #[test]
     fn basics_all_policies() {
-        exercise_basic::<NoCompaction>();
-        exercise_basic::<OneTrySplit>();
-        exercise_basic::<TwoTrySplit>();
-        exercise_basic::<Halving>();
+        exercise_basic::<NoCompaction, crate::DefaultStore>();
+        exercise_basic::<OneTrySplit, crate::DefaultStore>();
+        exercise_basic::<TwoTrySplit, crate::DefaultStore>();
+        exercise_basic::<Halving, crate::DefaultStore>();
+        exercise_basic::<TwoTrySplit, EpochStore>();
     }
 
     #[test]
@@ -441,6 +522,8 @@ mod tests {
         assert!(s.contains("len"), "{s}");
         assert!(s.contains("random"), "{s}");
         assert_eq!(dsu.link_name(), "random");
+        let grown: GrowableDsu = Dsu::new(2);
+        assert!(format!("{grown:?}").contains("epoch-seg"), "{grown:?}");
     }
 
     #[test]
@@ -634,24 +717,28 @@ mod tests {
 
     #[test]
     fn unite_batch_matches_per_op_sequence() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(404);
-        let n = 48;
-        let edges: Vec<(usize, usize)> =
-            (0..300).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect();
-        let batched: Dsu = Dsu::with_seed(n, 8);
-        let per_op: Dsu = Dsu::with_seed(n, 8);
-        let results = batched.unite_batch_results(&edges);
-        let expected: Vec<bool> = edges.iter().map(|&(x, y)| per_op.unite(x, y)).collect();
-        assert_eq!(results, expected);
-        assert_eq!(batched.set_count(), per_op.set_count());
-        assert_eq!(
-            Partition::from_labels(&batched.labels_snapshot()),
-            Partition::from_labels(&per_op.labels_snapshot())
-        );
-        // Count view agrees with the per-edge view.
-        let recount: Dsu = Dsu::with_seed(n, 8);
-        assert_eq!(recount.unite_batch(&edges), results.iter().filter(|&&b| b).count());
+        fn check<S: DsuStore>() {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(404);
+            let n = 48;
+            let edges: Vec<(usize, usize)> =
+                (0..300).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect();
+            let batched: Dsu<TwoTrySplit, S> = Dsu::with_seed(n, 8);
+            let per_op: Dsu<TwoTrySplit, S> = Dsu::with_seed(n, 8);
+            let results = batched.unite_batch_results(&edges);
+            let expected: Vec<bool> = edges.iter().map(|&(x, y)| per_op.unite(x, y)).collect();
+            assert_eq!(results, expected, "{}", S::NAME);
+            assert_eq!(batched.set_count(), per_op.set_count());
+            assert_eq!(
+                Partition::from_labels(&batched.labels_snapshot()),
+                Partition::from_labels(&per_op.labels_snapshot())
+            );
+            // Count view agrees with the per-edge view.
+            let recount: Dsu<TwoTrySplit, S> = Dsu::with_seed(n, 8);
+            assert_eq!(recount.unite_batch(&edges), results.iter().filter(|&&b| b).count());
+        }
+        check::<crate::DefaultStore>();
+        check::<EpochStore>();
     }
 
     #[test]
@@ -792,6 +879,9 @@ mod tests {
         assert!(one.same_set(0, 0));
         assert!(!one.unite(0, 0));
         assert_eq!(one.set_count(), 1);
+        let grown: GrowableDsu = Dsu::new(0);
+        assert!(grown.is_empty());
+        assert_eq!(grown.set_count(), 0);
     }
 
     /// Deterministic deep tree: NoCompaction + index linking over chain
@@ -812,7 +902,7 @@ mod tests {
 
     #[test]
     fn quiesced_flatten_reaches_depth_one_on_every_layout() {
-        fn check<S: DsuStore>() {
+        fn check<S: DsuStore>() -> Dsu<NoCompaction, S, IndexLink> {
             let n = 128;
             let dsu = deep_chain::<S>(n);
             dsu.flatten();
@@ -823,21 +913,148 @@ mod tests {
             );
             assert_eq!(dsu.set_count(), 1, "{}: flatten changed the partition", S::NAME);
             assert!(dsu.same_set(0, n - 1));
+            dsu
         }
         check::<crate::PackedStore>();
         check::<crate::store::FlatStore>();
         check::<RankedStore>();
+        // New elements after a flatten are untouched singletons.
+        let grown = check::<EpochStore>();
+        let e = grown.make_set();
+        assert!(!grown.same_set(0, e));
     }
 
     #[test]
     fn parallel_flatten_flattens_and_reports() {
-        let n = 256;
-        let dsu = deep_chain::<crate::DefaultStore>(n);
-        let before = Partition::from_labels(&dsu.labels_snapshot());
-        let stats = dsu.flatten_parallel(4);
-        assert_eq!(stats.flatten_passes, 1);
-        assert!(stats.flatten_jumps > 0, "a depth-{} path must need jumps", n - 1);
-        assert!(forest_height(&dsu.parents_snapshot()) <= 1);
-        assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
+        fn check<S: DsuStore>() {
+            let n = 256;
+            let dsu = deep_chain::<S>(n);
+            let before = Partition::from_labels(&dsu.labels_snapshot());
+            let stats = dsu.flatten_parallel(4);
+            assert_eq!(stats.flatten_passes, 1);
+            assert!(stats.flatten_jumps > 0, "a depth-{} path must need jumps", n - 1);
+            assert!(forest_height(&dsu.parents_snapshot()) <= 1, "{}", S::NAME);
+            assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
+        }
+        check::<crate::DefaultStore>();
+        check::<EpochStore>();
+    }
+
+    // ----- Growth (`make_set` on a growable store) -----
+
+    /// A universe of `n` elements grown one `make_set` at a time.
+    fn grown(n: usize) -> GrowableDsu {
+        let dsu = GrowableDsu::new(0);
+        for _ in 0..n {
+            dsu.make_set();
+        }
+        dsu
+    }
+
+    #[test]
+    fn make_set_returns_dense_indices() {
+        let dsu = grown(0);
+        for expect in 0..100 {
+            assert_eq!(dsu.make_set(), expect);
+        }
+        assert_eq!(dsu.len(), 100);
+        assert_eq!(dsu.set_count(), 100);
+        // Growth continues densely past a bulk-built prefix.
+        let bulk: GrowableDsu = Dsu::new(7);
+        assert_eq!(bulk.make_set(), 7);
+        assert_eq!((bulk.len(), bulk.set_count()), (8, 8));
+    }
+
+    #[test]
+    fn interleaved_make_set_and_unite_single_thread() {
+        let dsu = grown(0);
+        let mut oracle = NaiveDsu::new(0);
+        let mut ids = Vec::new();
+        for round in 0..50 {
+            let e = dsu.make_set();
+            ids.push(e);
+            // Mirror in oracle by rebuilding with one more element.
+            let mut bigger = NaiveDsu::new(ids.len());
+            for x in 0..ids.len() - 1 {
+                for y in 0..ids.len() - 1 {
+                    if x < y && oracle.same_set(x, y) {
+                        bigger.unite(x, y);
+                    }
+                }
+            }
+            oracle = bigger;
+            if round > 0 {
+                let a = e % round.max(1);
+                assert_eq!(dsu.unite(a, e), oracle.unite(a, e));
+                assert_eq!(dsu.same_set(a, e), oracle.same_set(a, e));
+            }
+        }
+        assert_eq!(dsu.set_count(), oracle.set_count());
+        assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle.partition());
+    }
+
+    #[test]
+    fn concurrent_growth_and_churn() {
+        let dsu = grown(0);
+        let handles_per_thread = 2000;
+        let threads = 8;
+        let all: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let mut js = Vec::new();
+            for t in 0..threads {
+                let dsu = &dsu;
+                js.push(s.spawn(move || {
+                    use rand::{Rng, SeedableRng};
+                    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(t as u64);
+                    let mut mine = Vec::new();
+                    for _ in 0..handles_per_thread {
+                        let e = dsu.make_set();
+                        mine.push(e);
+                        if mine.len() >= 2 && rng.gen_bool(0.7) {
+                            let a = mine[rng.gen_range(0..mine.len())];
+                            let b = mine[rng.gen_range(0..mine.len())];
+                            dsu.unite(a, b);
+                            dsu.same_set(a, b);
+                        }
+                    }
+                    mine
+                }));
+            }
+            js.into_iter().map(|j| j.join().unwrap()).collect()
+        });
+        // All indices are distinct and dense.
+        let mut seen: Vec<usize> = all.into_iter().flatten().collect();
+        seen.sort_unstable();
+        assert_eq!(seen.len(), threads * handles_per_thread);
+        for (i, &e) in seen.iter().enumerate() {
+            assert_eq!(i, e);
+        }
+        assert_eq!(dsu.len(), threads * handles_per_thread);
+        // Labels are a consistent partition.
+        let labels = dsu.labels_snapshot();
+        let _ = Partition::from_labels(&labels);
+    }
+
+    #[test]
+    fn segment_boundaries_are_seamless() {
+        // Unions that straddle segment boundaries (1->2, 3->4, 7->8, ...),
+        // on a bulk-built and a grown universe.
+        for dsu in [GrowableDsu::new(1 << 10), grown(1 << 10)] {
+            for s in 1..10 {
+                let boundary = 1usize << s;
+                dsu.unite(boundary - 1, boundary);
+            }
+            for s in 1..10 {
+                let boundary = 1usize << s;
+                assert!(dsu.same_set(boundary - 1, boundary));
+                assert!(!dsu.same_set(boundary, boundary + 1), "only the straddling pair links");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn unmade_elements_are_rejected() {
+        let dsu = grown(1);
+        dsu.same_set(0, 1);
     }
 }

@@ -9,7 +9,7 @@
 //! Connectivity" (PAPERS.md, arXiv 2105.08098) and the speculative
 //! group-union shape of optd's memo merging, grafted onto the growable
 //! store's segment directory — which is the natural copy-on-write unit,
-//! because segments never move and there are at most `usize::BITS` of them.
+//! because segments never move and there are at most 32 of them.
 //!
 //! # The design in one paragraph
 //!
@@ -17,17 +17,17 @@
 //! words, the [`PackedStore`](crate::PackedStore) format — with each
 //! segment behind an `Arc`-counted *segment node* stamped with the epoch
 //! it was created in. [`VersionedDsu::snapshot`] is O(segments),
-//! i.e. O(1) in the element count: clone the ≤ 64 live segment `Arc`s and
-//! bump the epoch counter — no cell is copied. Afterward every recorded
-//! segment is *shared*; the first `cas_from` that would write a shared
-//! (stale-epoch) segment first **forks** it — copies its cells into a
-//! fresh node stamped with the current epoch and swings the directory slot
-//! — and only then CASes. Reads never fork. [`VersionedDsu::rollback`]
-//! swings the slots back to the recorded nodes (bit-identical: they are
-//! the *same cells* the snapshot froze, untouched since — every
-//! post-snapshot write went to a fork), and
-//! [`VersionedDsu::same_set_at`] answers time-travel queries by walking a
-//! retained snapshot's frozen segments.
+//! i.e. O(1) in the element count: record the element count, clone the
+//! ≤ 32 live segment `Arc`s and bump the epoch counter — no cell is
+//! copied. Afterward every recorded segment is *shared*; the first
+//! `cas_from` that would write a shared (stale-epoch) segment first
+//! **forks** it — copies its cells into a fresh node stamped with the
+//! current epoch and swings the directory slot — and only then CASes.
+//! Reads never fork. [`VersionedDsu::rollback`] swings the slots back to
+//! the recorded nodes (bit-identical: they are the *same cells* the
+//! snapshot froze, untouched since — every post-snapshot write went to a
+//! fork), and [`VersionedDsu::same_set_at`] answers time-travel queries
+//! by walking a retained snapshot's frozen segments.
 //!
 //! # Concurrency and safety argument
 //!
@@ -56,38 +56,43 @@
 //!
 //! # What the unversioned paths pay
 //!
-//! One predictable compare per CAS, and no lock. [`GrowableDsu`] and
+//! One predictable compare per CAS, and no lock. A plain
+//! `Dsu<F, EpochStore>` ([`GrowableDsu`](crate::GrowableDsu)) and
 //! [`KeyedDsu`](crate::KeyedDsu) run on [`EpochStore`] as well, but only
 //! [`VersionedDsu`]'s `&mut` transitions move the epoch, so an unversioned
 //! structure stays at epoch 0 for life: every node is current, no write
 //! forks, and the fork mutex is never taken. The root crate's
 //! `tests/layer_contracts.rs` asserts a zero [`EpochReport`] and epoch 0
 //! after threaded churn on both. Segments are pre-filled with singleton
-//! words when allocated, so `make_set` on a live segment is one null check.
+//! words when allocated — by the bulk constructor for the first `n`
+//! elements, by the first `make_set` into a segment after that — so
+//! `make_set` on a live segment is one null check.
 //!
-//! # Knob
+//! # Copy-on-write stays lazy
 //!
-//! `DSU_EPOCH_EVERY=<k>` makes [`VersionedDsu::ingest_batch`] record an
-//! automatic snapshot before every `k`-th batch (`off`/`0`/unset: never) —
-//! how CI's `epochs` cell runs the whole core suite with
-//! snapshot-every-batch. Unrecognized values warn once on stderr
-//! ([`knob`]) and fall back to `off`.
+//! An eager design would copy every live segment at `snapshot()` instead
+//! of at the first write after it. The benchmark's online-mix workload (a
+//! `2^22`-element `VersionedDsu` with periodic checkpoints) rules it out
+//! on memory alone: it keeps two snapshots and drops the oldest only
+//! after taking the next, so an eager copy would hold four `2^22`-cell
+//! arrays at each snapshot, 4 × 33.55 MB = 134.2 MB, where lazy forks
+//! hold three — the measured 100.67 MB peak. That is 33 % more memory,
+//! past the benchmark's 25 % bound on `mem_peak_mb`, before any time is
+//! counted.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::fault::FaultyStore;
+use crate::dsu::Dsu;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::growable::{GrowableDsu, GrowableStore};
-use crate::knob;
 use crate::order::{hashed_id, IdOrder, LinkPolicy};
 use crate::stats::StatsSink;
-use crate::store::{self, ParentStore};
+use crate::store::{self, DsuStore, GrowableStore, ParentStore};
 
-/// Directory slots: one per segment an index of any width could need.
-const SEGMENTS: usize = usize::BITS as usize;
+/// Directory slots: segment 31 ends at element `2^32 - 1`, the last index
+/// the packed word can address.
+const SEGMENTS: usize = 32;
 
 /// First element of segment `s`. Segment 0 holds `{0, 1}` and segment
 /// `s ≥ 1` holds `2^s .. 2^(s+1)`, so segments `0..k` hold exactly the
@@ -113,35 +118,16 @@ fn locate(e: usize) -> (usize, usize) {
     (s, e - segment_base(s))
 }
 
-/// Environment variable read by [`epoch_every_from_env`] (at
-/// [`VersionedDsu`] construction): auto-snapshot cadence in ingested
-/// batches. `off`/`0`/unset disables; a positive integer `k` snapshots
-/// before every `k`-th [`ingest_batch`](VersionedDsu::ingest_batch).
-pub const ENV_EPOCH_EVERY: &str = "DSU_EPOCH_EVERY";
-
-/// Parses a `DSU_EPOCH_EVERY` value. `Some(None)` = recognized, auto
-/// snapshots off; `Some(Some(k))` = snapshot before every `k`-th batch;
-/// `None` = unrecognized (the `from_env` reader warns and falls back to
-/// off; this programmatic parser stays silent by contract).
-pub fn parse_epoch_every(v: &str) -> Option<Option<NonZeroUsize>> {
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("off") || v == "0" {
-        return Some(None);
-    }
-    v.parse::<usize>().ok().and_then(NonZeroUsize::new).map(Some)
-}
-
-/// Reads `DSU_EPOCH_EVERY` from the environment (off when unset); a
-/// set-but-unrecognized value warns once per process on stderr and falls
-/// back to off.
-pub fn epoch_every_from_env() -> Option<NonZeroUsize> {
-    match std::env::var(ENV_EPOCH_EVERY) {
-        Err(_) => None,
-        Ok(v) => parse_epoch_every(&v).unwrap_or_else(|| {
-            knob::warn_unrecognized(ENV_EPOCH_EVERY, &v, "off | 0 | <k> (positive integer)", "off");
-            None
-        }),
-    }
+/// Panics unless element `e` fits the packed word's 32-bit parent field.
+/// Every path that creates an element calls this before allocating: the
+/// segment holding element `2^32` alone would be 32 GiB.
+fn assert_addressable(e: usize) {
+    assert!(
+        (e as u64) < (1 << 32),
+        "EpochStore packs parent and id into 32 bits each and supports at most 2^32 \
+         elements, but element {e} was requested; only fixed universes have a wider layout \
+         (`Dsu<_, FlatStore>`)"
+    );
 }
 
 /// One immutable-once-stale segment of cells, stamped with the epoch it
@@ -171,16 +157,18 @@ pub struct EpochReport {
     pub cow_copies: u64,
 }
 
-/// An opaque O(1) record of the segment directory at one epoch: the ≤ 64
-/// live segment `Arc`s plus the epoch they were frozen at. Produced by
-/// [`EpochFork::fork_point`], consumed by [`EpochFork::restore`] and the
-/// time-travel readers. Cloning clones `Arc`s, never cells.
+/// An opaque O(1) record of the segment directory at one epoch: the
+/// element count, the ≤ 32 live segment `Arc`s, and the epoch they were
+/// frozen at. Produced by [`EpochFork::fork_point`], consumed by
+/// [`EpochFork::restore`] and the time-travel readers. Cloning clones
+/// `Arc`s, never cells.
 #[derive(Clone)]
 pub struct SegmentSnapshot {
     /// The epoch whose final state this snapshot records (the counter was
     /// bumped past it as part of taking the snapshot, so every recorded
     /// node is stale — i.e. copy-on-write — from here on).
     epoch: u64,
+    len: usize,
     segs: Vec<Option<Arc<SegmentNode>>>,
 }
 
@@ -188,6 +176,11 @@ impl SegmentSnapshot {
     /// The epoch this snapshot froze.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The number of elements that existed at the snapshot.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// The recorded parent of element `i` — a plain read of the frozen
@@ -205,6 +198,7 @@ impl std::fmt::Debug for SegmentSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentSnapshot")
             .field("epoch", &self.epoch)
+            .field("len", &self.len)
             .field("segments", &self.segs.iter().filter(|s| s.is_some()).count())
             .finish()
     }
@@ -212,8 +206,8 @@ impl std::fmt::Debug for SegmentSnapshot {
 
 /// The segment-fork capability [`VersionedDsu`] requires of its store: the
 /// growable-store contract plus epoch bookkeeping, O(1) directory
-/// snapshots, and quiescent restore. Implemented natively by
-/// [`EpochStore`] and forwarded by
+/// snapshots, and quiescent restore of the segments and element count.
+/// Implemented natively by [`EpochStore`] and forwarded by
 /// [`FaultyStore<S>`](crate::FaultyStore)`, so the chaos suite can inject
 /// faults straight through a versioned stack.
 ///
@@ -230,9 +224,9 @@ pub trait EpochFork: GrowableStore {
     fn fork_point(&mut self) -> SegmentSnapshot;
 
     /// Swings the directory back to `snap`'s recorded segments (dropping
-    /// segments allocated since) and opens a new epoch, so the restored
-    /// nodes stay copy-on-write and `snap` remains valid for another
-    /// restore.
+    /// segments allocated since), restores its element count, and opens a
+    /// new epoch, so the restored nodes stay copy-on-write and `snap`
+    /// remains valid for another restore.
     fn restore(&mut self, snap: &SegmentSnapshot);
 
     /// Frees segment nodes displaced by forks since the last quiescent
@@ -248,7 +242,7 @@ pub trait EpochFork: GrowableStore {
     fn raw_words(&self, len: usize) -> Vec<u64>;
 }
 
-/// The growable layout under [`GrowableDsu`] (its default store),
+/// The growable layout under [`GrowableDsu`](crate::GrowableDsu),
 /// [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`]: packed
 /// `id << 32 | parent` words (the [`PackedStore`](crate::PackedStore)
 /// format and its 2^32-element bound) in `Arc`-counted, epoch-stamped
@@ -262,6 +256,9 @@ pub struct EpochStore {
     /// directory owns one strong count per non-null slot), or null while
     /// segment `s` is unallocated.
     slots: [AtomicPtr<SegmentNode>; SEGMENTS],
+    /// Element count: indices `0..len` are reserved. Read and bumped
+    /// `SeqCst`, the ordering every bounds check relies on.
+    len: AtomicUsize,
     epoch: AtomicU64,
     salt: u64,
     /// Serializes forks *and* parks displaced nodes until the next
@@ -280,7 +277,7 @@ impl EpochStore {
     }
 
     /// The live node of segment `s`; panics on an unallocated segment
-    /// (an index no `make_set` returned).
+    /// (an index no constructor or `make_set` created).
     #[inline]
     fn node(&self, s: usize) -> &SegmentNode {
         let p = self.slots[s].load(store::LOAD);
@@ -434,27 +431,57 @@ impl IdOrder for EpochStore {
     }
 }
 
-impl GrowableStore for EpochStore {
+impl DsuStore for EpochStore {
     const NAME: &'static str = "epoch-seg";
 
-    fn with_seed(seed: u64) -> Self {
-        EpochStore {
+    /// `n` elements in the segments covering `0..n`, each pre-filled with
+    /// singleton words exactly as a `make_set` would allocate it.
+    fn with_seed(n: usize, seed: u64) -> Self {
+        if n > 0 {
+            assert_addressable(n - 1);
+        }
+        let store = EpochStore {
             slots: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            len: AtomicUsize::new(n),
             epoch: AtomicU64::new(0),
             salt: seed,
             graveyard: Mutex::new(Vec::new()),
             segments_forked: AtomicU64::new(0),
             cow_copies: AtomicU64::new(0),
+        };
+        for s in (0..SEGMENTS).take_while(|&s| segment_base(s) < n) {
+            store.alloc_slot(s);
         }
+        store
     }
 
-    fn ensure(&self, e: usize) {
-        assert!(
-            (e as u64) < (1 << 32),
-            "EpochStore packs parent and id into 32 bits each and supports at most 2^32 \
-             elements, but make_set would create element {e}; only fixed universes have a \
-             wider layout (`Dsu<_, FlatStore>`)"
-        );
+    fn len(&self) -> usize {
+        self.len.load(Ordering::SeqCst)
+    }
+
+    fn id_of(&self, u: usize) -> u64 {
+        self.key(u).0
+    }
+
+    fn snapshot(&self) -> Vec<usize> {
+        (0..self.len()).map(|i| store::packed_parent(self.cell(i).load(store::STAT))).collect()
+    }
+
+    fn scan_runs(&self) -> Vec<Range<usize>> {
+        let len = self.len();
+        (0..SEGMENTS)
+            .map(|s| (s, segment_base(s)))
+            .take_while(|&(_, base)| base < len)
+            .filter(|&(s, _)| !self.slots[s].load(store::LOAD).is_null())
+            .map(|(s, base)| base..(base + segment_len(s)).min(len))
+            .collect()
+    }
+}
+
+impl GrowableStore for EpochStore {
+    fn push_singleton(&self) -> usize {
+        let e = self.len.fetch_add(1, Ordering::SeqCst);
+        assert_addressable(e);
         let (s, _off) = locate(e);
         if self.slots[s].load(store::LOAD).is_null() {
             self.alloc_slot(s);
@@ -464,15 +491,7 @@ impl GrowableStore for EpochStore {
         // singleton state if its element existed — which is also what
         // makes index reuse after a rollback sound (cells at or above the
         // snapshot's len in a recorded node were untouched singletons).
-    }
-
-    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
-        (0..SEGMENTS)
-            .map(|s| (s, segment_base(s)))
-            .take_while(|&(_, base)| base < len)
-            .filter(|&(s, _)| !self.slots[s].load(store::LOAD).is_null())
-            .map(|(s, base)| base..(base + segment_len(s)).min(len))
-            .collect()
+        e
     }
 }
 
@@ -483,6 +502,7 @@ impl EpochFork for EpochStore {
 
     fn fork_point(&mut self) -> SegmentSnapshot {
         let epoch = *self.epoch.get_mut();
+        let len = *self.len.get_mut();
         let segs = self
             .slots
             .iter_mut()
@@ -502,7 +522,7 @@ impl EpochFork for EpochStore {
             .collect();
         *self.epoch.get_mut() = epoch + 1;
         self.purge_graveyard();
-        SegmentSnapshot { epoch, segs }
+        SegmentSnapshot { epoch, len, segs }
     }
 
     fn restore(&mut self, snap: &SegmentSnapshot) {
@@ -521,6 +541,7 @@ impl EpochFork for EpochStore {
                 unsafe { drop(Arc::from_raw(cur)) };
             }
         }
+        *self.len.get_mut() = snap.len;
         // Bump the epoch so the restored nodes are stale again: the next
         // write forks, and `snap` stays valid for another restore.
         *self.epoch.get_mut() += 1;
@@ -544,28 +565,13 @@ impl EpochFork for EpochStore {
 }
 
 // Chaos composition: a FaultyStore over an epoch-forking store is itself
-// growable and epoch-forking, so `VersionedDsu<F, FaultyStore<EpochStore>>`
-// drops injected CAS failures / delayed loads / stalls under the whole
-// snapshot → ingest → validate → rollback machinery. Fork copies and
-// directory swings go through the inner store directly — injection targets
-// the algorithm's primitive accesses, not the versioning bookkeeping.
-impl<S: GrowableStore> GrowableStore for FaultyStore<S> {
-    const NAME: &'static str = "faulty-seg";
-
-    fn with_seed(seed: u64) -> Self {
-        FaultyStore::with_plan(S::with_seed(seed), crate::FaultPlan::from_env())
-    }
-
-    fn ensure(&self, e: usize) {
-        self.inner().ensure(e);
-    }
-
-    fn scan_runs(&self, len: usize) -> Vec<Range<usize>> {
-        self.inner().scan_runs(len)
-    }
-}
-
-impl<S: EpochFork> EpochFork for FaultyStore<S> {
+// growable (see `fault.rs`) and epoch-forking, so
+// `VersionedDsu<F, FaultyStore<EpochStore>>` drops injected CAS failures /
+// delayed loads / stalls under the whole snapshot → ingest → validate →
+// rollback machinery. Fork copies and directory swings go through the
+// inner store directly — injection targets the algorithm's primitive
+// accesses, not the versioning bookkeeping.
+impl<S: EpochFork> EpochFork for crate::FaultyStore<S> {
     fn current_epoch(&self) -> u64 {
         self.inner().current_epoch()
     }
@@ -629,25 +635,22 @@ impl BatchOutcome {
     }
 }
 
-/// One retained snapshot: the frozen segment directory plus the scalar
-/// counters that must travel with it on rollback.
+/// One retained snapshot: the frozen segment directory (with its element
+/// count) plus the link counter that must travel with it on rollback.
 struct SnapRecord {
-    epoch: u64,
-    len: usize,
     links: usize,
     segs: SegmentSnapshot,
 }
 
-/// A [`GrowableDsu`] with O(1) snapshots, rollback, speculative batches,
+/// A growable [`Dsu`] with O(1) snapshots, rollback, speculative batches,
 /// and time-travel queries, over any [`EpochFork`] store (default:
 /// [`EpochStore`]).
 ///
 /// Concurrent operations (`unite`, `same_set`, `unite_batch`, `make_set`,
 /// time-travel reads) take `&self` and run from many threads exactly like
-/// [`GrowableDsu`]'s; epoch transitions (`snapshot`, `rollback`,
-/// `try_unite_batch`, `ingest_batch`) take `&mut self`, which is how the
-/// compiler enforces the quiescence the copy-on-write protocol needs (see
-/// the module docs).
+/// [`Dsu`]'s; epoch transitions (`snapshot`, `rollback`, `drop_snapshot`,
+/// `try_unite_batch`) take `&mut self`, which is how the compiler enforces
+/// the quiescence the copy-on-write protocol needs (see the module docs).
 ///
 /// # Example
 ///
@@ -670,17 +673,11 @@ pub struct VersionedDsu<
     S: EpochFork = EpochStore,
     L: LinkPolicy = crate::DefaultLink,
 > {
-    dsu: GrowableDsu<F, S, L>,
+    dsu: Dsu<F, S, L>,
     /// Retained snapshots, epoch-ascending (each `fork_point` bumps).
     snaps: Vec<SnapRecord>,
     snapshots_taken: u64,
     rollbacks: u64,
-    /// Auto-snapshot cadence for `ingest_batch` (`DSU_EPOCH_EVERY`).
-    every: Option<NonZeroUsize>,
-    batches: u64,
-    /// Epoch of the snapshot the auto policy currently retains (replaced,
-    /// not accumulated, so snapshot-every-batch keeps one live snapshot).
-    auto_snap: Option<u64>,
 }
 
 impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> Default for VersionedDsu<F, S, L> {
@@ -702,93 +699,80 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> std::fmt::Debug for VersionedDs
 }
 
 impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
-    /// An empty versioned universe (auto-snapshot cadence from
-    /// `DSU_EPOCH_EVERY`).
+    /// An empty versioned universe.
     pub fn new() -> Self {
-        Self::from_dsu(GrowableDsu::new())
+        Self::from_dsu(Dsu::new(0))
     }
 
     /// An empty versioned universe whose random order is salted by `seed`.
     pub fn with_seed(seed: u64) -> Self {
-        Self::from_dsu(GrowableDsu::with_seed(seed))
+        Self::from_dsu(Dsu::with_seed(0, seed))
     }
 
     /// A versioned universe pre-populated with `n` singletons `0..n`.
     pub fn with_initial(n: usize) -> Self {
-        Self::from_dsu(GrowableDsu::with_initial(n))
+        Self::from_dsu(Dsu::new(n))
     }
 
     /// Wraps an already-built growable structure (it keeps its contents;
     /// versioning starts with no snapshots).
-    pub fn from_dsu(dsu: GrowableDsu<F, S, L>) -> Self {
-        VersionedDsu {
-            dsu,
-            snaps: Vec::new(),
-            snapshots_taken: 0,
-            rollbacks: 0,
-            every: epoch_every_from_env(),
-            batches: 0,
-            auto_snap: None,
-        }
+    pub fn from_dsu(dsu: Dsu<F, S, L>) -> Self {
+        VersionedDsu { dsu, snaps: Vec::new(), snapshots_taken: 0, rollbacks: 0 }
     }
 
-    /// The wrapped structure — every [`GrowableDsu`] operation (flatten
-    /// sweeps, stats variants) is available through it; shared-state
-    /// mutations it performs are
-    /// versioned like any other (they go through the store).
-    pub fn dsu(&self) -> &GrowableDsu<F, S, L> {
+    /// The wrapped structure — every [`Dsu`] operation (flatten sweeps,
+    /// stats variants) is available through it; shared-state mutations it
+    /// performs are versioned like any other (they go through the store).
+    pub fn dsu(&self) -> &Dsu<F, S, L> {
         &self.dsu
     }
 
     // ----- Delegated operations (concurrent, &self) -----
 
-    /// See [`GrowableDsu::make_set`]. New elements created after a
-    /// snapshot simply don't exist at that snapshot — rolling back
-    /// shrinks [`len`](VersionedDsu::len) back and the indices are reused
-    /// by later `make_set` calls.
+    /// See [`Dsu::make_set`]. New elements created after a snapshot simply
+    /// don't exist at that snapshot — rolling back shrinks
+    /// [`len`](VersionedDsu::len) back and the indices are reused by later
+    /// `make_set` calls.
     pub fn make_set(&self) -> usize {
         self.dsu.make_set()
     }
 
-    /// See [`GrowableDsu::len`].
+    /// See [`Dsu::len`].
     pub fn len(&self) -> usize {
         self.dsu.len()
     }
 
-    /// `true` before the first `make_set`.
+    /// `true` if the universe is empty.
     pub fn is_empty(&self) -> bool {
         self.dsu.is_empty()
     }
 
-    /// See [`GrowableDsu::set_count`].
+    /// See [`Dsu::set_count`].
     pub fn set_count(&self) -> usize {
         self.dsu.set_count()
     }
 
-    /// See [`GrowableDsu::find`].
+    /// See [`Dsu::find`].
     pub fn find(&self, x: usize) -> usize {
         self.dsu.find(x)
     }
 
-    /// See [`GrowableDsu::same_set`].
+    /// See [`Dsu::same_set`].
     pub fn same_set(&self, x: usize, y: usize) -> bool {
         self.dsu.same_set(x, y)
     }
 
-    /// See [`GrowableDsu::unite`].
+    /// See [`Dsu::unite`].
     pub fn unite(&self, x: usize, y: usize) -> bool {
         self.dsu.unite(x, y)
     }
 
-    /// See [`GrowableDsu::unite_batch`]. Does *not* consult the
-    /// auto-snapshot policy — that belongs to the `&mut` ingestion path
-    /// ([`ingest_batch`](VersionedDsu::ingest_batch)), because snapshots
-    /// need quiescence.
+    /// See [`Dsu::unite_batch`].
     pub fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
         self.dsu.unite_batch(edges)
     }
 
-    /// See [`GrowableDsu::labels_snapshot`] (quiescent).
+    /// See [`Dsu::labels_snapshot`] (quiescent).
     pub fn labels_snapshot(&self) -> Vec<usize> {
         self.dsu.labels_snapshot()
     }
@@ -796,7 +780,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     // ----- Epoch transitions (quiescent, &mut self) -----
 
     /// Records an O(1) snapshot of the current forest and returns its
-    /// handle. Cost: ≤ 64 `Arc` clones and one counter bump — no cells
+    /// handle. Cost: ≤ 32 `Arc` clones and one counter bump — no cells
     /// are copied now; the first post-snapshot write to each segment pays
     /// a one-time copy-on-write fork instead.
     pub fn snapshot(&mut self) -> Epoch {
@@ -806,14 +790,13 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// [`snapshot`](VersionedDsu::snapshot) reporting the event into
     /// `stats`.
     pub fn snapshot_with<Sk: StatsSink>(&mut self, stats: &mut Sk) -> Epoch {
-        let len = self.dsu.len();
-        let links = len - self.dsu.set_count();
+        let links = self.dsu.len() - self.dsu.set_count();
         let segs = self.dsu.store_mut().fork_point();
-        let epoch = segs.epoch();
-        self.snaps.push(SnapRecord { epoch, len, links, segs });
+        let epoch = Epoch(segs.epoch());
+        self.snaps.push(SnapRecord { links, segs });
         self.snapshots_taken += 1;
         stats.snapshot_taken();
-        Epoch(epoch)
+        epoch
     }
 
     /// Restores the forest to snapshot `at` — bit-identical: the directory
@@ -837,15 +820,12 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         let idx = self
             .snaps
             .iter()
-            .position(|r| r.epoch == at.0)
+            .position(|r| r.segs.epoch() == at.0)
             .expect("rollback target unknown: the snapshot was dropped or already rolled past");
         self.snaps.truncate(idx + 1);
-        if self.auto_snap.is_some_and(|e| e > at.0) {
-            self.auto_snap = None;
-        }
         let rec = &self.snaps[idx];
         self.dsu.store_mut().restore(&rec.segs);
-        self.dsu.restore_counters(rec.len, rec.links);
+        self.dsu.restore_links(rec.links);
         self.rollbacks += 1;
         stats.rollback_done();
     }
@@ -854,23 +834,15 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// fork graveyard — this is a quiescent point). Later and earlier
     /// snapshots are unaffected. No-op if `at` is already gone.
     pub fn drop_snapshot(&mut self, at: Epoch) {
-        if let Some(idx) = self.snaps.iter().position(|r| r.epoch == at.0) {
+        if let Some(idx) = self.snaps.iter().position(|r| r.segs.epoch() == at.0) {
             self.snaps.remove(idx);
-        }
-        if self.auto_snap == Some(at.0) {
-            self.auto_snap = None;
         }
         self.dsu.store_mut().purge_graveyard();
     }
 
     /// Handles of every retained snapshot, oldest first.
     pub fn snapshots(&self) -> Vec<Epoch> {
-        self.snaps.iter().map(|r| Epoch(r.epoch)).collect()
-    }
-
-    /// The snapshot the auto policy (`DSU_EPOCH_EVERY`) currently retains.
-    pub fn last_auto_snapshot(&self) -> Option<Epoch> {
-        self.auto_snap.map(Epoch)
+        self.snaps.iter().map(|r| Epoch(r.segs.epoch())).collect()
     }
 
     /// O(1) snapshots recorded over this structure's lifetime.
@@ -881,16 +853,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// Rollbacks performed over this structure's lifetime.
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks
-    }
-
-    /// The auto-snapshot cadence in force (`None`: never).
-    pub fn snapshot_every(&self) -> Option<NonZeroUsize> {
-        self.every
-    }
-
-    /// Replaces the auto-snapshot cadence (overriding `DSU_EPOCH_EVERY`).
-    pub fn set_snapshot_every(&mut self, every: Option<NonZeroUsize>) {
-        self.every = every;
     }
 
     /// Feeds lifetime totals — snapshots, rollbacks, and the store's
@@ -919,10 +881,11 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// # Panics
     ///
     /// Panics if any endpoint is out of range — *before* any state
-    /// changes, per [`GrowableDsu::unite_batch`]'s up-front bounds check.
+    /// changes: the edges are checked before the speculation snapshot is
+    /// taken.
     pub fn try_unite_batch<V>(&mut self, edges: &[(usize, usize)], validate: V) -> BatchOutcome
     where
-        V: FnOnce(&GrowableDsu<F, S, L>, usize) -> bool,
+        V: FnOnce(&Dsu<F, S, L>, usize) -> bool,
     {
         self.try_unite_batch_with(edges, validate, &mut ())
     }
@@ -936,9 +899,10 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         stats: &mut Sk,
     ) -> BatchOutcome
     where
-        V: FnOnce(&GrowableDsu<F, S, L>, usize) -> bool,
+        V: FnOnce(&Dsu<F, S, L>, usize) -> bool,
         Sk: StatsSink,
     {
+        self.dsu.check_edges(edges);
         let at = self.snapshot_with(stats);
         let linked = self.dsu.unite_batch_with(edges, stats);
         let verdict = if validate(&self.dsu, linked) {
@@ -951,44 +915,12 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         verdict
     }
 
-    /// Batch ingestion honoring the auto-snapshot policy
-    /// (`DSU_EPOCH_EVERY` / [`set_snapshot_every`]): before every `k`-th
-    /// batch the previous auto snapshot is replaced by a fresh one, so a
-    /// poisoned batch discovered after the fact can be rolled off via
-    /// [`last_auto_snapshot`](VersionedDsu::last_auto_snapshot). With the
-    /// policy off this is exactly
-    /// [`unite_batch`](VersionedDsu::unite_batch) (plus quiescence).
-    ///
-    /// [`set_snapshot_every`]: VersionedDsu::set_snapshot_every
-    pub fn ingest_batch(&mut self, edges: &[(usize, usize)]) -> usize {
-        self.ingest_batch_with(edges, &mut ())
-    }
-
-    /// [`ingest_batch`](VersionedDsu::ingest_batch) reporting work into
-    /// `stats`.
-    pub fn ingest_batch_with<Sk: StatsSink>(
-        &mut self,
-        edges: &[(usize, usize)],
-        stats: &mut Sk,
-    ) -> usize {
-        if let Some(k) = self.every {
-            if self.batches.is_multiple_of(k.get() as u64) {
-                if let Some(old) = self.auto_snap.take() {
-                    self.drop_snapshot(Epoch(old));
-                }
-                self.auto_snap = Some(self.snapshot_with(stats).0);
-            }
-            self.batches += 1;
-        }
-        self.dsu.unite_batch_with(edges, stats)
-    }
-
     // ----- Time-travel queries (concurrent, &self) -----
 
     fn record(&self, at: Epoch) -> &SnapRecord {
         self.snaps
             .iter()
-            .find(|r| r.epoch == at.0)
+            .find(|r| r.segs.epoch() == at.0)
             .expect("epoch unknown: the snapshot was dropped or rolled past")
     }
 
@@ -998,7 +930,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     ///
     /// Panics if `at` was dropped or rolled past.
     pub fn len_at(&self, at: Epoch) -> usize {
-        self.record(at).len
+        self.record(at).segs.len()
     }
 
     /// The root of `x`'s tree *as recorded at snapshot `at`* — a plain
@@ -1012,11 +944,12 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// Panics if `at` was dropped or rolled past, or `x` did not exist at
     /// `at`.
     pub fn find_at(&self, at: Epoch, x: usize) -> usize {
-        let rec = self.record(at);
-        assert!(x < rec.len, "element {x} out of range at epoch {} (len was {})", at.0, rec.len);
+        let segs = &self.record(at).segs;
+        let len = segs.len();
+        assert!(x < len, "element {x} out of range at epoch {} (len was {len})", at.0);
         let mut u = x;
         loop {
-            let p = rec.segs.parent_of(u);
+            let p = segs.parent_of(u);
             if p == u {
                 return u;
             }
@@ -1042,21 +975,9 @@ mod tests {
     use super::*;
     use crate::order::splitmix64;
     use crate::stats::OpStats;
+    use crate::FaultyStore;
 
     type VDsu = VersionedDsu<TwoTrySplit, EpochStore, crate::DefaultLink>;
-
-    #[test]
-    fn parse_epoch_every_grammar() {
-        assert_eq!(parse_epoch_every("off"), Some(None));
-        assert_eq!(parse_epoch_every("OFF"), Some(None));
-        assert_eq!(parse_epoch_every("0"), Some(None));
-        assert_eq!(parse_epoch_every(" 3 "), Some(NonZeroUsize::new(3)));
-        assert_eq!(parse_epoch_every("1"), Some(NonZeroUsize::new(1)));
-        assert_eq!(parse_epoch_every(""), None);
-        assert_eq!(parse_epoch_every("every=2"), None);
-        assert_eq!(parse_epoch_every("-1"), None);
-        assert_eq!(parse_epoch_every("bogus"), None);
-    }
 
     #[test]
     fn snapshot_rollback_roundtrip_is_bit_identical() {
@@ -1151,7 +1072,9 @@ mod tests {
 
     #[test]
     fn cow_counters_attribute_forks_and_nothing_else() {
-        let mut dsu = VDsu::with_initial(32);
+        // Pinned seed: under it the two post-snapshot unites below write
+        // the same segment.
+        let mut dsu = VDsu::from_dsu(Dsu::with_seed(32, 0x6d61_6b65_5f73_6574));
         for i in 0..16 {
             dsu.unite(i, i + 16);
         }
@@ -1202,33 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_auto_snapshot_policy() {
-        let mut dsu = VDsu::with_initial(32);
-        assert_eq!(dsu.last_auto_snapshot(), None);
-        dsu.set_snapshot_every(NonZeroUsize::new(2));
-
-        dsu.ingest_batch(&[(0, 1)]); // batch 0: snapshots
-        let first = dsu.last_auto_snapshot().expect("batch 0 must snapshot");
-        dsu.ingest_batch(&[(1, 2)]); // batch 1: no snapshot
-        assert_eq!(dsu.last_auto_snapshot(), Some(first));
-        dsu.ingest_batch(&[(2, 3)]); // batch 2: replaces the auto snapshot
-        let second = dsu.last_auto_snapshot().expect("batch 2 must snapshot");
-        assert_ne!(first, second);
-        assert_eq!(dsu.snapshots().len(), 1, "auto snapshots replace, not accumulate");
-
-        // Rolling off the last batch via the auto snapshot: 2-3 vanishes,
-        // the committed 0-1-2 chain survives.
-        dsu.rollback(second);
-        assert!(dsu.same_set(0, 2));
-        assert!(!dsu.same_set(2, 3));
-
-        dsu.set_snapshot_every(None);
-        let snaps = dsu.snapshots().len();
-        dsu.ingest_batch(&[(4, 5)]);
-        assert_eq!(dsu.snapshots().len(), snaps, "policy off -> no new snapshots");
-    }
-
-    #[test]
     fn make_set_after_rollback_reuses_indices_as_singletons() {
         let mut dsu = VDsu::with_initial(4);
         let snap = dsu.snapshot();
@@ -1276,6 +1172,7 @@ mod tests {
         assert_eq!(locate(7), (2, 3));
         assert_eq!(locate(8), (3, 0));
         assert_eq!(locate((1 << 32) - 1), (31, (1 << 31) - 1));
+        assert_eq!(locate((1 << 32) - 1).0, SEGMENTS - 1, "the last addressable segment");
         // Dense, in bounds, and inverse to `segment_base`.
         for e in 0..10_000 {
             let (s, off) = locate(e);
@@ -1294,14 +1191,21 @@ mod tests {
     }
 
     #[test]
-    fn with_initial_power_of_two_allocates_exactly_that_many_cells() {
+    fn power_of_two_universe_allocates_exactly_that_many_cells() {
+        assert_eq!(allocated_cells(&EpochStore::with_seed(0, 0)), 0);
         for k in [1, 2, 3, 5, 10, 16] {
-            let dsu: GrowableDsu = GrowableDsu::with_initial(1 << k);
-            assert_eq!(allocated_cells(dsu.store()), 1 << k, "k = {k}");
-            // One element more opens exactly one more segment, as big as
-            // everything before it.
-            dsu.make_set();
-            assert_eq!(allocated_cells(dsu.store()), 2 << k, "k = {k}, +1");
+            let bulk = EpochStore::with_seed(1 << k, 0);
+            let grown = EpochStore::with_seed(0, 0);
+            for _ in 0..1 << k {
+                grown.push_singleton();
+            }
+            for store in [bulk, grown] {
+                assert_eq!(allocated_cells(&store), 1 << k, "k = {k}");
+                // One element more opens exactly one more segment, as big
+                // as everything before it.
+                assert_eq!(store.push_singleton(), 1 << k);
+                assert_eq!(allocated_cells(&store), 2 << k, "k = {k}, +1");
+            }
         }
     }
 
@@ -1309,15 +1213,22 @@ mod tests {
     fn singleton_words_carry_the_hashed_id() {
         // The id format every growable structure links by: the top half
         // of SplitMix64 of the salted index, in the high word half.
-        let dsu: GrowableDsu = GrowableDsu::with_seed(77);
+        let store = EpochStore::with_seed(0, 77);
         for _ in 0..100 {
-            dsu.make_set();
+            store.push_singleton();
         }
-        let words = dsu.store().raw_words(100);
+        let words = store.raw_words(100);
         for (e, &w) in words.iter().enumerate() {
             let id = splitmix64((e as u64).wrapping_add(77)) >> 32;
             assert_eq!(w, store::pack_word(id, e), "element {e}");
         }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        err.downcast_ref::<String>().expect("string panic payload").clone()
     }
 
     /// The 2^32 bound must both state itself and name the only wider
@@ -1325,24 +1236,34 @@ mod tests {
     /// element 2^32 would be 32 GiB).
     #[test]
     fn oversize_panic_states_the_bound_and_the_fixed_fallback() {
-        let store = <EpochStore as GrowableStore>::with_seed(0);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.ensure(1 << 32);
-        }))
-        .expect_err("element 2^32 must be rejected");
-        let msg = err.downcast_ref::<String>().expect("string panic payload");
+        let store = EpochStore::with_seed(0, 0);
+        store.len.store(1 << 32, Ordering::SeqCst);
+        let msg = panic_message(|| {
+            store.push_singleton();
+        });
         assert!(msg.contains("at most 2^32"), "panic must state the bound: {msg}");
         assert!(msg.contains("Dsu<_, FlatStore>"), "panic must name the flat layout: {msg}");
         assert_eq!(allocated_cells(&store), 0, "the check must precede allocation");
+    }
+
+    /// The bulk constructor enforces the same bound, also before it
+    /// allocates: 2^32 elements fit, 2^32 + 1 do not.
+    #[test]
+    fn bulk_constructor_rejects_oversize_before_allocating() {
+        let msg = panic_message(|| {
+            EpochStore::with_seed((1 << 32) + 1, 0);
+        });
+        assert!(msg.contains("at most 2^32"), "panic must state the bound: {msg}");
+        assert!(msg.contains("Dsu<_, FlatStore>"), "panic must name the flat layout: {msg}");
     }
 
     #[test]
     fn faulty_epoch_store_composes() {
         // FaultyStore<EpochStore> must version and inject at once.
         let plan = crate::FaultPlan::rate(5, 0.3);
-        let store = FaultyStore::with_plan(<EpochStore as GrowableStore>::with_seed(9), plan);
+        let store = FaultyStore::with_plan(EpochStore::with_seed(0, 9), plan);
         let mut dsu: VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>> =
-            VersionedDsu::from_dsu(GrowableDsu::from_store(store));
+            VersionedDsu::from_dsu(Dsu::from_store(store));
         for _ in 0..32 {
             dsu.make_set();
         }
@@ -1357,7 +1278,7 @@ mod tests {
             dsu.dsu().store().fault_report().total() > 0,
             "rate 0.3 must actually inject through the versioned stack"
         );
-        assert_eq!(<FaultyStore<EpochStore> as GrowableStore>::NAME, "faulty-seg");
+        assert_eq!(dsu.dsu().store_name(), "faulty");
     }
 
     #[test]

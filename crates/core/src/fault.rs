@@ -71,6 +71,7 @@
 //! "retries anyway" (a genuine progress bug) into a fast panic with a
 //! diagnostic dump instead of a hung CI job.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
@@ -78,7 +79,7 @@ use std::time::Duration;
 
 use crate::order::{splitmix64, IdOrder};
 use crate::stats::{OpStats, StatsSink};
-use crate::store::{DsuStore, ParentStore};
+use crate::store::{DsuStore, GrowableStore, ParentStore};
 
 /// Environment variable read by [`FaultPlan::from_env`]: the plan seed
 /// (decimal or `0x`-prefixed hex; default `0`).
@@ -449,6 +450,18 @@ impl<S: DsuStore> DsuStore for FaultyStore<S> {
     fn snapshot(&self) -> Vec<usize> {
         self.inner.snapshot()
     }
+
+    fn scan_runs(&self) -> Vec<Range<usize>> {
+        self.inner.scan_runs()
+    }
+}
+
+// Growth goes through the inner store directly: injection targets the
+// algorithm's primitive accesses, not cell initialization.
+impl<S: GrowableStore> GrowableStore for FaultyStore<S> {
+    fn push_singleton(&self) -> usize {
+        self.inner.push_singleton()
+    }
 }
 
 /// A deliberately **incorrect** store: `cas_from` ignores the expected
@@ -546,6 +559,10 @@ impl<S: DsuStore> DsuStore for BrokenStore<S> {
 
     fn snapshot(&self) -> Vec<usize> {
         self.inner.snapshot()
+    }
+
+    fn scan_runs(&self) -> Vec<Range<usize>> {
+        self.inner.scan_runs()
     }
 }
 

@@ -33,10 +33,10 @@
 //!
 //! # Scheduling
 //!
-//! [`flatten_runs_parallel`] carves the store's scan surface (`0..n` for
-//! the fixed-universe layouts,
-//! [`GrowableStore::scan_runs`](crate::growable::GrowableStore::scan_runs)
-//! for the growable ones) into chunks and has workers claim them from a
+//! [`flatten_runs_parallel`] carves the store's scan surface
+//! ([`DsuStore::scan_runs`](crate::DsuStore::scan_runs): `0..n` for the
+//! fixed-universe layouts, one run per allocated segment for the growable
+//! one) into chunks and has workers claim them from a
 //! shared atomic cursor — the same dynamic chunk-cursor shape as the graph
 //! crate's chunked edge ingestion, because chunks near hot roots finish at
 //! very different speeds. Chunks never straddle a run, so a growable sweep

@@ -36,6 +36,7 @@
 //! is written at most once, by the thread whose CAS linked it. A relaxed
 //! store suffices: the forest is read only at quiescence.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::order::IdOrder;
@@ -153,6 +154,10 @@ impl<S: DsuStore> DsuStore for UnionForest<S> {
 
     fn snapshot(&self) -> Vec<usize> {
         self.inner.snapshot()
+    }
+
+    fn scan_runs(&self) -> Vec<Range<usize>> {
+        self.inner.scan_runs()
     }
 }
 

@@ -6,14 +6,14 @@
 //! `RwLock<HashMap>`. The bottleneck in those systems is the keyed facade —
 //! a lock around a hash map — not the union-find underneath. [`KeyedDsu`]
 //! replaces that facade with a **lock-free sharded id table**: keys hash to
-//! dense element indices of a [`GrowableDsu`], and all
+//! dense element indices of a growable [`Dsu`], and all
 //! set operations run on the packed word store this repo has spent six PRs
 //! optimizing.
 //!
 //! # The id table
 //!
 //! The table maps `K → usize` (a dense id, assigned by
-//! [`make_set`](crate::GrowableDsu::make_set) in insertion order) and never
+//! [`make_set`](crate::Dsu::make_set) in insertion order) and never
 //! deletes. It is sharded by the **high bits** of a seeded 64-bit hash
 //! ([`ShardSpec`] picks the count): inserts of unrelated keys touch
 //! different shards' allocations, so no
@@ -62,15 +62,15 @@
 //!
 //! | your elements are | use |
 //! |---|---|
-//! | dense `0..n`, known up front | [`Dsu`](crate::Dsu) |
-//! | dense, created on the fly | [`GrowableDsu`] |
+//! | dense `0..n`, known up front | [`Dsu`] (default [`PackedStore`](crate::PackedStore)) |
+//! | dense, created on the fly | [`Dsu`] over [`EpochStore`](crate::EpochStore), alias [`GrowableDsu`] |
 //! | strings, sparse u64s, uuids, row keys | [`KeyedDsu`] |
 //!
 //! The keyed layer costs one hash + a short probe per key touch on top of
 //! the underlying operation; the `keyed_ab` example measures it against
 //! the lock-based facade it replaces (see `docs/benchmarks.md`).
 //!
-//! [`unite_batch`]: crate::GrowableDsu::unite_batch
+//! [`unite_batch`]: crate::Dsu::unite_batch
 
 use std::cell::UnsafeCell;
 use std::hash::{Hash, Hasher};
@@ -78,8 +78,8 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use crate::dsu::{Dsu, GrowableDsu};
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::growable::GrowableDsu;
 use crate::knob;
 use crate::order::splitmix64;
 use crate::stats::{ShardSkew, StatsSink};
@@ -180,7 +180,7 @@ impl<K> Drop for KeyShard<K> {
 }
 
 /// A concurrent union-find over **arbitrary hashable keys**: a lock-free
-/// sharded id table in front of a [`GrowableDsu`].
+/// sharded id table in front of a growable [`Dsu`].
 ///
 /// This is the deployment shape of every real entity-resolution consumer:
 /// records arrive identified by row keys, uuids, or sparse 64-bit ids, get
@@ -347,7 +347,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
             let _ = shard.segments[0].get_or_init(|| Self::alloc_segment(0));
         }
         let shard_bits = spec.shards().trailing_zeros();
-        KeyedDsu { dsu: GrowableDsu::with_seed(seed), shards, shard_bits, salt: seed }
+        KeyedDsu { dsu: Dsu::with_seed(0, seed), shards, shard_bits, salt: seed }
     }
 
     fn alloc_segment(s: usize) -> Box<[Slot<K>]> {
@@ -492,7 +492,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     /// Maps `key` to its dense id, inserting it as a fresh singleton if
     /// unseen. Idempotent and race-free: every call with equal keys — on
     /// any thread, at any interleaving — returns the same id, and exactly
-    /// one [`make_set`](crate::GrowableDsu::make_set) ever runs per
+    /// one [`make_set`](crate::Dsu::make_set) ever runs per
     /// distinct key.
     pub fn insert(&self, key: &K) -> usize
     where

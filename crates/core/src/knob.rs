@@ -1,10 +1,10 @@
 //! One-time diagnostics for `DSU_*` environment knobs.
 //!
 //! Every runtime knob in this crate degrades gracefully: an unrecognized
-//! `DSU_TUNER`, `DSU_EPOCH_EVERY` or `DSU_KEY_SHARDS` value falls back to a
-//! documented default rather than aborting the host process. Graceful
-//! degradation must not be *silent* degradation, though — an operator who
-//! typo'd `DSU_TUNER=halvng/index` would otherwise run a different
+//! `DSU_TUNER` or `DSU_KEY_SHARDS` value falls back to a documented
+//! default rather than aborting the host process. Graceful degradation
+//! must not be *silent* degradation, though — an operator who typo'd
+//! `DSU_TUNER=halvng/index` would otherwise run a different
 //! configuration than the one they asked for, with nothing in any log to
 //! say so. This module provides the loud part: a once-per-variable stderr
 //! warning, emitted by the env readers (never by the programmatic `parse`
@@ -49,11 +49,16 @@ mod tests {
 
     #[test]
     fn message_names_variable_value_grammar_and_fallback() {
-        let msg = unrecognized_message("DSU_EPOCH_EVERY", "evry=2", "off | 0 | <k>", "off");
-        assert!(msg.contains("DSU_EPOCH_EVERY"), "{msg}");
-        assert!(msg.contains("evry=2"), "{msg}");
-        assert!(msg.contains("<k>"), "{msg}");
-        assert!(msg.contains("`off`"), "{msg}");
+        let msg = unrecognized_message(
+            "DSU_KEY_SHARDS",
+            "shards=2",
+            "a positive integer shard count",
+            "available_parallelism",
+        );
+        assert!(msg.contains("DSU_KEY_SHARDS"), "{msg}");
+        assert!(msg.contains("shards=2"), "{msg}");
+        assert!(msg.contains("positive integer"), "{msg}");
+        assert!(msg.contains("`available_parallelism`"), "{msg}");
         assert!(msg.contains("once per variable"), "{msg}");
     }
 

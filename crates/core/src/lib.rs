@@ -86,11 +86,22 @@
 //!
 //! # Growing universes
 //!
-//! [`GrowableDsu`] adds `make_set` (paper Section 3 remark): elements can be
-//! created concurrently with other operations, ids are generated on the fly
-//! (Section 7 remark), and operations stay lock-free. Every growable
-//! structure ([`GrowableDsu`], [`KeyedDsu`], [`VersionedDsu`]) runs on the
-//! one growable layout, [`EpochStore`].
+//! [`Dsu`] over the growable layout, [`EpochStore`], gains
+//! [`make_set`](Dsu::make_set) (paper Section 3 remark): elements can be
+//! created concurrently with other operations, ids are hashed from the
+//! index on the fly (Section 7 remark), and operations stay lock-free.
+//! [`GrowableDsu`] names that configuration; it is the same type, so a
+//! universe can start with `n` elements and grow from there. [`KeyedDsu`]
+//! and [`VersionedDsu`] run on it too.
+//!
+//! ```
+//! use concurrent_dsu::GrowableDsu;
+//!
+//! let dsu: GrowableDsu = GrowableDsu::new(2);
+//! let c = dsu.make_set();
+//! assert_eq!(c, 2);
+//! assert!(dsu.unite(0, c));
+//! ```
 //!
 //! # Keyed entity resolution
 //!
@@ -98,7 +109,7 @@
 //! strings, sparse 64-bit ids. [`KeyedDsu`] maps arbitrary
 //! `K: Hash + Eq` keys to dense ids through a **lock-free sharded id
 //! table** (CAS-claimed slots in doubling segments; entries never move)
-//! and runs all set operations on a [`GrowableDsu`] underneath, replacing
+//! and runs all set operations on a growable [`Dsu`] underneath, replacing
 //! the `RwLock<HashMap>` facade such systems usually deploy:
 //!
 //! ```
@@ -140,7 +151,6 @@
 //! | `DSU_FAULT_SEED` | [`FaultPlan::from_env`] | seed for the fault-injection plan a [`FaultyStore`] runs; only consulted by fault-test binaries that opt in. Default: 0 |
 //! | `DSU_FAULT_RATE` | [`FaultPlan::from_env`] | probability in `[0, 1]` of injecting a fault at each eligible store access. Default: 0.0 |
 //! | `DSU_TUNER` | [`TunerMode::from_env`] (used by [`TunedDsu`] constructors) | `off` pins the paper-default variant, `auto` samples a prefix and dispatches to the [`DecisionTable`] winner, an explicit `<find>/<link>` tag (e.g. `halving/index`) forces that variant from construction. Unrecognized values degrade to `auto` with a one-time stderr warning ([`knob`]). Default: `auto` |
-//! | `DSU_EPOCH_EVERY` | [`epoch::epoch_every_from_env`] (used by [`VersionedDsu`] constructors) | auto-snapshot cadence for [`VersionedDsu::ingest_batch`]: a positive integer `k` records an O(1) snapshot before every `k`-th batch (replacing the previous auto snapshot), `off`/`0` never does. Unrecognized values degrade to `off` with a one-time stderr warning ([`knob`]). Default: `off` |
 //!
 //! The `strict-sc` cargo feature (not an env var) restores the paper's
 //! sequentially consistent orderings crate-wide; `default-store-flat`
@@ -155,7 +165,6 @@ pub mod fault;
 pub mod find;
 pub mod flatten;
 pub mod forest;
-pub mod growable;
 pub mod keyed;
 pub mod knob;
 pub mod ops;
@@ -167,19 +176,17 @@ pub mod viz;
 
 mod dsu;
 
-pub use dsu::Dsu;
+pub use dsu::{Dsu, GrowableDsu};
 pub use epoch::{
     BatchOutcome, Epoch, EpochFork, EpochReport, EpochStore, SegmentSnapshot, VersionedDsu,
-    ENV_EPOCH_EVERY,
 };
 pub use fault::{BrokenStore, FaultPlan, FaultReport, FaultyStore, RetryBudget, TestWatchdog};
 pub use find::{Compress, FindPolicy, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
 pub use forest::UnionForest;
-pub use growable::{GrowableDsu, GrowableStore};
 pub use keyed::{KeyedDsu, ShardSpec};
 pub use order::{IdOrder, IndexLink, LinkPolicy, RandomLink, RankLink};
 pub use stats::{OpStats, ShardSkew, StatsSink};
-pub use store::{DsuStore, FlatStore, PackedStore, ParentStore, RankedStore};
+pub use store::{DsuStore, FlatStore, GrowableStore, PackedStore, ParentStore, RankedStore};
 pub use tune::{
     DecisionTable, FindKind, LinkKind, TunedDsu, TunerMode, Variant, VariantDsu, WorkloadProfile,
 };
@@ -196,7 +203,7 @@ pub type DefaultStore = FlatStore;
 #[cfg(not(feature = "default-store-flat"))]
 pub type DefaultStore = PackedStore;
 
-/// The link policy [`Dsu`] and [`GrowableDsu`] default to, selected at
+/// The link policy [`Dsu`] defaults to, selected at
 /// compile time by the `default-link-index` cargo feature (unset:
 /// [`RandomLink`], the paper's randomized linking). CI's variants cell
 /// builds the crate once with the feature on so the whole suite runs under
@@ -205,7 +212,7 @@ pub type DefaultStore = PackedStore;
 /// acyclicity contract live in the [`order`] module docs.
 #[cfg(feature = "default-link-index")]
 pub type DefaultLink = IndexLink;
-/// The link policy [`Dsu`] and [`GrowableDsu`] default to (this build:
+/// The link policy [`Dsu`] defaults to (this build:
 /// random — the paper's randomized linking; see `default-link-index`).
 #[cfg(not(feature = "default-link-index"))]
 pub type DefaultLink = RandomLink;
@@ -223,7 +230,7 @@ pub type DsuHalving = Dsu<Halving>;
 pub type DsuCompress = Dsu<Compress>;
 
 /// Common interface for every concurrent union-find in this workspace
-/// (this crate's [`Dsu`] and [`GrowableDsu`], and the baselines crate's
+/// (this crate's [`Dsu`] on every layout, and the baselines crate's
 /// structures), so harnesses and applications can be generic over them.
 ///
 /// All methods take `&self`: implementations must be safe to call from many
@@ -248,8 +255,8 @@ pub trait ConcurrentUnionFind: Send + Sync {
 
     /// Unites along every edge of a burst; returns the number of edges that
     /// performed a link. The default implementation loops
-    /// [`unite`](ConcurrentUnionFind::unite); [`Dsu`] and [`GrowableDsu`]
-    /// override it with the filtered, word-seeded batch path (see the
+    /// [`unite`](ConcurrentUnionFind::unite); [`Dsu`] overrides it on
+    /// every layout with the filtered, word-seeded batch path (see the
     /// [`bulk`] module), so generic ingestion loops get the optimized path
     /// on the structures that have one.
     fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {

@@ -1,7 +1,7 @@
 //! The concurrent set operations (paper Algorithms 2, 3, 6, 7), written
 //! once, generically over the parent store, id order, and find policy, so
-//! [`Dsu`](crate::Dsu) and [`GrowableDsu`](crate::GrowableDsu) share the
-//! exact same verified code.
+//! [`Dsu`](crate::Dsu) runs the exact same verified code on every layout,
+//! fixed or growable.
 //!
 //! ### Why the loops retry
 //!

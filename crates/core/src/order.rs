@@ -264,17 +264,15 @@ mod tests {
     /// the lower index first and `unite` links it under the higher one.
     #[test]
     fn colliding_ids_are_ordered_and_linked_by_index() {
-        use crate::{Dsu, EpochStore, FlatStore, GrowableDsu, GrowableStore, PackedStore};
-        use crate::{RankedStore, TwoTrySplit};
+        use crate::{Dsu, DsuStore, EpochStore, FlatStore, GrowableDsu};
+        use crate::{PackedStore, RankedStore, TwoTrySplit};
         const SEED: u64 = 2016;
         let n = 1 << 18;
         let packed = PackedStore::with_seed(n, SEED);
         let flat = FlatStore::with_seed(n, SEED);
         let ranked = RankedStore::with_seed(n, SEED);
-        let epoch = EpochStore::with_seed(SEED);
+        let epoch = <EpochStore as DsuStore>::with_seed(n, SEED);
         for (lo, hi) in colliding_pairs(SEED) {
-            epoch.ensure(hi);
-            epoch.ensure(lo);
             orders_by_index("packed", &packed, lo, hi);
             orders_by_index("flat", &flat, lo, hi);
             orders_by_index("ranked", &ranked, lo, hi);
@@ -283,7 +281,7 @@ mod tests {
         let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, SEED);
         let flat: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, SEED);
         let growable: GrowableDsu<TwoTrySplit, EpochStore, RandomLink> =
-            GrowableDsu::with_seed(SEED);
+            GrowableDsu::with_seed(0, SEED);
         for _ in 0..n {
             growable.make_set();
         }

@@ -8,26 +8,27 @@
 //! random id. Everything else — where those words live, whether the id
 //! travels with the parent, which memory orderings the accesses use — is a
 //! layout decision the algorithms never observe. [`ParentStore`] abstracts
-//! the mutable word, [`DsuStore`] bundles it with the random order, and
-//! [`Dsu`](crate::Dsu) is generic over the bundle.
+//! the mutable word, [`DsuStore`] bundles it with the random order and the
+//! element count, and [`Dsu`](crate::Dsu) is generic over the bundle.
 //!
 //! # Layout-selection guide
 //!
-//! Two general-purpose fixed-universe layouts implement [`DsuStore`].
-//! Every layout, fixed or growable, derives element `i`'s id as
+//! Three general-purpose layouts implement [`DsuStore`]. Every layout
+//! derives element `i`'s id as
 //! [`hashed_id(i, seed)`](crate::order::hashed_id) and orders elements by
 //! the `(id, index)` key, so for a given seed they all make identical
 //! linking decisions and are interchangeable mid-experiment. Pick by
-//! universe size. Universes that grow have one layout, which implements
-//! [`GrowableStore`](crate::GrowableStore):
+//! universe size, and by whether the universe grows: only a
+//! [`GrowableStore`] gives [`Dsu`](crate::Dsu) its
+//! [`make_set`](crate::Dsu::make_set).
 //!
 //! | layout | word | footprint | universe bound | pick when |
 //! |---|---|---|---|---|
-//! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | universe fits the bound — the all-round fastest |
+//! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | a fixed universe that fits the bound — the all-round fastest |
 //! | [`FlatStore`] | bare `AtomicUsize` parent; ids hashed from the index on demand | 8 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
-//! | [`EpochStore`](crate::EpochStore) | the packed word, in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only growable layout |
+//! | [`EpochStore`](crate::EpochStore) | the packed word, in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only [`GrowableStore`] |
 //!
-//! [`RankedStore`] is the third layout, for the rank-linking ablation only:
+//! [`RankedStore`] is a fourth layout, for the rank-linking ablation only:
 //! it packs a union-by-rank rank into the word (see
 //! [`RankLink`](crate::RankLink)).
 //!
@@ -45,9 +46,10 @@
 //! tie; size experiments at `n ≥ 2^22` before concluding anything about
 //! placement.
 //!
-//! **Growable universes.** [`GrowableDsu`](crate::GrowableDsu),
-//! [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`](crate::VersionedDsu)
-//! all run on [`EpochStore`](crate::EpochStore). Its segment 0 holds
+//! **Growable universes.** `Dsu<F, EpochStore>` (alias
+//! [`GrowableDsu`](crate::GrowableDsu)), [`KeyedDsu`](crate::KeyedDsu) and
+//! [`VersionedDsu`](crate::VersionedDsu) all run on
+//! [`EpochStore`](crate::EpochStore). Its segment 0 holds
 //! elements `{0, 1}` and segment `s ≥ 1` holds `2^s .. 2^(s+1)`, so `2^k`
 //! elements fill exactly `2^k` cells. Its ids are the same 32-bit hashes
 //! of the index, tie-broken by the index (paper Section 7), so it keeps
@@ -107,11 +109,14 @@
 //!
 //! * [`PackedStore`], [`FlatStore`], [`RankedStore`]:
 //!   one contiguous range covering `0..n` — the ideal scan surface.
-//! * [`EpochStore`](crate::EpochStore), via
-//!   [`GrowableStore::scan_runs`](crate::GrowableStore::scan_runs): one
-//!   range per *allocated* segment, skipping directory holes — a
-//!   concurrently reserved-but-uninitialized index is a root-shaped
-//!   singleton no sweep needs to visit.
+//! * [`EpochStore`](crate::EpochStore): one range per *allocated*
+//!   segment, skipping directory holes — a concurrently
+//!   reserved-but-uninitialized index is a root-shaped singleton no sweep
+//!   needs to visit.
+//!
+//! Every layout and decorator reports its runs through
+//! [`DsuStore::scan_runs`], which has no default, so a decorator cannot
+//! silently fall back to `0..len` over a growable layout.
 //!
 //! Scans only ever *read* words and retarget them with
 //! [`ParentStore::cas_from`], so they obey the same ordering contract as
@@ -119,12 +124,13 @@
 //!
 //! **Versioning.** [`EpochStore`](crate::EpochStore)'s segments are
 //! epoch-stamped and fork copy-on-write, so when the workload needs O(1)
-//! snapshots, rollback, or speculative all-or-nothing batches, wrap the
-//! growable structure in a [`VersionedDsu`](crate::VersionedDsu) (the
-//! [`epoch`](crate::epoch) module). Only `VersionedDsu`'s `&mut`
-//! transitions move the epoch, so an unversioned structure never forks
-//! and pays one predictable epoch compare per CAS. The fixed layouts have
-//! no versioning at all. Versioning composes with
+//! snapshots, rollback, or speculative all-or-nothing batches, wrap a
+//! `Dsu` over it in a [`VersionedDsu`](crate::VersionedDsu) (the
+//! [`epoch`](crate::epoch) module). A snapshot records the element count
+//! with the segments, so a rollback shrinks the universe back too. Only
+//! `VersionedDsu`'s `&mut` transitions move the epoch, so an unversioned
+//! structure never forks and pays one predictable epoch compare per CAS.
+//! The fixed layouts have no versioning at all. Versioning composes with
 //! [`FaultyStore`](crate::FaultyStore) for chaos-tested rollback.
 //!
 //! # Memory orderings (and the `strict-sc` feature)
@@ -162,6 +168,7 @@
 //! and `tests/packed_vs_flat.rs` cross-checks all layouts operation by
 //! operation.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use crate::order::IdOrder;
@@ -309,8 +316,9 @@ pub trait ParentStore: Send + Sync {
     }
 }
 
-/// A [`ParentStore`] bundled with the random total order on its elements —
-/// everything [`Dsu`](crate::Dsu) needs from its storage type parameter.
+/// A [`ParentStore`] bundled with the random total order on its elements
+/// and their count — everything [`Dsu`](crate::Dsu) needs from its storage
+/// type parameter.
 pub trait DsuStore: ParentStore + IdOrder {
     /// Short layout name for reports (e.g. `"packed"`, `"flat"`).
     const NAME: &'static str;
@@ -323,7 +331,8 @@ pub trait DsuStore: ParentStore + IdOrder {
     /// interchangeable mid-experiment.
     fn with_seed(n: usize, seed: u64) -> Self;
 
-    /// Number of cells.
+    /// Number of elements: fixed at construction, or the count of
+    /// indices a [`GrowableStore`] has reserved so far.
     fn len(&self) -> usize;
 
     /// `true` when the store has no cells.
@@ -339,6 +348,33 @@ pub trait DsuStore: ParentStore + IdOrder {
     /// A non-atomic snapshot of all parents. Only meaningful at quiescence;
     /// used by tests and offline analysis.
     fn snapshot(&self) -> Vec<usize>;
+
+    /// Index ranges covering the *initialized* cells among `0..len`, in
+    /// store order — the scan surface the [`flatten`](crate::flatten)
+    /// sweep walks. Fixed layouts return `[0..len]`.
+    ///
+    /// A growable layout must skip unallocated segments: a concurrent
+    /// `make_set` may have reserved an index it is still initializing, so
+    /// a sweep must never assume every index below a `len()` snapshot is
+    /// backed yet. It may include allocated cells at or above `len` —
+    /// those are untouched singletons, and flattening a singleton is a
+    /// no-op. There is deliberately no default: a decorator must forward
+    /// the call, or it would walk a growable layout's holes.
+    fn scan_runs(&self) -> Vec<Range<usize>>;
+}
+
+/// A [`DsuStore`] whose universe grows one element at a time — what
+/// [`Dsu::make_set`](crate::Dsu::make_set) needs.
+/// [`EpochStore`](crate::EpochStore) is the layout;
+/// [`FaultyStore`](crate::FaultyStore) forwards the trait so chaos tests
+/// can wrap it.
+pub trait GrowableStore: DsuStore {
+    /// Reserves the next element index, initializes its cell as a
+    /// singleton (`parent == e`), and returns it. Indices are dense: the
+    /// `k`-th call on a store built with `n` elements returns
+    /// `n + k - 1`. The cell is initialized before this returns, so the
+    /// index may be handed to other threads from then on.
+    fn push_singleton(&self) -> usize;
 }
 
 #[cfg(test)]

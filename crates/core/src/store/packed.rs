@@ -19,6 +19,7 @@
 //! words from any read of the cell, and the id bits can be read at any
 //! ordering.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::order::{hashed_id, IdOrder};
@@ -147,6 +148,9 @@ impl DsuStore for PackedStore {
 
     fn snapshot(&self) -> Vec<usize> {
         self.words.iter().map(|w| packed_parent(w.load(Ordering::Relaxed))).collect()
+    }
+    fn scan_runs(&self) -> Vec<Range<usize>> {
+        std::iter::once(0..self.len()).collect()
     }
 }
 

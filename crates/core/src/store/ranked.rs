@@ -25,6 +25,7 @@
 //! is frozen from the moment it is linked, so observed `(rank, index)`
 //! keys strictly increase along parent paths — rank linking's Lemma 3.1.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::order::{hashed_id, IdOrder};
@@ -148,6 +149,9 @@ impl DsuStore for RankedStore {
 
     fn snapshot(&self) -> Vec<usize> {
         self.words.iter().map(|w| packed_parent(w.load(Ordering::Relaxed))).collect()
+    }
+    fn scan_runs(&self) -> Vec<Range<usize>> {
+        std::iter::once(0..self.len()).collect()
     }
 }
 

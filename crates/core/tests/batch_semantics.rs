@@ -99,8 +99,8 @@ proptest! {
     /// The growable structure's batch path agrees with its per-op path.
     #[test]
     fn growable_batch_matches_per_op(edges in edges_strategy(16, 100), seed in any::<u64>()) {
-        let batched: GrowableDsu = GrowableDsu::with_seed(seed);
-        let per_op: GrowableDsu = GrowableDsu::with_seed(seed);
+        let batched: GrowableDsu = GrowableDsu::with_seed(0, seed);
+        let per_op: GrowableDsu = GrowableDsu::with_seed(0, seed);
         for _ in 0..16 {
             batched.make_set();
             per_op.make_set();

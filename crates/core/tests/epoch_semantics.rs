@@ -14,18 +14,13 @@
 //!   quiescent snapshot/rollback points,
 //! * a chaos cell where every store access runs under `FaultyStore`
 //!   injection and rollback must still be exact.
-//!
-//! CI's `epochs` matrix cell additionally runs the whole core suite over
-//! this layer with `DSU_EPOCH_EVERY=1` (snapshot before every batch), in
-//! both the default and `strict-sc` orderings.
 
-use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
-    BatchOutcome, Epoch, EpochStore, FaultPlan, FaultyStore, GrowableDsu, GrowableStore,
-    RetryBudget, TestWatchdog, TwoTrySplit, VersionedDsu,
+    BatchOutcome, DsuStore, Epoch, EpochStore, FaultPlan, FaultyStore, GrowableDsu, RetryBudget,
+    TestWatchdog, TwoTrySplit, VersionedDsu,
 };
 use proptest::prelude::*;
 use proptest::prop_oneof;
@@ -279,7 +274,7 @@ proptest! {
         rate in 0.05f64..0.5,
     ) {
         let store = FaultyStore::with_plan(
-            <EpochStore as GrowableStore>::with_seed(seed),
+            <EpochStore as DsuStore>::with_seed(0, seed),
             FaultPlan::rate(seed ^ 0x9e3779b97f4a7c15, rate),
         );
         let mut dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));
@@ -374,7 +369,7 @@ fn threaded_chaos_phases_roll_back_exactly() {
         TestWatchdog::arm("threaded_chaos_phases_roll_back_exactly", Duration::from_secs(120));
     let n = 256;
     let store = FaultyStore::with_plan(
-        <EpochStore as GrowableStore>::with_seed(0xC4A05),
+        <EpochStore as DsuStore>::with_seed(0, 0xC4A05),
         FaultPlan::rate(0xC4A05, 0.2),
     );
     let mut dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));
@@ -412,22 +407,25 @@ fn threaded_chaos_phases_roll_back_exactly() {
     );
 }
 
-/// The auto-snapshot knob end to end: with `every = 1` each ingested batch
-/// is preceded by a replacing snapshot, and the retained handle rolls the
-/// most recent batch (and only it) off.
+/// A guard snapshot before every batch, replacing the previous guard: the
+/// retained handle rolls the most recent batch (and only it) off.
 #[test]
-fn auto_snapshot_cadence_guards_the_last_batch() {
+fn snapshot_before_each_batch_guards_the_last_batch() {
     let mut dsu = VDsu::with_initial(64);
-    dsu.set_snapshot_every(NonZeroUsize::new(1));
     let batches: Vec<Vec<(usize, usize)>> = (0..6)
         .map(|b| (0..8).map(|i| ((b * 8 + i) % 64, (b * 8 + i + 1) % 64)).collect())
         .collect();
+    let mut guard: Option<Epoch> = None;
     for batch in &batches {
-        dsu.ingest_batch(batch);
+        if let Some(prev) = guard.take() {
+            dsu.drop_snapshot(prev);
+        }
+        guard = Some(dsu.snapshot());
+        dsu.unite_batch(batch);
     }
     assert_eq!(dsu.snapshots_taken(), 6);
-    assert_eq!(dsu.snapshots().len(), 1, "auto snapshots replace, never accumulate");
-    let guard = dsu.last_auto_snapshot().unwrap();
+    assert_eq!(dsu.snapshots().len(), 1, "guards replace, never accumulate");
+    let guard = guard.unwrap();
     let last = *batches.last().unwrap().first().unwrap();
     assert!(dsu.same_set(last.0, last.1));
     dsu.rollback(guard);
@@ -435,4 +433,22 @@ fn auto_snapshot_cadence_guards_the_last_batch() {
     // first fresh link is gone.
     assert!(dsu.same_set(0, 1));
     assert!(!dsu.same_set(47, 48), "the guarded batch must roll off");
+}
+
+/// An out-of-range endpoint makes `try_unite_batch` panic before any
+/// state changes: no speculation snapshot stays retained, the epoch does
+/// not move, and later writes therefore fork nothing.
+#[test]
+fn try_unite_batch_out_of_range_leaves_no_snapshot() {
+    let mut dsu = VDsu::with_initial(64);
+    let epoch = dsu.dsu().store().current_epoch();
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dsu.try_unite_batch(&[(0, 1), (2, 64)], |_, _| true);
+    }));
+    assert!(err.is_err(), "endpoint 64 is out of range");
+    assert!(dsu.snapshots().is_empty(), "the speculation snapshot leaked");
+    assert_eq!(dsu.dsu().store().current_epoch(), epoch, "the epoch moved");
+    let report = dsu.dsu().store().epoch_report();
+    dsu.unite(0, 1);
+    assert_eq!(dsu.dsu().store().epoch_report(), report, "a later write forked");
 }

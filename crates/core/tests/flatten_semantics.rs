@@ -90,7 +90,7 @@ proptest! {
     /// the stream so sweeps run against a universe that grows under them.
     #[test]
     fn growable_flatten_is_invisible(ops in ops_strategy(16, 100), seed in any::<u64>()) {
-        let dsu: GrowableDsu = GrowableDsu::with_seed(seed);
+        let dsu: GrowableDsu = GrowableDsu::with_seed(0, seed);
         let mut oracle = NaiveDsu::new(16);
         for _ in 0..16 {
             dsu.make_set();
@@ -200,7 +200,7 @@ fn flatten_races_unites_on_every_layout() {
 #[test]
 fn flatten_races_growth() {
     let _wd = TestWatchdog::arm("flatten_races_growth", Duration::from_secs(120));
-    let dsu: GrowableDsu = GrowableDsu::new();
+    let dsu: GrowableDsu = GrowableDsu::new(0);
     let base = 1 << 9;
     for _ in 0..base {
         dsu.make_set();

@@ -95,7 +95,7 @@ proptest! {
     #[test]
     fn growable_matches_oracle(ops in ops_strategy(16, 100), seed in any::<u64>()) {
         let n = 16;
-        let dsu: GrowableDsu = GrowableDsu::with_seed(seed);
+        let dsu: GrowableDsu = GrowableDsu::with_seed(0, seed);
         let mut oracle = NaiveDsu::new(n);
         for _ in 0..n {
             dsu.make_set();
@@ -193,7 +193,7 @@ fn concurrent_stress_matches_components_all_layouts() {
 #[test]
 fn growable_concurrent_stress() {
     let _wd = TestWatchdog::arm("growable_concurrent_stress", Duration::from_secs(120));
-    let dsu: GrowableDsu = GrowableDsu::new();
+    let dsu: GrowableDsu = GrowableDsu::new(0);
     let threads = 8;
     let per_thread = 1500;
     std::thread::scope(|s| {

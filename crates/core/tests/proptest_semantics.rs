@@ -149,7 +149,7 @@ proptest! {
         script in prop::collection::vec((0u8..3, any::<u64>()), 1..150),
         seed in any::<u64>(),
     ) {
-        let dsu: concurrent_dsu::GrowableDsu = concurrent_dsu::GrowableDsu::with_seed(seed);
+        let dsu: concurrent_dsu::GrowableDsu = concurrent_dsu::GrowableDsu::with_seed(0, seed);
         let mut labels: Vec<usize> = Vec::new(); // naive growing oracle
         for (kind, r) in script {
             match kind {

@@ -31,7 +31,7 @@ fn main() {
     let mut table = Table::new(&["p", "make_sets", "final sets", "Mops/s", "speedup"]);
     let mut base = None;
     for &p in &ladder {
-        let dsu: GrowableDsu<TwoTrySplit> = GrowableDsu::with_seed(0xE10);
+        let dsu: GrowableDsu<TwoTrySplit> = GrowableDsu::with_seed(0, 0xE10);
         let barrier = Barrier::new(p + 1);
         let unite_pairs: Vec<(usize, usize)> = std::thread::scope(|s| {
             let mut handles = Vec::new();

@@ -32,8 +32,8 @@
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::order::splitmix64;
 use concurrent_dsu::{
-    BatchOutcome, EpochStore, FaultPlan, FaultyStore, GrowableDsu, GrowableStore, OpStats,
-    RetryBudget, TwoTrySplit, VersionedDsu,
+    BatchOutcome, DsuStore, EpochStore, FaultPlan, FaultyStore, GrowableDsu, OpStats, RetryBudget,
+    TwoTrySplit, VersionedDsu,
 };
 use dsu_harness::{Args, Table};
 use linearize::{check_linearizable, CompletedOp, DsuOp, DsuSpec, HistoryRecorder};
@@ -43,7 +43,7 @@ type ChaosDsu = VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>>;
 
 fn chaos_dsu(n: usize, seed: u64, rate: f64) -> ChaosDsu {
     let store = FaultyStore::with_plan(
-        <EpochStore as GrowableStore>::with_seed(seed),
+        <EpochStore as DsuStore>::with_seed(0, seed),
         FaultPlan::rate(seed, rate),
     );
     let dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));

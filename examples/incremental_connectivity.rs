@@ -56,7 +56,7 @@ fn main() {
     println!("edge stream of {}: {forest} forest edges, {cycles} cycle edges", edges.len());
 
     // Part 3: growing universe — vertices appear as the stream mentions them.
-    let dsu: GrowableDsu = GrowableDsu::new();
+    let dsu: GrowableDsu = GrowableDsu::new(0);
     let mut vertex_of = std::collections::HashMap::new();
     let mut intern = |dsu: &GrowableDsu, name: &str| {
         *vertex_of.entry(name.to_string()).or_insert_with(|| dsu.make_set())

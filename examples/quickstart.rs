@@ -9,7 +9,7 @@
 //!
 //! Where to go next:
 //! - `ARCHITECTURE.md` — the crate map and how the layers stack
-//!   (stores → decorators → `Dsu`/`GrowableDsu` → batch/keyed), plus the
+//!   (stores → decorators → `Dsu` → batch/keyed), plus the
 //!   "where to add X" guide.
 //! - `docs/benchmarks.md` — every measured claim (the wins *and* the
 //!   honest negatives) with its archived JSON artifact.
@@ -117,8 +117,8 @@ fn main() {
     assert!(outcome.is_committed() && versioned.same_set(4, 6));
     let poisoned = versioned.try_unite_batch(&[(6, 7), (0, 4)], |dsu, _| !dsu.same_set(0, 5));
     assert!(!poisoned.is_committed() && !versioned.same_set(6, 7));
-    // (`DSU_EPOCH_EVERY=<k>` keeps a rolling auto-snapshot before every
-    // k-th ingested batch; unversioned structures pay zero for any of
+    // (A rolling guard is `snapshot()` then `drop_snapshot(previous)`
+    // before each batch; unversioned structures pay zero for any of
     // this. `crates/graph`'s `percolation_threshold_versioned` shows the
     // payoff: exact thresholds via binary search over snapshot forks.)
 

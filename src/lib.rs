@@ -5,7 +5,8 @@
 //! downstream users can depend on one name:
 //!
 //! * [`concurrent_dsu`] — the paper's contribution: wait-free union-find
-//!   with randomized linking ([`Dsu`], [`GrowableDsu`]);
+//!   with randomized linking ([`Dsu`]; [`GrowableDsu`] is `Dsu` on the
+//!   growable store);
 //! * [`sequential_dsu`] — the Section 2 sequential baselines and the
 //!   inverse-Ackermann utilities;
 //! * [`dsu_baselines`] — Anderson–Woll-style rank linking and a global
@@ -74,16 +75,15 @@
 //! default store so the full suite exercises each layout; the packed cell
 //! also runs the benchmark's own tests) plus a `keyed` cell that re-runs
 //! the keyed-layer suite under both orderings with `DSU_KEY_SHARDS=2`,
-//! and `variants` / `epochs` cells that re-run the full core suite with
-//! `default-link-index` and `DSU_EPOCH_EVERY=1` respectively;
-//! `bench-smoke`,
+//! and a `variants` cell that re-runs the full core suite with
+//! `default-link-index`; `bench-smoke`,
 //! which runs the A/B examples in quick mode, archives their JSON
 //! (machine-fingerprinted), and fail-soft-compares both medians *and* A/B
 //! ratios against the previous run's cached baseline
 //! (>15% regression warns in the job summary, never turns red; baselines
 //! from a different machine are skipped, not compared); and
-//! `harness-smoke` (real experiment binaries end to end: e01, e09, e11,
-//! e14 and e15). A
+//! `harness-smoke` (real experiment binaries end to end: e01, e09, e10,
+//! e11, e14 and e15). A
 //! weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`, the
 //! non-quick A/B runs. Runs on the same ref cancel their predecessors.
 //!

@@ -70,7 +70,7 @@ fn every_implementation_reaches_the_same_partition() {
     }
 
     // Growable.
-    let growable: GrowableDsu = GrowableDsu::with_initial(n);
+    let growable: GrowableDsu = GrowableDsu::new(n);
     for &op in &w.ops {
         match op {
             Op::Unite(x, y) => {

@@ -1,19 +1,20 @@
 //! One seeded contract smoke per layer of the stack, each checked against
 //! a sequential `SeqDsu` oracle: the plain `Dsu` (per-op and both batch
-//! entry points), `GrowableDsu` (growth plus a batch), `VersionedDsu`
-//! (snapshot, mutate, roll back), `KeyedDsu` (the keyed batch paths), and
-//! `TunedDsu` past its sampling switch point. One more contract covers what
-//! the unversioned growable layers share with `VersionedDsu`: the epoch
-//! store underneath, which they must never fork. Another pins the id
-//! function every store shares: for one seed, `Dsu` and a `GrowableDsu`
-//! grown to the same size are the same structure. The semantics suites in
-//! `crates/core/tests` prove each layer in depth; these keep every layer
-//! under the root crate's own test run.
+//! entry points), `Dsu` on the growable store (growth plus a batch),
+//! `VersionedDsu` (snapshot, mutate, roll back), `KeyedDsu` (the keyed
+//! batch paths), and `TunedDsu` past its sampling switch point. One more
+//! contract covers what the unversioned growable layers share with
+//! `VersionedDsu`: the epoch store underneath, which they must never fork.
+//! Another pins the id function every store shares: for one seed, a fixed
+//! `Dsu`, a bulk-built growable one and one grown by `make_set` are the
+//! same structure. The semantics suites in `crates/core/tests` prove each
+//! layer in depth; these keep every layer under the root crate's own test
+//! run.
 
 use std::collections::HashSet;
 
 use jt_dsu::concurrent_dsu::tune::DEFAULT_SAMPLE_BUDGET;
-use jt_dsu::concurrent_dsu::{EpochFork, EpochReport, ParentStore, TunedDsu, TunerMode};
+use jt_dsu::concurrent_dsu::{DsuStore, EpochFork, EpochReport, TunedDsu, TunerMode};
 use jt_dsu::{Compaction, Dsu, GrowableDsu, KeyedDsu, Linking, Partition, SeqDsu, VersionedDsu};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -53,43 +54,59 @@ fn dsu_per_op_and_batches_match_oracle() {
 }
 
 /// Every store derives ids from the same `hashed_id(index, seed)` and
-/// orders by `(id, index)`, so a fixed `Dsu` and a `GrowableDsu` grown to
-/// the same size by `make_set` link identically: one seeded stream of
-/// unites and queries, then one batch, must give equal verdicts, equal ids
-/// and equal parent forests.
+/// orders by `(id, index)`, so for one seed a fixed `Dsu`, a growable one
+/// bulk-built with `n` elements and one grown to `n` by `make_set` link
+/// identically. The two growable stores start bit-identical (same words,
+/// same scan runs, including the empty and segment-straddling sizes);
+/// then one seeded stream of unites and queries and one batch must give
+/// equal verdicts, equal ids and equal parent forests, and growth must
+/// continue at index `n`.
 #[test]
 fn dsu_and_grown_growable_are_the_same_structure() {
-    let (n, seed) = (300, 0x1A7E_0007);
+    let seed = 0x1A7E_0007;
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let dsu: Dsu = Dsu::with_seed(n, seed);
-    let growable: GrowableDsu = GrowableDsu::with_seed(seed);
-    for _ in 0..n {
-        growable.make_set();
-    }
-    let store = growable.store();
-    for x in 0..n {
-        assert_eq!(dsu.id_of(x), store.priority(x, store.load_word(x)), "id of {x}");
-    }
-    for i in 0..600 {
-        let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        if rng.gen_bool(0.5) {
-            assert_eq!(dsu.unite(x, y), growable.unite(x, y), "op {i}: unite({x}, {y})");
-        } else {
-            assert_eq!(dsu.same_set(x, y), growable.same_set(x, y), "op {i}: same_set({x}, {y})");
+    for n in [0, 1, 2, 3, 512, 513] {
+        let fixed: Dsu = Dsu::with_seed(n, seed);
+        let bulk: GrowableDsu = GrowableDsu::with_seed(n, seed);
+        let grown: GrowableDsu = GrowableDsu::with_seed(0, seed);
+        for _ in 0..n {
+            grown.make_set();
         }
+        assert_eq!(bulk.store().raw_words(n), grown.store().raw_words(n), "n = {n}");
+        assert_eq!(bulk.store().scan_runs(), grown.store().scan_runs(), "n = {n}");
+        for x in 0..n {
+            let id = fixed.id_of(x);
+            assert_eq!((bulk.id_of(x), grown.id_of(x)), (id, id), "n = {n}: id of {x}");
+        }
+        for i in 0..if n > 0 { 600 } else { 0 } {
+            let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if rng.gen_bool(0.5) {
+                let want = fixed.unite(x, y);
+                let got = (bulk.unite(x, y), grown.unite(x, y));
+                assert_eq!(got, (want, want), "n = {n}, op {i}: unite({x}, {y})");
+            } else {
+                let want = fixed.same_set(x, y);
+                let got = (bulk.same_set(x, y), grown.same_set(x, y));
+                assert_eq!(got, (want, want), "n = {n}, op {i}: same_set({x}, {y})");
+            }
+        }
+        let burst = if n > 0 { random_edges(&mut rng, n, 400) } else { Vec::new() };
+        let want = fixed.unite_batch_results(&burst);
+        assert_eq!(bulk.unite_batch_results(&burst), want, "n = {n}");
+        assert_eq!(grown.unite_batch_results(&burst), want, "n = {n}");
+        assert_eq!((bulk.set_count(), grown.set_count()), (fixed.set_count(), fixed.set_count()));
+        let parents = fixed.parents_snapshot();
+        assert_eq!(bulk.parents_snapshot(), parents, "n = {n}");
+        assert_eq!(grown.parents_snapshot(), parents, "n = {n}");
+        assert_eq!((bulk.make_set(), grown.make_set()), (n, n), "n = {n}: growth continues");
     }
-    let burst = random_edges(&mut rng, n, 400);
-    assert_eq!(dsu.unite_batch_results(&burst), growable.unite_batch_results(&burst));
-    assert_eq!(dsu.set_count(), growable.set_count());
-    let grown_parents: Vec<usize> = (0..n).map(|x| store.load_parent(x)).collect();
-    assert_eq!(dsu.parents_snapshot(), grown_parents);
 }
 
 #[test]
 fn growable_make_set_and_batch_match_oracle() {
     let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0002);
     let cap = 256;
-    let dsu: GrowableDsu = GrowableDsu::with_seed(2);
+    let dsu: GrowableDsu = GrowableDsu::with_seed(0, 2);
     let mut seq = oracle(cap);
     for round in 0..4 {
         // Grow by a quarter of the capacity, then ingest a burst over
@@ -198,7 +215,7 @@ fn tuned_dsu_matches_oracle_past_its_switch_point() {
 /// no copy-on-write work done.
 #[test]
 fn unversioned_structures_never_fork() {
-    let dsu: GrowableDsu = GrowableDsu::with_initial(64);
+    let dsu: GrowableDsu = GrowableDsu::new(64);
     let keyed: KeyedDsu<u64> = KeyedDsu::with_seed(6);
     std::thread::scope(|s| {
         for t in 0..4u64 {
