@@ -10,53 +10,169 @@
 //! set operations run on the packed word store this repo has spent six PRs
 //! optimizing.
 //!
-//! # The id table
+//! # Layout
 //!
 //! The table maps `K → usize` (a dense id, assigned by
 //! [`make_set`](crate::Dsu::make_set) in insertion order) and never
-//! deletes. It is sharded by the **high bits** of a seeded 64-bit hash
-//! ([`ShardSpec`] picks the count): inserts of unrelated keys touch
-//! different shards' allocations, so no
-//! cache line is hammered by every thread, and false sharing cannot cross
-//! a shard boundary. Each shard is a directory of doubling open-addressed
-//! *segments* (64, 128, 256, … slots). Slots are claimed by CAS and
-//! entries **never move or rehash** — growth allocates a fresh segment
-//! (counted as [`id_table_resizes`](crate::OpStats::id_table_resizes))
-//! and leaves every published slot exactly where a concurrent reader may
-//! be probing it.
+//! deletes. It has two parts:
 //!
-//! A key's probe path is a deterministic sequence: **one** hashed
-//! candidate slot per segment, visited in segment order (a multi-slot
-//! window per segment would force every operation to re-scan the
-//! saturated early segments' windows end to end; one candidate per
-//! segment keeps the whole path at ~one load per allocated segment).
-//! Inserts claim the **first empty slot** on that path with a CAS;
-//! because slots only ever go from empty to occupied, two racing inserts
-//! of the same unseen key cannot both claim — the loser's CAS fails, it
-//! re-examines the slot, finds the winner's tag, and adopts the winner's
-//! id (proved in the comment on `resolve`; stress-tested in
-//! `tests/keyed_semantics.rs`). Exactly one dense id is ever allocated
-//! per distinct key.
+//! - **The key column.** Keys are stored once, in a column indexed by
+//!   their dense id, and never move. The column uses `EpochStore`'s
+//!   segment geometry (segment 0 holds ids `{0, 1}`, segment `s ≥ 1` holds
+//!   `2^s..2^(s+1)`), so 32 segments cover the 2^32 ids the store can
+//!   mint. Segments are installed by CAS and the loser frees its copy;
+//!   cells are written once, by the insert that minted the id.
+//! - **Per-shard chains of tables.** A seeded 64-bit hash picks the shard
+//!   by its **high bits** ([`ShardSpec`] picks the count), so inserts of
+//!   unrelated keys touch different shards' allocations. Each shard owns a
+//!   chain of power-of-two tables of 256, 512, … 8-byte words
+//!   `tag:29 | id:32 | state:3`. The first table is allocated by the
+//!   shard's first insert, not by construction. A table is probed
+//!   *triangularly* (home, home + 1, home + 3, …, which visits every group
+//!   of a power-of-two table once) over groups of 8 words, each group one
+//!   cache line, and within a group word by word.
 //!
-//! The waits in the structure are both in the id table: a thread that
-//! loses a same-key race spins until the winner publishes its id
-//! (typically a handful of cycles: the winner is between its claim CAS
-//! and one release store), and threads racing to grow one shard meet at
-//! that segment's `OnceLock`. The dense store underneath adds none — its
-//! racing segment allocators each build the segment and the loser frees
-//! its copy. The operations are lock-free in aggregate, not wait-free,
-//! which is the paper's own caveat for unbounded universes.
+//! The tag is the hash's low 29 bits, and a table of `2^g` groups takes
+//! its home group from the tag's low `g` bits alone, so moving a word into
+//! a doubled table never re-hashes its key (SipHash plus two cold
+//! dereferences). The tag bits beyond the home group filter key
+//! comparisons and shrink by one per doubling: 11 remain at 2^18 groups
+//! (2^21 words, about 1.8M keys in one shard), so a comparison meets a
+//! colliding tag about once per 2,000 foreign words. Ids fit the word's 32
+//! bits because the store caps the universe at 2^32; past 2^29 groups
+//! (only reachable near 2^32 keys in one shard) no filter bits remain and
+//! every tag "matches", which costs key comparisons but nothing else.
+//!
+//! # Protocol
+//!
+//! A word is in one of five states, and the only transitions are
+//! `EMPTY → BUSY → FULL → MOVED` and `EMPTY → SEALED`:
+//!
+//! | state | meaning |
+//! |---|---|
+//! | `EMPTY` | unclaimed |
+//! | `BUSY(tag)` | claimed by an insert that has not published yet |
+//! | `FULL(tag, id)` | `id`'s key is in the column |
+//! | `MOVED(tag, id)` | as `FULL`, and a migration has copied it onward |
+//! | `SEALED` | frozen by a migration while empty: "not in this table" |
+//!
+//! A key's **path** in a table is its probe sequence there, and its path
+//! through the shard is its path in each live table, oldest first. Every
+//! walker (insert, lookup, migration copy) follows the same rule at each
+//! word: a `BUSY` word with the key's tag is waited out; a `FULL` or
+//! `MOVED` word with the key's tag compares the key stored in the column
+//! (a copy compares the whole `(tag, id)` instead); a `SEALED` word ends
+//! the walk of *this table* and the walker moves to the next one; any
+//! other occupied word is skipped. At an `EMPTY` word a lookup answers
+//! "absent". A walker that passes the last table misses (lookup) or
+//! installs the next one (insert, copy).
+//!
+//! 1. **Claim.** An insert clones its key, then CASes the first `EMPTY`
+//!    word on its path to `BUSY(tag)`. The winner runs `make_set`, writes
+//!    the key to the column, and publishes `FULL(tag, id)` with a
+//!    `Release` store. A lost CAS re-examines the word it lost; the loser
+//!    drops its clone if it finds its key instead. The clone happens
+//!    before the claim so that a panicking `K::clone` leaves nothing
+//!    behind: a claimed word then only ever waits on `make_set` and one
+//!    column write.
+//! 2. **Growth.** When a shard's key count passes 7/8 of its newest
+//!    table, the inserter installs the doubled table by CAS; the loser
+//!    frees its copy. From then on the *oldest live* table is being
+//!    migrated.
+//! 3. **Migration.** The oldest live table is frozen and copied in chunks
+//!    of 64 groups, claimed from a per-table cursor; every insert into the
+//!    shard helps with at most one chunk, so no operation ever waits for a
+//!    whole migration. In its chunk a helper CASes `EMPTY` to `SEALED` and
+//!    `FULL` to `MOVED`, waits out `BUSY` words (a claim racing the
+//!    freeze), and copies each `MOVED` word into the rest of the chain with
+//!    a `Release` CAS on the first `EMPTY` word of its path. A copy that
+//!    meets an identical `(tag, id)` word stops, so helpers that race on
+//!    one chunk cannot duplicate an entry. After its copies a helper bumps
+//!    the table's done count; the helper that completes the last chunk
+//!    advances the shard's oldest-live index past the table with a
+//!    `Release` store. Retired tables stay allocated until drop; being a
+//!    halving series they total less than the live table.
+//!
+//! Readers load words and the oldest-live index with `Acquire`. The
+//! column write precedes the `FULL` store, and a copier's `Acquire` load
+//! of the source precedes its `Release` copy, so any walker that sees a
+//! key's word also sees the key.
+//!
+//! # Why it is correct
+//!
+//! *Placement prefix.* When a walker places a word for key `k` at word
+//! `p` of table `T` (a claim or a copy), every word before `p` on `k`'s
+//! path in `T` is occupied (`BUSY`, `FULL` or `MOVED`) and stays so
+//! forever. The walker visited each of them and moved on: not `SEALED`
+//! (it would have left `T`), not `EMPTY` (it would have CASed there, and a
+//! lost CAS re-reads a word that is no longer `EMPTY`). Occupied words
+//! never return to `EMPTY` and never become `SEALED`.
+//!
+//! *No table is frozen while it receives copies.* Copies out of table `t`
+//! go to tables after `t`, and a table is frozen only once it is the
+//! oldest live one, which happens after every copy out of `t` has been
+//! counted done. So a copy walk never meets `SEALED`, and it passes a
+//! table only when every word of its path there is occupied.
+//!
+//! *Invariant: a published key stays findable.* Once `k`'s claim has
+//! published, there is a table `W` ≥ oldest holding a `FULL`/`MOVED` word
+//! for `k` with an occupied prefix, and every live table before `W` is
+//! *blocked* for `k`: its path has no `EMPTY` word before its first
+//! `SEALED` one. The claim establishes this: the inserter passed each
+//! earlier table over an occupied prefix and then a `SEALED` word or the
+//! path's end, and those words stay as they were. Advancing the oldest
+//! index only removes tables from the front. When `W` itself is retired,
+//! `k`'s word was `MOVED` and copied before the done count completed. The
+//! copy has an occupied prefix in its table `W'`, and the tables between
+//! `W` and `W'` were passed by the copy with every path word occupied. So
+//! `W'` is the new witness.
+//!
+//! *Lookups.* A lookup of `k` that starts after `k`'s insert returned
+//! loads the oldest index `o` after the witness state it needs was
+//! published (the `Release`/`Acquire` pairs above). It walks the blocked
+//! tables `o..W` without meeting an `EMPTY` word before a `SEALED` one,
+//! then meets `k`'s word in `W` behind its occupied prefix. A word that
+//! holds `k` holds it forever (`FULL → MOVED` keeps `(tag, id)`), so a
+//! migration racing the walk cannot hide it. An `EMPTY` word therefore
+//! proves absence, and so does the end of the chain.
+//!
+//! *Exactly one claim per key.* Suppose inserts `A` and `B` of one key
+//! both claim, at `a` and `b`, with `a` first on the shard path (tables
+//! oldest first, then probe order). `B` did not stop at `a`. If `B`
+//! visited `a`, it read a value of `a` after `A`'s claim: an `EMPTY` read
+//! leads to a CAS that loses to `A` and a re-read. `a` only ever holds
+//! `A`'s key, so `B` adopts `A`'s id and never claims. If `B` left `a`'s
+//! table at a `SEALED` word before `a`, that word lies in `a`'s occupied
+//! prefix, which is a contradiction. If `B` started past `a`'s table, that
+//! table had been fully migrated, so `A`'s word was published and copied.
+//! The invariant then walks `B` to a word holding `A`'s key before any
+//! `EMPTY` word, so `B` adopts rather than claims. Every insert of a key
+//! therefore returns the one id its single claim minted. The same argument
+//! with "identical `(tag, id)`" for "same key" shows each migrated word is
+//! copied exactly once, however many helpers race on its chunk.
+//!
+//! *Progress.* A walk visits each word of a finite chain at most once plus
+//! one re-read per lost CAS, and a word changes state at most three times.
+//! The only wait is the `BUSY` spin, where a lookup, insert or migrator
+//! meets a claim between its CAS and its `FULL` store; the claim winner
+//! runs only `make_set` and one column write there. The dense store
+//! underneath adds no wait: its racing segment allocators each build the
+//! segment and the loser frees its copy. The operations are lock-free in
+//! aggregate, not wait-free, which is the paper's own caveat for unbounded
+//! universes.
 //!
 //! # Batched resolution
 //!
-//! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) first resolves every
-//! key of the burst to its dense id, one key after another (inserting
-//! unseen keys), and only then routes the resolved edge list through
-//! [`unite_batch`], so keyed ingestion inherits the batch waves' gather
-//! loads over parent words. The key resolution itself is a plain per-key
-//! loop: no key's probe is overlapped with another's.
-//! [`same_set_batch`](KeyedDsu::same_set_batch) resolves without
-//! inserting and answers queries on the packed core.
+//! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) and
+//! [`same_set_batch`](KeyedDsu::same_set_batch) resolve keys in **gather
+//! waves** of 64 pairs: hash the wave's keys, load each key's home group
+//! in its shard's oldest live table, then resolve the keys in order. The
+//! loads of a wave are mutually independent, so their cache misses overlap
+//! instead of forming one dependent chain per key (the technique of
+//! [`unite_batch`]'s waves, applied to the id table). Resolving in order
+//! keeps ids in the same order a per-key loop would mint them. The merge
+//! batch then routes the resolved edge list through [`unite_batch`]; the
+//! query batch answers each pair on the packed core without inserting.
 //!
 //! # When to use which layer
 //!
@@ -74,106 +190,430 @@
 
 use std::cell::UnsafeCell;
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::dsu::{Dsu, GrowableDsu};
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::knob;
-use crate::order::splitmix64;
 use crate::stats::{ShardSkew, StatsSink};
 
-/// Slot states, kept in the low bits of `Slot::meta`; the rest of the word
-/// is the key's hash tag, so probes skip non-matching slots without
-/// touching key storage.
-const STATUS_MASK: u64 = 0b11;
+/// Word layout: `tag:29 | id:32 | state:3`.
+const STATE_MASK: u64 = 0b111;
+const ID_SHIFT: u32 = 3;
+const TAG_SHIFT: u32 = ID_SHIFT + 32;
+const TAG_MASK: u64 = (1 << (64 - TAG_SHIFT)) - 1;
+
 const EMPTY: u64 = 0;
-const BUSY: u64 = 0b01;
-const FULL: u64 = 0b10;
+const BUSY: u64 = 1;
+const FULL: u64 = 2;
+const MOVED: u64 = 3;
+const SEALED: u64 = 4;
 
-/// log2 of the first segment's slot count per shard.
-///
-/// Each key has exactly **one** candidate slot per segment (no linear
-/// window): early segments saturate under load, and a multi-slot window
-/// would make every later operation scan those full windows end to end —
-/// measured at >100 wasted probes per op at a few ten-thousand keys. With
-/// one candidate per segment the whole probe path is one load per
-/// *allocated* segment (~log₂ of the key count), at the cost of segments
-/// cascading to the next doubling a little before 100% fill.
-const BASE_BITS: u32 = 8;
+/// Words per probe group: one 64-byte cache line.
+const GROUP: usize = 8;
+/// log2 of a shard's first table's group count (32 groups, 256 words).
+const FIRST_GROUPS_LOG2: u32 = 5;
+/// Groups per migration chunk: the unit one insert helps with.
+const CHUNK_GROUPS: usize = 64;
+/// Chain slots per shard. A chain never gets this long: table 31 alone
+/// would hold 2^39 words, far more than the 2^32 ids the store can mint.
+const TABLES: usize = 32;
 
-/// Maximum doubling segments per shard (the first has `2^BASE_BITS` slots;
-/// 48 more than covers any addressable key count).
-const KEY_SEGMENTS: usize = 48;
+/// Pairs per gather wave of the batch entry points.
+const WAVE: usize = 64;
 
-/// One id-table slot: a tagged state word, the dense id, and inline key
-/// storage written exactly once (by the claim winner, before `meta` is
-/// released to `FULL`).
-struct Slot<K> {
-    meta: AtomicU64,
-    id: AtomicUsize,
-    key: UnsafeCell<MaybeUninit<K>>,
+#[inline]
+fn tag_of(h: u64) -> u64 {
+    h & TAG_MASK
 }
 
-impl<K> Slot<K> {
-    fn new() -> Self {
-        Slot {
-            meta: AtomicU64::new(EMPTY),
-            id: AtomicUsize::new(0),
-            key: UnsafeCell::new(MaybeUninit::uninit()),
-        }
+#[inline]
+fn state(w: u64) -> u64 {
+    w & STATE_MASK
+}
+
+#[inline]
+fn word_tag(w: u64) -> u64 {
+    w >> TAG_SHIFT
+}
+
+#[inline]
+fn word_id(w: u64) -> usize {
+    (w >> ID_SHIFT) as u32 as usize
+}
+
+/// The published word of `id`'s key.
+fn full(tag: u64, id: usize) -> u64 {
+    let id = u32::try_from(id).expect("KeyedDsu ids are packed into 32 bits");
+    tag << TAG_SHIFT | u64::from(id) << ID_SHIFT | FULL
+}
+
+/// Every word transition's CAS: `Release` on success publishes what the
+/// caller wrote before it, `Acquire` on failure lets the caller read the
+/// key behind the word it lost to.
+#[inline]
+fn cas(slot: &AtomicU64, from: u64, to: u64) -> Result<u64, u64> {
+    slot.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+}
+
+/// One probe group: a cache line of table words.
+#[repr(align(64))]
+struct Group([AtomicU64; GROUP]);
+
+/// One table of a shard's chain, with the cursor and done count of its
+/// migration.
+struct Table {
+    groups: Box<[Group]>,
+    /// Next migration chunk to hand out.
+    cursor: AtomicUsize,
+    /// Migration chunks whose copies are complete.
+    done: AtomicUsize,
+}
+
+impl Table {
+    /// Table `t` of a chain: `32 << t` groups, all `EMPTY` (zero).
+    fn new(t: usize) -> Self {
+        // SAFETY: an all-zero `AtomicU64` is a valid `EMPTY` word.
+        let groups =
+            unsafe { Box::new_zeroed_slice(1 << (FIRST_GROUPS_LOG2 as usize + t)).assume_init() };
+        Table { groups, cursor: AtomicUsize::new(0), done: AtomicUsize::new(0) }
+    }
+
+    fn chunks(&self) -> usize {
+        self.groups.len().div_ceil(CHUNK_GROUPS)
+    }
+
+    /// Index of `tag`'s home group: the tag's low bits, so a doubling
+    /// re-places a word from its tag alone.
+    #[inline]
+    fn home(&self, tag: u64) -> usize {
+        tag as usize & (self.groups.len() - 1)
+    }
+
+    /// `tag`'s groups in probe order: triangular steps from its home group,
+    /// which visit every group of a power-of-two table exactly once.
+    #[inline]
+    fn path(&self, tag: u64) -> impl Iterator<Item = &Group> {
+        let mask = self.groups.len() - 1;
+        (1..=self.groups.len()).scan(self.home(tag), move |g, step| {
+            let here = *g;
+            *g = (*g + step) & mask;
+            Some(&self.groups[here])
+        })
     }
 }
 
-/// One shard of the id table: a directory of doubling open-addressed
-/// segments plus its local bookkeeping, padded so neighboring shards'
-/// headers never share a cache line.
+/// One shard of the id table: its chain of tables and local bookkeeping,
+/// padded so neighboring shards' headers never share a cache line.
+#[derive(Default)]
 #[repr(align(128))]
-struct KeyShard<K> {
-    segments: [OnceLock<Box<[Slot<K>]>>; KEY_SEGMENTS],
+struct KeyShard {
+    tables: [AtomicPtr<Table>; TABLES],
+    /// Index of the oldest table not yet fully migrated.
+    oldest: AtomicUsize,
     /// Published keys in this shard (incremented by claim winners after
     /// their release store, so it may momentarily trail a racing reader's
-    /// view — a report counter, not a synchronization point).
+    /// view; it drives growth and reports, never synchronization).
     keys: AtomicUsize,
-    /// Segments allocated after construction.
+    /// Tables installed after the first.
     resizes: AtomicUsize,
 }
 
-// SAFETY: the only non-Sync field is the `UnsafeCell<MaybeUninit<K>>` in
-// each slot. It is written exactly once, by the thread whose CAS moved the
-// slot's `meta` from EMPTY to BUSY (unique by CAS), strictly before the
-// release store of FULL; every read happens after an acquire load observes
-// FULL and treats the key as immutable from then on. So all access is
-// either exclusive (the claim winner, pre-publication) or shared read-only
-// (post-publication), which is exactly the `Sync` contract for `K: Sync`;
-// `K: Send` is required because drop happens on whatever thread drops the
-// table.
-unsafe impl<K: Send + Sync> Sync for KeyShard<K> {}
+impl KeyShard {
+    #[inline]
+    fn table(&self, t: usize) -> Option<&Table> {
+        // SAFETY: a non-null entry points to a table installed by `install`
+        // and freed only by `drop`.
+        unsafe { self.tables.get(t)?.load(Ordering::Acquire).as_ref() }
+    }
 
-impl<K> KeyShard<K> {
-    fn new() -> Self {
-        KeyShard {
-            segments: std::array::from_fn(|_| OnceLock::new()),
-            keys: AtomicUsize::new(0),
-            resizes: AtomicUsize::new(0),
+    /// Table `t`, installing it (the chain's next table) if absent. The
+    /// loser of an install race frees its copy.
+    #[cold]
+    #[inline(never)]
+    fn install<Sk: StatsSink>(&self, t: usize, stats: &mut Sk) -> &Table {
+        let fresh = Box::into_raw(Box::new(Table::new(t)));
+        match self.tables[t].compare_exchange(
+            ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => {
+                if t > 0 {
+                    self.resizes.fetch_add(1, Ordering::Relaxed);
+                    stats.id_table_resize();
+                }
+                // SAFETY: just installed; freed only by `drop`.
+                unsafe { &*fresh }
+            }
+            Err(winner) => {
+                // SAFETY: `fresh` came from `Box::into_raw` and was never
+                // published.
+                drop(unsafe { Box::from_raw(fresh) });
+                // SAFETY: as in `table`.
+                unsafe { &*winner }
+            }
+        }
+    }
+
+    /// Installs the doubled table once the shard's `keys` pass 7/8 of its
+    /// newest table (`from` is any live table index).
+    fn grow_if_loaded<Sk: StatsSink>(&self, keys: usize, mut from: usize, stats: &mut Sk) {
+        while self.table(from + 1).is_some() {
+            from += 1;
+        }
+        let newest = self.table(from).expect("a claim's table is live");
+        if keys * 8 > newest.groups.len() * GROUP * 7 {
+            self.install(from + 1, stats);
+        }
+    }
+
+    /// Copies `word` (a `MOVED` word out of table `t - 1`) into the chain
+    /// from table `t` on: onto the first `EMPTY` word of its path, unless an
+    /// identical `(tag, id)` word is met first.
+    fn copy<Sk: StatsSink>(&self, word: u64, mut t: usize, stats: &mut Sk) {
+        let tag = word_tag(word);
+        let entry = word & !STATE_MASK;
+        let placed = entry | FULL;
+        'tables: loop {
+            let table = match self.table(t) {
+                Some(table) => table,
+                None => self.install(t, stats),
+            };
+            for group in table.path(tag) {
+                for slot in &group.0 {
+                    let mut w = slot.load(Ordering::Acquire);
+                    loop {
+                        match state(w) {
+                            EMPTY => match cas(slot, EMPTY, placed) {
+                                Ok(_) => return,
+                                Err(now) => {
+                                    w = now;
+                                    continue;
+                                }
+                            },
+                            // Unreachable while `t - 1` is still being
+                            // migrated; the walk rule is kept regardless.
+                            SEALED => {
+                                t += 1;
+                                continue 'tables;
+                            }
+                            FULL | MOVED if w & !STATE_MASK == entry => return,
+                            // Another key's word, or a fresh claim (whose id
+                            // is new, so never ours): skip.
+                            _ => {}
+                        }
+                        break;
+                    }
+                }
+            }
+            t += 1;
+        }
+    }
+
+    /// Freezes chunk `c` of table `t` and copies its entries onward.
+    /// Idempotent: a second pass over a migrated chunk finds only `SEALED`
+    /// and `MOVED` words, and its re-copies stop at the first copies.
+    fn migrate_chunk<Sk: StatsSink>(&self, t: usize, c: usize, stats: &mut Sk) {
+        let old = self.table(t).expect("only live tables migrate");
+        let groups = c * CHUNK_GROUPS..((c + 1) * CHUNK_GROUPS).min(old.groups.len());
+        for group in &old.groups[groups] {
+            for slot in &group.0 {
+                let mut w = slot.load(Ordering::Acquire);
+                loop {
+                    match state(w) {
+                        EMPTY => match cas(slot, EMPTY, SEALED) {
+                            Ok(_) => {}
+                            Err(now) => {
+                                w = now;
+                                continue;
+                            }
+                        },
+                        // A claim racing the freeze: wait for its FULL.
+                        BUSY => {
+                            std::hint::spin_loop();
+                            w = slot.load(Ordering::Acquire);
+                            continue;
+                        }
+                        FULL => match cas(slot, w, w & !STATE_MASK | MOVED) {
+                            Ok(_) => self.copy(w, t + 1, stats),
+                            Err(now) => {
+                                w = now;
+                                continue;
+                            }
+                        },
+                        // Moved by a helper that raced us on this chunk; it
+                        // may not have copied it yet.
+                        MOVED => self.copy(w, t + 1, stats),
+                        _ => {}
+                    }
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Helps the shard's pending migration (if any) with one chunk; the
+    /// helper completing the last chunk retires the table.
+    fn help_migrate<Sk: StatsSink>(&self, stats: &mut Sk) {
+        let t = self.oldest.load(Ordering::Acquire);
+        if self.table(t + 1).is_none() {
+            return;
+        }
+        let old = self.table(t).expect("a table with a successor is live");
+        let chunks = old.chunks();
+        if old.cursor.load(Ordering::Relaxed) >= chunks {
+            return;
+        }
+        let c = old.cursor.fetch_add(1, Ordering::Relaxed);
+        if c >= chunks {
+            return;
+        }
+        self.migrate_chunk(t, c, stats);
+        if old.done.fetch_add(1, Ordering::AcqRel) + 1 == chunks {
+            self.oldest.store(t + 1, Ordering::Release);
         }
     }
 }
 
-impl<K> Drop for KeyShard<K> {
+impl Drop for KeyShard {
     fn drop(&mut self) {
-        for seg in &mut self.segments {
-            if let Some(slots) = seg.get_mut() {
-                for slot in slots.iter_mut() {
-                    // &mut self: no concurrent claimers, so BUSY is
-                    // impossible and FULL keys are fully initialized.
-                    if slot.meta.load(Ordering::Relaxed) & STATUS_MASK == FULL {
-                        // SAFETY: FULL ⇒ the key was written and published;
-                        // exclusive access ⇒ nobody reads it after this.
-                        unsafe { (*slot.key.get()).assume_init_drop() };
-                    }
-                }
+        for slot in &mut self.tables {
+            let p = *slot.get_mut();
+            if !p.is_null() {
+                // SAFETY: installed from `Box::into_raw`; `&mut self` means
+                // no walker can still hold it.
+                drop(unsafe { Box::from_raw(p) });
+            }
+        }
+    }
+}
+
+/// First id of key-column segment `s`: `EpochStore`'s geometry, where
+/// segment 0 holds `{0, 1}` and segment `s ≥ 1` holds `2^s..2^(s+1)`.
+const fn column_base(s: usize) -> usize {
+    (1 << s) & !1
+}
+
+/// Cell count of key-column segment `s`.
+const fn column_len(s: usize) -> usize {
+    if s == 0 {
+        2
+    } else {
+        1 << s
+    }
+}
+
+/// Maps id `i` to its key-column `(segment, offset)`.
+#[inline]
+fn column_cell(i: usize) -> (usize, usize) {
+    let s = (i | 1).ilog2() as usize;
+    (s, i - column_base(s))
+}
+
+/// Keys by dense id. A cell is written once, by the claim winner that
+/// minted its id, before that id's `FULL` word is published; ids minted
+/// through [`KeyedDsu::dsu`] leave their cells uninitialized. The column
+/// never drops keys itself: [`KeyedDsu`]'s `Drop` knows which cells hold
+/// one.
+struct KeyColumn<K> {
+    segments: [AtomicPtr<MaybeUninit<K>>; 32],
+    /// Owns `K`s, and hands out `&K` across threads.
+    _keys: PhantomData<UnsafeCell<K>>,
+}
+
+// SAFETY: a cell is written exactly once, by the thread whose claim CAS
+// minted its id (unique by the CAS), strictly before the release store of
+// the id's FULL word; every read happens after an acquire load of a word
+// naming the id and treats the key as immutable from then on. So all
+// access is either exclusive (the claim winner, pre-publication) or shared
+// read-only (post-publication), which is exactly the `Sync` contract for
+// `K: Sync`; `K: Send` is required because keys are created on inserting
+// threads and dropped on whatever thread drops the table.
+unsafe impl<K: Send + Sync> Sync for KeyColumn<K> {}
+
+impl<K> KeyColumn<K> {
+    fn new() -> Self {
+        KeyColumn {
+            segments: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+            _keys: PhantomData,
+        }
+    }
+
+    /// Writes `key` into `id`'s cell, installing its segment if needed.
+    ///
+    /// # Safety
+    ///
+    /// The caller minted `id` and has not published it: nobody else
+    /// touches this cell.
+    unsafe fn write(&self, id: usize, key: K) {
+        let (s, off) = column_cell(id);
+        let mut seg = self.segments[s].load(Ordering::Acquire);
+        if seg.is_null() {
+            seg = self.install(s);
+        }
+        // SAFETY: exclusive by the caller's contract; `off < column_len(s)`.
+        unsafe { (*seg.add(off)).write(key) };
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn install(&self, s: usize) -> *mut MaybeUninit<K> {
+        let fresh = Box::into_raw(Box::<[K]>::new_uninit_slice(column_len(s))).cast();
+        match self.segments[s].compare_exchange(
+            ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => fresh,
+            Err(winner) => {
+                // SAFETY: `fresh` was never published, holds no keys, and
+                // came from a boxed slice of this length.
+                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, column_len(s))) });
+                winner
+            }
+        }
+    }
+
+    /// `id`'s key.
+    ///
+    /// # Safety
+    ///
+    /// The caller acquired a `FULL`/`MOVED` word naming `id`, so the cell is
+    /// initialized and immutable.
+    #[inline]
+    unsafe fn get(&self, id: usize) -> &K {
+        let (s, off) = column_cell(id);
+        // SAFETY: the published word implies the segment and the cell.
+        unsafe { (*self.segments[s].load(Ordering::Acquire).add(off)).assume_init_ref() }
+    }
+
+    /// Drops `id`'s key in place.
+    ///
+    /// # Safety
+    ///
+    /// The cell holds a key that nothing reads or drops afterwards.
+    unsafe fn drop_key(&mut self, id: usize) {
+        let (s, off) = column_cell(id);
+        // SAFETY: the caller's contract.
+        unsafe { (*self.segments[s].get_mut().add(off)).assume_init_drop() };
+    }
+}
+
+impl<K> Drop for KeyColumn<K> {
+    fn drop(&mut self) {
+        for (s, seg) in self.segments.iter_mut().enumerate() {
+            let p = *seg.get_mut();
+            if !p.is_null() {
+                // SAFETY: installed from a boxed slice of this length; its
+                // keys were dropped by `KeyedDsu::drop`.
+                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, column_len(s))) });
             }
         }
     }
@@ -221,9 +661,41 @@ impl<K> Drop for KeyShard<K> {
 /// ```
 pub struct KeyedDsu<K, F: FindPolicy = TwoTrySplit> {
     dsu: GrowableDsu<F>,
-    shards: Box<[KeyShard<K>]>,
+    shards: Box<[KeyShard]>,
+    column: KeyColumn<K>,
     shard_bits: u32,
     salt: u64,
+}
+
+impl<K, F: FindPolicy> Drop for KeyedDsu<K, F> {
+    /// Drops every key exactly once. A migrated key has a word in two
+    /// tables (`MOVED` in the old, `FULL` in the new) and ids minted through
+    /// [`dsu`](KeyedDsu::dsu) have no key, so the words are deduped by id
+    /// before the column is freed.
+    fn drop(&mut self) {
+        let mut keyed = vec![0u64; self.dsu.len().div_ceil(64)];
+        for shard in self.shards.iter() {
+            for t in 0..TABLES {
+                let Some(table) = shard.table(t) else { break };
+                for w in table.groups.iter().flat_map(|g| &g.0) {
+                    let w = w.load(Ordering::Relaxed);
+                    if matches!(state(w), FULL | MOVED) {
+                        let id = word_id(w);
+                        keyed[id / 64] |= 1 << (id % 64);
+                    }
+                }
+            }
+        }
+        for (i, mut bits) in keyed.into_iter().enumerate() {
+            while bits != 0 {
+                let id = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // SAFETY: a FULL/MOVED word names an id whose cell its
+                // claim wrote; each id is visited once; `&mut self`.
+                unsafe { self.column.drop_key(id) };
+            }
+        }
+    }
 }
 
 impl<K: Hash + Eq, F: FindPolicy> std::fmt::Debug for KeyedDsu<K, F> {
@@ -338,20 +810,15 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     }
 
     /// An empty keyed structure with an explicit id-table [`ShardSpec`].
+    /// Allocates no table: each shard's first insert does.
     pub fn with_spec(seed: u64, spec: ShardSpec) -> Self {
-        let shards: Box<[KeyShard<K>]> = (0..spec.shards()).map(|_| KeyShard::new()).collect();
-        // Pre-allocate every shard's first segment: the common case never
-        // pays the directory's OnceLock initialization race, and
-        // `id_table_resizes` cleanly means "growth", not "first touch".
-        for shard in shards.iter() {
-            let _ = shard.segments[0].get_or_init(|| Self::alloc_segment(0));
+        KeyedDsu {
+            dsu: Dsu::with_seed(0, seed),
+            shards: (0..spec.shards()).map(|_| KeyShard::default()).collect(),
+            column: KeyColumn::new(),
+            shard_bits: spec.shards().trailing_zeros(),
+            salt: seed,
         }
-        let shard_bits = spec.shards().trailing_zeros();
-        KeyedDsu { dsu: Dsu::with_seed(0, seed), shards, shard_bits, salt: seed }
-    }
-
-    fn alloc_segment(s: usize) -> Box<[Slot<K>]> {
-        (0..1usize << (BASE_BITS as usize + s)).map(|_| Slot::new()).collect()
     }
 
     /// The seeded 64-bit hash all table geometry derives from.
@@ -363,130 +830,119 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     }
 
     #[inline]
-    fn shard_of(&self, h: u64) -> usize {
+    fn shard_of(&self, h: u64) -> &KeyShard {
         if self.shard_bits == 0 {
-            0
+            &self.shards[0]
         } else {
-            (h >> (64 - self.shard_bits)) as usize
+            &self.shards[(h >> (64 - self.shard_bits)) as usize]
         }
     }
 
-    /// Resolves `key` to its dense id, inserting (when `insert_key` is
-    /// `Some`) or answering `None` on a miss.
-    ///
-    /// The probe path is the same deterministic slot sequence for every
-    /// thread: **one** hashed candidate slot per segment, in segment order
-    /// (one candidate, not a window — see the note on [`BASE_BITS`]).
-    /// **Why the same key can never claim two slots:** slots move only
-    /// from empty to occupied, and a claim is a CAS on the *first empty
-    /// slot of the path*. Suppose inserts A and B of one key both claim,
-    /// at path positions `i < j`. B claimed at `j`, so B observed position
-    /// `i` occupied — and since occupancy is permanent, `i` is occupied by
-    /// the same entry forever. That entry carries either B's key (then B
-    /// adopts it and never claims, a contradiction) or a different key —
-    /// but A's successful CAS at `i` means `i` was *empty* when A claimed,
-    /// after which it holds A's key forever, contradicting "a different
-    /// key". So at most one claim per key, and every resolver converges on
-    /// the winner's id.
+    /// Resolves `key` (whose hash is `h`) to its dense id, inserting when
+    /// `make_key` is `Some` or answering `None` on a miss. Follows the
+    /// walk rule of the module docs, where the protocol and its proof live.
     fn resolve<Sk: StatsSink>(
         &self,
         key: &K,
-        insert_key: Option<&dyn Fn() -> K>,
+        h: u64,
+        make_key: Option<&dyn Fn() -> K>,
         stats: &mut Sk,
     ) -> Option<usize> {
-        let h = self.hash_key(key);
-        let shard = &self.shards[self.shard_of(h)];
-        let tag = h & !STATUS_MASK;
+        let shard = self.shard_of(h);
+        if make_key.is_some() {
+            shard.help_migrate(stats);
+        }
+        let tag = tag_of(h);
         let mut probes = 0usize;
-        for s in 0..KEY_SEGMENTS {
-            let seg = match shard.segments[s].get() {
-                Some(seg) => seg,
-                None if insert_key.is_some() => {
-                    let mut allocated = false;
-                    let seg = shard.segments[s].get_or_init(|| {
-                        allocated = true;
-                        Self::alloc_segment(s)
-                    });
-                    if allocated {
-                        shard.resizes.fetch_add(1, Ordering::Relaxed);
-                        stats.id_table_resize();
-                    }
-                    seg
-                }
-                // Lookup-only: an unallocated segment cannot hold the key,
-                // and later segments only exist if this one does — miss.
-                None => {
-                    stats.key_probe_steps(probes);
-                    return None;
-                }
+        // The key's clone, made before any claim CAS and reused across
+        // lost ones.
+        let mut owned: Option<K> = None;
+        let mut t = shard.oldest.load(Ordering::Acquire);
+        'tables: loop {
+            let table = match (shard.table(t), make_key) {
+                (Some(table), _) => table,
+                (None, Some(_)) => shard.install(t, stats),
+                // The end of the chain: absent.
+                (None, None) => break 'tables,
             };
-            let slot = &seg[splitmix64(h ^ s as u64) as usize & (seg.len() - 1)];
-            probes += 1;
-            loop {
-                let meta = slot.meta.load(Ordering::Acquire);
-                if meta == EMPTY {
-                    let Some(make_key) = insert_key else {
-                        // A completed insert would have claimed this slot
-                        // or an earlier one on the path: miss.
-                        stats.key_probe_steps(probes);
-                        return None;
-                    };
-                    if slot
-                        .meta
-                        .compare_exchange(EMPTY, tag | BUSY, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        // Claim won: this thread owns the slot's key cell
-                        // until the release store below.
-                        // SAFETY: exclusive by the CAS; see KeyShard's
-                        // Sync justification.
-                        unsafe { (*slot.key.get()).write(make_key()) };
-                        let id = self.dsu.make_set();
-                        slot.id.store(id, Ordering::Relaxed);
-                        slot.meta.store(tag | FULL, Ordering::Release);
-                        shard.keys.fetch_add(1, Ordering::Relaxed);
-                        stats.key_inserted();
-                        stats.key_probe_steps(probes);
-                        return Some(id);
+            for group in table.path(tag) {
+                probes += 1;
+                for slot in &group.0 {
+                    let mut w = slot.load(Ordering::Acquire);
+                    loop {
+                        match state(w) {
+                            EMPTY => {
+                                let Some(make_key) = make_key else { break 'tables };
+                                if owned.is_none() {
+                                    owned = Some(make_key());
+                                }
+                                match cas(slot, EMPTY, tag << TAG_SHIFT | BUSY) {
+                                    Ok(_) => {
+                                        let key = owned.take().expect("cloned before the claim");
+                                        stats.key_probe_steps(probes);
+                                        return Some(self.publish(shard, t, slot, tag, key, stats));
+                                    }
+                                    // Lost: re-examine the word, which may
+                                    // now carry this very key.
+                                    Err(now) => {
+                                        w = now;
+                                        continue;
+                                    }
+                                }
+                            }
+                            SEALED => {
+                                t += 1;
+                                continue 'tables;
+                            }
+                            s if word_tag(w) == tag => {
+                                if s == BUSY {
+                                    // A matching claim between its CAS and
+                                    // its release store: the one wait.
+                                    std::hint::spin_loop();
+                                    w = slot.load(Ordering::Acquire);
+                                    continue;
+                                }
+                                let id = word_id(w);
+                                // SAFETY: the acquire load of this FULL or
+                                // MOVED word follows the column write.
+                                if unsafe { self.column.get(id) } == key {
+                                    stats.key_probe_steps(probes);
+                                    return Some(id);
+                                }
+                            }
+                            _ => {}
+                        }
+                        break;
                     }
-                    // Someone claimed this slot first — re-examine it: it
-                    // may be carrying this very key.
-                    continue;
                 }
-                if meta & !STATUS_MASK == tag {
-                    if meta & STATUS_MASK == BUSY {
-                        // A matching claim is between its CAS and its
-                        // release store — the structure's one wait.
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    // FULL with a matching tag: the acquire load above
-                    // synchronized with the winner's release store, so
-                    // the key cell is initialized and immutable.
-                    // SAFETY: published ⇒ read-only; see KeyShard.
-                    let stored = unsafe { (*slot.key.get()).assume_init_ref() };
-                    if stored == key {
-                        stats.key_probe_steps(probes);
-                        return Some(slot.id.load(Ordering::Relaxed));
-                    }
-                }
-                // Occupied by a different key (or a colliding tag): next
-                // segment on the path.
-                break;
             }
+            // Every word of the path is occupied: next table.
+            t += 1;
         }
-        // A lookup that walked every allocated segment without meeting an
-        // empty slot simply missed; only an *insert* that failed to claim
-        // anywhere in 48 doubling segments indicates a broken table.
-        if insert_key.is_none() {
-            stats.key_probe_steps(probes);
-            return None;
-        }
-        panic!(
-            "KeyedDsu id table exhausted all {KEY_SEGMENTS} doubling segments in one shard — \
-             astronomically unlikely under any honest Hash implementation; check the key type's \
-             Hash for degenerate output"
-        );
+        stats.key_probe_steps(probes);
+        None
+    }
+
+    /// The claim winner's publication: mint the id, write the key, release
+    /// `FULL`, then count the key and grow the shard if it is loaded.
+    fn publish<Sk: StatsSink>(
+        &self,
+        shard: &KeyShard,
+        t: usize,
+        slot: &AtomicU64,
+        tag: u64,
+        key: K,
+        stats: &mut Sk,
+    ) -> usize {
+        let id = self.dsu.make_set();
+        let word = full(tag, id);
+        // SAFETY: `id` is fresh from `make_set` and unpublished.
+        unsafe { self.column.write(id, key) };
+        slot.store(word, Ordering::Release);
+        let keys = shard.keys.fetch_add(1, Ordering::Relaxed) + 1;
+        stats.key_inserted();
+        shard.grow_if_loaded(keys, t, stats);
+        id
     }
 
     /// Maps `key` to its dense id, inserting it as a fresh singleton if
@@ -507,8 +963,15 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     where
         K: Clone,
     {
+        self.insert_hashed(key, self.hash_key(key), stats)
+    }
+
+    fn insert_hashed<Sk: StatsSink>(&self, key: &K, h: u64, stats: &mut Sk) -> usize
+    where
+        K: Clone,
+    {
         let make = || key.clone();
-        self.resolve(key, Some(&make), stats).expect("insert always resolves")
+        self.resolve(key, h, Some(&make), stats).expect("insert always resolves")
     }
 
     /// The dense id of `key`, or `None` if it was never inserted. Never
@@ -519,7 +982,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
 
     /// [`get`](KeyedDsu::get) reporting probe work into `stats`.
     pub fn get_with<Sk: StatsSink>(&self, key: &K, stats: &mut Sk) -> Option<usize> {
-        self.resolve(key, None, stats)
+        self.resolve(key, self.hash_key(key), None, stats)
     }
 
     /// Unites the sets containing `a` and `b`, inserting unseen keys as
@@ -552,7 +1015,11 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
 
     /// [`same_set`](KeyedDsu::same_set) reporting work into `stats`.
     pub fn same_set_with<Sk: StatsSink>(&self, a: &K, b: &K, stats: &mut Sk) -> bool {
-        match (self.resolve(a, None, stats), self.resolve(b, None, stats)) {
+        self.same_set_hashed(a, b, (self.hash_key(a), self.hash_key(b)), stats)
+    }
+
+    fn same_set_hashed<Sk: StatsSink>(&self, a: &K, b: &K, h: (u64, u64), stats: &mut Sk) -> bool {
+        match (self.resolve(a, h.0, None, stats), self.resolve(b, h.1, None, stats)) {
             (Some(ia), Some(ib)) => self.dsu.same_set_with(ia, ib, stats),
             // At most one key exists: same set exactly when both name the
             // same implicit singleton.
@@ -561,9 +1028,9 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     }
 
     /// Batched [`merge_keys`](KeyedDsu::merge_keys): resolves every key of
-    /// the burst to a dense id, key by key (inserting unseen keys), then
-    /// routes the resolved edge list through the batch ingestion waves
-    /// (`bulk`). Returns the number of edges that performed a link.
+    /// the burst to a dense id in gather waves (inserting unseen keys),
+    /// then routes the resolved edge list through the batch ingestion
+    /// waves (`bulk`). Returns the number of edges that performed a link.
     pub fn merge_keys_batch(&self, pairs: &[(K, K)]) -> usize
     where
         K: Clone,
@@ -578,12 +1045,19 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     where
         K: Clone,
     {
-        let edges = self.resolve_pairs(pairs, stats);
+        let mut edges = Vec::with_capacity(pairs.len());
+        let mut hashes = Vec::with_capacity(WAVE);
+        for wave in pairs.chunks(WAVE) {
+            self.gather(wave, &mut hashes);
+            edges.extend(wave.iter().zip(&hashes).map(|((a, b), &(ha, hb))| {
+                (self.insert_hashed(a, ha, stats), self.insert_hashed(b, hb, stats))
+            }));
+        }
         self.dsu.unite_batch_with(&edges, stats)
     }
 
     /// Batched [`same_set`](KeyedDsu::same_set): one verdict per pair,
-    /// resolved without inserting.
+    /// resolved in gather waves without inserting.
     pub fn same_set_batch(&self, pairs: &[(K, K)]) -> Vec<bool> {
         self.same_set_batch_with(pairs, &mut ())
     }
@@ -595,20 +1069,33 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         pairs: &[(K, K)],
         stats: &mut Sk,
     ) -> Vec<bool> {
-        pairs.iter().map(|(a, b)| self.same_set_with(a, b, stats)).collect()
+        let mut verdicts = Vec::with_capacity(pairs.len());
+        let mut hashes = Vec::with_capacity(WAVE);
+        for wave in pairs.chunks(WAVE) {
+            self.gather(wave, &mut hashes);
+            verdicts.extend(
+                wave.iter().zip(&hashes).map(|((a, b), &h)| self.same_set_hashed(a, b, h, stats)),
+            );
+        }
+        verdicts
     }
 
-    /// The resolution step of the batch path: every key resolved
-    /// (inserting) in order, before any parent word is touched, so the
-    /// subsequent waves run on a plain dense edge list.
-    fn resolve_pairs<Sk: StatsSink>(&self, pairs: &[(K, K)], stats: &mut Sk) -> Vec<(usize, usize)>
-    where
-        K: Clone,
-    {
-        pairs
-            .iter()
-            .map(|(a, b)| (self.insert_with(a, stats), self.insert_with(b, stats)))
-            .collect()
+    /// The first two steps of a gather wave: hash the wave's keys into
+    /// `hashes`, then load each key's home group in its shard's oldest
+    /// live table. The loads are independent, so their misses overlap; the
+    /// in-order resolution that follows finds the groups cached.
+    fn gather(&self, wave: &[(K, K)], hashes: &mut Vec<(u64, u64)>) {
+        hashes.clear();
+        hashes.extend(wave.iter().map(|(a, b)| (self.hash_key(a), self.hash_key(b))));
+        let mut seen = 0u64;
+        for h in hashes.iter().flat_map(|&(ha, hb)| [ha, hb]) {
+            let shard = self.shard_of(h);
+            if let Some(table) = shard.table(shard.oldest.load(Ordering::Acquire)) {
+                seen ^= table.groups[table.home(tag_of(h))].0[0].load(Ordering::Relaxed);
+            }
+        }
+        // Keeps the loads, whose values the resolution re-reads anyway.
+        std::hint::black_box(seen);
     }
 
     /// Number of distinct keys inserted so far.
@@ -632,7 +1119,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         self.shards.len()
     }
 
-    /// Total open-addressing segments allocated after construction,
+    /// Tables installed after each shard's first (one per doubling),
     /// summed over shards — the table-growth half of
     /// [`OpStats::id_table_resizes`](crate::OpStats::id_table_resizes),
     /// readable at quiescence without a sink.
@@ -658,6 +1145,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::splitmix64;
     use crate::OpStats;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -724,8 +1212,7 @@ mod tests {
         }
         assert_eq!(stats.keys_inserted, 500);
         assert!(stats.key_probe_steps >= 500, "every resolve probes at least once");
-        // 500 keys over 2 shards × 256 base slots with one candidate per
-        // segment must have cascaded into fresh segments.
+        // 500 keys over 2 shards of 256 words pass the 7/8 load mark.
         assert!(stats.id_table_resizes > 0);
         assert_eq!(stats.id_table_resizes as usize, dsu.id_table_resizes());
         let mut lookups = OpStats::default();
@@ -739,12 +1226,12 @@ mod tests {
 
     #[test]
     fn absent_lookups_miss_cleanly_at_any_fill() {
-        // Regression: a miss whose probe path runs past the last allocated
-        // segment (or through 48 full windows) must return None, not
-        // panic. Fill a single-shard table well past segment 0 so absent
-        // probes regularly traverse full windows and hit the unallocated
-        // tail.
+        // A miss must return None whether its walk stops at an EMPTY word,
+        // leaves a table at a SEALED one, or runs off the end of the chain.
+        // Fill a single-shard table through several doublings so absent
+        // probes meet all three.
         let dsu: KeyedDsu<String> = KeyedDsu::with_spec(9, ShardSpec::with_shards(1));
+        assert_eq!(dsu.get(&"before-any-table".to_string()), None);
         for i in 0..2_000 {
             dsu.insert(&format!("present-{i}"));
         }
@@ -753,6 +1240,22 @@ mod tests {
             assert!(!dsu.same_set(&format!("absent-{i}"), &"present-0".to_string()));
         }
         assert_eq!(dsu.key_count(), 2_000);
+    }
+
+    #[test]
+    fn lookups_take_about_one_probe_at_any_fill() {
+        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(1, ShardSpec::with_shards(1));
+        let mut inserts = OpStats::default();
+        for i in 0..50_000 {
+            dsu.insert_with(&splitmix64(i), &mut inserts);
+        }
+        let mut hits = OpStats::default();
+        for i in 0..50_000 {
+            assert!(dsu.get_with(&splitmix64(i), &mut hits).is_some());
+        }
+        let per_key = |s: &OpStats| s.key_probe_steps as f64 / 50_000.0;
+        assert!(per_key(&inserts) < 2.0, "inserts probe {} groups per key", per_key(&inserts));
+        assert!(per_key(&hits) < 2.0, "lookups probe {} groups per key", per_key(&hits));
     }
 
     #[test]
@@ -787,6 +1290,50 @@ mod tests {
     }
 
     #[test]
+    fn construction_allocates_no_table() {
+        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(0, ShardSpec::with_shards(4));
+        assert!(dsu.shards.iter().all(|s| s.table(0).is_none()), "the first table is lazy");
+        dsu.insert(&1);
+        assert_eq!(dsu.shards.iter().filter(|s| s.table(0).is_some()).count(), 1);
+        assert_eq!(dsu.id_table_resizes(), 0, "a first table is not growth");
+    }
+
+    /// Every `FULL` word of table `t` of `shard`, as `(tag, id)` entries.
+    fn entries(shard: &KeyShard, t: usize) -> Vec<u64> {
+        let table = shard.table(t).expect("live");
+        let words = table.groups.iter().flat_map(|g| &g.0).map(|w| w.load(Ordering::Relaxed));
+        words.filter(|&w| state(w) == FULL).map(|w| w & !STATE_MASK).collect()
+    }
+
+    #[test]
+    fn migrating_one_chunk_twice_copies_each_word_once() {
+        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(5, ShardSpec::with_shards(1));
+        let shard = &dsu.shards[0];
+        // Fill table 0 to its growth mark without helping any migration:
+        // the 225th key installs table 1 and nobody has claimed a chunk.
+        let mut i = 0;
+        while shard.table(1).is_none() {
+            dsu.insert(&splitmix64(i));
+            i += 1;
+        }
+        let before = entries(shard, 0);
+        assert_eq!(before.len() as u64, i);
+        assert_eq!(shard.table(0).unwrap().chunks(), 1);
+        let in_next = entries(shard, 1).len();
+        shard.migrate_chunk(0, 0, &mut ());
+        shard.migrate_chunk(0, 0, &mut ());
+        let mut after = entries(shard, 1);
+        assert_eq!(after.len(), in_next + before.len(), "one word per migrated key");
+        after.sort_unstable();
+        after.dedup();
+        assert_eq!(after.len(), in_next + before.len(), "no (tag, id) word twice");
+        assert!(entries(shard, 0).is_empty(), "the old table holds only MOVED/SEALED words");
+        for k in 0..i {
+            assert_eq!(dsu.get(&splitmix64(k)), Some(k as usize), "key {k} after migration");
+        }
+    }
+
+    #[test]
     fn dense_ids_interoperate_with_the_array_api() {
         let dsu: KeyedDsu<String> = KeyedDsu::new();
         let a = dsu.insert(&"a".to_string());
@@ -805,8 +1352,9 @@ mod tests {
 
     #[test]
     fn drop_runs_key_destructors() {
-        // Miri-style sanity: dropping the table drops exactly the owned
-        // keys (Arc counts return to 1).
+        // Dropping the table drops exactly the owned keys (Arc counts return
+        // to 1): after plain inserts, and in the middle of a migration, with
+        // keyless ids minted through the array API between the keyed ones.
         use std::sync::Arc;
         let probe = Arc::new(());
         #[derive(Clone, PartialEq, Eq, Hash)]
@@ -819,5 +1367,30 @@ mod tests {
             assert!(Arc::strong_count(&probe) >= 65);
         }
         assert_eq!(Arc::strong_count(&probe), 1, "drop leaked or double-freed keys");
+        {
+            let dsu: KeyedDsu<Tracked> = KeyedDsu::with_spec(2, ShardSpec::with_shards(1));
+            let shard = &dsu.shards[0];
+            let mut i = 0;
+            let insert = |i: &mut usize| {
+                dsu.insert(&Tracked(*i, probe.clone()));
+                if i.is_multiple_of(3) {
+                    dsu.dsu().make_set();
+                }
+                *i += 1;
+            };
+            // Tables 0..3 have been migrated when table 4 appears; two more
+            // inserts then migrate two of table 3's four chunks.
+            while shard.table(4).is_none() {
+                insert(&mut i);
+            }
+            insert(&mut i);
+            insert(&mut i);
+            let table = shard.table(3).unwrap();
+            assert_eq!((table.chunks(), table.done.load(Ordering::Relaxed)), (4, 2));
+            assert_eq!(shard.oldest.load(Ordering::Relaxed), 3, "table 3 is mid-migration");
+            assert_eq!(dsu.key_count(), i);
+            assert!(dsu.dsu().len() > i, "keyless ids exist");
+        }
+        assert_eq!(Arc::strong_count(&probe), 1, "drop mid-migration leaked or double-freed keys");
     }
 }

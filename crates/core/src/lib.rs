@@ -108,8 +108,9 @@
 //! Real consumers rarely have dense `0..n` elements — they have row keys,
 //! strings, sparse 64-bit ids. [`KeyedDsu`] maps arbitrary
 //! `K: Hash + Eq` keys to dense ids through a **lock-free sharded id
-//! table** (CAS-claimed slots in doubling segments; entries never move)
-//! and runs all set operations on a growable [`Dsu`] underneath, replacing
+//! table** (CAS-claimed words in per-shard tables that migrate into a
+//! doubled table as they fill, keys in an id-indexed column) and runs all
+//! set operations on a growable [`Dsu`] underneath, replacing
 //! the `RwLock<HashMap>` facade such systems usually deploy:
 //!
 //! ```
@@ -147,7 +148,7 @@
 //!
 //! | variable | read by | meaning |
 //! |---|---|---|
-//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table; rounded up to a power of two, clamped to 256 ([`ShardSpec`]). More shards shorten probe paths and spread claim traffic at the cost of base-segment memory. Unrecognized values fall back to the default with a one-time stderr warning ([`knob`]). Default: `available_parallelism` |
+//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table; rounded up to a power of two, clamped to 256 ([`ShardSpec`]). More shards spread claim traffic and migrations across more, smaller tables; probe paths stay about one group long at any count. Unrecognized values fall back to the default with a one-time stderr warning ([`knob`]). Default: `available_parallelism` |
 //! | `DSU_FAULT_SEED` | [`FaultPlan::from_env`] | seed for the fault-injection plan a [`FaultyStore`] runs; only consulted by fault-test binaries that opt in. Default: 0 |
 //! | `DSU_FAULT_RATE` | [`FaultPlan::from_env`] | probability in `[0, 1]` of injecting a fault at each eligible store access. Default: 0.0 |
 //! | `DSU_TUNER` | [`TunerMode::from_env`] (used by [`TunedDsu`] constructors) | `off` pins the paper-default variant, `auto` samples a prefix and dispatches to the [`DecisionTable`] winner, an explicit `<find>/<link>` tag (e.g. `halving/index`) forces that variant from construction. Unrecognized values degrade to `auto` with a one-time stderr warning ([`knob`]). Default: `auto` |

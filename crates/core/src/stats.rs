@@ -59,14 +59,15 @@ pub trait StatsSink {
     /// same-key race does *not* report this — exactly one per distinct
     /// key ever).
     fn key_inserted(&mut self) {}
-    /// A keyed resolution (insert or lookup) examined `n` id-table slots
-    /// before finding its key, claiming a slot, or concluding a miss —
-    /// the keyed layer's analogue of find-loop iterations.
+    /// A keyed resolution (insert or lookup) examined `n` id-table probe
+    /// groups (one cache line of 8 words each) before finding its key,
+    /// claiming a word, or concluding a miss — the keyed layer's analogue
+    /// of find-loop iterations.
     fn key_probe_steps(&mut self, _n: usize) {}
-    /// A [`KeyedDsu`](crate::KeyedDsu) shard allocated a fresh
-    /// open-addressing segment because every probe window in the existing
-    /// ones was occupied — the keyed id table's growth event (doubling
-    /// segments; existing entries never move or rehash).
+    /// A [`KeyedDsu`](crate::KeyedDsu) shard installed a doubled table
+    /// because its keys passed 7/8 of its newest one — the keyed id
+    /// table's growth event (entries then migrate into it in chunks; a
+    /// shard's first table is not counted).
     fn id_table_resize(&mut self) {}
     /// An auto-tuning dispatcher ([`TunedDsu`](crate::TunedDsu)) routed `n`
     /// operations through its sampling prefix — traffic that ran on the
@@ -211,12 +212,12 @@ pub struct OpStats {
     /// Distinct keys inserted into a keyed id table (one per claim-winning
     /// insert; same-key races count once).
     pub keys_inserted: u64,
-    /// Id-table slots examined by keyed resolutions (the keyed layer's
-    /// walk cost; compare against `reads` to see where a keyed workload
-    /// spends its memory traffic).
+    /// Id-table probe groups examined by keyed resolutions (the keyed
+    /// layer's walk cost; compare against `reads` to see where a keyed
+    /// workload spends its memory traffic).
     pub key_probe_steps: u64,
-    /// Open-addressing segments allocated by keyed id-table shards after
-    /// construction (doubling growth events; entries never move).
+    /// Doubled tables installed by keyed id-table shards (growth events,
+    /// each followed by a chunked migration; first tables not counted).
     pub id_table_resizes: u64,
     /// Operations an auto-tuning dispatcher routed through its sampling
     /// prefix before deciding on a variant.

@@ -9,13 +9,18 @@
 //! `--features strict-sc` for the SeqCst translation). Under concurrency,
 //! the table's one hard promise — **at most one id per distinct key, no
 //! matter how many threads race the first insert** — is stress-tested
-//! directly, including the insert-vs-merge race on the same unseen key.
+//! directly, including the insert-vs-merge race on the same unseen key,
+//! and so is the migration of a shard's table into its doubled successor
+//! while inserts and lookups race it. CI also runs this suite with
+//! `DSU_KEY_SHARDS=1`, which puts every claim race of the proptests onto
+//! one shard's migrations.
 
 use concurrent_dsu::{KeyedDsu, ShardSpec, TestWatchdog};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 /// The sequential reference: a plain map in front of a plain forest —
@@ -167,13 +172,10 @@ proptest! {
     }
 }
 
-/// The table's core concurrent promise, attacked directly: many threads
-/// insert the **same unseen key** through a barrier, every round. All
-/// must observe one id, and the table must allocate exactly one dense id
-/// per round.
 /// `KeyedDsu::new` takes its shard count from `DSU_KEY_SHARDS` on every
-/// construction (CI's keyed cell pins it to 2), else from the machine; the
-/// machine-derived count is cached, so repeated constructions must agree.
+/// construction (CI's keyed cell pins it to 1 and to 2), else from the
+/// machine; the machine-derived count is cached, so repeated constructions
+/// must agree.
 #[test]
 fn new_reads_the_shard_override_on_every_construction() {
     let requested = std::env::var("DSU_KEY_SHARDS")
@@ -187,6 +189,10 @@ fn new_reads_the_shard_override_on_every_construction() {
     }
 }
 
+/// The table's core concurrent promise, attacked directly: many threads
+/// insert the **same unseen key** through a barrier, every round. All
+/// must observe one id, and the table must allocate exactly one dense id
+/// per round.
 #[test]
 fn racing_inserts_of_the_same_key_agree_on_one_id() {
     let _wd = TestWatchdog::arm(
@@ -366,9 +372,9 @@ fn threaded_keyed_stress_matches_sequential_replay() {
     }
 }
 
-/// Growth under contention: enough racing fresh keys to force segment
-/// allocation in every shard while other threads read — ids stay unique
-/// and the resize counter reconciles with the structure's own count.
+/// Growth under contention: enough racing fresh keys to double every
+/// shard's table several times while other threads insert — ids stay
+/// unique and the resize counter reconciles with the structure's own count.
 #[test]
 fn concurrent_growth_keeps_ids_unique() {
     let _wd = TestWatchdog::arm("concurrent_growth_keeps_ids_unique", Duration::from_secs(120));
@@ -404,4 +410,127 @@ fn concurrent_growth_keeps_ids_unique() {
         seen[id] = true;
     }
     assert!(dsu.id_table_resizes() > 0, "this volume must have grown the table");
+}
+
+/// Migration under contention: threads insert overlapping fresh keys into
+/// one shard through ten doublings, so inserts keep racing the chunked
+/// migrations, and each thread keeps re-reading keys it already resolved. A
+/// resolved key must never read as absent or change its id, the ids must
+/// be exactly `0..key_count()`, and the partition must match a sequential
+/// replay of the merges.
+#[test]
+fn migration_keeps_resolved_keys_stable() {
+    let _wd = TestWatchdog::arm("migration_keeps_resolved_keys_stable", Duration::from_secs(300));
+    const THREADS: usize = 4;
+    // Table `t` of a shard holds `256 << t` words and the next one is
+    // installed past 7/8 load, so this many keys install table 10.
+    const KEYS: usize = 120_000;
+    let key = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+    // Merge partners: a deterministic sparse edge set over the key range.
+    let partner = |i: usize| (i.wrapping_mul(7919) ^ (i >> 3)) % KEYS;
+    let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(13, ShardSpec::with_shards(1));
+    let changed = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (dsu, changed) = (&dsu, &changed);
+            s.spawn(move || {
+                let mut resolved: Vec<(usize, usize)> = Vec::with_capacity(KEYS);
+                let mut burst = Vec::new();
+                // Neighboring threads walk nearly the same order, so they
+                // race on the same fresh keys.
+                for step in 0..KEYS {
+                    let i = step ^ t;
+                    resolved.push((i, dsu.insert(&key(i))));
+                    let (j, id) = resolved[(step * 2_654_435_761) % resolved.len()];
+                    if dsu.get(&key(j)) != Some(id) {
+                        changed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    match step % 8 {
+                        0 => {
+                            dsu.merge_keys(&key(i), &key(partner(i)));
+                        }
+                        4 => burst.push((key(i), key(partner(i)))),
+                        _ => {}
+                    }
+                    if burst.len() == 32 {
+                        dsu.merge_keys_batch(&burst);
+                        burst.clear();
+                    }
+                }
+                dsu.merge_keys_batch(&burst);
+                for &(j, id) in &resolved {
+                    if dsu.get(&key(j)) != Some(id) {
+                        changed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(changed.load(Ordering::Relaxed), 0, "a resolved key read absent or changed id");
+    assert!(dsu.id_table_resizes() >= 10, "only {} doublings", dsu.id_table_resizes());
+    assert_eq!(dsu.key_count(), KEYS);
+    assert_eq!(dsu.dsu().len(), KEYS, "make_set ran once per distinct key");
+    let mut ids: Vec<usize> = (0..KEYS).map(|i| dsu.get(&key(i)).expect("inserted")).collect();
+    ids.sort_unstable();
+    assert!(ids.iter().copied().eq(0..KEYS), "ids are not exactly 0..key_count()");
+    // Sequential replay: every thread merged `(i, partner(i))` for the
+    // steps `≡ 0, 4 (mod 8)` of its walk `i = step ^ t`.
+    let mut oracle = Oracle::default();
+    for t in 0..THREADS {
+        for step in (0..KEYS).filter(|s| s % 4 == 0) {
+            let i = step ^ t;
+            oracle.merge(&key(i).to_string(), &key(partner(i)).to_string());
+        }
+    }
+    for i in 0..KEYS {
+        oracle.id_of(&key(i).to_string());
+    }
+    assert_eq!(dsu.set_count(), oracle.set_count());
+    // Each replayed set lies inside one keyed set, and the set counts
+    // agree, so the partitions are equal.
+    let mut rep: HashMap<usize, usize> = HashMap::new();
+    for i in 0..KEYS {
+        let root = {
+            let id = oracle.id_of(&key(i).to_string());
+            oracle.find(id)
+        };
+        let first = *rep.entry(root).or_insert(i);
+        assert!(dsu.same_set(&key(i), &key(first)), "key {i} split from its replayed set");
+    }
+}
+
+/// A panicking `K::clone` during an insert must leave the key usable: the
+/// clone runs before the claim CAS, so a panic there claims nothing, and a
+/// later insert of the same key (here from another thread) answers instead
+/// of waiting forever on an abandoned claim.
+#[test]
+fn panicking_clone_does_not_wedge_its_key() {
+    static CLONES: AtomicUsize = AtomicUsize::new(0);
+    #[derive(PartialEq, Eq, Hash)]
+    struct Fragile(u64);
+    impl Clone for Fragile {
+        fn clone(&self) -> Self {
+            if CLONES.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("the first clone of a Fragile key fails");
+            }
+            Fragile(self.0)
+        }
+    }
+    let dsu = Arc::new(KeyedDsu::<Fragile>::with_spec(1, ShardSpec::with_shards(1)));
+    let first = std::panic::catch_unwind(AssertUnwindSafe(|| dsu.insert(&Fragile(7))));
+    assert!(first.is_err(), "the first insert's clone panics");
+    let (tx, rx) = mpsc::channel();
+    let shared = Arc::clone(&dsu);
+    // Not scoped: on a wedged key this thread spins forever, so the test
+    // waits on the channel with a timeout and joins only after an answer.
+    let reinsert = std::thread::spawn(move || {
+        let _ = tx.send(shared.insert(&Fragile(7)));
+    });
+    let id = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("re-inserting the key never answered: the panicked claim wedged it");
+    reinsert.join().expect("the re-inserting thread panicked");
+    assert_eq!(id, 0, "the panicked insert minted no id");
+    assert_eq!(dsu.get(&Fragile(7)), Some(id));
+    assert_eq!(dsu.key_count(), 1);
 }

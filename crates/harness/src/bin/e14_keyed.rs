@@ -116,7 +116,7 @@ fn main() {
     }
     table.print();
     println!("\nexpected shape: verdicts match the sequential replay at every p; probe/touch");
-    println!("stays ~log2(keys)/segments flat as threads race the same id table.");
+    println!("stays at about 1-2 groups, flat as threads race the same id table.");
     if let Some(path) = args.get("csv") {
         table.write_csv(path).expect("write csv");
     }

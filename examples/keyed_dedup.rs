@@ -7,7 +7,8 @@
 //! from many ingest threads, and queries race ingestion.
 //!
 //! `KeyedDsu<String>` does the whole job lock-free: keys hash into a
-//! sharded CAS-claimed id table that assigns dense ids on first touch, and
+//! sharded CAS-claimed id table that assigns dense ids on first touch (and
+//! migrates into a doubled table as it fills), and
 //! all merging runs on the same packed word-per-element core as the dense
 //! structure (Jayanti & Tarjan's randomized linking underneath).
 //!
@@ -83,8 +84,9 @@ fn main() {
     );
     assert_eq!(dsu.set_count(), users);
 
-    // Bursts go through the batch path: resolve all keys in one gather
-    // pass, then route the dense edges through `unite_batch` waves.
+    // Bursts go through the batch path: resolve the keys in gather waves
+    // (hash a wave, load its home groups together, resolve in order), then
+    // route the dense edges through `unite_batch` waves.
     let burst: Vec<(String, String)> = (0..users / 2)
         .map(|u| {
             (
