@@ -44,7 +44,7 @@ struct Probe {
 }
 
 fn probes(quick: bool) -> Vec<Probe> {
-    // Cache-resident vs DRAM-resident universes (the tuner's 8 MB budget
+    // Cache-resident vs DRAM-resident universes (`TunedDsu`'s 8 MiB budget
     // as the dividing line, as in variants_ab). The ingest phase unites
     // n edges in 1024-edge bursts — enough to leave multi-hop paths —
     // and the storm is query-only at 4 ops per element: the read-heavy

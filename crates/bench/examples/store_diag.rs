@@ -14,14 +14,6 @@
 //! retries on a clean single-threaded run would mean the store is
 //! contending with itself.
 //!
-//! A tuner-attribution phase drives the self-tuning dispatcher
-//! (`TunedDsu`) through the same mixed workload in each `DSU_TUNER` mode
-//! and prints its decision trail: `tuner_samples` (ops profiled on the
-//! sampling default), `tuner_switches` (dispatch moves committed), and
-//! the chosen `<find>/<link>` tag — the three numbers a harness needs to
-//! attribute a tuned run's throughput to the variant that actually
-//! served it.
-//!
 //! An epoch-attribution phase drives a `VersionedDsu` through a guarded
 //! burst trace (snapshot before every burst, one rollback, one rejected
 //! speculative batch) and reconciles the live `OpStats` stream with the
@@ -35,7 +27,7 @@
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
     Dsu, DsuStore, EpochReport, FaultPlan, FaultyStore, FlatStore, KeyedDsu, OpStats, PackedStore,
-    ShardSpec, TunedDsu, TunerMode, TwoTrySplit, Variant, VersionedDsu,
+    ShardSpec, TwoTrySplit, VersionedDsu,
 };
 use dsu_bench::{standard_edge_batches, standard_workload};
 use dsu_workloads::{KeyedOp, KeyedSpec};
@@ -336,83 +328,11 @@ fn epochs() {
     );
 }
 
-/// Tuner attribution: the mixed workload through the self-tuning
-/// dispatcher in every `DSU_TUNER` mode. The printed trail (samples,
-/// switches, chosen tag) is the decision record; the asserts pin the
-/// accounting exactly — off never samples, auto samples exactly its
-/// budget, forced never samples and reports its construction-time
-/// dispatch — and the partition must match an untuned run whatever was
-/// chosen.
-fn tuner() {
-    let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(17);
-    let n = 1usize << n;
-    let m = 2 * n;
-    let w = standard_workload(n, m);
-    let reference: Dsu<TwoTrySplit, PackedStore> = Dsu::new(n);
-    for op in &w.ops {
-        match *op {
-            dsu_workloads::Op::Unite(x, y) => {
-                reference.unite(x, y);
-            }
-            dsu_workloads::Op::SameSet(..) => {}
-        }
-    }
-    let forced = Variant::parse("halving/index").expect("valid tag");
-    for (mode_label, mode) in [
-        ("off   ", TunerMode::Off),
-        ("auto  ", TunerMode::Auto),
-        ("forced", TunerMode::Forced(forced)),
-    ] {
-        let dsu = TunedDsu::with_mode(n, Dsu::<TwoTrySplit>::DEFAULT_SEED, mode);
-        let t0 = Instant::now();
-        for op in &w.ops {
-            match *op {
-                dsu_workloads::Op::Unite(x, y) => {
-                    dsu.unite(x, y);
-                }
-                dsu_workloads::Op::SameSet(x, y) => {
-                    dsu.same_set(x, y);
-                }
-            }
-        }
-        let elapsed = t0.elapsed();
-        let mut stats = OpStats::default();
-        dsu.report_into(&mut stats);
-        println!(
-            "tuner/{mode_label}: mixed {:>12?} | tuner_samples {} tuner_switches {} chosen {}",
-            elapsed,
-            stats.tuner_samples,
-            stats.tuner_switches,
-            dsu.chosen_variant().tag()
-        );
-        assert_eq!(dsu.set_count(), reference.set_count(), "tuned partition diverged");
-        match mode {
-            TunerMode::Off => {
-                assert_eq!((stats.tuner_samples, stats.tuner_switches), (0, 0));
-            }
-            TunerMode::Auto => {
-                assert_eq!(
-                    stats.tuner_samples,
-                    concurrent_dsu::tune::DEFAULT_SAMPLE_BUDGET,
-                    "auto samples exactly its budget on a long run"
-                );
-                assert!(stats.tuner_switches <= 1);
-            }
-            TunerMode::Forced(v) => {
-                assert_eq!(stats.tuner_samples, 0, "forced mode never samples");
-                assert_eq!(dsu.chosen_variant(), v);
-                assert_eq!(stats.tuner_switches, 1);
-            }
-        }
-    }
-}
-
 fn main() {
     for _ in 0..3 {
         run::<PackedStore>("packed ");
         run::<FlatStore>("flat   ");
     }
     keyed();
-    tuner();
     epochs();
 }

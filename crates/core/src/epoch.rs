@@ -82,7 +82,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::dsu::Dsu;
 use crate::find::{FindPolicy, TwoTrySplit};
@@ -92,18 +92,18 @@ use crate::store::{self, DsuStore, GrowableStore, ParentStore};
 
 /// Directory slots: segment 31 ends at element `2^32 - 1`, the last index
 /// the packed word can address.
-const SEGMENTS: usize = 32;
+pub(crate) const SEGMENTS: usize = 32;
 
 /// First element of segment `s`. Segment 0 holds `{0, 1}` and segment
 /// `s ≥ 1` holds `2^s .. 2^(s+1)`, so segments `0..k` hold exactly the
 /// `2^k` elements `0..2^k` and a universe of `2^k` fills its last segment
 /// with no spare cell.
-const fn segment_base(s: usize) -> usize {
+pub(crate) const fn segment_base(s: usize) -> usize {
     (1 << s) & !1
 }
 
 /// Cell count of segment `s`.
-const fn segment_len(s: usize) -> usize {
+pub(crate) const fn segment_len(s: usize) -> usize {
     if s == 0 {
         2
     } else {
@@ -113,7 +113,7 @@ const fn segment_len(s: usize) -> usize {
 
 /// Maps element `e` to `(segment, offset)`.
 #[inline]
-fn locate(e: usize) -> (usize, usize) {
+pub(crate) fn locate(e: usize) -> (usize, usize) {
     let s = (e | 1).ilog2() as usize;
     (s, e - segment_base(s))
 }
@@ -265,7 +265,9 @@ pub struct EpochStore {
     /// quiescent point (a racing reader may still be walking a displaced
     /// node's cells; see the module safety argument). Fork traffic is at
     /// most one per segment per epoch, so the lock is cold by design.
-    graveyard: Mutex<Vec<Arc<SegmentNode>>>,
+    // Taken once per segment per epoch by a fork, never by a find or link.
+    #[allow(clippy::disallowed_types)]
+    graveyard: std::sync::Mutex<Vec<Arc<SegmentNode>>>,
     segments_forked: AtomicU64,
     cow_copies: AtomicU64,
 }
@@ -445,7 +447,8 @@ impl DsuStore for EpochStore {
             len: AtomicUsize::new(n),
             epoch: AtomicU64::new(0),
             salt: seed,
-            graveyard: Mutex::new(Vec::new()),
+            #[allow(clippy::disallowed_types)] // the fork lock above
+            graveyard: std::sync::Mutex::new(Vec::new()),
             segments_forked: AtomicU64::new(0),
             cow_copies: AtomicU64::new(0),
         };
@@ -858,7 +861,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// Feeds lifetime totals — snapshots, rollbacks, and the store's
     /// copy-on-write work — into `stats`, the attribution protocol
     /// `store_diag` uses (mirrors
-    /// [`TunedDsu::report_into`](crate::TunedDsu::report_into) and
     /// [`FaultyStore::fault_report`](crate::FaultyStore::fault_report)).
     pub fn report_into<Sk: StatsSink>(&self, stats: &mut Sk) {
         for _ in 0..self.snapshots_taken {

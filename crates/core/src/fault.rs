@@ -81,21 +81,11 @@ use crate::order::{splitmix64, IdOrder};
 use crate::stats::{OpStats, StatsSink};
 use crate::store::{DsuStore, GrowableStore, ParentStore};
 
-/// Environment variable read by [`FaultPlan::from_env`]: the plan seed
-/// (decimal or `0x`-prefixed hex; default `0`).
-pub const ENV_FAULT_SEED: &str = "DSU_FAULT_SEED";
-/// Environment variable read by [`FaultPlan::from_env`]: the fault rate in
-/// `[0, 1)` applied to both CAS failures and delayed loads (default `0`,
-/// i.e. no faults).
-pub const ENV_FAULT_RATE: &str = "DSU_FAULT_RATE";
-
 /// A deterministic, seeded schedule of injectable faults.
 ///
 /// The plan is plain data: copy it into a [`FaultyStore`], print it in a
 /// failure report, rebuild it from a report to reproduce. `rate(seed, r)`
-/// is the everyday constructor; [`FaultPlan::from_env`] wires the
-/// `DSU_FAULT_SEED` / `DSU_FAULT_RATE` knobs so existing binaries can be
-/// run under chaos without recompilation.
+/// is the everyday constructor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the decision stream. Same seed + same per-thread operation
@@ -155,32 +145,6 @@ impl FaultPlan {
     /// `true` when the plan can never inject anything.
     pub fn is_off(&self) -> bool {
         self.cas_fail_rate == 0.0 && self.stale_load_rate == 0.0 && self.stall_period == 0
-    }
-
-    /// Builds a plan from the `DSU_FAULT_SEED` / `DSU_FAULT_RATE`
-    /// environment variables. Unset or unparsable variables default to
-    /// seed `0` and rate `0.0` — i.e. the default environment yields
-    /// [`FaultPlan::off`], so `FaultyStore::with_seed` built without
-    /// explicit chaos knobs injects nothing.
-    pub fn from_env() -> Self {
-        let seed = std::env::var(ENV_FAULT_SEED).ok().and_then(|s| parse_u64(&s)).unwrap_or(0);
-        let rate = std::env::var(ENV_FAULT_RATE)
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .unwrap_or(0.0);
-        if rate > 0.0 {
-            FaultPlan::rate(seed, rate)
-        } else {
-            FaultPlan { seed, ..FaultPlan::off() }
-        }
-    }
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    let s = s.trim();
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
     }
 }
 
@@ -269,9 +233,8 @@ fn spin(hints: u32) {
 ///
 /// As a `DsuStore` in its own right (`NAME = "faulty"`),
 /// `FaultyStore::<S>::with_seed(n, seed)` builds the inner store with that
-/// seed and takes its plan from the environment
-/// ([`FaultPlan::from_env`]), which is how `DSU_FAULT_*` reach binaries
-/// that are merely generic over the store.
+/// seed under [`FaultPlan::off`]; a faulted store comes from
+/// [`with_plan`](FaultyStore::with_plan).
 pub struct FaultyStore<S> {
     inner: S,
     plan: FaultPlan,
@@ -436,7 +399,7 @@ impl<S: DsuStore> DsuStore for FaultyStore<S> {
     const NAME: &'static str = "faulty";
 
     fn with_seed(n: usize, seed: u64) -> Self {
-        FaultyStore::with_plan(S::with_seed(n, seed), FaultPlan::from_env())
+        FaultyStore::with_plan(S::with_seed(n, seed), FaultPlan::off())
     }
 
     fn len(&self) -> usize {
@@ -855,19 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn env_plan_defaults_off() {
-        // The test runner environment does not set DSU_FAULT_RATE; guard
-        // against accidentally-faulted default builds. (If a chaos CI job
-        // ever exports the knob globally, this test is the tripwire.)
-        if std::env::var(ENV_FAULT_RATE).is_err() {
-            assert!(FaultPlan::from_env().is_off());
-        }
-        assert_eq!(parse_u64("0x10"), Some(16));
-        assert_eq!(parse_u64(" 12 "), Some(12));
-        assert_eq!(parse_u64("nope"), None);
-    }
-
-    #[test]
     fn faulty_store_delegates_ids_and_snapshot() {
         let inner = FlatStore::with_seed(32, 11);
         let ids: Vec<u64> = (0..32).map(|i| DsuStore::id_of(&inner, i)).collect();
@@ -878,6 +828,8 @@ mod tests {
         assert_eq!(DsuStore::len(&faulty), 32);
         assert_eq!(faulty.snapshot(), (0..32).collect::<Vec<_>>());
         assert_eq!(<FaultyStore<FlatStore> as DsuStore>::NAME, "faulty");
+        // Built generically over the store, it injects nothing.
+        assert!(<FaultyStore<FlatStore> as DsuStore>::with_seed(32, 11).plan().is_off());
         assert_eq!(<BrokenStore<FlatStore> as DsuStore>::NAME, "broken");
     }
 }

@@ -197,6 +197,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::dsu::{Dsu, GrowableDsu};
+use crate::epoch::{locate, segment_len, SEGMENTS};
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::knob;
 use crate::stats::{ShardSkew, StatsSink};
@@ -494,35 +495,14 @@ impl Drop for KeyShard {
     }
 }
 
-/// First id of key-column segment `s`: `EpochStore`'s geometry, where
-/// segment 0 holds `{0, 1}` and segment `s ≥ 1` holds `2^s..2^(s+1)`.
-const fn column_base(s: usize) -> usize {
-    (1 << s) & !1
-}
-
-/// Cell count of key-column segment `s`.
-const fn column_len(s: usize) -> usize {
-    if s == 0 {
-        2
-    } else {
-        1 << s
-    }
-}
-
-/// Maps id `i` to its key-column `(segment, offset)`.
-#[inline]
-fn column_cell(i: usize) -> (usize, usize) {
-    let s = (i | 1).ilog2() as usize;
-    (s, i - column_base(s))
-}
-
-/// Keys by dense id. A cell is written once, by the claim winner that
+/// Keys by dense id, in the parent store's segment geometry
+/// (`epoch::locate`). A cell is written once, by the claim winner that
 /// minted its id, before that id's `FULL` word is published; ids minted
 /// through [`KeyedDsu::dsu`] leave their cells uninitialized. The column
 /// never drops keys itself: [`KeyedDsu`]'s `Drop` knows which cells hold
 /// one.
 struct KeyColumn<K> {
-    segments: [AtomicPtr<MaybeUninit<K>>; 32],
+    segments: [AtomicPtr<MaybeUninit<K>>; SEGMENTS],
     /// Owns `K`s, and hands out `&K` across threads.
     _keys: PhantomData<UnsafeCell<K>>,
 }
@@ -552,19 +532,19 @@ impl<K> KeyColumn<K> {
     /// The caller minted `id` and has not published it: nobody else
     /// touches this cell.
     unsafe fn write(&self, id: usize, key: K) {
-        let (s, off) = column_cell(id);
+        let (s, off) = locate(id);
         let mut seg = self.segments[s].load(Ordering::Acquire);
         if seg.is_null() {
             seg = self.install(s);
         }
-        // SAFETY: exclusive by the caller's contract; `off < column_len(s)`.
+        // SAFETY: exclusive by the caller's contract; `off < segment_len(s)`.
         unsafe { (*seg.add(off)).write(key) };
     }
 
     #[cold]
     #[inline(never)]
     fn install(&self, s: usize) -> *mut MaybeUninit<K> {
-        let fresh = Box::into_raw(Box::<[K]>::new_uninit_slice(column_len(s))).cast();
+        let fresh = Box::into_raw(Box::<[K]>::new_uninit_slice(segment_len(s))).cast();
         match self.segments[s].compare_exchange(
             ptr::null_mut(),
             fresh,
@@ -575,7 +555,9 @@ impl<K> KeyColumn<K> {
             Err(winner) => {
                 // SAFETY: `fresh` was never published, holds no keys, and
                 // came from a boxed slice of this length.
-                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, column_len(s))) });
+                drop(unsafe {
+                    Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, segment_len(s)))
+                });
                 winner
             }
         }
@@ -589,7 +571,7 @@ impl<K> KeyColumn<K> {
     /// initialized and immutable.
     #[inline]
     unsafe fn get(&self, id: usize) -> &K {
-        let (s, off) = column_cell(id);
+        let (s, off) = locate(id);
         // SAFETY: the published word implies the segment and the cell.
         unsafe { (*self.segments[s].load(Ordering::Acquire).add(off)).assume_init_ref() }
     }
@@ -600,7 +582,7 @@ impl<K> KeyColumn<K> {
     ///
     /// The cell holds a key that nothing reads or drops afterwards.
     unsafe fn drop_key(&mut self, id: usize) {
-        let (s, off) = column_cell(id);
+        let (s, off) = locate(id);
         // SAFETY: the caller's contract.
         unsafe { (*self.segments[s].get_mut().add(off)).assume_init_drop() };
     }
@@ -613,7 +595,7 @@ impl<K> Drop for KeyColumn<K> {
             if !p.is_null() {
                 // SAFETY: installed from a boxed slice of this length; its
                 // keys were dropped by `KeyedDsu::drop`.
-                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, column_len(s))) });
+                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, segment_len(s))) });
             }
         }
     }

@@ -1,26 +1,26 @@
 //! One-time diagnostics for `DSU_*` environment knobs.
 //!
-//! Every runtime knob in this crate degrades gracefully: an unrecognized
-//! `DSU_TUNER` or `DSU_KEY_SHARDS` value falls back to a documented
-//! default rather than aborting the host process. Graceful degradation
-//! must not be *silent* degradation, though — an operator who typo'd
-//! `DSU_TUNER=halvng/index` would otherwise run a different
-//! configuration than the one they asked for, with nothing in any log to
-//! say so. This module provides the loud part: a once-per-variable stderr
-//! warning, emitted by the env readers (never by the programmatic `parse`
-//! functions, whose silent fallback is part of their documented contract).
+//! A runtime knob in this crate degrades gracefully: an unrecognized
+//! `DSU_KEY_SHARDS` value falls back to a documented default rather than
+//! aborting the host process. Graceful degradation must not be *silent*
+//! degradation, though — an operator who typo'd `DSU_KEY_SHARDS=four`
+//! would otherwise run a different configuration than the one they asked
+//! for, with nothing in any log to say so. This module provides the loud
+//! part: a once-per-variable stderr warning, emitted by the env reader
+//! (never by the parser, which only reports that a value is unrecognized).
 //!
 //! Once-per-variable (not once-per-call) because knobs are read at
 //! structure construction: a benchmark building thousands of structures
 //! must not emit thousands of identical lines.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 /// Variables that have already warned this process. A `Mutex<BTreeSet>`
 /// rather than per-knob `Once` statics so new knobs need no new state, and
 /// so tests can exercise the gate with synthetic variable names.
-static WARNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+// The lock is taken only at construction, and only for an unrecognized value.
+#[allow(clippy::disallowed_types)]
+static WARNED: std::sync::Mutex<BTreeSet<&'static str>> = std::sync::Mutex::new(BTreeSet::new());
 
 /// The exact text [`warn_unrecognized`] prints — split out so tests can
 /// pin the message without capturing stderr.

@@ -133,25 +133,33 @@
 //! [`GrowableDsu`], keyed → [`KeyedDsu`]), and `docs/benchmarks.md` for
 //! its measured cost against the lock-based facade.
 //!
+//! # Choosing a variant from the universe size
+//!
+//! [`TunedDsu`] picks a (find × link) variant once, from `n`:
+//! `halving/index` while the parent array fits in 8 MiB, where it measured
+//! fastest, and the paper default above that. Every operation is one enum
+//! match in front of a monomorphized [`Dsu`] — see the [`tune`] module
+//! docs.
+//!
 //! # Instrumentation
 //!
-//! Every operation has a `*_with` twin taking an [`OpStats`] sink that
-//! counts loop iterations, reads, and CAS successes/failures into
+//! Every [`Dsu`] operation has a `*_with` twin taking an [`OpStats`] sink
+//! that counts loop iterations, reads, and CAS successes/failures into
 //! caller-owned (typically thread-local) storage, so experiments can measure
 //! *work* exactly as the paper defines it without slowing the default path.
+//! The keyed and versioned layers add twins for their own events (key
+//! probes, snapshots, rollbacks); [`TunedDsu`] has none — count its
+//! variant's work on that variant's `Dsu`.
 //!
 //! # Environment variables
 //!
-//! Every runtime knob in the crate, in one place. All are optional; unset
-//! means the documented default. They are read at structure construction
-//! (or first use), never per operation.
+//! The crate has one runtime knob. It is optional; unset means the
+//! documented default. It is read at structure construction, never per
+//! operation.
 //!
 //! | variable | read by | meaning |
 //! |---|---|---|
 //! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table; rounded up to a power of two, clamped to 256 ([`ShardSpec`]). More shards spread claim traffic and migrations across more, smaller tables; probe paths stay about one group long at any count. Unrecognized values fall back to the default with a one-time stderr warning ([`knob`]). Default: `available_parallelism` |
-//! | `DSU_FAULT_SEED` | [`FaultPlan::from_env`] | seed for the fault-injection plan a [`FaultyStore`] runs; only consulted by fault-test binaries that opt in. Default: 0 |
-//! | `DSU_FAULT_RATE` | [`FaultPlan::from_env`] | probability in `[0, 1]` of injecting a fault at each eligible store access. Default: 0.0 |
-//! | `DSU_TUNER` | [`TunerMode::from_env`] (used by [`TunedDsu`] constructors) | `off` pins the paper-default variant, `auto` samples a prefix and dispatches to the [`DecisionTable`] winner, an explicit `<find>/<link>` tag (e.g. `halving/index`) forces that variant from construction. Unrecognized values degrade to `auto` with a one-time stderr warning ([`knob`]). Default: `auto` |
 //!
 //! The `strict-sc` cargo feature (not an env var) restores the paper's
 //! sequentially consistent orderings crate-wide; `default-store-flat`
@@ -188,9 +196,7 @@ pub use keyed::{KeyedDsu, ShardSpec};
 pub use order::{IdOrder, IndexLink, LinkPolicy, RandomLink, RankLink};
 pub use stats::{OpStats, ShardSkew, StatsSink};
 pub use store::{DsuStore, FlatStore, GrowableStore, PackedStore, ParentStore, RankedStore};
-pub use tune::{
-    DecisionTable, FindKind, LinkKind, TunedDsu, TunerMode, Variant, VariantDsu, WorkloadProfile,
-};
+pub use tune::TunedDsu;
 
 /// The storage layout [`Dsu`] defaults to, selected at compile time by the
 /// `default-store-flat` cargo feature (unset: [`PackedStore`]). CI's test
@@ -285,6 +291,7 @@ mod trait_tests {
         assert_send_sync::<Dsu<Halving>>();
         assert_send_sync::<Dsu<Compress>>();
         assert_send_sync::<GrowableDsu>();
+        assert_send_sync::<TunedDsu>();
     }
 
     #[test]

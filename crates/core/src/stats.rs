@@ -69,15 +69,6 @@ pub trait StatsSink {
     /// table's growth event (entries then migrate into it in chunks; a
     /// shard's first table is not counted).
     fn id_table_resize(&mut self) {}
-    /// An auto-tuning dispatcher ([`TunedDsu`](crate::TunedDsu)) routed `n`
-    /// operations through its sampling prefix — traffic that ran on the
-    /// default variant while its counters were being profiled to pick the
-    /// post-decision variant.
-    fn tuner_samples(&mut self, _n: usize) {}
-    /// An auto-tuning dispatcher committed a variant decision and switched
-    /// dispatch away from the sampling default (at most one per structure
-    /// unless explicitly re-armed; zero when the scorer kept the default).
-    fn tuner_switch(&mut self) {}
     /// A `find` traversal reached its root after `n` parent hops (`n = 0`
     /// when the start node was already a root). This is the *path length*
     /// the flatten pass exists to drive toward ≤ 1 — the loads behind the
@@ -148,10 +139,6 @@ impl StatsSink for () {
     #[inline(always)]
     fn id_table_resize(&mut self) {}
     #[inline(always)]
-    fn tuner_samples(&mut self, _n: usize) {}
-    #[inline(always)]
-    fn tuner_switch(&mut self) {}
-    #[inline(always)]
     fn find_hops(&mut self, _n: usize) {}
     #[inline(always)]
     fn flatten_pass(&mut self) {}
@@ -219,12 +206,6 @@ pub struct OpStats {
     /// Doubled tables installed by keyed id-table shards (growth events,
     /// each followed by a chunked migration; first tables not counted).
     pub id_table_resizes: u64,
-    /// Operations an auto-tuning dispatcher routed through its sampling
-    /// prefix before deciding on a variant.
-    pub tuner_samples: u64,
-    /// Variant switches an auto-tuning dispatcher committed (zero when the
-    /// scorer kept the sampling default).
-    pub tuner_switches: u64,
     /// Parent hops summed over all `find` traversals (path length; the
     /// hops' loads are already in `reads`). `find_hops / finds` is the mean
     /// observed tree depth — the quantity a flatten pass drives toward ≤ 1.
@@ -279,8 +260,6 @@ impl OpStats {
         self.keys_inserted += other.keys_inserted;
         self.key_probe_steps += other.key_probe_steps;
         self.id_table_resizes += other.id_table_resizes;
-        self.tuner_samples += other.tuner_samples;
-        self.tuner_switches += other.tuner_switches;
         self.find_hops += other.find_hops;
         self.flatten_passes += other.flatten_passes;
         self.flatten_jumps += other.flatten_jumps;
@@ -359,14 +338,6 @@ impl StatsSink for OpStats {
     #[inline]
     fn id_table_resize(&mut self) {
         self.id_table_resizes += 1;
-    }
-    #[inline]
-    fn tuner_samples(&mut self, n: usize) {
-        self.tuner_samples += n as u64;
-    }
-    #[inline]
-    fn tuner_switch(&mut self) {
-        self.tuner_switches += 1;
     }
     #[inline]
     fn find_hops(&mut self, n: usize) {
@@ -539,27 +510,6 @@ mod tests {
         unit.key_inserted();
         unit.key_probe_steps(1);
         unit.id_table_resize();
-    }
-
-    #[test]
-    fn tuner_counters_count_and_merge() {
-        let mut a = OpStats::default();
-        a.tuner_samples(100);
-        a.tuner_samples(28);
-        a.tuner_switch();
-        assert_eq!((a.tuner_samples, a.tuner_switches), (128, 1));
-        // Tuner events are dispatch bookkeeping, not shared-memory
-        // accesses — the sampled ops' own reads/CASes are counted by the
-        // variant that ran them.
-        assert_eq!(a.memory_accesses(), 0);
-        let mut b = OpStats::default();
-        b.tuner_switch();
-        b.merge(&a);
-        assert_eq!((b.tuner_samples, b.tuner_switches), (128, 2));
-        // The unit sink accepts the new events too.
-        let mut unit = ();
-        unit.tuner_samples(1);
-        unit.tuner_switch();
     }
 
     #[test]

@@ -46,6 +46,15 @@
 //! tie; size experiments at `n ≥ 2^22` before concluding anything about
 //! placement.
 //!
+//! **Cache-resident variant.** Where layouts tie, the (find × link)
+//! variant does not: with at most 8 MiB of parent words (`n ≤ 2^20`),
+//! `Dsu<Halving, DefaultStore, IndexLink>` runs 1.13–1.19x the paper
+//! default on `variants_ab`'s cache-uniform probe, while in DRAM nothing
+//! beats the default outside noise (see the `variants_ab` section of
+//! `docs/benchmarks.md`). [`TunedDsu`](crate::TunedDsu) makes that
+//! choice from `n` at construction; name the type parameters to make it
+//! with no dispatch.
+//!
 //! **Growable universes.** `Dsu<F, EpochStore>` (alias
 //! [`GrowableDsu`](crate::GrowableDsu)), [`KeyedDsu`](crate::KeyedDsu) and
 //! [`VersionedDsu`](crate::VersionedDsu) all run on
@@ -80,8 +89,8 @@
 //! a real adversary could produce, so every invariant in this guide must
 //! survive them. Because it is a generic decorator, production
 //! monomorphizations over bare layouts compile with zero fault-check
-//! code; tests opt in per instance (or via the `DSU_FAULT_SEED` /
-//! `DSU_FAULT_RATE` env knobs through `FaultyStore::with_seed`). The
+//! code; tests opt in per instance with
+//! [`FaultyStore::with_plan`](crate::FaultyStore::with_plan). The
 //! injected retries surface through
 //! [`OpStats::cas_retries`](crate::OpStats) /
 //! [`OpStats::faults_injected`](crate::OpStats), a

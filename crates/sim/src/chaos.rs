@@ -8,7 +8,7 @@
 //! the cell, a delayed load is a preemption between load and CAS, a stall
 //! window is a process the scheduler starves. This module maps the same
 //! `(seed, rate)` knobs the native chaos harness sweeps (`chaos_ab`,
-//! `e13_fault_injection`, `DSU_FAULT_SEED` / `DSU_FAULT_RATE`) onto
+//! `e13_fault_injection`, both through `FaultPlan::rate(seed, rate)`) onto
 //! [`apram::Weighted`] schedules, so one experiment row means the same
 //! adversary intensity on both sides.
 //!

@@ -126,9 +126,8 @@ fn main() {
     // `jt_dsu::concurrent_dsu::FaultyStore` to inject spurious CAS
     // failures, delayed loads, and stall windows from a seeded
     // `FaultPlan` — every verdict above must stay bit-identical, only
-    // slower. `FaultyStore::with_seed` reads the `DSU_FAULT_SEED` and
-    // `DSU_FAULT_RATE` env vars, so fault-test binaries can be chaosed
-    // without recompiling, and the `chaos_ab` example
+    // slower. `FaultyStore::with_plan(store, FaultPlan::rate(seed, 0.2))`
+    // builds one, and the `chaos_ab` example
     // (`cargo run --release -p dsu-bench --example chaos_ab -- --quick true`)
     // sweeps fault rates × layouts × threads, checking recorded histories
     // for linearizability as it goes.

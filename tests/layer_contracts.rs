@@ -2,9 +2,10 @@
 //! a sequential `SeqDsu` oracle: the plain `Dsu` (per-op and both batch
 //! entry points), `Dsu` on the growable store (growth plus a batch),
 //! `VersionedDsu` (snapshot, mutate, roll back), `KeyedDsu` (the keyed
-//! batch paths), and `TunedDsu` past its sampling switch point. One more
-//! contract covers what the unversioned growable layers share with
-//! `VersionedDsu`: the epoch store underneath, which they must never fork.
+//! batch paths), and `TunedDsu` on both sides of the universe size that
+//! picks its variant. One more contract covers what the unversioned
+//! growable layers share with `VersionedDsu`: the epoch store underneath,
+//! which they must never fork.
 //! Another pins the id function every store shares: for one seed, a fixed
 //! `Dsu`, a bulk-built growable one and one grown by `make_set` are the
 //! same structure. The semantics suites in `crates/core/tests` prove each
@@ -13,8 +14,7 @@
 
 use std::collections::HashSet;
 
-use jt_dsu::concurrent_dsu::tune::DEFAULT_SAMPLE_BUDGET;
-use jt_dsu::concurrent_dsu::{DsuStore, EpochFork, EpochReport, TunedDsu, TunerMode};
+use jt_dsu::concurrent_dsu::{DsuStore, EpochFork, EpochReport, TunedDsu};
 use jt_dsu::{Compaction, Dsu, GrowableDsu, KeyedDsu, Linking, Partition, SeqDsu, VersionedDsu};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -183,29 +183,36 @@ fn keyed_batches_match_oracle() {
     assert_eq!(dsu.set_count() + (keys.len() - seen.len()), seq.set_count());
 }
 
+/// `TunedDsu` picks its variant from `n` alone: `halving/index` while the
+/// parent array fits in 8 MiB (`n ≤ 2^20`), the paper default above that.
+/// On each side of the boundary, a seeded op stream, a batch and the
+/// labels must match the oracle.
 #[test]
-fn tuned_dsu_matches_oracle_past_its_switch_point() {
+fn tuned_dsu_picks_its_variant_from_n_and_matches_oracle() {
     let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0005);
-    let n = 512;
-    let dsu = TunedDsu::with_mode(n, 5, TunerMode::Auto);
-    let mut seq = oracle(n);
-    let ops = 2 * DEFAULT_SAMPLE_BUDGET as usize;
-    for i in 0..ops {
-        let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        if rng.gen_bool(0.3) {
-            assert_eq!(dsu.unite(x, y), seq.unite(x, y), "unite #{i}");
-        } else {
-            assert_eq!(dsu.same_set(x, y), seq.same_set(x, y), "same_set #{i}");
+    for (n, variant) in [(1 << 20, "halving/index"), ((1 << 20) + 1, "two-try/random")] {
+        let dsu = TunedDsu::new(n);
+        assert_eq!(dsu.variant(), variant, "n = {n}");
+        assert_eq!(dsu.len(), n);
+        let mut seq = oracle(n);
+        // Endpoints from the top 512 elements, so sets do merge and the
+        // stream reaches the last index.
+        let hot = n - 512..n;
+        for i in 0..2000 {
+            let (x, y) = (rng.gen_range(hot.clone()), rng.gen_range(hot.clone()));
+            if rng.gen_bool(0.3) {
+                assert_eq!(dsu.unite(x, y), seq.unite(x, y), "{variant}: unite #{i}");
+            } else {
+                assert_eq!(dsu.same_set(x, y), seq.same_set(x, y), "{variant}: same_set #{i}");
+            }
         }
+        let burst: Vec<(usize, usize)> =
+            (0..512).map(|_| (rng.gen_range(hot.clone()), rng.gen_range(0..n))).collect();
+        let links = burst.iter().filter(|&&(x, y)| seq.unite(x, y)).count();
+        assert_eq!(dsu.unite_batch(&burst), links, "{variant}");
+        assert_eq!(dsu.set_count(), seq.set_count(), "{variant}");
+        assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition(), "{variant}");
     }
-    assert!(dsu.committed(), "the tuner decides after {DEFAULT_SAMPLE_BUDGET} sampled ops");
-    assert_eq!(dsu.tuner_samples(), DEFAULT_SAMPLE_BUDGET);
-    // Post-decision batches run on the committed variant.
-    let burst = random_edges(&mut rng, n, 256);
-    let links = burst.iter().filter(|&&(x, y)| seq.unite(x, y)).count();
-    assert_eq!(dsu.unite_batch(&burst), links);
-    assert_eq!(dsu.set_count(), seq.set_count());
-    assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), seq.partition());
 }
 
 /// `GrowableDsu` and `KeyedDsu` run on the same copy-on-write store as
