@@ -4,8 +4,8 @@
 //! Both contenders resolve the **same keyed entity-resolution trace**
 //! (string keys, insert-heavy churn, recency-biased revisits — the
 //! `KeyedSpec` shape no dense array workload can express) sharded
-//! round-robin over `p` threads: `KeyedDsu` runs its lock-free sharded id
-//! table over the packed core; `LockedKeyedDsu` is the deployment-shaped
+//! round-robin over `p` threads: `KeyedDsu` runs its lock-free id table
+//! over the packed core; `LockedKeyedDsu` is the deployment-shaped
 //! baseline (optd's memo guards group unions with exactly this structure),
 //! given every reasonable advantage — shared read guards for queries,
 //! rank + full-compression unions, one guard per batch. Samples alternate

@@ -27,7 +27,7 @@
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
     Dsu, DsuStore, EpochReport, FaultPlan, FaultyStore, FlatStore, KeyedDsu, OpStats, PackedStore,
-    ShardSpec, TwoTrySplit, VersionedDsu,
+    TwoTrySplit, VersionedDsu,
 };
 use dsu_bench::{standard_edge_batches, standard_workload};
 use dsu_workloads::{KeyedOp, KeyedSpec};
@@ -212,7 +212,7 @@ fn keyed() {
     let label = "keyed  ";
     let spec = KeyedSpec::new(1 << 15).merge_fraction(0.7).fresh_fraction(0.5);
     let trace = spec.generate(0xD1A6).into_sparse_u64(0xD1A6);
-    let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(0xD1A6, ShardSpec::with_shards(4));
+    let dsu: KeyedDsu<u64> = KeyedDsu::with_seed(0xD1A6);
     let mut stats = OpStats::default();
     let t0 = Instant::now();
     for op in &trace.ops {

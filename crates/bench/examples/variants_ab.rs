@@ -72,7 +72,11 @@ fn probes(quick: bool) -> Vec<Probe> {
     // = 16 MB (quick) / 2^23 × 8 B = 64 MB — both over it, so the quick
     // run exercises both of its arms, as the full one does.
     let (n_cache, n_dram) = if quick { (1 << 14, 1 << 21) } else { (1 << 16, 1 << 23) };
-    let (m_cache, m_dram) = (2 * n_cache, n_dram / 2);
+    // The quick cache probe keeps its small n but runs 2^20 ops, so one
+    // sample lasts 10–20 ms and thread start-up cannot decide its p=2
+    // rows.
+    let m_cache = if quick { 1 << 20 } else { 2 * n_cache };
+    let m_dram = n_dram / 2;
     vec![
         Probe {
             label: "cache-uniform",

@@ -419,18 +419,11 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         self.store.snapshot()
     }
 
-    /// Canonical labels (root of each element, fully compacted): suitable
-    /// for building a `Partition`. Call only at quiescence; compacts as a
-    /// side effect.
+    /// Canonical labels (root of each element): suitable for building a
+    /// `Partition`. Call only at quiescence, where no root changes during
+    /// the scan; compacts as a side effect.
     pub fn labels_snapshot(&self) -> Vec<usize> {
-        let mut labels: Vec<usize> = (0..self.len()).map(|i| self.find(i)).collect();
-        // One more pass: find() already returns roots, but a concurrent-free
-        // second resolution makes labels idempotent even if compaction
-        // changed roots mid-scan (it cannot at quiescence; belt and braces).
-        for i in 0..labels.len() {
-            labels[i] = labels[labels[i]];
-        }
-        labels
+        (0..self.len()).map(|i| self.find(i)).collect()
     }
 }
 

@@ -86,7 +86,7 @@ use std::sync::Arc;
 
 use crate::dsu::Dsu;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::order::{hashed_id, IdOrder, LinkPolicy};
+use crate::order::{hashed_id, LinkPolicy};
 use crate::stats::StatsSink;
 use crate::store::{self, DsuStore, GrowableStore, ParentStore};
 
@@ -422,14 +422,6 @@ impl ParentStore for EpochStore {
     #[inline]
     fn priority(&self, _i: usize, w: u64) -> u64 {
         store::packed_id(w)
-    }
-}
-
-impl IdOrder for EpochStore {
-    fn less(&self, u: usize, v: usize) -> bool {
-        // 32-bit hash ids can collide; the index tie-break keeps the order
-        // total (paper Section 7's tie-breaking rule).
-        self.key(u) < self.key(v)
     }
 }
 

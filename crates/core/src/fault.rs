@@ -77,7 +77,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
 
-use crate::order::{splitmix64, IdOrder};
+use crate::order::splitmix64;
 use crate::stats::{OpStats, StatsSink};
 use crate::store::{DsuStore, GrowableStore, ParentStore};
 
@@ -388,13 +388,6 @@ impl<S: ParentStore> ParentStore for FaultyStore<S> {
     }
 }
 
-impl<S: IdOrder> IdOrder for FaultyStore<S> {
-    #[inline]
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.inner.less(u, v)
-    }
-}
-
 impl<S: DsuStore> DsuStore for FaultyStore<S> {
     const NAME: &'static str = "faulty";
 
@@ -495,13 +488,6 @@ impl<S: ParentStore> ParentStore for BrokenStore<S> {
     #[inline]
     fn try_bump_rank(&self, i: usize, rank: u64) -> bool {
         self.inner.try_bump_rank(i, rank)
-    }
-}
-
-impl<S: IdOrder> IdOrder for BrokenStore<S> {
-    #[inline]
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.inner.less(u, v)
     }
 }
 

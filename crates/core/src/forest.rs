@@ -39,7 +39,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::order::IdOrder;
 use crate::store::{DsuStore, ParentStore};
 
 /// A [`DsuStore`] decorator that records the union forest: every link CAS
@@ -127,13 +126,6 @@ impl<S: ParentStore> ParentStore for UnionForest<S> {
     #[inline(always)]
     fn try_bump_rank(&self, i: usize, rank: u64) -> bool {
         self.inner.try_bump_rank(i, rank)
-    }
-}
-
-impl<S: IdOrder> IdOrder for UnionForest<S> {
-    #[inline]
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.inner.less(u, v)
     }
 }
 

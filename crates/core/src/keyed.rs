@@ -5,7 +5,7 @@
 //! row key, query optimizers unite plan-group ids through an
 //! `RwLock<HashMap>`. The bottleneck in those systems is the keyed facade —
 //! a lock around a hash map — not the union-find underneath. [`KeyedDsu`]
-//! replaces that facade with a **lock-free sharded id table**: keys hash to
+//! replaces that facade with a **lock-free id table**: keys hash to
 //! dense element indices of a growable [`Dsu`], and all
 //! set operations run on the packed word store this repo has spent six PRs
 //! optimizing.
@@ -22,26 +22,26 @@
 //!   `2^s..2^(s+1)`), so 32 segments cover the 2^32 ids the store can
 //!   mint. Segments are installed by CAS and the loser frees its copy;
 //!   cells are written once, by the insert that minted the id.
-//! - **Per-shard chains of tables.** A seeded 64-bit hash picks the shard
-//!   by its **high bits** ([`ShardSpec`] picks the count), so inserts of
-//!   unrelated keys touch different shards' allocations. Each shard owns a
-//!   chain of power-of-two tables of 256, 512, … 8-byte words
-//!   `tag:29 | id:32 | state:3`. The first table is allocated by the
-//!   shard's first insert, not by construction. A table is probed
-//!   *triangularly* (home, home + 1, home + 3, …, which visits every group
-//!   of a power-of-two table once) over groups of 8 words, each group one
-//!   cache line, and within a group word by word.
+//! - **One chain of tables.** A seeded 64-bit hash places every key in
+//!   one chain of power-of-two tables of 256, 512, … 8-byte words
+//!   `tag:29 | id:32 | state:3`. The first table is allocated by the first
+//!   insert, not by construction. A table is probed *triangularly* (home,
+//!   home + 1, home + 3, …, which visits every group of a power-of-two
+//!   table once) over groups of 8 words, each group one cache line, and
+//!   within a group word by word. The chain's key count, which every claim
+//!   bumps, sits on its own 128-byte line, apart from the oldest-live
+//!   index and the table pointers that every lookup loads.
 //!
 //! The tag is the hash's low 29 bits, and a table of `2^g` groups takes
 //! its home group from the tag's low `g` bits alone, so moving a word into
 //! a doubled table never re-hashes its key (SipHash plus two cold
 //! dereferences). The tag bits beyond the home group filter key
-//! comparisons and shrink by one per doubling: 11 remain at 2^18 groups
-//! (2^21 words, about 1.8M keys in one shard), so a comparison meets a
-//! colliding tag about once per 2,000 foreign words. Ids fit the word's 32
-//! bits because the store caps the universe at 2^32; past 2^29 groups
-//! (only reachable near 2^32 keys in one shard) no filter bits remain and
-//! every tag "matches", which costs key comparisons but nothing else.
+//! comparisons and shrink by one per doubling: 10 remain at 2^19 groups
+//! (2^22 words, about 3.7M keys), so a comparison meets a colliding tag
+//! about once per 1,000 foreign words. Ids fit the word's 32 bits because
+//! the store caps the universe at 2^32; past 2^29 groups (only reachable
+//! near 2^32 keys) no filter bits remain and every tag "matches", which
+//! costs key comparisons but nothing else.
 //!
 //! # Protocol
 //!
@@ -57,7 +57,7 @@
 //! | `SEALED` | frozen by a migration while empty: "not in this table" |
 //!
 //! A key's **path** in a table is its probe sequence there, and its path
-//! through the shard is its path in each live table, oldest first. Every
+//! through the chain is its path in each live table, oldest first. Every
 //! walker (insert, lookup, migration copy) follows the same rule at each
 //! word: a `BUSY` word with the key's tag is waited out; a `FULL` or
 //! `MOVED` word with the key's tag compares the key stored in the column
@@ -75,21 +75,20 @@
 //!    before the claim so that a panicking `K::clone` leaves nothing
 //!    behind: a claimed word then only ever waits on `make_set` and one
 //!    column write.
-//! 2. **Growth.** When a shard's key count passes 7/8 of its newest
-//!    table, the inserter installs the doubled table by CAS; the loser
-//!    frees its copy. From then on the *oldest live* table is being
-//!    migrated.
+//! 2. **Growth.** When the key count passes 7/8 of the newest table, the
+//!    inserter installs the doubled table by CAS; the loser frees its
+//!    copy. From then on the *oldest live* table is being migrated.
 //! 3. **Migration.** The oldest live table is frozen and copied in chunks
-//!    of 64 groups, claimed from a per-table cursor; every insert into the
-//!    shard helps with at most one chunk, so no operation ever waits for a
-//!    whole migration. In its chunk a helper CASes `EMPTY` to `SEALED` and
+//!    of 64 groups, claimed from a per-table cursor; every insert helps
+//!    with at most one chunk, so no operation ever waits for a whole
+//!    migration. In its chunk a helper CASes `EMPTY` to `SEALED` and
 //!    `FULL` to `MOVED`, waits out `BUSY` words (a claim racing the
 //!    freeze), and copies each `MOVED` word into the rest of the chain with
 //!    a `Release` CAS on the first `EMPTY` word of its path. A copy that
 //!    meets an identical `(tag, id)` word stops, so helpers that race on
 //!    one chunk cannot duplicate an entry. After its copies a helper bumps
 //!    the table's done count; the helper that completes the last chunk
-//!    advances the shard's oldest-live index past the table with a
+//!    advances the chain's oldest-live index past the table with a
 //!    `Release` store. Retired tables stay allocated until drop; being a
 //!    halving series they total less than the live table.
 //!
@@ -137,7 +136,7 @@
 //! proves absence, and so does the end of the chain.
 //!
 //! *Exactly one claim per key.* Suppose inserts `A` and `B` of one key
-//! both claim, at `a` and `b`, with `a` first on the shard path (tables
+//! both claim, at `a` and `b`, with `a` first on the chain path (tables
 //! oldest first, then probe order). `B` did not stop at `a`. If `B`
 //! visited `a`, it read a value of `a` after `A`'s claim: an `EMPTY` read
 //! leads to a CAS that loses to `A` and a re-read. `a` only ever holds
@@ -166,7 +165,7 @@
 //! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) and
 //! [`same_set_batch`](KeyedDsu::same_set_batch) resolve keys in **gather
 //! waves** of 64 pairs: hash the wave's keys, load each key's home group
-//! in its shard's oldest live table, then resolve the keys in order. The
+//! in the oldest live table, then resolve the keys in order. The
 //! loads of a wave are mutually independent, so their cache misses overlap
 //! instead of forming one dependent chain per key (the technique of
 //! [`unite_batch`]'s waves, applied to the id table). Resolving in order
@@ -194,13 +193,11 @@ use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use crate::dsu::{Dsu, GrowableDsu};
 use crate::epoch::{locate, segment_len, SEGMENTS};
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::knob;
-use crate::stats::{ShardSkew, StatsSink};
+use crate::stats::StatsSink;
 
 /// Word layout: `tag:29 | id:32 | state:3`.
 const STATE_MASK: u64 = 0b111;
@@ -216,12 +213,12 @@ const SEALED: u64 = 4;
 
 /// Words per probe group: one 64-byte cache line.
 const GROUP: usize = 8;
-/// log2 of a shard's first table's group count (32 groups, 256 words).
+/// log2 of the first table's group count (32 groups, 256 words).
 const FIRST_GROUPS_LOG2: u32 = 5;
 /// Groups per migration chunk: the unit one insert helps with.
 const CHUNK_GROUPS: usize = 64;
-/// Chain slots per shard. A chain never gets this long: table 31 alone
-/// would hold 2^39 words, far more than the 2^32 ids the store can mint.
+/// Chain slots. A chain never gets this long: table 31 alone would hold
+/// 2^39 words, far more than the 2^32 ids the store can mint.
 const TABLES: usize = 32;
 
 /// Pairs per gather wave of the batch entry points.
@@ -265,7 +262,7 @@ fn cas(slot: &AtomicU64, from: u64, to: u64) -> Result<u64, u64> {
 #[repr(align(64))]
 struct Group([AtomicU64; GROUP]);
 
-/// One table of a shard's chain, with the cursor and done count of its
+/// One table of the chain, with the cursor and done count of its
 /// migration.
 struct Table {
     groups: Box<[Group]>,
@@ -308,23 +305,31 @@ impl Table {
     }
 }
 
-/// One shard of the id table: its chain of tables and local bookkeeping,
-/// padded so neighboring shards' headers never share a cache line.
+/// A value alone on a 128-byte line pair, the unit adjacent-line
+/// prefetchers fetch, so writes to it never invalidate its neighbors.
 #[derive(Default)]
 #[repr(align(128))]
-struct KeyShard {
+struct Line<T>(T);
+
+/// The id table: its chain of tables and their bookkeeping. It shares no
+/// line with its neighbors, and `keys`, which every claim bumps, sits in a
+/// [`Line`] of its own, away from `oldest` and the table pointers that
+/// every resolve loads.
+#[derive(Default)]
+#[repr(align(128))]
+struct Chain {
     tables: [AtomicPtr<Table>; TABLES],
     /// Index of the oldest table not yet fully migrated.
     oldest: AtomicUsize,
-    /// Published keys in this shard (incremented by claim winners after
-    /// their release store, so it may momentarily trail a racing reader's
-    /// view; it drives growth and reports, never synchronization).
-    keys: AtomicUsize,
     /// Tables installed after the first.
     resizes: AtomicUsize,
+    /// Published keys (incremented by claim winners after their release
+    /// store, so it may momentarily trail a racing reader's view; it
+    /// drives growth and reports, never synchronization).
+    keys: Line<AtomicUsize>,
 }
 
-impl KeyShard {
+impl Chain {
     #[inline]
     fn table(&self, t: usize) -> Option<&Table> {
         // SAFETY: a non-null entry points to a table installed by `install`
@@ -362,8 +367,8 @@ impl KeyShard {
         }
     }
 
-    /// Installs the doubled table once the shard's `keys` pass 7/8 of its
-    /// newest table (`from` is any live table index).
+    /// Installs the doubled table once `keys` pass 7/8 of the newest
+    /// table (`from` is any live table index).
     fn grow_if_loaded<Sk: StatsSink>(&self, keys: usize, mut from: usize, stats: &mut Sk) {
         while self.table(from + 1).is_some() {
             from += 1;
@@ -459,8 +464,8 @@ impl KeyShard {
         }
     }
 
-    /// Helps the shard's pending migration (if any) with one chunk; the
-    /// helper completing the last chunk retires the table.
+    /// Helps the pending migration (if any) with one chunk; the helper
+    /// completing the last chunk retires the table.
     fn help_migrate<Sk: StatsSink>(&self, stats: &mut Sk) {
         let t = self.oldest.load(Ordering::Acquire);
         if self.table(t + 1).is_none() {
@@ -482,7 +487,7 @@ impl KeyShard {
     }
 }
 
-impl Drop for KeyShard {
+impl Drop for Chain {
     fn drop(&mut self) {
         for slot in &mut self.tables {
             let p = *slot.get_mut();
@@ -602,7 +607,7 @@ impl<K> Drop for KeyColumn<K> {
 }
 
 /// A concurrent union-find over **arbitrary hashable keys**: a lock-free
-/// sharded id table in front of a growable [`Dsu`].
+/// id table in front of a growable [`Dsu`].
 ///
 /// This is the deployment shape of every real entity-resolution consumer:
 /// records arrive identified by row keys, uuids, or sparse 64-bit ids, get
@@ -643,9 +648,8 @@ impl<K> Drop for KeyColumn<K> {
 /// ```
 pub struct KeyedDsu<K, F: FindPolicy = TwoTrySplit> {
     dsu: GrowableDsu<F>,
-    shards: Box<[KeyShard]>,
+    chain: Chain,
     column: KeyColumn<K>,
-    shard_bits: u32,
     salt: u64,
 }
 
@@ -656,15 +660,13 @@ impl<K, F: FindPolicy> Drop for KeyedDsu<K, F> {
     /// before the column is freed.
     fn drop(&mut self) {
         let mut keyed = vec![0u64; self.dsu.len().div_ceil(64)];
-        for shard in self.shards.iter() {
-            for t in 0..TABLES {
-                let Some(table) = shard.table(t) else { break };
-                for w in table.groups.iter().flat_map(|g| &g.0) {
-                    let w = w.load(Ordering::Relaxed);
-                    if matches!(state(w), FULL | MOVED) {
-                        let id = word_id(w);
-                        keyed[id / 64] |= 1 << (id % 64);
-                    }
+        for t in 0..TABLES {
+            let Some(table) = self.chain.table(t) else { break };
+            for w in table.groups.iter().flat_map(|g| &g.0) {
+                let w = w.load(Ordering::Relaxed);
+                if matches!(state(w), FULL | MOVED) {
+                    let id = word_id(w);
+                    keyed[id / 64] |= 1 << (id % 64);
                 }
             }
         }
@@ -685,7 +687,6 @@ impl<K: Hash + Eq, F: FindPolicy> std::fmt::Debug for KeyedDsu<K, F> {
         f.debug_struct("KeyedDsu")
             .field("keys", &self.key_count())
             .field("set_count", &self.set_count())
-            .field("key_shards", &self.shards.len())
             .field("policy", &F::NAME)
             .finish()
     }
@@ -697,108 +698,22 @@ impl<K: Hash + Eq, F: FindPolicy> Default for KeyedDsu<K, F> {
     }
 }
 
-/// How many shards the keyed id table uses.
-///
-/// Shard counts are always a power of two (construction rounds up) so the
-/// shard of a key is a shift of its hash, never a division.
-///
-/// # Example
-///
-/// ```
-/// use concurrent_dsu::ShardSpec;
-///
-/// assert_eq!(ShardSpec::with_shards(3).shards(), 4); // rounded up
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    shards: usize,
-}
-
-impl ShardSpec {
-    /// Upper bound on the shard count: beyond a few hundred shards the
-    /// headers outgrow L1 and the contention benefit is long exhausted.
-    const MAX_SHARDS: usize = 256;
-
-    /// Exactly `shards` shards, rounded up to the next power of two and
-    /// clamped to 256.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards > 0, "a sharded table needs at least one shard");
-        ShardSpec { shards: shards.next_power_of_two().min(Self::MAX_SHARDS) }
-    }
-
-    /// The (power-of-two) shard count this spec requests.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
-/// Environment variable overriding the id-table shard count.
-const ENV_KEY_SHARDS: &str = "DSU_KEY_SHARDS";
-
-/// Parses a `DSU_KEY_SHARDS` value: a positive integer shard count.
-/// `None` iff `v` is not one (the env reader warns and falls back).
-fn parse_key_shards(v: &str) -> Option<ShardSpec> {
-    v.trim().parse::<usize>().ok().filter(|&s| s > 0).map(ShardSpec::with_shards)
-}
-
-/// The id-table shard count: `DSU_KEY_SHARDS` if set (a positive integer,
-/// rounded up to a power of two), else one shard per hardware thread. A
-/// set-but-unrecognized value warns once on stderr ([`knob`]) and falls
-/// back to the machine-derived count.
-///
-/// The variable is read on every construction. The machine-derived count
-/// is computed once per process: `available_parallelism` can read cgroup
-/// files, which costs more than building the structure itself.
-fn key_shard_spec() -> ShardSpec {
-    static MACHINE: OnceLock<ShardSpec> = OnceLock::new();
-    let auto = || {
-        *MACHINE.get_or_init(|| {
-            ShardSpec::with_shards(std::thread::available_parallelism().map_or(1, |p| p.get()))
-        })
-    };
-    match std::env::var(ENV_KEY_SHARDS) {
-        Err(_) => auto(),
-        Ok(v) => parse_key_shards(&v).unwrap_or_else(|| {
-            knob::warn_unrecognized(
-                ENV_KEY_SHARDS,
-                &v,
-                "a positive integer shard count",
-                "available_parallelism",
-            );
-            auto()
-        }),
-    }
-}
-
 impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     /// Default seed for the key hash and the underlying id order.
     pub const DEFAULT_SEED: u64 = 0x6b65_7973; // "keys"
 
-    /// An empty keyed structure with the default seed and an id-table
-    /// shard count derived from the machine (override with the
-    /// `DSU_KEY_SHARDS` environment variable).
+    /// An empty keyed structure with the default seed.
     pub fn new() -> Self {
         Self::with_seed(Self::DEFAULT_SEED)
     }
 
     /// An empty keyed structure whose key hash and id order are salted by
-    /// `seed`.
+    /// `seed`. Allocates no table: the first insert does.
     pub fn with_seed(seed: u64) -> Self {
-        Self::with_spec(seed, key_shard_spec())
-    }
-
-    /// An empty keyed structure with an explicit id-table [`ShardSpec`].
-    /// Allocates no table: each shard's first insert does.
-    pub fn with_spec(seed: u64, spec: ShardSpec) -> Self {
         KeyedDsu {
             dsu: Dsu::with_seed(0, seed),
-            shards: (0..spec.shards()).map(|_| KeyShard::default()).collect(),
+            chain: Chain::default(),
             column: KeyColumn::new(),
-            shard_bits: spec.shards().trailing_zeros(),
             salt: seed,
         }
     }
@@ -811,15 +726,6 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         h.finish()
     }
 
-    #[inline]
-    fn shard_of(&self, h: u64) -> &KeyShard {
-        if self.shard_bits == 0 {
-            &self.shards[0]
-        } else {
-            &self.shards[(h >> (64 - self.shard_bits)) as usize]
-        }
-    }
-
     /// Resolves `key` (whose hash is `h`) to its dense id, inserting when
     /// `make_key` is `Some` or answering `None` on a miss. Follows the
     /// walk rule of the module docs, where the protocol and its proof live.
@@ -830,20 +736,20 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         make_key: Option<&dyn Fn() -> K>,
         stats: &mut Sk,
     ) -> Option<usize> {
-        let shard = self.shard_of(h);
+        let chain = &self.chain;
         if make_key.is_some() {
-            shard.help_migrate(stats);
+            chain.help_migrate(stats);
         }
         let tag = tag_of(h);
         let mut probes = 0usize;
         // The key's clone, made before any claim CAS and reused across
         // lost ones.
         let mut owned: Option<K> = None;
-        let mut t = shard.oldest.load(Ordering::Acquire);
+        let mut t = chain.oldest.load(Ordering::Acquire);
         'tables: loop {
-            let table = match (shard.table(t), make_key) {
+            let table = match (chain.table(t), make_key) {
                 (Some(table), _) => table,
-                (None, Some(_)) => shard.install(t, stats),
+                (None, Some(_)) => chain.install(t, stats),
                 // The end of the chain: absent.
                 (None, None) => break 'tables,
             };
@@ -862,7 +768,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
                                     Ok(_) => {
                                         let key = owned.take().expect("cloned before the claim");
                                         stats.key_probe_steps(probes);
-                                        return Some(self.publish(shard, t, slot, tag, key, stats));
+                                        return Some(self.publish(t, slot, tag, key, stats));
                                     }
                                     // Lost: re-examine the word, which may
                                     // now carry this very key.
@@ -906,10 +812,9 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     }
 
     /// The claim winner's publication: mint the id, write the key, release
-    /// `FULL`, then count the key and grow the shard if it is loaded.
+    /// `FULL`, then count the key and grow the chain if it is loaded.
     fn publish<Sk: StatsSink>(
         &self,
-        shard: &KeyShard,
         t: usize,
         slot: &AtomicU64,
         tag: u64,
@@ -921,9 +826,9 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         // SAFETY: `id` is fresh from `make_set` and unpublished.
         unsafe { self.column.write(id, key) };
         slot.store(word, Ordering::Release);
-        let keys = shard.keys.fetch_add(1, Ordering::Relaxed) + 1;
+        let keys = self.chain.keys.0.fetch_add(1, Ordering::Relaxed) + 1;
         stats.key_inserted();
-        shard.grow_if_loaded(keys, t, stats);
+        self.chain.grow_if_loaded(keys, t, stats);
         id
     }
 
@@ -1063,18 +968,18 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     }
 
     /// The first two steps of a gather wave: hash the wave's keys into
-    /// `hashes`, then load each key's home group in its shard's oldest
-    /// live table. The loads are independent, so their misses overlap; the
-    /// in-order resolution that follows finds the groups cached.
+    /// `hashes`, then load each key's home group in the oldest live table.
+    /// The loads are independent, so their misses overlap; the in-order
+    /// resolution that follows finds the groups cached.
     fn gather(&self, wave: &[(K, K)], hashes: &mut Vec<(u64, u64)>) {
         hashes.clear();
         hashes.extend(wave.iter().map(|(a, b)| (self.hash_key(a), self.hash_key(b))));
+        let Some(table) = self.chain.table(self.chain.oldest.load(Ordering::Acquire)) else {
+            return;
+        };
         let mut seen = 0u64;
         for h in hashes.iter().flat_map(|&(ha, hb)| [ha, hb]) {
-            let shard = self.shard_of(h);
-            if let Some(table) = shard.table(shard.oldest.load(Ordering::Acquire)) {
-                seen ^= table.groups[table.home(tag_of(h))].0[0].load(Ordering::Relaxed);
-            }
+            seen ^= table.groups[table.home(tag_of(h))].0[0].load(Ordering::Relaxed);
         }
         // Keeps the loads, whose values the resolution re-reads anyway.
         std::hint::black_box(seen);
@@ -1082,7 +987,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
 
     /// Number of distinct keys inserted so far.
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.keys.load(Ordering::Relaxed)).sum()
+        self.chain.keys.0.load(Ordering::Relaxed)
     }
 
     /// `true` before the first insert.
@@ -1096,23 +1001,12 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
         self.dsu.set_count()
     }
 
-    /// Number of id-table shards.
-    pub fn key_shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Tables installed after each shard's first (one per doubling),
-    /// summed over shards — the table-growth half of
+    /// Tables installed after the first (one per doubling) — the
+    /// table-growth half of
     /// [`OpStats::id_table_resizes`](crate::OpStats::id_table_resizes),
     /// readable at quiescence without a sink.
     pub fn id_table_resizes(&self) -> usize {
-        self.shards.iter().map(|s| s.resizes.load(Ordering::Relaxed)).sum()
-    }
-
-    /// How evenly keys spread across the id-table shards (uniform hash ⇒
-    /// imbalance near 1.0; a hot shard means a degenerate `Hash`).
-    pub fn key_skew(&self) -> ShardSkew {
-        ShardSkew::from_counts(self.shards.iter().map(|s| s.keys.load(Ordering::Relaxed) as u64))
+        self.chain.resizes.load(Ordering::Relaxed)
     }
 
     /// The underlying dense-id structure. Ids returned by
@@ -1187,14 +1081,14 @@ mod tests {
 
     #[test]
     fn counters_attribute_the_keyed_work() {
-        let dsu: KeyedDsu<String> = KeyedDsu::with_spec(3, ShardSpec::with_shards(2));
+        let dsu: KeyedDsu<String> = KeyedDsu::with_seed(3);
         let mut stats = OpStats::default();
         for i in 0..500 {
             dsu.insert_with(&format!("key-{i}"), &mut stats);
         }
         assert_eq!(stats.keys_inserted, 500);
         assert!(stats.key_probe_steps >= 500, "every resolve probes at least once");
-        // 500 keys over 2 shards of 256 words pass the 7/8 load mark.
+        // 500 keys pass the 7/8 load mark of the 256-word first table.
         assert!(stats.id_table_resizes > 0);
         assert_eq!(stats.id_table_resizes as usize, dsu.id_table_resizes());
         let mut lookups = OpStats::default();
@@ -1210,9 +1104,9 @@ mod tests {
     fn absent_lookups_miss_cleanly_at_any_fill() {
         // A miss must return None whether its walk stops at an EMPTY word,
         // leaves a table at a SEALED one, or runs off the end of the chain.
-        // Fill a single-shard table through several doublings so absent
-        // probes meet all three.
-        let dsu: KeyedDsu<String> = KeyedDsu::with_spec(9, ShardSpec::with_shards(1));
+        // Fill the table through several doublings so absent probes meet
+        // all three.
+        let dsu: KeyedDsu<String> = KeyedDsu::with_seed(9);
         assert_eq!(dsu.get(&"before-any-table".to_string()), None);
         for i in 0..2_000 {
             dsu.insert(&format!("present-{i}"));
@@ -1226,7 +1120,7 @@ mod tests {
 
     #[test]
     fn lookups_take_about_one_probe_at_any_fill() {
-        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(1, ShardSpec::with_shards(1));
+        let dsu: KeyedDsu<u64> = KeyedDsu::with_seed(1);
         let mut inserts = OpStats::default();
         for i in 0..50_000 {
             dsu.insert_with(&splitmix64(i), &mut inserts);
@@ -1241,75 +1135,44 @@ mod tests {
     }
 
     #[test]
-    fn shard_spec_and_skew() {
-        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(0, ShardSpec::with_shards(8));
-        assert_eq!(dsu.key_shard_count(), 8);
-        for i in 0..4096 {
-            dsu.insert(&splitmix64(i));
-        }
-        let skew = dsu.key_skew();
-        assert_eq!(skew.shards, 8);
-        assert!(skew.imbalance < 1.5, "uniform keys must spread across high-bit shards: {skew:?}");
-    }
-
-    #[test]
-    fn key_shards_knob_grammar() {
-        assert_eq!(parse_key_shards("4"), Some(ShardSpec::with_shards(4)));
-        assert_eq!(parse_key_shards(" 3 "), Some(ShardSpec::with_shards(4)), "rounded up");
-        assert_eq!(parse_key_shards("1000"), Some(ShardSpec::with_shards(256)), "clamped");
-        // The values that used to be ignored without a word.
-        for bogus in ["abc", "0", "-2", "", "4.5"] {
-            assert_eq!(parse_key_shards(bogus), None, "{bogus:?}");
-        }
-    }
-
-    #[test]
-    fn single_shard_still_works() {
-        let dsu: KeyedDsu<String> = KeyedDsu::with_spec(0, ShardSpec::with_shards(1));
-        assert_eq!(dsu.key_shard_count(), 1);
-        assert!(dsu.merge_keys(&"a".into(), &"b".into()));
-        assert!(dsu.same_set(&"b".into(), &"a".into()));
-    }
-
-    #[test]
     fn construction_allocates_no_table() {
-        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(0, ShardSpec::with_shards(4));
-        assert!(dsu.shards.iter().all(|s| s.table(0).is_none()), "the first table is lazy");
+        let dsu: KeyedDsu<u64> = KeyedDsu::with_seed(0);
+        assert!(dsu.chain.table(0).is_none(), "the first table is lazy");
         dsu.insert(&1);
-        assert_eq!(dsu.shards.iter().filter(|s| s.table(0).is_some()).count(), 1);
+        assert!(dsu.chain.table(0).is_some());
         assert_eq!(dsu.id_table_resizes(), 0, "a first table is not growth");
     }
 
-    /// Every `FULL` word of table `t` of `shard`, as `(tag, id)` entries.
-    fn entries(shard: &KeyShard, t: usize) -> Vec<u64> {
-        let table = shard.table(t).expect("live");
+    /// Every `FULL` word of table `t` of `chain`, as `(tag, id)` entries.
+    fn entries(chain: &Chain, t: usize) -> Vec<u64> {
+        let table = chain.table(t).expect("live");
         let words = table.groups.iter().flat_map(|g| &g.0).map(|w| w.load(Ordering::Relaxed));
         words.filter(|&w| state(w) == FULL).map(|w| w & !STATE_MASK).collect()
     }
 
     #[test]
     fn migrating_one_chunk_twice_copies_each_word_once() {
-        let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(5, ShardSpec::with_shards(1));
-        let shard = &dsu.shards[0];
+        let dsu: KeyedDsu<u64> = KeyedDsu::with_seed(5);
+        let chain = &dsu.chain;
         // Fill table 0 to its growth mark without helping any migration:
         // the 225th key installs table 1 and nobody has claimed a chunk.
         let mut i = 0;
-        while shard.table(1).is_none() {
+        while chain.table(1).is_none() {
             dsu.insert(&splitmix64(i));
             i += 1;
         }
-        let before = entries(shard, 0);
+        let before = entries(chain, 0);
         assert_eq!(before.len() as u64, i);
-        assert_eq!(shard.table(0).unwrap().chunks(), 1);
-        let in_next = entries(shard, 1).len();
-        shard.migrate_chunk(0, 0, &mut ());
-        shard.migrate_chunk(0, 0, &mut ());
-        let mut after = entries(shard, 1);
+        assert_eq!(chain.table(0).unwrap().chunks(), 1);
+        let in_next = entries(chain, 1).len();
+        chain.migrate_chunk(0, 0, &mut ());
+        chain.migrate_chunk(0, 0, &mut ());
+        let mut after = entries(chain, 1);
         assert_eq!(after.len(), in_next + before.len(), "one word per migrated key");
         after.sort_unstable();
         after.dedup();
         assert_eq!(after.len(), in_next + before.len(), "no (tag, id) word twice");
-        assert!(entries(shard, 0).is_empty(), "the old table holds only MOVED/SEALED words");
+        assert!(entries(chain, 0).is_empty(), "the old table holds only MOVED/SEALED words");
         for k in 0..i {
             assert_eq!(dsu.get(&splitmix64(k)), Some(k as usize), "key {k} after migration");
         }
@@ -1350,8 +1213,8 @@ mod tests {
         }
         assert_eq!(Arc::strong_count(&probe), 1, "drop leaked or double-freed keys");
         {
-            let dsu: KeyedDsu<Tracked> = KeyedDsu::with_spec(2, ShardSpec::with_shards(1));
-            let shard = &dsu.shards[0];
+            let dsu: KeyedDsu<Tracked> = KeyedDsu::with_seed(2);
+            let chain = &dsu.chain;
             let mut i = 0;
             let insert = |i: &mut usize| {
                 dsu.insert(&Tracked(*i, probe.clone()));
@@ -1362,14 +1225,14 @@ mod tests {
             };
             // Tables 0..3 have been migrated when table 4 appears; two more
             // inserts then migrate two of table 3's four chunks.
-            while shard.table(4).is_none() {
+            while chain.table(4).is_none() {
                 insert(&mut i);
             }
             insert(&mut i);
             insert(&mut i);
-            let table = shard.table(3).unwrap();
+            let table = chain.table(3).unwrap();
             assert_eq!((table.chunks(), table.done.load(Ordering::Relaxed)), (4, 2));
-            assert_eq!(shard.oldest.load(Ordering::Relaxed), 3, "table 3 is mid-migration");
+            assert_eq!(chain.oldest.load(Ordering::Relaxed), 3, "table 3 is mid-migration");
             assert_eq!(dsu.key_count(), i);
             assert!(dsu.dsu().len() > i, "keyless ids exist");
         }

@@ -107,9 +107,9 @@
 //!
 //! Real consumers rarely have dense `0..n` elements — they have row keys,
 //! strings, sparse 64-bit ids. [`KeyedDsu`] maps arbitrary
-//! `K: Hash + Eq` keys to dense ids through a **lock-free sharded id
-//! table** (CAS-claimed words in per-shard tables that migrate into a
-//! doubled table as they fill, keys in an id-indexed column) and runs all
+//! `K: Hash + Eq` keys to dense ids through a **lock-free id table**
+//! (CAS-claimed words in a chain of tables, each migrating into a doubled
+//! one as it fills, keys in an id-indexed column) and runs all
 //! set operations on a growable [`Dsu`] underneath, replacing
 //! the `RwLock<HashMap>` facade such systems usually deploy:
 //!
@@ -153,20 +153,14 @@
 //!
 //! # Environment variables
 //!
-//! The crate has one runtime knob. It is optional; unset means the
-//! documented default. It is read at structure construction, never per
-//! operation.
-//!
-//! | variable | read by | meaning |
-//! |---|---|---|
-//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table; rounded up to a power of two, clamped to 256 ([`ShardSpec`]). More shards spread claim traffic and migrations across more, smaller tables; probe paths stay about one group long at any count. Unrecognized values fall back to the default with a one-time stderr warning ([`knob`]). Default: `available_parallelism` |
-//!
-//! The `strict-sc` cargo feature (not an env var) restores the paper's
-//! sequentially consistent orderings crate-wide; `default-store-flat`
-//! retargets [`DefaultStore`], and with it [`Dsu`]'s default, to the flat
-//! layout (growable structures have one layout, so it leaves them be);
-//! `default-link-index` retargets [`DefaultLink`] from the paper's
-//! randomized linking to index linking.
+//! The crate reads no environment variables: every structure is configured
+//! by its type parameters and constructor arguments alone. Three cargo
+//! features change defaults at build time. `strict-sc` restores the
+//! paper's sequentially consistent orderings crate-wide;
+//! `default-store-flat` retargets [`DefaultStore`], and with it [`Dsu`]'s
+//! default, to the flat layout (growable structures have one layout, so it
+//! leaves them be); `default-link-index` retargets [`DefaultLink`] from the
+//! paper's randomized linking to index linking.
 
 pub mod bulk;
 pub mod epoch;
@@ -175,7 +169,6 @@ pub mod find;
 pub mod flatten;
 pub mod forest;
 pub mod keyed;
-pub mod knob;
 pub mod ops;
 pub mod order;
 pub mod stats;
@@ -192,9 +185,9 @@ pub use epoch::{
 pub use fault::{BrokenStore, FaultPlan, FaultReport, FaultyStore, RetryBudget, TestWatchdog};
 pub use find::{Compress, FindPolicy, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
 pub use forest::UnionForest;
-pub use keyed::{KeyedDsu, ShardSpec};
-pub use order::{IdOrder, IndexLink, LinkPolicy, RandomLink, RankLink};
-pub use stats::{OpStats, ShardSkew, StatsSink};
+pub use keyed::KeyedDsu;
+pub use order::{IndexLink, LinkPolicy, RandomLink, RankLink};
+pub use stats::{OpStats, StatsSink};
 pub use store::{DsuStore, FlatStore, GrowableStore, PackedStore, ParentStore, RankedStore};
 pub use tune::TunedDsu;
 

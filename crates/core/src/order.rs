@@ -31,17 +31,6 @@
 
 use crate::store::ParentStore;
 
-/// A fixed total order on element indices.
-///
-/// Implementations must be immutable after construction, total, and
-/// antisymmetric: for `u != v` exactly one of `less(u, v)` / `less(v, u)`
-/// holds, and `less(u, u)` is always `false`. Every store orders by the
-/// `(id, index)` key: 32-bit ids can collide, and the index breaks ties.
-pub trait IdOrder: Send + Sync {
-    /// `true` iff `u` precedes `v` in the order.
-    fn less(&self, u: usize, v: usize) -> bool;
-}
-
 /// The random id of element `index` under `seed`: the top 32 bits of
 /// [`splitmix64`] of the seeded index. Every store — fixed and growable —
 /// derives its ids from this one function and orders elements by the
@@ -206,12 +195,14 @@ impl LinkPolicy for RankLink {
 mod tests {
     use super::*;
 
-    fn check_total_order<O: IdOrder>(order: &O, n: usize) {
+    /// `store.precedes`, the order `unite` links by, is a strict total
+    /// order on `0..n`.
+    fn check_total_order<P: ParentStore>(store: &P, n: usize) {
         for u in 0..n {
-            assert!(!order.less(u, u), "irreflexive");
+            assert!(!store.precedes(u, u), "irreflexive");
             for v in 0..n {
                 if u != v {
-                    assert_ne!(order.less(u, v), order.less(v, u), "antisymmetric & total");
+                    assert_ne!(store.precedes(u, v), store.precedes(v, u), "antisymmetric & total");
                 }
             }
         }
@@ -219,8 +210,8 @@ mod tests {
         for a in 0..n {
             for b in 0..n {
                 for c in 0..n {
-                    if order.less(a, b) && order.less(b, c) {
-                        assert!(order.less(a, c), "transitive");
+                    if store.precedes(a, b) && store.precedes(b, c) {
+                        assert!(store.precedes(a, c), "transitive");
                     }
                 }
             }
@@ -254,9 +245,8 @@ mod tests {
         pairs
     }
 
-    /// `lo` precedes `hi` in both of `store`'s order entry points.
-    fn orders_by_index<S: ParentStore + IdOrder>(name: &str, store: &S, lo: usize, hi: usize) {
-        assert!(store.less(lo, hi) && !store.less(hi, lo), "{name}: less({lo}, {hi})");
+    /// `lo` precedes `hi` in `store`'s linking order.
+    fn orders_by_index<S: ParentStore>(name: &str, store: &S, lo: usize, hi: usize) {
         assert!(store.precedes(lo, hi) && !store.precedes(hi, lo), "{name}: precedes({lo}, {hi})");
     }
 

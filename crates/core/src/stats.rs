@@ -64,10 +64,10 @@ pub trait StatsSink {
     /// claiming a word, or concluding a miss — the keyed layer's analogue
     /// of find-loop iterations.
     fn key_probe_steps(&mut self, _n: usize) {}
-    /// A [`KeyedDsu`](crate::KeyedDsu) shard installed a doubled table
-    /// because its keys passed 7/8 of its newest one — the keyed id
-    /// table's growth event (entries then migrate into it in chunks; a
-    /// shard's first table is not counted).
+    /// A [`KeyedDsu`](crate::KeyedDsu) installed a doubled table because
+    /// its keys passed 7/8 of its newest one — the keyed id table's growth
+    /// event (entries then migrate into it in chunks; the first table is
+    /// not counted).
     fn id_table_resize(&mut self) {}
     /// A `find` traversal reached its root after `n` parent hops (`n = 0`
     /// when the start node was already a root). This is the *path length*
@@ -203,8 +203,8 @@ pub struct OpStats {
     /// layer's walk cost; compare against `reads` to see where a keyed
     /// workload spends its memory traffic).
     pub key_probe_steps: u64,
-    /// Doubled tables installed by keyed id-table shards (growth events,
-    /// each followed by a chunked migration; first tables not counted).
+    /// Doubled tables installed by keyed id tables (growth events, each
+    /// followed by a chunked migration; first tables not counted).
     pub id_table_resizes: u64,
     /// Parent hops summed over all `find` traversals (path length; the
     /// hops' loads are already in `reads`). `find_hops / finds` is the mean
@@ -373,48 +373,6 @@ impl StatsSink for OpStats {
     }
 }
 
-/// Summary of how a per-shard count spreads across the shards of a
-/// sharded table — the report type behind
-/// [`KeyedDsu::key_skew`](crate::KeyedDsu::key_skew).
-///
-/// `imbalance` is the headline number: `max / mean`, so `1.0` means the
-/// shards are perfectly balanced and `S` (the shard count) means one shard
-/// carries everything. An empty or all-zero count vector reports `1.0` —
-/// nothing is imbalanced when there is nothing to balance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSkew {
-    /// Number of shards summarized.
-    pub shards: usize,
-    /// Smallest per-shard count.
-    pub min: u64,
-    /// Largest per-shard count.
-    pub max: u64,
-    /// Mean per-shard count.
-    pub mean: f64,
-    /// `max / mean` (`1.0` when the mean is zero): how much hotter the
-    /// hottest shard is than a perfectly balanced one.
-    pub imbalance: f64,
-}
-
-impl ShardSkew {
-    /// Summarizes one count per shard.
-    pub fn from_counts(counts: impl IntoIterator<Item = u64>) -> Self {
-        let (mut shards, mut total) = (0usize, 0u64);
-        let (mut min, mut max) = (u64::MAX, 0u64);
-        for c in counts {
-            shards += 1;
-            total += c;
-            min = min.min(c);
-            max = max.max(c);
-        }
-        if shards == 0 || total == 0 {
-            return ShardSkew { shards, min: 0, max, mean: 0.0, imbalance: 1.0 };
-        }
-        let mean = total as f64 / shards as f64;
-        ShardSkew { shards, min, max, mean, imbalance: max as f64 / mean }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,22 +409,6 @@ mod tests {
         assert_eq!(b.links_ok, 1);
         assert_eq!(b.links_fail, 1);
         assert_eq!(b.reads, 2);
-    }
-
-    #[test]
-    fn shard_skew_balanced_and_hot() {
-        let balanced = ShardSkew::from_counts([5, 5, 5, 5]);
-        assert_eq!(balanced.shards, 4);
-        assert_eq!((balanced.min, balanced.max), (5, 5));
-        assert!((balanced.imbalance - 1.0).abs() < 1e-12);
-
-        let hot = ShardSkew::from_counts([12, 0, 0, 0]);
-        assert_eq!((hot.min, hot.max), (0, 12));
-        assert!((hot.mean - 3.0).abs() < 1e-12);
-        assert!((hot.imbalance - 4.0).abs() < 1e-12, "one shard carries all -> imbalance = S");
-
-        assert!((ShardSkew::from_counts([]).imbalance - 1.0).abs() < 1e-12);
-        assert!((ShardSkew::from_counts([0, 0]).imbalance - 1.0).abs() < 1e-12);
     }
 
     #[test]

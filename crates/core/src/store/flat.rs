@@ -10,7 +10,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::order::{hashed_id, IdOrder};
+use crate::order::hashed_id;
 use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD};
 
 /// The flat store: an `AtomicUsize` parent slab, with ids hashed from the
@@ -101,13 +101,6 @@ impl ParentStore for FlatStore {
     fn precedes(&self, u: usize, v: usize) -> bool {
         // The default would load both parent words only to discard them
         // (flat ids are hashed from the index); compare the keys directly.
-        self.key(u) < self.key(v)
-    }
-}
-
-impl IdOrder for FlatStore {
-    #[inline]
-    fn less(&self, u: usize, v: usize) -> bool {
         self.key(u) < self.key(v)
     }
 }

@@ -70,9 +70,8 @@
 //! 64-bit ids, or any other hashable keys rather than dense `0..n`,
 //! don't build your own map in front of these layouts —
 //! [`KeyedDsu`](crate::KeyedDsu) (the [`keyed`](crate::keyed) module) is
-//! that map, done lock-free: a sharded CAS-claimed id table assigns dense
-//! ids on first touch and every set operation runs on the growable
-//! layout. Its shard count has its own knob (`DSU_KEY_SHARDS`).
+//! that map, done lock-free: a CAS-claimed id table assigns dense ids on
+//! first touch and every set operation runs on the growable layout.
 //!
 //! The default store behind [`Dsu`](crate::Dsu)'s `S` parameter follows the
 //! `default-store-flat` cargo feature (see
@@ -180,8 +179,6 @@
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 
-use crate::order::IdOrder;
-
 mod flat;
 mod packed;
 mod ranked;
@@ -266,9 +263,9 @@ pub trait ParentStore: Send + Sync {
     /// free for packed layouts, an id lookup for flat ones.
     ///
     /// Contract: `(priority(u, wu), u) < (priority(v, wv), v)` must agree
-    /// with the store's [`IdOrder`] — i.e. the
-    /// index breaks priority ties — so `Unite` may link by priority
-    /// without consulting the order again.
+    /// with [`precedes`](ParentStore::precedes) — i.e. the index breaks
+    /// priority ties — so `Unite` may link by priority without consulting
+    /// the order again.
     fn priority(&self, i: usize, w: Self::Word) -> u64;
 
     /// Convenience: the parent of `i` ([`LOAD`] ordering).
@@ -325,10 +322,10 @@ pub trait ParentStore: Send + Sync {
     }
 }
 
-/// A [`ParentStore`] bundled with the random total order on its elements
-/// and their count — everything [`Dsu`](crate::Dsu) needs from its storage
-/// type parameter.
-pub trait DsuStore: ParentStore + IdOrder {
+/// A [`ParentStore`] bundled with its elements' random ids and their
+/// count — everything [`Dsu`](crate::Dsu) needs from its storage type
+/// parameter.
+pub trait DsuStore: ParentStore {
     /// Short layout name for reports (e.g. `"packed"`, `"flat"`).
     const NAME: &'static str;
 
@@ -351,7 +348,7 @@ pub trait DsuStore: ParentStore + IdOrder {
 
     /// The 32-bit random id of element `u`. Ids can collide: the random
     /// total order is the `(id_of(u), u)` key, with the index breaking
-    /// ties ([`IdOrder`]).
+    /// ties ([`ParentStore::precedes`]).
     fn id_of(&self, u: usize) -> u64;
 
     /// A non-atomic snapshot of all parents. Only meaningful at quiescence;
@@ -419,7 +416,7 @@ mod tests {
         // And therefore the same linking order.
         for u in 0..64 {
             for v in 0..64 {
-                assert_eq!(IdOrder::less(&flat, u, v), IdOrder::less(&packed, u, v));
+                assert_eq!(flat.precedes(u, v), packed.precedes(u, v));
             }
         }
     }

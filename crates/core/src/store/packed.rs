@@ -22,7 +22,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::order::{hashed_id, IdOrder};
+use crate::order::hashed_id;
 use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
 
 /// Low half of a packed word: the mutable parent index (shared by every
@@ -119,15 +119,6 @@ impl ParentStore for PackedStore {
     #[inline]
     fn priority(&self, _i: usize, w: u64) -> u64 {
         packed_id(w)
-    }
-}
-
-impl IdOrder for PackedStore {
-    #[inline]
-    fn less(&self, u: usize, v: usize) -> bool {
-        // Priorities come straight from the packed words; the index breaks
-        // id ties.
-        (packed_id(self.words[u].load(STAT)), u) < (packed_id(self.words[v].load(STAT)), v)
     }
 }
 

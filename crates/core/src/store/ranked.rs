@@ -28,7 +28,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::order::{hashed_id, IdOrder};
+use crate::order::hashed_id;
 use crate::store::{
     pack_word, packed_id, packed_parent, packed_with_parent, DsuStore, ParentStore, CAS_FAILURE,
     CAS_SUCCESS, LOAD, STAT,
@@ -122,13 +122,6 @@ impl ParentStore for RankedStore {
             && self.words[i]
                 .compare_exchange(seen, pack_word(rank + 1, i), CAS_SUCCESS, CAS_FAILURE)
                 .is_ok()
-    }
-}
-
-impl IdOrder for RankedStore {
-    #[inline]
-    fn less(&self, u: usize, v: usize) -> bool {
-        (hashed_id(u, self.seed), u) < (hashed_id(v, self.seed), v)
     }
 }
 

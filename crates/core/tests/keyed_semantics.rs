@@ -10,12 +10,11 @@
 //! the table's one hard promise — **at most one id per distinct key, no
 //! matter how many threads race the first insert** — is stress-tested
 //! directly, including the insert-vs-merge race on the same unseen key,
-//! and so is the migration of a shard's table into its doubled successor
-//! while inserts and lookups race it. CI also runs this suite with
-//! `DSU_KEY_SHARDS=1`, which puts every claim race of the proptests onto
-//! one shard's migrations.
+//! and so is the migration of a table into its doubled successor while
+//! inserts and lookups race it. Every structure has one chain of tables,
+//! so every claim race of the proptests also runs against its migrations.
 
-use concurrent_dsu::{KeyedDsu, ShardSpec, TestWatchdog};
+use concurrent_dsu::{KeyedDsu, TestWatchdog};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -172,23 +171,6 @@ proptest! {
     }
 }
 
-/// `KeyedDsu::new` takes its shard count from `DSU_KEY_SHARDS` on every
-/// construction (CI's keyed cell pins it to 1 and to 2), else from the
-/// machine; the machine-derived count is cached, so repeated constructions
-/// must agree.
-#[test]
-fn new_reads_the_shard_override_on_every_construction() {
-    let requested = std::env::var("DSU_KEY_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let want = ShardSpec::with_shards(requested).shards();
-    for _ in 0..3 {
-        assert_eq!(KeyedDsu::<u64>::new().key_shard_count(), want);
-    }
-}
-
 /// The table's core concurrent promise, attacked directly: many threads
 /// insert the **same unseen key** through a barrier, every round. All
 /// must observe one id, and the table must allocate exactly one dense id
@@ -201,45 +183,39 @@ fn racing_inserts_of_the_same_key_agree_on_one_id() {
     );
     const THREADS: usize = 8;
     const ROUNDS: usize = 500;
-    // A single shard concentrates every race on one probe path — the
-    // worst case for the claim CAS.
-    for shards in [1, 4] {
-        let dsu: KeyedDsu<String> = KeyedDsu::with_spec(11, ShardSpec::with_shards(shards));
-        let barrier = Barrier::new(THREADS);
-        let disagreements = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let dsu = &dsu;
-                let barrier = &barrier;
-                let disagreements = &disagreements;
-                s.spawn(move || {
-                    for r in 0..ROUNDS {
-                        let k = format!("round-{r}");
-                        barrier.wait();
-                        let id = dsu.insert(&k);
-                        // Everyone re-reads after the race: get must agree
-                        // with what insert returned, forever.
-                        if dsu.get(&k) != Some(id) {
-                            disagreements.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let _ = t;
+    // Every race runs on one probe path, the worst case for the claim CAS,
+    // and the 500 keys double the table twice mid-race.
+    let dsu: KeyedDsu<String> = KeyedDsu::with_seed(11);
+    let barrier = Barrier::new(THREADS);
+    let disagreements = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let dsu = &dsu;
+            let barrier = &barrier;
+            let disagreements = &disagreements;
+            s.spawn(move || {
+                for r in 0..ROUNDS {
+                    let k = format!("round-{r}");
+                    barrier.wait();
+                    let id = dsu.insert(&k);
+                    // Everyone re-reads after the race: get must agree
+                    // with what insert returned, forever.
+                    if dsu.get(&k) != Some(id) {
+                        disagreements.fetch_add(1, Ordering::Relaxed);
                     }
-                });
-            }
-        });
-        assert_eq!(disagreements.load(Ordering::Relaxed), 0, "insert/get id disagreement");
-        assert_eq!(
-            dsu.key_count(),
-            ROUNDS,
-            "{shards}-shard table allocated duplicate ids for a racing key"
-        );
-        // Dense: every id in 0..ROUNDS is some round's id, exactly once.
-        let mut seen = vec![false; ROUNDS];
-        for r in 0..ROUNDS {
-            let id = dsu.get(&format!("round-{r}")).expect("inserted");
-            assert!(!seen[id], "id {id} assigned twice");
-            seen[id] = true;
+                    let _ = t;
+                }
+            });
         }
+    });
+    assert_eq!(disagreements.load(Ordering::Relaxed), 0, "insert/get id disagreement");
+    assert_eq!(dsu.key_count(), ROUNDS, "the table allocated duplicate ids for a racing key");
+    // Dense: every id in 0..ROUNDS is some round's id, exactly once.
+    let mut seen = vec![false; ROUNDS];
+    for r in 0..ROUNDS {
+        let id = dsu.get(&format!("round-{r}")).expect("inserted");
+        assert!(!seen[id], "id {id} assigned twice");
+        seen[id] = true;
     }
 }
 
@@ -372,15 +348,15 @@ fn threaded_keyed_stress_matches_sequential_replay() {
     }
 }
 
-/// Growth under contention: enough racing fresh keys to double every
-/// shard's table several times while other threads insert — ids stay
-/// unique and the resize counter reconciles with the structure's own count.
+/// Growth under contention: enough racing fresh keys to double the table
+/// several times while other threads insert — ids stay unique and the
+/// resize counter reconciles with the structure's own count.
 #[test]
 fn concurrent_growth_keeps_ids_unique() {
     let _wd = TestWatchdog::arm("concurrent_growth_keeps_ids_unique", Duration::from_secs(120));
     const THREADS: usize = 4;
     const PER_THREAD: usize = 4_000;
-    let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(5, ShardSpec::with_shards(2));
+    let dsu: KeyedDsu<u64> = KeyedDsu::with_seed(5);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let dsu = &dsu;
@@ -412,8 +388,8 @@ fn concurrent_growth_keeps_ids_unique() {
     assert!(dsu.id_table_resizes() > 0, "this volume must have grown the table");
 }
 
-/// Migration under contention: threads insert overlapping fresh keys into
-/// one shard through ten doublings, so inserts keep racing the chunked
+/// Migration under contention: threads insert overlapping fresh keys
+/// through ten doublings, so inserts keep racing the chunked
 /// migrations, and each thread keeps re-reading keys it already resolved. A
 /// resolved key must never read as absent or change its id, the ids must
 /// be exactly `0..key_count()`, and the partition must match a sequential
@@ -422,13 +398,13 @@ fn concurrent_growth_keeps_ids_unique() {
 fn migration_keeps_resolved_keys_stable() {
     let _wd = TestWatchdog::arm("migration_keeps_resolved_keys_stable", Duration::from_secs(300));
     const THREADS: usize = 4;
-    // Table `t` of a shard holds `256 << t` words and the next one is
+    // Table `t` of the chain holds `256 << t` words and the next one is
     // installed past 7/8 load, so this many keys install table 10.
     const KEYS: usize = 120_000;
     let key = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
     // Merge partners: a deterministic sparse edge set over the key range.
     let partner = |i: usize| (i.wrapping_mul(7919) ^ (i >> 3)) % KEYS;
-    let dsu: KeyedDsu<u64> = KeyedDsu::with_spec(13, ShardSpec::with_shards(1));
+    let dsu: KeyedDsu<u64> = KeyedDsu::with_seed(13);
     let changed = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -516,7 +492,7 @@ fn panicking_clone_does_not_wedge_its_key() {
             Fragile(self.0)
         }
     }
-    let dsu = Arc::new(KeyedDsu::<Fragile>::with_spec(1, ShardSpec::with_shards(1)));
+    let dsu = Arc::new(KeyedDsu::<Fragile>::with_seed(1));
     let first = std::panic::catch_unwind(AssertUnwindSafe(|| dsu.insert(&Fragile(7))));
     assert!(first.is_err(), "the first insert's clone panics");
     let (tx, rx) = mpsc::channel();

@@ -1,11 +1,11 @@
 //! **E14 — keyed entity resolution over the packed core.**
 //!
-//! Drives the lock-free keyed layer (`KeyedDsu`: sharded CAS-claimed id
-//! table in front of the growable store) with a string-keyed
+//! Drives the lock-free keyed layer (`KeyedDsu`: a CAS-claimed id table
+//! in front of the growable store) with a string-keyed
 //! entity-resolution trace — insert-heavy churn, recency-biased revisits —
 //! sharded round-robin over `p` threads. The table reports throughput vs
 //! thread count alongside the id-table health counters (probe steps per
-//! key touch, segment growths, shard skew), and every run's final
+//! key touch, table doublings), and every run's final
 //! partition is cross-checked key for key against a sequential replay on
 //! the `RwLock<HashMap>` baseline — same trace, same implicit-singleton
 //! semantics, so the verdicts must agree exactly.
@@ -38,7 +38,7 @@ fn main() {
          {merges} merge fraction, {fresh} fresh fraction, window {window})",
         trace.distinct_keys
     );
-    println!("lock-free sharded id table + packed core vs a sequential keyed replay\n");
+    println!("lock-free id table + packed core vs a sequential keyed replay\n");
 
     // The oracle: one sequential replay of the whole trace on the locked
     // baseline (identical keyed semantics by construction).
@@ -55,7 +55,7 @@ fn main() {
     }
 
     let mut table =
-        Table::new(&["p", "keys", "sets", "resizes", "probe/touch", "skew", "Mops/s", "speedup"]);
+        Table::new(&["p", "keys", "sets", "resizes", "probe/touch", "Mops/s", "speedup"]);
     let mut base = None;
     for &p in &ladder {
         let shards = trace.shard(p);
@@ -99,7 +99,6 @@ fn main() {
             dsu.set_count().to_string(),
             dsu.id_table_resizes().to_string(),
             f2(stats.key_probe_steps as f64 / touches),
-            f2(dsu.key_skew().imbalance),
             f2(mops),
             f2(mops / b),
         ]);

@@ -7,7 +7,7 @@
 //! from many ingest threads, and queries race ingestion.
 //!
 //! `KeyedDsu<String>` does the whole job lock-free: keys hash into a
-//! sharded CAS-claimed id table that assigns dense ids on first touch (and
+//! CAS-claimed id table that assigns dense ids on first touch (and
 //! migrates into a doubled table as it fills), and
 //! all merging runs on the same packed word-per-element core as the dense
 //! structure (Jayanti & Tarjan's randomized linking underneath).
@@ -74,13 +74,11 @@ fn main() {
     assert!(!dsu.same_set(&"email:unknown@example.com".to_string(), &"name:user-1".to_string()));
 
     println!(
-        "done in {:.1} ms — {} identifiers resolved into {} users \
-         ({} id-table growths, shard imbalance {:.2})",
+        "done in {:.1} ms — {} identifiers resolved into {} users ({} id-table growths)",
         elapsed.as_secs_f64() * 1e3,
         dsu.key_count(),
         dsu.set_count(),
         dsu.id_table_resizes(),
-        dsu.key_skew().imbalance,
     );
     assert_eq!(dsu.set_count(), users);
 

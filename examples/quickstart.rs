@@ -15,8 +15,9 @@
 //!   honest negatives) with its archived JSON artifact.
 //! - `examples/keyed_dedup.rs` — string keys instead of dense indices:
 //!   the `KeyedDsu` entity-resolution layer (see below).
-//! - All `DSU_*` environment knobs are documented in one table in the
-//!   `concurrent_dsu` crate docs (`crates/core/src/lib.rs`).
+//! - Configuration is type parameters, constructor arguments and three
+//!   cargo features; nothing reads environment variables (see the
+//!   `concurrent_dsu` crate docs, `crates/core/src/lib.rs`).
 
 use jt_dsu::concurrent_dsu::{DefaultStore, UnionForest};
 use jt_dsu::{Dsu, OpStats, TwoTrySplit};
@@ -88,12 +89,11 @@ fn main() {
 
     // Elements that aren't dense integers? `jt_dsu::KeyedDsu` maps any
     // hashable key (strings, sparse u64s, row keys) to dense ids through
-    // a lock-free sharded id table over the same core:
+    // a lock-free id table over the same core:
     let keyed: jt_dsu::KeyedDsu<String> = jt_dsu::KeyedDsu::new();
     keyed.merge_keys(&"user:42".to_string(), &"email:x@example.com".to_string());
     assert!(keyed.same_set(&"email:x@example.com".to_string(), &"user:42".to_string()));
-    // (`cargo run --release --example keyed_dedup` for the full story;
-    // `DSU_KEY_SHARDS` tunes the id-table shard count.)
+    // (`cargo run --release --example keyed_dedup` for the full story.)
 
     // Need an undo button? `VersionedDsu` wraps the growable core with
     // O(1) copy-on-write snapshots: `snapshot()` records the live

@@ -40,7 +40,7 @@
 //! ## Keyed entity resolution
 //!
 //! Elements that are strings, sparse u64s, or any hashable keys go
-//! through [`KeyedDsu`] — a lock-free sharded id table in front of the
+//! through [`KeyedDsu`] — a lock-free id table in front of the
 //! growable core, replacing the `RwLock<HashMap>` facade real systems
 //! deploy (measured against exactly that baseline in `keyed_ab`):
 //!
@@ -68,24 +68,30 @@
 //!
 //! ## CI
 //!
-//! `.github/workflows/ci.yml` runs, on every push/PR: `lint` (fmt, clippy,
-//! rustdoc, all `-D warnings`, plus the workspace doc-tests); a `test`
-//! **matrix** over `{default, strict-sc}` orderings × `{packed, flat}`
-//! store layouts (the `default-store-flat` cargo feature retargets `Dsu`'s
-//! default store so the full suite exercises each layout; the packed cell
-//! also runs the benchmark's own tests) plus a `keyed` cell that re-runs
-//! the keyed-layer suite under both orderings with `DSU_KEY_SHARDS=2`,
-//! and a `variants` cell that re-runs the full core suite with
-//! `default-link-index`; `bench-smoke`,
-//! which runs the A/B examples in quick mode, archives their JSON
-//! (machine-fingerprinted), and fail-soft-compares both medians *and* A/B
-//! ratios against the previous run's cached baseline
-//! (>15% regression warns in the job summary, never turns red; baselines
-//! from a different machine are skipped, not compared); and
-//! `harness-smoke` (real experiment binaries end to end: e01, e09, e10,
-//! e11, e14 and e15). A
-//! weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`, the
-//! non-quick A/B runs. Runs on the same ref cancel their predecessors.
+//! `.github/workflows/ci.yml` runs, on every push/PR:
+//!
+//! * `lint`: fmt, clippy and rustdoc, all `-D warnings`, plus the
+//!   workspace doc-tests and the bench gate's own unit tests;
+//! * a `test` **matrix** over `{default, strict-sc}` orderings ×
+//!   `{packed, flat}` store layouts (the `default-store-flat` cargo
+//!   feature retargets `Dsu`'s default store so the full suite exercises
+//!   each layout; the packed cell also tests the whole workspace and the
+//!   benchmark, and compiles the benches), plus a `variants` cell that
+//!   re-runs the core suite with `default-link-index` under both
+//!   orderings;
+//! * `bench-smoke`, which runs the A/B examples in quick mode, archives
+//!   their JSON (machine-fingerprinted), and fail-soft-compares both
+//!   medians *and* A/B ratios against the previous run's cached baseline
+//!   (>15% regression warns in the job summary, never turns red;
+//!   baselines from a different machine are skipped, not compared);
+//! * `chaos`: the fault-injection suites, native linearizability under
+//!   chaos, e13 and e16 in quick mode, and a fail-soft `chaos_ab` sweep;
+//! * `harness-smoke`: real experiment binaries end to end (e01, e09, e10,
+//!   e11, e14 and e15) and `store_diag`'s counter-attribution checks.
+//!
+//! A weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`,
+//! the non-quick A/B runs. Runs on the same ref cancel their
+//! predecessors.
 //!
 //! See `ARCHITECTURE.md` for the crate map and layer diagram,
 //! `docs/benchmarks.md` for every measured claim and its artifact, and
@@ -103,7 +109,7 @@ pub use sequential_dsu;
 
 pub use concurrent_dsu::{
     BatchOutcome, ConcurrentUnionFind, Dsu, DsuHalving, DsuNoCompaction, DsuOneTry, DsuTwoTry,
-    Epoch, GrowableDsu, Halving, KeyedDsu, NoCompaction, OneTrySplit, OpStats, ShardSpec,
-    TwoTrySplit, VersionedDsu,
+    Epoch, GrowableDsu, Halving, KeyedDsu, NoCompaction, OneTrySplit, OpStats, TwoTrySplit,
+    VersionedDsu,
 };
 pub use sequential_dsu::{Compaction, Linking, Partition, SeqDsu};

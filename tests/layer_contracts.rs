@@ -156,14 +156,17 @@ fn versioned_rollback_restores_the_partition() {
 #[test]
 fn keyed_batches_match_oracle() {
     let mut rng = ChaCha12Rng::seed_from_u64(0x1A7E_0004);
-    let keys: Vec<String> = (0..64).map(|i| format!("user-{i}@example.test")).collect();
+    // Enough keys that the id table's 256-word first table doubles at
+    // least four times (past 224, 448, 896 and 1792 keys), so the batch
+    // paths resolve keys across migrations.
+    let keys: Vec<String> = (0..4096).map(|i| format!("user-{i}@example.test")).collect();
     let dsu: KeyedDsu<String> = KeyedDsu::with_seed(4);
     // The oracle runs over key positions; `seen` mirrors which keys the
     // keyed structure has inserted (merges insert, queries never do).
     let mut seq = oracle(keys.len());
     let mut seen: HashSet<usize> = HashSet::new();
     for _ in 0..4 {
-        let idx = random_edges(&mut rng, keys.len(), 40);
+        let idx = random_edges(&mut rng, keys.len(), 1024);
         let pairs: Vec<(String, String)> =
             idx.iter().map(|&(a, b)| (keys[a].clone(), keys[b].clone())).collect();
         let links = idx.iter().filter(|&&(a, b)| seq.unite(a, b)).count();
@@ -172,13 +175,14 @@ fn keyed_batches_match_oracle() {
             seen.insert(a);
             seen.insert(b);
         }
-        let queries = random_edges(&mut rng, keys.len(), 40);
+        let queries = random_edges(&mut rng, keys.len(), 1024);
         let qpairs: Vec<(String, String)> =
             queries.iter().map(|&(a, b)| (keys[a].clone(), keys[b].clone())).collect();
         let expected: Vec<bool> = queries.iter().map(|&(a, b)| seq.same_set(a, b)).collect();
         assert_eq!(dsu.same_set_batch(&qpairs), expected);
     }
     assert_eq!(dsu.key_count(), seen.len());
+    assert!(dsu.id_table_resizes() >= 4, "only {} doublings", dsu.id_table_resizes());
     // Keys never inserted are implicit singletons: each adds one set.
     assert_eq!(dsu.set_count() + (keys.len() - seen.len()), seq.set_count());
 }
