@@ -56,8 +56,8 @@ struct Probe {
 }
 
 fn probes(quick: bool) -> Vec<Probe> {
-    // Same shape as flatten_ab: n edges in 1024-edge bursts, then a
-    // query-only storm at 2 ops per element. The snap arm guards every
+    // n edges in 1024-edge bursts, then a query-only storm at 2 ops per
+    // element. The snap arm guards every
     // burst, so burst count — not edge count — is what it pays per.
     let (n_small, n_big) = if quick { (1 << 13, 1 << 16) } else { (1 << 16, 1 << 20) };
     [("cache-mix", n_small), ("dram-mix", n_big)]

@@ -1,33 +1,32 @@
-//! Work-count cross-check and phase attribution for packed vs. flat.
+//! Phase timings and counters for packed vs. flat, plus the reconciliation
+//! of the faulted, keyed and versioned counter streams.
 //!
 //! Runs the standard mixed workload single-threaded on both layouts with
-//! full `OpStats` instrumentation. The counters (loop iterations, reads,
-//! CAS outcomes) must be *identical* — same ids, same decisions — so any
-//! timing difference is pure per-access cost, attributed separately to
-//! the mixed phase, a pure-find storm, a flatten sweep, and a batch
-//! ingestion phase (a Zipf burst trace through `unite_batch`).
+//! full `OpStats` instrumentation and prints the counters (loop
+//! iterations, reads, CAS outcomes) beside the time of each phase: the
+//! mixed phase, a pure-find storm, and a batch ingestion phase (a Zipf
+//! burst trace through `unite_batch`). The counters are identical on
+//! every layout — same ids, same decisions — so a timing difference is
+//! pure per-access cost; `crates/core/tests/attribution.rs` asserts that
+//! equality, and the exact zeros of unfaulted and unversioned runs, under
+//! `cargo test`.
 //!
-//! A final fault-attribution phase re-runs the mixed workload through a
-//! `FaultyStore` wrapper at a fixed injection rate: `faults_injected` is
-//! what the plan charged, `cas_retries` is what the retry loops paid, and
-//! the unfaulted phases above assert both counters are **exactly zero** —
-//! retries on a clean single-threaded run would mean the store is
-//! contending with itself.
-//!
-//! An epoch-attribution phase drives a `VersionedDsu` through a guarded
-//! burst trace (snapshot before every burst, one rollback, one rejected
-//! speculative batch) and reconciles the live `OpStats` stream with the
-//! structure's lifetime counters and the store's copy-on-write report —
-//! while every *unversioned* phase above asserts all four epoch columns
-//! (`snapshots_taken` / `segments_forked` / `rollbacks` / `cow_copies`)
-//! are **exactly zero**: versioning must cost nothing when unused.
+//! A fault-attribution phase re-runs the mixed workload through a
+//! `FaultyStore` wrapper at a fixed injection rate and reconciles
+//! `faults_injected` (what the plan charged) with `cas_retries` (what the
+//! retry loops paid). A keyed phase reconciles the id table's counters
+//! with the table itself, and an epoch phase drives a `VersionedDsu`
+//! through a guarded burst trace (snapshot before every burst, one
+//! rollback, one rejected speculative batch) and reconciles the live
+//! `OpStats` stream with the structure's lifetime counters and the
+//! store's copy-on-write report.
 //!
 //! Run: `cargo run --release -p dsu-bench --example store_diag [log2_n]`
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
-    Dsu, DsuStore, EpochReport, FaultPlan, FaultyStore, FlatStore, KeyedDsu, OpStats, PackedStore,
-    TwoTrySplit, VersionedDsu,
+    Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, KeyedDsu, OpStats, PackedStore, TwoTrySplit,
+    VersionedDsu,
 };
 use dsu_bench::{standard_edge_batches, standard_workload};
 use dsu_workloads::{KeyedOp, KeyedSpec};
@@ -61,54 +60,6 @@ fn run<S: DsuStore>(label: &str) {
     }
     let finds = t1.elapsed();
     std::hint::black_box(acc);
-    // Flatten-attribution phase: one sequential sweep on the quiesced
-    // mixed-phase structure, then a re-run of the find storm. The sweep's
-    // own work lands in `reads` / `compact_cas_*` with the `flatten_*`
-    // counters attributing it; the post-sweep storm's `find_hops` proves
-    // the depth-≤-1 contract operationally (every find pays at most one
-    // hop), and a second sweep must find nothing left to jump.
-    let mut flatten_stats = OpStats::default();
-    let t2b = Instant::now();
-    dsu.flatten_with(&mut flatten_stats);
-    let flatten_t = t2b.elapsed();
-    let mut post_stats = OpStats::default();
-    let t2c = Instant::now();
-    let mut acc3 = 0usize;
-    for i in 0..n {
-        acc3 = acc3.wrapping_add(dsu.find_with(i, &mut post_stats));
-    }
-    let post_finds = t2c.elapsed();
-    std::hint::black_box(acc3);
-    println!(
-        "{label}: flatten {:>12?} post-finds {:>12?} | passes {} jumps {} cas_lost {} reads {} | \
-         mixed hops/find {:.3} post hops/find {:.3}",
-        flatten_t,
-        post_finds,
-        flatten_stats.flatten_passes,
-        flatten_stats.flatten_jumps,
-        flatten_stats.flatten_cas_lost,
-        flatten_stats.reads,
-        stats.hops_per_find(),
-        post_stats.hops_per_find()
-    );
-    assert_eq!(flatten_stats.flatten_passes, 1, "{label}: exactly one sweep reported");
-    assert_eq!(
-        flatten_stats.flatten_cas_lost, 0,
-        "{label}: a quiesced single-threaded sweep can lose no CAS"
-    );
-    assert!(
-        post_stats.find_hops <= n as u64,
-        "{label}: depth > 1 survived the sweep ({} hops over {n} finds)",
-        post_stats.find_hops
-    );
-    let mut second = OpStats::default();
-    dsu.flatten_with(&mut second);
-    assert_eq!(second.flatten_jumps, 0, "{label}: second sweep found leftover depth");
-    // Shape check through the offline histogram: exactly zero nodes
-    // deeper than 1 after a quiesced sweep.
-    let hist = concurrent_dsu::viz::depth_histogram(&dsu.parents_snapshot());
-    println!("{label}: post-flatten {}", hist.summary());
-    assert_eq!(hist.nodes_deeper_than_one(), 0, "{label}: {}", hist.summary());
     // Batch-ingestion phase: a Zipf burst trace through the batch path
     // on a fresh structure.
     let trace = standard_edge_batches(n, (m / 1024).max(1), 1024, 1.0);
@@ -121,7 +72,7 @@ fn run<S: DsuStore>(label: &str) {
     let batch_ingest = t3.elapsed();
     println!(
         "{label}: mixed {:>12?} finds {:>12?} | iters {} reads {} cas_ok {} cas_fail {} \
-         links_ok {} links_fail {}",
+         links_ok {} links_fail {} hops/find {:.3}",
         total,
         finds,
         stats.loop_iters,
@@ -129,37 +80,13 @@ fn run<S: DsuStore>(label: &str) {
         stats.compact_cas_ok,
         stats.compact_cas_fail,
         stats.links_ok,
-        stats.links_fail
+        stats.links_fail,
+        stats.hops_per_find()
     );
     println!(
         "{label}: ingest batch {:>12?} reads {} links_ok {}",
         batch_ingest, batch_stats.reads, batch_stats.links_ok
     );
-    // Unfaulted runs must attribute exactly zero injected faults, and the
-    // *per-op* phases zero retries too — single-threaded, a per-op retry
-    // loop only fires when someone else moved the root, and there is no
-    // one else. (The batch phases may retry legitimately: a wave-gathered
-    // root goes stale when an earlier link in the same burst moves it, so
-    // for those only the injection counter must be zero.)
-    for (phase, s) in [("mixed", &stats), ("batch", &batch_stats)] {
-        assert_eq!(s.faults_injected, 0, "{label}/{phase}: phantom fault attribution");
-        // None of these phases runs through a `VersionedDsu`, so the
-        // epoch columns must be exactly zero: an unversioned run pays no
-        // snapshots, no forks, no rollbacks, no copy-on-write.
-        assert_eq!(
-            (s.snapshots_taken, s.segments_forked, s.rollbacks, s.cow_copies),
-            (0, 0, 0, 0),
-            "{label}/{phase}: phantom epoch attribution on an unversioned run"
-        );
-        // No phase above runs a sweep, so flatten attribution must be
-        // exactly zero.
-        assert_eq!(
-            (s.flatten_passes, s.flatten_jumps, s.flatten_cas_lost),
-            (0, 0, 0),
-            "{label}/{phase}: phantom flatten attribution"
-        );
-    }
-    assert_eq!(stats.cas_retries, 0, "{label}/mixed: retries on an unfaulted single-threaded run");
     // Fault attribution: the same mixed workload through a FaultyStore at
     // a fixed rate. faults_injected (charged by the plan, folded in from
     // the store's report) sits next to cas_retries (paid by the retry
@@ -204,10 +131,9 @@ fn run<S: DsuStore>(label: &str) {
 
 /// Keyed attribution: a sparse-u64 entity-resolution trace through the
 /// lock-free id table, with the keyed counters splitting key-table work
-/// (probes, claims, segment growth) from the set operations underneath.
+/// (probes, claims, table growth) from the set operations underneath.
 /// Every insert is charged exactly once, every probe step is attributed,
-/// the structure's own resize count reconciles with the stats stream, and
-/// the unfaulted invariants of the dense phases hold here too.
+/// and the structure's own resize count reconciles with the stats stream.
 fn keyed() {
     let label = "keyed  ";
     let spec = KeyedSpec::new(1 << 15).merge_fraction(0.7).fresh_fraction(0.5);
@@ -260,15 +186,6 @@ fn keyed() {
         stats.key_probe_steps >= 2 * trace.ops.len() as u64,
         "{label}: two key resolutions per op minimum"
     );
-    assert_eq!(stats.faults_injected, 0, "{label}/keyed: phantom fault attribution");
-    assert_eq!(stats.cas_retries, 0, "{label}/keyed: retries on an unfaulted single-threaded run");
-    assert_eq!(
-        (stats.snapshots_taken, stats.segments_forked, stats.rollbacks, stats.cow_copies),
-        (0, 0, 0, 0),
-        "{label}/keyed: phantom epoch attribution on an unversioned run"
-    );
-    // The keyed layer runs on the epoch store; unversioned, it never forks.
-    assert_eq!(dsu.dsu().store().epoch_report(), EpochReport::default(), "{label}: forked");
 }
 
 /// Epoch attribution: a versioned burst trace with a guard point before
@@ -276,9 +193,9 @@ fn keyed() {
 /// speculative batch. Two accounting streams exist — the live `*_with`
 /// sinks fed per event, and [`VersionedDsu::report_into`]'s lifetime
 /// fold — and they must reconcile exactly with each other and with the
-/// store's own fork report. (The unversioned phases above assert all
-/// four epoch columns are exactly zero; this phase is where they earn
-/// their nonzero values.)
+/// store's own fork report. (On unversioned runs all four epoch columns
+/// are exactly zero, which `crates/core/tests/attribution.rs` asserts;
+/// this phase is where they earn their nonzero values.)
 fn epochs() {
     let n = 1 << 15;
     let trace = dsu_bench::standard_edge_batches(n, 16, 1024, 1.1);

@@ -1,10 +1,9 @@
 //! The (find × link) × workload variant matrix, with `TunedDsu`'s choice
 //! cross-checked against the measured winners.
 //!
-//! Every variant of the plane (five find policies × three link policies,
-//! rank paired with `RankedStore`, fifteen points enumerated by the
-//! `plane!` macro below) runs the same two probe workloads, one on each
-//! side of `TunedDsu`'s 8 MiB cache budget:
+//! Every variant of the plane (five find policies × two link policies, ten
+//! points enumerated by the `plane!` macro below) runs the same two probe
+//! workloads, one on each side of `TunedDsu`'s 8 MiB cache budget:
 //!
 //! * **cache-uniform** — a universe whose parent array fits in cache,
 //!   uniform endpoints (the regime where variant differences drown in
@@ -42,7 +41,7 @@ use std::fmt::Write as _;
 
 use concurrent_dsu::{
     Compress, DefaultStore, Dsu, DsuStore, FindPolicy, Halving, IndexLink, LinkPolicy,
-    NoCompaction, OneTrySplit, RandomLink, RankLink, RankedStore, TunedDsu, TwoTrySplit,
+    NoCompaction, OneTrySplit, RandomLink, TunedDsu, TwoTrySplit,
 };
 use dsu_bench::{machine_fingerprint_json, median, timed_parallel_run};
 use dsu_harness::Args;
@@ -67,15 +66,15 @@ struct Probe {
 }
 
 fn probes(quick: bool) -> Vec<Probe> {
-    // Cache-resident: 2^14 × 8 B = 128 KB (quick) / 2^16 × 8 B = 512 KB —
-    // both well under `TunedDsu`'s 8 MiB budget. DRAM-resident: 2^21 × 8 B
+    // Cache-resident: 2^19 × 8 B = 4 MiB (quick) / 2^16 × 8 B = 512 KB —
+    // both under `TunedDsu`'s 8 MiB budget. DRAM-resident: 2^21 × 8 B
     // = 16 MB (quick) / 2^23 × 8 B = 64 MB — both over it, so the quick
     // run exercises both of its arms, as the full one does.
-    let (n_cache, n_dram) = if quick { (1 << 14, 1 << 21) } else { (1 << 16, 1 << 23) };
-    // The quick cache probe keeps its small n but runs 2^20 ops, so one
-    // sample lasts 10–20 ms and thread start-up cannot decide its p=2
-    // rows.
-    let m_cache = if quick { 1 << 20 } else { 2 * n_cache };
+    let (n_cache, n_dram) = if quick { (1 << 19, 1 << 21) } else { (1 << 16, 1 << 23) };
+    // Two ops per element in both modes, so the quick probe tests the
+    // same regime as the full one; its larger n keeps a sample at 2^20
+    // ops, long enough that thread start-up cannot decide its p=2 rows.
+    let m_cache = 2 * n_cache;
     let m_dram = n_dram / 2;
     vec![
         Probe {
@@ -106,20 +105,17 @@ fn time<F: FindPolicy, S: DsuStore, L: LinkPolicy>(probe: &Probe, threads: usize
 }
 
 /// The plane, find-major: each find policy × {random, index} on the
-/// default store, and × rank on `RankedStore` (the only fixed layout
-/// carrying a rank word; on any other, rank linking degenerates to index
-/// linking).
+/// default store.
 macro_rules! plane {
     ($(($f:ty, $fname:literal)),* $(,)?) => {
         [$(
             (concat!($fname, "/random"), time::<$f, DefaultStore, RandomLink>),
             (concat!($fname, "/index"), time::<$f, DefaultStore, IndexLink>),
-            (concat!($fname, "/rank"), time::<$f, RankedStore, RankLink>),
         )*]
     };
 }
 
-const PLANE: [Arm; 15] = plane!(
+const PLANE: [Arm; 10] = plane!(
     (NoCompaction, "no-compaction"),
     (OneTrySplit, "one-try"),
     (TwoTrySplit, "two-try"),

@@ -28,11 +28,9 @@
 //! # Why the seeded CAS is still linearizable
 //!
 //! A recorded survivor `(r, w, v)` has `key(r) < key(v)` under the batch's
-//! [`LinkPolicy`], with `r`'s key computed from the very
-//! word `w` the CAS expects (immutable outright for random/index linking;
-//! frozen by the word-exact CAS for rank linking — a concurrent rank bump
-//! changes the word and fails the CAS). If the link CAS succeeds, `r` was
-//! still a root — and a root has the largest observed key of its tree
+//! [`LinkPolicy`], whose keys are immutable, and the link CAS expects the
+//! very word `w` the filter observed. If the link CAS succeeds, `r` was
+//! still a root — and a root has the largest key of its tree
 //! (Lemma 3.1's invariant, which every policy preserves; see
 //! [`order`](crate::order)), so `v`, with its larger key, cannot be inside
 //! `r`'s tree: the two sets were distinct at the CAS, which is therefore a
@@ -167,7 +165,6 @@ where
         if store.cas_from(child, wc, parent) {
             stats.link_ok();
             record_link(child, parent);
-            L::on_linked(store, wc, parent);
             return true;
         }
         stats.link_fail();
@@ -225,7 +222,6 @@ where
         let linked = if store.cas_from(root, word, under) {
             stats.link_ok();
             record_link(root, under);
-            L::on_linked(store, word, under);
             true
         } else {
             stats.link_fail();

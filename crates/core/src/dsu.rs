@@ -6,10 +6,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::bulk;
 use crate::epoch::EpochStore;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::flatten;
 use crate::ops;
 use crate::order::LinkPolicy;
-use crate::stats::{OpStats, StatsSink};
+use crate::stats::StatsSink;
 use crate::store::{DsuStore, GrowableStore};
 use crate::ConcurrentUnionFind;
 
@@ -375,36 +374,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         }
     }
 
-    // ----- Flatten maintenance pass (see the [`flatten`] module) -----
-
-    /// One sequential store-ordered flatten sweep: pointer-jumps every
-    /// element until the whole forest has depth ≤ 1. Safe to run
-    /// concurrently with ongoing operations (a lost CAS just means someone
-    /// moved the root) and with `make_set` (the sweep walks only
-    /// [`scan_runs`](DsuStore::scan_runs), the initialized cells); at
-    /// quiescence one sweep leaves every subsequent find O(1).
-    pub fn flatten(&self) {
-        self.flatten_with(&mut ());
-    }
-
-    /// [`flatten`](Dsu::flatten) reporting work into a [`StatsSink`]
-    /// (loads as `read`, jumps as `compact_cas_*` plus the
-    /// `flatten_*` attribution counters).
-    pub fn flatten_with<Sk: StatsSink>(&self, stats: &mut Sk) {
-        flatten::flatten_runs(&self.store, &self.store.scan_runs(), stats);
-    }
-
-    /// Parallel flatten sweep over `threads` workers using the same
-    /// dynamic chunk-cursor scheduling as the parallel batch ingest.
-    /// Returns the merged per-worker counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn flatten_parallel(&self, threads: usize) -> OpStats {
-        flatten::flatten_runs_parallel(&self.store, &self.store.scan_runs(), threads)
-    }
-
     fn record_link(&self) {
         // Relaxed is enough: `links` is a statistic whose own atomicity
         // suffices for set_count.
@@ -472,9 +441,8 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S
 mod tests {
     use super::*;
     use crate::find::{Halving, NoCompaction, OneTrySplit};
-    use crate::forest::{forest_height, UnionForest};
-    use crate::order::{IndexLink, RandomLink, RankLink};
-    use crate::store::RankedStore;
+    use crate::forest::UnionForest;
+    use crate::order::{IndexLink, RandomLink};
     use crate::OpStats;
     use sequential_dsu::{NaiveDsu, Partition};
 
@@ -774,15 +742,13 @@ mod tests {
     #[test]
     fn link_axis_variants_match_oracle_and_each_other() {
         // Every link policy is a different tree shape, never a different
-        // partition: index linking on the default layout and rank linking
-        // on the ranked layout must return the oracle's verdicts and agree
-        // on the final sets — single-threaded, per-op AND batched.
+        // partition: index linking must return the oracle's verdicts and
+        // agree on the final sets — single-threaded, per-op AND batched.
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(2025);
         let n = 96;
         let random: RandomDsu = Dsu::with_seed(n, 12);
         let index: Dsu<TwoTrySplit, crate::DefaultStore, IndexLink> = Dsu::with_seed(n, 12);
-        let rank: Dsu<TwoTrySplit, RankedStore, RankLink> = Dsu::with_seed(n, 12);
         let mut oracle = NaiveDsu::new(n);
         for i in 0..600 {
             let x = rng.gen_range(0..n);
@@ -792,27 +758,23 @@ mod tests {
                     let want = oracle.unite(x, y);
                     assert_eq!(random.unite(x, y), want);
                     assert_eq!(index.unite(x, y), want);
-                    assert_eq!(rank.unite(x, y), want);
                 }
                 1 => {
                     let want = oracle.same_set(x, y);
                     assert_eq!(random.same_set(x, y), want);
                     assert_eq!(index.same_set_early(x, y), want);
-                    assert_eq!(rank.same_set_early(x, y), want);
                 }
                 _ => {
                     let batch = [(x, y), (y, x)];
                     let want = oracle.unite(x, y) as usize;
                     assert_eq!(random.unite_batch(&batch), want);
                     assert_eq!(index.unite_batch(&batch), want);
-                    assert_eq!(rank.unite_batch(&batch), want);
                 }
             }
         }
         let want = oracle.partition();
         assert_eq!(Partition::from_labels(&random.labels_snapshot()), want);
         assert_eq!(Partition::from_labels(&index.labels_snapshot()), want);
-        assert_eq!(Partition::from_labels(&rank.labels_snapshot()), want);
         // Index linking's invariant: parents are index-upward.
         for (x, &p) in index.parents_snapshot().iter().enumerate() {
             assert!(p == x || x < p, "index linking let {x} point down at {p}");
@@ -822,8 +784,7 @@ mod tests {
     #[test]
     fn link_axis_concurrent_partitions_match_oracle() {
         // Lemma 3.1's acyclicity (and hence termination + correct sets)
-        // must survive real concurrency on the non-default policies too —
-        // rank linking's mutable keys are exactly the risky case.
+        // must survive real concurrency on the non-default policy too.
         fn hammer<S: DsuStore + Sync, L: LinkPolicy>() {
             let n = 1024;
             let pairs: Vec<(usize, usize)> =
@@ -852,8 +813,6 @@ mod tests {
             assert_eq!(dsu.set_count(), oracle.set_count());
         }
         hammer::<crate::DefaultStore, IndexLink>();
-        hammer::<RankedStore, RankLink>();
-        hammer::<RankedStore, RandomLink>(); // ranked layout, paper linking
     }
 
     #[test]
@@ -875,62 +834,6 @@ mod tests {
         let grown: GrowableDsu = Dsu::new(0);
         assert!(grown.is_empty());
         assert_eq!(grown.set_count(), 0);
-    }
-
-    /// Deterministic deep tree: NoCompaction + index linking over chain
-    /// unites leaves the path 0→1→…→n-1 intact, so the pre-flatten depth
-    /// is provably n-1, not a w.h.p. accident.
-    fn deep_chain<S: DsuStore>(n: usize) -> Dsu<NoCompaction, S, IndexLink> {
-        let dsu: Dsu<NoCompaction, S, IndexLink> = Dsu::with_seed(n, 7);
-        for i in 1..n {
-            dsu.unite(0, i);
-        }
-        assert!(
-            forest_height(&dsu.parents_snapshot()) > 1,
-            "{}: chain workload failed to build depth",
-            S::NAME
-        );
-        dsu
-    }
-
-    #[test]
-    fn quiesced_flatten_reaches_depth_one_on_every_layout() {
-        fn check<S: DsuStore>() -> Dsu<NoCompaction, S, IndexLink> {
-            let n = 128;
-            let dsu = deep_chain::<S>(n);
-            dsu.flatten();
-            assert!(
-                forest_height(&dsu.parents_snapshot()) <= 1,
-                "{}: flatten left depth > 1",
-                S::NAME
-            );
-            assert_eq!(dsu.set_count(), 1, "{}: flatten changed the partition", S::NAME);
-            assert!(dsu.same_set(0, n - 1));
-            dsu
-        }
-        check::<crate::PackedStore>();
-        check::<crate::store::FlatStore>();
-        check::<RankedStore>();
-        // New elements after a flatten are untouched singletons.
-        let grown = check::<EpochStore>();
-        let e = grown.make_set();
-        assert!(!grown.same_set(0, e));
-    }
-
-    #[test]
-    fn parallel_flatten_flattens_and_reports() {
-        fn check<S: DsuStore>() {
-            let n = 256;
-            let dsu = deep_chain::<S>(n);
-            let before = Partition::from_labels(&dsu.labels_snapshot());
-            let stats = dsu.flatten_parallel(4);
-            assert_eq!(stats.flatten_passes, 1);
-            assert!(stats.flatten_jumps > 0, "a depth-{} path must need jumps", n - 1);
-            assert!(forest_height(&dsu.parents_snapshot()) <= 1, "{}", S::NAME);
-            assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
-        }
-        check::<crate::DefaultStore>();
-        check::<EpochStore>();
     }
 
     // ----- Growth (`make_set` on a growable store) -----

@@ -80,7 +80,6 @@
 //! past the benchmark's 25 % bound on `mem_peak_mb`, before any time is
 //! counted.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -461,16 +460,6 @@ impl DsuStore for EpochStore {
     fn snapshot(&self) -> Vec<usize> {
         (0..self.len()).map(|i| store::packed_parent(self.cell(i).load(store::STAT))).collect()
     }
-
-    fn scan_runs(&self) -> Vec<Range<usize>> {
-        let len = self.len();
-        (0..SEGMENTS)
-            .map(|s| (s, segment_base(s)))
-            .take_while(|&(_, base)| base < len)
-            .filter(|&(s, _)| !self.slots[s].load(store::LOAD).is_null())
-            .map(|(s, base)| base..(base + segment_len(s)).min(len))
-            .collect()
-    }
 }
 
 impl GrowableStore for EpochStore {
@@ -715,8 +704,8 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         VersionedDsu { dsu, snaps: Vec::new(), snapshots_taken: 0, rollbacks: 0 }
     }
 
-    /// The wrapped structure — every [`Dsu`] operation (flatten sweeps,
-    /// stats variants) is available through it; shared-state mutations it
+    /// The wrapped structure — every [`Dsu`] operation (the stats variants
+    /// included) is available through it; shared-state mutations it
     /// performs are versioned like any other (they go through the store).
     pub fn dsu(&self) -> &Dsu<F, S, L> {
         &self.dsu
@@ -983,13 +972,13 @@ mod tests {
         let labels_before = dsu.labels_snapshot();
         let snap = dsu.snapshot();
 
-        // Mutate heavily: new links, new elements, a flatten sweep.
+        // Mutate heavily: new links, new elements, compacting finds.
         for i in 0..63 {
             dsu.unite(i, i + 1);
         }
         let extra = dsu.make_set();
         dsu.unite(0, extra);
-        dsu.dsu().flatten();
+        dsu.labels_snapshot();
         assert_eq!(dsu.set_count(), 1);
 
         dsu.rollback(snap);

@@ -12,7 +12,7 @@
 //! # Design: a decorator, not a hook
 //!
 //! [`FaultyStore`] wraps any [`ParentStore`]/[`DsuStore`] layout
-//! (packed/flat/ranked, fixed or growable) and perturbs its primitive
+//! (packed/flat, fixed or growable) and perturbs its primitive
 //! operations according to a seeded [`FaultPlan`]. It is a separate *type*,
 //! not an optional branch in the store hot paths: production
 //! monomorphizations (`Dsu<F, PackedStore>` etc.) never see a fault check,
@@ -71,7 +71,6 @@
 //! "retries anyway" (a genuine progress bug) into a fast panic with a
 //! diagnostic dump instead of a hung CI job.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
@@ -226,7 +225,7 @@ fn spin(hints: u32) {
 /// legality argument per fault kind and the determinism contract.
 ///
 /// Wraps any layout: `FaultyStore<PackedStore>`, `FaultyStore<FlatStore>`,
-/// `FaultyStore<RankedStore>` all implement [`DsuStore`], so
+/// `FaultyStore<EpochStore>` all implement [`DsuStore`], so
 /// `Dsu::from_store(FaultyStore::with_plan(store, plan))` drops chaos under
 /// the full algorithm stack — per-op and batch paths alike — without
 /// touching either.
@@ -371,21 +370,6 @@ impl<S: ParentStore> ParentStore for FaultyStore<S> {
     fn priority(&self, i: usize, w: S::Word) -> u64 {
         self.inner.priority(i, w)
     }
-
-    #[inline(always)]
-    fn rank_of(w: S::Word) -> u64 {
-        S::rank_of(w)
-    }
-
-    #[inline(always)]
-    fn try_bump_rank(&self, i: usize, rank: u64) -> bool {
-        // A spurious bump failure is always legal — callers treat the bump
-        // as best-effort — so route it through the same CAS chaos.
-        if self.inject_cas && self.spurious_cas() {
-            return false;
-        }
-        self.inner.try_bump_rank(i, rank)
-    }
 }
 
 impl<S: DsuStore> DsuStore for FaultyStore<S> {
@@ -405,10 +389,6 @@ impl<S: DsuStore> DsuStore for FaultyStore<S> {
 
     fn snapshot(&self) -> Vec<usize> {
         self.inner.snapshot()
-    }
-
-    fn scan_runs(&self) -> Vec<Range<usize>> {
-        self.inner.scan_runs()
     }
 }
 
@@ -479,16 +459,6 @@ impl<S: ParentStore> ParentStore for BrokenStore<S> {
     fn priority(&self, i: usize, w: S::Word) -> u64 {
         self.inner.priority(i, w)
     }
-
-    #[inline]
-    fn rank_of(w: S::Word) -> u64 {
-        S::rank_of(w)
-    }
-
-    #[inline]
-    fn try_bump_rank(&self, i: usize, rank: u64) -> bool {
-        self.inner.try_bump_rank(i, rank)
-    }
 }
 
 impl<S: DsuStore> DsuStore for BrokenStore<S> {
@@ -508,10 +478,6 @@ impl<S: DsuStore> DsuStore for BrokenStore<S> {
 
     fn snapshot(&self) -> Vec<usize> {
         self.inner.snapshot()
-    }
-
-    fn scan_runs(&self) -> Vec<Range<usize>> {
-        self.inner.scan_runs()
     }
 }
 
@@ -614,6 +580,22 @@ impl StatsSink for RetryBudget {
         self.stats.faults_injected(n);
     }
     #[inline]
+    fn key_inserted(&mut self) {
+        self.stats.key_inserted();
+    }
+    #[inline]
+    fn key_probe_steps(&mut self, n: usize) {
+        self.stats.key_probe_steps(n);
+    }
+    #[inline]
+    fn id_table_resize(&mut self) {
+        self.stats.id_table_resize();
+    }
+    #[inline]
+    fn find_hops(&mut self, n: usize) {
+        self.stats.find_hops(n);
+    }
+    #[inline]
     fn snapshot_taken(&mut self) {
         self.stats.snapshot_taken();
     }
@@ -697,7 +679,7 @@ mod tests {
     use super::*;
     use crate::find::TwoTrySplit;
     use crate::store::{FlatStore, PackedStore};
-    use crate::Dsu;
+    use crate::{Dsu, KeyedDsu};
 
     #[test]
     fn off_plan_injects_nothing() {
@@ -791,6 +773,50 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("panic carries a String");
         assert!(msg.contains("retry budget exceeded"), "{msg}");
         assert!(msg.contains("cas_retries: 4"), "dump must include counters: {msg}");
+    }
+
+    /// Per-op, batch and keyed operations on fixed seeds, one thread,
+    /// reported into `sink`.
+    fn drive<Sk: StatsSink>(sink: &mut Sk) {
+        let n = 1 << 12;
+        let edge = |i: u64| {
+            let h = splitmix64(i);
+            ((h % n as u64) as usize, ((h >> 32) % n as u64) as usize)
+        };
+        let dsu: Dsu = Dsu::with_seed(n, 3);
+        for i in 0..n as u64 {
+            let (x, y) = edge(i);
+            if i % 2 == 0 {
+                dsu.unite_with(x, y, sink);
+            } else {
+                dsu.same_set_with(x, y, sink);
+            }
+        }
+        let edges: Vec<_> = (n as u64..2 * n as u64).map(edge).collect();
+        dsu.unite_batch_with(&edges, sink);
+        let keyed: KeyedDsu<u64> = KeyedDsu::with_seed(5);
+        for k in 0..2_000u64 {
+            keyed.merge_keys_with(&k, &(k / 2), sink);
+        }
+        let pairs: Vec<_> = (0..500u64).map(|k| (k, k + 2_000)).collect();
+        keyed.merge_keys_batch_with(&pairs, sink);
+    }
+
+    #[test]
+    fn retry_budget_forwards_every_counter() {
+        let mut plain = OpStats::default();
+        drive(&mut plain);
+        let mut budget = RetryBudget::new("forwarding", u64::MAX);
+        drive(&mut budget);
+        let forwarded = budget.into_stats();
+        assert!(
+            plain.find_hops > 0
+                && plain.keys_inserted > 0
+                && plain.key_probe_steps > 0
+                && plain.id_table_resizes > 0,
+            "the drive must reach every op-path counter: {plain:?}"
+        );
+        assert_eq!(forwarded, plain);
     }
 
     #[test]

@@ -530,7 +530,7 @@ mod tests {
         Compress::find(&store, 1, &mut s);
         assert_eq!(s.find_hops, 0);
         assert_eq!(s.finds, 5);
-        // Depth-1 finds are exactly one hop — the post-flatten shape.
+        // Depth-1 finds are exactly one hop.
         let store = path_store(2);
         let mut s = crate::OpStats::default();
         NoCompaction::find(&store, 0, &mut s);

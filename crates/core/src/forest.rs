@@ -26,17 +26,14 @@
 //! `Unite`'s blind [`cas_parent`](ParentStore::cas_parent) (which the
 //! decorator leaves at the trait default, so it reaches `cas_from` here
 //! even on layouts that override it), and the batch waves' seeded CASes.
-//! Compaction never CASes a root word: splitting, halving, compression,
-//! the batch climb and the flatten sweep only retarget nodes that already
-//! have a parent. Rank bumps go through
-//! [`try_bump_rank`](ParentStore::try_bump_rank), which keeps the parent.
-//! Neither is recorded.
+//! Compaction never CASes a root word: splitting, halving, compression
+//! and the batch climb only retarget nodes that already have a parent, so
+//! compaction is not recorded.
 //!
 //! A root that is linked never becomes a root again, so each forest cell
 //! is written at most once, by the thread whose CAS linked it. A relaxed
 //! store suffices: the forest is read only at quiescence.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::store::{DsuStore, ParentStore};
@@ -117,16 +114,6 @@ impl<S: ParentStore> ParentStore for UnionForest<S> {
     fn precedes(&self, u: usize, v: usize) -> bool {
         self.inner.precedes(u, v)
     }
-
-    #[inline(always)]
-    fn rank_of(w: S::Word) -> u64 {
-        S::rank_of(w)
-    }
-
-    #[inline(always)]
-    fn try_bump_rank(&self, i: usize, rank: u64) -> bool {
-        self.inner.try_bump_rank(i, rank)
-    }
 }
 
 impl<S: DsuStore> DsuStore for UnionForest<S> {
@@ -147,14 +134,10 @@ impl<S: DsuStore> DsuStore for UnionForest<S> {
     fn snapshot(&self) -> Vec<usize> {
         self.inner.snapshot()
     }
-
-    fn scan_runs(&self) -> Vec<Range<usize>> {
-        self.inner.scan_runs()
-    }
 }
 
 /// Height (max arc count root-to-leaf) of a self-loop-rooted parent forest.
-pub(crate) fn forest_height(parent: &[usize]) -> usize {
+fn forest_height(parent: &[usize]) -> usize {
     let mut depth = vec![usize::MAX; parent.len()];
     let mut tallest = 0;
     for start in 0..parent.len() {
@@ -182,7 +165,7 @@ pub(crate) fn forest_height(parent: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{FlatStore, PackedStore, RankedStore};
+    use crate::store::{FlatStore, PackedStore};
 
     #[test]
     fn forest_height_helper() {
@@ -209,15 +192,6 @@ mod tests {
     fn records_links_but_not_compaction_on_every_layout() {
         records_links_not_compaction::<PackedStore>();
         records_links_not_compaction::<FlatStore>();
-        records_links_not_compaction::<RankedStore>();
-    }
-
-    #[test]
-    fn rank_bumps_are_not_links() {
-        let s = UnionForest::new(RankedStore::with_seed(2, 0));
-        assert!(s.try_bump_rank(0, 0));
-        assert_eq!(s.forest(), vec![0, 1]);
-        assert_eq!(s.inner.rank(0), 1);
     }
 
     #[test]

@@ -58,6 +58,11 @@
 //! the variant paper Section 6 conjectures about, implemented here as the
 //! future-work item.
 //!
+//! The third type parameter is the [`LinkPolicy`]: [`RandomLink`], the
+//! paper's randomized linking and the default, or [`IndexLink`]. Both keys
+//! are immutable, so a link stays one CAS with no rank or size word to
+//! maintain (see the [`order`] module).
+//!
 //! # Early termination
 //!
 //! [`Dsu::same_set_early`] and [`Dsu::unite_early`] implement the Section 6
@@ -166,7 +171,6 @@ pub mod bulk;
 pub mod epoch;
 pub mod fault;
 pub mod find;
-pub mod flatten;
 pub mod forest;
 pub mod keyed;
 pub mod ops;
@@ -186,9 +190,9 @@ pub use fault::{BrokenStore, FaultPlan, FaultReport, FaultyStore, RetryBudget, T
 pub use find::{Compress, FindPolicy, Halving, NoCompaction, OneTrySplit, TwoTrySplit};
 pub use forest::UnionForest;
 pub use keyed::KeyedDsu;
-pub use order::{IndexLink, LinkPolicy, RandomLink, RankLink};
+pub use order::{IndexLink, LinkPolicy, RandomLink};
 pub use stats::{OpStats, StatsSink};
-pub use store::{DsuStore, FlatStore, GrowableStore, PackedStore, ParentStore, RankedStore};
+pub use store::{DsuStore, FlatStore, GrowableStore, PackedStore, ParentStore};
 pub use tune::TunedDsu;
 
 /// The storage layout [`Dsu`] defaults to, selected at compile time by the

@@ -86,14 +86,12 @@ where
         // keys come from the words the finds already loaded (free in the
         // packed layout; under the paper's `RandomLink` this is exactly
         // the store's random order). The CAS expects the exact word the
-        // key was computed from, so it fails iff the candidate stopped
-        // being a root — or, under rank linking, changed rank — since the
-        // comparison, in which case we re-find and retry.
+        // finds observed, so it fails iff the candidate stopped being a
+        // root since then, in which case we re-find and retry.
         if L::key(store, u, wu) < L::key(store, v, wv) {
             if store.cas_from(u, wu, v) {
                 stats.link_ok();
                 record_link(u, v);
-                L::on_linked(store, wu, v);
                 return true;
             }
             stats.link_fail();
@@ -101,7 +99,6 @@ where
             if store.cas_from(v, wv, u) {
                 stats.link_ok();
                 record_link(v, u);
-                L::on_linked(store, wv, u);
                 return true;
             }
             stats.link_fail();
@@ -119,10 +116,8 @@ where
 /// listing; one-try executes the body once; no-compaction just walks).
 ///
 /// The early-termination argument compares nodes *before* loading the
-/// words it acts on, which is only sound when linking keys are immutable;
-/// under a mutable-key policy ([`LinkPolicy::MUTABLE_KEYS`], i.e. rank
-/// linking) this falls back to the standard [`same_set`] — a compile-time
-/// branch, free for the immutable policies.
+/// words it acts on, which is sound because every [`LinkPolicy`]'s keys
+/// are immutable.
 pub fn same_set_early<F, L, P, S>(store: &P, x: usize, y: usize, stats: &mut S) -> bool
 where
     F: FindPolicy,
@@ -130,9 +125,6 @@ where
     P: ParentStore + ?Sized,
     S: StatsSink,
 {
-    if L::MUTABLE_KEYS {
-        return same_set::<F, P, S>(store, x, y, stats);
-    }
     stats.op_start();
     let mut u = x;
     let mut v = y;
@@ -159,8 +151,7 @@ where
 /// Like [`same_set_early`], but when the smaller current node turns out to
 /// be a root it is immediately linked under the other current node (which
 /// need not be a root — linking under any larger-key node preserves every
-/// invariant). Falls back to the standard [`unite`] under a mutable-key
-/// policy, for the reason documented on [`same_set_early`].
+/// invariant).
 pub fn unite_early<F, L, P, S>(
     store: &P,
     x: usize,
@@ -174,9 +165,6 @@ where
     P: ParentStore + ?Sized,
     S: StatsSink,
 {
-    if L::MUTABLE_KEYS {
-        return unite::<F, L, P, S>(store, x, y, stats, record_link);
-    }
     stats.op_start();
     let mut u = x;
     let mut v = y;
@@ -201,8 +189,8 @@ where
 mod tests {
     use super::*;
     use crate::find::{Halving, NoCompaction, OneTrySplit, TwoTrySplit};
-    use crate::order::{hashed_id, IndexLink, RandomLink, RankLink};
-    use crate::store::{FlatStore, RankedStore};
+    use crate::order::{hashed_id, IndexLink, RandomLink};
+    use crate::store::FlatStore;
 
     /// The store under test plus the `(id, index)` key its seed defines,
     /// computed independently of the store for the assertions.
@@ -338,55 +326,5 @@ mod tests {
             assert!(c < p);
         }));
         assert!(same_set_early::<TwoTrySplit, IndexLink, _, _>(&store2, 1, 6, &mut ()));
-    }
-
-    #[test]
-    fn rank_linking_bumps_ties_and_bounds_height() {
-        // A union chain on the ranked layout: rank linking must produce a
-        // forest whose observed (rank, index) keys strictly increase along
-        // parent paths, and at least one tie bump must have fired.
-        let store = RankedStore::with_seed(64, 7);
-        for i in 0..63 {
-            unite::<TwoTrySplit, RankLink, _, _>(&store, i, i + 1, &mut (), |_, _| {});
-        }
-        let mut bumped = false;
-        for x in 0..64usize {
-            let wx = store.load_word(x);
-            let p = RankedStore::parent_of(wx);
-            bumped |= RankedStore::rank_of(store.load_word(x)) > 0;
-            if p != x {
-                let wp = store.load_word(p);
-                assert!(
-                    (RankedStore::rank_of(wx), x) < (RankedStore::rank_of(wp), p),
-                    "observed rank keys must increase along paths"
-                );
-            }
-        }
-        assert!(bumped, "63 sequential unites must bump at least one rank");
-        assert!(same_set::<TwoTrySplit, _, _>(&store, 0, 63, &mut ()));
-    }
-
-    #[test]
-    fn rank_linking_on_rankless_layouts_degenerates_to_index() {
-        // FlatStore's words carry no rank, so RankLink's keys all tie and
-        // the index tie-break decides: same links as IndexLink.
-        let (store, _key) = fixture(32, 13);
-        for i in 0..31 {
-            unite::<TwoTrySplit, RankLink, _, _>(&store, i, i + 1, &mut (), |c, p| {
-                assert!(c < p, "rank-less rank linking must fall back to index order");
-            });
-        }
-    }
-
-    #[test]
-    fn mutable_key_early_ops_fall_back_to_standard() {
-        // Under RankLink the early entry points must behave exactly like
-        // the standard ops (same verdicts, same counters shape).
-        let store = RankedStore::with_seed(16, 3);
-        let mut stats = crate::OpStats::default();
-        assert!(unite_early::<TwoTrySplit, RankLink, _, _>(&store, 0, 1, &mut stats, |_, _| {}));
-        assert_eq!(stats.finds, 2, "fallback runs the standard two-find unite");
-        assert!(same_set_early::<TwoTrySplit, RankLink, _, _>(&store, 0, 1, &mut stats));
-        assert!(!same_set_early::<TwoTrySplit, RankLink, _, _>(&store, 0, 15, &mut stats));
     }
 }

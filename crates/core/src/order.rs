@@ -9,25 +9,22 @@
 //! The paper's choice is one point on a design axis. "In Search of the
 //! Fastest Concurrent Union-Find Algorithm" (Alistarh, Fedorov & Koval;
 //! arXiv 1911.06347, journal version 2003.01203) shows the winner shifts
-//! with workload shape and adds two more linking rules: *index* linking
-//! (link the smaller array index under the larger — no ids at all, zero
-//! extra loads) and *rank* linking (union by rank with a CAS-bumped rank
-//! word). [`LinkPolicy`] abstracts the rule; the three implementations are
-//! [`RandomLink`] (the paper default), [`IndexLink`], and [`RankLink`].
+//! with workload shape and adds *index* linking (link the smaller array
+//! index under the larger — no ids at all, zero extra loads).
+//! [`LinkPolicy`] abstracts the rule; the implementations are
+//! [`RandomLink`] (the paper default) and [`IndexLink`]. The same paper's
+//! union by rank is not implemented: it puts a mutable rank word back
+//! beside the parent, and in `variants_ab` it never beat these two outside
+//! the noise band (`docs/benchmarks.md`).
 //!
 //! ### What keeps every policy acyclic
 //!
 //! Lemma 3.1's argument needs exactly one structural property: each link
 //! replaces a root's self-pointer by a node that is **strictly larger in
-//! the policy's key order at link time**, and a node's key is *frozen from
-//! the moment it stops being a root*. Random ids and indices are immutable
-//! outright; ranks are mutable, but [`RankLink`] computes the child's key
-//! from the very word the link CAS expects (so a concurrent rank bump
-//! fails the CAS rather than corrupting the comparison) and rank bumps are
-//! root-only CASes that strictly increase the rank. Along any parent path
-//! the observed keys are therefore strictly increasing for every policy,
-//! which is the invariant the find loops, the batch linker, and the
-//! early-termination arguments all rest on.
+//! the policy's key order**. Random ids and indices are immutable, so
+//! along any parent path the keys are strictly increasing for every
+//! policy, which is the invariant the find loops, the batch linker, and
+//! the early-termination arguments all rest on.
 
 use crate::store::ParentStore;
 
@@ -67,40 +64,23 @@ mod sealed {
 ///
 /// Every policy is a total order on elements expressed as a `(u64, usize)`
 /// key with the element index as the tie-break; the root with the
-/// **smaller key loses** (is linked under the other). The operations
-/// compute the child's key from the exact word the link CAS expects, so
-/// the comparison and the link are one atomic observation.
+/// **smaller key loses** (is linked under the other). Keys are immutable,
+/// so the operations may compare them before loading the words they CAS.
 ///
 /// This trait is **sealed**: the implementations are [`RandomLink`] (the
-/// paper's randomized linking), [`IndexLink`], and [`RankLink`].
+/// paper's randomized linking) and [`IndexLink`].
 pub trait LinkPolicy: sealed::Sealed + Send + Sync + 'static {
     /// Short name used in experiment tables (e.g. `"random"`).
     const NAME: &'static str;
 
-    /// `true` when keys can change while a node is a root (rank linking).
-    /// Mutable keys invalidate the Section 6 early-termination arguments
-    /// (which compare keys *before* loading the word they would CAS), so
-    /// the early operations fall back to the standard ones when this is
-    /// set — a compile-time branch, free for the immutable policies.
-    const MUTABLE_KEYS: bool = false;
-
     /// The linking key of root `u` observed as word `wu`. Smaller key
-    /// loses. The caller must CAS against the same `wu` it passed here:
-    /// that word-exactness is what freezes a mutable key at link time.
+    /// loses.
     fn key<P: ParentStore + ?Sized>(store: &P, u: usize, wu: P::Word) -> (u64, usize);
 
     /// Whether `u` precedes `v` in this policy's order, loading fresh
     /// words as needed. Used by the early-termination operations, which
-    /// compare nodes they have not loaded yet — immutable-key policies
-    /// only (see [`MUTABLE_KEYS`](LinkPolicy::MUTABLE_KEYS)).
+    /// compare nodes they have not loaded yet.
     fn precedes<P: ParentStore + ?Sized>(store: &P, u: usize, v: usize) -> bool;
-
-    /// Called after a successful link CAS with the child's observed word
-    /// and the new parent. [`RankLink`] uses it to bump the parent's rank
-    /// on a tie (best-effort, root-only); the immutable policies do
-    /// nothing.
-    #[inline]
-    fn on_linked<P: ParentStore + ?Sized>(_store: &P, _wchild: P::Word, _parent: usize) {}
 }
 
 /// The paper's randomized linking: keys are the store's immutable random
@@ -122,7 +102,7 @@ impl LinkPolicy for RandomLink {
     #[inline]
     fn precedes<P: ParentStore + ?Sized>(store: &P, u: usize, v: usize) -> bool {
         // Route through the store so layouts whose words carry no id (the
-        // flat and ranked layouts hash the index) can skip the word loads.
+        // flat layout hashes the index) can skip the word loads.
         store.precedes(u, v)
     }
 }
@@ -148,46 +128,6 @@ impl LinkPolicy for IndexLink {
     #[inline]
     fn precedes<P: ParentStore + ?Sized>(_store: &P, u: usize, v: usize) -> bool {
         u < v
-    }
-}
-
-/// Union by rank, concurrent: keys are `(rank, index)` where the rank
-/// lives in the parent word of a rank-carrying layout
-/// ([`RankedStore`](crate::RankedStore)); after linking two roots of equal
-/// rank the winner's rank is bumped by a best-effort root-only CAS
-/// ([`ParentStore::try_bump_rank`]).
-///
-/// On layouts whose words carry no rank ([`ParentStore::rank_of`] is the
-/// defaulted constant 0) every comparison ties and this degenerates to
-/// [`IndexLink`] — intentional, so the policy is instantiable everywhere
-/// and the rank effect is isolated to the `ranked` store in experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RankLink;
-
-impl sealed::Sealed for RankLink {}
-
-impl LinkPolicy for RankLink {
-    const NAME: &'static str = "rank";
-    const MUTABLE_KEYS: bool = true;
-
-    #[inline]
-    fn key<P: ParentStore + ?Sized>(_store: &P, u: usize, wu: P::Word) -> (u64, usize) {
-        (P::rank_of(wu), u)
-    }
-
-    #[inline]
-    fn precedes<P: ParentStore + ?Sized>(store: &P, u: usize, v: usize) -> bool {
-        let (wu, wv) = (store.load_word(u), store.load_word(v));
-        (P::rank_of(wu), u) < (P::rank_of(wv), v)
-    }
-
-    #[inline]
-    fn on_linked<P: ParentStore + ?Sized>(store: &P, wchild: P::Word, parent: usize) {
-        // Union-by-rank's tie bump. The child's rank is frozen (it just
-        // stopped being a root), so "tie" means the parent still has
-        // exactly this rank; `try_bump_rank` re-checks root-ness and the
-        // rank under CAS, so a lost race is simply a skipped bump.
-        store.try_bump_rank(parent, P::rank_of(wchild));
     }
 }
 
@@ -222,7 +162,6 @@ mod tests {
     fn every_fixed_store_orders_by_id_then_index() {
         check_total_order(&crate::PackedStore::with_seed(12, 42), 12);
         check_total_order(&crate::FlatStore::with_seed(12, 42), 12);
-        check_total_order(&crate::RankedStore::with_seed(12, 42), 12);
     }
 
     #[test]
@@ -255,17 +194,15 @@ mod tests {
     #[test]
     fn colliding_ids_are_ordered_and_linked_by_index() {
         use crate::{Dsu, DsuStore, EpochStore, FlatStore, GrowableDsu};
-        use crate::{PackedStore, RankedStore, TwoTrySplit};
+        use crate::{PackedStore, TwoTrySplit};
         const SEED: u64 = 2016;
         let n = 1 << 18;
         let packed = PackedStore::with_seed(n, SEED);
         let flat = FlatStore::with_seed(n, SEED);
-        let ranked = RankedStore::with_seed(n, SEED);
         let epoch = <EpochStore as DsuStore>::with_seed(n, SEED);
         for (lo, hi) in colliding_pairs(SEED) {
             orders_by_index("packed", &packed, lo, hi);
             orders_by_index("flat", &flat, lo, hi);
-            orders_by_index("ranked", &ranked, lo, hi);
             orders_by_index("epoch", &epoch, lo, hi);
         }
         let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, SEED);

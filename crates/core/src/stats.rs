@@ -11,7 +11,9 @@
 /// Receives fine-grained work events from the union-find operations.
 ///
 /// Methods are `&mut self`: a sink belongs to one thread. The unit type `()`
-/// implements the trait as a zero-cost no-op.
+/// implements the trait as a zero-cost no-op. No method has a default, so
+/// a sink that wraps another (like [`RetryBudget`](crate::RetryBudget))
+/// cannot silently drop an event by forgetting to forward it.
 pub trait StatsSink {
     /// A find-loop iteration started (the unit of "cost" in Theorem 5.1's
     /// accounting: one iteration = one grandparent probe, possibly with
@@ -20,11 +22,7 @@ pub trait StatsSink {
     /// A shared parent pointer was read.
     fn read(&mut self);
     /// `n` shared parent pointers were read at once (a batch gather wave).
-    fn reads(&mut self, n: usize) {
-        for _ in 0..n {
-            self.read();
-        }
-    }
+    fn reads(&mut self, n: usize);
     /// A CAS on a parent pointer succeeded during path compaction.
     fn compact_cas_ok(&mut self);
     /// A CAS on a parent pointer failed during path compaction (the work
@@ -46,51 +44,39 @@ pub trait StatsSink {
     /// retry-budget watchdogs ([`RetryBudget`](crate::RetryBudget)) can
     /// bound *progress*, and so fault-attribution reports can compare
     /// retries against injected faults.
-    fn cas_retry(&mut self) {}
+    fn cas_retry(&mut self);
     /// A fault-injection layer ([`FaultyStore`](crate::FaultyStore))
     /// reports `n` injected faults (spurious CAS failures, delayed loads,
     /// stall windows). Fed from
     /// [`fault_report`](crate::FaultyStore::fault_report) totals by
     /// harness code at quiescence — the store itself never sees a sink.
     /// Exactly zero on unfaulted runs.
-    fn faults_injected(&mut self, _n: usize) {}
+    fn faults_injected(&mut self, n: usize);
     /// A [`KeyedDsu`](crate::KeyedDsu) insert claimed a slot and allocated
     /// a fresh dense id for a previously unseen key (the losing side of a
     /// same-key race does *not* report this — exactly one per distinct
     /// key ever).
-    fn key_inserted(&mut self) {}
+    fn key_inserted(&mut self);
     /// A keyed resolution (insert or lookup) examined `n` id-table probe
     /// groups (one cache line of 8 words each) before finding its key,
     /// claiming a word, or concluding a miss — the keyed layer's analogue
     /// of find-loop iterations.
-    fn key_probe_steps(&mut self, _n: usize) {}
+    fn key_probe_steps(&mut self, n: usize);
     /// A [`KeyedDsu`](crate::KeyedDsu) installed a doubled table because
     /// its keys passed 7/8 of its newest one — the keyed id table's growth
     /// event (entries then migrate into it in chunks; the first table is
     /// not counted).
-    fn id_table_resize(&mut self) {}
+    fn id_table_resize(&mut self);
     /// A `find` traversal reached its root after `n` parent hops (`n = 0`
-    /// when the start node was already a root). This is the *path length*
-    /// the flatten pass exists to drive toward ≤ 1 — the loads behind the
-    /// hops are already counted by [`read`](StatsSink::read), so this is
-    /// attribution, not extra access accounting.
-    fn find_hops(&mut self, _n: usize) {}
-    /// A flatten sweep over the whole store completed (see
-    /// [`flatten`](crate::flatten)).
-    fn flatten_pass(&mut self) {}
-    /// A flatten sweep's pointer-jump CAS succeeded: one element's parent
-    /// moved to its observed grandparent (or further, on retries). The CAS
-    /// itself is counted by [`compact_cas_ok`](StatsSink::compact_cas_ok).
-    fn flatten_jump(&mut self) {}
-    /// A flatten sweep's pointer-jump CAS lost a race with a concurrent
-    /// unite or compaction (the word changed under it). Harmless — the
-    /// sweep re-reads and retries. The CAS is counted by
-    /// [`compact_cas_fail`](StatsSink::compact_cas_fail).
-    fn flatten_cas_lost(&mut self) {}
+    /// when the start node was already a root): the *path length* the
+    /// work bounds charge. The loads behind the hops are already counted
+    /// by [`read`](StatsSink::read), so this is attribution, not extra
+    /// access accounting.
+    fn find_hops(&mut self, n: usize);
     /// A [`VersionedDsu`](crate::VersionedDsu) recorded an O(1) snapshot
     /// (an epoch boundary: segment pointers cloned, the epoch counter
     /// bumped — no cells copied). Exactly zero on unversioned runs.
-    fn snapshot_taken(&mut self) {}
+    fn snapshot_taken(&mut self);
     /// An [`EpochStore`](crate::EpochStore) copy-on-wrote one segment: the
     /// first mutation after a snapshot displaced the shared segment node
     /// with a private copy. Fed from
@@ -99,14 +85,14 @@ pub trait StatsSink {
     /// unversioned runs.
     ///
     /// [`faults_injected`]: StatsSink::faults_injected
-    fn segments_forked(&mut self, _n: usize) {}
+    fn segments_forked(&mut self, n: usize);
     /// A [`VersionedDsu`](crate::VersionedDsu) rolled the forest back to a
     /// recorded snapshot. Exactly zero on unversioned runs.
-    fn rollback_done(&mut self) {}
+    fn rollback_done(&mut self);
     /// Segment forks copied `n` cells (the actual CoW byte traffic behind
     /// [`segments_forked`](StatsSink::segments_forked); fed from the same
     /// quiescent report). Exactly zero on unversioned runs.
-    fn cow_copies(&mut self, _n: usize) {}
+    fn cow_copies(&mut self, n: usize);
 }
 
 impl StatsSink for () {
@@ -140,12 +126,6 @@ impl StatsSink for () {
     fn id_table_resize(&mut self) {}
     #[inline(always)]
     fn find_hops(&mut self, _n: usize) {}
-    #[inline(always)]
-    fn flatten_pass(&mut self) {}
-    #[inline(always)]
-    fn flatten_jump(&mut self) {}
-    #[inline(always)]
-    fn flatten_cas_lost(&mut self) {}
     #[inline(always)]
     fn snapshot_taken(&mut self) {}
     #[inline(always)]
@@ -208,16 +188,8 @@ pub struct OpStats {
     pub id_table_resizes: u64,
     /// Parent hops summed over all `find` traversals (path length; the
     /// hops' loads are already in `reads`). `find_hops / finds` is the mean
-    /// observed tree depth — the quantity a flatten pass drives toward ≤ 1.
+    /// observed tree depth.
     pub find_hops: u64,
-    /// Completed flatten sweeps over the whole store.
-    pub flatten_passes: u64,
-    /// Successful pointer-jump CASes performed by flatten sweeps (each also
-    /// counted in `compact_cas_ok`).
-    pub flatten_jumps: u64,
-    /// Flatten pointer-jump CASes lost to concurrent mutators (each also
-    /// counted in `compact_cas_fail`).
-    pub flatten_cas_lost: u64,
     /// O(1) snapshots recorded by versioned structures (epoch boundaries;
     /// no cells copied at snapshot time). Exactly zero on unversioned runs.
     pub snapshots_taken: u64,
@@ -261,9 +233,6 @@ impl OpStats {
         self.key_probe_steps += other.key_probe_steps;
         self.id_table_resizes += other.id_table_resizes;
         self.find_hops += other.find_hops;
-        self.flatten_passes += other.flatten_passes;
-        self.flatten_jumps += other.flatten_jumps;
-        self.flatten_cas_lost += other.flatten_cas_lost;
         self.snapshots_taken += other.snapshots_taken;
         self.segments_forked += other.segments_forked;
         self.rollbacks += other.rollbacks;
@@ -342,18 +311,6 @@ impl StatsSink for OpStats {
     #[inline]
     fn find_hops(&mut self, n: usize) {
         self.find_hops += n as u64;
-    }
-    #[inline]
-    fn flatten_pass(&mut self) {
-        self.flatten_passes += 1;
-    }
-    #[inline]
-    fn flatten_jump(&mut self) {
-        self.flatten_jumps += 1;
-    }
-    #[inline]
-    fn flatten_cas_lost(&mut self) {
-        self.flatten_cas_lost += 1;
     }
     #[inline]
     fn snapshot_taken(&mut self) {
@@ -455,38 +412,24 @@ mod tests {
     }
 
     #[test]
-    fn flatten_counters_count_and_merge() {
+    fn find_hops_count_and_merge() {
         let mut a = OpStats::default();
         a.find_start();
         a.find_start();
         a.find_hops(3);
         a.find_hops(0);
-        a.flatten_pass();
-        a.flatten_jump();
-        a.flatten_jump();
-        a.flatten_cas_lost();
-        assert_eq!(
-            (a.find_hops, a.flatten_passes, a.flatten_jumps, a.flatten_cas_lost),
-            (3, 1, 2, 1)
-        );
+        assert_eq!(a.find_hops, 3);
         assert!((a.hops_per_find() - 1.5).abs() < 1e-12);
-        // Hops and flatten tallies are attribution bookkeeping; the loads
-        // and CASes they describe are already counted by read /
-        // compact_cas_ok / compact_cas_fail.
+        // Hops are attribution bookkeeping; the loads they describe are
+        // already counted by read.
         assert_eq!(a.memory_accesses(), 0);
         let mut b = OpStats::default();
-        b.flatten_cas_lost();
+        b.find_hops(2);
         b.merge(&a);
-        assert_eq!(
-            (b.find_hops, b.flatten_passes, b.flatten_jumps, b.flatten_cas_lost),
-            (3, 1, 2, 2)
-        );
-        // The unit sink accepts the new events too.
+        assert_eq!(b.find_hops, 5);
+        // The unit sink accepts the event too.
         let mut unit = ();
         unit.find_hops(1);
-        unit.flatten_pass();
-        unit.flatten_jump();
-        unit.flatten_cas_lost();
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! `n > 2^32` fallback, and the baseline the packed layouts are
 //! benchmarked against.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::order::hashed_id;
@@ -122,9 +121,6 @@ impl DsuStore for FlatStore {
 
     fn snapshot(&self) -> Vec<usize> {
         FlatStore::snapshot(self)
-    }
-    fn scan_runs(&self) -> Vec<Range<usize>> {
-        std::iter::once(0..self.len()).collect()
     }
 }
 

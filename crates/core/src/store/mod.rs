@@ -1,4 +1,4 @@
-//! Parent-pointer storage: the packed, flat, and ranked layouts, and the
+//! Parent-pointer storage: the packed and flat layouts, and the
 //! memory-ordering contract of the hot path.
 //!
 //! # Why storage is a type parameter
@@ -13,7 +13,7 @@
 //!
 //! # Layout-selection guide
 //!
-//! Three general-purpose layouts implement [`DsuStore`]. Every layout
+//! Three layouts implement [`DsuStore`]. Every layout
 //! derives element `i`'s id as
 //! [`hashed_id(i, seed)`](crate::order::hashed_id) and orders elements by
 //! the `(id, index)` key, so for a given seed they all make identical
@@ -27,10 +27,6 @@
 //! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | a fixed universe that fits the bound — the all-round fastest |
 //! | [`FlatStore`] | bare `AtomicUsize` parent; ids hashed from the index on demand | 8 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
 //! | [`EpochStore`](crate::EpochStore) | the packed word, in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only [`GrowableStore`] |
-//!
-//! [`RankedStore`] is a fourth layout, for the rank-linking ablation only:
-//! it packs a union-by-rank rank into the word (see
-//! [`RankLink`](crate::RankLink)).
 //!
 //! **Packed vs flat.** Both are one 8-byte word per element. A find on the
 //! packed layout reads the parent *and* the linking priority in one load;
@@ -110,26 +106,6 @@
 //! predictable branch per CAS. Bare layouts compile with no recording
 //! code at all.
 //!
-//! **Scans.** Maintenance passes (the [`flatten`](crate::flatten) sweep)
-//! iterate the parent words in *store order* — the order the bytes sit in
-//! memory — as index ranges a sweep streams through at hardware-prefetch
-//! speed:
-//!
-//! * [`PackedStore`], [`FlatStore`], [`RankedStore`]:
-//!   one contiguous range covering `0..n` — the ideal scan surface.
-//! * [`EpochStore`](crate::EpochStore): one range per *allocated*
-//!   segment, skipping directory holes — a concurrently
-//!   reserved-but-uninitialized index is a root-shaped singleton no sweep
-//!   needs to visit.
-//!
-//! Every layout and decorator reports its runs through
-//! [`DsuStore::scan_runs`], which has no default, so a decorator cannot
-//! silently fall back to `0..len` over a growable layout.
-//!
-//! Scans only ever *read* words and retarget them with
-//! [`ParentStore::cas_from`], so they obey the same ordering contract as
-//! finds and are safe concurrently with unites.
-//!
 //! **Versioning.** [`EpochStore`](crate::EpochStore)'s segments are
 //! epoch-stamped and fork copy-on-write, so when the workload needs O(1)
 //! snapshots, rollback, or speculative all-or-nothing batches, wrap a
@@ -176,17 +152,14 @@
 //! and `tests/packed_vs_flat.rs` cross-checks all layouts operation by
 //! operation.
 
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 mod flat;
 mod packed;
-mod ranked;
 
 pub use flat::FlatStore;
 pub use packed::PackedStore;
 pub(crate) use packed::{pack_word, packed_id, packed_parent, packed_with_parent};
-pub use ranked::RankedStore;
 
 /// Ordering of every traversal load of a parent word: `Acquire`, so a read
 /// of a parent installed by a `Release` CAS also sees the writes that
@@ -294,32 +267,6 @@ pub trait ParentStore: Send + Sync {
     fn precedes(&self, u: usize, v: usize) -> bool {
         (self.priority(u, self.load_word(u)), u) < (self.priority(v, self.load_word(v)), v)
     }
-
-    /// The union-by-rank rank carried by a word, consulted only by the
-    /// [`RankLink`](crate::RankLink) policy. Layouts whose words carry no
-    /// rank return the defaulted constant 0, which makes rank linking
-    /// degenerate to index linking on them; [`RankedStore`] packs the rank
-    /// into the word so the rank travels with the parent under the same
-    /// word-exact CAS.
-    #[inline]
-    fn rank_of(_w: Self::Word) -> u64 {
-        0
-    }
-
-    /// Best-effort union-by-rank tie bump: if `i` is *still a root* whose
-    /// word carries exactly `rank`, CAS the word to the same parent with
-    /// rank `rank + 1`; `true` on success. Losing any of those checks (the
-    /// node was linked meanwhile, or another bump got there first) simply
-    /// skips the bump — rank is a balance heuristic, never a correctness
-    /// input, so a missed bump costs at most tree height. The root-only
-    /// restriction is load-bearing for the *observers*, though: it is what
-    /// freezes every non-root's key, keeping observed keys strictly
-    /// increasing along parent paths (see [`LinkPolicy`](crate::LinkPolicy)).
-    /// Defaulted to a no-op `false` for rank-less layouts.
-    #[inline]
-    fn try_bump_rank(&self, _i: usize, _rank: u64) -> bool {
-        false
-    }
 }
 
 /// A [`ParentStore`] bundled with its elements' random ids and their
@@ -354,19 +301,6 @@ pub trait DsuStore: ParentStore {
     /// A non-atomic snapshot of all parents. Only meaningful at quiescence;
     /// used by tests and offline analysis.
     fn snapshot(&self) -> Vec<usize>;
-
-    /// Index ranges covering the *initialized* cells among `0..len`, in
-    /// store order — the scan surface the [`flatten`](crate::flatten)
-    /// sweep walks. Fixed layouts return `[0..len]`.
-    ///
-    /// A growable layout must skip unallocated segments: a concurrent
-    /// `make_set` may have reserved an index it is still initializing, so
-    /// a sweep must never assume every index below a `len()` snapshot is
-    /// backed yet. It may include allocated cells at or above `len` —
-    /// those are untouched singletons, and flattening a singleton is a
-    /// no-op. There is deliberately no default: a decorator must forward
-    /// the call, or it would walk a growable layout's holes.
-    fn scan_runs(&self) -> Vec<Range<usize>>;
 }
 
 /// A [`DsuStore`] whose universe grows one element at a time — what

@@ -19,7 +19,6 @@
 //! words from any read of the cell, and the id bits can be read at any
 //! ordering.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::order::hashed_id;
@@ -139,9 +138,6 @@ impl DsuStore for PackedStore {
 
     fn snapshot(&self) -> Vec<usize> {
         self.words.iter().map(|w| packed_parent(w.load(Ordering::Relaxed))).collect()
-    }
-    fn scan_runs(&self) -> Vec<Range<usize>> {
-        std::iter::once(0..self.len()).collect()
     }
 }
 

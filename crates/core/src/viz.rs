@@ -109,7 +109,7 @@ fn emit_children(
 
 /// [`to_ascii`] plus a trailing [`DepthHistogram::summary`] line — the
 /// forest dump to reach for when tree *shape* (not just membership) is the
-/// question, e.g. before/after a [`flatten`](crate::flatten) sweep.
+/// question, e.g. before/after a storm of compacting finds.
 ///
 /// # Panics
 ///
@@ -120,8 +120,8 @@ pub fn forest_report(parent: &[usize]) -> String {
 }
 
 /// Depth distribution of a parent forest: how far each node sits from its
-/// root, as a histogram plus max/mean — the shape summary a maintenance
-/// pass (see [`flatten`](crate::flatten)) is judged by.
+/// root, as a histogram plus max/mean — the shape summary path compaction
+/// is judged by.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthHistogram {
     /// `buckets[d]` = number of nodes at depth exactly `d` (roots are
@@ -134,8 +134,8 @@ pub struct DepthHistogram {
 }
 
 impl DepthHistogram {
-    /// Number of nodes deeper than 1 — exactly zero after a quiesced
-    /// flatten sweep.
+    /// Number of nodes deeper than 1 — exactly zero when every node is a
+    /// root or a root's child.
     pub fn nodes_deeper_than_one(&self) -> usize {
         self.buckets.iter().skip(2).sum()
     }
@@ -265,19 +265,16 @@ mod tests {
     }
 
     #[test]
-    fn flattened_forest_has_zero_deep_nodes() {
-        // The satellite contract: after a quiesced flatten, the histogram
-        // reports *exactly zero* nodes deeper than 1.
-        let dsu: crate::Dsu = crate::Dsu::new(64);
-        for i in 1..64 {
-            dsu.unite(0, i);
-        }
-        dsu.flatten();
-        let h = depth_histogram(&dsu.parents_snapshot());
+    fn depth_one_forest_has_zero_deep_nodes() {
+        // Every node a root or a root's child: two stars and a singleton.
+        // The histogram must report *exactly zero* nodes deeper than 1.
+        let parent: Vec<usize> = (0..64).map(|i| if i == 63 { 63 } else { i % 2 }).collect();
+        let h = depth_histogram(&parent);
         assert_eq!(h.nodes_deeper_than_one(), 0, "{}", h.summary());
-        assert!(h.max <= 1);
-        let report = forest_report(&dsu.parents_snapshot());
+        assert_eq!((h.max, h.buckets.clone()), (1, vec![3, 61]));
+        let report = forest_report(&parent);
         assert!(report.trim_end().ends_with(&h.summary()), "{report}");
+        assert_eq!(report.lines().count(), 64 + 1, "one line per node plus the summary");
     }
 
     #[test]

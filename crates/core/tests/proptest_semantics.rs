@@ -7,12 +7,11 @@
 //! The store axis rides on `DefaultStore` so CI's layout matrix
 //! (`default-store-flat`) and ordering matrix
 //! (`strict-sc`) multiply these properties across every layout without
-//! code changes; `RankedStore` is exercised explicitly because no feature
-//! retargets the default onto it.
+//! code changes.
 
 use concurrent_dsu::{
     Compress, Dsu, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
-    RandomLink, RankLink, RankedStore, TwoTrySplit, UnionForest,
+    RandomLink, TwoTrySplit, UnionForest,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -91,10 +90,9 @@ fn check_find_axis<S: concurrent_dsu::DsuStore, L: LinkPolicy>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every (find × link) pair is oracle-equivalent — 5 finds × 3 links
+    /// Every (find × link) pair is oracle-equivalent — 5 finds × 2 links
     /// on the default layout (CI's store/ordering matrix multiplies this
-    /// across packed/flat × default/strict-sc), plus the rank-word
-    /// layout where `RankLink`'s mutable keys are actually live.
+    /// across packed/flat × default/strict-sc).
     #[test]
     fn sequential_equivalence_all_policies(
         ops in ops_strategy(20, 100),
@@ -103,9 +101,6 @@ proptest! {
     ) {
         check_find_axis::<concurrent_dsu::DefaultStore, RandomLink>(20, seed, &ops, early);
         check_find_axis::<concurrent_dsu::DefaultStore, IndexLink>(20, seed, &ops, early);
-        check_find_axis::<concurrent_dsu::DefaultStore, RankLink>(20, seed, &ops, early);
-        check_find_axis::<RankedStore, RankLink>(20, seed, &ops, early);
-        check_find_axis::<RankedStore, RandomLink>(20, seed, &ops, early);
     }
 
     /// Lemma 3.1 invariants hold after any single-threaded history:

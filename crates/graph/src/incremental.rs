@@ -95,24 +95,6 @@ impl IncrementalConnectivity {
     pub fn component_count(&self) -> usize {
         self.dsu.set_count()
     }
-
-    /// One sequential flatten sweep ([`Dsu::flatten`]): pointer-jumps the
-    /// whole forest to depth ≤ 1, so a following query burst resolves
-    /// every `connected` in O(1) loads per endpoint. Safe concurrently
-    /// with ongoing inserts; call it at an ingest→query phase boundary.
-    pub fn flatten(&self) {
-        self.dsu.flatten();
-    }
-
-    /// [`flatten`](IncrementalConnectivity::flatten) fanned over
-    /// `threads` workers ([`Dsu::flatten_parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn flatten_parallel(&self, threads: usize) {
-        self.dsu.flatten_parallel(threads);
-    }
 }
 
 /// [`IncrementalConnectivity`] over the epoch-versioned structure
@@ -341,35 +323,6 @@ mod tests {
             0,
             "re-inserting the same burst adds no forest edges"
         );
-    }
-
-    #[test]
-    fn flatten_preserves_connectivity() {
-        let n = 512;
-        let conn = IncrementalConnectivity::new(n);
-        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        conn.insert_batch(&edges);
-        conn.flatten();
-        assert!(conn.connected(0, n - 1));
-        assert_eq!(conn.component_count(), 1);
-
-        // A sweep racing ongoing inserts must not change any verdict.
-        let racy = IncrementalConnectivity::new(n);
-        std::thread::scope(|s| {
-            let c = &racy;
-            s.spawn(move || {
-                for &(x, y) in &edges {
-                    c.insert(x, y);
-                }
-            });
-            s.spawn(move || {
-                for _ in 0..8 {
-                    c.flatten_parallel(2);
-                }
-            });
-        });
-        assert_eq!(racy.component_count(), 1);
-        assert!(racy.connected(0, n - 1));
     }
 
     #[test]

@@ -79,27 +79,6 @@ pub fn percolation_threshold(size: usize, seed: u64) -> f64 {
 ///
 /// Panics if `size == 0` or `batch == 0`.
 pub fn percolation_threshold_batched(size: usize, seed: u64, batch: usize) -> f64 {
-    percolation_batched_with(size, seed, batch, false)
-}
-
-/// [`percolation_threshold_batched`] with a flatten sweep
-/// ([`Dsu::flatten`], the PR 9 maintenance pass) run at each burst's
-/// ingest→probe boundary. The threshold returned is *identical* for every
-/// `(size, seed, batch)` — a sweep only shortens paths, never changes
-/// connectivity (the tests pin the equality). **Opt-in**, like every
-/// flatten route: the probe here is a single `same_set`, so the `O(n)`
-/// sweep only pays for itself when the per-burst query phase is much
-/// bigger — this entry point exists to *demonstrate* the phase-boundary
-/// pattern (and to A/B it honestly in `flatten_ab`), not as a default.
-///
-/// # Panics
-///
-/// Panics if `size == 0` or `batch == 0`.
-pub fn percolation_threshold_batched_flattened(size: usize, seed: u64, batch: usize) -> f64 {
-    percolation_batched_with(size, seed, batch, true)
-}
-
-fn percolation_batched_with(size: usize, seed: u64, batch: usize, flatten: bool) -> f64 {
     assert!(size > 0, "grid must be non-empty");
     assert!(batch > 0, "batch must be non-empty");
     let n = size * size;
@@ -143,9 +122,6 @@ fn percolation_batched_with(size: usize, seed: u64, batch: usize, flatten: bool)
             }
         }
         dsu.unite_batch(&pairs);
-        if flatten {
-            dsu.flatten();
-        }
         opened += burst.len();
         if dsu.same_set(top, bottom) {
             return opened as f64 / n as f64;
@@ -352,21 +328,6 @@ mod tests {
                 assert!(
                     coarse - exact <= batch as f64 / 256.0,
                     "batch {batch}: {coarse} too far above {exact}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn flattened_bursts_give_identical_thresholds() {
-        // A sweep between ingest and probe must not move the answer: it
-        // rewrites paths, never membership.
-        for seed in [2, 8] {
-            for batch in [1, 16, 64] {
-                assert_eq!(
-                    percolation_threshold_batched_flattened(16, seed, batch),
-                    percolation_threshold_batched(16, seed, batch),
-                    "seed {seed} batch {batch}"
                 );
             }
         }

@@ -17,15 +17,14 @@
 //!
 //! The link axis has no paper-side work ordering (the bounds hold for any
 //! linearizable linking with increasing keys): `index` compares indices
-//! instead of random ids but loses the randomized height guarantee, `rank`
-//! buys shallow trees with a rank in each element's word ([`RankedStore`]).
-//! This table measures what those trades cost in find work.
+//! instead of random ids but loses the randomized height guarantee. This
+//! table measures what that trade costs in find work.
 //!
 //! Usage: `--n 65536 --m 131072 --reps 2 --quick true --csv out.csv`
 
 use concurrent_dsu::{
     Compress, Dsu, DsuStore, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
-    RandomLink, RankLink, RankedStore, TwoTrySplit,
+    RandomLink, TwoTrySplit,
 };
 use dsu_harness::{mean, run_shards_instrumented, table::f2, Args, Table};
 use dsu_workloads::{Workload, WorkloadSpec};
@@ -64,15 +63,12 @@ fn main() {
     println!(
         "paper: two-try ≤ one-try ≤ no-compaction in work; halving ≈ splitting [§3, Thm 5.1/5.2];"
     );
-    println!("link axis trades id lookups (random) vs height guarantees (index/rank).\n");
+    println!("link axis trades id lookups (random) vs the height guarantee (index).\n");
 
     type Dflt = concurrent_dsu::DefaultStore;
     let mut table = Table::new(&["p", "find/link", "iters/op", "cas-fail/op", "accesses/op"]);
     for &p in &ladder {
         let w = WorkloadSpec::new(n, m).unite_fraction(0.5).generate(0xE3 ^ p as u64);
-        // Rank rows run on RankedStore — the only fixed-universe layout
-        // whose words carry a rank; on the others RankLink degenerates to
-        // index linking and the row would be a duplicate.
         macro_rules! link_rows {
             ($f:ty, $fname:literal) => {
                 [
@@ -83,10 +79,6 @@ fn main() {
                     (
                         concat!($fname, "/index"),
                         measure::<$f, Dflt, IndexLink>(n, &w, p, false, reps),
-                    ),
-                    (
-                        concat!($fname, "/rank"),
-                        measure::<$f, RankedStore, RankLink>(n, &w, p, false, reps),
                     ),
                 ]
             };

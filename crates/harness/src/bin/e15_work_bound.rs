@@ -1,14 +1,14 @@
 //! **E15 — Adaptive-priority work bound: total find-path length is
-//! O(m·(log(np²/m) + 1)), and a flatten sweep resets it to ≤ 1/find.**
+//! O(m·(log(np²/m) + 1)).**
 //!
 //! The 2020 journal version of the source paper (arXiv 2003.01203) shows
 //! that with randomized (and adaptive index-based) priorities, `m`
 //! operations by `p` processes on `n` elements do
 //! `O(m·(log(np²/m) + 1))` total work once `m` dominates — the same
 //! `np/m`-style crossover as Theorem 5.1 but with the sharper `p²`
-//! numerator from the refined analysis. The PR 9 `find_hops` counter
-//! measures exactly the quantity the bound charges: parent hops walked by
-//! finds (loop iterations minus the constant per-call overhead).
+//! numerator from the refined analysis. The `find_hops` counter measures
+//! exactly the quantity the bound charges: parent hops walked by finds
+//! (loop iterations minus the constant per-call overhead).
 //!
 //! This experiment sweeps `p` at two universe sizes and prints measured
 //! `find_hops/op` next to the predicted `log2(np²/m + 1) + 1` curve. The
@@ -17,10 +17,7 @@
 //! (here well under 1) at every `(n, p)` — it *falls* as `p` grows,
 //! because the `p²` term is pessimistic on a ladder this short, and the
 //! experiment asserts it never exceeds 1 rather than pretending the curve
-//! is tight. The last two columns check the maintenance pass against the
-//! bound's steady-state limit: after a quiesced [`Dsu::flatten`], a
-//! query-only storm must observe **≤ 1 hop per find** (depth ≤ 1 —
-//! O(1) finds, the flatten pass's contract), independent of `n` and `p`.
+//! is tight.
 //!
 //! Usage: `--n 262144 --m 524288 --reps 3 --quick true --csv out.csv`
 
@@ -40,24 +37,14 @@ fn main() {
     let reps = args.usize("reps", if quick { 2 } else { 3 });
     let ladder = args.thread_ladder();
 
-    println!("E15: find-path work vs (n, p), and the flatten reset  ({reps} seeds)");
+    println!("E15: find-path work vs (n, p)  ({reps} seeds)");
     println!("paper: E[total work] = O(m(log(np^2/m) + 1))  [arXiv 2003.01203]\n");
 
-    let mut table = Table::new(&[
-        "n",
-        "p",
-        "hops/op",
-        "predicted log+1",
-        "measured/predicted",
-        "post-flatten hops/find",
-        "depth<=1",
-    ]);
+    let mut table = Table::new(&["n", "p", "hops/op", "predicted log+1", "measured/predicted"]);
     for &n in &[n_base, 4 * n_base] {
         let m = args.usize("m", 2 * n);
         for &p in &ladder {
             let mut hops = Vec::new();
-            let mut post_hops = Vec::new();
-            let mut flat = true;
             for rep in 0..reps {
                 let seed = 0xE15_000 + rep as u64;
                 let dsu: Dsu<TwoTrySplit> = Dsu::with_seed(n, seed);
@@ -65,14 +52,6 @@ fn main() {
                 let metrics = run_shards_instrumented(&dsu, &w, p, false);
                 let stats = metrics.stats.expect("instrumented");
                 hops.push(stats.find_hops as f64 / m as f64);
-                // The steady-state check: sweep at quiescence, then a
-                // query-only storm may walk at most one hop per find.
-                dsu.flatten();
-                let storm = WorkloadSpec::new(n, m / 2).unite_fraction(0.0).generate(seed ^ 0xF1);
-                let post =
-                    run_shards_instrumented(&dsu, &storm, p, false).stats.expect("instrumented");
-                post_hops.push(post.find_hops as f64 / post.finds.max(1) as f64);
-                flat &= *post_hops.last().unwrap() <= 1.0;
             }
             let pred = predicted(n, m, p);
             let measured = mean(&hops);
@@ -81,22 +60,12 @@ fn main() {
                 "measured hops/op {measured:.2} exceeds the O(log(np^2/m)+1) curve {pred:.2} \
                  at n={n} p={p}"
             );
-            table.row(&[
-                n.to_string(),
-                p.to_string(),
-                f2(measured),
-                f2(pred),
-                f2(measured / pred),
-                f2(mean(&post_hops)),
-                if flat { "yes".into() } else { "NO".into() },
-            ]);
-            assert!(flat, "post-flatten storm exceeded 1 hop/find at n={n} p={p}");
+            table.row(&[n.to_string(), p.to_string(), f2(measured), f2(pred), f2(measured / pred)]);
         }
     }
     table.print();
     println!("\nexpected shape: measured/predicted bounded by a constant < 1 at every (n, p)");
-    println!("(the p^2 term is loose on short ladders, so the ratio falls as p grows);");
-    println!("post-flatten hops/find <= 1 always.");
+    println!("(the p^2 term is loose on short ladders, so the ratio falls as p grows).");
     if let Some(path) = args.get("csv") {
         table.write_csv(path).expect("write csv");
     }

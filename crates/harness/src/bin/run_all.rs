@@ -1,4 +1,4 @@
-//! Runs the whole experiment suite (E1–E12) in order, forwarding flags.
+//! Runs the whole experiment suite (E1–E16) in order, forwarding flags.
 //!
 //! `cargo run --release -p dsu-harness --bin run_all -- [--quick true] [--csv-dir DIR]`
 //!
@@ -9,7 +9,7 @@
 use dsu_harness::Args;
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 12] = [
+const EXPERIMENTS: [&str; 16] = [
     "e01_height",
     "e02_work_vs_p",
     "e03_variants",
@@ -22,6 +22,10 @@ const EXPERIMENTS: [&str; 12] = [
     "e10_growable",
     "e11_independence",
     "e12_cas_anatomy",
+    "e13_fault_injection",
+    "e14_keyed",
+    "e15_work_bound",
+    "e16_epochs",
 ];
 
 fn main() {

@@ -3,8 +3,9 @@
 //! The paper is a theory paper — no tables, no figures — so the
 //! "evaluation" this workspace regenerates is the set of quantitative
 //! claims made by its theorems and remarks. Each claim has one binary in
-//! `src/bin/` (the paper-claim binaries; `e13`–`e16` cover the later
-//! fault, keyed, flatten and epoch layers):
+//! `src/bin/` (`e01`–`e12` test the paper's own claims; `e13`, `e14` and
+//! `e16` cover the fault, keyed and epoch layers, and `e15` the journal
+//! version's sharper work bound):
 //!
 //! | bin | paper claim |
 //! |-----|-------------|

@@ -77,16 +77,6 @@ fn main() {
         stats.cas_attempts(),
     );
 
-    // Handing the structure to a long read-only phase? An explicit
-    // `dsu.flatten()` (or `flatten_parallel(p)`) pointer-jumps every
-    // element to depth <= 1, so each find after it is a single load —
-    // safe even while unites race it. It never runs on its own: on the
-    // standard mixes it measured as an honest negative (splitting finds
-    // already self-compact; BENCH_PR9.json), so call it only at a known
-    // ingest→query boundary.
-    dsu.flatten();
-    assert!(dsu.store().height() >= 1, "union forest is untouched; only paths flatten");
-
     // Elements that aren't dense integers? `jt_dsu::KeyedDsu` maps any
     // hashable key (strings, sparse u64s, row keys) to dense ids through
     // a lock-free id table over the same core:

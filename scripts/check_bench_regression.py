@@ -55,9 +55,9 @@ THRESHOLD = 1.15  # flag medians >15% slower, or ratios >15% smaller
 def rows_by_threads(doc):
     """Rows keyed by (threads, n). `n` defaults to None for the examples
     that run a single size per invocation; examples that sweep sizes (e.g.
-    flatten_ab and variants_ab, which run a cache-resident and a
-    DRAM-resident universe) tag each row with its "n" so same-thread rows
-    from different sizes don't collide in this dict."""
+    variants_ab, which runs a cache-resident and a DRAM-resident
+    universe) tag each row with its "n" so same-thread rows from
+    different sizes don't collide in this dict."""
     return {
         (row.get("threads"), row.get("n")): row
         for row in doc.get("results", [])

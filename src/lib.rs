@@ -18,7 +18,7 @@
 //!   components, MST, percolation, incremental connectivity);
 //! * [`dsu_workloads`] — seeded workload generation, including the
 //!   Lemma 5.3 lower-bound construction;
-//! * [`dsu_harness`] — the experiment driver behind the `e01`–`e14`
+//! * [`dsu_harness`] — the experiment driver behind the `e01`–`e16`
 //!   binaries.
 //!
 //! ## Quick start
@@ -86,8 +86,10 @@
 //!   baselines from a different machine are skipped, not compared);
 //! * `chaos`: the fault-injection suites, native linearizability under
 //!   chaos, e13 and e16 in quick mode, and a fail-soft `chaos_ab` sweep;
-//! * `harness-smoke`: real experiment binaries end to end (e01, e09, e10,
-//!   e11, e14 and e15) and `store_diag`'s counter-attribution checks.
+//! * `harness-smoke`: real experiment binaries end to end (e01, e03, e09,
+//!   e10, e11, e14 and e15) and `store_diag`'s counter reconciliation
+//!   (the cross-layout counter equality and exact-zero checks run as
+//!   `crates/core/tests/attribution.rs` in the test matrix).
 //!
 //! A weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`,
 //! the non-quick A/B runs. Runs on the same ref cancel their

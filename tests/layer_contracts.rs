@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use jt_dsu::concurrent_dsu::{DsuStore, EpochFork, EpochReport, TunedDsu};
+use jt_dsu::concurrent_dsu::{EpochFork, EpochReport, TunedDsu};
 use jt_dsu::{Compaction, Dsu, GrowableDsu, KeyedDsu, Linking, Partition, SeqDsu, VersionedDsu};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -57,7 +57,7 @@ fn dsu_per_op_and_batches_match_oracle() {
 /// orders by `(id, index)`, so for one seed a fixed `Dsu`, a growable one
 /// bulk-built with `n` elements and one grown to `n` by `make_set` link
 /// identically. The two growable stores start bit-identical (same words,
-/// same scan runs, including the empty and segment-straddling sizes);
+/// including the empty and segment-straddling sizes);
 /// then one seeded stream of unites and queries and one batch must give
 /// equal verdicts, equal ids and equal parent forests, and growth must
 /// continue at index `n`.
@@ -73,7 +73,6 @@ fn dsu_and_grown_growable_are_the_same_structure() {
             grown.make_set();
         }
         assert_eq!(bulk.store().raw_words(n), grown.store().raw_words(n), "n = {n}");
-        assert_eq!(bulk.store().scan_runs(), grown.store().scan_runs(), "n = {n}");
         for x in 0..n {
             let id = fixed.id_of(x);
             assert_eq!((bulk.id_of(x), grown.id_of(x)), (id, id), "n = {n}: id of {x}");
@@ -222,8 +221,8 @@ fn tuned_dsu_picks_its_variant_from_n_and_matches_oracle() {
 /// `GrowableDsu` and `KeyedDsu` run on the same copy-on-write store as
 /// `VersionedDsu`, and only `VersionedDsu`'s `&mut` transitions may move
 /// its epoch. After threaded churn (growth, unites, queries, keyed merges
-/// and batches) and a flatten sweep, both must still be at epoch 0 with
-/// no copy-on-write work done.
+/// and batches), both must still be at epoch 0 with no copy-on-write work
+/// done.
 #[test]
 fn unversioned_structures_never_fork() {
     let dsu: GrowableDsu = GrowableDsu::new(64);
@@ -247,8 +246,6 @@ fn unversioned_structures_never_fork() {
             });
         }
     });
-    dsu.flatten();
-    keyed.dsu().flatten();
     assert_eq!(dsu.len(), 64 + 4 * 500);
     assert!(keyed.key_count() > 1024, "the keyed churn must have grown the store");
     for (layer, store) in [("growable", dsu.store()), ("keyed", keyed.dsu().store())] {
