@@ -1,5 +1,5 @@
-//! Phase timings and counters for packed vs. flat, plus the reconciliation
-//! of the faulted, keyed and versioned counter streams.
+//! Phase timings and counters for packed vs. flat, plus checks of the
+//! faulted, keyed and versioned layers' own counters.
 //!
 //! Runs the standard mixed workload single-threaded on both layouts with
 //! full `OpStats` instrumentation and prints the counters (loop
@@ -12,14 +12,15 @@
 //! `cargo test`.
 //!
 //! A fault-attribution phase re-runs the mixed workload through a
-//! `FaultyStore` wrapper at a fixed injection rate and reconciles
-//! `faults_injected` (what the plan charged) with `cas_retries` (what the
-//! retry loops paid). A keyed phase reconciles the id table's counters
-//! with the table itself, and an epoch phase drives a `VersionedDsu`
-//! through a guarded burst trace (snapshot before every burst, one
-//! rollback, one rejected speculative batch) and reconciles the live
-//! `OpStats` stream with the structure's lifetime counters and the
-//! store's copy-on-write report.
+//! `FaultyStore` wrapper at a fixed injection rate and prints the store's
+//! `fault_report` (what the plan charged) beside `cas_retries` (what the
+//! retry loops paid). A keyed phase checks the sink's claim count against
+//! the table and reads its resize counter, and an epoch phase drives a
+//! `VersionedDsu` through a guarded burst trace (snapshot before every
+//! burst, one rollback, one rejected speculative batch) and checks the
+//! structure's snapshot and rollback counters and the store's
+//! copy-on-write report. Those layer counters live on their structures,
+//! not in `OpStats`.
 //!
 //! Run: `cargo run --release -p dsu-bench --example store_diag [log2_n]`
 
@@ -88,10 +89,9 @@ fn run<S: DsuStore>(label: &str) {
         batch_ingest, batch_stats.reads, batch_stats.links_ok
     );
     // Fault attribution: the same mixed workload through a FaultyStore at
-    // a fixed rate. faults_injected (charged by the plan, folded in from
-    // the store's report) sits next to cas_retries (paid by the retry
-    // loops); single-threaded, every spurious CAS failure on the link CAS
-    // is exactly one retry, so the columns reconcile the injection.
+    // a fixed rate. The store's fault report (charged by the plan) sits
+    // next to cas_retries (paid by the retry loops); single-threaded,
+    // every spurious CAS failure on the link CAS is exactly one retry.
     let faulted: Dsu<TwoTrySplit, FaultyStore<S>> = Dsu::from_store(FaultyStore::with_plan(
         S::with_seed(n, 0xD1A6),
         FaultPlan::rate(0xD1A6, 0.2),
@@ -110,19 +110,18 @@ fn run<S: DsuStore>(label: &str) {
     }
     let faulted_total = t5.elapsed();
     let report = faulted.store().fault_report();
-    fault_stats.faults_injected += report.total();
     println!(
         "{label}: faulted mixed {:>12?} (rate 0.2) | faults_injected {} (cas {} load {} stall {}) \
          cas_retries {} links_fail {}",
         faulted_total,
-        fault_stats.faults_injected,
+        report.total(),
         report.spurious_cas_failures,
         report.delayed_loads,
         report.stalls,
         fault_stats.cas_retries,
         fault_stats.links_fail
     );
-    assert!(fault_stats.faults_injected > 0, "{label}: fault phase injected nothing");
+    assert!(report.total() > 0, "{label}: fault phase injected nothing");
     assert_eq!(
         fault_stats.cas_retries, fault_stats.links_fail,
         "{label}: single-threaded, every failed link is exactly one retry"
@@ -131,9 +130,9 @@ fn run<S: DsuStore>(label: &str) {
 
 /// Keyed attribution: a sparse-u64 entity-resolution trace through the
 /// lock-free id table, with the keyed counters splitting key-table work
-/// (probes, claims, table growth) from the set operations underneath.
-/// Every insert is charged exactly once, every probe step is attributed,
-/// and the structure's own resize count reconciles with the stats stream.
+/// (probes, claims) from the set operations underneath. Every insert is
+/// charged exactly once, every probe step is attributed, and the table
+/// counts its own growth.
 fn keyed() {
     let label = "keyed  ";
     let spec = KeyedSpec::new(1 << 15).merge_fraction(0.7).fresh_fraction(0.5);
@@ -158,7 +157,7 @@ fn keyed() {
         keyed_t,
         stats.keys_inserted,
         stats.key_probe_steps,
-        stats.id_table_resizes,
+        dsu.id_table_resizes(),
         stats.loop_iters,
         stats.reads,
         stats.links_ok
@@ -176,12 +175,7 @@ fn keyed() {
         .collect();
     assert_eq!(stats.keys_inserted, merged.len() as u64, "{label}: every merged key claims once");
     assert_eq!(stats.keys_inserted, dsu.key_count() as u64, "{label}: stats vs table key count");
-    assert_eq!(
-        stats.id_table_resizes,
-        dsu.id_table_resizes() as u64,
-        "{label}: stats vs table resizes"
-    );
-    assert!(stats.id_table_resizes > 0, "{label}: this trace must outgrow the base segments");
+    assert!(dsu.id_table_resizes() > 0, "{label}: this trace must outgrow the first table");
     assert!(
         stats.key_probe_steps >= 2 * trace.ops.len() as u64,
         "{label}: two key resolutions per op minimum"
@@ -190,29 +184,26 @@ fn keyed() {
 
 /// Epoch attribution: a versioned burst trace with a guard point before
 /// every burst, one explicit rollback, and one validator-rejected
-/// speculative batch. Two accounting streams exist — the live `*_with`
-/// sinks fed per event, and [`VersionedDsu::report_into`]'s lifetime
-/// fold — and they must reconcile exactly with each other and with the
-/// store's own fork report. (On unversioned runs all four epoch columns
-/// are exactly zero, which `crates/core/tests/attribution.rs` asserts;
-/// this phase is where they earn their nonzero values.)
+/// speculative batch, checked against the structure's own snapshot and
+/// rollback counters and the store's fork report. (On unversioned runs
+/// the fork report is exactly zero, which `tests/layer_contracts.rs`
+/// asserts; this phase is where it earns its nonzero values.)
 fn epochs() {
     let n = 1 << 15;
     let trace = dsu_bench::standard_edge_batches(n, 16, 1024, 1.1);
     let mut dsu: VersionedDsu = VersionedDsu::with_initial(n);
-    let mut live = OpStats::default();
     let t0 = Instant::now();
     let mut guards = Vec::new();
     for burst in &trace.batches {
-        guards.push(dsu.snapshot_with(&mut live));
+        guards.push(dsu.snapshot());
         dsu.unite_batch(burst);
     }
     // Roll the last burst off, then reject a speculative one (its
-    // internal snapshot + rollback land in the same live stream).
+    // internal snapshot + rollback count like the explicit ones).
     let last = *guards.last().expect("at least one burst");
-    dsu.rollback_with(last, &mut live);
+    dsu.rollback(last);
     let edges: Vec<(usize, usize)> = (0..512).map(|i| (i, n - 1 - i)).collect();
-    let outcome = dsu.try_unite_batch_with(&edges, |_, _| false, &mut live);
+    let outcome = dsu.try_unite_batch(&edges, |_, _| false);
     let elapsed = t0.elapsed();
     assert!(!outcome.is_committed(), "the rejecting validator must roll back");
     let report = dsu.dsu().store().epoch_report();
@@ -224,20 +215,8 @@ fn epochs() {
         report.segments_forked,
         report.cow_copies
     );
-    // Live stream vs structure counters: every snapshot/rollback above
-    // went through a `*_with` entry point, so the streams are equal.
-    assert_eq!(live.snapshots_taken, dsu.snapshots_taken(), "live stream vs snapshot counter");
-    assert_eq!(live.rollbacks, dsu.rollbacks(), "live stream vs rollback counter");
-    assert_eq!(live.snapshots_taken, trace.batches.len() as u64 + 1, "one guard per burst + 1");
-    assert_eq!(live.rollbacks, 2, "the explicit rollback + the rejected batch");
-    // Lifetime fold vs the store's report: report_into is the protocol a
-    // harness uses when it never held the live sinks.
-    let mut folded = OpStats::default();
-    dsu.report_into(&mut folded);
-    assert_eq!(folded.snapshots_taken, dsu.snapshots_taken());
-    assert_eq!(folded.rollbacks, dsu.rollbacks());
-    assert_eq!(folded.segments_forked, report.segments_forked, "fold vs store fork report");
-    assert_eq!(folded.cow_copies, report.cow_copies, "fold vs store copy report");
+    assert_eq!(dsu.snapshots_taken(), trace.batches.len() as u64 + 1, "one guard per burst + 1");
+    assert_eq!(dsu.rollbacks(), 2, "the explicit rollback + the rejected batch");
     assert!(report.segments_forked > 0, "guarded bursts must have forked");
     assert!(
         report.cow_copies >= report.segments_forked,

@@ -86,7 +86,6 @@ use std::sync::Arc;
 use crate::dsu::Dsu;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::order::{hashed_id, LinkPolicy};
-use crate::stats::StatsSink;
 use crate::store::{self, DsuStore, GrowableStore, ParentStore};
 
 /// Directory slots: segment 31 ends at element `2^32 - 1`, the last index
@@ -142,12 +141,13 @@ struct SegmentNode {
     cells: Box<[AtomicU64]>,
 }
 
-/// Totals of the copy-on-write work an [`EpochStore`] has performed —
-/// read at quiescence via [`EpochFork::epoch_report`] and fed to
-/// [`StatsSink::segments_forked`] / [`StatsSink::cow_copies`] by harness
-/// code, the same protocol as
+/// Totals of the copy-on-write work an [`EpochStore`] has performed, the
+/// store's own counter of its forks — read at quiescence via
+/// [`EpochFork::epoch_report`], like
 /// [`FaultyStore::fault_report`](crate::FaultyStore::fault_report).
-/// Exactly zero on runs that never snapshot.
+/// Forks are layer bookkeeping, not operation steps, so no
+/// [`StatsSink`](crate::StatsSink) event carries them. Exactly zero on
+/// runs that never snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochReport {
     /// Segments copy-on-write-forked (first write to a shared segment).
@@ -768,18 +768,11 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// are copied now; the first post-snapshot write to each segment pays
     /// a one-time copy-on-write fork instead.
     pub fn snapshot(&mut self) -> Epoch {
-        self.snapshot_with(&mut ())
-    }
-
-    /// [`snapshot`](VersionedDsu::snapshot) reporting the event into
-    /// `stats`.
-    pub fn snapshot_with<Sk: StatsSink>(&mut self, stats: &mut Sk) -> Epoch {
         let links = self.dsu.len() - self.dsu.set_count();
         let segs = self.dsu.store_mut().fork_point();
         let epoch = Epoch(segs.epoch());
         self.snaps.push(SnapRecord { links, segs });
         self.snapshots_taken += 1;
-        stats.snapshot_taken();
         epoch
     }
 
@@ -795,12 +788,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     ///
     /// Panics if `at` was dropped or already rolled past.
     pub fn rollback(&mut self, at: Epoch) {
-        self.rollback_with(at, &mut ());
-    }
-
-    /// [`rollback`](VersionedDsu::rollback) reporting the event into
-    /// `stats`.
-    pub fn rollback_with<Sk: StatsSink>(&mut self, at: Epoch, stats: &mut Sk) {
         let idx = self
             .snaps
             .iter()
@@ -811,7 +798,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         self.dsu.store_mut().restore(&rec.segs);
         self.dsu.restore_links(rec.links);
         self.rollbacks += 1;
-        stats.rollback_done();
     }
 
     /// Forgets snapshot `at`, releasing its segment references (and any
@@ -839,22 +825,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         self.rollbacks
     }
 
-    /// Feeds lifetime totals — snapshots, rollbacks, and the store's
-    /// copy-on-write work — into `stats`, the attribution protocol
-    /// `store_diag` uses (mirrors
-    /// [`FaultyStore::fault_report`](crate::FaultyStore::fault_report)).
-    pub fn report_into<Sk: StatsSink>(&self, stats: &mut Sk) {
-        for _ in 0..self.snapshots_taken {
-            stats.snapshot_taken();
-        }
-        for _ in 0..self.rollbacks {
-            stats.rollback_done();
-        }
-        let report = self.dsu.store().epoch_report();
-        stats.segments_forked(report.segments_forked as usize);
-        stats.cow_copies(report.cow_copies as usize);
-    }
-
     /// Speculative batch: snapshot, ingest `edges` through the batch path,
     /// hand the post-ingest structure (and the link count) to `validate`,
     /// and either commit (discarding the snapshot) or roll back
@@ -870,28 +840,13 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     where
         V: FnOnce(&Dsu<F, S, L>, usize) -> bool,
     {
-        self.try_unite_batch_with(edges, validate, &mut ())
-    }
-
-    /// [`try_unite_batch`](VersionedDsu::try_unite_batch) reporting all
-    /// events (snapshot, batch work, possible rollback) into `stats`.
-    pub fn try_unite_batch_with<V, Sk>(
-        &mut self,
-        edges: &[(usize, usize)],
-        validate: V,
-        stats: &mut Sk,
-    ) -> BatchOutcome
-    where
-        V: FnOnce(&Dsu<F, S, L>, usize) -> bool,
-        Sk: StatsSink,
-    {
         self.dsu.check_edges(edges);
-        let at = self.snapshot_with(stats);
-        let linked = self.dsu.unite_batch_with(edges, stats);
+        let at = self.snapshot();
+        let linked = self.dsu.unite_batch(edges);
         let verdict = if validate(&self.dsu, linked) {
             BatchOutcome::Committed { linked }
         } else {
-            self.rollback_with(at, stats);
+            self.rollback(at);
             BatchOutcome::RolledBack
         };
         self.drop_snapshot(at);
@@ -957,7 +912,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
 mod tests {
     use super::*;
     use crate::order::splitmix64;
-    use crate::stats::OpStats;
     use crate::FaultyStore;
 
     type VDsu = VersionedDsu<TwoTrySplit, EpochStore, crate::DefaultLink>;
@@ -1065,9 +1019,8 @@ mod tests {
         assert_eq!(before, EpochReport::default(), "no snapshot -> zero CoW work");
 
         let snap = dsu.snapshot();
-        let mut stats = OpStats::default();
         // First write after the snapshot forks the written segment(s).
-        dsu.dsu().unite_with(20, 21, &mut stats);
+        dsu.dsu().unite(20, 21);
         let after = dsu.dsu().store().epoch_report();
         assert!(after.segments_forked > 0, "post-snapshot write must fork: {after:?}");
         assert!(after.cow_copies >= after.segments_forked, "forks copy whole segments");
@@ -1077,13 +1030,10 @@ mod tests {
         dsu.dsu().unite(20, 22);
         assert_eq!(dsu.dsu().store().epoch_report(), settled, "second write is fork-free");
 
+        // Rolling back copies nothing either.
         dsu.rollback(snap);
-        let mut total = OpStats::default();
-        dsu.report_into(&mut total);
-        assert_eq!(total.snapshots_taken, 1);
-        assert_eq!(total.rollbacks, 1);
-        assert_eq!(total.segments_forked, after.segments_forked);
-        assert_eq!(total.cow_copies, after.cow_copies);
+        assert_eq!((dsu.snapshots_taken(), dsu.rollbacks()), (1, 1));
+        assert_eq!(dsu.dsu().store().epoch_report(), after);
     }
 
     #[test]
@@ -1099,12 +1049,15 @@ mod tests {
         assert_eq!(dsu.set_count(), 16);
         assert_eq!(dsu.dsu().store().raw_words(dsu.len()), words);
         assert!(dsu.snapshots().is_empty(), "speculation snapshot is cleaned up");
+        assert_eq!((dsu.snapshots_taken(), dsu.rollbacks()), (1, 1));
+        assert!(dsu.dsu().store().epoch_report().segments_forked > 0, "the batch wrote forks");
 
         // Validator accepts: links stick.
         let outcome = dsu.try_unite_batch(&edges, |d, linked| linked == 15 && d.same_set(0, 15));
         assert_eq!(outcome, BatchOutcome::Committed { linked: 15 });
         assert_eq!(dsu.set_count(), 1);
         assert!(dsu.snapshots().is_empty());
+        assert_eq!((dsu.snapshots_taken(), dsu.rollbacks()), (2, 1));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! The paper chooses *splitting* over halving in the concurrent setting
 //! because two processes doing halving in lockstep simulate one process
 //! doing splitting (Section 3), so halving cannot win; we still provide
-//! [`Halving`] for the ablation experiment that demonstrates this.
+//! [`Halving`] for the ablation experiment that demonstrates this, and
+//! [`TunedDsu`](crate::TunedDsu) runs it on cache-resident universes,
+//! where halving's fewer compaction CASes measured fastest.
 
 use crate::stats::StatsSink;
 use crate::store::ParentStore;
@@ -25,7 +27,7 @@ mod sealed {
 ///
 /// This trait is **sealed**: the implementations are exactly the paper's
 /// variants ([`NoCompaction`], [`OneTrySplit`], [`TwoTrySplit`]) plus
-/// [`Halving`] for ablations.
+/// [`Halving`] and [`Compress`].
 pub trait FindPolicy: sealed::Sealed + Send + Sync + 'static {
     /// Short name used in experiment tables (e.g. `"two-try"`).
     const NAME: &'static str;
@@ -200,8 +202,10 @@ impl FindPolicy for TwoTrySplit {
 /// Concurrent path halving, the compaction Anderson & Woll used: after the
 /// grandparent probe and CAS, the walk jumps to the *grandparent* rather
 /// than the parent. Section 3 of the paper shows halving cannot beat
-/// splitting concurrently; this policy exists so experiment E6/E12 can show
-/// it.
+/// splitting concurrently, which experiments E6/E12 show with this policy;
+/// [`TunedDsu`](crate::TunedDsu)'s cache-resident variant runs it too,
+/// because with every word cache-hot its half-as-many compaction CASes
+/// measured fastest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Halving;
 

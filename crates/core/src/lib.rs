@@ -152,9 +152,13 @@
 //! that counts loop iterations, reads, and CAS successes/failures into
 //! caller-owned (typically thread-local) storage, so experiments can measure
 //! *work* exactly as the paper defines it without slowing the default path.
-//! The keyed and versioned layers add twins for their own events (key
-//! probes, snapshots, rollbacks); [`TunedDsu`] has none — count its
-//! variant's work on that variant's `Dsu`.
+//! [`KeyedDsu`]'s twins add its operations' id-table probes and key claims;
+//! [`TunedDsu`] has none — count its variant's work on that variant's
+//! `Dsu`. A sink counts operation steps only: a layer's own events are
+//! counters on its structure, read at quiescence
+//! ([`FaultyStore::fault_report`], [`EpochFork::epoch_report`],
+//! [`VersionedDsu::snapshots_taken`] and [`VersionedDsu::rollbacks`],
+//! [`KeyedDsu::id_table_resizes`]).
 //!
 //! # Environment variables
 //!

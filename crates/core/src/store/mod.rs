@@ -87,8 +87,8 @@
 //! code; tests opt in per instance with
 //! [`FaultyStore::with_plan`](crate::FaultyStore::with_plan). The
 //! injected retries surface through
-//! [`OpStats::cas_retries`](crate::OpStats) /
-//! [`OpStats::faults_injected`](crate::OpStats), a
+//! [`OpStats::cas_retries`](crate::OpStats) beside the store's own
+//! [`fault_report`](crate::FaultyStore::fault_report), a
 //! [`RetryBudget`](crate::RetryBudget) sink converts livelock into a fast
 //! panic with a counter dump, and
 //! [`BrokenStore`](crate::BrokenStore) (an intentionally unconditional

@@ -2,7 +2,7 @@
 //! size at construction.
 //!
 //! The crate ships a plane of interchangeable variants — five find
-//! policies ([`find`](crate::find)) × three link policies
+//! policies ([`find`](crate::find)) × two link policies
 //! ([`order`](crate::order)) — all proven observationally equivalent by
 //! the semantics suites. Equivalent is not equally fast, and the
 //! `variants_ab` bench (see its section of `docs/benchmarks.md`) splits

@@ -1,16 +1,16 @@
 //! Counter attribution: the `OpStats` an operation stream reports is a
-//! property of the algorithm, not of the layout, and the counters that
-//! belong to other layers read exactly zero where those layers are absent.
+//! property of the algorithm, not of the layout, and a run leaves the
+//! counters of layers it never used at exactly zero.
 //!
 //! Every layout derives its ids from `hashed_id(index, seed)`, so one
 //! single-threaded stream makes the same decisions on each of them and
 //! must count the same loop iterations, reads, CASes and hops — a timing
 //! difference between layouts is then pure per-access cost. The zero
-//! checks pin the attribution contract of the opt-in layers: an unfaulted
-//! run charges no injected faults, a single-threaded per-op run pays no
-//! retries (nobody else can move a root), and a run that never goes
-//! through a `VersionedDsu` records no snapshots, forks, rollbacks or
-//! copy-on-write cells.
+//! checks pin the attribution contract: a single-threaded per-op run pays
+//! no retries (nobody else can move a root), and a run that never goes
+//! through a `VersionedDsu` leaves the epoch store's own fork report at
+//! zero. Layer events are counters on their structures, not `OpStats`
+//! fields, so those are what the checks read.
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
@@ -92,16 +92,6 @@ fn count<S: DsuStore>(ops: &[Op]) -> (OpStats, OpStats) {
     (per_op, batch)
 }
 
-/// Asserts the exact zeros of an unfaulted, unversioned run.
-fn assert_unattributed(label: &str, s: &OpStats) {
-    assert_eq!(s.faults_injected, 0, "{label}: phantom fault attribution");
-    assert_eq!(
-        (s.snapshots_taken, s.segments_forked, s.rollbacks, s.cow_copies),
-        (0, 0, 0, 0),
-        "{label}: phantom epoch attribution on an unversioned run"
-    );
-}
-
 #[test]
 fn one_op_stream_counts_identically_on_every_layout() {
     let ops = stream();
@@ -115,13 +105,11 @@ fn one_op_stream_counts_identically_on_every_layout() {
 #[test]
 fn unfaulted_unversioned_runs_attribute_exact_zeros() {
     let ops = stream();
-    for (label, (per_op, batch)) in [
+    for (label, (per_op, _)) in [
         ("packed", count::<PackedStore>(&ops)),
         ("flat", count::<FlatStore>(&ops)),
         ("epoch", count::<EpochStore>(&ops)),
     ] {
-        assert_unattributed(&format!("{label}/per-op"), &per_op);
-        assert_unattributed(&format!("{label}/batch"), &batch);
         // Single-threaded, a per-op retry loop only fires when someone
         // else moved the root, and there is no one else. (A batch may
         // retry legitimately: a wave-gathered root goes stale when an
@@ -147,8 +135,7 @@ fn keyed_runs_attribute_exact_zeros() {
             dsu.same_set_with(&a, &b, &mut stats);
         }
     }
-    assert!(stats.keys_inserted > 0 && stats.id_table_resizes > 0, "{stats:?}");
-    assert_unattributed("keyed", &stats);
+    assert!(stats.keys_inserted > 0 && dsu.id_table_resizes() > 0, "{stats:?}");
     assert_eq!(stats.cas_retries, 0, "keyed: retries on a single-threaded run");
     // The keyed layer runs on the epoch store; unversioned, it never forks.
     assert_eq!(dsu.dsu().store().epoch_report(), EpochReport::default(), "keyed: forked");

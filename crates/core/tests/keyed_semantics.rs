@@ -350,7 +350,7 @@ fn threaded_keyed_stress_matches_sequential_replay() {
 
 /// Growth under contention: enough racing fresh keys to double the table
 /// several times while other threads insert — ids stay unique and the
-/// resize counter reconciles with the structure's own count.
+/// table's resize counter records the growth.
 #[test]
 fn concurrent_growth_keeps_ids_unique() {
     let _wd = TestWatchdog::arm("concurrent_growth_keeps_ids_unique", Duration::from_secs(120));

@@ -1,7 +1,7 @@
 //! Quickstart: concurrent disjoint set union across threads.
 //!
-//! Eight threads race to union a shuffled ring of `n` elements and query
-//! connectivity while the structure is under mutation. No locks, no
+//! Eight threads race to union a ring of `n` elements (each takes every
+//! 8th edge) and query connectivity while the structure is under mutation. No locks, no
 //! coordination — the wait-free guarantees of Jayanti & Tarjan (PODC 2016)
 //! do all the work.
 //!
@@ -67,11 +67,12 @@ fn main() {
         dsu.store().height(),
     );
 
-    // Instrumentation: count the work of a single query.
+    // Instrumentation: count the work of a single query on the forest the
+    // threads left (their finds compacted some paths; nothing else did).
     let mut stats = OpStats::default();
     dsu.same_set_with(0, n / 2, &mut stats);
     println!(
-        "one same_set after full compaction: {} find-loop iters, {} reads, {} CASes",
+        "one same_set(0, n/2) on the threads' forest: {} find-loop iters, {} reads, {} CASes",
         stats.loop_iters,
         stats.reads,
         stats.cas_attempts(),

@@ -71,14 +71,15 @@
 //! `.github/workflows/ci.yml` runs, on every push/PR:
 //!
 //! * `lint`: fmt, clippy and rustdoc, all `-D warnings`, plus the
-//!   workspace doc-tests and the bench gate's own unit tests;
+//!   workspace doc-tests and the two gates' own unit tests;
 //! * a `test` **matrix** over `{default, strict-sc}` orderings ×
 //!   `{packed, flat}` store layouts (the `default-store-flat` cargo
 //!   feature retargets `Dsu`'s default store so the full suite exercises
 //!   each layout; the packed cell also tests the whole workspace and the
-//!   benchmark, and compiles the benches), plus a `variants` cell that
-//!   re-runs the core suite with `default-link-index` under both
-//!   orderings;
+//!   benchmark, compiles the benches, and fails unless the benchmark's 16
+//!   single-client count rows equal `scripts/count_rows_baseline.json`),
+//!   plus a `variants` cell that re-runs the core suite with
+//!   `default-link-index` under both orderings;
 //! * `bench-smoke`, which runs the A/B examples in quick mode, archives
 //!   their JSON (machine-fingerprinted), and fail-soft-compares both
 //!   medians *and* A/B ratios against the previous run's cached baseline
@@ -87,9 +88,9 @@
 //! * `chaos`: the fault-injection suites, native linearizability under
 //!   chaos, e13 and e16 in quick mode, and a fail-soft `chaos_ab` sweep;
 //! * `harness-smoke`: real experiment binaries end to end (e01, e03, e09,
-//!   e10, e11, e14 and e15) and `store_diag`'s counter reconciliation
-//!   (the cross-layout counter equality and exact-zero checks run as
-//!   `crates/core/tests/attribution.rs` in the test matrix).
+//!   e10, e11, e14 and e15) and `store_diag`'s phase timings and layer
+//!   counter checks (the cross-layout counter equality and exact-zero
+//!   checks run as `crates/core/tests/attribution.rs` in the test matrix).
 //!
 //! A weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`,
 //! the non-quick A/B runs. Runs on the same ref cancel their
