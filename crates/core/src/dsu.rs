@@ -341,6 +341,16 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         stats: &mut Sk,
     ) -> usize {
         self.check_edges(edges);
+        self.unite_checked_batch(edges, stats)
+    }
+
+    /// [`unite_batch_with`](Dsu::unite_batch_with) over edges the caller
+    /// has already passed through [`check_edges`](Dsu::check_edges).
+    pub(crate) fn unite_checked_batch<Sk: StatsSink>(
+        &self,
+        edges: &[(usize, usize)],
+        stats: &mut Sk,
+    ) -> usize {
         bulk::unite_batch::<L, _, _>(&self.store, edges, stats, |_, _| self.record_link())
     }
 

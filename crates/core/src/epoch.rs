@@ -9,17 +9,18 @@
 //! Connectivity" (PAPERS.md, arXiv 2105.08098) and the speculative
 //! group-union shape of optd's memo merging, grafted onto the growable
 //! store's segment directory — which is the natural copy-on-write unit,
-//! because segments never move and there are at most 32 of them.
+//! because segments never move and there are at most 32 of them (a
+//! bulk-built universe's sized prefix is one such unit; see Geometry).
 //!
 //! # The design in one paragraph
 //!
 //! [`EpochStore`] is the one growable layout — packed `id << 32 | parent`
 //! words, the [`PackedStore`](crate::PackedStore) format — with each
-//! segment behind an `Arc`-counted *segment node* stamped with the epoch
-//! it was created in. [`VersionedDsu::snapshot`] is O(segments),
-//! i.e. O(1) in the element count: record the element count, clone the
-//! ≤ 32 live segment `Arc`s and bump the epoch counter — no cell is
-//! copied. Afterward every recorded segment is *shared*; the first
+//! segment (or the sized prefix) behind an `Arc`-counted *segment node*
+//! stamped with the epoch it was created in. [`VersionedDsu::snapshot`]
+//! is O(segments), i.e. O(1) in the element count: record the element
+//! count, clone the ≤ 32 live segment `Arc`s and bump the epoch counter —
+//! no cell is copied. Afterward every recorded segment is *shared*; the first
 //! `cas_from` that would write a shared (stale-epoch) segment first
 //! **forks** it — copies its cells into a fresh node stamped with the
 //! current epoch and swings the directory slot — and only then CASes.
@@ -28,6 +29,24 @@
 //! snapshot froze, untouched since — every post-snapshot write went to a
 //! fork), and [`VersionedDsu::same_set_at`] answers time-travel queries
 //! by walking a retained snapshot's frozen segments.
+//!
+//! # Geometry: a sized prefix, then doubling segments
+//!
+//! The directory has 32 slots. Grown from empty by `make_set`, the store
+//! puts elements `{0, 1}` in segment 0 and `2^s .. 2^(s+1)` in segment
+//! `s ≥ 1`. Built with `n > 0` elements
+//! ([`DsuStore::with_seed`]`(n, seed)`), it puts elements `0..P`,
+//! `P = max(2, n.next_power_of_two())`, in **one** node in slot 0: the
+//! *sized prefix*. Those are exactly the `P` cells segments `0..log2 P`
+//! would hold, so memory does not change. Slots `1..log2 P` stay empty
+//! for life, `make_set` up to `P` allocates nothing, and elements from `P`
+//! on open the doubling segments `log2 P, log2 P + 1, …` as before. `P`
+//! never changes, and every [`SegmentSnapshot`] records it.
+//!
+//! A read of `i < P` is one compare against `P`, one `Acquire` load of the
+//! prefix node's cells pointer, and an index: no `ilog2`, no directory
+//! slot, no null check and no slice bounds check (the compare is the
+//! bounds check). Elements past the prefix pay that segment lookup.
 //!
 //! # Concurrency and safety argument
 //!
@@ -49,6 +68,22 @@
 //!   `Arc` is parked in a graveyard and freed only at the next `&mut`
 //!   point, so a racing reader that loaded the old slot pointer can finish
 //!   its traversal on the displaced (frozen, still-correct) cells.
+//! * The prefix forks as one unit: the first write after a snapshot to any
+//!   element below `P` copies all `P` cells. Readers reach the prefix
+//!   through its cells pointer and writers through slot 0 (they need the
+//!   node's epoch), so the two must always agree on the current node. A
+//!   fork therefore stores the copy's cells pointer *before* it swings
+//!   slot 0, both with `Release`. A writer that finds the copy in slot 0
+//!   synchronizes with the swing and so with the pointer store, so every
+//!   write to the copy is ordered after it, and a reader that starts
+//!   after such a write reads the copy's pointer. (The reverse order
+//!   would let a reader start on the left-behind node after a write
+//!   landed in the copy: a stale read, and a livelock for the writer
+//!   whose next CAS expects the word that reader saw.) A reader that
+//!   loaded the old pointer before the store walks the displaced node,
+//!   frozen and parked in the graveyard like any other. `restore`
+//!   re-points the cells pointer at the restored slot-0 node under
+//!   `&mut self`.
 //! * Lemma 3.1 (ids strictly increase along parent paths) holds across
 //!   fork boundaries unchanged: a fork copies words verbatim, so the
 //!   observed-word CAS discipline (`cas_from` against the exact word seen)
@@ -56,17 +91,22 @@
 //!
 //! # What the unversioned paths pay
 //!
-//! One predictable compare per CAS, and no lock. A plain
+//! On the prefix, a read is one compare, one pointer load and an index —
+//! [`PackedStore`](crate::PackedStore)'s read plus the pointer load — and a
+//! CAS adds one predictable epoch compare. Past the prefix, each access
+//! adds the segment lookup (`ilog2`, slot load, null check, bounds
+//! check); [`KeyedDsu`](crate::KeyedDsu) and `GrowableDsu::new(0)` grow
+//! from empty, so they have no prefix. No path takes a lock. A plain
 //! `Dsu<F, EpochStore>` ([`GrowableDsu`](crate::GrowableDsu)) and
 //! [`KeyedDsu`](crate::KeyedDsu) run on [`EpochStore`] as well, but only
 //! [`VersionedDsu`]'s `&mut` transitions move the epoch, so an unversioned
 //! structure stays at epoch 0 for life: every node is current, no write
 //! forks, and the fork mutex is never taken. The root crate's
 //! `tests/layer_contracts.rs` asserts a zero [`EpochReport`] and epoch 0
-//! after threaded churn on both. Segments are pre-filled with singleton
-//! words when allocated — by the bulk constructor for the first `n`
-//! elements, by the first `make_set` into a segment after that — so
-//! `make_set` on a live segment is one null check.
+//! after threaded churn on both. Nodes are pre-filled with singleton
+//! words when allocated — the bulk constructor's prefix for its first `P`
+//! elements, the first `make_set` into a segment after that — so
+//! `make_set` into a live node is one null check.
 //!
 //! # Copy-on-write stays lazy
 //!
@@ -79,6 +119,24 @@
 //! hold three — the measured 100.67 MB peak. That is 33 % more memory,
 //! past the benchmark's 25 % bound on `mem_peak_mb`, before any time is
 //! counted.
+//!
+//! The sized prefix is one copy-on-write unit: the first write after a
+//! snapshot to any element below `P` copies all `P` cells, where segments
+//! copied only the segments written. On online-mix that is 4,194,304
+//! cells in one fork per checkpoint, against 4,194,294 cells in 19.57
+//! segment forks — the checkpointed stream writes nearly every segment
+//! anyway. A fork copies into the spare buffer a released snapshot left
+//! ([`EpochFork::release`], called by [`VersionedDsu::drop_snapshot`])
+//! when one of its length is there, and allocates otherwise. The reuse
+//! matters for large prefixes: `2^22` cells are 32 MiB, above glibc's
+//! largest dynamic mmap threshold, so each fresh buffer is mapped and
+//! faulted in page by page and each freed one is unmapped. In one traced
+//! online-mix run without the reuse, dropping a snapshot took 1,788 µs
+//! (16 µs with segments) and the ops right after a checkpoint 967 ns/op
+//! (510); with it, 1.8 µs and 392 ns/op. At that cadence peak memory is
+//! unchanged, because the spare is the buffer the next fork would
+//! allocate; a store that drops a snapshot and then never writes keeps
+//! one spare buffer until it is dropped itself.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -150,7 +208,8 @@ struct SegmentNode {
 /// runs that never snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochReport {
-    /// Segments copy-on-write-forked (first write to a shared segment).
+    /// Nodes copy-on-write-forked (first write to a shared segment, or
+    /// to a bulk-built store's sized prefix, which forks as one node).
     pub segments_forked: u64,
     /// Cells copied by those forks — the deferred cost of O(1) snapshots.
     pub cow_copies: u64,
@@ -168,6 +227,8 @@ pub struct SegmentSnapshot {
     /// node is stale — i.e. copy-on-write — from here on).
     epoch: u64,
     len: usize,
+    /// The store's prefix length `P`: elements `0..P` live in `segs[0]`.
+    prefix: usize,
     segs: Vec<Option<Arc<SegmentNode>>>,
 }
 
@@ -187,7 +248,7 @@ impl SegmentSnapshot {
     /// are never written; see the module safety argument). `i` must have
     /// existed when the snapshot was taken.
     pub fn parent_of(&self, i: usize) -> usize {
-        let (s, off) = locate(i);
+        let (s, off) = if i < self.prefix { (0, i) } else { locate(i) };
         let node = self.segs[s].as_ref().expect("element's segment not recorded in this snapshot");
         store::packed_parent(node.cells[off].load(store::STAT))
     }
@@ -233,6 +294,15 @@ pub trait EpochFork: GrowableStore {
     /// long `&self` phases that never snapshot again.
     fn purge_graveyard(&mut self);
 
+    /// Takes back a snapshot its holder is done with. The cell buffer of a
+    /// node this snapshot held last is kept as the spare the next fork of
+    /// that size copies into, so a rolling snapshot cadence reuses memory
+    /// rather than allocating (and, for a large prefix, mapping and
+    /// faulting in) a fresh buffer per fork. Call after
+    /// [`purge_graveyard`](EpochFork::purge_graveyard), which may hold
+    /// the snapshot's nodes too.
+    fn release(&mut self, snap: SegmentSnapshot);
+
     /// Copy-on-write work totals so far (monotone; read at quiescence).
     fn epoch_report(&self) -> EpochReport;
 
@@ -245,7 +315,8 @@ pub trait EpochFork: GrowableStore {
 /// [`KeyedDsu`](crate::KeyedDsu) and [`VersionedDsu`]: packed
 /// `id << 32 | parent` words (the [`PackedStore`](crate::PackedStore)
 /// format and its 2^32-element bound) in `Arc`-counted, epoch-stamped
-/// segment nodes behind an atomic directory. Ids are the shared
+/// segment nodes behind an atomic directory, with a bulk-built universe's
+/// elements in one sized-prefix node. Ids are the shared
 /// [`hashed_id`] of the salted index (paper Section 7: a universe large
 /// enough that ties are rare, with the index breaking them), the same ids
 /// every fixed layout assigns for that seed. See the module docs for the
@@ -253,22 +324,40 @@ pub trait EpochFork: GrowableStore {
 pub struct EpochStore {
     /// Directory: slot `s` holds a raw pointer from `Arc::into_raw` (the
     /// directory owns one strong count per non-null slot), or null while
-    /// segment `s` is unallocated.
+    /// segment `s` is unallocated. With a prefix, slot 0 holds elements
+    /// `0..prefix` and slots `1..log2(prefix)` stay null for life.
     slots: [AtomicPtr<SegmentNode>; SEGMENTS],
+    /// The sized prefix `P`: 0, or a power of two ≥ 2 fixed by the bulk
+    /// constructor. Elements below it are one compare plus an index away.
+    prefix: usize,
+    /// The cells of slot 0's node while `prefix > 0` (null otherwise).
+    /// Published before any swing of slot 0, so a reader never sees an
+    /// older node than a writer wrote (see the module safety argument).
+    prefix_cells: AtomicPtr<AtomicU64>,
     /// Element count: indices `0..len` are reserved. Read and bumped
     /// `SeqCst`, the ordering every bounds check relies on.
     len: AtomicUsize,
     epoch: AtomicU64,
     salt: u64,
-    /// Serializes forks *and* parks displaced nodes until the next
-    /// quiescent point (a racing reader may still be walking a displaced
-    /// node's cells; see the module safety argument). Fork traffic is at
-    /// most one per segment per epoch, so the lock is cold by design.
+    /// Serializes forks and guards what they leave behind. Fork traffic is
+    /// at most one per segment per epoch, so the lock is cold by design.
     // Taken once per segment per epoch by a fork, never by a find or link.
     #[allow(clippy::disallowed_types)]
-    graveyard: std::sync::Mutex<Vec<Arc<SegmentNode>>>,
+    graveyard: std::sync::Mutex<Graveyard>,
     segments_forked: AtomicU64,
     cow_copies: AtomicU64,
+}
+
+/// The fork lock's contents.
+#[derive(Default)]
+struct Graveyard {
+    /// Nodes displaced by forks, parked until the next quiescent point: a
+    /// racing reader may still be walking their cells (see the module
+    /// safety argument).
+    displaced: Vec<Arc<SegmentNode>>,
+    /// A buffer no node owns any more ([`EpochFork::release`]), reused by
+    /// the next fork of its length.
+    spare: Option<Box<[AtomicU64]>>,
 }
 
 impl EpochStore {
@@ -289,15 +378,41 @@ impl EpochStore {
         unsafe { &*p }
     }
 
+    /// `(slot, offset)` of element `i`: slot 0 for the whole prefix.
+    #[inline]
+    fn place(&self, i: usize) -> (usize, usize) {
+        if i < self.prefix {
+            (0, i)
+        } else {
+            locate(i)
+        }
+    }
+
     #[inline]
     fn cell(&self, i: usize) -> &AtomicU64 {
-        let (s, off) = locate(i);
-        &self.node(s).cells[off]
+        if i < self.prefix {
+            let cells = self.prefix_cells.load(store::LOAD);
+            // SAFETY: while `prefix > 0`, `prefix_cells` points at the
+            // `prefix` cells of a node that slot 0 holds or held, and
+            // `i < prefix`; that node outlives this `&self` borrow exactly
+            // as in `node()`.
+            unsafe { &*cells.add(i) }
+        } else {
+            let (s, off) = locate(i);
+            &self.node(s).cells[off]
+        }
     }
 
     /// The `(hash id, index)` priority key of `i`, read from its word.
     fn key(&self, i: usize) -> (u64, usize) {
         (store::packed_id(self.cell(i).load(store::STAT)), i)
+    }
+
+    /// A current-epoch node of `len` singleton cells for elements
+    /// `base..base + len`.
+    fn singleton_node(&self, base: usize, len: usize) -> Arc<SegmentNode> {
+        let cells = (base..base + len).map(|e| AtomicU64::new(self.singleton_word(e))).collect();
+        Arc::new(SegmentNode { epoch: self.epoch.load(store::STAT), cells })
     }
 
     /// Allocates segment `s` fully initialized as singletons, racing
@@ -306,11 +421,7 @@ impl EpochStore {
     #[cold]
     #[inline(never)]
     fn alloc_slot(&self, s: usize) {
-        let base = segment_base(s);
-        let cells: Box<[AtomicU64]> =
-            (base..base + segment_len(s)).map(|e| AtomicU64::new(self.singleton_word(e))).collect();
-        let node = Arc::new(SegmentNode { epoch: self.epoch.load(store::STAT), cells });
-        let raw = Arc::into_raw(node) as *mut SegmentNode;
+        let raw = Arc::into_raw(self.singleton_node(segment_base(s), segment_len(s))) as *mut _;
         if self.slots[s]
             .compare_exchange(std::ptr::null_mut(), raw, store::CAS_SUCCESS, store::CAS_FAILURE)
             .is_err()
@@ -344,17 +455,33 @@ impl EpochStore {
         }
         // The stale node is frozen for this whole phase (writers fork
         // first), so plain per-cell loads copy a consistent image.
-        let cells: Box<[AtomicU64]> =
-            cur_ref.cells.iter().map(|c| AtomicU64::new(c.load(store::STAT))).collect();
+        let len = cur_ref.cells.len();
+        let cells = match graveyard.spare.take_if(|spare| spare.len() == len) {
+            Some(mut cells) => {
+                for (dst, src) in cells.iter_mut().zip(cur_ref.cells.iter()) {
+                    *dst.get_mut() = src.load(store::STAT);
+                }
+                cells
+            }
+            None => cur_ref.cells.iter().map(|c| AtomicU64::new(c.load(store::STAT))).collect(),
+        };
         self.segments_forked.fetch_add(1, Ordering::Relaxed);
         self.cow_copies.fetch_add(cells.len() as u64, Ordering::Relaxed);
         let raw = Arc::into_raw(Arc::new(SegmentNode { epoch: now, cells })) as *mut SegmentNode;
+        if s == 0 && self.prefix > 0 {
+            // Readers reach the prefix through `prefix_cells`, writers
+            // through slot 0: publish the copy to readers first, so no
+            // reader can start on the old node after a writer wrote the
+            // new one.
+            // SAFETY: `raw` is the live node just built above.
+            self.prefix_cells.store(unsafe { (*raw).cells.as_ptr() } as *mut _, store::CAS_SUCCESS);
+        }
         self.slots[s].store(raw, store::CAS_SUCCESS);
         // Park the displaced node: a concurrent reader may have loaded the
         // old pointer before our store and still be walking its cells.
         // SAFETY: `cur` was the directory's strong reference; the slot no
         // longer holds it, the graveyard now does.
-        graveyard.push(unsafe { Arc::from_raw(cur) });
+        graveyard.displaced.push(unsafe { Arc::from_raw(cur) });
         // SAFETY: just installed from `Arc::into_raw`; same lifetime
         // argument as `node()`.
         unsafe { &*raw }
@@ -402,7 +529,7 @@ impl ParentStore for EpochStore {
 
     #[inline]
     fn cas_from(&self, i: usize, seen: u64, new_parent: usize) -> bool {
-        let (s, off) = locate(i);
+        let (s, off) = self.place(i);
         // Fork before writing a shared segment. A fork copies words
         // verbatim, so `seen` transfers: if the cell still holds `seen`
         // the CAS below succeeds on the fork exactly as it would have on
@@ -427,28 +554,37 @@ impl ParentStore for EpochStore {
 impl DsuStore for EpochStore {
     const NAME: &'static str = "epoch-seg";
 
-    /// `n` elements in the segments covering `0..n`, each pre-filled with
-    /// singleton words exactly as a `make_set` would allocate it.
+    /// `n` elements in a sized prefix of `P = max(2, n.next_power_of_two())`
+    /// singleton cells — one node in slot 0, exactly the cells segments
+    /// `0..log2 P` would hold — so `make_set` up to `P` allocates nothing
+    /// and later elements open the doubling segments from `log2 P` on.
+    /// `n == 0` builds no prefix.
     fn with_seed(n: usize, seed: u64) -> Self {
         if n > 0 {
             assert_addressable(n - 1);
         }
-        let store = EpochStore {
+        let prefix = if n > 0 { n.next_power_of_two().max(2) } else { 0 };
+        let mut store = EpochStore {
             slots: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            prefix,
+            prefix_cells: AtomicPtr::new(std::ptr::null_mut()),
             len: AtomicUsize::new(n),
             epoch: AtomicU64::new(0),
             salt: seed,
             #[allow(clippy::disallowed_types)] // the fork lock above
-            graveyard: std::sync::Mutex::new(Vec::new()),
+            graveyard: std::sync::Mutex::new(Graveyard::default()),
             segments_forked: AtomicU64::new(0),
             cow_copies: AtomicU64::new(0),
         };
-        for s in (0..SEGMENTS).take_while(|&s| segment_base(s) < n) {
-            store.alloc_slot(s);
+        if prefix > 0 {
+            let node = store.singleton_node(0, prefix);
+            *store.prefix_cells.get_mut() = node.cells.as_ptr() as *mut _;
+            *store.slots[0].get_mut() = Arc::into_raw(node) as *mut _;
         }
         store
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.len.load(Ordering::SeqCst)
     }
@@ -466,15 +602,16 @@ impl GrowableStore for EpochStore {
     fn push_singleton(&self) -> usize {
         let e = self.len.fetch_add(1, Ordering::SeqCst);
         assert_addressable(e);
-        let (s, _off) = locate(e);
+        let (s, _off) = self.place(e);
         if self.slots[s].load(store::LOAD).is_null() {
             self.alloc_slot(s);
         }
         // A non-null slot needs nothing: allocation pre-fills *every* cell
-        // of the segment as a singleton, and a cell can only have left the
-        // singleton state if its element existed — which is also what
-        // makes index reuse after a rollback sound (cells at or above the
-        // snapshot's len in a recorded node were untouched singletons).
+        // of the segment (or prefix) as a singleton, and a cell can only
+        // have left the singleton state if its element existed — which is
+        // also what makes index reuse after a rollback sound (cells at or
+        // above the snapshot's len in a recorded node were untouched
+        // singletons).
         e
     }
 }
@@ -506,10 +643,11 @@ impl EpochFork for EpochStore {
             .collect();
         *self.epoch.get_mut() = epoch + 1;
         self.purge_graveyard();
-        SegmentSnapshot { epoch, len, segs }
+        SegmentSnapshot { epoch, len, prefix: self.prefix, segs }
     }
 
     fn restore(&mut self, snap: &SegmentSnapshot) {
+        assert_eq!(snap.prefix, self.prefix, "snapshot taken from a store of another geometry");
         for (slot, rec) in self.slots.iter_mut().zip(&snap.segs) {
             let cur = *slot.get_mut();
             let new = match rec {
@@ -525,6 +663,10 @@ impl EpochFork for EpochStore {
                 unsafe { drop(Arc::from_raw(cur)) };
             }
         }
+        if let Some(node) = snap.segs[0].as_ref().filter(|_| self.prefix > 0) {
+            // Readers must follow slot 0 back to the restored prefix.
+            *self.prefix_cells.get_mut() = node.cells.as_ptr() as *mut _;
+        }
         *self.len.get_mut() = snap.len;
         // Bump the epoch so the restored nodes are stale again: the next
         // write forks, and `snap` stays valid for another restore.
@@ -533,7 +675,19 @@ impl EpochFork for EpochStore {
     }
 
     fn purge_graveyard(&mut self) {
-        self.graveyard.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+        self.graveyard.get_mut().unwrap_or_else(|e| e.into_inner()).displaced.clear();
+    }
+
+    fn release(&mut self, snap: SegmentSnapshot) {
+        let graveyard = self.graveyard.get_mut().unwrap_or_else(|e| e.into_inner());
+        for node in snap.segs.into_iter().flatten() {
+            // Keep the largest buffer no one else holds; drop the rest.
+            if let Ok(node) = Arc::try_unwrap(node) {
+                if graveyard.spare.as_ref().is_none_or(|spare| spare.len() < node.cells.len()) {
+                    graveyard.spare = Some(node.cells);
+                }
+            }
+        }
     }
 
     fn epoch_report(&self) -> EpochReport {
@@ -570,6 +724,10 @@ impl<S: EpochFork> EpochFork for crate::FaultyStore<S> {
 
     fn purge_graveyard(&mut self) {
         self.inner_mut().purge_graveyard();
+    }
+
+    fn release(&mut self, snap: SegmentSnapshot) {
+        self.inner_mut().release(snap);
     }
 
     fn epoch_report(&self) -> EpochReport {
@@ -801,13 +959,15 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     }
 
     /// Forgets snapshot `at`, releasing its segment references (and any
-    /// fork graveyard — this is a quiescent point). Later and earlier
-    /// snapshots are unaffected. No-op if `at` is already gone.
+    /// fork graveyard — this is a quiescent point) to the store, which
+    /// reuses a buffer the snapshot held last for its next fork. Later and
+    /// earlier snapshots are unaffected. No-op if `at` is already gone.
     pub fn drop_snapshot(&mut self, at: Epoch) {
-        if let Some(idx) = self.snaps.iter().position(|r| r.segs.epoch() == at.0) {
-            self.snaps.remove(idx);
-        }
         self.dsu.store_mut().purge_graveyard();
+        if let Some(idx) = self.snaps.iter().position(|r| r.segs.epoch() == at.0) {
+            let rec = self.snaps.remove(idx);
+            self.dsu.store_mut().release(rec.segs);
+        }
     }
 
     /// Handles of every retained snapshot, oldest first.
@@ -842,7 +1002,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     {
         self.dsu.check_edges(edges);
         let at = self.snapshot();
-        let linked = self.dsu.unite_batch(edges);
+        let linked = self.dsu.unite_checked_batch(edges, &mut ());
         let verdict = if validate(&self.dsu, linked) {
             BatchOutcome::Committed { linked }
         } else {
@@ -1118,12 +1278,18 @@ mod tests {
         }
     }
 
-    /// Cells allocated across the directory (test-only; quiescent).
-    fn allocated_cells(store: &EpochStore) -> usize {
+    /// `(slot, cells)` of every populated directory slot (test-only;
+    /// quiescent).
+    fn populated(store: &EpochStore) -> Vec<(usize, usize)> {
         (0..SEGMENTS)
             .filter(|&s| !store.slots[s].load(store::STAT).is_null())
-            .map(|s| store.node(s).cells.len())
-            .sum()
+            .map(|s| (s, store.node(s).cells.len()))
+            .collect()
+    }
+
+    /// Cells allocated across the directory (test-only; quiescent).
+    fn allocated_cells(store: &EpochStore) -> usize {
+        populated(store).iter().map(|&(_, cells)| cells).sum()
     }
 
     #[test]
@@ -1135,14 +1301,103 @@ mod tests {
             for _ in 0..1 << k {
                 grown.push_singleton();
             }
+            // The bulk store holds its prefix in slot 0; the grown one fills
+            // the doubling segments `0..k` with the same number of cells.
+            assert_eq!(populated(&bulk), [(0, 1 << k)], "k = {k}");
+            assert_eq!(populated(&grown).len(), k, "k = {k}");
             for store in [bulk, grown] {
                 assert_eq!(allocated_cells(&store), 1 << k, "k = {k}");
-                // One element more opens exactly one more segment, as big
-                // as everything before it.
+                // One element more opens exactly segment k, as big as
+                // everything before it.
                 assert_eq!(store.push_singleton(), 1 << k);
                 assert_eq!(allocated_cells(&store), 2 << k, "k = {k}, +1");
+                assert_eq!(populated(&store).last(), Some(&(k, 1 << k)), "k = {k}, +1");
             }
         }
+    }
+
+    #[test]
+    fn bulk_universe_rounds_its_prefix_up_to_a_power_of_two() {
+        // Five elements take an 8-cell prefix in slot 0; three more fit in
+        // it, and the ninth opens segment 3 with 8 cells.
+        let store = EpochStore::with_seed(5, 0);
+        assert_eq!(populated(&store), [(0, 8)]);
+        for e in 5..8 {
+            assert_eq!(store.push_singleton(), e);
+        }
+        assert_eq!(populated(&store), [(0, 8)], "elements 5..8 live in the prefix");
+        assert_eq!(store.push_singleton(), 8);
+        assert_eq!(populated(&store), [(0, 8), (3, 8)]);
+        for (n, prefix) in [(1, 2), (2, 2), (3, 4), (6, 8), (9, 16), (100, 128), (1000, 1024)] {
+            assert_eq!(populated(&EpochStore::with_seed(n, 0)), [(0, prefix)], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn rollback_and_time_travel_cross_the_prefix_boundary() {
+        // Prefix of 8; growth to 20 puts elements in segments 3 and 4.
+        let mut dsu = VDsu::with_initial(5);
+        while dsu.len() < 20 {
+            dsu.make_set();
+        }
+        for (x, y) in [(0, 9), (6, 17), (3, 12), (7, 8)] {
+            dsu.unite(x, y);
+        }
+        let labels = dsu.labels_snapshot();
+        let words = dsu.dsu().store().raw_words(dsu.len());
+        let snap = dsu.snapshot();
+
+        while dsu.len() < 40 {
+            dsu.make_set();
+        }
+        for (x, y) in [(1, 10), (7, 19), (0, 6), (2, 35), (4, 5)] {
+            dsu.unite(x, y);
+        }
+        assert!(dsu.dsu().store().epoch_report().segments_forked > 0);
+        for x in 0..20 {
+            for y in 0..20 {
+                let at = dsu.find_at(snap, x) == dsu.find_at(snap, y);
+                assert_eq!(at, labels[x] == labels[y], "same_set_at({x}, {y})");
+            }
+        }
+        assert!(dsu.same_set(0, 17) && dsu.same_set(2, 35), "the live view sees the new links");
+
+        dsu.rollback(snap);
+        assert_eq!(dsu.len(), 20);
+        assert_eq!(dsu.dsu().store().raw_words(20), words, "bit-identical on both sides");
+        assert_eq!(dsu.labels_snapshot(), labels);
+        // Regrowth reuses the indices past the boundary as singletons.
+        assert_eq!(dsu.make_set(), 20);
+        assert!(!dsu.same_set(2, 20));
+    }
+
+    #[test]
+    fn a_released_prefix_buffer_backs_the_next_fork() {
+        let mut dsu = VDsu::with_initial(64);
+        let cells = |d: &VDsu| d.dsu().store().prefix_cells.load(store::STAT);
+        let first = cells(&dsu);
+        let a = dsu.snapshot();
+        dsu.unite(0, 1); // forks the prefix into a fresh buffer
+        assert_ne!(cells(&dsu), first);
+        let b = dsu.snapshot();
+        let words = dsu.dsu().store().raw_words(64);
+        dsu.drop_snapshot(a); // `a` held the first prefix node last
+        dsu.unite(2, 3); // forks again, into that node's buffer
+        assert_eq!(cells(&dsu), first, "the released buffer was not reused");
+        assert_eq!(dsu.dsu().store().epoch_report().cow_copies, 128);
+        assert!(dsu.same_set_at(b, 0, 1) && !dsu.same_set_at(b, 2, 3));
+        assert!(dsu.same_set(0, 1) && dsu.same_set(2, 3));
+        dsu.rollback(b);
+        assert_eq!(dsu.dsu().store().raw_words(64), words);
+    }
+
+    #[test]
+    #[should_panic(expected = "another geometry")]
+    fn restore_rejects_a_snapshot_of_another_prefix() {
+        let mut small = EpochStore::with_seed(5, 0);
+        let mut big = EpochStore::with_seed(100, 0);
+        let snap = small.fork_point();
+        big.restore(&snap);
     }
 
     #[test]

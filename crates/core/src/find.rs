@@ -156,6 +156,9 @@ impl sealed::Sealed for TwoTrySplit {}
 impl FindPolicy for TwoTrySplit {
     const NAME: &'static str = "two-try";
 
+    // Forced: with a plain `#[inline]` LLVM still called it out of line
+    // twice per `same_set`/`unite` in the benchmark's release build.
+    #[inline(always)]
     fn find<P: ParentStore + ?Sized, S: StatsSink>(
         store: &P,
         x: usize,

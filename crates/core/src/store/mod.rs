@@ -26,7 +26,7 @@
 //! |---|---|---|---|---|
 //! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | a fixed universe that fits the bound — the all-round fastest |
 //! | [`FlatStore`] | bare `AtomicUsize` parent; ids hashed from the index on demand | 8 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
-//! | [`EpochStore`](crate::EpochStore) | the packed word, in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only [`GrowableStore`] |
+//! | [`EpochStore`](crate::EpochStore) | the packed word: bulk-built elements in one sized prefix, grown ones in doubling segments | 8 B/elem | `2^32` | the universe grows via `make_set` — the only [`GrowableStore`] |
 //!
 //! **Packed vs flat.** Both are one 8-byte word per element. A find on the
 //! packed layout reads the parent *and* the linking priority in one load;
@@ -54,9 +54,15 @@
 //! **Growable universes.** `Dsu<F, EpochStore>` (alias
 //! [`GrowableDsu`](crate::GrowableDsu)), [`KeyedDsu`](crate::KeyedDsu) and
 //! [`VersionedDsu`](crate::VersionedDsu) all run on
-//! [`EpochStore`](crate::EpochStore). Its segment 0 holds
-//! elements `{0, 1}` and segment `s ≥ 1` holds `2^s .. 2^(s+1)`, so `2^k`
-//! elements fill exactly `2^k` cells. Its ids are the same 32-bit hashes
+//! [`EpochStore`](crate::EpochStore). Grown from empty, its segment 0
+//! holds elements `{0, 1}` and segment `s ≥ 1` holds `2^s .. 2^(s+1)`, so
+//! `2^k` elements fill exactly `2^k` cells. Built with `n` elements, it
+//! holds `0..P`, `P = max(2, n.next_power_of_two())`, in one *sized
+//! prefix* — the same cells in one node — where a read is one compare, one
+//! pointer load and an index, as close to [`PackedStore`]'s as a store
+//! that can fork gets; only elements grown past `P` pay the segment
+//! lookup. [`KeyedDsu`](crate::KeyedDsu) grows from empty and so never
+//! has a prefix. Its ids are the same 32-bit hashes
 //! of the index, tie-broken by the index (paper Section 7), so it keeps
 //! [`PackedStore`]'s one-load traversal and `2^32` bound. There is no flat
 //! growable layout: a universe beyond `2^32` has to be fixed

@@ -11,7 +11,8 @@
 //! * bit-identical rollback at the raw-word level (stronger than
 //!   partition equality: the restored forest is the *same bytes*),
 //! * a watchdogged threaded stress driving concurrent phases between
-//!   quiescent snapshot/rollback points,
+//!   quiescent snapshot/rollback points, and readers racing the fork of
+//!   a bulk-built universe's prefix,
 //! * a chaos cell where every store access runs under `FaultyStore`
 //!   injection and rollback must still be exact.
 
@@ -358,6 +359,91 @@ fn threaded_phases_roll_back_exactly() {
         }
     }
     assert_eq!(dsu.rollbacks(), 4);
+}
+
+/// Readers racing the prefix fork. A bulk-built universe keeps its
+/// elements in one prefix node that readers reach through their own
+/// pointer and writers through the directory; after each snapshot the
+/// first write forks that node while readers repeat `same_set` over a
+/// fixed pair list. A reader must never fall back to the node writers
+/// have left: a pair once seen connected stays connected, and time travel
+/// answers from the pre-snapshot partition throughout. Odd phases roll
+/// back and must restore the words bit for bit; even phases commit and
+/// drop their snapshot, whose prefix buffer the next phase's fork then
+/// copies into.
+#[test]
+fn readers_racing_a_prefix_fork_see_monotone_answers() {
+    let _wd = TestWatchdog::arm("readers_racing_a_prefix_fork", Duration::from_secs(120));
+    let n = 1 << 16;
+    let mut dsu = VDsu::with_initial(n);
+    let rng = |i: u64| concurrent_dsu::order::splitmix64(0x9F04_C0DE ^ i);
+    for i in 0..n as u64 / 4 {
+        let r = rng(i);
+        dsu.unite((r as usize) % n, ((r >> 32) as usize) % n);
+    }
+    let pairs: Vec<(usize, usize)> = (0..256u64)
+        .map(|i| {
+            let r = rng(!i);
+            ((r as usize) % n, ((r >> 32) as usize) % n)
+        })
+        .collect();
+
+    for phase in 0u64..4 {
+        let labels = dsu.labels_snapshot();
+        let words = dsu.dsu().store().raw_words(dsu.len());
+        let before: Vec<bool> = pairs.iter().map(|&(x, y)| labels[x] == labels[y]).collect();
+        let forks = dsu.dsu().store().epoch_report().segments_forked;
+        let snap = dsu.snapshot();
+        let writing = std::sync::atomic::AtomicUsize::new(2);
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let (dsu, pairs, writing) = (&dsu, &pairs, &writing);
+                s.spawn(move || {
+                    for i in 0..4_000u64 {
+                        let r = rng((phase << 40) ^ (w << 32) ^ i);
+                        if i % 8 == 0 {
+                            // Grow past the prefix and tie the new element
+                            // to an old one.
+                            let e = dsu.make_set();
+                            dsu.unite(e, (r as usize) % n);
+                        } else if i % 8 == 1 {
+                            let (x, y) = pairs[(r as usize) % pairs.len()];
+                            dsu.unite(x, y);
+                        } else {
+                            dsu.unite((r as usize) % n, ((r >> 32) as usize) % n);
+                        }
+                    }
+                    writing.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                });
+            }
+            for _ in 0..2 {
+                let (dsu, pairs, before, writing) = (&dsu, &pairs, &before, &writing);
+                s.spawn(move || {
+                    let mut seen = before.clone();
+                    let mut rounds = 0;
+                    while rounds < 4 || writing.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                        for (k, &(x, y)) in pairs.iter().enumerate() {
+                            let now = dsu.same_set(x, y);
+                            assert!(now || !seen[k], "phase {phase}: pair {k} came apart");
+                            seen[k] = now;
+                            assert_eq!(dsu.same_set_at(snap, x, y), before[k], "phase {phase}");
+                        }
+                        rounds += 1;
+                    }
+                });
+            }
+        });
+        assert!(dsu.dsu().store().epoch_report().segments_forked > forks, "the storm must fork");
+        if phase % 2 == 1 {
+            dsu.rollback(snap);
+            assert_eq!(dsu.dsu().store().raw_words(dsu.len()), words, "phase {phase}");
+        }
+        dsu.drop_snapshot(snap);
+        // Commit some progress so each phase guards a different forest.
+        for i in 0..64 {
+            dsu.unite(pairs[(i * 7 + phase as usize) % pairs.len()].0, i);
+        }
+    }
 }
 
 /// Same shape under fault injection, with per-thread retry budgets: the

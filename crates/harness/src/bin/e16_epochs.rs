@@ -26,6 +26,11 @@
 //! check *fail* — proving the apparatus can still see a contaminated
 //! forest, not merely bless everything.
 //!
+//! Every cell runs on two stores: one **grown** by `make_set` from an
+//! empty `EpochStore` (the doubling segments) and one **bulk**-built with
+//! `EpochStore::with_seed(n, seed)` (every element in the sized prefix,
+//! which forks as one node).
+//!
 //! Usage: `--histories 60 --threads 4 --ops-per-proc 8 --n 12
 //!         --seeds 6 --rates 0.1,0.3 --csv out.csv --quick true`
 
@@ -41,13 +46,18 @@ use sequential_dsu::{NaiveDsu, Partition};
 
 type ChaosDsu = VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>>;
 
-fn chaos_dsu(n: usize, seed: u64, rate: f64) -> ChaosDsu {
+/// The two ways a store comes to hold `n` elements: the doubling
+/// segments `make_set` opens, or the bulk constructor's sized prefix.
+const STORES: [&str; 2] = ["grown", "bulk"];
+
+fn chaos_dsu(store: &str, n: usize, seed: u64, rate: f64) -> ChaosDsu {
+    let bulk = store == "bulk";
     let store = FaultyStore::with_plan(
-        <EpochStore as DsuStore>::with_seed(0, seed),
+        <EpochStore as DsuStore>::with_seed(if bulk { n } else { 0 }, seed),
         FaultPlan::rate(seed, rate),
     );
     let dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));
-    for _ in 0..n {
+    while dsu.len() < n {
         dsu.make_set();
     }
     dsu
@@ -66,7 +76,9 @@ struct CellOutcome {
 /// doomed phase, rollback, contract checks. `rollback` is the canary
 /// switch — when `false` the doomed storm is left in place and the
 /// bit-identity check is *expected* to fail.
+#[allow(clippy::too_many_arguments)]
 fn run_cell(
+    store: &str,
     histories: usize,
     threads: usize,
     ops_per_proc: usize,
@@ -86,7 +98,7 @@ fn run_cell(
     };
     for h in 0..histories {
         let seed = base_seed ^ (h as u64 * 6151 + 3);
-        let mut dsu = chaos_dsu(n, seed, rate);
+        let mut dsu = chaos_dsu(store, n, seed, rate);
 
         // Phase 1: committed, recorded, concurrent.
         let recorder = HistoryRecorder::new();
@@ -179,11 +191,17 @@ fn run_cell(
 /// The `try_unite_batch` shape of the same contract: a validator-rejected
 /// speculative batch under injection must report `RolledBack` and leave
 /// the words bit-identical. Returns (rolled_back_and_identical, total).
-fn speculative_cell(histories: usize, n: usize, base_seed: u64, rate: f64) -> (usize, usize) {
+fn speculative_cell(
+    store: &str,
+    histories: usize,
+    n: usize,
+    base_seed: u64,
+    rate: f64,
+) -> (usize, usize) {
     let mut ok = 0;
     for h in 0..histories {
         let seed = base_seed ^ (h as u64).wrapping_mul(0x9E37_79B9);
-        let mut dsu = chaos_dsu(n, seed, rate);
+        let mut dsu = chaos_dsu(store, n, seed, rate);
         for i in 0..n / 2 {
             dsu.unite(i, (i * 7 + 1) % n);
         }
@@ -231,6 +249,7 @@ fn main() {
 
     let mut table = Table::new(&[
         "cell",
+        "store",
         "seed",
         "rate",
         "histories",
@@ -240,69 +259,87 @@ fn main() {
         "faults",
     ]);
     let mut all_ok = true;
-    for s in 0..seeds {
-        let sweep_seed = 0xE16_0000 + s as u64 * 7919;
-        for &rate in &rates {
-            let cell = run_cell(histories, threads, ops_per_proc, n, sweep_seed, rate, true);
-            table.row(&[
-                "rollback".to_string(),
-                format!("{sweep_seed:#x}"),
-                format!("{rate:.2}"),
-                cell.histories.to_string(),
-                cell.linearizable.to_string(),
-                cell.bit_identical.to_string(),
-                cell.oracle_equal.to_string(),
-                cell.faults.to_string(),
-            ]);
-            all_ok &= cell.linearizable == cell.histories
-                && cell.bit_identical == cell.histories
-                && cell.oracle_equal == cell.histories;
-            assert!(
-                rate == 0.0 || cell.faults > 0,
-                "rate {rate} injected nothing — the sweep is not exercising chaos"
-            );
+    let (mut spec_ok, mut spec_total) = (0, 0);
+    let heavy = rates.iter().copied().fold(0.0f64, f64::max);
+    for store in STORES {
+        for s in 0..seeds {
+            let sweep_seed = 0xE16_0000 + s as u64 * 7919;
+            for &rate in &rates {
+                let cell =
+                    run_cell(store, histories, threads, ops_per_proc, n, sweep_seed, rate, true);
+                table.row(&[
+                    "rollback".to_string(),
+                    store.to_string(),
+                    format!("{sweep_seed:#x}"),
+                    format!("{rate:.2}"),
+                    cell.histories.to_string(),
+                    cell.linearizable.to_string(),
+                    cell.bit_identical.to_string(),
+                    cell.oracle_equal.to_string(),
+                    cell.faults.to_string(),
+                ]);
+                all_ok &= cell.linearizable == cell.histories
+                    && cell.bit_identical == cell.histories
+                    && cell.oracle_equal == cell.histories;
+                assert!(
+                    rate == 0.0 || cell.faults > 0,
+                    "rate {rate} injected nothing — the sweep is not exercising chaos"
+                );
+            }
         }
+
+        // The speculative-batch route, per seed, at the heaviest rate.
+        let (ok, total) = speculative_cell(store, histories * seeds, n.max(16), 0x5BEC, heavy);
+        table.row(&[
+            "try_unite_batch".to_string(),
+            store.to_string(),
+            "sweep".to_string(),
+            format!("{heavy:.2}"),
+            total.to_string(),
+            "-".to_string(),
+            ok.to_string(),
+            "-".to_string(),
+            "-".to_string(),
+        ]);
+        spec_ok += ok;
+        spec_total += total;
     }
 
-    // The speculative-batch route, per seed, at the heaviest rate.
-    let heavy = rates.iter().copied().fold(0.0f64, f64::max);
-    let (spec_ok, spec_total) = speculative_cell(histories * seeds, n.max(16), 0x5BEC, heavy);
-    table.row(&[
-        "try_unite_batch".to_string(),
-        "sweep".to_string(),
-        format!("{heavy:.2}"),
-        spec_total.to_string(),
-        "-".to_string(),
-        spec_ok.to_string(),
-        "-".to_string(),
-        "-".to_string(),
-    ]);
-
-    // The canary: skip the rollback and demand contamination is *seen*.
-    let canary = run_cell(histories.max(20), threads, ops_per_proc, n, 0xBADC0DE, 0.2, false);
-    table.row(&[
-        "CANARY(no-rollback)".to_string(),
-        "-".to_string(),
-        "0.20".to_string(),
-        canary.histories.to_string(),
-        canary.linearizable.to_string(),
-        canary.bit_identical.to_string(),
-        canary.oracle_equal.to_string(),
-        canary.faults.to_string(),
-    ]);
+    // The canary, on each store: skip the rollback and demand
+    // contamination is *seen*.
+    let mut canary_ok = true;
+    for store in STORES {
+        let canary =
+            run_cell(store, histories.max(20), threads, ops_per_proc, n, 0xBADC0DE, 0.2, false);
+        table.row(&[
+            "CANARY(no-rollback)".to_string(),
+            store.to_string(),
+            "-".to_string(),
+            "0.20".to_string(),
+            canary.histories.to_string(),
+            canary.linearizable.to_string(),
+            canary.bit_identical.to_string(),
+            canary.oracle_equal.to_string(),
+            canary.faults.to_string(),
+        ]);
+        println!(
+            "canary ({store}) saw contamination in {}/{} histories (must be > 0)",
+            canary.histories - canary.bit_identical,
+            canary.histories
+        );
+        canary_ok &= canary.bit_identical < canary.histories;
+    }
 
     table.print();
     println!(
         "\nresult: rollback cells all-green = {all_ok}; speculative {spec_ok}/{spec_total}; \
-         canary saw contamination in {}/{} histories (must be > 0).",
-        canary.histories - canary.bit_identical,
-        canary.histories
+         every canary saw contamination = {canary_ok}."
     );
     assert!(all_ok, "a rollback cell broke the contract — see the table");
     assert_eq!(spec_ok, spec_total, "a rejected speculative batch left residue");
     assert!(
-        canary.bit_identical < canary.histories,
-        "the canary rolled nothing back yet the words came out identical: \
+        canary_ok,
+        "a canary rolled nothing back yet the words came out identical: \
          the bit-identity check has lost its teeth"
     );
     if let Some(path) = args.get("csv") {
