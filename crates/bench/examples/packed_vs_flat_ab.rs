@@ -1,11 +1,11 @@
 //! Interleaved A/B comparison of the packed vs. flat parent store.
 //!
-//! The criterion benches time each structure in its own window, which on a
-//! busy host lets CPU-steal drift masquerade as a layout effect. This
-//! harness alternates packed and flat samples back to back, so both see
-//! the same environment, and reports per-thread-count medians and the
-//! packed/flat throughput ratio — printed as a table and, with
-//! `--json PATH`, written out for archiving or CI artifacts.
+//! Timing each structure in its own window lets CPU-steal drift on a busy
+//! host masquerade as a layout effect. This harness alternates packed and
+//! flat samples back to back, so both see the same environment, and
+//! reports per-thread-count medians and the packed/flat throughput ratio —
+//! printed as a table and, with `--json PATH`, written out for archiving
+//! or CI artifacts.
 //!
 //! Both layouts are one 8-byte word per element: the packed word carries
 //! the id next to the parent, the flat layout recomputes the hashed id

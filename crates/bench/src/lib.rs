@@ -1,15 +1,18 @@
-//! Shared helpers for the Criterion benches.
+//! Shared helpers for the interleaved A/B examples in `examples/`.
 //!
-//! The benches complement the `dsu-harness` experiment binaries: the
-//! binaries regenerate the paper-claim tables (E1–E12, indexed in the
-//! `dsu-harness` crate docs),
-//! while these give statistically disciplined micro-timings for the same
-//! code paths:
+//! The examples complement the `dsu-harness` experiment binaries: the
+//! binaries regenerate the paper-claim tables (E1–E16, indexed in the
+//! `dsu-harness` crate docs), while each example alternates its
+//! contenders sample by sample, so both see the same host drift, and
+//! writes the medians as fingerprinted JSON with `--json PATH`:
 //!
-//! * `find_variants` — single-thread cost per find policy (E3's unit cost);
-//! * `concurrent_throughput` — multi-thread ops/s per structure (E4);
-//! * `sequential_variants` — the twelve Section 2 baselines (E7);
-//! * `applications` — connected components / MST / percolation (E9).
+//! * `packed_vs_flat_ab` — packed vs. flat parent store;
+//! * `batch_vs_perop_ab` — batched vs. per-op edge ingestion;
+//! * `keyed_ab` — the lock-free keyed layer vs. a locked map;
+//! * `variants_ab` — the (find × link) plane per workload;
+//! * `epochs_ab` — what versioning costs and buys;
+//! * `chaos_ab` — throughput and linearizability under injected faults;
+//! * `store_diag` — phase timings and layer counter checks per layout.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -80,7 +83,7 @@ pub fn apply<D: concurrent_dsu::ConcurrentUnionFind + ?Sized>(dsu: &D, op: dsu_w
 }
 
 /// Runs a workload sharded over `threads` threads; returns elapsed time.
-/// (Criterion's `iter_custom` needs the duration, not a harness struct, so
+/// (The A/B examples need only the duration, not a harness struct, so
 /// this is a lean sibling of `dsu_harness::run_shards`.)
 pub fn timed_parallel_run<D: concurrent_dsu::ConcurrentUnionFind>(
     dsu: &D,

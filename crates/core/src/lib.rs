@@ -182,7 +182,6 @@ pub mod order;
 pub mod stats;
 pub mod store;
 pub mod tune;
-pub mod viz;
 
 mod dsu;
 
@@ -224,18 +223,6 @@ pub type DefaultLink = IndexLink;
 /// random — the paper's randomized linking; see `default-link-index`).
 #[cfg(not(feature = "default-link-index"))]
 pub type DefaultLink = RandomLink;
-
-/// Convenient alias: the paper's headline configuration (two-try splitting).
-pub type DsuTwoTry = Dsu<TwoTrySplit>;
-/// Alias for the one-try splitting configuration (paper Algorithm 4).
-pub type DsuOneTry = Dsu<OneTrySplit>;
-/// Alias for the compaction-free configuration (paper Algorithm 1).
-pub type DsuNoCompaction = Dsu<NoCompaction>;
-/// Alias for the halving configuration (ablation; cf. paper Section 3).
-pub type DsuHalving = Dsu<Halving>;
-/// Alias for the two-pass compression configuration (the Section 6
-/// conjecture, implemented as future work).
-pub type DsuCompress = Dsu<Compress>;
 
 /// Common interface for every concurrent union-find in this workspace
 /// (this crate's [`Dsu`] on every layout, and the baselines crate's

@@ -7,7 +7,8 @@
 //!
 //! Four cells:
 //! * a proptest over full version-DAG scripts (unite / make_set /
-//!   snapshot / rollback / drop / time-travel / speculative batch),
+//!   snapshot / rollback / drop / time-travel / plain and speculative
+//!   batches),
 //! * bit-identical rollback at the raw-word level (stronger than
 //!   partition equality: the restored forest is the *same bytes*),
 //! * a watchdogged threaded stress driving concurrent phases between
@@ -105,6 +106,9 @@ enum Step {
     Rollback(usize),
     Drop(usize),
     QueryAt(usize, usize, usize),
+    /// Plain (committed) batch of pseudo-random edges through
+    /// `unite_batch`.
+    Batch(u64),
     /// Speculative batch of pseudo-random edges; `commit` picks the
     /// validator's verdict up front.
     TryBatch {
@@ -122,6 +126,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         2 => (0usize..8).prop_map(Step::Rollback),
         1 => (0usize..8).prop_map(Step::Drop),
         3 => (0usize..8, 0usize..64, 0usize..64).prop_map(|(s, x, y)| Step::QueryAt(s, x, y)),
+        1 => any::<u64>().prop_map(Step::Batch),
         2 => (any::<u64>(), any::<bool>()).prop_map(|(seed, commit)| Step::TryBatch { seed, commit }),
     ]
 }
@@ -191,6 +196,11 @@ fn run_script<S: EpochFork>(
                         );
                     }
                 }
+            }
+            Step::Batch(seed) if n > 0 => {
+                let edges = batch_edges(seed, n);
+                let linked = edges.iter().filter(|&&(x, y)| oracle.unite(x, y)).count();
+                assert_eq!(dsu.unite_batch(&edges), linked, "unite_batch forest edges");
             }
             Step::TryBatch { seed, commit } if n > 0 => {
                 let edges = batch_edges(seed, n);

@@ -1,13 +1,9 @@
 //! On-line incremental connectivity over an edge stream — the "edge
 //! insertions interleaved with connectivity queries" application from the
 //! paper's introduction, plus cycle detection (an inserted edge closes a
-//! cycle iff its endpoints were already connected), and a versioned
-//! variant ([`VersionedConnectivity`]) whose edge bursts are speculative:
-//! snapshot → ingest → validate → commit-or-rollback.
+//! cycle iff its endpoints were already connected).
 
-use concurrent_dsu::{
-    BatchOutcome, Dsu, Epoch, EpochStore, GrowableDsu, TwoTrySplit, VersionedDsu,
-};
+use concurrent_dsu::{Dsu, TwoTrySplit};
 
 /// A connectivity index over `0..n` maintained under concurrent edge
 /// insertions and queries, backed by the Jayanti–Tarjan structure.
@@ -97,167 +93,6 @@ impl IncrementalConnectivity {
     }
 }
 
-/// [`IncrementalConnectivity`] over the epoch-versioned structure
-/// ([`VersionedDsu`]): same concurrent insert/query surface, plus O(1)
-/// snapshots, rollback, time-travel queries, and **speculative bursts** —
-/// ingest a batch, validate the resulting connectivity, and either keep it
-/// or roll the whole burst back bit-identically. The tool for untrusted
-/// edge streams: a poisoned burst (corrupt upstream, failed downstream
-/// validation, chaos-injected abort) never contaminates the index.
-///
-/// Concurrent methods take `&self` exactly like
-/// [`IncrementalConnectivity`]'s; version transitions take `&mut self`
-/// (quiescence, compiler-enforced — see `concurrent_dsu::epoch`).
-///
-/// # Example
-///
-/// ```
-/// use dsu_graph::incremental::VersionedConnectivity;
-/// use concurrent_dsu::BatchOutcome;
-///
-/// let mut conn = VersionedConnectivity::new(6);
-/// conn.insert(0, 1);
-///
-/// // A burst that would merge everything is rejected by the validator
-/// // and rolls back completely…
-/// let outcome = conn.try_insert_batch(
-///     &[(1, 2), (2, 3), (3, 4), (4, 5)],
-///     |view, _forest_edges| view.component_count() > 2,
-/// );
-/// assert_eq!(outcome, BatchOutcome::RolledBack);
-/// assert!(!conn.connected(1, 2));
-///
-/// // …while an accepted burst commits.
-/// let outcome = conn.try_insert_batch(&[(1, 2)], |view, _| view.connected(0, 2));
-/// assert!(outcome.is_committed());
-/// assert!(conn.connected(0, 2));
-/// ```
-#[derive(Debug)]
-pub struct VersionedConnectivity {
-    dsu: VersionedDsu<TwoTrySplit, EpochStore>,
-}
-
-impl VersionedConnectivity {
-    /// `n` isolated vertices.
-    pub fn new(n: usize) -> Self {
-        VersionedConnectivity { dsu: VersionedDsu::with_initial(n) }
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.dsu.len()
-    }
-
-    /// `true` if the vertex set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.dsu.is_empty()
-    }
-
-    /// See [`IncrementalConnectivity::insert`].
-    pub fn insert(&self, x: usize, y: usize) -> bool {
-        self.dsu.unite(x, y)
-    }
-
-    /// See [`IncrementalConnectivity::insert_batch`].
-    pub fn insert_batch(&self, edges: &[(usize, usize)]) -> usize {
-        self.dsu.unite_batch(edges)
-    }
-
-    /// See [`IncrementalConnectivity::connected`].
-    pub fn connected(&self, x: usize, y: usize) -> bool {
-        self.dsu.same_set(x, y)
-    }
-
-    /// Current number of connected components.
-    pub fn component_count(&self) -> usize {
-        self.dsu.set_count()
-    }
-
-    /// Records an O(1) snapshot of the current connectivity.
-    pub fn snapshot(&mut self) -> Epoch {
-        self.dsu.snapshot()
-    }
-
-    /// Restores the connectivity recorded at `at`, discarding every edge
-    /// inserted since (and any later snapshots).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` was dropped or already rolled past.
-    pub fn rollback(&mut self, at: Epoch) {
-        self.dsu.rollback(at)
-    }
-
-    /// Forgets snapshot `at`, releasing its retained segments.
-    pub fn drop_snapshot(&mut self, at: Epoch) {
-        self.dsu.drop_snapshot(at)
-    }
-
-    /// `true` iff `x` and `y` were connected at snapshot `at` — the
-    /// time-travel query ("were these hosts in the same partition before
-    /// last night's ingest?"). Safe concurrently with ongoing inserts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` was dropped/rolled past or a vertex did not exist at
-    /// `at`.
-    pub fn connected_at(&self, at: Epoch, x: usize, y: usize) -> bool {
-        self.dsu.same_set_at(at, x, y)
-    }
-
-    /// Speculative burst: snapshot, ingest `edges`, hand the post-ingest
-    /// connectivity (as a read-only [`ConnectivityView`]) plus the
-    /// forest-edge count to `validate`, then commit or roll back
-    /// bit-identically. The snapshot is released either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range — before any state changes.
-    pub fn try_insert_batch<V>(&mut self, edges: &[(usize, usize)], validate: V) -> BatchOutcome
-    where
-        V: FnOnce(&ConnectivityView<'_>, usize) -> bool,
-    {
-        self.dsu.try_unite_batch(edges, |dsu, forest_edges| {
-            validate(&ConnectivityView { dsu }, forest_edges)
-        })
-    }
-
-    /// Lifetime counters `(snapshots_taken, rollbacks)`.
-    pub fn version_counters(&self) -> (u64, u64) {
-        (self.dsu.snapshots_taken(), self.dsu.rollbacks())
-    }
-
-    /// The wrapped versioned structure, for the full epoch surface
-    /// (auto-snapshot policy, stats reporting, raw store access).
-    pub fn dsu(&self) -> &VersionedDsu<TwoTrySplit, EpochStore> {
-        &self.dsu
-    }
-
-    /// Exclusive access to the wrapped structure (epoch transitions).
-    pub fn dsu_mut(&mut self) -> &mut VersionedDsu<TwoTrySplit, EpochStore> {
-        &mut self.dsu
-    }
-}
-
-/// The read-only connectivity a [`VersionedConnectivity::try_insert_batch`]
-/// validator sees: the post-ingest state, before the commit/rollback
-/// decision.
-pub struct ConnectivityView<'a> {
-    dsu: &'a GrowableDsu<TwoTrySplit, EpochStore>,
-}
-
-impl ConnectivityView<'_> {
-    /// `true` iff `x` and `y` are connected in the speculative state.
-    pub fn connected(&self, x: usize, y: usize) -> bool {
-        self.dsu.same_set(x, y)
-    }
-
-    /// Component count of the speculative state.
-    pub fn component_count(&self) -> usize {
-        self.dsu.set_count()
-    }
-}
-
 /// Streams `edges` into a fresh index as one batch and returns
 /// `(forest_edges, cycle_edges)`. For any graph,
 /// `cycle_edges = m - n + components` — the classic circuit-rank identity
@@ -323,73 +158,6 @@ mod tests {
             0,
             "re-inserting the same burst adds no forest edges"
         );
-    }
-
-    #[test]
-    fn versioned_speculative_bursts_commit_or_vanish() {
-        let mut conn = VersionedConnectivity::new(100);
-        let good: Vec<(usize, usize)> = (0..49).map(|i| (i, i + 1)).collect();
-        // Poisoned burst: connects the two halves the validator insists
-        // stay separate.
-        let mut poisoned: Vec<(usize, usize)> = (50..99).map(|i| (i, i + 1)).collect();
-        poisoned.push((0, 99));
-
-        assert!(conn.try_insert_batch(&good, |v, _| !v.connected(0, 99)).is_committed());
-        assert_eq!(
-            conn.try_insert_batch(&poisoned, |v, _| !v.connected(0, 99)),
-            BatchOutcome::RolledBack
-        );
-        // The committed burst survives; the poisoned one vanished whole —
-        // including its innocent-looking edges.
-        assert!(conn.connected(0, 49));
-        assert!(!conn.connected(50, 51));
-        assert!(!conn.connected(0, 99));
-        assert_eq!(conn.component_count(), 51);
-        assert_eq!(conn.version_counters(), (2, 1));
-    }
-
-    #[test]
-    fn versioned_time_travel_and_rollback() {
-        let mut conn = VersionedConnectivity::new(8);
-        conn.insert(0, 1);
-        let before = conn.snapshot();
-        conn.insert_batch(&[(1, 2), (3, 4)]);
-        assert!(conn.connected(0, 2));
-        assert!(!conn.connected_at(before, 0, 2), "0-2 joined after the snapshot");
-        assert!(conn.connected_at(before, 0, 1));
-        conn.rollback(before);
-        assert!(!conn.connected(0, 2));
-        assert!(!conn.connected(3, 4));
-        assert!(conn.connected(0, 1));
-        conn.drop_snapshot(before);
-    }
-
-    #[test]
-    fn versioned_matches_plain_on_committed_history() {
-        // Interleave committed bursts with rejected ones: the versioned
-        // index must agree with a plain index fed only the committed edges.
-        let mut versioned = VersionedConnectivity::new(64);
-        let plain = IncrementalConnectivity::new(64);
-        for round in 0..10u64 {
-            let burst: Vec<(usize, usize)> = (0..12)
-                .map(|i| {
-                    let r = concurrent_dsu::order::splitmix64(round * 64 + i);
-                    ((r as usize) % 64, ((r >> 32) as usize) % 64)
-                })
-                .collect();
-            let accept = round % 3 != 0;
-            let outcome = versioned.try_insert_batch(&burst, |_, _| accept);
-            assert_eq!(outcome.is_committed(), accept);
-            if accept {
-                plain.insert_batch(&burst);
-            }
-        }
-        assert_eq!(versioned.component_count(), plain.component_count());
-        for x in 0..64 {
-            for y in (x + 1)..64 {
-                assert_eq!(versioned.connected(x, y), plain.connected(x, y), "({x},{y})");
-            }
-        }
     }
 
     #[test]

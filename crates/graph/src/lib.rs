@@ -15,14 +15,12 @@
 //! * [`mst`] — Kruskal (sequential) and a parallel Borůvka built on the
 //!   concurrent structure;
 //! * [`percolation`] — site-percolation on a square grid (the
-//!   Sedgewick–Wayne classroom application the paper cites);
-//! * [`incremental`] — on-line connectivity / cycle detection over an edge
-//!   stream, plus [`incremental::VersionedConnectivity`]: the same index
-//!   with O(1) snapshots, rollback, time-travel queries, and speculative
-//!   all-or-nothing bursts (the epoch layer applied); its first payoff is
+//!   Sedgewick–Wayne classroom application the paper cites), including
 //!   [`percolation::percolation_threshold_versioned`], which recovers the
 //!   exact one-by-one percolation threshold from batched ingestion by
-//!   binary search over snapshots.
+//!   binary search over the epoch layer's snapshots;
+//! * [`incremental`] — on-line connectivity / cycle detection over an edge
+//!   stream.
 //!
 //! # Example
 //!

@@ -1,10 +1,16 @@
 //! Runs the whole experiment suite (E1–E16) in order, forwarding flags.
 //!
-//! `cargo run --release -p dsu-harness --bin run_all -- [--quick true] [--csv-dir DIR]`
+//! ```bash
+//! cargo build --release -p dsu-harness --bins
+//! ./target/release/run_all [--quick true] [--csv-dir DIR]
+//! ```
 //!
-//! Each experiment is executed as a child process (so one failure doesn't
-//! take the suite down) and its output streams through; with `--csv-dir`
-//! every experiment also drops `eNN.csv` into the directory.
+//! Each experiment runs as a child process launched from this binary's own
+//! directory, so build them all first (`cargo run --bin run_all` builds
+//! only this one). One failure doesn't take the suite down; each
+//! experiment's output streams through, and with `--csv-dir` every
+//! experiment also drops `eNN.csv` into the directory. The exit status is
+//! nonzero if any experiment failed.
 
 use dsu_harness::Args;
 use std::process::Command;
@@ -68,5 +74,26 @@ fn main() {
     } else {
         println!("FAILED experiments: {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    /// CI runs the experiments only through this binary, so an `eNN`
+    /// binary missing from the list would never run.
+    #[test]
+    fn lists_every_experiment_binary() {
+        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut stems: Vec<String> = std::fs::read_dir(bin_dir)
+            .expect("read src/bin")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .filter_map(|path| path.file_stem()?.to_str().map(str::to_string))
+            .filter(|stem| stem.starts_with('e'))
+            .collect();
+        stems.sort();
+        assert_eq!(stems, EXPERIMENTS);
     }
 }

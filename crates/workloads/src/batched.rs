@@ -14,8 +14,8 @@ use rand_chacha::ChaCha12Rng;
 use crate::gen::{ElementDist, PairSampler};
 
 /// A recipe for a batched edge-arrival trace: universe size, burst count,
-/// burst size, endpoint distribution, intra-burst endpoint re-hits, and
-/// exact-duplicate injection. Same spec + same seed = same trace.
+/// burst size and endpoint distribution. Same spec + same seed = same
+/// trace.
 ///
 /// # Example
 ///
@@ -24,8 +24,6 @@ use crate::gen::{ElementDist, PairSampler};
 ///
 /// let arrivals = EdgeBatchSpec::new(1000, 16, 64)
 ///     .element_dist(ElementDist::Zipf(1.0))
-///     .repeat_within_burst(0.3)
-///     .duplicate_fraction(0.2)
 ///     .generate(7);
 /// assert_eq!(arrivals.batches.len(), 16);
 /// assert_eq!(arrivals.total_edges(), 16 * 64);
@@ -36,74 +34,23 @@ pub struct EdgeBatchSpec {
     batches: usize,
     batch_size: usize,
     dist: ElementDist,
-    repeat: f64,
-    duplicate: f64,
 }
 
 impl EdgeBatchSpec {
     /// A spec for `batches` bursts of `batch_size` edges each over `0..n`;
-    /// endpoints default to uniform with no intra-burst re-hits.
+    /// endpoints default to uniform.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` while the spec would generate edges.
     pub fn new(n: usize, batches: usize, batch_size: usize) -> Self {
         assert!(n > 0 || batches * batch_size == 0, "cannot generate edges over an empty universe");
-        EdgeBatchSpec {
-            n,
-            batches,
-            batch_size,
-            dist: ElementDist::Uniform,
-            repeat: 0.0,
-            duplicate: 0.0,
-        }
+        EdgeBatchSpec { n, batches, batch_size, dist: ElementDist::Uniform }
     }
 
     /// Sets the endpoint distribution.
     pub fn element_dist(mut self, dist: ElementDist) -> Self {
         self.dist = dist;
-        self
-    }
-
-    /// Sets the intra-burst re-hit probability: each endpoint is, with
-    /// probability `p`, replaced by a uniformly chosen endpoint that
-    /// already appeared *earlier in the same burst* (the first edge of a
-    /// burst is always fresh). This is the temporal-locality axis the
-    /// element distribution cannot express — real bursts (a crawler
-    /// frontier, a log segment) revisit the entities they just touched:
-    /// at `p = 0` every endpoint is an independent draw, at `p → 1` a
-    /// burst hammers a handful of endpoints.
-    ///
-    /// `p = 0.0` (the default) leaves the generated stream byte-identical
-    /// to specs predating this knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn repeat_within_burst(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "re-hit probability must be in [0, 1]");
-        self.repeat = p;
-        self
-    }
-
-    /// Sets the exact-duplicate injection probability: each edge after the
-    /// first of a burst is, with probability `p`, replaced *wholesale* by
-    /// a copy of a uniformly chosen earlier edge of the same burst. Where
-    /// [`repeat_within_burst`](EdgeBatchSpec::repeat_within_burst) re-hits
-    /// individual *endpoints*, this knob manufactures byte-identical
-    /// *pairs* — so the cost of redundant edges can be measured
-    /// independently of Zipf skew (Zipf streams produce duplicates only as
-    /// a side effect of endpoint popularity).
-    ///
-    /// `p = 0.0` (the default) leaves the generated stream byte-identical
-    /// to specs predating this knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn duplicate_fraction(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "duplicate fraction must be in [0, 1]");
-        self.duplicate = p;
         self
     }
 
@@ -124,44 +71,10 @@ impl EdgeBatchSpec {
 
     /// Materializes the arrival trace for `seed`.
     pub fn generate(&self, seed: u64) -> EdgeBatches {
-        use rand::Rng;
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let sampler = PairSampler::new(self.n, self.dist);
-        let mut seen: Vec<usize> = Vec::with_capacity(2 * self.batch_size);
-        let mut edges_so_far: Vec<(usize, usize)> = Vec::with_capacity(self.batch_size);
         let batches = (0..self.batches)
-            .map(|_| {
-                seen.clear();
-                edges_so_far.clear();
-                (0..self.batch_size)
-                    .map(|_| {
-                        let (mut x, mut y) = sampler.draw(&mut rng);
-                        // Intra-burst re-hits: the `repeat == 0.0` guard
-                        // keeps the RNG stream (and thus every pre-knob
-                        // trace) byte-identical when the knob is unset.
-                        if self.repeat > 0.0 && !seen.is_empty() {
-                            if rng.gen_bool(self.repeat) {
-                                x = seen[rng.gen_range(0..seen.len())];
-                            }
-                            if rng.gen_bool(self.repeat) {
-                                y = seen[rng.gen_range(0..seen.len())];
-                            }
-                        }
-                        // Exact-duplicate injection replaces the whole
-                        // edge; same `== 0.0` byte-identity guard.
-                        if self.duplicate > 0.0
-                            && !edges_so_far.is_empty()
-                            && rng.gen_bool(self.duplicate)
-                        {
-                            (x, y) = edges_so_far[rng.gen_range(0..edges_so_far.len())];
-                        }
-                        seen.push(x);
-                        seen.push(y);
-                        edges_so_far.push((x, y));
-                        (x, y)
-                    })
-                    .collect()
-            })
+            .map(|_| (0..self.batch_size).map(|_| sampler.draw(&mut rng)).collect())
             .collect();
         EdgeBatches { n: self.n, batches }
     }
@@ -214,7 +127,7 @@ mod tests {
 
     #[test]
     fn endpoints_in_range_for_all_dists() {
-        for dist in [ElementDist::Uniform, ElementDist::Zipf(1.2), ElementDist::Locality(8)] {
+        for dist in [ElementDist::Uniform, ElementDist::Zipf(1.2)] {
             let a = EdgeBatchSpec::new(41, 6, 50).element_dist(dist).generate(3);
             for &(x, y) in &a.flatten() {
                 assert!(x < 41 && y < 41, "{dist:?} emitted ({x}, {y})");
@@ -229,83 +142,6 @@ mod tests {
         let hits_0 = edges.iter().filter(|&&(x, _)| x == 0).count();
         let hits_500 = edges.iter().filter(|&&(x, _)| x == 500).count();
         assert!(hits_0 > 20 * (hits_500 + 1), "0:{hits_0} vs 500:{hits_500}");
-    }
-
-    #[test]
-    fn repeat_knob_rehits_within_bursts_only() {
-        let spec = EdgeBatchSpec::new(100_000, 10, 200).repeat_within_burst(1.0);
-        let a = spec.generate(4);
-        assert_eq!(a, spec.generate(4), "deterministic under the knob");
-        for burst in &a.batches {
-            // With p = 1.0 every endpoint after the first edge re-hits an
-            // earlier one: each burst touches exactly the two endpoints of
-            // its opening edge (drawn uniformly over a huge universe, so a
-            // fresh draw colliding by chance is essentially impossible).
-            let mut distinct: Vec<usize> = burst.iter().flat_map(|&(x, y)| [x, y]).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert!(distinct.len() <= 2, "burst leaked fresh endpoints: {distinct:?}");
-        }
-        // Bursts are independent: consecutive bursts (almost surely) pick
-        // different hot pairs.
-        assert_ne!(a.batches[0][0], a.batches[1][0]);
-    }
-
-    #[test]
-    fn zero_repeat_is_byte_identical_to_unset() {
-        let base = EdgeBatchSpec::new(500, 6, 40).element_dist(ElementDist::Zipf(1.1));
-        assert_eq!(base.generate(9), base.repeat_within_burst(0.0).generate(9));
-    }
-
-    #[test]
-    fn duplicate_knob_injects_exact_copies_within_bursts() {
-        let spec = EdgeBatchSpec::new(100_000, 8, 150).duplicate_fraction(0.5);
-        let a = spec.generate(11);
-        assert_eq!(a, spec.generate(11), "deterministic under the knob");
-        let mut injected = 0usize;
-        for burst in &a.batches {
-            let mut seen_pairs: Vec<(usize, usize)> = Vec::new();
-            for &e in burst {
-                if seen_pairs.contains(&e) {
-                    injected += 1;
-                }
-                seen_pairs.push(e);
-            }
-        }
-        // p = 0.5 over 8 bursts x 149 eligible edges: duplicates abound
-        // (a fresh uniform pair over 10^5 elements colliding by chance is
-        // essentially impossible, so every duplicate is an injected one).
-        assert!(injected > 300, "only {injected} duplicates injected");
-    }
-
-    #[test]
-    fn duplicate_one_makes_each_burst_a_single_edge() {
-        let a = EdgeBatchSpec::new(100_000, 5, 60).duplicate_fraction(1.0).generate(3);
-        for burst in &a.batches {
-            assert!(burst.iter().all(|&e| e == burst[0]), "burst leaked a fresh edge: {burst:?}");
-        }
-        // Bursts are independent: consecutive bursts pick different edges.
-        assert_ne!(a.batches[0][0], a.batches[1][0]);
-    }
-
-    #[test]
-    fn zero_duplicate_is_byte_identical_to_unset() {
-        let base = EdgeBatchSpec::new(500, 6, 40)
-            .element_dist(ElementDist::Zipf(1.1))
-            .repeat_within_burst(0.25);
-        assert_eq!(base.generate(9), base.duplicate_fraction(0.0).generate(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "in [0, 1]")]
-    fn bad_duplicate_rejected() {
-        EdgeBatchSpec::new(10, 1, 1).duplicate_fraction(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "in [0, 1]")]
-    fn bad_repeat_rejected() {
-        EdgeBatchSpec::new(10, 1, 1).repeat_within_burst(1.5);
     }
 
     #[test]

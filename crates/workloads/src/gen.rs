@@ -15,9 +15,6 @@ pub enum ElementDist {
     /// Zipf with the given exponent: element 0 is the most popular. Skew
     /// concentrates contention on few elements (hot roots).
     Zipf(f64),
-    /// Both operands within a window of the given width around a uniformly
-    /// chosen center — models the spatial locality of grid-like inputs.
-    Locality(usize),
 }
 
 /// Draws operand pairs from `0..n` per an [`ElementDist`] — the sampling
@@ -25,34 +22,24 @@ pub enum ElementDist {
 /// ([`EdgeBatchSpec`](crate::EdgeBatchSpec)).
 pub(crate) struct PairSampler {
     n: usize,
-    dist: ElementDist,
+    /// `None` for [`ElementDist::Uniform`].
     zipf: Option<Zipf>,
 }
 
 impl PairSampler {
     pub(crate) fn new(n: usize, dist: ElementDist) -> Self {
         let zipf = match dist {
+            ElementDist::Uniform => None,
             ElementDist::Zipf(s) => Some(Zipf::new(n as u64, s)),
-            _ => None,
         };
-        PairSampler { n, dist, zipf }
+        PairSampler { n, zipf }
     }
 
     pub(crate) fn draw(&self, rng: &mut ChaCha12Rng) -> (usize, usize) {
-        match self.dist {
-            ElementDist::Uniform => (rng.gen_range(0..self.n), rng.gen_range(0..self.n)),
-            ElementDist::Zipf(_) => {
-                let zipf = self.zipf.as_ref().expect("zipf sampler prepared");
-                // Zipf yields 1..=n; element k-1 gets mass k^(-s).
-                ((zipf.sample(rng) - 1) as usize, (zipf.sample(rng) - 1) as usize)
-            }
-            ElementDist::Locality(window) => {
-                let w = window.max(1).min(self.n);
-                let center = rng.gen_range(0..self.n);
-                let lo = center.saturating_sub(w / 2);
-                let hi = (lo + w).min(self.n);
-                (rng.gen_range(lo..hi), rng.gen_range(lo..hi))
-            }
+        match &self.zipf {
+            None => (rng.gen_range(0..self.n), rng.gen_range(0..self.n)),
+            // Zipf yields 1..=n; element k-1 gets mass k^(-s).
+            Some(zipf) => ((zipf.sample(rng) - 1) as usize, (zipf.sample(rng) - 1) as usize),
         }
     }
 }
@@ -159,13 +146,7 @@ mod tests {
 
     #[test]
     fn operands_in_range_for_all_dists() {
-        for dist in [
-            ElementDist::Uniform,
-            ElementDist::Zipf(1.3),
-            ElementDist::Locality(8),
-            ElementDist::Locality(0),      // degenerate window
-            ElementDist::Locality(10_000), // over-wide window
-        ] {
+        for dist in [ElementDist::Uniform, ElementDist::Zipf(1.3)] {
             let w = WorkloadSpec::new(37, 2_000).element_dist(dist).generate(4);
             for op in &w.ops {
                 let (x, y) = op.operands();
@@ -180,16 +161,6 @@ mod tests {
         let hits_0 = w.ops.iter().filter(|o| o.operands().0 == 0).count();
         let hits_500 = w.ops.iter().filter(|o| o.operands().0 == 500).count();
         assert!(hits_0 > 20 * (hits_500 + 1), "0:{hits_0} vs 500:{hits_500}");
-    }
-
-    #[test]
-    fn locality_dist_keeps_pairs_close() {
-        let w =
-            WorkloadSpec::new(10_000, 5_000).element_dist(ElementDist::Locality(16)).generate(6);
-        for op in &w.ops {
-            let (x, y) = op.operands();
-            assert!(x.abs_diff(y) <= 16, "pair too far: {op:?}");
-        }
     }
 
     #[test]

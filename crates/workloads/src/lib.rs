@@ -3,12 +3,11 @@
 //! The paper proves its bounds over *arbitrary* operation sequences; the
 //! experiments need concrete, reproducible ones. This crate provides:
 //!
-//! * [`Op`] / [`Workload`] — a serializable operation trace (unite /
-//!   same-set over `0..n`), with helpers to shard a trace across `p`
-//!   threads;
-//! * [`WorkloadSpec`] — seeded generators: uniform, Zipf-skewed
-//!   ([`Zipf`], our own rejection-inversion sampler), and locality-window
-//!   element choice, with a configurable unite : same-set mix;
+//! * [`Op`] / [`Workload`] — an operation trace (unite / same-set over
+//!   `0..n`), with helpers to shard a trace across `p` threads;
+//! * [`WorkloadSpec`] — seeded generators: uniform or Zipf-skewed
+//!   ([`Zipf`], our own rejection-inversion sampler) element choice, with
+//!   a configurable unite : same-set mix;
 //! * [`EdgeBatchSpec`] — batched edge arrivals (bursts of endpoint pairs,
 //!   optionally Zipf-skewed): the input shape of the batch-ingestion
 //!   experiments;
@@ -19,9 +18,10 @@
 //! * [`binomial`] — the adversarial workload of paper Lemma 5.3 /
 //!   Theorem 5.4: a binomial-tree-style union schedule whose resulting
 //!   forest has Ω(log k) average depth, followed by a `SameSet` storm that
-//!   realizes the Ω(m log(np/m)) lower bound;
-//! * JSON trace round-tripping, so any experiment's exact input can be
-//!   archived and replayed.
+//!   realizes the Ω(m log(np/m)) lower bound.
+//!
+//! Every generator is deterministic in its seed, so an experiment's exact
+//! input is reproduced by re-running it with the same seed.
 //!
 //! # Example
 //!

@@ -1,9 +1,5 @@
-//! Operation traces: the unit of input for every experiment.
-//!
-//! Traces round-trip through a hand-rolled serializer for the same JSON wire
-//! format serde would produce (`{"n":5,"ops":[{"Unite":[0,4]},…]}`); the
-//! offline build environment cannot fetch `serde`, and the format is simple
-//! enough that a ~60-line parser is the smaller dependency.
+//! Operation traces: the unit of input for every experiment. Traces are
+//! not serialized: every generator rebuilds its trace from a seed.
 
 /// One union-find operation over elements of `0..n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,170 +80,6 @@ impl Workload {
         }
         shards
     }
-
-    /// Serializes the trace to JSON (for archiving next to results).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(16 + 24 * self.ops.len());
-        let _ = write!(out, "{{\"n\":{},\"ops\":[", self.n);
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (tag, (x, y)) = match op {
-                Op::Unite(..) => ("Unite", op.operands()),
-                Op::SameSet(..) => ("SameSet", op.operands()),
-            };
-            let _ = write!(out, "{{\"{tag}\":[{x},{y}]}}");
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a trace previously produced by [`to_json`](Workload::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] on malformed input or if operands exceed the
-    /// declared universe.
-    pub fn from_json(s: &str) -> Result<Self, ParseError> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-        p.expect_byte(b'{')?;
-        p.expect_key("n")?;
-        let n = p.number()?;
-        p.expect_byte(b',')?;
-        p.expect_key("ops")?;
-        p.expect_byte(b'[')?;
-        let mut ops = Vec::new();
-        p.skip_ws();
-        if p.peek() != Some(b']') {
-            loop {
-                ops.push(p.op()?);
-                p.skip_ws();
-                match p.next_byte()? {
-                    b',' => continue,
-                    b']' => break,
-                    c => return Err(p.err(format!("expected ',' or ']', found {:?}", c as char))),
-                }
-            }
-        } else {
-            p.pos += 1;
-        }
-        p.expect_byte(b'}')?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing data after trace".to_string()));
-        }
-        for op in &ops {
-            let (x, y) = op.operands();
-            if x >= n || y >= n {
-                return Err(ParseError(format!("operand out of universe 0..{n}: {op:?}")));
-            }
-        }
-        Ok(Workload { n, ops })
-    }
-}
-
-/// Error returned by [`Workload::from_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(String);
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "workload parse error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Minimal recursive-descent parser for exactly the trace wire format.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: String) -> ParseError {
-        ParseError(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Result<u8, ParseError> {
-        let b = self.peek().ok_or_else(|| self.err("unexpected end of input".to_string()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        let got = self.next_byte()?;
-        if got != want {
-            return Err(self.err(format!("expected {:?}, found {:?}", want as char, got as char)));
-        }
-        Ok(())
-    }
-
-    /// Consumes `"key":`.
-    fn expect_key(&mut self, key: &str) -> Result<(), ParseError> {
-        self.expect_byte(b'"')?;
-        for want in key.bytes() {
-            if self.next_byte()? != want {
-                return Err(self.err(format!("expected key {key:?}")));
-            }
-        }
-        self.expect_byte(b'"')?;
-        self.expect_byte(b':')
-    }
-
-    fn number(&mut self) -> Result<usize, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected a number".to_string()));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are UTF-8")
-            .parse()
-            .map_err(|e| self.err(format!("number out of range: {e}")))
-    }
-
-    /// Consumes `{"Unite":[x,y]}` or `{"SameSet":[x,y]}`.
-    fn op(&mut self) -> Result<Op, ParseError> {
-        self.expect_byte(b'{')?;
-        self.expect_byte(b'"')?;
-        let tag_start = self.pos;
-        while self.peek().is_some_and(|b| b != b'"') {
-            self.pos += 1;
-        }
-        let tag = std::str::from_utf8(&self.bytes[tag_start..self.pos])
-            .map_err(|_| self.err("op tag is not UTF-8".to_string()))?;
-        let unite = match tag {
-            "Unite" => true,
-            "SameSet" => false,
-            other => return Err(self.err(format!("unknown op tag {other:?}"))),
-        };
-        self.expect_byte(b'"')?;
-        self.expect_byte(b':')?;
-        self.expect_byte(b'[')?;
-        let x = self.number()?;
-        self.expect_byte(b',')?;
-        let y = self.number()?;
-        self.expect_byte(b']')?;
-        self.expect_byte(b'}')?;
-        Ok(if unite { Op::Unite(x, y) } else { Op::SameSet(x, y) })
-    }
 }
 
 #[cfg(test)]
@@ -289,20 +121,6 @@ mod tests {
     #[should_panic(expected = "out of universe")]
     fn oob_ops_rejected() {
         Workload::new(2, vec![Op::Unite(0, 2)]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let w = Workload::new(5, vec![Op::Unite(0, 4), Op::SameSet(2, 3)]);
-        let s = w.to_json();
-        let back = Workload::from_json(&s).unwrap();
-        assert_eq!(w, back);
-    }
-
-    #[test]
-    fn json_rejects_oob() {
-        let s = r#"{"n":2,"ops":[{"Unite":[0,9]}]}"#;
-        assert!(Workload::from_json(s).is_err());
     }
 
     #[test]

@@ -76,8 +76,8 @@
 //!   `{packed, flat}` store layouts (the `default-store-flat` cargo
 //!   feature retargets `Dsu`'s default store so the full suite exercises
 //!   each layout; the packed cell also tests the whole workspace and the
-//!   benchmark, compiles the benches, and fails unless the benchmark's 16
-//!   single-client count rows equal `scripts/count_rows_baseline.json`),
+//!   benchmark, and fails unless the benchmark's 16 single-client count
+//!   rows equal `scripts/count_rows_baseline.json`),
 //!   plus a `variants` cell that re-runs the core suite with
 //!   `default-link-index` under both orderings;
 //! * `bench-smoke`, which runs the A/B examples in quick mode, archives
@@ -87,10 +87,11 @@
 //!   baselines from a different machine are skipped, not compared);
 //! * `chaos`: the fault-injection suites, native linearizability under
 //!   chaos, e13 and e16 in quick mode, and a fail-soft `chaos_ab` sweep;
-//! * `harness-smoke`: real experiment binaries end to end (e01, e03, e09,
-//!   e10, e11, e14 and e15) and `store_diag`'s phase timings and layer
-//!   counter checks (the cross-layout counter equality and exact-zero
-//!   checks run as `crates/core/tests/attribution.rs` in the test matrix).
+//! * `harness-smoke`: every experiment binary (e01–e16) end to end in
+//!   quick mode through `run_all`, and `store_diag`'s phase timings and
+//!   layer counter checks (the cross-layout counter equality and
+//!   exact-zero checks run as `crates/core/tests/attribution.rs` in the
+//!   test matrix).
 //!
 //! A weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`,
 //! the non-quick A/B runs. Runs on the same ref cancel their
@@ -111,8 +112,7 @@ pub use linearize;
 pub use sequential_dsu;
 
 pub use concurrent_dsu::{
-    BatchOutcome, ConcurrentUnionFind, Dsu, DsuHalving, DsuNoCompaction, DsuOneTry, DsuTwoTry,
-    Epoch, GrowableDsu, Halving, KeyedDsu, NoCompaction, OneTrySplit, OpStats, TwoTrySplit,
-    VersionedDsu,
+    BatchOutcome, ConcurrentUnionFind, Dsu, Epoch, GrowableDsu, Halving, KeyedDsu, NoCompaction,
+    OneTrySplit, OpStats, TwoTrySplit, VersionedDsu,
 };
 pub use sequential_dsu::{Compaction, Linking, Partition, SeqDsu};
