@@ -400,9 +400,11 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
 
     /// Canonical labels (root of each element): suitable for building a
     /// `Partition`. Call only at quiescence, where no root changes during
-    /// the scan; compacts as a side effect.
+    /// the scan; compacts as a side effect. The answer is built in a
+    /// huge-page-advised buffer, as the stores' cell arrays are (see
+    /// "Memory backing" in the [`store`](crate::store) module docs).
     pub fn labels_snapshot(&self) -> Vec<usize> {
-        (0..self.len()).map(|i| self.find(i)).collect()
+        crate::store::collect_huge((0..self.len()).map(|i| self.find(i)))
     }
 }
 

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::order::hashed_id;
-use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD};
+use crate::store::{collect_huge, DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD};
 
 /// The flat store: an `AtomicUsize` parent slab, with ids hashed from the
 /// index on demand. Full `usize` universe range; the reference layout the
@@ -32,7 +32,7 @@ impl FlatStore {
 
     /// `n` singleton cells with hashed ids (see [`DsuStore::with_seed`]).
     pub fn with_seed(n: usize, seed: u64) -> Self {
-        FlatStore { parents: (0..n).map(AtomicUsize::new).collect(), seed }
+        FlatStore { parents: collect_huge((0..n).map(AtomicUsize::new)).into_boxed_slice(), seed }
     }
 
     /// The `(id, index)` order key of element `i`.

@@ -40,7 +40,10 @@
 //! show once the parent store exceeds the last-level cache. At `n = 2^20`
 //! (8 MB packed) every layout is cache-resident on a big LLC and they all
 //! tie; size experiments at `n ≥ 2^22` before concluding anything about
-//! placement.
+//! placement. The same size is the TLB's reach: a second-level TLB holds
+//! about 8 MiB of 4 KiB pages, so above it most random loads into a
+//! 4 KiB-paged store also walk the page table. That is why the large
+//! arrays ask for huge pages (see [Memory backing](#memory-backing)).
 //!
 //! **Cache-resident variant.** Where layouts tie, the (find × link)
 //! variant does not: with at most 8 MiB of parent words (`n ≤ 2^20`),
@@ -122,6 +125,55 @@
 //! structure never forks and pays one predictable epoch compare per CAS.
 //! The fixed layouts have no versioning at all. Versioning composes with
 //! [`FaultyStore`](crate::FaultyStore) for chaos-tested rollback.
+//!
+//! # Memory backing
+//!
+//! Each large array built in one pass asks the kernel for transparent
+//! huge pages before its first write:
+//!
+//! * the cells of [`PackedStore`] and [`FlatStore`];
+//! * [`EpochStore`](crate::EpochStore)'s sized prefix, and every fresh
+//!   buffer a fork copies into. The spare buffer later forks reuse was
+//!   advised when it was first built;
+//! * the answer of [`Dsu::labels_snapshot`](crate::Dsu::labels_snapshot).
+//!
+//! The advice (`madvise(MADV_HUGEPAGE)`) covers only the 2 MiB-aligned
+//! interior of the buffer, so the buffer stays an ordinary `Box<[T]>` or
+//! `Vec<T>` that the global allocator frees. Its unaligned head and tail,
+//! less than one huge page each, keep 4 KiB pages, and allocation sizes do
+//! not change. The advice is made only on Linux x86_64 and aarch64, and
+//! only for a buffer that holds a whole aligned 2 MiB range: one of 4 MiB
+//! (`2^19` cells) or more always does, one under 2 MiB never does. A
+//! refused advice changes nothing, so on a host whose huge page
+//! mode is `[never]` the buffers are paged as before. Nothing configures
+//! it: no option, cargo feature or environment variable.
+//!
+//! Why: cc-rmat's `2^24`-element store is a 128 MiB array, and every step
+//! of a find is a random load into it. On 4 KiB pages the kernel maps it
+//! with 32,768 pages and faults each in on first touch, and the TLB
+//! reaches 8 MiB of it. On 2 MiB pages it is 64 pages, all inside the
+//! TLB's reach. Measured on a 2-vCPU Xeon VM, 4 KiB pages against huge
+//! pages (`BENCH_PR27.json`):
+//!
+//! * a dependent random load over 128 MiB: 221–256 ns against 162–188 ns;
+//! * an independent one: 19.1–23.2 ns against 11.7–14.4 ns;
+//! * faulting in and writing 256 MiB: 176–189 ms (about 2.7 µs per
+//!   4 KiB page) against 75–285 ms. Huge-page faults on this VM fall in
+//!   two modes, near 75–100 ms and near 200–285 ms.
+//!
+//! End to end, cc-rmat's throughput rose 1.25x (10 of 10 pairs), and its
+//! `setup_s`, which builds the store, fell to 0.56x.
+//!
+//! Three kinds of buffer are left unadvised:
+//!
+//! * the doubling segments `EpochStore` grows as `make_set` crosses a
+//!   power of two;
+//! * [`KeyedDsu`](crate::KeyedDsu)'s id tables;
+//! * its key column.
+//!
+//! A prototype that advised those as well read keyed-dedup's throughput
+//! at 0.97x and 0.99x in two pairs, so advising them was not shown to
+//! help.
 //!
 //! # Memory orderings (and the `strict-sc` feature)
 //!
@@ -207,6 +259,42 @@ pub const STAT: Ordering = Ordering::SeqCst;
 /// `true` when the `strict-sc` feature pinned all orderings to `SeqCst`.
 pub const fn strict_sc() -> bool {
     cfg!(feature = "strict-sc")
+}
+
+/// Collects `items` into a vector of exactly their length whose buffer's
+/// 2 MiB-aligned interior is advised for transparent huge pages before
+/// the first item is written, so the first touch faults in huge pages
+/// (see "Memory backing" in the module docs). The advice is made only on
+/// Linux x86_64/aarch64 and only when the buffer holds a whole aligned
+/// 2 MiB range; a refused advice is ignored, so the result is always
+/// exactly what `items.collect()` returns.
+pub(crate) fn collect_huge<T>(items: impl ExactSizeIterator<Item = T>) -> Vec<T> {
+    let mut v = Vec::with_capacity(items.len());
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        const HUGE_PAGE: usize = 2 << 20;
+        const MADV_HUGEPAGE: std::ffi::c_int = 14;
+        extern "C" {
+            fn madvise(
+                addr: *mut std::ffi::c_void,
+                len: usize,
+                advice: std::ffi::c_int,
+            ) -> std::ffi::c_int;
+        }
+        let buf = v.spare_capacity_mut();
+        let start = buf.as_mut_ptr() as usize;
+        let lo = start.next_multiple_of(HUGE_PAGE);
+        let hi = (start + std::mem::size_of_val(buf)) & !(HUGE_PAGE - 1);
+        if lo < hi {
+            // SAFETY: `lo..hi` lies inside the allocation `v` owns and has
+            // not yet initialized, and MADV_HUGEPAGE only sets a paging
+            // hint on those pages: it neither moves, frees nor changes
+            // their contents. The return value is deliberately ignored.
+            unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) };
+        }
+    }
+    v.extend(items);
+    v
 }
 
 /// A table of atomic parent words indexed by element.
@@ -326,6 +414,7 @@ pub trait GrowableStore: DsuStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EpochFork, EpochStore};
 
     fn exercise_cas<P: ParentStore>(s: &P) {
         assert!(s.cas_parent(0, 0, 2));
@@ -359,6 +448,89 @@ mod tests {
                 assert_eq!(flat.precedes(u, v), packed.precedes(u, v));
             }
         }
+    }
+
+    /// Element counts around the first whole 2 MiB-aligned range of an
+    /// 8-byte-cell buffer: `2^18` cells are exactly 2 MiB, a whole range
+    /// only if the allocation starts on a 2 MiB boundary, and `2^19`
+    /// cells always hold one.
+    const AROUND_ONE_HUGE_PAGE: [usize; 3] = [(1 << 18) - 1, (1 << 18) + 1, (1 << 19) + 3];
+
+    #[test]
+    fn huge_page_builds_hold_the_singleton_words() {
+        for n in AROUND_ONE_HUGE_PAGE {
+            let seed = n as u64;
+            let singleton = |i| pack_word(crate::order::hashed_id(i, seed), i);
+            let packed = PackedStore::with_seed(n, seed);
+            assert!((0..n).all(|i| packed.load_word(i) == singleton(i)), "packed, n = {n}");
+            let flat = FlatStore::with_seed(n, seed);
+            assert!((0..n).all(|i| flat.load_word(i) == i), "flat, n = {n}");
+            let prefix = n.next_power_of_two();
+            let mut epoch = EpochStore::with_seed(n, seed);
+            let want: Vec<u64> = (0..prefix).map(singleton).collect();
+            assert!(epoch.raw_words(prefix) == want, "prefix, n = {n}");
+            // The first write after a fork point copies the prefix into a
+            // fresh buffer.
+            let _snap = epoch.fork_point();
+            assert!(epoch.cas_parent(n - 1, n - 1, 0));
+            let mut want = want;
+            want[n - 1] = packed_with_parent(want[n - 1], 0);
+            assert!(epoch.raw_words(prefix) == want, "prefix fork, n = {n}");
+        }
+    }
+
+    /// Where the host offers transparent huge pages, the mapping holding
+    /// the middle cell of each advised buffer is eligible for them. The
+    /// middle cell, because the advice covers only the aligned interior
+    /// and so splits the buffer's head off into its own mapping;
+    /// eligibility, because the kernel may still fall back to 4 KiB pages
+    /// when memory is fragmented.
+    #[test]
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn large_cell_arrays_are_huge_page_eligible() {
+        match std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled") {
+            Ok(mode) if !mode.contains("[never]") => {}
+            other => {
+                println!("skipped: transparent huge pages unavailable ({other:?})");
+                return;
+            }
+        }
+        const N: usize = 1 << 22;
+        let packed = PackedStore::with_seed(N, 1);
+        assert!(thp_eligible(&packed.words[N / 2]), "PackedStore");
+        let flat = FlatStore::with_seed(N, 1);
+        assert!(thp_eligible(flat.parent_cell(N / 2)), "FlatStore");
+        let mut epoch = EpochStore::with_seed(N, 1);
+        assert!(thp_eligible(epoch.cell(N / 2)), "EpochStore prefix");
+        let _snap = epoch.fork_point();
+        assert!(epoch.cas_parent(0, 0, 1));
+        assert_eq!(epoch.epoch_report().segments_forked, 1);
+        assert!(thp_eligible(epoch.cell(N / 2)), "EpochStore prefix fork");
+    }
+
+    /// The `THPeligible` flag of the mapping that holds `cell`, read from
+    /// `/proc/self/smaps`.
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn thp_eligible<T>(cell: &T) -> bool {
+        let addr = cell as *const T as usize;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let mut inside = false;
+        for line in smaps.lines() {
+            if let Some((lo, hi)) = mapping_range(line) {
+                inside = (lo..hi).contains(&addr);
+            } else if let Some(flag) = line.strip_prefix("THPeligible:").filter(|_| inside) {
+                return flag.trim() == "1";
+            }
+        }
+        panic!("no THPeligible line for the mapping holding {addr:#x}");
+    }
+
+    /// The address range of an smaps mapping header (`lo-hi perms ...`).
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn mapping_range(line: &str) -> Option<(usize, usize)> {
+        let (lo, rest) = line.split_once('-')?;
+        let hi = rest.split(' ').next()?;
+        Some((usize::from_str_radix(lo, 16).ok()?, usize::from_str_radix(hi, 16).ok()?))
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::order::hashed_id;
-use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
+use crate::store::{collect_huge, DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
 
 /// Low half of a packed word: the mutable parent index (shared by every
 /// packed layout — [`PackedStore`] and the growable packed segments).
@@ -62,7 +62,7 @@ pub(crate) const fn packed_with_parent(seen: u64, new_parent: usize) -> u64 {
 /// The default store of [`Dsu`](crate::Dsu); supports universes up to
 /// [`PackedStore::MAX_UNIVERSE`] elements.
 pub struct PackedStore {
-    words: Box<[AtomicU64]>,
+    pub(super) words: Box<[AtomicU64]>,
 }
 
 impl std::fmt::Debug for PackedStore {
@@ -88,8 +88,8 @@ impl PackedStore {
              elements, but n = {n}; use the flat layout (`Dsu<_, FlatStore>`) for larger \
              universes"
         );
-        let words = (0..n).map(|i| AtomicU64::new(pack_word(hashed_id(i, seed), i))).collect();
-        PackedStore { words }
+        let words = collect_huge((0..n).map(|i| AtomicU64::new(pack_word(hashed_id(i, seed), i))));
+        PackedStore { words: words.into_boxed_slice() }
     }
 }
 

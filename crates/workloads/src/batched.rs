@@ -54,21 +54,6 @@ impl EdgeBatchSpec {
         self
     }
 
-    /// Universe size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of bursts.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// Edges per burst.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Materializes the arrival trace for `seed`.
     pub fn generate(&self, seed: u64) -> EdgeBatches {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
@@ -118,6 +103,7 @@ mod tests {
         let a = spec.generate(5);
         assert_eq!(a, spec.generate(5));
         assert_ne!(a, spec.generate(6));
+        assert_eq!(a.n, 100);
         assert_eq!(a.batches.len(), 8);
         assert!(a.batches.iter().all(|b| b.len() == 32));
         assert_eq!(a.total_edges(), 256);
@@ -165,13 +151,5 @@ mod tests {
     #[should_panic(expected = "empty universe")]
     fn nonempty_edges_need_elements() {
         EdgeBatchSpec::new(0, 2, 2);
-    }
-
-    #[test]
-    fn accessors() {
-        let spec = EdgeBatchSpec::new(8, 4, 16);
-        assert_eq!(spec.n(), 8);
-        assert_eq!(spec.batches(), 4);
-        assert_eq!(spec.batch_size(), 16);
     }
 }

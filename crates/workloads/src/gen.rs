@@ -97,16 +97,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Universe size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Operation count.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
     /// Materializes the trace for `seed`.
     pub fn generate(&self, seed: u64) -> Workload {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
@@ -135,13 +125,14 @@ mod tests {
 
     #[test]
     fn unite_fraction_is_respected() {
+        let unites = |w: &Workload| w.ops.iter().filter(|o| o.is_unite()).count();
         let w = WorkloadSpec::new(100, 20_000).unite_fraction(0.25).generate(1);
-        let f = w.unite_fraction();
+        let f = unites(&w) as f64 / w.len() as f64;
         assert!((f - 0.25).abs() < 0.02, "fraction = {f}");
         let all = WorkloadSpec::new(10, 100).unite_fraction(1.0).generate(2);
-        assert_eq!(all.unite_fraction(), 1.0);
+        assert_eq!(unites(&all), 100);
         let none = WorkloadSpec::new(10, 100).unite_fraction(0.0).generate(3);
-        assert_eq!(none.unite_fraction(), 0.0);
+        assert_eq!(unites(&none), 0);
     }
 
     #[test]
@@ -182,10 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn accessors() {
-        let spec = WorkloadSpec::new(8, 16);
-        assert_eq!(spec.n(), 8);
-        assert_eq!(spec.m(), 16);
+    fn default_dist_is_uniform() {
         assert_eq!(ElementDist::default(), ElementDist::Uniform);
     }
 }

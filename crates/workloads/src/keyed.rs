@@ -213,11 +213,6 @@ impl KeyedSpec {
         self
     }
 
-    /// Operation count.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
     /// Materializes the dense-index trace for `seed` (see the module docs
     /// for the two-phase scheme).
     pub fn generate(&self, seed: u64) -> KeyedWorkload<usize> {

@@ -57,14 +57,6 @@ impl Workload {
         self.ops.is_empty()
     }
 
-    /// Fraction of operations that are unites.
-    pub fn unite_fraction(&self) -> f64 {
-        if self.ops.is_empty() {
-            return 0.0;
-        }
-        self.ops.iter().filter(|o| o.is_unite()).count() as f64 / self.ops.len() as f64
-    }
-
     /// Splits the trace into `p` round-robin shards (op `i` goes to thread
     /// `i % p`), the assignment the experiments use so each thread sees a
     /// statistically identical stream.
@@ -121,15 +113,5 @@ mod tests {
     #[should_panic(expected = "out of universe")]
     fn oob_ops_rejected() {
         Workload::new(2, vec![Op::Unite(0, 2)]);
-    }
-
-    #[test]
-    fn unite_fraction_counts() {
-        let w = Workload::new(
-            4,
-            vec![Op::Unite(0, 1), Op::SameSet(0, 1), Op::Unite(2, 3), Op::Unite(1, 2)],
-        );
-        assert!((w.unite_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(Workload::new(1, vec![]).unite_fraction(), 0.0);
     }
 }
