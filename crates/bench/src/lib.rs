@@ -18,32 +18,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dsu_workloads::{EdgeBatchSpec, EdgeBatches, ElementDist, Workload, WorkloadSpec};
 
-/// The machine fingerprint `(cpus, arch, os, thp)` every A/B example
-/// stamps into its JSON, so archived records from different hosts can be
-/// told apart (the ROADMAP's per-machine bench matrix) and the regression
-/// gate can refuse to compare across machines. `thp` is the host's
-/// transparent huge page mode (the bracketed word of
-/// `/sys/kernel/mm/transparent_hugepage/enabled`, or `"n/a"`): the stores
-/// ask for huge pages, and whether the host grants them moves DRAM-resident
-/// timings as much as another machine would.
-pub fn machine_fingerprint() -> (usize, &'static str, &'static str, String) {
-    let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
-        .ok()
-        .and_then(|modes| Some(modes.split_once('[')?.1.split_once(']')?.0.to_string()))
-        .unwrap_or_else(|| "n/a".to_string());
+/// The machine fingerprint `(cpus, arch, os)` every A/B example stamps
+/// into its JSON, so archived records from different hosts can be told
+/// apart (the ROADMAP's per-machine bench matrix) and the regression gate
+/// can refuse to compare across machines.
+pub fn machine_fingerprint() -> (usize, &'static str, &'static str) {
     (
         std::thread::available_parallelism().map_or(1, |p| p.get()),
         std::env::consts::ARCH,
         std::env::consts::OS,
-        thp,
     )
 }
 
 /// [`machine_fingerprint`] as the JSON object the A/B examples embed
 /// under the `"machine"` key.
 pub fn machine_fingerprint_json() -> String {
-    let (cpus, arch, os, thp) = machine_fingerprint();
-    format!("{{\"cpus\": {cpus}, \"arch\": \"{arch}\", \"os\": \"{os}\", \"thp\": \"{thp}\"}}")
+    let (cpus, arch, os) = machine_fingerprint();
+    format!("{{\"cpus\": {cpus}, \"arch\": \"{arch}\", \"os\": \"{os}\"}}")
 }
 
 /// The standard benchmark workload: `m` half-unite/half-query ops over
@@ -227,12 +218,10 @@ mod tests {
 
     #[test]
     fn fingerprint_is_sane() {
-        let (cpus, arch, os, thp) = machine_fingerprint();
+        let (cpus, arch, os) = machine_fingerprint();
         assert!(cpus >= 1);
         assert!(!arch.is_empty() && !os.is_empty());
-        assert!(!thp.is_empty() && !thp.contains(['[', ']', '"']), "thp mode {thp:?}");
         let json = machine_fingerprint_json();
         assert!(json.contains("\"cpus\"") && json.contains(arch));
-        assert!(json.contains(&format!("\"thp\": \"{thp}\"")), "{json}");
     }
 }

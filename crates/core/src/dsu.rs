@@ -400,8 +400,8 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
 
     /// Canonical labels (root of each element): suitable for building a
     /// `Partition`. Call only at quiescence, where no root changes during
-    /// the scan; compacts as a side effect. The answer is built in a
-    /// huge-page-advised buffer, as the stores' cell arrays are (see
+    /// the scan; compacts as a side effect. A large answer is built in a
+    /// buffer advised for huge pages, as the stores' cell arrays are (see
     /// "Memory backing" in the [`store`](crate::store) module docs).
     pub fn labels_snapshot(&self) -> Vec<usize> {
         crate::store::collect_huge((0..self.len()).map(|i| self.find(i)))

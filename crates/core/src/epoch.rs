@@ -138,13 +138,13 @@
 //! allocate; a store that drops a snapshot and then never writes keeps
 //! one spare buffer until it is dropped itself.
 //!
-//! The prefix and every fresh fork copy are built in buffers advised for
-//! transparent huge pages (see "Memory backing" in the [`store`] docs),
+//! Each node's buffer of 32 MiB or more, whether the prefix, a grown
+//! segment or a fresh fork copy, is advised for transparent huge pages
+//! before its first write (see "Memory backing" in the [`store`] docs),
 //! so where the host grants them a fresh `2^22`-cell buffer faults in as
 //! 15 or 16 huge pages rather than 8,192 small ones, and a spare keeps
-//! the huge pages it was built on. The segments `make_set` grows are not
-//! advised. On online-mix this took `setup_s`,
-//! which builds the prefix, from 30.5 to 17.3 ms (10 of 10 pairs,
+//! the huge pages it was built on. On online-mix this took `setup_s`,
+//! which builds the prefix, from 30.4 to 17.8 ms (10 of 10 pairs,
 //! `BENCH_PR27.json`).
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -420,7 +420,8 @@ impl EpochStore {
     /// A current-epoch node of `len` singleton cells for elements
     /// `base..base + len`.
     fn singleton_node(&self, base: usize, len: usize) -> Arc<SegmentNode> {
-        let cells = (base..base + len).map(|e| AtomicU64::new(self.singleton_word(e))).collect();
+        let cells = (base..base + len).map(|e| AtomicU64::new(self.singleton_word(e)));
+        let cells = store::collect_huge(cells).into_boxed_slice();
         Arc::new(SegmentNode { epoch: self.epoch.load(store::STAT), cells })
     }
 
@@ -589,11 +590,7 @@ impl DsuStore for EpochStore {
             cow_copies: AtomicU64::new(0),
         };
         if prefix > 0 {
-            // Built in a huge-page-advised buffer, unlike the segments
-            // `alloc_slot` grows (see "Memory backing" in the store docs).
-            let cells =
-                store::collect_huge((0..prefix).map(|e| AtomicU64::new(store.singleton_word(e))));
-            let node = Arc::new(SegmentNode { epoch: 0, cells: cells.into_boxed_slice() });
+            let node = store.singleton_node(0, prefix);
             *store.prefix_cells.get_mut() = node.cells.as_ptr() as *mut _;
             *store.slots[0].get_mut() = Arc::into_raw(node) as *mut _;
         }

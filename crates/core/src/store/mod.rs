@@ -132,21 +132,19 @@
 //! huge pages before its first write:
 //!
 //! * the cells of [`PackedStore`] and [`FlatStore`];
-//! * [`EpochStore`](crate::EpochStore)'s sized prefix, and every fresh
-//!   buffer a fork copies into. The spare buffer later forks reuse was
-//!   advised when it was first built;
+//! * every node of [`EpochStore`](crate::EpochStore): its sized prefix,
+//!   each segment `make_set` grows, and every fresh buffer a fork copies
+//!   into. The spare buffer later forks reuse was advised when it was
+//!   first built;
 //! * the answer of [`Dsu::labels_snapshot`](crate::Dsu::labels_snapshot).
 //!
 //! The advice (`madvise(MADV_HUGEPAGE)`) covers only the 2 MiB-aligned
 //! interior of the buffer, so the buffer stays an ordinary `Box<[T]>` or
 //! `Vec<T>` that the global allocator frees. Its unaligned head and tail,
 //! less than one huge page each, keep 4 KiB pages, and allocation sizes do
-//! not change. The advice is made only on Linux x86_64 and aarch64, and
-//! only for a buffer that holds a whole aligned 2 MiB range: one of 4 MiB
-//! (`2^19` cells) or more always does, one under 2 MiB never does. A
-//! refused advice changes nothing, so on a host whose huge page
-//! mode is `[never]` the buffers are paged as before. Nothing configures
-//! it: no option, cargo feature or environment variable.
+//! not change. A refused advice changes nothing, so on a host whose huge
+//! page mode is `[never]` the buffers are paged as before. Nothing
+//! configures it: no option, cargo feature or environment variable.
 //!
 //! Why: cc-rmat's `2^24`-element store is a 128 MiB array, and every step
 //! of a find is a random load into it. On 4 KiB pages the kernel maps it
@@ -161,19 +159,25 @@
 //!   4 KiB page) against 75–285 ms. Huge-page faults on this VM fall in
 //!   two modes, near 75–100 ms and near 200–285 ms.
 //!
-//! End to end, cc-rmat's throughput rose 1.25x (10 of 10 pairs), and its
-//! `setup_s`, which builds the store, fell to 0.56x.
+//! End to end, cc-rmat's throughput rose 1.32x (10 of 10 pairs), and its
+//! `setup_s`, which builds the store, fell to 0.57x.
 //!
-//! Three kinds of buffer are left unadvised:
+//! The advice is made only on Linux x86_64 and aarch64, and only for a
+//! buffer of 32 MiB (`2^22` eight-byte cells) or more. glibc normally maps
+//! such a buffer on its own and unmaps it when it is freed. A smaller one
+//! may be carved from a malloc heap, because glibc's dynamic mmap
+//! threshold rises to as much as 32 MiB once a mapped chunk is freed, and
+//! then the advice outlives the buffer: later small allocations on that
+//! heap range fault in huge pages too. Without the floor, keyed-dedup,
+//! whose grown segments are 4–16 MiB, kept 82–88 MiB of heap flagged for
+//! huge pages against at most 28 MiB of live segments, and its p99
+//! latency read 1.14x the parent's (1 of 10 pairs better,
+//! `BENCH_PR27.json`).
 //!
-//! * the doubling segments `EpochStore` grows as `make_set` crosses a
-//!   power of two;
-//! * [`KeyedDsu`](crate::KeyedDsu)'s id tables;
-//! * its key column.
-//!
-//! A prototype that advised those as well read keyed-dedup's throughput
-//! at 0.97x and 0.99x in two pairs, so advising them was not shown to
-//! help.
+//! [`KeyedDsu`](crate::KeyedDsu)'s id tables and key column are not
+//! built through the helper. A prototype that advised them, with the
+//! grown segments, read keyed-dedup's throughput at 0.97x and 0.99x in two
+//! pairs, so advising them was not shown to help.
 //!
 //! # Memory orderings (and the `strict-sc` feature)
 //!
@@ -265,14 +269,18 @@ pub const fn strict_sc() -> bool {
 /// 2 MiB-aligned interior is advised for transparent huge pages before
 /// the first item is written, so the first touch faults in huge pages
 /// (see "Memory backing" in the module docs). The advice is made only on
-/// Linux x86_64/aarch64 and only when the buffer holds a whole aligned
-/// 2 MiB range; a refused advice is ignored, so the result is always
-/// exactly what `items.collect()` returns.
+/// Linux x86_64/aarch64 and only for a buffer of at least 32 MiB; a
+/// refused advice is ignored, so the result is always exactly what
+/// `items.collect()` returns.
 pub(crate) fn collect_huge<T>(items: impl ExactSizeIterator<Item = T>) -> Vec<T> {
     let mut v = Vec::with_capacity(items.len());
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
         const HUGE_PAGE: usize = 2 << 20;
+        // glibc's dynamic mmap threshold never rises above 32 MiB on a
+        // 64-bit target, so a smaller buffer may be carved from a malloc
+        // heap, and the advice would outlive it on that heap range.
+        const MIN_ADVISED: usize = 32 << 20;
         const MADV_HUGEPAGE: std::ffi::c_int = 14;
         extern "C" {
             fn madvise(
@@ -285,11 +293,12 @@ pub(crate) fn collect_huge<T>(items: impl ExactSizeIterator<Item = T>) -> Vec<T>
         let start = buf.as_mut_ptr() as usize;
         let lo = start.next_multiple_of(HUGE_PAGE);
         let hi = (start + std::mem::size_of_val(buf)) & !(HUGE_PAGE - 1);
-        if lo < hi {
-            // SAFETY: `lo..hi` lies inside the allocation `v` owns and has
-            // not yet initialized, and MADV_HUGEPAGE only sets a paging
-            // hint on those pages: it neither moves, frees nor changes
-            // their contents. The return value is deliberately ignored.
+        if std::mem::size_of_val(buf) >= MIN_ADVISED {
+            // SAFETY: `lo..hi` (non-empty, since the buffer spans at least
+            // 32 MiB) lies inside the allocation `v` owns and has not yet
+            // initialized, and MADV_HUGEPAGE only sets a paging hint on
+            // those pages: it neither moves, frees nor changes their
+            // contents. The return value is deliberately ignored.
             unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) };
         }
     }
@@ -450,35 +459,6 @@ mod tests {
         }
     }
 
-    /// Element counts around the first whole 2 MiB-aligned range of an
-    /// 8-byte-cell buffer: `2^18` cells are exactly 2 MiB, a whole range
-    /// only if the allocation starts on a 2 MiB boundary, and `2^19`
-    /// cells always hold one.
-    const AROUND_ONE_HUGE_PAGE: [usize; 3] = [(1 << 18) - 1, (1 << 18) + 1, (1 << 19) + 3];
-
-    #[test]
-    fn huge_page_builds_hold_the_singleton_words() {
-        for n in AROUND_ONE_HUGE_PAGE {
-            let seed = n as u64;
-            let singleton = |i| pack_word(crate::order::hashed_id(i, seed), i);
-            let packed = PackedStore::with_seed(n, seed);
-            assert!((0..n).all(|i| packed.load_word(i) == singleton(i)), "packed, n = {n}");
-            let flat = FlatStore::with_seed(n, seed);
-            assert!((0..n).all(|i| flat.load_word(i) == i), "flat, n = {n}");
-            let prefix = n.next_power_of_two();
-            let mut epoch = EpochStore::with_seed(n, seed);
-            let want: Vec<u64> = (0..prefix).map(singleton).collect();
-            assert!(epoch.raw_words(prefix) == want, "prefix, n = {n}");
-            // The first write after a fork point copies the prefix into a
-            // fresh buffer.
-            let _snap = epoch.fork_point();
-            assert!(epoch.cas_parent(n - 1, n - 1, 0));
-            let mut want = want;
-            want[n - 1] = packed_with_parent(want[n - 1], 0);
-            assert!(epoch.raw_words(prefix) == want, "prefix fork, n = {n}");
-        }
-    }
-
     /// Where the host offers transparent huge pages, the mapping holding
     /// the middle cell of each advised buffer is eligible for them. The
     /// middle cell, because the advice covers only the aligned interior
@@ -488,24 +468,39 @@ mod tests {
     #[test]
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     fn large_cell_arrays_are_huge_page_eligible() {
-        match std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled") {
-            Ok(mode) if !mode.contains("[never]") => {}
+        let mode = match std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled") {
+            Ok(mode) if !mode.contains("[never]") => mode,
             other => {
                 println!("skipped: transparent huge pages unavailable ({other:?})");
                 return;
             }
-        }
+        };
+        // 32 MiB, the smallest buffer the helper advises. Each buffer is
+        // dropped once checked.
         const N: usize = 1 << 22;
-        let packed = PackedStore::with_seed(N, 1);
-        assert!(thp_eligible(&packed.words[N / 2]), "PackedStore");
-        let flat = FlatStore::with_seed(N, 1);
-        assert!(thp_eligible(flat.parent_cell(N / 2)), "FlatStore");
+        assert!(thp_eligible(&PackedStore::with_seed(N, 1).words[N / 2]), "PackedStore");
+        assert!(thp_eligible(FlatStore::with_seed(N, 1).parent_cell(N / 2)), "FlatStore");
         let mut epoch = EpochStore::with_seed(N, 1);
         assert!(thp_eligible(epoch.cell(N / 2)), "EpochStore prefix");
-        let _snap = epoch.fork_point();
+        let snap = epoch.fork_point();
         assert!(epoch.cas_parent(0, 0, 1));
         assert_eq!(epoch.epoch_report().segments_forked, 1);
         assert!(thp_eligible(epoch.cell(N / 2)), "EpochStore prefix fork");
+        drop((snap, epoch));
+        // Growing past an `N` prefix opens segment `log2 N`, whose `N`
+        // cells hold elements `N..2N`.
+        let grown = EpochStore::with_seed(N, 1);
+        assert_eq!(grown.push_singleton(), N);
+        assert!(thp_eligible(grown.cell(N + N / 2)), "EpochStore grown segment");
+        drop(grown);
+        let dsu: crate::Dsu = crate::Dsu::with_seed(N, 1);
+        assert!(thp_eligible(&dsu.labels_snapshot()[N / 2]), "Dsu::labels_snapshot");
+        // Under `[madvise]` only advised ranges are eligible, and a buffer
+        // under the floor is not advised.
+        if mode.contains("[madvise]") {
+            let small = PackedStore::with_seed(N / 2, 1);
+            assert!(!thp_eligible(&small.words[N / 4]), "PackedStore under the floor");
+        }
     }
 
     /// The `THPeligible` flag of the mapping that holds `cell`, read from

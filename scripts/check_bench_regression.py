@@ -15,15 +15,11 @@ Compares the current run's A/B bench JSON files against the previous run's
   current (an arm was added or deleted, so the base arm may have moved),
   the row's ratios are skipped with a note and only its medians compared.
 
-Records carry a `machine` fingerprint (cpus, arch, os, thp) stamped by
-the bench examples; when the baseline was produced on a different machine
-the comparison is skipped outright — cross-machine deltas are placement
+Records carry a `machine` fingerprint (cpus, arch, os) stamped by the
+bench examples; when the baseline was produced on a different machine the
+comparison is skipped outright — cross-machine deltas are placement
 noise, not regressions, and the per-machine JSON archive (ROADMAP bench
-matrix) is the place they belong. `thp` is the host's transparent huge
-page mode: the stores ask for huge pages, so a host that grants them and
-one that does not are different machines to a DRAM-resident timing. A
-record written before the key existed reads it as None, so it differs
-from every current record and is replaced rather than compared.
+matrix) is the place they belong.
 
 The gate is advisory by design: CI bench boxes are noisy shared VMs, so a
 regression prints a warning block into the GitHub job summary (and
@@ -75,11 +71,11 @@ def arms(row):
 
 
 def fingerprint(doc):
-    """(cpus, arch, os, thp) of the machine that produced a record, or None."""
+    """(cpus, arch, os) of the machine that produced a record, or None."""
     m = doc.get("machine")
     if not isinstance(m, dict):
         return None
-    return (m.get("cpus"), m.get("arch"), m.get("os"), m.get("thp"))
+    return (m.get("cpus"), m.get("arch"), m.get("os"))
 
 
 def describe_key(row_key):

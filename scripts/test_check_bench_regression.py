@@ -11,8 +11,6 @@ CI wiring depends on:
 * ratios are not compared in a row whose arms changed (the base arm of
   the ratio may have moved),
 * baselines from a different machine fingerprint are refused (skipped),
-  including one from another transparent huge page mode or from before
-  the fingerprint recorded that mode,
 * a missing baseline is a note, not an error,
 * `--report` prints the machine fingerprints and the row keys compared
   (including for a cross-machine skip, where the fingerprints are the
@@ -36,7 +34,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import check_bench_regression as gate
 
-MACHINE = {"cpus": 8, "arch": "x86_64", "os": "linux", "thp": "madvise"}
+MACHINE = {"cpus": 8, "arch": "x86_64", "os": "linux"}
 
 
 def doc(rows, machine=MACHINE, example="variants_ab"):
@@ -152,19 +150,6 @@ class GateFixture(unittest.TestCase):
         self.assertNotIn(":warning:", report)
         self.assertIn("cross-machine comparison skipped", report)
 
-    def test_other_thp_mode_is_another_machine(self):
-        never = dict(MACHINE, thp="never")
-        before_thp = {k: v for k, v in MACHINE.items() if k != "thp"}
-        for base_machine in (never, before_thp):
-            self.write(
-                self.base_dir, "a.json", doc([row(2, m_median_ns=1.0)], machine=base_machine)
-            )
-            self.write(self.cur_dir, "a.json", doc([row(2, m_median_ns=100.0)]))
-            status, report = self.run_gate("a.json")
-            self.assertEqual(status, 0)
-            self.assertNotIn(":warning:", report, base_machine)
-            self.assertIn("cross-machine comparison skipped", report, base_machine)
-
     def test_missing_baseline_fails_soft(self):
         self.write(self.cur_dir, "a.json", doc([row(2, m_median_ns=100.0)]))
         status, report = self.run_gate("a.json")
@@ -224,19 +209,19 @@ class GateFixture(unittest.TestCase):
         status, report = self.run_gate("a.json", report=True)
         self.assertEqual(status, 0)
         self.assertIn("report:", report)
-        self.assertIn("(8, 'x86_64', 'linux', 'madvise')", report)
+        self.assertIn("(8, 'x86_64', 'linux')", report)
         # Only the intersection is compared: threads=1 in both docs.
         self.assertIn("rows compared: 1t/n=65536", report)
         self.assertNotIn("2t/n=65536", report.split("report:")[1].splitlines()[0])
 
     def test_report_flag_names_both_machines_on_cross_machine_skip(self):
-        other = {"cpus": 2, "arch": "aarch64", "os": "macos", "thp": "n/a"}
+        other = {"cpus": 2, "arch": "aarch64", "os": "macos"}
         self.write(self.base_dir, "a.json", doc([row(2, m_median_ns=1.0)], machine=other))
         self.write(self.cur_dir, "a.json", doc([row(2, m_median_ns=100.0)]))
         status, report = self.run_gate("a.json", report=True)
         self.assertEqual(status, 0)
         self.assertIn("report:", report)
-        self.assertIn("(2, 'aarch64', 'macos', 'n/a')", report)
+        self.assertIn("(2, 'aarch64', 'macos')", report)
         self.assertIn("cross-machine comparison skipped", report)
 
     def test_without_report_flag_no_audit_line(self):

@@ -8,9 +8,7 @@
 //! which they must never fork.
 //! Another pins the id function every store shares: for one seed, a fixed
 //! `Dsu`, a bulk-built growable one and one grown by `make_set` are the
-//! same structure. The last checks that `Dsu::labels_snapshot`'s answer
-//! is advised for transparent huge pages, the one advised buffer the root
-//! crate reaches. The semantics suites in `crates/core/tests` prove each
+//! same structure. The semantics suites in `crates/core/tests` prove each
 //! layer in depth; these keep every layer under the root crate's own test
 //! run.
 
@@ -254,43 +252,4 @@ fn unversioned_structures_never_fork() {
         assert_eq!(store.epoch_report(), EpochReport::default(), "{layer}: a write forked");
         assert_eq!(store.current_epoch(), 0, "{layer}: the epoch moved");
     }
-}
-
-/// `Dsu::labels_snapshot` builds its answer in a buffer advised for
-/// transparent huge pages before the first label is written, as the
-/// stores' own cell arrays are. Where the host offers huge pages, the
-/// mapping holding the middle label of a 2^22-element answer is eligible
-/// for them: the middle, because the advice covers only the buffer's
-/// 2 MiB-aligned interior; eligibility, because the kernel may still fall
-/// back to 4 KiB pages when memory is fragmented.
-#[test]
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn labels_snapshot_buffer_is_huge_page_eligible() {
-    match std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled") {
-        Ok(mode) if !mode.contains("[never]") => {}
-        other => {
-            println!("skipped: transparent huge pages unavailable ({other:?})");
-            return;
-        }
-    }
-    let n = 1 << 22;
-    let dsu: Dsu = Dsu::with_seed(n, 7);
-    let labels = dsu.labels_snapshot();
-    assert_eq!(labels.len(), n);
-    let addr = &labels[n / 2] as *const usize as usize;
-    let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
-    let mut inside = false;
-    let eligible = smaps.lines().find_map(|line| {
-        let header = line.split_once('-').and_then(|(lo, rest)| {
-            let hi = rest.split(' ').next()?;
-            Some((usize::from_str_radix(lo, 16).ok()?, usize::from_str_radix(hi, 16).ok()?))
-        });
-        match header {
-            Some((lo, hi)) => inside = (lo..hi).contains(&addr),
-            None if inside => return Some(line.strip_prefix("THPeligible:")?.trim() == "1"),
-            None => {}
-        }
-        None
-    });
-    assert_eq!(eligible, Some(true), "mapping of the middle label at {addr:#x}");
 }
