@@ -18,8 +18,8 @@
 use std::fmt::Write as _;
 
 use concurrent_dsu::{Dsu, FlatStore, PackedStore, TwoTrySplit};
-use dsu_bench::{median, standard_workload, timed_parallel_run};
-use dsu_harness::Args;
+use dsu_bench::{median, standard_workload};
+use dsu_harness::{run_shards, Args};
 
 fn main() {
     let args = Args::parse();
@@ -36,16 +36,16 @@ fn main() {
     for &p in &threads {
         // Warm-up one run of each.
         let dsu: Dsu<TwoTrySplit, PackedStore> = Dsu::new(n);
-        timed_parallel_run(&dsu, &w, p);
+        run_shards(&dsu, &w, p);
         let dsu: Dsu<TwoTrySplit, FlatStore> = Dsu::new(n);
-        timed_parallel_run(&dsu, &w, p);
+        run_shards(&dsu, &w, p);
         let mut packed_ns = Vec::with_capacity(samples);
         let mut flat_ns = Vec::with_capacity(samples);
         for _ in 0..samples {
             let dsu: Dsu<TwoTrySplit, PackedStore> = Dsu::new(n);
-            packed_ns.push(timed_parallel_run(&dsu, &w, p).as_nanos() as f64);
+            packed_ns.push(run_shards(&dsu, &w, p).elapsed.as_nanos() as f64);
             let dsu: Dsu<TwoTrySplit, FlatStore> = Dsu::new(n);
-            flat_ns.push(timed_parallel_run(&dsu, &w, p).as_nanos() as f64);
+            flat_ns.push(run_shards(&dsu, &w, p).elapsed.as_nanos() as f64);
         }
         let (pm, fm) = (median(&mut packed_ns), median(&mut flat_ns));
         println!("{:>7} {:>14.0} {:>14.0} {:>8.3}", p, pm, fm, fm / pm);

@@ -40,11 +40,11 @@
 use std::fmt::Write as _;
 
 use concurrent_dsu::{
-    Compress, DefaultStore, Dsu, DsuStore, FindPolicy, Halving, IndexLink, LinkPolicy,
-    NoCompaction, OneTrySplit, RandomLink, TunedDsu, TwoTrySplit,
+    Compress, Dsu, DsuStore, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
+    PackedStore, RandomLink, TunedDsu, TwoTrySplit,
 };
-use dsu_bench::{machine_fingerprint_json, median, timed_parallel_run};
-use dsu_harness::Args;
+use dsu_bench::{machine_fingerprint_json, median};
+use dsu_harness::{run_shards, Args};
 use dsu_workloads::{ElementDist, Workload, WorkloadSpec};
 
 /// `TunedDsu`'s pick counts as matching the winner when its median is
@@ -101,16 +101,16 @@ type Arm = (&'static str, fn(&Probe, usize) -> f64);
 /// of its workload, in nanoseconds.
 fn time<F: FindPolicy, S: DsuStore, L: LinkPolicy>(probe: &Probe, threads: usize) -> f64 {
     let dsu: Dsu<F, S, L> = Dsu::with_seed(probe.n, 0xAB);
-    timed_parallel_run(&dsu, &probe.workload, threads).as_nanos() as f64
+    run_shards(&dsu, &probe.workload, threads).elapsed.as_nanos() as f64
 }
 
 /// The plane, find-major: each find policy × {random, index} on the
-/// default store.
+/// packed store.
 macro_rules! plane {
     ($(($f:ty, $fname:literal)),* $(,)?) => {
         [$(
-            (concat!($fname, "/random"), time::<$f, DefaultStore, RandomLink>),
-            (concat!($fname, "/index"), time::<$f, DefaultStore, IndexLink>),
+            (concat!($fname, "/random"), time::<$f, PackedStore, RandomLink>),
+            (concat!($fname, "/index"), time::<$f, PackedStore, IndexLink>),
         )*]
     };
 }
@@ -222,7 +222,7 @@ fn main() {
             let mut wm = Vec::with_capacity(2 * samples);
             for _ in 0..2 * samples {
                 let tuned = TunedDsu::with_seed(probe.n, 0xAB);
-                cm.push(timed_parallel_run(&tuned, &probe.workload, p_max).as_nanos() as f64);
+                cm.push(run_shards(&tuned, &probe.workload, p_max).elapsed.as_nanos() as f64);
                 wm.push(run_winner(probe, p_max));
             }
             choice_med = median(&mut cm);

@@ -70,49 +70,6 @@ pub fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Applies one op to anything implementing the concurrent interface.
-pub fn apply<D: concurrent_dsu::ConcurrentUnionFind + ?Sized>(dsu: &D, op: dsu_workloads::Op) {
-    match op {
-        dsu_workloads::Op::Unite(x, y) => {
-            dsu.unite(x, y);
-        }
-        dsu_workloads::Op::SameSet(x, y) => {
-            dsu.same_set(x, y);
-        }
-    }
-}
-
-/// Runs a workload sharded over `threads` threads; returns elapsed time.
-/// (The A/B examples need only the duration, not a harness struct, so
-/// this is a lean sibling of `dsu_harness::run_shards`.)
-pub fn timed_parallel_run<D: concurrent_dsu::ConcurrentUnionFind>(
-    dsu: &D,
-    workload: &Workload,
-    threads: usize,
-) -> std::time::Duration {
-    let shards = workload.shard(threads);
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let started = std::thread::scope(|s| {
-        for shard in &shards {
-            let barrier = &barrier;
-            s.spawn(move || {
-                barrier.wait();
-                for &op in shard {
-                    apply(dsu, op);
-                }
-            });
-        }
-        // Take the timestamp *before* releasing the barrier: workers cannot
-        // start until this thread arrives, but once the barrier opens this
-        // thread may be descheduled while workers run (oversubscribed
-        // hosts), which would deflate an after-the-wait timestamp.
-        let t0 = std::time::Instant::now();
-        barrier.wait();
-        t0
-    });
-    started.elapsed()
-}
-
 /// Ingests `batches` on `threads` threads — workers claim whole bursts
 /// from a shared cursor (the same dynamic scheduling both contenders get)
 /// and apply `ingest` to each — returning elapsed wall time. The two
@@ -144,7 +101,9 @@ where
                 }
             });
         }
-        // Timestamp before releasing the barrier (see timed_parallel_run).
+        // Take the timestamp *before* releasing the barrier: once it opens,
+        // this thread may be descheduled while workers run (oversubscribed
+        // hosts), which would deflate an after-the-wait timestamp.
         let t0 = std::time::Instant::now();
         barrier.wait();
         t0
@@ -206,14 +165,6 @@ mod tests {
         // Confluence: both ingestion shapes produce the same partition.
         assert_eq!(per_op.set_count(), batched.set_count());
         assert_eq!(per_op.labels_snapshot(), batched.labels_snapshot());
-    }
-
-    #[test]
-    fn timed_run_executes() {
-        let dsu: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(64);
-        let w = standard_workload(64, 500);
-        let d = timed_parallel_run(&dsu, &w, 2);
-        assert!(d.as_nanos() > 0);
     }
 
     #[test]

@@ -7,27 +7,25 @@ use crate::bulk;
 use crate::epoch::EpochStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::ops;
-use crate::order::LinkPolicy;
+use crate::order::{LinkPolicy, RandomLink};
 use crate::stats::StatsSink;
-use crate::store::{DsuStore, GrowableStore};
+use crate::store::{DsuStore, GrowableStore, PackedStore};
 use crate::ConcurrentUnionFind;
 
 /// A [`Dsu`] over the growable layout: starts with `n` elements (often 0)
 /// and grows by [`make_set`](Dsu::make_set).
-pub type GrowableDsu<F = TwoTrySplit, S = EpochStore, L = crate::DefaultLink> = Dsu<F, S, L>;
+pub type GrowableDsu<F = TwoTrySplit, S = EpochStore, L = RandomLink> = Dsu<F, S, L>;
 
 /// A wait-free concurrent disjoint-set union over the universe `0..len`,
 /// parameterized by the find compaction policy `F` (default:
 /// [`TwoTrySplit`], the paper's best variant), the parent storage layout
-/// `S` (default: [`DefaultStore`](crate::DefaultStore) —
-/// [`PackedStore`](crate::PackedStore) unless a `default-store-*` feature
-/// retargets it; see the layout-selection guide in the
+/// `S` (default: [`PackedStore`], one word per element holding the id and
+/// the parent; see the layout-selection guide in the
 /// [`store`](crate::store) module docs; universes larger than `2^32` must
 /// pick [`FlatStore`](crate::store::FlatStore) explicitly), and the link
-/// policy `L` (default: [`DefaultLink`](crate::DefaultLink) —
-/// [`RandomLink`](crate::RandomLink), the paper's randomized linking,
-/// unless the `default-link-index` feature retargets it; the axis and its
-/// acyclicity contract live in the [`order`](crate::order) module docs).
+/// policy `L` (default: [`RandomLink`], the paper's randomized linking;
+/// the axis and its acyclicity contract live in the
+/// [`order`](crate::order) module docs).
 ///
 /// All operations take `&self` and may be called from any number of threads
 /// simultaneously; results are linearizable (paper Lemma 3.2 — on
@@ -83,11 +81,7 @@ pub type GrowableDsu<F = TwoTrySplit, S = EpochStore, L = crate::DefaultLink> = 
 /// assert!(flat.unite(3, 4));
 /// assert_eq!(flat.set_count(), 9);
 /// ```
-pub struct Dsu<
-    F: FindPolicy = TwoTrySplit,
-    S: DsuStore = crate::DefaultStore,
-    L: LinkPolicy = crate::DefaultLink,
-> {
+pub struct Dsu<F: FindPolicy = TwoTrySplit, S: DsuStore = PackedStore, L: LinkPolicy = RandomLink> {
     store: S,
     /// Number of successful links ever; `set_count = n - links`.
     links: AtomicUsize,
@@ -123,7 +117,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// # Panics
     ///
     /// Panics if the storage layout cannot address `n` elements (the
-    /// default [`PackedStore`](crate::PackedStore) and [`EpochStore`]
+    /// default [`PackedStore`] and [`EpochStore`]
     /// support at most `2^32`).
     pub fn with_seed(n: usize, seed: u64) -> Self {
         Self::from_store(S::with_seed(n, seed))
@@ -454,14 +448,10 @@ mod tests {
     use super::*;
     use crate::find::{Halving, NoCompaction, OneTrySplit};
     use crate::forest::UnionForest;
-    use crate::order::{IndexLink, RandomLink};
+    use crate::order::IndexLink;
+    use crate::store::FlatStore;
     use crate::OpStats;
     use sequential_dsu::{NaiveDsu, Partition};
-
-    /// The paper's linking, pinned explicitly: tests that assert *random-id*
-    /// semantics (Lemma 3.1 on ids, the log-height theorem) must not float
-    /// with the `default-link-index` feature the CI variants cell flips.
-    type RandomDsu<F = TwoTrySplit> = Dsu<F, crate::DefaultStore, RandomLink>;
 
     fn exercise_basic<F: FindPolicy, S: DsuStore>() {
         let dsu: Dsu<F, S> = Dsu::new(10);
@@ -480,16 +470,17 @@ mod tests {
 
     #[test]
     fn basics_all_policies() {
-        exercise_basic::<NoCompaction, crate::DefaultStore>();
-        exercise_basic::<OneTrySplit, crate::DefaultStore>();
-        exercise_basic::<TwoTrySplit, crate::DefaultStore>();
-        exercise_basic::<Halving, crate::DefaultStore>();
+        exercise_basic::<NoCompaction, PackedStore>();
+        exercise_basic::<OneTrySplit, PackedStore>();
+        exercise_basic::<TwoTrySplit, PackedStore>();
+        exercise_basic::<Halving, PackedStore>();
+        exercise_basic::<TwoTrySplit, FlatStore>();
         exercise_basic::<TwoTrySplit, EpochStore>();
     }
 
     #[test]
     fn debug_is_informative() {
-        let dsu: RandomDsu = Dsu::new(3);
+        let dsu: Dsu = Dsu::new(3);
         let s = format!("{dsu:?}");
         assert!(s.contains("two-try"), "{s}");
         assert!(s.contains("len"), "{s}");
@@ -585,7 +576,7 @@ mod tests {
     fn parent_ids_strictly_increase_along_paths() {
         // Lemma 3.1 under real concurrency, on the (id, index) key.
         let n = 2048;
-        let dsu: Dsu<TwoTrySplit, UnionForest<crate::DefaultStore>, RandomLink> = Dsu::new(n);
+        let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::new(n);
         std::thread::scope(|s| {
             for t in 0..8usize {
                 let dsu = &dsu;
@@ -626,8 +617,7 @@ mod tests {
         // generous constant so the test never flakes: c = 6 over 3 seeds.
         for seed in [1, 2, 3] {
             let n = 1 << 14;
-            let dsu: Dsu<TwoTrySplit, UnionForest<crate::DefaultStore>, RandomLink> =
-                Dsu::with_seed(n, seed);
+            let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(n, seed);
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..2 * n {
@@ -710,7 +700,8 @@ mod tests {
             let recount: Dsu<TwoTrySplit, S> = Dsu::with_seed(n, 8);
             assert_eq!(recount.unite_batch(&edges), results.iter().filter(|&&b| b).count());
         }
-        check::<crate::DefaultStore>();
+        check::<PackedStore>();
+        check::<FlatStore>();
         check::<EpochStore>();
     }
 
@@ -759,8 +750,8 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(2025);
         let n = 96;
-        let random: RandomDsu = Dsu::with_seed(n, 12);
-        let index: Dsu<TwoTrySplit, crate::DefaultStore, IndexLink> = Dsu::with_seed(n, 12);
+        let random: Dsu = Dsu::with_seed(n, 12);
+        let index: Dsu<TwoTrySplit, PackedStore, IndexLink> = Dsu::with_seed(n, 12);
         let mut oracle = NaiveDsu::new(n);
         for i in 0..600 {
             let x = rng.gen_range(0..n);
@@ -824,7 +815,8 @@ mod tests {
             assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle.partition());
             assert_eq!(dsu.set_count(), oracle.set_count());
         }
-        hammer::<crate::DefaultStore, IndexLink>();
+        hammer::<PackedStore, IndexLink>();
+        hammer::<EpochStore, IndexLink>();
     }
 
     #[test]

@@ -152,7 +152,7 @@ use std::sync::Arc;
 
 use crate::dsu::Dsu;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::order::{hashed_id, LinkPolicy};
+use crate::order::{hashed_id, LinkPolicy, RandomLink};
 use crate::store::{self, DsuStore, GrowableStore, ParentStore};
 
 /// Directory slots: segment 31 ends at element `2^32 - 1`, the last index
@@ -280,9 +280,10 @@ impl std::fmt::Debug for SegmentSnapshot {
 /// [`FaultyStore<S>`](crate::FaultyStore)`, so the chaos suite can inject
 /// faults straight through a versioned stack.
 ///
-/// `fork_point` / `restore` / `purge_graveyard` take `&mut self`: they
-/// move the epoch, which is only sound at quiescence — the `&mut`
-/// requirement makes the compiler enforce exactly that.
+/// `fork_point` / `restore` / `release` take `&mut self`: the first two
+/// move the epoch and all three free displaced nodes, which is only sound
+/// at quiescence — the `&mut` requirement makes the compiler enforce
+/// exactly that.
 pub trait EpochFork: GrowableStore {
     /// The current epoch counter (bumped by every `fork_point`/`restore`).
     fn current_epoch(&self) -> u64;
@@ -298,18 +299,13 @@ pub trait EpochFork: GrowableStore {
     /// remains valid for another restore.
     fn restore(&mut self, snap: &SegmentSnapshot);
 
-    /// Frees segment nodes displaced by forks since the last quiescent
-    /// point. Called automatically by `fork_point`/`restore`; exposed for
-    /// long `&self` phases that never snapshot again.
-    fn purge_graveyard(&mut self);
-
-    /// Takes back a snapshot its holder is done with. The cell buffer of a
-    /// node this snapshot held last is kept as the spare the next fork of
+    /// Takes back a snapshot its holder is done with. First frees the
+    /// segment nodes displaced by forks since the last quiescent point
+    /// (they may include the snapshot's nodes). The cell buffer of a node
+    /// this snapshot held last is then kept as the spare the next fork of
     /// that size copies into, so a rolling snapshot cadence reuses memory
     /// rather than allocating (and, for a large prefix, mapping and
-    /// faulting in) a fresh buffer per fork. Call after
-    /// [`purge_graveyard`](EpochFork::purge_graveyard), which may hold
-    /// the snapshot's nodes too.
+    /// faulting in) a fresh buffer per fork.
     fn release(&mut self, snap: SegmentSnapshot);
 
     /// Copy-on-write work totals so far (monotone; read at quiescence).
@@ -500,6 +496,12 @@ impl EpochStore {
         unsafe { &*raw }
     }
 
+    /// Frees the nodes forks displaced since the last quiescent point;
+    /// `&mut self` is that point, so no reader is still walking them.
+    fn purge_graveyard(&mut self) {
+        self.graveyard.get_mut().unwrap_or_else(|e| e.into_inner()).displaced.clear();
+    }
+
     /// The node of segment `s`, forked to the current epoch if it is
     /// shared — every write goes through here.
     #[inline]
@@ -687,11 +689,8 @@ impl EpochFork for EpochStore {
         self.purge_graveyard();
     }
 
-    fn purge_graveyard(&mut self) {
-        self.graveyard.get_mut().unwrap_or_else(|e| e.into_inner()).displaced.clear();
-    }
-
     fn release(&mut self, snap: SegmentSnapshot) {
+        self.purge_graveyard();
         let graveyard = self.graveyard.get_mut().unwrap_or_else(|e| e.into_inner());
         for node in snap.segs.into_iter().flatten() {
             // Keep the largest buffer no one else holds; drop the rest.
@@ -733,10 +732,6 @@ impl<S: EpochFork> EpochFork for crate::FaultyStore<S> {
 
     fn restore(&mut self, snap: &SegmentSnapshot) {
         self.inner_mut().restore(snap);
-    }
-
-    fn purge_graveyard(&mut self) {
-        self.inner_mut().purge_graveyard();
     }
 
     fn release(&mut self, snap: SegmentSnapshot) {
@@ -826,7 +821,7 @@ struct SnapRecord {
 pub struct VersionedDsu<
     F: FindPolicy = TwoTrySplit,
     S: EpochFork = EpochStore,
-    L: LinkPolicy = crate::DefaultLink,
+    L: LinkPolicy = RandomLink,
 > {
     dsu: Dsu<F, S, L>,
     /// Retained snapshots, epoch-ascending (each `fork_point` bumps).
@@ -976,7 +971,6 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// reuses a buffer the snapshot held last for its next fork. Later and
     /// earlier snapshots are unaffected. No-op if `at` is already gone.
     pub fn drop_snapshot(&mut self, at: Epoch) {
-        self.dsu.store_mut().purge_graveyard();
         if let Some(idx) = self.snaps.iter().position(|r| r.segs.epoch() == at.0) {
             let rec = self.snaps.remove(idx);
             self.dsu.store_mut().release(rec.segs);
@@ -1087,7 +1081,7 @@ mod tests {
     use crate::order::splitmix64;
     use crate::FaultyStore;
 
-    type VDsu = VersionedDsu<TwoTrySplit, EpochStore, crate::DefaultLink>;
+    type VDsu = VersionedDsu;
 
     #[test]
     fn snapshot_rollback_roundtrip_is_bit_identical() {

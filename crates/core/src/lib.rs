@@ -163,13 +163,11 @@
 //! # Environment variables
 //!
 //! The crate reads no environment variables: every structure is configured
-//! by its type parameters and constructor arguments alone. Three cargo
-//! features change defaults at build time. `strict-sc` restores the
-//! paper's sequentially consistent orderings crate-wide;
-//! `default-store-flat` retargets [`DefaultStore`], and with it [`Dsu`]'s
-//! default, to the flat layout (growable structures have one layout, so it
-//! leaves them be); `default-link-index` retargets [`DefaultLink`] from the
-//! paper's randomized linking to index linking.
+//! by its type parameters and constructor arguments alone, and [`Dsu`]'s
+//! defaults ([`TwoTrySplit`], [`PackedStore`], [`RandomLink`]) are written
+//! on the type itself. One cargo feature, `strict-sc`, restores the
+//! paper's sequentially consistent orderings crate-wide: the build for
+//! hosts that are not multi-copy-atomic (see the [`store`] module docs).
 
 pub mod bulk;
 pub mod epoch;
@@ -197,32 +195,6 @@ pub use order::{IndexLink, LinkPolicy, RandomLink};
 pub use stats::{OpStats, StatsSink};
 pub use store::{DsuStore, FlatStore, GrowableStore, PackedStore, ParentStore};
 pub use tune::TunedDsu;
-
-/// The storage layout [`Dsu`] defaults to, selected at compile time by the
-/// `default-store-flat` cargo feature (unset: [`PackedStore`]). CI's test
-/// matrix builds the crate once per layout so the whole suite runs on
-/// every store; explicit type parameters (`Dsu<F, FlatStore>`) always
-/// override the default.
-#[cfg(feature = "default-store-flat")]
-pub type DefaultStore = FlatStore;
-/// The storage layout [`Dsu`] defaults to (see the `default-store-flat`
-/// feature; this build: packed, the fastest layout).
-#[cfg(not(feature = "default-store-flat"))]
-pub type DefaultStore = PackedStore;
-
-/// The link policy [`Dsu`] defaults to, selected at
-/// compile time by the `default-link-index` cargo feature (unset:
-/// [`RandomLink`], the paper's randomized linking). CI's variants cell
-/// builds the crate once with the feature on so the whole suite runs under
-/// index linking too; explicit type parameters
-/// (`Dsu<F, S, IndexLink>`) always override the default. The axis and its
-/// acyclicity contract live in the [`order`] module docs.
-#[cfg(feature = "default-link-index")]
-pub type DefaultLink = IndexLink;
-/// The link policy [`Dsu`] defaults to (this build:
-/// random — the paper's randomized linking; see `default-link-index`).
-#[cfg(not(feature = "default-link-index"))]
-pub type DefaultLink = RandomLink;
 
 /// Common interface for every concurrent union-find in this workspace
 /// (this crate's [`Dsu`] on every layout, and the baselines crate's

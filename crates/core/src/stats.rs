@@ -183,11 +183,6 @@ impl OpStats {
         self.find_hops += other.find_hops;
     }
 
-    /// Mean find-loop iterations per operation (`NaN` if no ops ran).
-    pub fn iters_per_op(&self) -> f64 {
-        self.loop_iters as f64 / self.ops as f64
-    }
-
     /// Mean parent hops per `find` — the observed tree depth (`NaN` if no
     /// finds ran).
     pub fn hops_per_find(&self) -> f64 {
@@ -346,16 +341,5 @@ mod tests {
         // The unit sink accepts the event too.
         let mut unit = ();
         unit.find_hops(1);
-    }
-
-    #[test]
-    fn iters_per_op() {
-        let mut s = OpStats::default();
-        s.op_start();
-        s.op_start();
-        s.loop_iter();
-        s.loop_iter();
-        s.loop_iter();
-        assert!((s.iters_per_op() - 1.5).abs() < 1e-12);
     }
 }

@@ -47,7 +47,7 @@
 //!
 //! **Cache-resident variant.** Where layouts tie, the (find × link)
 //! variant does not: with at most 8 MiB of parent words (`n ≤ 2^20`),
-//! `Dsu<Halving, DefaultStore, IndexLink>` runs 1.13–1.19x the paper
+//! `Dsu<Halving, PackedStore, IndexLink>` runs 1.13–1.19x the paper
 //! default on `variants_ab`'s cache-uniform probe, while in DRAM nothing
 //! beats the default outside noise (see the `variants_ab` section of
 //! `docs/benchmarks.md`). [`TunedDsu`](crate::TunedDsu) makes that
@@ -78,11 +78,10 @@
 //! that map, done lock-free: a CAS-claimed id table assigns dense ids on
 //! first touch and every set operation runs on the growable layout.
 //!
-//! The default store behind [`Dsu`](crate::Dsu)'s `S` parameter follows the
-//! `default-store-flat` cargo feature (see
-//! [`DefaultStore`](crate::DefaultStore)); CI runs the whole test suite
-//! under every fixed layout × ordering combination. The feature leaves the
-//! growable structures alone: they have one layout.
+//! [`Dsu`](crate::Dsu)'s `S` parameter defaults to [`PackedStore`]; name
+//! [`FlatStore`] to pick the other fixed layout. Tests that name it run
+//! the same contracts on both (`packed_vs_flat.rs`, and the batch, fault,
+//! forest, attribution and find-policy proptests).
 //!
 //! **Testing under faults.** Any layout above wraps in
 //! [`FaultyStore`](crate::FaultyStore) (the [`fault`](crate::fault)

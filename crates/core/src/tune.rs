@@ -19,12 +19,13 @@
 //! [`with_seed`](TunedDsu::with_seed), and every operation is one enum
 //! match in front of a monomorphized [`Dsu`]: no lock, no sampling, no
 //! atomic of its own. A caller who knows its regime can name the variant
-//! as type parameters instead (`Dsu<Halving, DefaultStore, IndexLink>`).
+//! as type parameters instead (`Dsu<Halving, PackedStore, IndexLink>`).
 
 use crate::dsu::Dsu;
 use crate::find::{Halving, TwoTrySplit};
 use crate::order::{IndexLink, RandomLink};
-use crate::{ConcurrentUnionFind, DefaultStore};
+use crate::store::PackedStore;
+use crate::ConcurrentUnionFind;
 
 /// Parent-array bytes up to which a universe counts as cache-resident.
 const CACHE_BUDGET_BYTES: usize = 8 << 20;
@@ -45,9 +46,9 @@ const CACHE_BUDGET_BYTES: usize = 8 << 20;
 #[derive(Debug)]
 pub enum TunedDsu {
     /// `halving/index`, for universes of at most `2^20` elements.
-    CacheResident(Dsu<Halving, DefaultStore, IndexLink>),
+    CacheResident(Dsu<Halving, PackedStore, IndexLink>),
     /// The paper default, `two-try/random`, above that.
-    DramResident(Dsu<TwoTrySplit, DefaultStore, RandomLink>),
+    DramResident(Dsu<TwoTrySplit, PackedStore, RandomLink>),
 }
 
 /// Runs `$body` with `$d` bound to whichever `Dsu` the structure holds.

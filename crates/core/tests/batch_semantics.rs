@@ -11,9 +11,7 @@
 //! per-access orderings and under `--features strict-sc` (CI runs both),
 //! the same dual configuration the packed-vs-flat cross-checks use.
 
-use concurrent_dsu::{
-    Dsu, FlatStore, GrowableDsu, PackedStore, RandomLink, TwoTrySplit, UnionForest,
-};
+use concurrent_dsu::{Dsu, FlatStore, GrowableDsu, PackedStore, TwoTrySplit, UnionForest};
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
 
@@ -30,14 +28,9 @@ proptest! {
     #[test]
     fn batch_matches_sequential_unite(edges in edges_strategy(24, 200), seed in any::<u64>()) {
         let n = 24;
-        // RandomLink pinned throughout (reference and batch sides alike):
-        // the id asserts at the bottom are about *random ids*, which the
-        // `default-link-index` CI cell would otherwise retarget.
-        let packed_batch: Dsu<TwoTrySplit, UnionForest<PackedStore>, RandomLink> =
-            Dsu::with_seed(n, seed);
-        let flat_batch: Dsu<TwoTrySplit, UnionForest<FlatStore>, RandomLink> =
-            Dsu::with_seed(n, seed);
-        let per_op: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, seed);
+        let packed_batch: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(n, seed);
+        let flat_batch: Dsu<TwoTrySplit, UnionForest<FlatStore>> = Dsu::with_seed(n, seed);
+        let per_op: Dsu = Dsu::with_seed(n, seed);
         let mut oracle = NaiveDsu::new(n);
 
         let packed_results = packed_batch.unite_batch_results(&edges);
@@ -127,10 +120,8 @@ fn concurrent_batches_match_components_oracle() {
     let n = 1 << 11;
     let edges: Vec<(usize, usize)> =
         (0..4 * n).map(|i| ((i * 2654435761) % n, (i * 40503 + 11) % n)).collect();
-    // RandomLink pinned: the Lemma 3.1 id assert below must not float with
-    // the `default-link-index` feature.
-    let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, 3);
-    let flat: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, 3);
+    let packed: Dsu = Dsu::with_seed(n, 3);
+    let flat: Dsu<TwoTrySplit, FlatStore> = Dsu::with_seed(n, 3);
     let links = AtomicUsize::new(0);
     for run in 0..2 {
         std::thread::scope(|s| {

@@ -21,14 +21,14 @@ use std::time::Duration;
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
-    BatchOutcome, DsuStore, Epoch, EpochStore, FaultPlan, FaultyStore, GrowableDsu, RetryBudget,
-    TestWatchdog, TwoTrySplit, VersionedDsu,
+    BatchOutcome, DsuStore, Epoch, EpochStore, FaultPlan, FaultyStore, GrowableDsu, IndexLink,
+    LinkPolicy, RandomLink, RetryBudget, TestWatchdog, TwoTrySplit, VersionedDsu,
 };
 use proptest::prelude::*;
 use proptest::prop_oneof;
 
-type VDsu = VersionedDsu<TwoTrySplit, EpochStore, concurrent_dsu::DefaultLink>;
-type ChaosDsu = VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>, concurrent_dsu::DefaultLink>;
+type VDsu = VersionedDsu;
+type ChaosDsu = VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>>;
 
 /// The versioned sequential oracle: live labels plus a stack of
 /// `(epoch, labels)` clones. O(n) per snapshot where the real structure
@@ -140,8 +140,8 @@ fn batch_edges(seed: u64, n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn run_script<S: EpochFork>(
-    dsu: &mut VersionedDsu<TwoTrySplit, S, concurrent_dsu::DefaultLink>,
+fn run_script<S: EpochFork, L: LinkPolicy>(
+    dsu: &mut VersionedDsu<TwoTrySplit, S, L>,
     oracle: &mut VersionedOracle,
     script: &[Step],
 ) {
@@ -222,25 +222,34 @@ fn run_script<S: EpochFork>(
     }
 }
 
+/// Runs `script` on a fresh `L`-linked structure grown to `initial`
+/// elements, against a fresh oracle.
+fn run_fresh<L: LinkPolicy>(seed: u64, initial: usize, script: &[Step]) {
+    let mut dsu: VersionedDsu<TwoTrySplit, EpochStore, L> = VersionedDsu::with_seed(seed);
+    let mut oracle = VersionedOracle::default();
+    for _ in 0..initial {
+        dsu.make_set();
+        oracle.make_set();
+    }
+    run_script(&mut dsu, &mut oracle, script);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Full version-DAG scripts agree with the clone-stack oracle, step by
     /// step: every unite/query verdict, every time-travel answer, every
-    /// post-rollback partition, and the snapshot stacks themselves.
+    /// post-rollback partition, and the snapshot stacks themselves — under
+    /// the paper's linking and under index linking, which builds other
+    /// trees from the same script but must give the same answers.
     #[test]
     fn versioned_scripts_match_clone_stack_oracle(
         script in prop::collection::vec(step_strategy(), 1..120),
         seed in any::<u64>(),
         initial in 0usize..24,
     ) {
-        let mut dsu = VDsu::with_seed(seed);
-        let mut oracle = VersionedOracle::default();
-        for _ in 0..initial {
-            dsu.make_set();
-            oracle.make_set();
-        }
-        run_script(&mut dsu, &mut oracle, &script);
+        run_fresh::<RandomLink>(seed, initial, &script);
+        run_fresh::<IndexLink>(seed, initial, &script);
     }
 
     /// Rollback is bit-identical, not merely partition-equal: the raw

@@ -5,11 +5,12 @@
 //! by the `(id, index)` key, so for any seed and single-threaded operation
 //! sequence every return value, the set count, and the final partition
 //! must agree *exactly* — packing is a layout optimization, never a
-//! semantic one. These tests run
-//! under both the default per-access orderings and `--features strict-sc`
-//! (CI's matrix runs every layout under both), which is what justifies the
-//! relaxed orderings empirically on top of the argument in
-//! `src/store/mod.rs`.
+//! semantic one. These tests run under both the default per-access
+//! orderings and `--features strict-sc` (CI runs the core suite in both
+//! builds), which is what justifies the relaxed orderings empirically on
+//! top of the argument in `src/store/mod.rs`. They are also where the flat
+//! layout's per-op, early-termination and concurrent paths run against
+//! the packed ones; `Dsu`'s default store is always packed.
 //!
 //! The multi-threaded stress tests exercise the relaxed link / compaction
 //! CAS paths specifically: concurrent unites force link CASes to race with
@@ -135,12 +136,8 @@ fn concurrent_stress_matches_components_all_layouts() {
     );
     let pairs: Vec<(usize, usize)> =
         (0..2 * n).map(|i| ((i * 2654435761) % n, (i * 40503 + 7) % n)).collect();
-    // RandomLink pinned: the Lemma 3.1 id asserts at the bottom are about
-    // *random ids*, which the `default-link-index` CI cell would otherwise
-    // retarget.
-    use concurrent_dsu::RandomLink;
-    let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, 99);
-    let flat: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, 99);
+    let packed: Dsu = Dsu::with_seed(n, 99);
+    let flat: Dsu<TwoTrySplit, FlatStore> = Dsu::with_seed(n, 99);
     for dsu_run in 0..2 {
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -178,7 +175,7 @@ fn concurrent_stress_matches_components_all_layouts() {
     // Lemma 3.1 on both layouts: every non-root's `(id, index)` key is
     // below its parent's, whatever interleaving the relaxed CASes went
     // through.
-    fn ids_increase<S: DsuStore>(dsu: &Dsu<TwoTrySplit, S, concurrent_dsu::RandomLink>) {
+    fn ids_increase<S: DsuStore>(dsu: &Dsu<TwoTrySplit, S>) {
         for (x, &p) in dsu.parents_snapshot().iter().enumerate() {
             if p != x {
                 assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));

@@ -3,15 +3,10 @@
 //! partition agree with the naive oracle, for every (find × link) policy
 //! pair and both the standard and early-termination operations. Linking
 //! and compaction change tree shapes, never semantics.
-//!
-//! The store axis rides on `DefaultStore` so CI's layout matrix
-//! (`default-store-flat`) and ordering matrix
-//! (`strict-sc`) multiply these properties across every layout without
-//! code changes.
 
 use concurrent_dsu::{
-    Compress, Dsu, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
-    RandomLink, TwoTrySplit, UnionForest,
+    Compress, Dsu, FindPolicy, FlatStore, Halving, IndexLink, LinkPolicy, NoCompaction,
+    OneTrySplit, PackedStore, RandomLink, TwoTrySplit, UnionForest,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -91,16 +86,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every (find × link) pair is oracle-equivalent — 5 finds × 2 links
-    /// on the default layout (CI's store/ordering matrix multiplies this
-    /// across packed/flat × default/strict-sc).
+    /// on the packed layout, and 5 finds under the paper's linking on the
+    /// flat one.
     #[test]
     fn sequential_equivalence_all_policies(
         ops in ops_strategy(20, 100),
         seed in any::<u64>(),
         early in any::<bool>(),
     ) {
-        check_find_axis::<concurrent_dsu::DefaultStore, RandomLink>(20, seed, &ops, early);
-        check_find_axis::<concurrent_dsu::DefaultStore, IndexLink>(20, seed, &ops, early);
+        check_find_axis::<PackedStore, RandomLink>(20, seed, &ops, early);
+        check_find_axis::<PackedStore, IndexLink>(20, seed, &ops, early);
+        check_find_axis::<FlatStore, RandomLink>(20, seed, &ops, early);
     }
 
     /// Lemma 3.1 invariants hold after any single-threaded history:
@@ -108,10 +104,7 @@ proptest! {
     /// compaction only replaces parents by union-forest ancestors.
     #[test]
     fn lemma_3_1_invariants(ops in ops_strategy(24, 120), seed in any::<u64>()) {
-        // RandomLink pinned: the id-order clause of Lemma 3.1 is a
-        // statement about random ids, not whatever `DefaultLink` floats to.
-        let dsu: Dsu<TwoTrySplit, UnionForest<concurrent_dsu::DefaultStore>, RandomLink> =
-            Dsu::with_seed(24, seed);
+        let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(24, seed);
         for &op in &ops {
             match op {
                 Op::Unite(x, y) => { dsu.unite(x, y); }

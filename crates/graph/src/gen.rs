@@ -36,64 +36,6 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> EdgeList {
     g
 }
 
-/// Bernoulli `G(n, p)` via geometric skip sampling — `O(m)` expected, no
-/// `O(n²)` scan.
-///
-/// # Panics
-///
-/// Panics unless `0.0 <= p <= 1.0`.
-pub fn gnp(n: usize, p: f64, seed: u64) -> EdgeList {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut g = EdgeList::new(n);
-    if n < 2 || p == 0.0 {
-        return g;
-    }
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut w = 0u64;
-    if p >= 1.0 {
-        for u in 0..n {
-            for v in (u + 1)..n {
-                g.push(u, v, w);
-                w += 1;
-            }
-        }
-        return g;
-    }
-    // Enumerate candidate pairs (u, v), u < v, in lexicographic order and
-    // jump ahead by geometric gaps.
-    let ln_q = (1.0 - p).ln();
-    let mut idx: i64 = -1;
-    let total = n as u128 * (n as u128 - 1) / 2;
-    loop {
-        let r: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let skip = (r.ln() / ln_q).floor() as i64 + 1;
-        idx += skip.max(1);
-        if (idx as u128) >= total {
-            break;
-        }
-        let (u, v) = pair_from_index(idx as u128, n);
-        g.push(u, v, w);
-        w += 1;
-    }
-    g
-}
-
-/// Maps a lexicographic index over `{(u, v) : u < v}` back to the pair.
-fn pair_from_index(idx: u128, n: usize) -> (usize, usize) {
-    // Row u starts at offset u*n - u*(u+1)/2 - u ... solve by scanning rows
-    // arithmetically: row u has (n - 1 - u) pairs.
-    let mut u = 0usize;
-    let mut remaining = idx;
-    loop {
-        let row = (n - 1 - u) as u128;
-        if remaining < row {
-            return (u, u + 1 + remaining as usize);
-        }
-        remaining -= row;
-        u += 1;
-    }
-}
-
 /// A 2-D grid graph on `rows × cols` vertices with the usual 4-neighbor
 /// adjacency; vertex `(r, c)` is `r * cols + c`.
 pub fn grid(rows: usize, cols: usize, seed: u64) -> EdgeList {
@@ -230,43 +172,6 @@ mod tests {
         ws.sort_unstable();
         ws.dedup();
         assert_eq!(ws.len(), 200);
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        assert!(gnp(20, 0.0, 1).is_empty());
-        let full = gnp(20, 1.0, 1);
-        assert_eq!(full.len(), 20 * 19 / 2);
-        // All pairs distinct.
-        let mut pairs: Vec<(usize, usize)> = full.edges().iter().map(|e| (e.u, e.v)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert_eq!(pairs.len(), 20 * 19 / 2);
-    }
-
-    #[test]
-    fn gnp_density_is_plausible() {
-        let n = 200;
-        let p = 0.05;
-        let g = gnp(n, p, 7);
-        let expected = (n * (n - 1) / 2) as f64 * p;
-        let got = g.len() as f64;
-        assert!((got - expected).abs() < 0.25 * expected, "got {got}, expected ~{expected}");
-        for e in g.edges() {
-            assert!(e.u < e.v, "gnp emits ordered pairs");
-        }
-    }
-
-    #[test]
-    fn pair_from_index_roundtrip() {
-        let n = 7;
-        let mut idx = 0u128;
-        for u in 0..n {
-            for v in (u + 1)..n {
-                assert_eq!(pair_from_index(idx, n), (u, v));
-                idx += 1;
-            }
-        }
     }
 
     #[test]

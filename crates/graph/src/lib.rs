@@ -8,8 +8,8 @@
 //!
 //! * [`EdgeList`] / [`Csr`] — graph representations, with a BFS component
 //!   oracle that owes nothing to union-find;
-//! * [`gen`] — seeded generators: `G(n, m)`, `G(n, p)`, 2-D
-//!   grids, R-MAT skewed graphs, and random trees with extra edges;
+//! * [`gen`] — seeded generators: `G(n, m)`, 2-D grids, R-MAT skewed
+//!   graphs, and random trees with extra edges;
 //! * [`components`] — connected components sequentially and in parallel
 //!   over any [`ConcurrentUnionFind`](concurrent_dsu::ConcurrentUnionFind);
 //! * [`mst`] — Kruskal (sequential) and a parallel Borůvka built on the

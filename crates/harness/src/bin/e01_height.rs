@@ -11,7 +11,7 @@
 //!
 //! Usage: `--min-exp 10 --max-exp 20 --reps 3 --threads-per-run 8 --quick true --csv out.csv`
 
-use concurrent_dsu::{DefaultStore, Dsu, TwoTrySplit, UnionForest};
+use concurrent_dsu::{Dsu, PackedStore, TwoTrySplit, UnionForest};
 use dsu_harness::{mean, run_shards, table::f2, Args, Table};
 use dsu_workloads::WorkloadSpec;
 
@@ -65,7 +65,7 @@ fn main() {
         let mut final_sets = 0;
         for rep in 0..reps {
             let seed = 0xE1_000 + rep as u64;
-            let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::with_seed(n, seed);
+            let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(n, seed);
             let w = WorkloadSpec::new(n, 2 * n).unite_fraction(1.0).generate(seed ^ 0x9E37);
             run_shards(&dsu, &w, threads);
             let (h, md) = forest_height_and_mean_depth(&dsu.store().forest());

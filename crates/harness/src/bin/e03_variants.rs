@@ -24,7 +24,7 @@
 
 use concurrent_dsu::{
     Compress, Dsu, DsuStore, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
-    RandomLink, TwoTrySplit,
+    PackedStore, RandomLink, TwoTrySplit,
 };
 use dsu_harness::{mean, run_shards_instrumented, table::f2, Args, Table};
 use dsu_workloads::{Workload, WorkloadSpec};
@@ -65,7 +65,6 @@ fn main() {
     );
     println!("link axis trades id lookups (random) vs the height guarantee (index).\n");
 
-    type Dflt = concurrent_dsu::DefaultStore;
     let mut table = Table::new(&["p", "find/link", "iters/op", "cas-fail/op", "accesses/op"]);
     for &p in &ladder {
         let w = WorkloadSpec::new(n, m).unite_fraction(0.5).generate(0xE3 ^ p as u64);
@@ -74,11 +73,11 @@ fn main() {
                 [
                     (
                         concat!($fname, "/random"),
-                        measure::<$f, Dflt, RandomLink>(n, &w, p, false, reps),
+                        measure::<$f, PackedStore, RandomLink>(n, &w, p, false, reps),
                     ),
                     (
                         concat!($fname, "/index"),
-                        measure::<$f, Dflt, IndexLink>(n, &w, p, false, reps),
+                        measure::<$f, PackedStore, IndexLink>(n, &w, p, false, reps),
                     ),
                 ]
             };
@@ -91,11 +90,11 @@ fn main() {
         rows.extend(link_rows!(Compress, "compress"));
         rows.push((
             "two-try/random+early",
-            measure::<TwoTrySplit, Dflt, RandomLink>(n, &w, p, true, reps),
+            measure::<TwoTrySplit, PackedStore, RandomLink>(n, &w, p, true, reps),
         ));
         rows.push((
             "one-try/random+early",
-            measure::<OneTrySplit, Dflt, RandomLink>(n, &w, p, true, reps),
+            measure::<OneTrySplit, PackedStore, RandomLink>(n, &w, p, true, reps),
         ));
         for (name, (it, cf, acc)) in rows {
             table.row(&[p.to_string(), name.to_string(), f2(it), f2(cf), f2(acc)]);

@@ -20,7 +20,7 @@
 //!
 //! Usage: `--n 262144 --reps 3 --quick true --csv out.csv`
 
-use concurrent_dsu::{DefaultStore, Dsu, TwoTrySplit, UnionForest};
+use concurrent_dsu::{Dsu, PackedStore, TwoTrySplit, UnionForest};
 use dsu_harness::{mean, run_shards, run_shards_instrumented, table::f2, Args, Table};
 use dsu_workloads::{Op, Workload};
 use rand::seq::SliceRandom;
@@ -45,7 +45,7 @@ fn main() {
         let mut iters = Vec::new();
         for rep in 0..reps {
             let seed = 0x0E110 + rep as u64;
-            let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::with_seed(n, seed);
+            let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(n, seed);
             let key = |x: usize| (dsu.id_of(x), x);
             // A random spanning tree's edges.
             let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x7);

@@ -44,24 +44,12 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (0 for fewer than two points).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_is_the_average() {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        let sd = stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((sd - 2.138).abs() < 0.01, "sd = {sd}");
     }
 }

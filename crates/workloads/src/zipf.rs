@@ -74,16 +74,6 @@ impl Zipf {
             }
         }
     }
-
-    /// The unnormalized probability mass `k^(-s)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is outside `1..=n`.
-    pub fn unnormalized_pmf(&self, k: u64) -> f64 {
-        assert!((1..=self.n).contains(&k), "k out of support");
-        (k as f64).powf(-self.s)
-    }
 }
 
 /// `H(x) = ∫ t^(-s) dt`, normalized so the sampler's algebra works:
@@ -225,7 +215,6 @@ mod tests {
         let zipf = Zipf::new(9, 0.5);
         assert_eq!(zipf.n(), 9);
         assert_eq!(zipf.exponent(), 0.5);
-        assert!((zipf.unnormalized_pmf(4) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   honest negatives) with its archived JSON artifact.
 //! - `examples/keyed_dedup.rs` — string keys instead of dense indices:
 //!   the `KeyedDsu` entity-resolution layer (see below).
-//! - Configuration is type parameters, constructor arguments and three
-//!   cargo features; nothing reads environment variables (see the
-//!   `concurrent_dsu` crate docs, `crates/core/src/lib.rs`).
+//! - Configuration is type parameters, constructor arguments and one
+//!   cargo feature, `strict-sc`; nothing reads environment variables (see
+//!   the `concurrent_dsu` crate docs, `crates/core/src/lib.rs`).
 
-use jt_dsu::concurrent_dsu::{DefaultStore, UnionForest};
+use jt_dsu::concurrent_dsu::{PackedStore, UnionForest};
 use jt_dsu::{Dsu, OpStats, TwoTrySplit};
 use std::thread;
 
@@ -36,7 +36,7 @@ fn main() {
     // union forest — the links alone, compaction ignored — can be printed
     // below. A plain `Dsu` (`let dsu: Dsu = Dsu::new(n);`) keeps no such
     // record.
-    let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::new(n);
+    let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::new(n);
 
     println!("uniting a ring of {n} elements on 8 threads…");
     let start = std::time::Instant::now();

@@ -70,28 +70,28 @@
 //!
 //! `.github/workflows/ci.yml` runs, on every push/PR:
 //!
-//! * `lint`: fmt, clippy and rustdoc, all `-D warnings`, plus the
-//!   workspace doc-tests and the two gates' own unit tests;
-//! * a `test` **matrix** over `{default, strict-sc}` orderings ×
-//!   `{packed, flat}` store layouts (the `default-store-flat` cargo
-//!   feature retargets `Dsu`'s default store so the full suite exercises
-//!   each layout; the packed cell also tests the whole workspace and the
-//!   benchmark, and fails unless the benchmark's 16 single-client count
-//!   rows equal `scripts/count_rows_baseline.json`),
-//!   plus a `variants` cell that re-runs the core suite with
-//!   `default-link-index` under both orderings;
-//! * `bench-smoke`, which runs the A/B examples in quick mode, archives
-//!   their JSON (machine-fingerprinted), and fail-soft-compares both
-//!   medians *and* A/B ratios against the previous run's cached baseline
-//!   (>15% regression warns in the job summary, never turns red;
-//!   baselines from a different machine are skipped, not compared);
-//! * `chaos`: the fault-injection suites, native linearizability under
-//!   chaos, e13 and e16 in quick mode, and a fail-soft `chaos_ab` sweep;
-//! * `harness-smoke`: every experiment binary (e01–e16) end to end in
-//!   quick mode through `run_all`, and `store_diag`'s phase timings and
-//!   layer counter checks (the cross-layout counter equality and
-//!   exact-zero checks run as `crates/core/tests/attribution.rs` in the
-//!   test matrix).
+//! * `lint`: fmt, clippy and rustdoc, all `-D warnings`, plus the two
+//!   gates' own unit tests;
+//! * `test`, one cell per memory ordering: the `default` cell builds and
+//!   tests the whole workspace (doc-tests, the fault and native
+//!   linearizability suites included) and the benchmark, and fails unless
+//!   the benchmark's 16 single-client count rows equal
+//!   `scripts/count_rows_baseline.json`; the `strict-sc` cell runs the
+//!   core suite with every access `SeqCst`. Tests name the flat layout and
+//!   index linking explicitly where they cover them, so both cells run
+//!   those too;
+//! * `bench-smoke`, which runs the A/B examples and the `chaos_ab` sweep
+//!   in quick mode, archives their JSON (machine-fingerprinted), and
+//!   fail-soft-compares the A/B examples' medians *and* ratios against the
+//!   previous run's cached baseline (>15% regression warns in the job
+//!   summary, never turns red; baselines from a different machine are
+//!   skipped, not compared; the chaos sweep fails only on a history that
+//!   does not linearize);
+//! * `harness-smoke`: every experiment binary (e01–e16, e13 and e16 are
+//!   the fault and rollback-under-chaos ones) end to end in quick mode
+//!   through `run_all`, and `store_diag`'s phase timings and layer counter
+//!   checks (the cross-layout counter equality and exact-zero checks run
+//!   as `crates/core/tests/attribution.rs` in the test job).
 //!
 //! A weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`,
 //! the non-quick A/B runs. Runs on the same ref cancel their

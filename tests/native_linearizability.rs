@@ -111,8 +111,7 @@ fn check_faulted_layout<S: DsuStore>(histories: usize, rate: f64) {
 }
 
 /// ≥ 3 threads, fault rate > 0, both layouts: every recorded history
-/// linearizes. (The strict-sc cell of CI's matrix re-runs this file with
-/// all orderings pinned to SeqCst.)
+/// linearizes.
 #[test]
 fn faulted_native_histories_linearizable_all_layouts() {
     let _wd = TestWatchdog::arm(

@@ -3,7 +3,7 @@
 //! logarithmic heights, the lockstep simulation, the lower-bound workload,
 //! bounded per-op work, and the work-bound predictions' shape.
 
-use jt_dsu::concurrent_dsu::{DefaultStore, Dsu, OpStats, TwoTrySplit, UnionForest};
+use jt_dsu::concurrent_dsu::{Dsu, OpStats, PackedStore, TwoTrySplit, UnionForest};
 use jt_dsu::dsu_workloads::{binomial_build_ops, lower_bound_workload, WorkloadSpec};
 use jt_dsu::sequential_dsu::{alpha, one_try_work_bound, two_try_work_bound};
 
@@ -14,7 +14,7 @@ fn corollary_4_2_1_logarithmic_height_at_test_scale() {
     // `UnionForest` decorator records the links.
     let n = 1 << 13;
     for seed in [11u64, 22, 33] {
-        let dsu: Dsu<TwoTrySplit, UnionForest<DefaultStore>> = Dsu::with_seed(n, seed);
+        let dsu: Dsu<TwoTrySplit, UnionForest<PackedStore>> = Dsu::with_seed(n, seed);
         let w = WorkloadSpec::new(n, 2 * n).unite_fraction(1.0).generate(seed);
         jt_dsu::dsu_harness::run_shards(&dsu, &w, 8);
         let h = dsu.store().height();
