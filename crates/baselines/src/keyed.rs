@@ -14,9 +14,9 @@
 //!
 //! [`KeyedDsu`]: concurrent_dsu::KeyedDsu
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 struct Inner<K> {
     ids: HashMap<K, usize>,
@@ -102,9 +102,22 @@ impl<K: Hash + Eq + Clone> Default for LockedKeyedDsu<K> {
     }
 }
 
+impl<K> LockedKeyedDsu<K> {
+    // Caller code (the key's `Hash`, `Eq` and `Clone`) runs between whole
+    // updates, never inside one, so the table is whole whenever a holder
+    // panics and a poisoned lock is taken as it stands.
+    fn read(&self) -> RwLockReadGuard<'_, Inner<K>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner<K>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl<K> std::fmt::Debug for LockedKeyedDsu<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.read();
+        let inner = self.read();
         f.debug_struct("LockedKeyedDsu")
             .field("keys", &inner.ids.len())
             .field("set_count", &(inner.parent.len() - inner.links))
@@ -128,18 +141,18 @@ impl<K: Hash + Eq + Clone> LockedKeyedDsu<K> {
     /// Maps `key` to its dense id, inserting it as a singleton if unseen
     /// (write lock).
     pub fn insert(&self, key: &K) -> usize {
-        self.inner.write().id_of(key)
+        self.write().id_of(key)
     }
 
     /// The id of `key`, or `None` if never inserted (read lock).
     pub fn get(&self, key: &K) -> Option<usize> {
-        self.inner.read().ids.get(key).copied()
+        self.read().ids.get(key).copied()
     }
 
     /// Unites the sets of `a` and `b`, inserting unseen keys; `true` iff
     /// this call linked (write lock).
     pub fn merge_keys(&self, a: &K, b: &K) -> bool {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let (ia, ib) = (inner.id_of(a), inner.id_of(b));
         inner.union(ia, ib)
     }
@@ -147,7 +160,7 @@ impl<K: Hash + Eq + Clone> LockedKeyedDsu<K> {
     /// `true` iff `a` and `b` share a set; unseen keys are implicit
     /// singletons (read lock, non-mutating find).
     pub fn same_set(&self, a: &K, b: &K) -> bool {
-        let inner = self.inner.read();
+        let inner = self.read();
         match (inner.ids.get(a), inner.ids.get(b)) {
             (Some(&ia), Some(&ib)) => inner.find_ro(ia) == inner.find_ro(ib),
             _ => a == b,
@@ -157,7 +170,7 @@ impl<K: Hash + Eq + Clone> LockedKeyedDsu<K> {
     /// Batched [`merge_keys`](LockedKeyedDsu::merge_keys): one write-guard
     /// acquisition for the whole burst. Returns the number of links.
     pub fn merge_keys_batch(&self, pairs: &[(K, K)]) -> usize {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         pairs
             .iter()
             .filter(|(a, b)| {
@@ -170,7 +183,7 @@ impl<K: Hash + Eq + Clone> LockedKeyedDsu<K> {
     /// Batched [`same_set`](LockedKeyedDsu::same_set): one read-guard
     /// acquisition for the whole burst.
     pub fn same_set_batch(&self, pairs: &[(K, K)]) -> Vec<bool> {
-        let inner = self.inner.read();
+        let inner = self.read();
         pairs
             .iter()
             .map(|(a, b)| match (inner.ids.get(a), inner.ids.get(b)) {
@@ -182,12 +195,12 @@ impl<K: Hash + Eq + Clone> LockedKeyedDsu<K> {
 
     /// Number of distinct keys inserted so far.
     pub fn key_count(&self) -> usize {
-        self.inner.read().ids.len()
+        self.read().ids.len()
     }
 
     /// Number of disjoint sets right now.
     pub fn set_count(&self) -> usize {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner.parent.len() - inner.links
     }
 }

@@ -6,8 +6,9 @@
 //! clear, mirroring the paper's remark that Anderson & Woll's algorithm has
 //! "insignificant speed-up" over sequential execution.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use concurrent_dsu::ConcurrentUnionFind;
-use parking_lot::Mutex;
 use sequential_dsu::{Compaction, Linking, SeqDsu};
 
 /// A [`SeqDsu`] wrapped in a global [`Mutex`], exposing the concurrent
@@ -45,6 +46,14 @@ impl LockedDsu {
         LockedDsu { inner: Mutex::new(SeqDsu::new(n, linking, compaction)), n }
     }
 
+    /// Takes the lock. Every `SeqDsu` write re-points one node to an
+    /// ancestor or links one root under another, so the forest is valid
+    /// between any two writes and a lock poisoned by a panicking holder is
+    /// taken as it stands.
+    fn seq(&self) -> MutexGuard<'_, SeqDsu> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.n
@@ -57,7 +66,7 @@ impl LockedDsu {
 
     /// Number of disjoint sets right now.
     pub fn set_count(&self) -> usize {
-        self.inner.lock().set_count()
+        self.seq().set_count()
     }
 
     /// Root of `x`'s tree (under the lock).
@@ -66,7 +75,7 @@ impl LockedDsu {
     ///
     /// Panics if `x >= self.len()`.
     pub fn find(&self, x: usize) -> usize {
-        self.inner.lock().find(x)
+        self.seq().find(x)
     }
 
     /// `true` iff `x` and `y` share a set (under the lock).
@@ -75,7 +84,7 @@ impl LockedDsu {
     ///
     /// Panics if `x` or `y` is out of range.
     pub fn same_set(&self, x: usize, y: usize) -> bool {
-        self.inner.lock().same_set(x, y)
+        self.seq().same_set(x, y)
     }
 
     /// Unites the sets of `x` and `y`; `true` iff they were distinct.
@@ -84,12 +93,12 @@ impl LockedDsu {
     ///
     /// Panics if `x` or `y` is out of range.
     pub fn unite(&self, x: usize, y: usize) -> bool {
-        self.inner.lock().unite(x, y)
+        self.seq().unite(x, y)
     }
 
     /// Canonical labels; takes the lock, so safe at any time.
     pub fn labels_snapshot(&self) -> Vec<usize> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.seq();
         let n = guard.len();
         let mut labels: Vec<usize> = (0..n).map(|i| guard.find(i)).collect();
         for i in 0..n {

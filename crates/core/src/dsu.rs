@@ -12,9 +12,10 @@ use crate::stats::StatsSink;
 use crate::store::{DsuStore, GrowableStore, PackedStore};
 use crate::ConcurrentUnionFind;
 
-/// A [`Dsu`] over the growable layout: starts with `n` elements (often 0)
-/// and grows by [`make_set`](Dsu::make_set).
-pub type GrowableDsu<F = TwoTrySplit, S = EpochStore, L = RandomLink> = Dsu<F, S, L>;
+/// The paper's [`Dsu`] over the growable layout: starts with `n` elements
+/// (often 0) and grows by [`make_set`](Dsu::make_set). Other find or link
+/// policies, or a decorated growable store, name `Dsu` directly.
+pub type GrowableDsu = Dsu<TwoTrySplit, EpochStore, RandomLink>;
 
 /// A wait-free concurrent disjoint-set union over the universe `0..len`,
 /// parameterized by the find compaction policy `F` (default:

@@ -97,7 +97,7 @@
 //! adds the segment lookup (`ilog2`, slot load, null check, bounds
 //! check); [`KeyedDsu`](crate::KeyedDsu) and `GrowableDsu::new(0)` grow
 //! from empty, so they have no prefix. No path takes a lock. A plain
-//! `Dsu<F, EpochStore>` ([`GrowableDsu`](crate::GrowableDsu)) and
+//! `Dsu<_, EpochStore>` (such as [`GrowableDsu`](crate::GrowableDsu)) and
 //! [`KeyedDsu`](crate::KeyedDsu) run on [`EpochStore`] as well, but only
 //! [`VersionedDsu`]'s `&mut` transitions move the epoch, so an unversioned
 //! structure stays at epoch 0 for life: every node is current, no write
@@ -151,8 +151,8 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::dsu::Dsu;
-use crate::find::{FindPolicy, TwoTrySplit};
-use crate::order::{hashed_id, LinkPolicy, RandomLink};
+use crate::find::TwoTrySplit;
+use crate::order::{hashed_id, RandomLink};
 use crate::store::{self, DsuStore, GrowableStore, ParentStore};
 
 /// Directory slots: segment 31 ends at element `2^32 - 1`, the last index
@@ -716,7 +716,7 @@ impl EpochFork for EpochStore {
 
 // Chaos composition: a FaultyStore over an epoch-forking store is itself
 // growable (see `fault.rs`) and epoch-forking, so
-// `VersionedDsu<F, FaultyStore<EpochStore>>` drops injected CAS failures /
+// `VersionedDsu<FaultyStore<EpochStore>>` drops injected CAS failures /
 // delayed loads / stalls under the whole snapshot → ingest → validate →
 // rollback machinery. Fork copies and directory swings go through the
 // inner store directly — injection targets the algorithm's primitive
@@ -794,7 +794,8 @@ struct SnapRecord {
 
 /// A growable [`Dsu`] with O(1) snapshots, rollback, speculative batches,
 /// and time-travel queries, over any [`EpochFork`] store (default:
-/// [`EpochStore`]).
+/// [`EpochStore`]). Its finds split two-try and its links follow the
+/// random ids: the paper's configuration, the only one versioned.
 ///
 /// Concurrent operations (`unite`, `same_set`, `unite_batch`, `make_set`,
 /// time-travel reads) take `&self` and run from many threads exactly like
@@ -818,25 +819,21 @@ struct SnapRecord {
 /// assert!(dsu.same_set(0, 1));
 /// assert!(!dsu.same_set(2, 3));
 /// ```
-pub struct VersionedDsu<
-    F: FindPolicy = TwoTrySplit,
-    S: EpochFork = EpochStore,
-    L: LinkPolicy = RandomLink,
-> {
-    dsu: Dsu<F, S, L>,
+pub struct VersionedDsu<S: EpochFork = EpochStore> {
+    dsu: Dsu<TwoTrySplit, S, RandomLink>,
     /// Retained snapshots, epoch-ascending (each `fork_point` bumps).
     snaps: Vec<SnapRecord>,
     snapshots_taken: u64,
     rollbacks: u64,
 }
 
-impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> Default for VersionedDsu<F, S, L> {
+impl<S: EpochFork> Default for VersionedDsu<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> std::fmt::Debug for VersionedDsu<F, S, L> {
+impl<S: EpochFork> std::fmt::Debug for VersionedDsu<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedDsu")
             .field("dsu", &self.dsu)
@@ -848,7 +845,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> std::fmt::Debug for VersionedDs
     }
 }
 
-impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
+impl<S: EpochFork> VersionedDsu<S> {
     /// An empty versioned universe.
     pub fn new() -> Self {
         Self::from_dsu(Dsu::new(0))
@@ -866,14 +863,14 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
 
     /// Wraps an already-built growable structure (it keeps its contents;
     /// versioning starts with no snapshots).
-    pub fn from_dsu(dsu: Dsu<F, S, L>) -> Self {
+    pub fn from_dsu(dsu: Dsu<TwoTrySplit, S, RandomLink>) -> Self {
         VersionedDsu { dsu, snaps: Vec::new(), snapshots_taken: 0, rollbacks: 0 }
     }
 
     /// The wrapped structure — every [`Dsu`] operation (the stats variants
     /// included) is available through it; shared-state mutations it
     /// performs are versioned like any other (they go through the store).
-    pub fn dsu(&self) -> &Dsu<F, S, L> {
+    pub fn dsu(&self) -> &Dsu<TwoTrySplit, S, RandomLink> {
         &self.dsu
     }
 
@@ -1005,7 +1002,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
     /// taken.
     pub fn try_unite_batch<V>(&mut self, edges: &[(usize, usize)], validate: V) -> BatchOutcome
     where
-        V: FnOnce(&Dsu<F, S, L>, usize) -> bool,
+        V: FnOnce(&Dsu<TwoTrySplit, S, RandomLink>, usize) -> bool,
     {
         self.dsu.check_edges(edges);
         let at = self.snapshot();
@@ -1460,7 +1457,7 @@ mod tests {
         // FaultyStore<EpochStore> must version and inject at once.
         let plan = crate::FaultPlan::rate(5, 0.3);
         let store = FaultyStore::with_plan(EpochStore::with_seed(0, 9), plan);
-        let mut dsu: VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>> =
+        let mut dsu: VersionedDsu<FaultyStore<EpochStore>> =
             VersionedDsu::from_dsu(Dsu::from_store(store));
         for _ in 0..32 {
             dsu.make_set();

@@ -649,14 +649,14 @@ impl<K> Drop for KeyColumn<K> {
 /// assert_eq!(dsu.set_count(), 1);
 /// assert_eq!(dsu.key_count(), 100);
 /// ```
-pub struct KeyedDsu<K, F: FindPolicy = TwoTrySplit> {
-    dsu: GrowableDsu<F>,
+pub struct KeyedDsu<K> {
+    dsu: GrowableDsu,
     chain: Chain,
     column: KeyColumn<K>,
     salt: u64,
 }
 
-impl<K, F: FindPolicy> Drop for KeyedDsu<K, F> {
+impl<K> Drop for KeyedDsu<K> {
     /// Drops every key exactly once. A migrated key has a word in two
     /// tables (`MOVED` in the old, `FULL` in the new) and ids minted through
     /// [`dsu`](KeyedDsu::dsu) have no key, so the words are deduped by id
@@ -685,23 +685,23 @@ impl<K, F: FindPolicy> Drop for KeyedDsu<K, F> {
     }
 }
 
-impl<K: Hash + Eq, F: FindPolicy> std::fmt::Debug for KeyedDsu<K, F> {
+impl<K: Hash + Eq> std::fmt::Debug for KeyedDsu<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyedDsu")
             .field("keys", &self.key_count())
             .field("set_count", &self.set_count())
-            .field("policy", &F::NAME)
+            .field("policy", &TwoTrySplit::NAME)
             .finish()
     }
 }
 
-impl<K: Hash + Eq, F: FindPolicy> Default for KeyedDsu<K, F> {
+impl<K: Hash + Eq> Default for KeyedDsu<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
+impl<K: Hash + Eq> KeyedDsu<K> {
     /// Default seed for the key hash and the underlying id order.
     pub const DEFAULT_SEED: u64 = 0x6b65_7973; // "keys"
 
@@ -1016,7 +1016,7 @@ impl<K: Hash + Eq, F: FindPolicy> KeyedDsu<K, F> {
     /// [`insert`](KeyedDsu::insert)/[`get`](KeyedDsu::get) are its element
     /// indices, so mixed-mode pipelines (keyed ingest, dense analytics)
     /// can drop to the array API at any time.
-    pub fn dsu(&self) -> &GrowableDsu<F> {
+    pub fn dsu(&self) -> &GrowableDsu {
         &self.dsu
     }
 }

@@ -207,8 +207,7 @@ mod tests {
         }
         let packed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, SEED);
         let flat: Dsu<TwoTrySplit, FlatStore, RandomLink> = Dsu::with_seed(n, SEED);
-        let growable: GrowableDsu<TwoTrySplit, EpochStore, RandomLink> =
-            GrowableDsu::with_seed(0, SEED);
+        let growable = GrowableDsu::with_seed(0, SEED);
         for _ in 0..n {
             growable.make_set();
         }

@@ -21,14 +21,14 @@ use std::time::Duration;
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
-    BatchOutcome, DsuStore, Epoch, EpochStore, FaultPlan, FaultyStore, GrowableDsu, IndexLink,
-    LinkPolicy, RandomLink, RetryBudget, TestWatchdog, TwoTrySplit, VersionedDsu,
+    BatchOutcome, Dsu, DsuStore, Epoch, EpochStore, FaultPlan, FaultyStore, RetryBudget,
+    TestWatchdog, VersionedDsu,
 };
 use proptest::prelude::*;
 use proptest::prop_oneof;
 
 type VDsu = VersionedDsu;
-type ChaosDsu = VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>>;
+type ChaosDsu = VersionedDsu<FaultyStore<EpochStore>>;
 
 /// The versioned sequential oracle: live labels plus a stack of
 /// `(epoch, labels)` clones. O(n) per snapshot where the real structure
@@ -140,8 +140,8 @@ fn batch_edges(seed: u64, n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn run_script<S: EpochFork, L: LinkPolicy>(
-    dsu: &mut VersionedDsu<TwoTrySplit, S, L>,
+fn run_script<S: EpochFork>(
+    dsu: &mut VersionedDsu<S>,
     oracle: &mut VersionedOracle,
     script: &[Step],
 ) {
@@ -222,10 +222,10 @@ fn run_script<S: EpochFork, L: LinkPolicy>(
     }
 }
 
-/// Runs `script` on a fresh `L`-linked structure grown to `initial`
-/// elements, against a fresh oracle.
-fn run_fresh<L: LinkPolicy>(seed: u64, initial: usize, script: &[Step]) {
-    let mut dsu: VersionedDsu<TwoTrySplit, EpochStore, L> = VersionedDsu::with_seed(seed);
+/// Runs `script` on a fresh structure grown to `initial` elements,
+/// against a fresh oracle.
+fn run_fresh(seed: u64, initial: usize, script: &[Step]) {
+    let mut dsu: VDsu = VersionedDsu::with_seed(seed);
     let mut oracle = VersionedOracle::default();
     for _ in 0..initial {
         dsu.make_set();
@@ -239,17 +239,14 @@ proptest! {
 
     /// Full version-DAG scripts agree with the clone-stack oracle, step by
     /// step: every unite/query verdict, every time-travel answer, every
-    /// post-rollback partition, and the snapshot stacks themselves — under
-    /// the paper's linking and under index linking, which builds other
-    /// trees from the same script but must give the same answers.
+    /// post-rollback partition, and the snapshot stacks themselves.
     #[test]
     fn versioned_scripts_match_clone_stack_oracle(
         script in prop::collection::vec(step_strategy(), 1..120),
         seed in any::<u64>(),
         initial in 0usize..24,
     ) {
-        run_fresh::<RandomLink>(seed, initial, &script);
-        run_fresh::<IndexLink>(seed, initial, &script);
+        run_fresh(seed, initial, &script);
     }
 
     /// Rollback is bit-identical, not merely partition-equal: the raw
@@ -297,7 +294,7 @@ proptest! {
             <EpochStore as DsuStore>::with_seed(0, seed),
             FaultPlan::rate(seed ^ 0x9e3779b97f4a7c15, rate),
         );
-        let mut dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));
+        let mut dsu: ChaosDsu = VersionedDsu::from_dsu(Dsu::from_store(store));
         let mut oracle = VersionedOracle::default();
         for _ in 0..16 {
             dsu.make_set();
@@ -477,7 +474,7 @@ fn threaded_chaos_phases_roll_back_exactly() {
         <EpochStore as DsuStore>::with_seed(0, 0xC4A05),
         FaultPlan::rate(0xC4A05, 0.2),
     );
-    let mut dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));
+    let mut dsu: ChaosDsu = VersionedDsu::from_dsu(Dsu::from_store(store));
     for _ in 0..n {
         dsu.make_set();
     }

@@ -214,7 +214,10 @@ mod tests {
     #[test]
     fn generic_over_baseline_structures() {
         let g = gen::gnm(200, 300, 9);
-        let dsu = concurrent_dsu::GrowableDsu::<concurrent_dsu::OneTrySplit>::new(200);
+        let dsu =
+            concurrent_dsu::Dsu::<concurrent_dsu::OneTrySplit, concurrent_dsu::EpochStore>::new(
+                200,
+            );
         unite_edges_parallel(&dsu, &g, 4);
         let ours = Partition::from_labels(&dsu.labels_snapshot());
         let oracle = Partition::from_labels(&g.to_csr().bfs_components());

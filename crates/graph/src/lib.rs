@@ -18,9 +18,7 @@
 //!   Sedgewick–Wayne classroom application the paper cites), including
 //!   [`percolation::percolation_threshold_versioned`], which recovers the
 //!   exact one-by-one percolation threshold from batched ingestion by
-//!   binary search over the epoch layer's snapshots;
-//! * [`incremental`] — on-line connectivity / cycle detection over an edge
-//!   stream.
+//!   binary search over the epoch layer's snapshots.
 //!
 //! # Example
 //!
@@ -37,7 +35,6 @@
 pub mod components;
 pub mod gen;
 pub mod graph;
-pub mod incremental;
 pub mod mst;
 pub mod percolation;
 

@@ -200,7 +200,7 @@ pub fn percolation_threshold_versioned(size: usize, seed: u64, batch: usize) -> 
         }
     };
 
-    let mut dsu: VersionedDsu<TwoTrySplit> = VersionedDsu::with_initial(n + 2);
+    let mut dsu: VersionedDsu = VersionedDsu::with_initial(n + 2);
     let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(6 * batch);
     let mut opened = 0;
     while opened < n {

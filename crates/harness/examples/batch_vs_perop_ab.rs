@@ -14,15 +14,15 @@
 //! gather waves pay — with a cache-resident store the two ingestion modes
 //! tie, because there are no misses left to overlap.
 //!
-//! Run: `cargo run --release -p dsu-bench --example batch_vs_perop_ab --
+//! Run: `cargo run --release -p dsu-harness --example batch_vs_perop_ab --
 //!       [--samples 15] [--n 4194304] [--batches 2048] [--batch-size 1024]
 //!       [--zipf 1.0] [--threads 1,2,4,8] [--json out.json] [--quick true]`
 
-use std::fmt::Write as _;
-
 use concurrent_dsu::{Dsu, TwoTrySplit};
-use dsu_bench::{median, standard_edge_batches, timed_ingest_batched, timed_ingest_per_op};
-use dsu_harness::Args;
+use dsu_harness::{
+    interleaved_medians, json_list, standard_edge_batches, timed_ingest_batched,
+    timed_ingest_per_op, write_record, Args,
+};
 
 fn main() {
     let args = Args::parse();
@@ -42,43 +42,41 @@ fn main() {
     );
     println!("{:>7} {:>14} {:>14} {:>8}", "threads", "per-op ns", "batched ns", "speedup");
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     for &p in &threads {
-        // Warm-up one run of each.
-        let dsu: Dsu<TwoTrySplit> = Dsu::new(n);
-        timed_ingest_per_op(&dsu, &arrivals.batches, p);
-        let dsu: Dsu<TwoTrySplit> = Dsu::new(n);
-        timed_ingest_batched(&dsu, &arrivals.batches, p);
-        let mut per_op_ns = Vec::with_capacity(samples);
-        let mut batched_ns = Vec::with_capacity(samples);
-        for _ in 0..samples {
+        let meds = interleaved_medians(2, samples, |_, mode| {
             let dsu: Dsu<TwoTrySplit> = Dsu::new(n);
-            per_op_ns.push(timed_ingest_per_op(&dsu, &arrivals.batches, p).as_nanos() as f64);
-            let dsu: Dsu<TwoTrySplit> = Dsu::new(n);
-            batched_ns.push(timed_ingest_batched(&dsu, &arrivals.batches, p).as_nanos() as f64);
-        }
-        let (om, bm) = (median(&mut per_op_ns), median(&mut batched_ns));
+            let elapsed = if mode == 0 {
+                timed_ingest_per_op(&dsu, &arrivals.batches, p)
+            } else {
+                timed_ingest_batched(&dsu, &arrivals.batches, p)
+            };
+            elapsed.as_nanos() as f64
+        });
+        let (om, bm) = (meds[0], meds[1]);
         println!("{:>7} {:>14.0} {:>14.0} {:>8.3}", p, om, bm, om / bm);
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "\n    {{\"threads\":{p},\"per_op_median_ns\":{om:.0},\"batched_median_ns\":{bm:.0},\
+        rows.push(format!(
+            "{{\"threads\":{p},\"per_op_median_ns\":{om:.0},\"batched_median_ns\":{bm:.0},\
              \"batched_speedup\":{:.4}}}",
             om / bm
-        );
+        ));
     }
 
     if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\n  \"example\": \"batch_vs_perop_ab\",\n  \"machine\": {},\n  \
-             \"workload\": {{\"n\": {n}, \
-             \"batches\": {batches}, \"batch_size\": {batch_size}, \"zipf\": {zipf}, \
-             \"seed\": \"0xBA7C\"}},\n  \"samples\": {samples},\n  \"results\": [{rows}\n  ]\n}}\n",
-            dsu_bench::machine_fingerprint_json()
+        write_record(
+            path,
+            "batch_vs_perop_ab",
+            &[
+                (
+                    "workload",
+                    format!(
+                        "{{\"n\": {n}, \"batches\": {batches}, \"batch_size\": {batch_size}, \
+                         \"zipf\": {zipf}, \"seed\": \"0xBA7C\"}}"
+                    ),
+                ),
+                ("samples", samples.to_string()),
+                ("results", json_list(&rows)),
+            ],
         );
-        std::fs::write(path, json).expect("write json");
-        println!("wrote {path}");
     }
 }

@@ -9,7 +9,7 @@
 //! *smoothly* (no cliff, no hang: every injected failure costs at most a
 //! bounded retry). Alongside the timing, each cell records a handful of
 //! small timed histories (4 threads on a 6-element universe) through
-//! `linearize::HistoryRecorder` and checks them with the Wing–Gong
+//! `linearize::record_scripts` and checks them with the Wing–Gong
 //! checker: the `lin` column must read `ok` everywhere, or the sweep
 //! exits nonzero — chaos is only useful if correctness is checked *under*
 //! it, not after it.
@@ -19,7 +19,7 @@
 //! undecorated run (see `batch_vs_perop_ab`) bounds the decorator's
 //! overhead when nothing is injected.
 //!
-//! Run: `cargo run --release -p dsu-bench --example chaos_ab --
+//! Run: `cargo run --release -p dsu-harness --example chaos_ab --
 //!       [--samples 7] [--n 1048576] [--batches 512] [--batch-size 1024]
 //!       [--rates 0,0.05,0.2,0.5] [--histories 20] [--threads 1,2,4,8]
 //!       [--json out.json] [--quick true]`
@@ -27,10 +27,12 @@
 use std::fmt::Write as _;
 
 use concurrent_dsu::{Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, PackedStore, TwoTrySplit};
-use dsu_bench::{median, standard_edge_batches, timed_ingest_batched};
-use dsu_harness::Args;
+use dsu_harness::{
+    dsu_scripts, interleaved_medians, json_list, standard_edge_batches, timed_ingest_batched,
+    write_record, Args,
+};
 use dsu_workloads::EdgeBatches;
-use linearize::{check_linearizable, CompletedOp, DsuOp, DsuSpec, HistoryRecorder};
+use linearize::{check_linearizable, record_scripts, DsuOp, DsuSpec};
 
 /// One faulted `Dsu` over layout `S`.
 fn faulted<S: DsuStore>(n: usize, seed: u64, plan: FaultPlan) -> Dsu<TwoTrySplit, FaultyStore<S>> {
@@ -45,35 +47,14 @@ fn lin_verdicts<S: DsuStore>(histories: usize, rate: f64, base_seed: u64) -> (us
     for h in 0..histories {
         let seed = base_seed ^ (h as u64 * 7919 + 1);
         let dsu = faulted::<S>(n, seed, FaultPlan::rate(seed, rate));
-        let recorder = HistoryRecorder::new();
-        let barrier = std::sync::Barrier::new(threads);
-        let mut history: Vec<CompletedOp<DsuOp>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (dsu, recorder, barrier) = (&dsu, &recorder, &barrier);
-                    s.spawn(move || {
-                        barrier.wait();
-                        (0..ops_per_thread)
-                            .map(|i| {
-                                let z = concurrent_dsu::order::splitmix64(
-                                    seed ^ ((t as u64) << 32) ^ i as u64,
-                                );
-                                let (x, y) = ((z >> 8) as usize % n, (z >> 24) as usize % n);
-                                if z.is_multiple_of(4) {
-                                    recorder.record(DsuOp::SameSet(x, y), || dsu.same_set(x, y))
-                                } else {
-                                    recorder.record(DsuOp::Unite(x, y), || dsu.unite(x, y))
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                history.extend(handle.join().unwrap());
-            }
-        });
+        let (history, _) = record_scripts(
+            &dsu_scripts(threads, ops_per_thread, n, seed),
+            |_| (),
+            |_, op| match op {
+                DsuOp::Unite(x, y) => dsu.unite(x, y),
+                DsuOp::SameSet(x, y) => dsu.same_set(x, y),
+            },
+        );
         match check_linearizable(&DsuSpec::new(n), &history) {
             Ok(_) => ok += 1,
             Err(e) => {
@@ -85,7 +66,7 @@ fn lin_verdicts<S: DsuStore>(histories: usize, rate: f64, base_seed: u64) -> (us
 }
 
 /// Sweeps one layout over rates × thread counts; appends JSON rows and
-/// returns `false` if any history refused to linearize.
+/// clears `all_linearizable` if any history refused to linearize.
 #[allow(clippy::too_many_arguments)]
 fn sweep<S: DsuStore>(
     arrivals: &EdgeBatches,
@@ -94,7 +75,7 @@ fn sweep<S: DsuStore>(
     threads: &[usize],
     samples: usize,
     histories: usize,
-    rows: &mut String,
+    rows: &mut Vec<String>,
     all_linearizable: &mut bool,
 ) {
     println!(
@@ -105,15 +86,12 @@ fn sweep<S: DsuStore>(
     // FaultyStore wrapper at all. The rate-0 decorated row divided by
     // this is the decorator's true off-path overhead — the acceptance
     // bar for "zero cost when unused".
-    let mut bare: Vec<(usize, f64)> = Vec::new();
+    let mut bare = Vec::with_capacity(threads.len());
     for &p in threads {
-        let mk = || Dsu::<TwoTrySplit, S>::from_store(S::with_seed(n, 0xBA7C));
-        timed_ingest_batched(&mk(), &arrivals.batches, p);
-        let mut ns = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            ns.push(timed_ingest_batched(&mk(), &arrivals.batches, p).as_nanos() as f64);
-        }
-        let m = median(&mut ns);
+        let m = interleaved_medians(1, samples, |_, _| {
+            let dsu = Dsu::<TwoTrySplit, S>::from_store(S::with_seed(n, 0xBA7C));
+            timed_ingest_batched(&dsu, &arrivals.batches, p).as_nanos() as f64
+        })[0];
         println!(
             "{:>8} {:>6} {:>7} {:>14.0} {:>12} {:>9} {:>12}",
             S::NAME,
@@ -124,26 +102,29 @@ fn sweep<S: DsuStore>(
             "-",
             "-"
         );
-        bare.push((p, m));
+        bare.push(m);
     }
+    // Every cell's degradation baseline: this layout's rate-0 median at
+    // the same thread count (rates[0] is 0, enforced in main).
+    let mut rate0 = Vec::with_capacity(threads.len());
     for &rate in rates {
-        for &p in threads {
+        for (i, &p) in threads.iter().enumerate() {
             let plan = if rate > 0.0 { FaultPlan::rate(0xC4A05, rate) } else { FaultPlan::off() };
-            // Warm-up, then interleave nothing — cells are independent;
-            // the baseline is the same layout's rate-0 row.
-            timed_ingest_batched(&faulted::<S>(n, 0xBA7C, plan), &arrivals.batches, p);
-            let mut ns = Vec::with_capacity(samples);
+            // Cells are independent, so nothing interleaves: a warm-up,
+            // then the samples, counting the faults they injected.
             let mut faults = 0u64;
-            for _ in 0..samples {
+            let m = interleaved_medians(1, samples, |round, _| {
                 let dsu = faulted::<S>(n, 0xBA7C, plan);
-                ns.push(timed_ingest_batched(&dsu, &arrivals.batches, p).as_nanos() as f64);
-                faults += dsu.store().fault_report().total();
+                let ns = timed_ingest_batched(&dsu, &arrivals.batches, p).as_nanos() as f64;
+                if round > 0 {
+                    faults += dsu.store().fault_report().total();
+                }
+                ns
+            })[0];
+            if rate == 0.0 {
+                rate0.push(m);
             }
-            let m = median(&mut ns);
-            // Baseline lookup: the rate-0 row of this layout/threads was
-            // pushed first (rates[0] must be 0 for degradation to mean
-            // anything; enforced in main).
-            let base = baseline(rows, S::NAME, p).unwrap_or(m);
+            let base = rate0[i];
             let (ok, total) = lin_verdicts::<S>(histories, rate.max(0.05), 0xC4A05);
             *all_linearizable &= ok == total;
             println!(
@@ -157,12 +138,8 @@ fn sweep<S: DsuStore>(
                 total,
                 faults
             );
-            if !rows.is_empty() {
-                rows.push(',');
-            }
-            let _ = write!(
-                rows,
-                "\n    {{\"layout\":\"{}\",\"rate\":{rate},\"threads\":{p},\
+            let mut row = format!(
+                "{{\"layout\":\"{}\",\"rate\":{rate},\"threads\":{p},\
                  \"batched_median_ns\":{m:.0},\"degradation\":{:.4},\
                  \"lin_ok\":{ok},\"lin_total\":{total},\"faults_injected\":{faults}",
                 S::NAME,
@@ -170,9 +147,9 @@ fn sweep<S: DsuStore>(
             );
             if rate == 0.0 {
                 // The off-path honesty numbers live on the rate-0 row.
-                let b = bare.iter().find(|&&(bp, _)| bp == p).map(|&(_, bm)| bm).unwrap_or(m);
+                let b = bare[i];
                 let _ =
-                    write!(rows, ",\"bare_median_ns\":{b:.0},\"off_path_overhead\":{:.4}", m / b);
+                    write!(row, ",\"bare_median_ns\":{b:.0},\"off_path_overhead\":{:.4}", m / b);
                 println!(
                     "{:>8} {:>6} {:>7} off-path overhead vs bare: {:.4}x",
                     S::NAME,
@@ -181,20 +158,10 @@ fn sweep<S: DsuStore>(
                     m / b
                 );
             }
-            rows.push('}');
+            row.push('}');
+            rows.push(row);
         }
     }
-}
-
-/// Finds this layout × thread count's rate-0 median in the rows emitted so
-/// far (cheap string scan; the row format is ours).
-fn baseline(rows: &str, layout: &str, threads: usize) -> Option<f64> {
-    let tag = format!("{{\"layout\":\"{layout}\",\"rate\":0,\"threads\":{threads},");
-    let at = rows.find(&tag)?;
-    let rest = &rows[at..];
-    let key = "\"batched_median_ns\":";
-    let v = &rest[rest.find(key)? + key.len()..];
-    v[..v.find(',')?].parse().ok()
 }
 
 fn main() {
@@ -218,7 +185,7 @@ fn main() {
          {samples} samples, {histories} checked histories per cell"
     );
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     let mut all_linearizable = true;
     sweep::<PackedStore>(
         &arrivals,
@@ -242,16 +209,23 @@ fn main() {
     );
 
     if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\n  \"example\": \"chaos_ab\",\n  \"machine\": {},\n  \
-             \"workload\": {{\"n\": {n}, \"batches\": {batches}, \
-             \"batch_size\": {batch_size}, \"zipf\": 1.0, \"seed\": \"0xBA7C\"}},\n  \
-             \"samples\": {samples},\n  \"histories_per_cell\": {histories},\n  \
-             \"all_linearizable\": {all_linearizable},\n  \"results\": [{rows}\n  ]\n}}\n",
-            dsu_bench::machine_fingerprint_json()
+        write_record(
+            path,
+            "chaos_ab",
+            &[
+                (
+                    "workload",
+                    format!(
+                        "{{\"n\": {n}, \"batches\": {batches}, \"batch_size\": {batch_size}, \
+                         \"zipf\": 1.0, \"seed\": \"0xBA7C\"}}"
+                    ),
+                ),
+                ("samples", samples.to_string()),
+                ("histories_per_cell", histories.to_string()),
+                ("all_linearizable", all_linearizable.to_string()),
+                ("results", json_list(&rows)),
+            ],
         );
-        std::fs::write(path, json).expect("write json");
-        println!("wrote {path}");
     }
     assert!(all_linearizable, "at least one chaos history refused to linearize — see stderr");
     println!("\nall recorded chaos histories linearizable.");

@@ -30,7 +30,7 @@
 //! opt-in, so Part 1 is allowed to cost — the archive is what keeps the
 //! cost visible.
 //!
-//! Run: `cargo run --release -p dsu-bench --example epochs_ab --
+//! Run: `cargo run --release -p dsu-harness --example epochs_ab --
 //!       [--samples 5] [--json out.json] [--quick true]`
 
 use std::fmt::Write as _;
@@ -38,11 +38,10 @@ use std::time::Instant;
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{Epoch, VersionedDsu};
-use dsu_bench::{machine_fingerprint_json, median, standard_edge_batches};
 use dsu_graph::percolation::{
     percolation_threshold, percolation_threshold_batched, percolation_threshold_versioned,
 };
-use dsu_harness::Args;
+use dsu_harness::{interleaved_medians, json_list, standard_edge_batches, write_record, Args};
 use dsu_workloads::{Op, Workload, WorkloadSpec};
 
 const INGEST_MODES: [&str; 2] = ["versioned", "snap"];
@@ -150,22 +149,17 @@ fn main() {
     let quick = args.flag("quick");
     let samples = args.usize("samples", if quick { 3 } else { 5 });
 
-    let mut rows = String::new();
-    let mut attrs = String::new();
-    let push_row = |rows: &mut String, n: usize, modes: &[&str], meds: &[f64]| {
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        let _ = write!(rows, "\n    {{\"threads\":1,\"n\":{n}");
+    let mut rows = Vec::new();
+    let mut attrs = Vec::new();
+    let row = |n: usize, modes: &[&str], meds: &[f64]| {
+        let mut row = format!("{{\"threads\":1,\"n\":{n}");
         for (i, mode) in modes.iter().enumerate() {
             let speedup = meds[0] / meds[i];
-            let _ = write!(
-                rows,
-                ",\"{mode}_median_ns\":{:.0},\"{mode}_speedup\":{speedup:.4}",
-                meds[i]
-            );
+            let _ =
+                write!(row, ",\"{mode}_median_ns\":{:.0},\"{mode}_speedup\":{speedup:.4}", meds[i]);
         }
-        rows.push('}');
+        row.push('}');
+        row
     };
 
     for probe in &probes(quick) {
@@ -178,27 +172,16 @@ fn main() {
             samples
         );
         println!("{:>10} {:>14} {:>12}", "mode", "median ns", "vs versioned");
-        let mut buckets: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); INGEST_MODES.len()];
-        for round in 0..samples + 1 {
-            for (i, mode) in INGEST_MODES.iter().enumerate() {
-                let ns = timed_ingest_mode(mode, probe);
-                if round > 0 {
-                    // Round 0 is the uncounted warm-up.
-                    buckets[i].push(ns);
-                }
-            }
-        }
-        let meds: Vec<f64> = buckets.iter_mut().map(|b| median(b)).collect();
+        let meds = interleaved_medians(INGEST_MODES.len(), samples, |_, i| {
+            timed_ingest_mode(INGEST_MODES[i], probe)
+        });
         for (i, mode) in INGEST_MODES.iter().enumerate() {
             println!("{:>10} {:>14.0} {:>12.3}", mode, meds[i], meds[0] / meds[i]);
         }
-        push_row(&mut rows, probe.n, &INGEST_MODES, &meds);
+        rows.push(row(probe.n, &INGEST_MODES, &meds));
         let attr = attribution(probe);
         println!("attribution: {attr}");
-        if !attrs.is_empty() {
-            attrs.push(',');
-        }
-        let _ = write!(attrs, "\n    {attr}");
+        attrs.push(attr);
     }
 
     let grids: &[usize] = if quick { &[24, 48] } else { &[64, 128] };
@@ -209,46 +192,43 @@ fn main() {
             samples
         );
         println!("{:>10} {:>14} {:>10} {:>7}", "mode", "median ns", "vs linear", "exact");
-        let mut buckets: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); PERC_MODES.len()];
         let mut answers = [0.0f64; 3];
-        for round in 0..samples + 1 {
-            for (i, mode) in PERC_MODES.iter().enumerate() {
-                let t0 = Instant::now();
-                let p = match *mode {
-                    "linear" => percolation_threshold(size, 0xE90C + round as u64),
-                    "batched" => percolation_threshold_batched(size, 0xE90C + round as u64, batch),
-                    "binsearch" => {
-                        percolation_threshold_versioned(size, 0xE90C + round as u64, batch)
-                    }
-                    _ => unreachable!(),
-                };
-                if round > 0 {
-                    buckets[i].push(t0.elapsed().as_nanos() as f64);
-                }
-                answers[i] = p;
-            }
+        let meds = interleaved_medians(PERC_MODES.len(), samples, |round, i| {
+            let seed = 0xE90C + round as u64;
+            let t0 = Instant::now();
+            answers[i] = match PERC_MODES[i] {
+                "linear" => percolation_threshold(size, seed),
+                "batched" => percolation_threshold_batched(size, seed, batch),
+                "binsearch" => percolation_threshold_versioned(size, seed, batch),
+                _ => unreachable!(),
+            };
+            let ns = t0.elapsed().as_nanos() as f64;
             // The payoff claim, checked inside the bench: binsearch must
             // reproduce linear's exact threshold on every sample.
-            assert_eq!(
-                answers[0], answers[2],
-                "binary-search threshold diverged from the one-by-one answer"
-            );
-        }
-        let meds: Vec<f64> = buckets.iter_mut().map(|b| median(b)).collect();
+            if PERC_MODES[i] == "binsearch" {
+                assert_eq!(
+                    answers[0], answers[i],
+                    "binary-search threshold diverged from the one-by-one answer"
+                );
+            }
+            ns
+        });
         for (i, mode) in PERC_MODES.iter().enumerate() {
             let exact = if answers[i] == answers[0] { "yes" } else { "no" };
             println!("{:>10} {:>14.0} {:>10.3} {:>7}", mode, meds[i], meds[0] / meds[i], exact);
         }
-        push_row(&mut rows, size * size, &PERC_MODES, &meds);
+        rows.push(row(size * size, &PERC_MODES, &meds));
     }
 
     if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\n  \"example\": \"epochs_ab\",\n  \"machine\": {},\n  \"samples\": {samples},\n  \
-             \"results\": [{rows}\n  ],\n  \"attribution\": [{attrs}\n  ]\n}}\n",
-            machine_fingerprint_json()
+        write_record(
+            path,
+            "epochs_ab",
+            &[
+                ("samples", samples.to_string()),
+                ("results", json_list(&rows)),
+                ("attribution", json_list(&attrs)),
+            ],
         );
-        std::fs::write(path, json).expect("write json");
-        println!("wrote {path}");
     }
 }

@@ -22,14 +22,14 @@
 //! copy-on-write report. Those layer counters live on their structures,
 //! not in `OpStats`.
 //!
-//! Run: `cargo run --release -p dsu-bench --example store_diag [log2_n]`
+//! Run: `cargo run --release -p dsu-harness --example store_diag [log2_n]`
 
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::{
     Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, KeyedDsu, OpStats, PackedStore, TwoTrySplit,
     VersionedDsu,
 };
-use dsu_bench::{standard_edge_batches, standard_workload};
+use dsu_harness::{standard_edge_batches, standard_workload};
 use dsu_workloads::{KeyedOp, KeyedSpec};
 use std::time::Instant;
 
@@ -190,7 +190,7 @@ fn keyed() {
 /// asserts; this phase is where it earns its nonzero values.)
 fn epochs() {
     let n = 1 << 15;
-    let trace = dsu_bench::standard_edge_batches(n, 16, 1024, 1.1);
+    let trace = standard_edge_batches(n, 16, 1024, 1.1);
     let mut dsu: VersionedDsu = VersionedDsu::with_initial(n);
     let t0 = Instant::now();
     let mut guards = Vec::new();

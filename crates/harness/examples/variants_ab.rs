@@ -33,7 +33,7 @@
 //! shaped host the measured winner can legitimately disagree with a
 //! choice measured on the reference machine.
 //!
-//! Run: `cargo run --release -p dsu-bench --example variants_ab --
+//! Run: `cargo run --release -p dsu-harness --example variants_ab --
 //!       [--samples 5] [--threads 1,2,4,8] [--json out.json]
 //!       [--quick true]`
 
@@ -43,8 +43,7 @@ use concurrent_dsu::{
     Compress, Dsu, DsuStore, FindPolicy, Halving, IndexLink, LinkPolicy, NoCompaction, OneTrySplit,
     PackedStore, RandomLink, TunedDsu, TwoTrySplit,
 };
-use dsu_bench::{machine_fingerprint_json, median};
-use dsu_harness::{run_shards, Args};
+use dsu_harness::{interleaved_medians, json_list, median, run_shards, write_record, Args};
 use dsu_workloads::{ElementDist, Workload, WorkloadSpec};
 
 /// `TunedDsu`'s pick counts as matching the winner when its median is
@@ -130,22 +129,14 @@ fn position(tag: &str) -> usize {
     PLANE.iter().position(|&(t, _)| t == tag).expect("tag is in the plane")
 }
 
-/// One interleaved sampling round: every variant gets one timed run on a
-/// fresh structure, in plane order, so slow host phases hit all arms.
-fn sample_round(probe: &Probe, threads: usize, medians: &mut [Vec<f64>]) {
-    for (i, (_, run)) in PLANE.iter().enumerate() {
-        medians[i].push(run(probe, threads));
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
     let samples = args.usize("samples", if quick { 3 } else { 5 });
     let threads = args.thread_ladder();
 
-    let mut rows = String::new();
-    let mut checks = String::new();
+    let mut rows = Vec::new();
+    let mut checks = Vec::new();
     for probe in &probes(quick) {
         println!(
             "\n== {} (n = {}, m = {}, {} interleaved samples) ==",
@@ -158,16 +149,9 @@ fn main() {
         let mut winner_at_max = 0;
         let mut medians_at_max: Vec<f64> = Vec::new();
         for &p in &threads {
-            let mut buckets: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); PLANE.len()];
-            // Warm-up round (uncounted), then the counted rounds.
-            sample_round(probe, p, &mut buckets);
-            for b in &mut buckets {
-                b.clear();
-            }
-            for _ in 0..samples {
-                sample_round(probe, p, &mut buckets);
-            }
-            let meds: Vec<f64> = buckets.iter_mut().map(|b| median(b)).collect();
+            // Every variant gets one timed run on a fresh structure per
+            // round, in plane order, so slow host phases hit all arms.
+            let meds = interleaved_medians(PLANE.len(), samples, |_, i| (PLANE[i].1)(probe, p));
             let default_med = meds[position(DEFAULT_TAG)];
             let best = meds
                 .iter()
@@ -179,10 +163,7 @@ fn main() {
                 winner_at_max = best;
                 medians_at_max = meds.clone();
             }
-            if !rows.is_empty() {
-                rows.push(',');
-            }
-            let _ = write!(rows, "\n    {{\"threads\":{p},\"n\":{}", probe.n);
+            let mut row = format!("{{\"threads\":{p},\"n\":{}", probe.n);
             for (i, (tag, _)) in PLANE.iter().enumerate() {
                 let marker = if i == best { " <- best" } else { "" };
                 println!(
@@ -193,13 +174,14 @@ fn main() {
                     default_med / meds[i]
                 );
                 let _ = write!(
-                    rows,
+                    row,
                     ",\"{tag}_median_ns\":{:.0},\"{tag}_speedup\":{:.4}",
                     meds[i],
                     default_med / meds[i]
                 );
             }
-            rows.push('}');
+            row.push('}');
+            rows.push(row);
         }
         // Cross-check at this probe: does the variant `TunedDsu` picks
         // from `n` match the measured winner at the top of the ladder?
@@ -244,25 +226,23 @@ fn main() {
              {winner} ({winner_med:.0} ns) -> {verdict}",
             probe.label,
         );
-        if !checks.is_empty() {
-            checks.push(',');
-        }
-        let _ = write!(
-            checks,
-            "\n    {{\"probe\":\"{}\",\"n\":{},\"tuned_choice\":\"{choice}\",\
+        checks.push(format!(
+            "{{\"probe\":\"{}\",\"n\":{},\"tuned_choice\":\"{choice}\",\
              \"matrix_winner\":\"{winner}\",\"tuned_matches_winner\":{matches},\
              \"head_to_head_refined\":{refined}}}",
             probe.label, probe.n,
-        );
+        ));
     }
 
     if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\n  \"example\": \"variants_ab\",\n  \"machine\": {},\n  \"samples\": {samples},\n  \
-             \"results\": [{rows}\n  ],\n  \"tuned_checks\": [{checks}\n  ]\n}}\n",
-            machine_fingerprint_json()
+        write_record(
+            path,
+            "variants_ab",
+            &[
+                ("samples", samples.to_string()),
+                ("results", json_list(&rows)),
+                ("tuned_checks", json_list(&checks)),
+            ],
         );
-        std::fs::write(path, json).expect("write json");
-        println!("wrote {path}");
     }
 }

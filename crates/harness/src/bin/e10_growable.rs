@@ -9,12 +9,10 @@
 //!
 //! Usage: `--ops-per-thread 500000 --unite-frac 0.4 --quick true --csv out.csv`
 
-use concurrent_dsu::{GrowableDsu, TwoTrySplit};
-use dsu_harness::{table::f2, Args, Table};
+use concurrent_dsu::GrowableDsu;
+use dsu_harness::{run_threads, table::f2, Args, Table};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::sync::Barrier;
-use std::time::Instant;
 
 fn main() {
     let args = Args::parse();
@@ -31,52 +29,37 @@ fn main() {
     let mut table = Table::new(&["p", "make_sets", "final sets", "Mops/s", "speedup"]);
     let mut base = None;
     for &p in &ladder {
-        let dsu: GrowableDsu<TwoTrySplit> = GrowableDsu::with_seed(0, 0xE10);
-        let barrier = Barrier::new(p + 1);
-        let unite_pairs: Vec<(usize, usize)> = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..p {
-                let dsu = &dsu;
-                let barrier = &barrier;
-                handles.push(s.spawn(move || {
-                    let mut rng = ChaCha12Rng::seed_from_u64(t as u64);
-                    let mut mine: Vec<usize> = Vec::new();
-                    let mut pairs = Vec::new();
-                    barrier.wait();
-                    for i in 0..ops_per_thread {
-                        if mine.len() < 2 || i % 3 == 0 {
-                            mine.push(dsu.make_set());
-                        } else if rng.gen_bool(unite_frac) {
-                            let a = mine[rng.gen_range(0..mine.len())];
-                            let b = mine[rng.gen_range(0..mine.len())];
-                            dsu.unite(a, b);
-                            pairs.push((a, b));
-                        } else {
-                            let a = mine[rng.gen_range(0..mine.len())];
-                            let b = mine[rng.gen_range(0..mine.len())];
-                            dsu.same_set(a, b);
-                        }
-                    }
-                    pairs
-                }));
+        let dsu: GrowableDsu = GrowableDsu::with_seed(0, 0xE10);
+        let (elapsed, per_thread) = run_threads(p, |t| {
+            let mut rng = ChaCha12Rng::seed_from_u64(t as u64);
+            let mut mine: Vec<usize> = Vec::new();
+            let mut pairs = Vec::new();
+            for i in 0..ops_per_thread {
+                if mine.len() < 2 || i % 3 == 0 {
+                    mine.push(dsu.make_set());
+                } else if rng.gen_bool(unite_frac) {
+                    let a = mine[rng.gen_range(0..mine.len())];
+                    let b = mine[rng.gen_range(0..mine.len())];
+                    dsu.unite(a, b);
+                    pairs.push((a, b));
+                } else {
+                    let a = mine[rng.gen_range(0..mine.len())];
+                    let b = mine[rng.gen_range(0..mine.len())];
+                    dsu.same_set(a, b);
+                }
             }
-            barrier.wait();
-            let start = Instant::now();
-            let pairs: Vec<(usize, usize)> =
-                handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
-            let elapsed = start.elapsed();
-            let total_ops = (p * ops_per_thread) as f64;
-            let mops = total_ops / elapsed.as_secs_f64() / 1e6;
-            let b = *base.get_or_insert(mops);
-            table.row(&[
-                p.to_string(),
-                dsu.len().to_string(),
-                dsu.set_count().to_string(),
-                f2(mops),
-                f2(mops / b),
-            ]);
             pairs
         });
+        let total_ops = (p * ops_per_thread) as f64;
+        let mops = total_ops / elapsed.as_secs_f64() / 1e6;
+        let b = *base.get_or_insert(mops);
+        table.row(&[
+            p.to_string(),
+            dsu.len().to_string(),
+            dsu.set_count().to_string(),
+            f2(mops),
+            f2(mops / b),
+        ]);
         // Consistency: final set count equals elements minus spanning links
         // of the union of all unite pairs (fast sequential oracle — the
         // universes here run into the millions).
@@ -86,7 +69,7 @@ fn main() {
             sequential_dsu::Linking::ByRank,
             sequential_dsu::Compaction::Halving,
         );
-        for (a, b) in unite_pairs {
+        for (a, b) in per_thread.into_iter().flatten() {
             oracle.unite(a, b);
         }
         assert_eq!(dsu.set_count(), oracle.set_count(), "p = {p}: oracle mismatch");

@@ -5,7 +5,7 @@
 //! production operations run on actual `std::thread`s over a
 //! `FaultyStore`-wrapped layout, with spurious CAS failures, delayed
 //! loads, and stall windows injected at swept rates, and every timed
-//! history (recorded by `linearize::HistoryRecorder`'s shared `SeqCst`
+//! history (recorded by `linearize::record_scripts` on one shared `SeqCst`
 //! clock) must pass the same Wing–Gong checker. A final canary section
 //! re-runs the harness over `BrokenStore` (unconditional CAS) and demands
 //! *refutations* — proving the apparatus can still catch a lost-update
@@ -18,13 +18,12 @@
 //! Usage: `--histories 120 --threads 4 --ops-per-proc 5 --n 6
 //!         --rates 0.1,0.3,0.6 --csv out.csv --quick true`
 
-use concurrent_dsu::order::splitmix64;
 use concurrent_dsu::{
     BrokenStore, Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, OpStats, PackedStore,
     RetryBudget, TwoTrySplit,
 };
-use dsu_harness::{Args, Table};
-use linearize::{check_linearizable, CompletedOp, DsuOp, DsuSpec, HistoryRecorder};
+use dsu_harness::{dsu_scripts, Args, Table};
+use linearize::{check_linearizable, record_scripts, DsuOp, DsuSpec};
 
 struct CellOutcome {
     passed: usize,
@@ -53,45 +52,19 @@ where
     for h in 0..histories {
         let seed = base_seed ^ (h as u64 * 6151 + 3);
         let (dsu, retry_budget) = make(seed);
-        let recorder = HistoryRecorder::new();
-        let barrier = std::sync::Barrier::new(threads);
-        let mut history: Vec<CompletedOp<DsuOp>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (dsu, recorder, barrier) = (&dsu, &recorder, &barrier);
-                    s.spawn(move || {
-                        // A per-thread retry budget: livelock dies fast
-                        // with a diagnostic dump, not at the job timeout.
-                        let mut sink = RetryBudget::new("e13 history thread", retry_budget);
-                        // Without the start barrier the 5-op bursts run
-                        // back to back and never actually race.
-                        barrier.wait();
-                        let ops: Vec<CompletedOp<DsuOp>> = (0..ops_per_proc)
-                            .map(|i| {
-                                let z = splitmix64(seed ^ ((t as u64) << 32) ^ i as u64);
-                                let (x, y) = ((z >> 8) as usize % n, (z >> 24) as usize % n);
-                                if z.is_multiple_of(4) {
-                                    recorder.record(DsuOp::SameSet(x, y), || {
-                                        dsu.same_set_with(x, y, &mut sink)
-                                    })
-                                } else {
-                                    recorder.record(DsuOp::Unite(x, y), || {
-                                        dsu.unite_with(x, y, &mut sink)
-                                    })
-                                }
-                            })
-                            .collect();
-                        (ops, sink.into_stats())
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (ops, stats) = handle.join().unwrap();
-                history.extend(ops);
-                outcome.stats.merge(&stats);
-            }
-        });
+        let (history, sinks) = record_scripts(
+            &dsu_scripts(threads, ops_per_proc, n, seed),
+            // A per-thread retry budget: livelock dies fast with a
+            // diagnostic dump, not at the job timeout.
+            |_| RetryBudget::new("e13 history thread", retry_budget),
+            |sink, op| match op {
+                DsuOp::Unite(x, y) => dsu.unite_with(x, y, sink),
+                DsuOp::SameSet(x, y) => dsu.same_set_with(x, y, sink),
+            },
+        );
+        for sink in sinks {
+            outcome.stats.merge(&sink.into_stats());
+        }
         outcome.faults += faults_of(dsu.store());
         match check_linearizable(&DsuSpec::new(n), &history) {
             Ok(_) => outcome.passed += 1,

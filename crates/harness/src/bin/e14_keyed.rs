@@ -15,11 +15,8 @@
 
 use concurrent_dsu::{KeyedDsu, OpStats};
 use dsu_baselines::LockedKeyedDsu;
-use dsu_harness::{table::f2, Args, Table};
+use dsu_harness::{run_threads, table::f2, Args, Table};
 use dsu_workloads::{KeyedOp, KeyedSpec};
-use std::sync::Barrier;
-use std::sync::Mutex;
-use std::time::Instant;
 
 fn main() {
     let args = Args::parse();
@@ -60,35 +57,24 @@ fn main() {
     for &p in &ladder {
         let shards = trace.shard(p);
         let dsu: KeyedDsu<String> = KeyedDsu::with_seed(0xE14);
-        let merged = Mutex::new(OpStats::default());
-        let barrier = Barrier::new(p + 1);
-        let t0 = std::thread::scope(|s| {
-            for shard in &shards {
-                let dsu = &dsu;
-                let barrier = &barrier;
-                let merged = &merged;
-                s.spawn(move || {
-                    let mut stats = OpStats::default();
-                    barrier.wait();
-                    for op in shard {
-                        match op {
-                            KeyedOp::Merge(a, b) => {
-                                dsu.merge_keys_with(a, b, &mut stats);
-                            }
-                            KeyedOp::SameSet(a, b) => {
-                                dsu.same_set_with(a, b, &mut stats);
-                            }
-                        }
+        let (elapsed, per_thread) = run_threads(p, |t| {
+            let mut stats = OpStats::default();
+            for op in &shards[t] {
+                match op {
+                    KeyedOp::Merge(a, b) => {
+                        dsu.merge_keys_with(a, b, &mut stats);
                     }
-                    merged.lock().unwrap().merge(&stats);
-                });
+                    KeyedOp::SameSet(a, b) => {
+                        dsu.same_set_with(a, b, &mut stats);
+                    }
+                }
             }
-            let t0 = Instant::now();
-            barrier.wait();
-            t0
+            stats
         });
-        let elapsed = t0.elapsed();
-        let stats = merged.into_inner().unwrap();
+        let mut stats = OpStats::default();
+        for s in &per_thread {
+            stats.merge(s);
+        }
         // Two key resolutions per op, so probe cost is reported per touch.
         let touches = (2 * ops) as f64;
         let mops = ops as f64 / elapsed.as_secs_f64() / 1e6;

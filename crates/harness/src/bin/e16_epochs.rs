@@ -4,7 +4,7 @@
 //! injects adversity; this experiment proves the *versioning* machinery
 //! keeps its promises under the same adversity. Per fault seed and
 //! injection rate, each history runs the full speculative-batch life
-//! cycle on a `VersionedDsu<_, FaultyStore<EpochStore>>`:
+//! cycle on a `VersionedDsu<FaultyStore<EpochStore>>`:
 //!
 //! 1. **Committed phase** — threads run recorded unites/queries (per-
 //!    thread `RetryBudget` sinks, shared `SeqCst` clock); the history must
@@ -37,14 +37,14 @@
 use concurrent_dsu::epoch::EpochFork;
 use concurrent_dsu::order::splitmix64;
 use concurrent_dsu::{
-    BatchOutcome, DsuStore, EpochStore, FaultPlan, FaultyStore, GrowableDsu, OpStats, RetryBudget,
-    TwoTrySplit, VersionedDsu,
+    BatchOutcome, Dsu, DsuStore, EpochStore, FaultPlan, FaultyStore, OpStats, RetryBudget,
+    VersionedDsu,
 };
-use dsu_harness::{Args, Table};
-use linearize::{check_linearizable, CompletedOp, DsuOp, DsuSpec, HistoryRecorder};
+use dsu_harness::{dsu_scripts, Args, Table};
+use linearize::{check_linearizable, record_scripts, DsuOp, DsuSpec};
 use sequential_dsu::{NaiveDsu, Partition};
 
-type ChaosDsu = VersionedDsu<TwoTrySplit, FaultyStore<EpochStore>>;
+type ChaosDsu = VersionedDsu<FaultyStore<EpochStore>>;
 
 /// The two ways a store comes to hold `n` elements: the doubling
 /// segments `make_set` opens, or the bulk constructor's sized prefix.
@@ -56,7 +56,7 @@ fn chaos_dsu(store: &str, n: usize, seed: u64, rate: f64) -> ChaosDsu {
         <EpochStore as DsuStore>::with_seed(if bulk { n } else { 0 }, seed),
         FaultPlan::rate(seed, rate),
     );
-    let dsu: ChaosDsu = VersionedDsu::from_dsu(GrowableDsu::from_store(store));
+    let dsu: ChaosDsu = VersionedDsu::from_dsu(Dsu::from_store(store));
     while dsu.len() < n {
         dsu.make_set();
     }
@@ -101,41 +101,17 @@ fn run_cell(
         let mut dsu = chaos_dsu(store, n, seed, rate);
 
         // Phase 1: committed, recorded, concurrent.
-        let recorder = HistoryRecorder::new();
-        let barrier = std::sync::Barrier::new(threads);
-        let mut history: Vec<CompletedOp<DsuOp>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (dsu, recorder, barrier) = (&dsu, &recorder, &barrier);
-                    s.spawn(move || {
-                        let mut sink = RetryBudget::new("e16 committed thread", budget);
-                        barrier.wait();
-                        let ops: Vec<CompletedOp<DsuOp>> = (0..ops_per_proc)
-                            .map(|i| {
-                                let z = splitmix64(seed ^ ((t as u64) << 32) ^ i as u64);
-                                let (x, y) = ((z >> 8) as usize % n, (z >> 24) as usize % n);
-                                if z.is_multiple_of(4) {
-                                    recorder.record(DsuOp::SameSet(x, y), || {
-                                        dsu.dsu().same_set_with(x, y, &mut sink)
-                                    })
-                                } else {
-                                    recorder.record(DsuOp::Unite(x, y), || {
-                                        dsu.dsu().unite_with(x, y, &mut sink)
-                                    })
-                                }
-                            })
-                            .collect();
-                        (ops, sink.into_stats())
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (ops, stats) = handle.join().unwrap();
-                history.extend(ops);
-                out.stats.merge(&stats);
-            }
-        });
+        let (history, sinks) = record_scripts(
+            &dsu_scripts(threads, ops_per_proc, n, seed),
+            |_| RetryBudget::new("e16 committed thread", budget),
+            |sink, op| match op {
+                DsuOp::Unite(x, y) => dsu.dsu().unite_with(x, y, sink),
+                DsuOp::SameSet(x, y) => dsu.dsu().same_set_with(x, y, sink),
+            },
+        );
+        for sink in sinks {
+            out.stats.merge(&sink.into_stats());
+        }
 
         // Phase 2: quiescent capture — words and the sequential oracle.
         let committed_words = dsu.dsu().store().raw_words(n);

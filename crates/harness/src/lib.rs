@@ -27,21 +27,60 @@
 //! every binary accepts `--quick true` for a fast smoke configuration and
 //! prints an aligned table (plus CSV when `--csv path` is given).
 //!
+//! The crate's `examples/` hold the interleaved A/B comparisons. Each
+//! alternates its contenders sample by sample, so all of them see the same
+//! host drift, and writes the medians as fingerprinted JSON with
+//! `--json PATH`; `store_diag` prints per-layout phase timings instead:
+//!
+//! | example | measures |
+//! |---------|----------|
+//! | `packed_vs_flat_ab` | packed vs. flat parent store |
+//! | `batch_vs_perop_ab` | batched vs. per-op edge ingestion |
+//! | `keyed_ab` | the lock-free keyed layer vs. a locked map |
+//! | `variants_ab` | the (find × link) plane per workload |
+//! | `epochs_ab` | what versioning costs and buys |
+//! | `chaos_ab` | throughput and linearizability under injected faults |
+//! | `store_diag` | phase timings and layer counter checks per layout |
+//!
+//! Run one with
+//! `cargo run --release -p dsu-harness --example packed_vs_flat_ab -- [--key value]…`.
+//!
 //! The library half of this crate is the shared machinery: a threaded
-//! [`driver`], table rendering ([`table::Table`]), and tiny argument
-//! parsing ([`args::Args`]).
+//! [`driver`] whose [`run_threads`] times every threaded run, the A/B
+//! sampler and JSON record ([`ab`]), table rendering ([`table::Table`]),
+//! and tiny argument parsing ([`args::Args`]).
 
+pub mod ab;
 pub mod args;
 pub mod driver;
 pub mod table;
 
+pub use ab::{
+    interleaved_medians, json_list, machine_fingerprint_json, standard_edge_batches,
+    standard_workload, write_record,
+};
 pub use args::Args;
-pub use driver::{run_shards, run_shards_instrumented, RunMetrics};
+pub use driver::{
+    dsu_scripts, run_shards, run_shards_instrumented, run_threads, timed_ingest_batched,
+    timed_ingest_per_op, RunMetrics,
+};
 pub use table::Table;
 
 /// Mean of a slice (NaN on empty input).
 pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Median of a sample vector, sorting in place (upper middle for even
+/// lengths) — the statistic all the interleaved A/B examples report.
+///
+/// # Panics
+///
+/// Panics on an empty slice or NaN samples.
+pub fn median(xs: &mut [f64]) -> f64 {
+    assert!(!xs.is_empty(), "median of zero samples");
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    xs[xs.len() / 2]
 }
 
 #[cfg(test)]
@@ -51,5 +90,70 @@ mod tests {
     #[test]
     fn mean_is_the_average() {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
+    }
+
+    #[test]
+    fn workload_is_deterministic() {
+        assert_eq!(standard_workload(64, 100), standard_workload(64, 100));
+    }
+
+    #[test]
+    fn median_picks_the_middle() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0, "upper middle for even lengths");
+        assert_eq!(median(&mut [7.0]), 7.0);
+    }
+
+    #[test]
+    fn ingest_runners_cover_every_edge() {
+        let arrivals = standard_edge_batches(256, 16, 32, 1.1);
+        let per_op: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
+        let batched: concurrent_dsu::Dsu = concurrent_dsu::Dsu::new(256);
+        let a = timed_ingest_per_op(&per_op, &arrivals.batches, 2);
+        let b = timed_ingest_batched(&batched, &arrivals.batches, 2);
+        assert!(a.as_nanos() > 0 && b.as_nanos() > 0);
+        // Confluence: both ingestion shapes produce the same partition.
+        assert_eq!(per_op.set_count(), batched.set_count());
+        assert_eq!(per_op.labels_snapshot(), batched.labels_snapshot());
+    }
+
+    #[test]
+    fn fingerprint_is_sane() {
+        let json = machine_fingerprint_json();
+        assert!(json.contains("\"cpus\": ") && !json.contains("\"cpus\": 0"));
+        assert!(json.contains(std::env::consts::ARCH) && json.contains(std::env::consts::OS));
+    }
+
+    #[test]
+    fn sampler_warms_up_then_interleaves_every_contender() {
+        let mut calls = Vec::new();
+        let meds = interleaved_medians(2, 3, |round, i| {
+            calls.push((round, i));
+            // Contender 1 always reads twice contender 0; the warm-up
+            // round reads 1000, which no median may include.
+            if round == 0 {
+                1000.0
+            } else {
+                (round * (i + 1)) as f64
+            }
+        });
+        assert_eq!(calls, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]);
+        assert_eq!(meds, [2.0, 4.0]);
+    }
+
+    #[test]
+    fn record_is_json_with_example_and_machine_first() {
+        let rows = ["{\"threads\":1,\"a_median_ns\":5}".to_string(), "{\"threads\":2}".to_string()];
+        let json =
+            ab::record_json("demo_ab", &[("samples", "3".into()), ("results", json_list(&rows))]);
+        let expected = format!(
+            "{{\n  \"example\": \"demo_ab\",\n  \"machine\": {},\n  \"samples\": 3,\n  \
+             \"results\": [\n    {},\n    {}\n  ]\n}}\n",
+            machine_fingerprint_json(),
+            rows[0],
+            rows[1]
+        );
+        assert_eq!(json, expected);
+        assert_eq!(json_list(&[]), "[\n  ]");
     }
 }

@@ -11,7 +11,9 @@
 //! * [`check_linearizable`] — Wing–Gong style exhaustive search with
 //!   memoized `(linearized-set, state)` failures, returning a witness
 //!   order or a refutation;
-//! * [`DsuSpec`] / [`DsuOp`] — the disjoint-set-union specification.
+//! * [`DsuSpec`] / [`DsuOp`] — the disjoint-set-union specification;
+//! * [`HistoryRecorder`] / [`record_scripts`] — timed histories recorded
+//!   from real threads.
 //!
 //! The search is exponential in the worst case (the problem is NP-hard),
 //! but histories from the APRAM simulator are small (tens of ops) and the
@@ -179,9 +181,10 @@ fn dfs<S: SeqSpec>(
 /// happens-before relation [`check_linearizable`] consumes — no wall
 /// clock, no cross-core clock skew.
 ///
-/// Each thread records into its own `Vec` and the harness concatenates at
-/// join time; the recorder itself is just the clock, so sharing it is one
-/// `&HistoryRecorder` capture:
+/// Each thread records into its own `Vec`, concatenated at join time; the
+/// recorder itself is just the clock, so sharing it is one
+/// `&HistoryRecorder` capture. [`record_scripts`] runs that whole pattern
+/// for per-thread op scripts.
 ///
 /// ```
 /// use linearize::{check_linearizable, DsuOp, DsuSpec, HistoryRecorder};
@@ -217,6 +220,75 @@ impl HistoryRecorder {
         let returned_at = self.now();
         CompletedOp { op, result, invoked_at, returned_at }
     }
+}
+
+/// Runs one thread per script, all released together by a start barrier,
+/// and records every op through one shared [`HistoryRecorder`]. Thread
+/// `t` builds its own state with `state(t)` before the barrier, then runs
+/// `scripts[t]` in order, executing each op with `run(&mut state, op)`.
+///
+/// Returns the per-thread logs concatenated in thread order (each
+/// thread's ops in program order) and every thread's final state, also in
+/// thread order: a per-thread counter or retry budget comes back to the
+/// caller this way.
+///
+/// # Panics
+///
+/// Panics if a script thread panics.
+///
+/// ```
+/// use linearize::{check_linearizable, record_scripts, DsuOp, DsuSpec};
+///
+/// let scripts = vec![vec![DsuOp::Unite(0, 1)], vec![DsuOp::SameSet(2, 3)]];
+/// // A stand-in structure: unites succeed and queries answer "apart",
+/// // which is right for these two ops in either order. Each thread
+/// // counts the ops it ran.
+/// let (history, counts) = record_scripts(&scripts, |_| 0, |ran, op| {
+///     *ran += 1;
+///     matches!(op, DsuOp::Unite(..))
+/// });
+/// assert_eq!((history.len(), counts), (2, vec![1, 1]));
+/// check_linearizable(&DsuSpec::new(4), &history).expect("linearizable");
+/// ```
+pub fn record_scripts<O, T>(
+    scripts: &[Vec<O>],
+    state: impl Fn(usize) -> T + Sync,
+    run: impl Fn(&mut T, O) -> bool + Sync,
+) -> (Vec<CompletedOp<O>>, Vec<T>)
+where
+    O: Copy + Send + Sync,
+    T: Send,
+{
+    let recorder = HistoryRecorder::new();
+    // Without the start barrier short scripts run back to back and never
+    // actually race.
+    let barrier = std::sync::Barrier::new(scripts.len());
+    let mut history = Vec::with_capacity(scripts.iter().map(Vec::len).sum());
+    let mut states = Vec::with_capacity(scripts.len());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = scripts
+            .iter()
+            .enumerate()
+            .map(|(t, script)| {
+                let (recorder, barrier, state, run) = (&recorder, &barrier, &state, &run);
+                s.spawn(move || {
+                    let mut mine = state(t);
+                    barrier.wait();
+                    let ops: Vec<CompletedOp<O>> = script
+                        .iter()
+                        .map(|&op| recorder.record(op, || run(&mut mine, op)))
+                        .collect();
+                    (ops, mine)
+                })
+            })
+            .collect();
+        for handle in handles {
+            let (ops, mine) = handle.join().expect("script thread panicked");
+            history.extend(ops);
+            states.push(mine);
+        }
+    });
+    (history, states)
 }
 
 // ---------------------------------------------------------------------------
@@ -335,6 +407,36 @@ mod tests {
         stamps.sort_unstable();
         stamps.dedup();
         assert_eq!(stamps.len(), 4 * 8 * 2, "stamps are globally unique");
+    }
+
+    #[test]
+    fn script_recorder_keeps_program_order_and_thread_state() {
+        let (threads, ops) = (4, 16);
+        let scripts: Vec<Vec<DsuOp>> =
+            (0..threads).map(|t| (0..ops).map(|i| DsuOp::Unite(t, i)).collect()).collect();
+        let (history, states) = record_scripts(
+            &scripts,
+            |t| (t, 0),
+            |(_, ran), op| {
+                *ran += 1;
+                matches!(op, DsuOp::Unite(_, i) if i % 2 == 0)
+            },
+        );
+        assert_eq!(history.len(), threads * ops);
+        for (t, log) in history.chunks(ops).enumerate() {
+            // Thread t's ops, in its script's order, each a well-formed
+            // interval that returned before the next one was invoked.
+            let issued: Vec<DsuOp> = log.iter().map(|c| c.op).collect();
+            assert_eq!(issued, scripts[t], "thread {t}'s log is its script, in order");
+            for c in log {
+                assert!(c.invoked_at < c.returned_at);
+                assert_eq!(c.result, matches!(c.op, DsuOp::Unite(_, i) if i % 2 == 0));
+            }
+            for w in log.windows(2) {
+                assert!(w[0].returned_at < w[1].invoked_at, "program order preserved");
+            }
+        }
+        assert_eq!(states, (0..threads).map(|t| (t, ops)).collect::<Vec<_>>());
     }
 
     #[test]

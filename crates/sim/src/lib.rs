@@ -36,13 +36,11 @@
 //! assert!(check_linearizable(&DsuSpec::new(4), &history).is_ok());
 //! ```
 
-pub mod chaos;
 pub mod explore;
 pub mod find_sm;
 pub mod lockstep;
 pub mod process;
 
-pub use chaos::{chaos_scheduler, stall_weights};
 pub use explore::{explore_all_schedules, ExploreReport};
 pub use find_sm::{AdvanceSm, FindSm, Policy};
 pub use lockstep::{lockstep_halving_vs_splitting, LockstepComparison};

@@ -8,21 +8,32 @@
 //!
 //! Run with: `cargo run --release --example incremental_connectivity`
 
-use jt_dsu::dsu_graph::incremental::{classify_edges, IncrementalConnectivity};
-use jt_dsu::GrowableDsu;
+use jt_dsu::{Dsu, GrowableDsu};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Streams `edges` into a fresh structure as one batch and returns
+/// `(forest_edges, cycle_edges)`: `unite_batch` counts the edges that
+/// joined two components, and every other edge closed a cycle (for any
+/// graph, `cycle_edges = m - n + components`). Self-loops count as cycles.
+fn classify_edges(n: usize, edges: &[(usize, usize)]) -> (usize, usize) {
+    let dsu: Dsu = Dsu::new(n);
+    let forest = dsu.unite_batch(edges);
+    (forest, edges.len() - forest)
+}
+
 fn main() {
-    // Part 1: fixed universe, concurrent writers + readers.
+    // Part 1: fixed universe, concurrent writers + readers. Both operations
+    // are linearizable, so a `same_set == true` any reader sees is
+    // permanent.
     let n = 1 << 18;
-    let conn = IncrementalConnectivity::new(n);
+    let conn: Dsu = Dsu::new(n);
     let true_answers = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..4 {
             let conn = &conn;
             s.spawn(move || {
                 for i in (t..n - 1).step_by(4) {
-                    conn.insert(i, i + 1); // a long path, built out of order
+                    conn.unite(i, i + 1); // a long path, built out of order
                 }
             });
         }
@@ -32,7 +43,7 @@ fn main() {
             s.spawn(move || {
                 let mut local = 0;
                 for i in (0..n).step_by(64) {
-                    if conn.connected(i, (i + n / 2) % n) {
+                    if conn.same_set(i, (i + n / 2) % n) {
                         local += 1;
                     }
                 }
@@ -45,9 +56,9 @@ fn main() {
          final components: {}",
         n - 1,
         true_answers.load(Ordering::Relaxed),
-        conn.component_count()
+        conn.set_count()
     );
-    assert_eq!(conn.component_count(), 1);
+    assert_eq!(conn.set_count(), 1);
 
     // Part 2: cycle classification over a random stream.
     let edges: Vec<(usize, usize)> =

@@ -119,7 +119,7 @@ fn main() {
     // `FaultPlan` — every verdict above must stay bit-identical, only
     // slower. `FaultyStore::with_plan(store, FaultPlan::rate(seed, 0.2))`
     // builds one, and the `chaos_ab` example
-    // (`cargo run --release -p dsu-bench --example chaos_ab -- --quick true`)
+    // (`cargo run --release -p dsu-harness --example chaos_ab -- --quick true`)
     // sweeps fault rates × layouts × threads, checking recorded histories
     // for linearizability as it goes.
 }

@@ -36,9 +36,11 @@ compared — so a skipped cross-machine baseline (or an empty row
 intersection) is visible as data in the report itself, not only as
 job-summary prose.
 
-Each FILE is a JSON produced by one of the dsu-bench A/B examples
-(`--json` flag): {"example": ..., "machine": {...}, "results":
-[{"threads": N, "<mode>_median_ns": ..., "<mode>_speedup": ...}, ...]}.
+Each FILE is a JSON produced by one of the dsu-harness A/B examples
+(`crates/harness/examples/`, `--json` flag, written by
+`dsu_harness::write_record`): {"example": ..., "machine": {...},
+"results": [{"threads": N, "<mode>_median_ns": ..., "<mode>_speedup":
+...}, ...]}.
 Files missing from either directory are skipped with a note (first run on
 a branch has no baseline yet).
 

@@ -15,11 +15,11 @@
 //!   simulator, and the algorithms as step machines;
 //! * [`linearize`] — Wing–Gong linearizability checking;
 //! * [`dsu_graph`] — graph generators and the applications (connected
-//!   components, MST, percolation, incremental connectivity);
+//!   components, MST, percolation);
 //! * [`dsu_workloads`] — seeded workload generation, including the
 //!   Lemma 5.3 lower-bound construction;
 //! * [`dsu_harness`] — the experiment driver behind the `e01`–`e16`
-//!   binaries.
+//!   binaries and the interleaved A/B examples.
 //!
 //! ## Quick start
 //!

@@ -5,8 +5,8 @@
 //! Until this suite, linearizability was only checked on the APRAM
 //! simulator (e08), where the "threads" are cooperatively scheduled step
 //! machines. Here the histories come from actual `std::thread` executions
-//! of the production operations, stamped by `linearize::HistoryRecorder`'s
-//! shared `SeqCst` clock (so happens-before in the history implies
+//! of the production operations, stamped by `linearize::record_scripts` on
+//! one shared `SeqCst` clock (so happens-before in the history implies
 //! happens-before in real time), with `FaultyStore` injecting spurious CAS
 //! failures, delayed loads, and stall windows to force the retry paths the
 //! paper's proofs must survive.
@@ -22,63 +22,28 @@ use jt_dsu::concurrent_dsu::{
     BrokenStore, Dsu, DsuStore, FaultPlan, FaultyStore, FlatStore, PackedStore, TestWatchdog,
     TwoTrySplit,
 };
-use jt_dsu::linearize::{check_linearizable, CompletedOp, DsuOp, DsuSpec, HistoryRecorder};
+use jt_dsu::dsu_harness::dsu_scripts;
+use jt_dsu::linearize::{check_linearizable, record_scripts, CompletedOp, DsuOp, DsuSpec};
 use std::time::Duration;
 
-/// Deterministic op stream for thread `t`, seeded by `seed`: mostly
-/// unites (to force link races) with same-set probes mixed in.
-fn thread_ops(n: usize, t: usize, ops: usize, seed: u64) -> Vec<DsuOp> {
-    (0..ops)
-        .map(|i| {
-            let h = splitmix64(seed ^ ((t as u64) << 32) ^ i as u64);
-            let x = (h >> 8) as usize % n;
-            let y = (h >> 24) as usize % n;
-            if h.is_multiple_of(4) {
-                DsuOp::SameSet(x, y)
-            } else {
-                DsuOp::Unite(x, y)
-            }
-        })
-        .collect()
-}
-
 /// Records one timed history of `threads × ops_per_thread` operations on
-/// `dsu`, concatenating the per-thread logs at join time.
+/// `dsu`: each thread runs its seeded script (mostly unites, to force link
+/// races, with same-set probes mixed in).
 fn record_history<S: DsuStore>(
     dsu: &Dsu<TwoTrySplit, S>,
     threads: usize,
     ops_per_thread: usize,
     seed: u64,
 ) -> Vec<CompletedOp<DsuOp>> {
-    let n = dsu.len();
-    let recorder = HistoryRecorder::new();
-    // Without a start barrier the bursts are so short that threads run
-    // back to back and never actually race.
-    let barrier = std::sync::Barrier::new(threads);
-    let mut history = Vec::with_capacity(threads * ops_per_thread);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let recorder = &recorder;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    thread_ops(n, t, ops_per_thread, seed)
-                        .into_iter()
-                        .map(|op| {
-                            recorder.record(op, || match op {
-                                DsuOp::Unite(x, y) => dsu.unite(x, y),
-                                DsuOp::SameSet(x, y) => dsu.same_set(x, y),
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            history.extend(h.join().unwrap());
-        }
-    });
+    let scripts = dsu_scripts(threads, ops_per_thread, dsu.len(), seed);
+    let (history, _) = record_scripts(
+        &scripts,
+        |_| (),
+        |_, op| match op {
+            DsuOp::Unite(x, y) => dsu.unite(x, y),
+            DsuOp::SameSet(x, y) => dsu.same_set(x, y),
+        },
+    );
     history
 }
 
