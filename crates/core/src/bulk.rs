@@ -139,13 +139,7 @@ where
 /// Algorithm 3's loop (re-find both roots, link the smaller, retry on CAS
 /// failure), built on the word-carrying climb. No `op_start` — the edge
 /// was already counted by its filter.
-fn unite_from<L, P, S>(
-    store: &P,
-    mut u: usize,
-    mut v: usize,
-    stats: &mut S,
-    record_link: impl Fn(usize, usize),
-) -> bool
+fn unite_from<L, P, S>(store: &P, mut u: usize, mut v: usize, stats: &mut S) -> bool
 where
     L: LinkPolicy,
     P: ParentStore + ?Sized,
@@ -164,7 +158,6 @@ where
         let (child, wc, parent) = nominate::<L, P>(store, ru, wru, rv, wrv);
         if store.cas_from(child, wc, parent) {
             stats.link_ok();
-            record_link(child, parent);
             return true;
         }
         stats.link_fail();
@@ -209,7 +202,6 @@ fn link_survivors<L, P, S>(
     store: &P,
     survivors: &[(usize, usize, P::Word, usize)],
     stats: &mut S,
-    record_link: &impl Fn(usize, usize),
     outcome: &mut impl FnMut(usize, bool),
 ) -> usize
 where
@@ -221,12 +213,11 @@ where
     for &(i, root, word, under) in survivors {
         let linked = if store.cas_from(root, word, under) {
             stats.link_ok();
-            record_link(root, under);
             true
         } else {
             stats.link_fail();
             stats.cas_retry();
-            unite_from::<L, P, S>(store, root, under, stats, record_link)
+            unite_from::<L, P, S>(store, root, under, stats)
         };
         links += linked as usize;
         outcome(i, linked);
@@ -255,7 +246,6 @@ pub fn unite_batch_sink<L, P, S>(
     store: &P,
     edges: &[(usize, usize)],
     stats: &mut S,
-    record_link: impl Fn(usize, usize),
     mut outcome: impl FnMut(usize, bool),
 ) -> usize
 where
@@ -300,25 +290,20 @@ where
             let (root, word, under) = nominate::<L, P>(store, ru, wru, rv, wrv);
             survivors.push((base + k, root, word, under));
         }
-        links += link_survivors::<L, P, S>(store, &survivors, stats, &record_link, &mut outcome);
+        links += link_survivors::<L, P, S>(store, &survivors, stats, &mut outcome);
     }
     links
 }
 
 /// Batched `unite` over `edges`; returns the number of successful links.
 /// See [`unite_batch_sink`] for the two-pass structure.
-pub fn unite_batch<L, P, S>(
-    store: &P,
-    edges: &[(usize, usize)],
-    stats: &mut S,
-    record_link: impl Fn(usize, usize),
-) -> usize
+pub fn unite_batch<L, P, S>(store: &P, edges: &[(usize, usize)], stats: &mut S) -> usize
 where
     L: LinkPolicy,
     P: ParentStore + ?Sized,
     S: StatsSink,
 {
-    unite_batch_sink::<L, P, S>(store, edges, stats, record_link, |_, _| {})
+    unite_batch_sink::<L, P, S>(store, edges, stats, |_, _| {})
 }
 
 #[cfg(test)]
@@ -330,7 +315,7 @@ mod tests {
     use crate::store::{DsuStore, FlatStore, PackedStore};
 
     fn batch_on<P: ParentStore + DsuStore>(store: &P, edges: &[(usize, usize)]) -> usize {
-        unite_batch::<RandomLink, _, _>(store, edges, &mut (), |_, _| {})
+        unite_batch::<RandomLink, _, _>(store, edges, &mut ())
     }
 
     #[test]
@@ -367,41 +352,20 @@ mod tests {
         let edges = [(0, 1), (1, 0), (2, 3), (4, 4), (3, 2), (0, 5)];
         let mut seen = vec![0u32; edges.len()];
         let mut bools = vec![false; edges.len()];
-        let links = unite_batch_sink::<RandomLink, _, _>(
-            &store,
-            &edges,
-            &mut (),
-            |_, _| {},
-            |i, linked| {
-                seen[i] += 1;
-                bools[i] = linked;
-            },
-        );
+        let links = unite_batch_sink::<RandomLink, _, _>(&store, &edges, &mut (), |i, linked| {
+            seen[i] += 1;
+            bools[i] = linked;
+        });
         assert!(seen.iter().all(|&c| c == 1), "each edge reported once: {seen:?}");
         assert_eq!(bools, vec![true, false, true, false, false, true]);
         assert_eq!(links, 3);
     }
 
     #[test]
-    fn record_link_fires_per_successful_link() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let store = PackedStore::with_seed(16, 5);
-        let count = AtomicUsize::new(0);
-        let edges: Vec<(usize, usize)> = (0..15).map(|i| (i, i + 1)).collect();
-        let links = unite_batch::<RandomLink, _, _>(&store, &edges, &mut (), |child, parent| {
-            let key = |x| (DsuStore::id_of(&store, x), x);
-            assert!(key(child) < key(parent));
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(links, 15);
-        assert_eq!(count.load(Ordering::Relaxed), 15);
-    }
-
-    #[test]
     fn stats_count_each_edge_as_one_op() {
         let store = FlatStore::with_seed(8, 2);
         let mut stats = crate::OpStats::default();
-        unite_batch::<RandomLink, _, _>(&store, &[(0, 1), (0, 1), (2, 2)], &mut stats, |_, _| {});
+        unite_batch::<RandomLink, _, _>(&store, &[(0, 1), (0, 1), (2, 2)], &mut stats);
         assert_eq!(stats.ops, 3);
         assert_eq!(stats.links_ok, 1);
     }

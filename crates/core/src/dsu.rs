@@ -1,7 +1,7 @@
 //! The concurrent union-find ([`Dsu`]), over a fixed universe or — on a
 //! [`GrowableStore`] — one that grows by [`make_set`](Dsu::make_set).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 
 use crate::bulk;
 use crate::epoch::EpochStore;
@@ -9,7 +9,7 @@ use crate::find::{FindPolicy, TwoTrySplit};
 use crate::ops;
 use crate::order::{LinkPolicy, RandomLink};
 use crate::stats::StatsSink;
-use crate::store::{DsuStore, GrowableStore, PackedStore};
+use crate::store::{DsuStore, GrowableStore, Line, PackedStore};
 use crate::ConcurrentUnionFind;
 
 /// The paper's [`Dsu`] over the growable layout: starts with `n` elements
@@ -84,8 +84,10 @@ pub type GrowableDsu = Dsu<TwoTrySplit, EpochStore, RandomLink>;
 /// ```
 pub struct Dsu<F: FindPolicy = TwoTrySplit, S: DsuStore = PackedStore, L: LinkPolicy = RandomLink> {
     store: S,
-    /// Number of successful links ever; `set_count = n - links`.
-    links: AtomicUsize,
+    /// Number of successful links ever; `set_count = n - links`. On its
+    /// own line, so a link does not invalidate the store's fields that
+    /// every operation reads.
+    links: Line<AtomicUsize>,
     _policy: std::marker::PhantomData<(F, L)>,
 }
 
@@ -143,7 +145,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// around the layout, or name it in the type:
     /// `Dsu<F, UnionForest<PackedStore>>`.
     pub fn from_store(store: S) -> Self {
-        Dsu { store, links: AtomicUsize::new(0), _policy: std::marker::PhantomData }
+        Dsu { store, links: Line::default(), _policy: std::marker::PhantomData }
     }
 
     /// Number of elements in the universe (on a growable store: reserved
@@ -161,9 +163,12 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// is maintained with relaxed atomics: exact at quiescence and
     /// monotonically non-increasing, but a concurrent reader may observe
     /// it lag links that are already visible through `find` (under
-    /// `strict-sc` the counter is sequentially consistent).
+    /// `strict-sc` the counter is sequentially consistent). A batch's
+    /// links all land when the batch returns, so while a
+    /// [`unite_batch`](Dsu::unite_batch) runs, the links it has already
+    /// made are visible but not yet counted.
     pub fn set_count(&self) -> usize {
-        self.len() - self.links.load(crate::store::STAT)
+        self.len() - self.links.0.load(crate::store::STAT)
     }
 
     /// The 32-bit random id of element `x`: the shared
@@ -216,7 +221,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// the store's own restore of its segments and element count.
     pub(crate) fn restore_links(&mut self, links: usize) {
         debug_assert!(links <= self.len());
-        *self.links.get_mut() = links;
+        *self.links.0.get_mut() = links;
     }
 
     fn check(&self, x: usize) {
@@ -272,7 +277,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_with<Sk: StatsSink>(&self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.check(x);
         self.check(y);
-        ops::unite::<F, L, _, _>(&self.store, x, y, stats, |_, _| self.record_link())
+        let linked = ops::unite::<F, L, _, _>(&self.store, x, y, stats);
+        self.count_links(linked as usize);
+        linked
     }
 
     /// `SameSet` with early termination (paper Algorithm 6): walks only the
@@ -307,7 +314,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_early_with<Sk: StatsSink>(&self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.check(x);
         self.check(y);
-        ops::unite_early::<F, L, _, _>(&self.store, x, y, stats, |_, _| self.record_link())
+        let linked = ops::unite_early::<F, L, _, _>(&self.store, x, y, stats);
+        self.count_links(linked as usize);
+        linked
     }
 
     /// Batched [`unite`](Dsu::unite) over an edge slice (see the
@@ -346,7 +355,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         edges: &[(usize, usize)],
         stats: &mut Sk,
     ) -> usize {
-        bulk::unite_batch::<L, _, _>(&self.store, edges, stats, |_, _| self.record_link())
+        let links = bulk::unite_batch::<L, _, _>(&self.store, edges, stats);
+        self.count_links(links);
+        links
     }
 
     /// [`unite_batch`](Dsu::unite_batch) that also reports, per edge,
@@ -359,13 +370,10 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_batch_results(&self, edges: &[(usize, usize)]) -> Vec<bool> {
         self.check_edges(edges);
         let mut results = vec![false; edges.len()];
-        bulk::unite_batch_sink::<L, _, _>(
-            &self.store,
-            edges,
-            &mut (),
-            |_, _| self.record_link(),
-            |i, linked| results[i] = linked,
-        );
+        let links = bulk::unite_batch_sink::<L, _, _>(&self.store, edges, &mut (), |i, linked| {
+            results[i] = linked
+        });
+        self.count_links(links);
         results
     }
 
@@ -379,10 +387,15 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         }
     }
 
-    fn record_link(&self) {
-        // Relaxed is enough: `links` is a statistic whose own atomicity
-        // suffices for set_count.
-        self.links.fetch_add(1, Ordering::Relaxed);
+    /// Adds `links` successful links to the counter: once per operation
+    /// or batch, from the count it returns, and not at all when it linked
+    /// nothing, so a same-set operation never writes the counter's line.
+    fn count_links(&self, links: usize) {
+        if links > 0 {
+            // `STAT` (Relaxed outside `strict-sc`) is enough: `links` is a
+            // statistic whose own atomicity suffices for set_count.
+            self.links.0.fetch_add(links, crate::store::STAT);
+        }
     }
 
     // ----- Offline analysis (call only at quiescence) -----
@@ -540,6 +553,17 @@ mod tests {
         }
         assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), oracle.partition());
         assert_eq!(dsu.set_count(), oracle.set_count());
+    }
+
+    /// A link bumps `links` while every operation reads the store's
+    /// fields, so the two share no 128-byte line.
+    #[test]
+    fn links_sit_on_their_own_line() {
+        use crate::store::assert_own_line;
+        use std::mem::offset_of;
+        assert_own_line::<Dsu>(offset_of!(Dsu, links), &[offset_of!(Dsu, store)]);
+        let (links, store) = (offset_of!(GrowableDsu, links), offset_of!(GrowableDsu, store));
+        assert_own_line::<GrowableDsu>(links, &[store]);
     }
 
     #[test]

@@ -153,7 +153,7 @@ use std::sync::Arc;
 use crate::dsu::Dsu;
 use crate::find::TwoTrySplit;
 use crate::order::{hashed_id, RandomLink};
-use crate::store::{self, DsuStore, GrowableStore, ParentStore};
+use crate::store::{self, DsuStore, GrowableStore, Line, ParentStore};
 
 /// Directory slots: segment 31 ends at element `2^32 - 1`, the last index
 /// the packed word can address.
@@ -340,8 +340,10 @@ pub struct EpochStore {
     /// older node than a writer wrote (see the module safety argument).
     prefix_cells: AtomicPtr<AtomicU64>,
     /// Element count: indices `0..len` are reserved. Read and bumped
-    /// `SeqCst`, the ordering every bounds check relies on.
-    len: AtomicUsize,
+    /// `SeqCst`, the ordering every bounds check relies on. Every
+    /// `make_set` bumps it, so it has a line of its own, away from the
+    /// directory, the prefix fields and `epoch`, which every access reads.
+    len: Line<AtomicUsize>,
     epoch: AtomicU64,
     salt: u64,
     /// Serializes forks and guards what they leave behind. Fork traffic is
@@ -574,6 +576,10 @@ impl DsuStore for EpochStore {
     /// `0..log2 P` would hold — so `make_set` up to `P` allocates nothing
     /// and later elements open the doubling segments from `log2 P` on.
     /// `n == 0` builds no prefix.
+    // Inlined so that a caller builds the 512-byte store in place instead
+    // of copying it out of a call: such copies are most of what
+    // `KeyedDsu::new` costs.
+    #[inline]
     fn with_seed(n: usize, seed: u64) -> Self {
         if n > 0 {
             assert_addressable(n - 1);
@@ -583,7 +589,7 @@ impl DsuStore for EpochStore {
             slots: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             prefix,
             prefix_cells: AtomicPtr::new(std::ptr::null_mut()),
-            len: AtomicUsize::new(n),
+            len: Line(AtomicUsize::new(n)),
             epoch: AtomicU64::new(0),
             salt: seed,
             #[allow(clippy::disallowed_types)] // the fork lock above
@@ -601,7 +607,7 @@ impl DsuStore for EpochStore {
 
     #[inline]
     fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        self.len.0.load(Ordering::SeqCst)
     }
 
     fn id_of(&self, u: usize) -> u64 {
@@ -615,7 +621,7 @@ impl DsuStore for EpochStore {
 
 impl GrowableStore for EpochStore {
     fn push_singleton(&self) -> usize {
-        let e = self.len.fetch_add(1, Ordering::SeqCst);
+        let e = self.len.0.fetch_add(1, Ordering::SeqCst);
         assert_addressable(e);
         let (s, _off) = self.place(e);
         if self.slots[s].load(store::LOAD).is_null() {
@@ -638,7 +644,7 @@ impl EpochFork for EpochStore {
 
     fn fork_point(&mut self) -> SegmentSnapshot {
         let epoch = *self.epoch.get_mut();
-        let len = *self.len.get_mut();
+        let len = *self.len.0.get_mut();
         let segs = self
             .slots
             .iter_mut()
@@ -682,7 +688,7 @@ impl EpochFork for EpochStore {
             // Readers must follow slot 0 back to the restored prefix.
             *self.prefix_cells.get_mut() = node.cells.as_ptr() as *mut _;
         }
-        *self.len.get_mut() = snap.len;
+        *self.len.0.get_mut() = snap.len;
         // Bump the epoch so the restored nodes are stale again: the next
         // write forks, and `snap` stays valid for another restore.
         *self.epoch.get_mut() += 1;
@@ -1426,13 +1432,27 @@ mod tests {
         err.downcast_ref::<String>().expect("string panic payload").clone()
     }
 
+    /// `make_set` bumps `len` while every access reads the directory, the
+    /// prefix fields and `epoch`, so `len` shares a line with none of them.
+    #[test]
+    fn len_sits_on_its_own_line() {
+        use std::mem::offset_of;
+        let read = [
+            offset_of!(EpochStore, slots),
+            offset_of!(EpochStore, prefix),
+            offset_of!(EpochStore, prefix_cells),
+            offset_of!(EpochStore, epoch),
+        ];
+        store::assert_own_line::<EpochStore>(offset_of!(EpochStore, len), &read);
+    }
+
     /// The 2^32 bound must both state itself and name the only wider
     /// layout, and it must fire before any allocation (the segment holding
     /// element 2^32 would be 32 GiB).
     #[test]
     fn oversize_panic_states_the_bound_and_the_fixed_fallback() {
         let store = EpochStore::with_seed(0, 0);
-        store.len.store(1 << 32, Ordering::SeqCst);
+        store.len.0.store(1 << 32, Ordering::SeqCst);
         let msg = panic_message(|| {
             store.push_singleton();
         });

@@ -30,7 +30,9 @@
 //!   table once) over groups of 8 words, each group one cache line, and
 //!   within a group word by word. The chain's key count, which every claim
 //!   bumps, sits on its own 128-byte line, apart from the oldest-live
-//!   index and the table pointers that every lookup loads.
+//!   index and the table pointers that every lookup loads. The padding is
+//!   the store module's `Line`, which also holds the link count of
+//!   [`Dsu`] and the element count of [`EpochStore`](crate::EpochStore).
 //!
 //! The tag is the hash's low 29 bits, and a table of `2^g` groups takes
 //! its home group from the tag's low `g` bits alone, so moving a word into
@@ -198,6 +200,7 @@ use crate::dsu::{Dsu, GrowableDsu};
 use crate::epoch::{locate, segment_len, SEGMENTS};
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::stats::StatsSink;
+use crate::store::Line;
 
 /// Word layout: `tag:29 | id:32 | state:3`.
 const STATE_MASK: u64 = 0b111;
@@ -304,12 +307,6 @@ impl Table {
         })
     }
 }
-
-/// A value alone on a 128-byte line pair, the unit adjacent-line
-/// prefetchers fetch, so writes to it never invalidate its neighbors.
-#[derive(Default)]
-#[repr(align(128))]
-struct Line<T>(T);
 
 /// The id table: its chain of tables and their bookkeeping. It shares no
 /// line with its neighbors, and `keys`, which every claim bumps, sits in a
@@ -1033,6 +1030,15 @@ mod tests {
     fn keyed_dsu_is_send_and_sync() {
         assert_send_sync::<KeyedDsu<String>>();
         assert_send_sync::<KeyedDsu<u64>>();
+    }
+
+    /// Every claim bumps `keys` while every resolve loads `tables` and
+    /// `oldest`, so `keys` shares a line with neither.
+    #[test]
+    fn key_count_sits_on_its_own_line() {
+        use std::mem::offset_of;
+        let read = [offset_of!(Chain, tables), offset_of!(Chain, oldest)];
+        crate::store::assert_own_line::<Chain>(offset_of!(Chain, keys), &read);
     }
 
     #[test]

@@ -52,19 +52,10 @@ where
 ///
 /// Returns `true` iff this call performed the link (the sets were distinct
 /// at the linearization point and this CAS merged them), `false` if the
-/// inputs were already together.
-///
-/// `record_link(child, parent)` is invoked after each successful link CAS;
-/// the wrappers use it to keep the live set count. (The union forest is
-/// recorded by the [`UnionForest`](crate::UnionForest) store decorator,
-/// not here.)
-pub fn unite<F, L, P, S>(
-    store: &P,
-    x: usize,
-    y: usize,
-    stats: &mut S,
-    record_link: impl Fn(usize, usize),
-) -> bool
+/// inputs were already together. [`Dsu`](crate::Dsu) counts its links from
+/// these verdicts; the union forest is recorded by the
+/// [`UnionForest`](crate::UnionForest) store decorator.
+pub fn unite<F, L, P, S>(store: &P, x: usize, y: usize, stats: &mut S) -> bool
 where
     F: FindPolicy,
     L: LinkPolicy,
@@ -91,14 +82,12 @@ where
         if L::key(store, u, wu) < L::key(store, v, wv) {
             if store.cas_from(u, wu, v) {
                 stats.link_ok();
-                record_link(u, v);
                 return true;
             }
             stats.link_fail();
         } else {
             if store.cas_from(v, wv, u) {
                 stats.link_ok();
-                record_link(v, u);
                 return true;
             }
             stats.link_fail();
@@ -152,13 +141,7 @@ where
 /// be a root it is immediately linked under the other current node (which
 /// need not be a root — linking under any larger-key node preserves every
 /// invariant).
-pub fn unite_early<F, L, P, S>(
-    store: &P,
-    x: usize,
-    y: usize,
-    stats: &mut S,
-    record_link: impl Fn(usize, usize),
-) -> bool
+pub fn unite_early<F, L, P, S>(store: &P, x: usize, y: usize, stats: &mut S) -> bool
 where
     F: FindPolicy,
     L: LinkPolicy,
@@ -177,7 +160,6 @@ where
         }
         if store.cas_parent(u, u, v) {
             stats.link_ok();
-            record_link(u, v);
             return true;
         }
         // u was not a root (or just stopped being one): compact and climb.
@@ -206,12 +188,11 @@ mod tests {
     ) {
         macro_rules! with_policy {
             ($f:ty) => {
+                test(&|s, x, y| unite::<$f, RandomLink, _, _>(s, x, y, &mut ()), &|s, x, y| {
+                    same_set::<$f, _, _>(s, x, y, &mut ())
+                });
                 test(
-                    &|s, x, y| unite::<$f, RandomLink, _, _>(s, x, y, &mut (), |_, _| {}),
-                    &|s, x, y| same_set::<$f, _, _>(s, x, y, &mut ()),
-                );
-                test(
-                    &|s, x, y| unite_early::<$f, RandomLink, _, _>(s, x, y, &mut (), |_, _| {}),
+                    &|s, x, y| unite_early::<$f, RandomLink, _, _>(s, x, y, &mut ()),
                     &|s, x, y| same_set_early::<$f, RandomLink, _, _>(s, x, y, &mut ()),
                 );
             };
@@ -264,28 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn record_link_sees_every_link_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let (store, key) = fixture(32, 5);
-        let links = AtomicUsize::new(0);
-        for i in 0..31 {
-            unite::<TwoTrySplit, RandomLink, _, _>(&store, i, i + 1, &mut (), |child, parent| {
-                assert!(key(child) < key(parent));
-                links.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(links.load(Ordering::Relaxed), 31);
-    }
-
-    #[test]
     fn early_termination_agrees_with_standard() {
         // Interleave unites built by the standard algorithm with queries by
         // the early-termination one (and vice versa) — they share the store.
         let (store, _key) = fixture(16, 21);
         let mut s = ();
-        assert!(unite::<TwoTrySplit, RandomLink, _, _>(&store, 0, 1, &mut s, |_, _| {}));
+        assert!(unite::<TwoTrySplit, RandomLink, _, _>(&store, 0, 1, &mut s));
         assert!(same_set_early::<TwoTrySplit, RandomLink, _, _>(&store, 0, 1, &mut s));
-        assert!(unite_early::<TwoTrySplit, RandomLink, _, _>(&store, 1, 2, &mut s, |_, _| {}));
+        assert!(unite_early::<TwoTrySplit, RandomLink, _, _>(&store, 1, 2, &mut s));
         assert!(same_set::<TwoTrySplit, _, _>(&store, 0, 2, &mut s));
         assert!(!same_set_early::<TwoTrySplit, RandomLink, _, _>(&store, 0, 15, &mut s));
     }
@@ -294,7 +261,7 @@ mod tests {
     fn stats_account_finds_and_links() {
         let (store, _key) = fixture(8, 2);
         let mut stats = crate::OpStats::default();
-        unite::<OneTrySplit, RandomLink, _, _>(&store, 0, 1, &mut stats, |_, _| {});
+        unite::<OneTrySplit, RandomLink, _, _>(&store, 0, 1, &mut stats);
         assert_eq!(stats.ops, 1);
         assert_eq!(stats.finds, 2);
         assert_eq!(stats.links_ok, 1);
@@ -310,9 +277,7 @@ mod tests {
         // sequence of unites, every non-root's parent has a larger index.
         let (store, _key) = fixture(64, 99);
         for i in 0..63 {
-            unite::<TwoTrySplit, IndexLink, _, _>(&store, i, i + 1, &mut (), |c, p| {
-                assert!(c < p, "index linking must point index-upward");
-            });
+            unite::<TwoTrySplit, IndexLink, _, _>(&store, i, i + 1, &mut ());
         }
         for x in 0..64 {
             let p = store.load_parent(x);
@@ -322,9 +287,8 @@ mod tests {
         }
         // The early variants use the same order.
         let (store2, _) = fixture(8, 5);
-        assert!(unite_early::<TwoTrySplit, IndexLink, _, _>(&store2, 6, 1, &mut (), |c, p| {
-            assert!(c < p);
-        }));
+        assert!(unite_early::<TwoTrySplit, IndexLink, _, _>(&store2, 6, 1, &mut ()));
+        assert_eq!(store2.load_parent(1), 6, "index linking must point index-upward");
         assert!(same_set_early::<TwoTrySplit, IndexLink, _, _>(&store2, 1, 6, &mut ()));
     }
 }

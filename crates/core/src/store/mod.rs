@@ -305,6 +305,30 @@ pub(crate) fn collect_huge<T>(items: impl ExactSizeIterator<Item = T>) -> Vec<T>
     v
 }
 
+/// A value alone on a 128-byte line pair, the unit adjacent-line
+/// prefetchers fetch, so writes to it never invalidate its neighbors.
+/// It holds `Dsu`'s link count, `EpochStore`'s element count and the id
+/// table's key count, which links, `make_set`s and fresh keys bump while
+/// every operation reads the fields beside them.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Line<T>(pub(crate) T);
+
+/// Panics unless, in every `T`, the field at byte offset `counter` shares
+/// no 128-byte line with the fields at the byte offsets in `read`. `T`
+/// must start on a line and the counter must start one; then a field
+/// shares the counter's line only by starting in it, since fields do not
+/// overlap.
+#[cfg(test)]
+pub(crate) fn assert_own_line<T>(counter: usize, read: &[usize]) {
+    let ty = std::any::type_name::<T>();
+    assert!(std::mem::align_of::<T>() >= 128, "{ty} is not 128-byte aligned");
+    assert_eq!(counter % 128, 0, "{ty}: the counter at byte {counter} does not start a line");
+    for &field in read {
+        assert_ne!(field / 128, counter / 128, "{ty}: byte {field} shares the counter's line");
+    }
+}
+
 /// A table of atomic parent words indexed by element.
 ///
 /// The *word* ([`ParentStore::Word`]) is the store's unit of atomicity:

@@ -24,7 +24,9 @@ fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
     let samples = args.usize("samples", if quick { 5 } else { 15 });
-    let n = args.usize("n", if quick { 1 << 14 } else { 1 << 20 });
+    // Quick samples take about 17 ms at p=1 on a 2-vCPU VM: long enough
+    // that thread start-up stays under CI's 15 % regression threshold.
+    let n = args.usize("n", if quick { 1 << 18 } else { 1 << 20 });
     let m = args.usize("m", 2 * n);
     let threads = args.thread_ladder();
 

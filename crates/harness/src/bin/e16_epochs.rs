@@ -13,9 +13,10 @@
 //!    partition (a `NaiveDsu` fed every committed unite edge; edge order
 //!    is irrelevant to the final partition, so the concurrent phase and
 //!    the oracle must land on the same one).
-//! 3. **Doomed phase** — snapshot, then threads hammer the structure with
-//!    a second storm of faulted operations (time-travel reads racing the
-//!    writers), then the batch "fails" and rolls back.
+//! 3. **Doomed phase** — snapshot, then threads released together by one
+//!    start barrier hammer the structure with a second storm of faulted
+//!    operations (time-travel reads racing the writers), then the batch
+//!    "fails" and rolls back.
 //! 4. **The contract** — post-rollback words are *bit-identical* to the
 //!    pre-snapshot capture, the partition still equals the sequential
 //!    oracle's, and the committed history still checks linearizable.
@@ -40,7 +41,7 @@ use concurrent_dsu::{
     BatchOutcome, Dsu, DsuStore, EpochStore, FaultPlan, FaultyStore, OpStats, RetryBudget,
     VersionedDsu,
 };
-use dsu_harness::{dsu_scripts, Args, Table};
+use dsu_harness::{dsu_scripts, run_threads, Args, Table};
 use linearize::{check_linearizable, record_scripts, DsuOp, DsuSpec};
 use sequential_dsu::{NaiveDsu, Partition};
 
@@ -122,26 +123,23 @@ fn run_cell(
             }
         }
 
-        // Phase 3: the doomed storm behind a snapshot.
+        // Phase 3: the doomed storm behind a snapshot. The start barrier
+        // lets the threads' bursts overlap, so time-travel reads race the
+        // writers.
         let snap = dsu.snapshot();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let dsu = &dsu;
-                s.spawn(move || {
-                    let mut sink = RetryBudget::new("e16 doomed thread", budget * 4);
-                    for i in 0..ops_per_proc as u64 * 4 {
-                        let z = splitmix64(seed ^ 0xD00D ^ ((t as u64) << 40) ^ i);
-                        let (x, y) = ((z >> 8) as usize % n, (z >> 24) as usize % n);
-                        match z % 4 {
-                            0 => {
-                                let _ = dsu.same_set_at(snap, x, y);
-                            }
-                            _ => {
-                                dsu.dsu().unite_with(x, y, &mut sink);
-                            }
-                        }
+        run_threads(threads, |t| {
+            let mut sink = RetryBudget::new("e16 doomed thread", budget * 4);
+            for i in 0..ops_per_proc as u64 * 4 {
+                let z = splitmix64(seed ^ 0xD00D ^ ((t as u64) << 40) ^ i);
+                let (x, y) = ((z >> 8) as usize % n, (z >> 24) as usize % n);
+                match z % 4 {
+                    0 => {
+                        let _ = dsu.same_set_at(snap, x, y);
                     }
-                });
+                    _ => {
+                        dsu.dsu().unite_with(x, y, &mut sink);
+                    }
+                }
             }
         });
         if rollback {

@@ -19,7 +19,9 @@ Records carry a `machine` fingerprint (cpus, arch, os) stamped by the
 bench examples; when the baseline was produced on a different machine the
 comparison is skipped outright — cross-machine deltas are placement
 noise, not regressions, and the per-machine JSON archive (ROADMAP bench
-matrix) is the place they belong.
+matrix) is the place they belong. Likewise a record whose `workload`
+block (sizes, seed) differs from its baseline's timed other work, so it
+is skipped with a note and becomes the next run's baseline.
 
 The gate is advisory by design: CI bench boxes are noisy shared VMs, so a
 regression prints a warning block into the GitHub job summary (and
@@ -120,6 +122,17 @@ def compare_file(baseline_dir, current_dir, name, report=False):
             + [
                 f"- `{name}`: baseline machine {b_fp} != current {c_fp} — "
                 f"cross-machine comparison skipped; current recorded as the new baseline"
+            ],
+            0,
+        )
+    b_wl, c_wl = base.get("workload"), cur.get("workload")
+    if b_wl != c_wl:
+        return (
+            audit
+            + [
+                f"- `{name}`: baseline workload {json.dumps(b_wl, sort_keys=True)} != "
+                f"current {json.dumps(c_wl, sort_keys=True)} — "
+                f"cross-workload comparison skipped; current recorded as the new baseline"
             ],
             0,
         )

@@ -11,6 +11,7 @@ CI wiring depends on:
 * ratios are not compared in a row whose arms changed (the base arm of
   the ratio may have moved),
 * baselines from a different machine fingerprint are refused (skipped),
+* baselines whose `workload` block differs are refused (skipped),
 * a missing baseline is a note, not an error,
 * `--report` prints the machine fingerprints and the row keys compared
   (including for a cross-machine skip, where the fingerprints are the
@@ -37,8 +38,11 @@ import check_bench_regression as gate
 MACHINE = {"cpus": 8, "arch": "x86_64", "os": "linux"}
 
 
-def doc(rows, machine=MACHINE, example="variants_ab"):
-    return {"example": example, "machine": machine, "results": rows}
+def doc(rows, machine=MACHINE, example="variants_ab", workload=None):
+    d = {"example": example, "machine": machine, "results": rows}
+    if workload is not None:
+        d["workload"] = workload
+    return d
 
 
 def row(threads, n=None, **measures):
@@ -149,6 +153,31 @@ class GateFixture(unittest.TestCase):
         self.assertEqual(status, 0)
         self.assertNotIn(":warning:", report)
         self.assertIn("cross-machine comparison skipped", report)
+
+    def test_cross_workload_baseline_is_refused(self):
+        # A record timed over other sizes is not a baseline: a 10x
+        # "regression" after the quick sizes grew must NOT be flagged.
+        small = {"n": 16384, "m": 32768, "seed": "0xBE7C"}
+        large = {"n": 262144, "m": 524288, "seed": "0xBE7C"}
+        self.write(
+            self.base_dir, "a.json", doc([row(2, m_median_ns=1.0)], workload=small)
+        )
+        self.write(
+            self.cur_dir, "a.json", doc([row(2, m_median_ns=10.0)], workload=large)
+        )
+        status, report = self.run_gate("a.json")
+        self.assertEqual(status, 0)
+        self.assertNotIn(":warning:", report)
+        self.assertIn("cross-workload comparison skipped", report)
+        self.assertIn('"n": 16384', report)
+        # The same workload on both sides is still compared.
+        self.write(
+            self.base_dir, "a.json", doc([row(2, m_median_ns=1.0)], workload=large)
+        )
+        status, report = self.run_gate("a.json")
+        self.assertEqual(status, 0)
+        self.assertIn(":warning:", report)
+        self.assertNotIn("cross-workload", report)
 
     def test_missing_baseline_fails_soft(self):
         self.write(self.cur_dir, "a.json", doc([row(2, m_median_ns=100.0)]))
